@@ -13,7 +13,6 @@ from .exactnum import (
     rational_reduce,
 )
 from .lensdi import (
-    DInvariantCache,
     DInvariantTable,
     LensSpace,
     conj_label,
@@ -22,6 +21,7 @@ from .lensdi import (
     froy_closed_form,
     grading_diff,
     lens_normalize,
+    scaled_d_table,
 )
 
 __version__ = "0.1.0"
@@ -39,9 +39,9 @@ __all__ = [
     "conj_label",
     "d_rec",
     "d_table",
+    "scaled_d_table",
     "froy_closed_form",
     "grading_diff",
     "DInvariantTable",
-    "DInvariantCache",
     "__version__",
 ]

@@ -6,8 +6,10 @@ affine label bijections sigma, form the difference vector
     t_i = d_rec(L(p,1), [i]) - d_rec(L(p,q), sigma[i])     (2|i| <= p)
 
 and accept sigma only when every t_i is a nonpositive even integer.  The
-torsion coefficients are then T_i = -t_i / 2 and the candidate polynomial is
-recovered through the second-difference inverse
+filter runs on the 4p-scaled integer tables of `lensdi`: with N = 4p * t_i,
+t_i <= 0 exactly when N <= 0, and t_i is even exactly when 8p divides N.
+The torsion coefficients are then T_i = -t_i / 2 and the candidate
+polynomial is recovered through the second-difference inverse
 
     a_i = T_{i-1} - 2 T_i + T_{i+1}  (i >= 1),    a_0 = 1 - 2 sum a_i.
 
@@ -26,7 +28,8 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import DomainError
-from .lensdi import LensSpace, conj_label, d_rec, lens_normalize
+from .lensdi import LensSpace, conj_label, lens_normalize, scaled_d_table
+from .lensdi import d_rec  # noqa: F401  perfbench/tracing.py wraps it at this name
 
 
 @dataclass(frozen=True)
@@ -148,9 +151,10 @@ def alex_from_torsion(seq: TorsionSeq) -> AlexPoly:
 class Correspondence:
     """Affine label bijection sigma(i) = c + u*i (mod p), u a unit.
 
-    Instances produced by enumerate_correspondences additionally satisfy the
-    conjugation equivariance sigma(-i) = conj(sigma(i)), which for an affine
-    map is the single congruence 2c = q - 1 (mod p).
+    Conjugation equivariance sigma(-i) = conj(sigma(i)) reads
+    c - u*i = q - 1 - c - u*i (mod p): the single congruence 2c = q - 1
+    (mod p), whatever u and i are.  enumerate_correspondences solves it;
+    is_equivariant checks the definition on every residue.
     """
 
     space: LensSpace
@@ -173,16 +177,18 @@ class Correspondence:
 
 
 def enumerate_correspondences(space: LensSpace) -> list[Correspondence]:
-    """All equivariant affine bijections, checked directly on all residues."""
-    out = []
-    for u in range(1, space.p + 1):
-        if gcd(u, space.p) != 1:
-            continue
-        for c in range(space.p):
-            cand = Correspondence(space, c, u)
-            if cand.is_equivariant():
-                out.append(cand)
-    return out
+    """All equivariant affine bijections, units u ascending, then c ascending.
+
+    The offsets c are the solutions of 2c = q - 1 (mod p): one for odd p,
+    two (p/2 apart) for even p, the same for every unit u.
+    """
+    p = space.p
+    offsets = [c for c in range(p) if (2 * c - space.q + 1) % p == 0]
+    return [
+        Correspondence(space, c, u)
+        for u in range(1, p + 1) if gcd(u, p) == 1
+        for c in offsets
+    ]
 
 
 @dataclass(frozen=True)
@@ -197,29 +203,37 @@ class TVector:
         return self.t[i] if i < len(self.t) else Fraction(0)
 
 
+def _scaled_t(
+    base: tuple[int, ...], table: tuple[int, ...], sigma: Correspondence
+) -> tuple[int, ...]:
+    """4p * t_i for 0 <= i <= p/2, from the scaled tables of L(p,1) and L(p,q)."""
+    p = len(table)
+    return tuple(base[i % p] - table[sigma(i)] for i in range(p // 2 + 1))
+
+
+def _scaled_tables(space: LensSpace) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    return scaled_d_table(lens_normalize(space.p, 1)), scaled_d_table(space)
+
+
+def _fractions(space: LensSpace, scaled: tuple[int, ...]) -> TVector:
+    scale = 4 * space.p
+    return TVector(space, tuple(Fraction(n, scale) for n in scaled))
+
+
 def t_vector(space: LensSpace, sigma: Correspondence) -> TVector:
     if sigma.space != space:
         raise DomainError("correspondence belongs to a different lens space")
-    base = lens_normalize(space.p, 1)
-    vals = tuple(
-        d_rec(base, i % space.p) - d_rec(space, sigma(i))
-        for i in range(space.p // 2 + 1)
-    )
-    return TVector(space, vals)
+    return _fractions(space, _scaled_t(*_scaled_tables(space), sigma))
 
 
 @dataclass(frozen=True)
 class FilterSet:
-    require_t_nonpositive: bool = True
-    require_t_even: bool = True
+    """The t-nonpositive and t-even filters always run; pm1-alternating is optional."""
+
     require_pm1_alternating: bool = True
 
     def names(self) -> list[str]:
-        on = []
-        if self.require_t_nonpositive:
-            on.append("t-nonpositive")
-        if self.require_t_even:
-            on.append("t-even")
+        on = ["t-nonpositive", "t-even"]
         if self.require_pm1_alternating:
             on.append("pm1-alternating")
         return on
@@ -243,19 +257,14 @@ def candidate_polynomials(
     space: LensSpace, filters: FilterSet = FilterSet()
 ) -> list[Candidate]:
     """Deduplicated candidate polynomials with one witnessing sigma each."""
+    tables = _scaled_tables(space)
+    even = 8 * space.p  # t_i is an even integer exactly when 8p | 4p * t_i
     seen: dict[tuple, Candidate] = {}
     for sigma in enumerate_correspondences(space):
-        tv = t_vector(space, sigma)
-        if filters.require_t_nonpositive and any(x > 0 for x in tv.t):
+        scaled = _scaled_t(*tables, sigma)
+        if any(n > 0 or n % even for n in scaled):
             continue
-        if filters.require_t_even and any(
-            x.denominator != 1 or x.numerator % 2 for x in tv.t
-        ):
-            continue
-        torsion = [Fraction(-x, 2) for x in tv.t]
-        if any(x.denominator != 1 for x in torsion):
-            continue
-        seq = TorsionSeq.from_list([int(x) for x in torsion])
+        seq = TorsionSeq.from_list([-n // even for n in scaled])
         try:
             poly = alex_from_torsion(seq)
         except DomainError:
@@ -263,7 +272,7 @@ def candidate_polynomials(
         if filters.require_pm1_alternating and not _pm1_alternating(poly):
             continue
         if poly.coeffs not in seen:
-            seen[poly.coeffs] = Candidate(poly, sigma, tv)
+            seen[poly.coeffs] = Candidate(poly, sigma, _fractions(space, scaled))
     return [seen[k] for k in sorted(seen)]
 
 

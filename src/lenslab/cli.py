@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import DomainError, InvariantError
 from .exactnum import farey_parents, format_slope, hj_expand, parse_slope
-from .lensdi import DInvariantCache, d_table, lens_normalize
+from .lensdi import d_table, lens_normalize
 from .alexobstruct import (
     FilterSet,
     candidate_polynomials,
@@ -104,18 +104,32 @@ def _load_cone_triple(path: str) -> ConeTriple:
     return ConeTriple(complexes, f, h)
 
 
-def _load_tree(path: str) -> WeightedTree:
-    with open(path) as handle:
-        doc = json.load(handle)
-    return WeightedTree(
-        tuple(doc["vertices"]), tuple(tuple(e) for e in doc["edges"])
-    )
+def _is_int(value: object) -> bool:
+    return type(value) is int  # JSON true/false load as bool, an int subclass
 
 
-def _load_tait(path: str) -> TaitGraph:
+def _load_graph(path: str, weighted: bool) -> tuple:
+    """(vertices, edges) of a tree (a weight list) or a Tait graph (a vertex count)."""
     with open(path) as handle:
         doc = json.load(handle)
-    return TaitGraph(doc["vertices"], tuple(tuple(e) for e in doc["edges"]))
+    if not isinstance(doc, dict):
+        raise DomainError("graph document is not a JSON object")
+    vertices, edges = doc.get("vertices"), doc.get("edges")
+    if weighted and isinstance(vertices, list) and all(map(_is_int, vertices)):
+        n, vertices = len(vertices), tuple(vertices)
+    elif not weighted and _is_int(vertices):
+        n = vertices
+    else:
+        kind = "a list of integer weights" if weighted else "an integer vertex count"
+        raise DomainError(f"field 'vertices' is missing or not {kind}")
+    if not isinstance(edges, list) or not all(
+        isinstance(e, list) and len(e) == 2 and all(_is_int(v) and 0 <= v < n for v in e)
+        for e in edges
+    ):
+        raise DomainError(
+            f"field 'edges' is missing or not a list of [i, j] pairs with 0 <= i, j < {n}"
+        )
+    return vertices, tuple(map(tuple, edges))
 
 
 def _emit_certificate(cert: Certificate, as_json: bool) -> None:
@@ -136,7 +150,6 @@ def _emit_certificate(cert: Certificate, as_json: bool) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="lenslab", description=__doc__)
     parser.add_argument("--json", action="store_true", help="machine-readable output")
-    parser.add_argument("--cache-dir", help="d-invariant cache directory")
     sub = parser.add_subparsers(dest="command")
 
     p_dinv = sub.add_parser("dinv", help="d-invariant table of L(p,q)")
@@ -196,8 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_dinv(args: argparse.Namespace) -> None:
     space = lens_normalize(args.p, args.q)
-    cache = DInvariantCache.from_environment(args.cache_dir)
-    table = d_table(space, cache)
+    table = d_table(space)
     if args.json:
         print(json.dumps({
             "p": space.p,
@@ -378,12 +390,10 @@ def _cmd_triangle(args: argparse.Namespace) -> None:
 
 def _cmd_lspace(args: argparse.Namespace) -> None:
     if args.ls_command == "tree":
-        tree = _load_tree(args.file)
-        cert = certify_tree(tree)
+        cert = certify_tree(WeightedTree(*_load_graph(args.file, weighted=True)))
         _emit_certificate(cert, args.json)
     elif args.ls_command == "alt":
-        graph = _load_tait(args.file)
-        cert = certify_alternating(graph)
+        cert = certify_alternating(TaitGraph(*_load_graph(args.file, weighted=False)))
         _emit_certificate(cert, args.json)
     elif args.ls_command == "slope":
         base_slope = parse_slope(args.base)

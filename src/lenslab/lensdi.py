@@ -1,29 +1,28 @@
 """Lens spaces, their Spin^c labels, and the recursive d-invariants.
 
-`d_rec` is the one sign primitive of the package:
+Every d-value is held as the integer N(p, q, i) = 4p * d(L(p, q), i):
 
-    d(1, *, 0)   = 0
+    N(1, *, 0)   = 0
+    N(p, q, i)   = (pq - (2i + 1 - p - q)^2 - p * N(q, p mod q, i mod q)) / q
+
+which is the d-recursion
+
     d(p, q, i)   = (pq - (2i + 1 - p - q)^2) / (4pq) - d(q, p mod q, i mod q)
 
-Every consumer states its own sign usage relative to this function rather
+multiplied through by 4p.  Every division by q is exact (checked), and a
+table of L(p, q) is built from the table of L(q, p mod q).  `d_rec` and
+`d_table` are `Fraction(N, 4p)` views of it and the sign primitive of the
+package: every consumer states its own sign usage relative to them rather
 than re-deriving orientation conventions.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
-from pathlib import Path
 
 from .errors import DomainError, InvariantError, NotALensSpaceError
-
-CACHE_ENV_VAR = "LENSLAB_CACHE"
-CACHE_FORMAT_VERSION = "1"
 
 
 @dataclass(frozen=True, order=True)
@@ -72,21 +71,45 @@ def conj_label(space: LensSpace, i: int) -> int:
     return (space.p + space.q - 1 - i) % space.p
 
 
-@lru_cache(maxsize=None)
-def _d_rec(p: int, q: int, i: int) -> Fraction:
+def _lift(p: int, q: int, i: int, below: int) -> int:
+    """N(p, q, i) from below = N(q, p mod q, i mod q); the division by q is checked."""
+    n, rem = divmod(p * q - (2 * i + 1 - p - q) ** 2 - p * below, q)
+    if rem:
+        raise InvariantError(f"4p * d(L({p},{q}), {i}) is not an integer")
+    return n
+
+
+def _table(p: int, q: int) -> tuple[int, ...]:
+    """N(p, q, i) for every label i; recursion depth is that of Euclid on (p, q)."""
     if p == 1:
-        return Fraction(0)
-    q %= p
-    i %= p
-    num = p * q - (2 * i + 1 - p - q) ** 2
-    return Fraction(num, 4 * p * q) - _d_rec(q, p % q, i % q)
+        return (0,)
+    below = _table(q, p % q)
+    return tuple(_lift(p, q, i, below[i % q]) for i in range(p))
+
+
+def _label(p: int, q: int, i: int) -> int:
+    """N(p, q, i) for one label, along the same chain as _table."""
+    return 0 if p == 1 else _lift(p, q, i, _label(q, p % q, i % q))
+
+
+def scaled_d_table(space: LensSpace) -> tuple[int, ...]:
+    """N(p, q, i) = 4p * d(L(p, q), i) for every label i, conjugation-checked."""
+    values = _table(space.p, space.q)
+    for i, n in enumerate(values):
+        j = conj_label(space, i)
+        if n != values[j]:
+            raise InvariantError(
+                f"conjugation symmetry broken for {space}: "
+                f"4p*d({i}) = {n} but 4p*d({j}) = {values[j]}"
+            )
+    return values
 
 
 def d_rec(space: LensSpace, i: int) -> Fraction:
-    """The recursion value for label i of L(p, q)."""
+    """d(L(p, q), i) = N(p, q, i) / 4p."""
     if not 0 <= i < space.p:
         raise DomainError(f"label {i} outside Z/{space.p}")
-    return _d_rec(space.p, space.q, i)
+    return Fraction(_label(space.p, space.q, i), 4 * space.p)
 
 
 @dataclass(frozen=True)
@@ -98,24 +121,12 @@ class DInvariantTable:
         return self.values[i % self.space.p]
 
 
-def d_table(space: LensSpace, cache: "DInvariantCache | None" = None) -> DInvariantTable:
-    """All p recursion values; conjugation symmetry is asserted before return
-    (also on cache hits, so a damaged cache entry cannot slip through)."""
-    stored = cache.get(space) if cache is not None else None
-    if stored is not None:
-        values = tuple(stored)
-    else:
-        values = tuple(_d_rec(space.p, space.q, i) for i in range(space.p))
-    for i in range(space.p):
-        j = conj_label(space, i)
-        if values[i] != values[j]:
-            raise InvariantError(
-                f"conjugation symmetry broken for {space}: "
-                f"d({i}) = {values[i]} but d({j}) = {values[j]}"
-            )
-    if cache is not None and stored is None:
-        cache.put(space, values)
-    return DInvariantTable(space, values)
+def d_table(space: LensSpace) -> DInvariantTable:
+    """All p d-values, as Fractions, of the conjugation-checked scaled table."""
+    scale = 4 * space.p
+    return DInvariantTable(
+        space, tuple(Fraction(n, scale) for n in scaled_d_table(space))
+    )
 
 
 def froy_closed_form(p: int, n: int) -> Fraction:
@@ -132,58 +143,3 @@ def grading_diff(p: int, n: int, n2: int) -> Fraction:
     if p < 1:
         raise DomainError(f"p must be positive, got {p}")
     return Fraction((2 * n - p) ** 2 - (2 * n2 - p) ** 2, 4 * p)
-
-
-class DInvariantCache:
-    """On-disk d-table store: one JSON document per (p, q).
-
-    Writes are atomic (temp file + rename) so concurrent readers always see
-    a complete document; re-writing an entry is idempotent.  Entries whose
-    format version does not match are ignored.
-    """
-
-    def __init__(self, directory: str | os.PathLike[str]):
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-
-    @classmethod
-    def from_environment(cls, cache_dir: str | None = None) -> "DInvariantCache | None":
-        path = cache_dir or os.environ.get(CACHE_ENV_VAR)
-        return cls(path) if path else None
-
-    def _path(self, space: LensSpace) -> Path:
-        return self.directory / f"d_{space.p}_{space.q}.json"
-
-    def get(self, space: LensSpace) -> list[Fraction] | None:
-        path = self._path(space)
-        try:
-            doc = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            return None
-        if doc.get("version") != CACHE_FORMAT_VERSION:
-            return None
-        if doc.get("p") != space.p or doc.get("q") != space.q:
-            return None
-        values = [Fraction(s) for s in doc["d"]]
-        if len(values) != space.p:
-            return None
-        return values
-
-    def put(self, space: LensSpace, values: tuple[Fraction, ...]) -> None:
-        doc = {
-            "version": CACHE_FORMAT_VERSION,
-            "p": space.p,
-            "q": space.q,
-            "d": [f"{v.numerator}/{v.denominator}" for v in values],
-        }
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(doc, handle)
-            os.replace(tmp, self._path(space))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise

@@ -68,6 +68,25 @@ def test_enumerate_correspondences_examples():
     assert len(trivial) == 1 and trivial[0](5) == 0
 
 
+def brute_force_correspondences(space: LensSpace) -> list[Correspondence]:
+    """Every unit u and offset c, kept when equivariant on all residues."""
+    return [
+        sigma
+        for u in range(1, space.p + 1) if gcd(u, space.p) == 1
+        for c in range(space.p)
+        if (sigma := Correspondence(space, c, u)).is_equivariant()
+    ]
+
+
+def test_enumerate_correspondences_matches_brute_force_up_to_40():
+    for p in range(1, 41):
+        for q in range(1, p + 1):
+            if gcd(p, q) != 1 or (q == p and p > 1):
+                continue
+            space = LensSpace(p, q)
+            assert enumerate_correspondences(space) == brute_force_correspondences(space)
+
+
 def test_correspondence_equivariance_hand_check():
     sigma = Correspondence(LensSpace(9, 7), 3, 4)
     assert sigma.is_equivariant()

@@ -190,17 +190,28 @@ def test_output_determinism(capsys):
     assert a == b
 
 
-def test_cache_dir_flag(tmp_path, capsys):
-    code, out, _ = run_cli(capsys, "--cache-dir", str(tmp_path), "dinv", "9", "7")
-    assert code == 0
-    assert (tmp_path / "d_9_7.json").exists()
-    # cached run produces identical output
-    code2, out2, _ = run_cli(capsys, "--cache-dir", str(tmp_path), "dinv", "9", "7")
-    assert (code2, out2) == (code, out)
+def test_cache_dir_flag_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--cache-dir", str(tmp_path), "dinv", "9", "7"])
+    assert exc.value.code == 64
 
 
-def test_cache_env_var(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("LENSLAB_CACHE", str(tmp_path))
-    code, _, _ = run_cli(capsys, "dinv", "5", "4")
-    assert code == 0
-    assert (tmp_path / "d_5_4.json").exists()
+@pytest.mark.parametrize("command, doc, field", [
+    ("tree", {"vertices": [2, 2]}, "edges"),
+    ("tree", {"vertices": 3, "edges": []}, "vertices"),
+    ("tree", {"vertices": [2, 2], "edges": [[0, 2]]}, "edges"),
+    ("tree", {"vertices": [2, True], "edges": [[0, 1]]}, "vertices"),
+    ("tree", [[2, 2], [[0, 1]]], "JSON object"),
+    ("alt", {"edges": [[0, 1]]}, "vertices"),
+    ("alt", {"vertices": [2, 2], "edges": [[0, 1]]}, "vertices"),
+    ("alt", {"vertices": 3, "edges": [[0, 1, 2]]}, "edges"),
+    ("alt", {"vertices": 3, "edges": "0-1"}, "edges"),
+])
+def test_malformed_graph_document_is_one_line_domain_error(tmp_path, capsys, command, doc, field):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "lspace", command, str(path))
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and field in err
+    assert "Traceback" not in err

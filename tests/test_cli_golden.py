@@ -1,0 +1,67 @@
+"""CLI stdout, byte for byte, against a recorded transcript.
+
+`tests/data/cli_golden.txt` holds the stdout of every invocation below, each
+preceded by a `$ lenslab ...` line.  Regenerate it (only when an output
+change is intended) with
+
+    PYTHONPATH=src python tests/test_cli_golden.py > tests/data/cli_golden.txt
+"""
+
+import contextlib
+import io
+import sys
+from math import gcd
+from pathlib import Path
+
+from lenslab.cli import main
+
+GOLDEN = Path(__file__).parent / "data" / "cli_golden.txt"
+
+
+def invocations() -> list[list[str]]:
+    runs = [
+        ["dinv", "9", "7"], ["--json", "dinv", "9", "7"],
+        ["dinv", "1009", "13"], ["--json", "dinv", "1009", "13"],
+    ]
+    for p in range(1, 26):
+        for q in range(1, p + 1):
+            if gcd(p, q) != 1 or (q == p and p > 1):
+                continue
+            pq = ["alexlens", str(p), str(q)]
+            runs += [
+                pq, pq + ["--literal-Lsigma"], ["--json"] + pq, pq + ["--no-pm1-filter"],
+            ]
+    for g in ("2", "3"):
+        runs += [["genus-scan", g], ["--json", "genus-scan", g, "--no-pm1-filter"]]
+    runs.append(["lattice-check", "9", "7"])
+    return runs
+
+
+def render() -> str:
+    out = io.StringIO()
+    for argv in invocations():
+        out.write("$ lenslab " + " ".join(argv) + "\n")
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        if code != 0:
+            out.write(f"[exit {code}]\n")
+    return out.getvalue()
+
+
+def test_cli_stdout_matches_golden():
+    expected = GOLDEN.read_text()
+    actual = render()
+    if actual != expected:
+        got, want = actual.splitlines(), expected.splitlines()
+        first = next(
+            (k for k, (a, b) in enumerate(zip(got, want)) if a != b),
+            min(len(got), len(want)),
+        )
+        raise AssertionError(
+            f"stdout differs from {GOLDEN.name} at line {first + 1}: "
+            f"got {got[first:first + 1]!r}, want {want[first:first + 1]!r}"
+        )
+
+
+if __name__ == "__main__":
+    sys.stdout.write(render())

@@ -1,16 +1,16 @@
-"""Lens-space normalization, the d-invariant recursion, and its cache."""
+"""Lens-space normalization and the d-invariant recursion, checked against
+an independent Fraction implementation of it."""
 
-import json
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import pytest
 
-from lenslab.errors import DomainError, NotALensSpaceError
+from lenslab.errors import DomainError, InvariantError, NotALensSpaceError
 from lenslab.exactnum import hj_expand
 from lenslab.lensdi import (
-    DInvariantCache,
     LensSpace,
     conj_label,
     d_rec,
@@ -18,7 +18,19 @@ from lenslab.lensdi import (
     froy_closed_form,
     grading_diff,
     lens_normalize,
+    scaled_d_table,
 )
+
+
+@lru_cache(maxsize=None)
+def fraction_recursion(p: int, q: int, i: int) -> Fraction:
+    """d(p, q, i) = (pq - (2i + 1 - p - q)^2) / (4pq) - d(q, p mod q, i mod q)."""
+    if p == 1:
+        return Fraction(0)
+    q %= p
+    i %= p
+    num = p * q - (2 * i + 1 - p - q) ** 2
+    return Fraction(num, 4 * p * q) - fraction_recursion(q, p % q, i % q)
 
 
 def test_lens_normalize_examples():
@@ -143,50 +155,44 @@ def test_homeomorphism_invariance_of_multiset():
             assert a == b, (p, q, qinv)
 
 
-def test_cache_round_trip(tmp_path):
-    cache = DInvariantCache(tmp_path)
+def test_d_table_matches_fraction_recursion_below_120():
+    for p in range(1, 120):
+        for q in range(1, p + 1):
+            if gcd(p, q) != 1 or (q == p and p > 1):
+                continue
+            space = LensSpace(p, q)
+            expected = tuple(fraction_recursion(p, q, i) for i in range(p))
+            assert d_table(space).values == expected, space
+
+
+def test_d_table_and_d_rec_match_fraction_recursion_at_1009_13():
+    space = LensSpace(1009, 13)
+    expected = tuple(fraction_recursion(1009, 13, i) for i in range(1009))
+    assert d_table(space).values == expected
+    assert [d_rec(space, i) for i in range(1009)] == list(expected)
+
+
+def test_d_rec_matches_fraction_recursion_up_to_40():
+    for p in range(1, 41):
+        for q in range(1, p + 1):
+            if gcd(p, q) != 1 or (q == p and p > 1):
+                continue
+            for i in range(p):
+                assert d_rec(LensSpace(p, q), i) == fraction_recursion(p, q, i)
+
+
+def test_scaled_table_is_4p_times_d():
     space = LensSpace(9, 7)
-    table = d_table(space, cache)
-    path = tmp_path / "d_9_7.json"
-    assert path.exists()
-    # reads back identically
-    again = d_table(space, cache)
-    assert again.values == table.values
-    doc = json.loads(path.read_text())
-    assert doc["version"] == "1"
-    assert doc["d"][1] == "2/9"
+    assert scaled_d_table(space) == (0, 8, -16, 0, -16, 8, 0, 32, 32)
+    assert scaled_d_table(LensSpace(1, 1)) == (0,)
 
 
-def test_cache_version_invalidation(tmp_path):
-    cache = DInvariantCache(tmp_path)
-    space = LensSpace(5, 4)
-    d_table(space, cache)
-    path = tmp_path / "d_5_4.json"
-    doc = json.loads(path.read_text())
-    doc["version"] = "0"
-    doc["d"] = ["999/1"] * 5
-    path.write_text(json.dumps(doc))
-    # stale version ignored; correct values recomputed and rewritten
-    assert d_table(space, cache).values[0] == Fraction(1, 5)
+def test_inexact_division_is_an_invariant_error(monkeypatch):
+    import lenslab.lensdi as lensdi
 
-
-def test_cache_ignores_garbage(tmp_path):
-    cache = DInvariantCache(tmp_path)
-    (tmp_path / "d_3_1.json").write_text("{ not json")
-    assert d_table(LensSpace(3, 1), cache).values == (
-        Fraction(-1, 2), Fraction(1, 6), Fraction(1, 6),
+    real_lift = lensdi._lift
+    monkeypatch.setattr(
+        lensdi, "_lift", lambda p, q, i, below: real_lift(p, q, i, below + (p == 9))
     )
-
-
-def test_cache_tamper_detected(tmp_path):
-    from lenslab.errors import InvariantError
-
-    cache = DInvariantCache(tmp_path)
-    space = LensSpace(9, 7)
-    d_table(space, cache)
-    path = tmp_path / "d_9_7.json"
-    doc = json.loads(path.read_text())
-    doc["d"][1] = "7/9"  # breaks d(1) = d(5)
-    path.write_text(json.dumps(doc))
-    with pytest.raises(InvariantError):
-        d_table(space, cache)
+    with pytest.raises(InvariantError, match="not an integer"):
+        scaled_d_table(LensSpace(9, 7))
