@@ -65,18 +65,50 @@ def _frac_str(value: Fraction) -> str:
     return format_slope(value)
 
 
+def _is_int(value: object) -> bool:
+    return type(value) is int  # JSON true/false load as bool, an int subclass
+
+
+def _load_object(path: str, kind: str) -> dict:
+    with open(path) as handle:
+        doc = json.load(handle)
+    if not isinstance(doc, dict):
+        raise DomainError(f"{kind} document is not a JSON object")
+    return doc
+
+
+def _load_dims(doc: dict) -> list[int]:
+    dims = doc.get("dims")
+    if not (
+        isinstance(dims, list) and len(dims) == 3
+        and all(_is_int(n) and n >= 0 for n in dims)
+    ):
+        raise DomainError("field 'dims' is missing or not a list of 3 non-negative integers")
+    return dims
+
+
 def _parse_matrix(doc: dict, name: str, rows: int, cols: int) -> F2Matrix:
+    texts = doc.get(name, [])
+    bad = DomainError(
+        f"field '{name}' is not a list of \"r,c\" entries with 0 <= r < {rows}, 0 <= c < {cols}"
+    )
+    if not isinstance(texts, list):
+        raise bad
     entries = []
-    for text in doc.get(name, []):
-        r, c = text.split(",")
-        entries.append((int(r), int(c)))
+    for text in texts:
+        try:
+            r, c = map(int, text.split(","))
+        except (AttributeError, ValueError):
+            raise bad from None
+        if not (0 <= r < rows and 0 <= c < cols):
+            raise bad
+        entries.append((r, c))
     return F2Matrix.from_entries(rows, cols, entries)
 
 
 def _load_octet(path: str) -> Octet:
-    with open(path) as handle:
-        doc = json.load(handle)
-    do, ds, du = doc["dims"]
+    doc = _load_object(path, "octet")
+    do, ds, du = _load_dims(doc)
     shapes = {
         "doo": (do, do), "dos": (ds, do), "duo": (do, du), "dIus": (ds, du),
         "dss": (ds, ds), "dsu": (du, ds), "dus": (ds, du), "duu": (du, du),
@@ -88,9 +120,8 @@ def _load_octet(path: str) -> Octet:
 
 
 def _load_cone_triple(path: str) -> ConeTriple:
-    with open(path) as handle:
-        doc = json.load(handle)
-    dims = doc["dims"]
+    doc = _load_object(path, "triangle")
+    dims = _load_dims(doc)
     complexes = tuple(
         GradedComplex.ungraded(dims[n], _parse_matrix(doc, f"d{n}", dims[n], dims[n]))
         for n in range(3)
@@ -104,16 +135,9 @@ def _load_cone_triple(path: str) -> ConeTriple:
     return ConeTriple(complexes, f, h)
 
 
-def _is_int(value: object) -> bool:
-    return type(value) is int  # JSON true/false load as bool, an int subclass
-
-
 def _load_graph(path: str, weighted: bool) -> tuple:
     """(vertices, edges) of a tree (a weight list) or a Tait graph (a vertex count)."""
-    with open(path) as handle:
-        doc = json.load(handle)
-    if not isinstance(doc, dict):
-        raise DomainError("graph document is not a JSON object")
+    doc = _load_object(path, "graph")
     vertices, edges = doc.get("vertices"), doc.get("edges")
     if weighted and isinstance(vertices, list) and all(map(_is_int, vertices)):
         n, vertices = len(vertices), tuple(vertices)

@@ -1,10 +1,8 @@
 """Chain complexes over GF(2): the three assembled complexes of an octet,
 the i/j/p exact triangle, and the mapping-cone exactness criterion.
 
-All complexes here are either integer-graded with a degree -1 differential
-or a single ungraded bucket with a square-zero endomorphism; the octet and
-cone machinery uses the ungraded form (the data is abstract linear algebra,
-not a manifold invariant).
+All complexes here are a single ungraded bucket with a square-zero
+endomorphism (the data is abstract linear algebra, not a manifold invariant).
 """
 
 from __future__ import annotations
@@ -22,82 +20,36 @@ from .gf2 import (
 
 @dataclass(frozen=True)
 class GradedComplex:
-    """dims[k] with differentials d[k] : C_k -> C_{k-1}, or a single
-    ungraded bucket (endo=True) with one square-zero endomorphism."""
+    """An ungraded complex: C = GF(2)^dim with one square-zero endomorphism d."""
 
-    dims: tuple[tuple[int, int], ...]  # sorted (grading, dimension)
-    diff: tuple[tuple[int, F2Matrix], ...]  # (k, matrix C_k -> C_{k-1})
-    endo: bool = False
-
-    @classmethod
-    def graded(cls, dims: dict[int, int], diff: dict[int, F2Matrix]) -> "GradedComplex":
-        dims_t = tuple(sorted(dims.items()))
-        diff_t = tuple(sorted(diff.items()))
-        for k, m in diff_t:
-            dom = dims.get(k, 0)
-            cod = dims.get(k - 1, 0)
-            if (m.rows, m.cols) != (cod, dom):
-                raise DomainError(f"differential at grading {k} has wrong shape")
-        return cls(dims_t, diff_t, endo=False)
+    dim: int
+    d: F2Matrix
 
     @classmethod
     def ungraded(cls, dim: int, d: F2Matrix) -> "GradedComplex":
         if (d.rows, d.cols) != (dim, dim):
             raise DomainError("ungraded differential must be square")
-        return cls(((0, dim),), ((0, d),), endo=True)
-
-    @property
-    def dim(self) -> int:
-        return sum(n for _, n in self.dims)
-
-    def endo_matrix(self) -> F2Matrix:
-        if not self.endo:
-            raise DomainError("not an ungraded complex")
-        return self.diff[0][1]
+        return cls(dim, d)
 
     def check_squares_to_zero(self) -> None:
-        if self.endo:
-            d = self.endo_matrix()
-            if not (d @ d).is_zero():
-                raise DomainError("differential does not square to zero")
-            return
-        diff = dict(self.diff)
-        for k, m in diff.items():
-            below = diff.get(k - 1)
-            if below is not None and not (below @ m).is_zero():
-                raise DomainError(f"d^2 != 0 between gradings {k} and {k - 2}")
+        if not (self.d @ self.d).is_zero():
+            raise DomainError("differential does not square to zero")
 
-    # the two subspaces homology is built from (ungraded form)
+    # the two subspaces homology is built from
     def cycles(self) -> list[int]:
-        d = self.endo_matrix()
-        return span_basis(d.nullspace())
+        return span_basis(self.d.nullspace())
 
     def boundaries(self) -> list[int]:
-        d = self.endo_matrix()
-        cols = [d.apply(1 << j) for j in range(d.cols)]
-        return span_basis(cols)
+        return span_basis([self.d.apply(1 << j) for j in range(self.d.cols)])
 
     def homology_dim(self) -> int:
-        d = self.endo_matrix()
-        r = d.rank()
-        return self.dim - 2 * r
+        return self.dim - 2 * self.d.rank()
 
 
 def complex_homology(complex_: GradedComplex) -> dict[int, int]:
-    """Per-grading homology ranks via GF(2) elimination."""
+    """Homology rank via GF(2) elimination, keyed by the single grading 0."""
     complex_.check_squares_to_zero()
-    if complex_.endo:
-        return {0: complex_.homology_dim()}
-    dims = dict(complex_.dims)
-    diff = dict(complex_.diff)
-    out = {}
-    for k, n in dims.items():
-        d_k = diff.get(k)
-        rank_k = d_k.rank() if d_k is not None else 0
-        d_up = diff.get(k + 1)
-        rank_up = d_up.rank() if d_up is not None else 0
-        out[k] = (n - rank_k) - rank_up
-    return out
+    return {0: complex_.homology_dim()}
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +324,7 @@ def cone_verify(triple: ConeTriple) -> ConeHypothesisReport:
     """Check the two mapping-cone hypotheses and whether each
     psi_n = f_{n+2} H_n + H_{n+1} f_n is a homology isomorphism."""
     cs = triple.complexes
-    d = [c.endo_matrix() for c in cs]
+    d = [c.d for c in cs]
     chain = []
     homot = []
     iso = []
@@ -393,8 +345,8 @@ def cone_exactness(triple: ConeTriple) -> bool:
     """Directly verify image = kernel at all three homology nodes; this does
     not consult the hypotheses."""
     for n, f_n in enumerate(triple.f):
-        d_dom = triple.complexes[n].endo_matrix()
-        d_cod = triple.complexes[(n + 1) % 3].endo_matrix()
+        d_dom = triple.complexes[n].d
+        d_cod = triple.complexes[(n + 1) % 3].d
         if not (d_cod @ f_n + f_n @ d_dom).is_zero():
             raise DomainError(f"f_{n} is not a chain map")
     return not _triangle_exactness_failures(

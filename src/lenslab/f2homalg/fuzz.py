@@ -240,7 +240,7 @@ def _conjugate_triple(t: ConeTriple, rng: random.Random) -> ConeTriple:
     new_cs = []
     for idx, c in enumerate(t.complexes):
         p, p_inv = ps[idx]
-        new_cs.append(GradedComplex.ungraded(dims[idx], p @ c.endo_matrix() @ p_inv))
+        new_cs.append(GradedComplex.ungraded(dims[idx], p @ c.d @ p_inv))
     new_f = tuple(
         ps[(n + 1) % 3][0] @ t.f[n] @ ps[n][1] for n in range(3)
     )

@@ -189,24 +189,8 @@ class WeightedTree:
             raise DomainError("empty tree")
         if len(self.edges) != n - 1:
             raise DomainError("a tree on n vertices has n - 1 edges")
-        seen = {0}
-        frontier = [0]
-        adj = self.adjacency()
-        while frontier:
-            v = frontier.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        if len(seen) != n:
+        if not _connected_with(n, self.edges):
             raise DomainError("tree is not connected")
-
-    def adjacency(self) -> dict[int, list[int]]:
-        adj: dict[int, list[int]] = {v: [] for v in range(len(self.weights))}
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        return adj
 
     def degree(self, v: int) -> int:
         return sum(1 for a, b in self.edges if v in (a, b))
@@ -412,20 +396,8 @@ class TaitGraph:
         for a, b in self.edges:
             if not (0 <= a < self.num_vertices and 0 <= b < self.num_vertices):
                 raise DomainError(f"edge ({a}, {b}) out of range")
-        if not self._connected():
+        if not _connected_with(self.num_vertices, self.edges):
             raise DomainError("graph is not connected")
-
-    def _connected(self) -> bool:
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            v = frontier.pop()
-            for a, b in self.edges:
-                for x, y in ((a, b), (b, a)):
-                    if x == v and y not in seen:
-                        seen.add(y)
-                        frontier.append(y)
-        return len(seen) == self.num_vertices
 
     def loops(self) -> list[int]:
         return [i for i, (a, b) in enumerate(self.edges) if a == b]
@@ -448,15 +420,18 @@ class TaitGraph:
 
 
 def _connected_with(n: int, edges: tuple[tuple[int, int], ...]) -> bool:
+    """Whether the graph on vertices 0..n-1 is connected, in O(n + |edges|)."""
+    adj: dict[int, list[int]] = {v: [] for v in range(n)}  # KeyError outside 0..n-1
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
     seen = {0}
     frontier = [0]
     while frontier:
-        v = frontier.pop()
-        for a, b in edges:
-            for x, y in ((a, b), (b, a)):
-                if x == v and y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
+        for w in adj[frontier.pop()]:
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
     return len(seen) == n
 
 
@@ -639,7 +614,6 @@ def propagate_slope(base: Certificate, target: Fraction) -> Certificate:
         )
 
     def integer_cert(value: Fraction) -> Certificate:
-        cert = memo[lifted]
         current = lifted
         while current < value:
             nxt = current + 1
@@ -647,7 +621,6 @@ def propagate_slope(base: Certificate, target: Fraction) -> Certificate:
                 memo[nxt] = triangle_rule(
                     memo[current], sphere_axiom(), _surgery_fact(knot, nxt)
                 )
-            cert = memo[nxt]
             current = nxt
         return memo[value]
 

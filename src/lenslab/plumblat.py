@@ -15,6 +15,14 @@ integral), where the quadratic form is local along the chain:
 A representative search over x in x_0 + 2Z^n is then a dynamic program over
 chain positions whose per-coordinate state space is bounded by the value of
 a greedy incumbent.  Every arithmetic step is integer arithmetic.
+
+One continuant recurrence serves the determinant, the definiteness check and
+the adjugate.  With theta_k the leading principal minors of G (theta_0 = 1)
+and phi_k those of the reversed chain, the adjugate has the closed form
+adj[i][j] = adj[j][i] = (-1)^(i+j) theta_i phi_(n-1-j) for 0-based i <= j
+(Usmani, "Inversion of a tridiagonal Jacobi matrix", 1994), and det = theta_n.
+Its corner entry adj[n-1][0] is +-1, so the first basis vector e_1 always
+generates the cyclic discriminant group: the classes are K_0 + 2c e_1.
 """
 
 from __future__ import annotations
@@ -27,6 +35,15 @@ from math import gcd, isqrt
 from .errors import DomainError, InvariantError
 from .exactnum import hj_eval, is_normalized_hj
 from .lensdi import LensSpace, d_table
+
+
+def _continuants(terms: tuple[int, ...]) -> list[int]:
+    """Leading principal minors theta_0 = 1, theta_1, ..., theta_n of the chain's
+    Gram matrix: theta_k = -a_k theta_(k-1) - theta_(k-2)."""
+    theta = [0, 1]
+    for a in terms:
+        theta.append(-a * theta[-1] - theta[-2])
+    return theta[1:]
 
 
 @dataclass(frozen=True)
@@ -47,11 +64,7 @@ class Lattice:
         return g
 
     def determinant(self) -> int:
-        # continuant recurrence for the tridiagonal Gram matrix
-        d_prev, d_cur = 0, 1
-        for a in self.terms:
-            d_prev, d_cur = d_cur, -a * d_cur - d_prev
-        return d_cur
+        return _continuants(self.terms)[-1]
 
 
 @dataclass(frozen=True)
@@ -74,82 +87,41 @@ def lattice_from_hj(terms: list[int] | tuple[int, ...]) -> Lattice:
     terms = tuple(terms)
     if not is_normalized_hj(list(terms)):
         raise DomainError(f"not a normalized expansion: {terms}")
-    lat = Lattice(terms)
+    theta = _continuants(terms)
     # leading principal minors must alternate in sign (negative definiteness)
-    d_prev, d_cur = 0, 1
-    sign = 1
-    for a in terms:
-        d_prev, d_cur = d_cur, -a * d_cur - d_prev
-        sign = -sign
-        if d_cur * sign <= 0:
-            raise DomainError(f"expansion {terms} gives an indefinite chain")
+    if any(t * (-1) ** k <= 0 for k, t in enumerate(theta)):
+        raise DomainError(f"expansion {terms} gives an indefinite chain")
     p = hj_eval(list(terms)).numerator
-    if abs(lat.determinant()) != p:
-        raise InvariantError(
-            f"|det| = {abs(lat.determinant())} != numerator {p} for {terms}"
-        )
-    return lat
+    if abs(theta[-1]) != p:
+        raise InvariantError(f"|det| = {abs(theta[-1])} != numerator {p} for {terms}")
+    return Lattice(terms)
 
 
-@lru_cache(maxsize=4096)
-def _chain_adjugate(terms: tuple[int, ...]) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    d, adj = _adjugate_and_det(Lattice(terms).gram())
-    return d, tuple(tuple(row) for row in adj)
-
-
-def _adjugate_and_det(gram: list[list[int]]) -> tuple[int, list[list[int]]]:
-    """Exact determinant and adjugate via Fraction elimination (small ranks)."""
-    n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise InvariantError("singular Gram matrix")
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            inv[col], inv[piv] = inv[piv], inv[col]
-            det = -det
-        det *= a[col][col]
-        scale = 1 / a[col][col]
-        a[col] = [x * scale for x in a[col]]
-        inv[col] = [x * scale for x in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    d = int(det)
-    adj = [[int(inv[i][j] * det) for j in range(n)] for i in range(n)]
-    return d, adj
+def _chain_adjugate(terms: tuple[int, ...]) -> tuple[int, list[list[int]]]:
+    """Determinant and adjugate of the chain's Gram matrix, in closed form."""
+    n = len(terms)
+    theta = _continuants(terms)
+    phi = _continuants(terms[::-1])
+    adj = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            v = theta[i] * phi[n - 1 - j]
+            adj[i][j] = adj[j][i] = -v if (i + j) % 2 else v
+    return theta[n], adj
 
 
 def char_classes(lat: Lattice) -> list[CharClass]:
     """One representative per class; there are exactly |det| classes.
 
-    Representatives are K_0 + 2c * e_g for c = 0..p-1, where e_g is a basis
-    vector generating the (cyclic) discriminant group.
+    Representatives are K_0 + 2c * e_1 for c = 0..p-1: e_1 generates the
+    cyclic discriminant group because the cofactor adj[n-1][0] is +-1.
     """
-    n = lat.rank
     p = abs(lat.determinant())
-    _, adj = _chain_adjugate(lat.terms)
-    gen = None
-    for j in range(n):
-        g = 0
-        for i in range(n):
-            g = gcd(g, adj[i][j])
-        order = p // gcd(p, g) if g else 1
-        if order == p:
-            gen = j
-            break
-    if gen is None:
-        raise InvariantError(f"no basis vector generates the class group of {lat.terms}")
     base = [-a for a in lat.terms]
     out = []
     for c in range(p):
         rep = list(base)
-        rep[gen] += 2 * c
+        rep[0] += 2 * c
         out.append(CharClass(lat, tuple(rep)))
     return out
 
@@ -243,18 +215,10 @@ def max_char_square(lat: Lattice, cls: CharClass) -> Fraction:
 
 
 def _class_key_row(lat: Lattice) -> tuple[int, tuple[int, ...]]:
-    """An adjugate row whose residues mod 2|det| separate the classes."""
-    n = lat.rank
-    p = abs(lat.determinant())
-    _, adj = _chain_adjugate(lat.terms)
-    for j in range(n):
-        g = 0
-        for i in range(n):
-            g = gcd(g, adj[i][j])
-        order = p // gcd(p, g) if g else 1
-        if order == p:
-            return p, tuple(adj[j][i] for i in range(n))
-    raise InvariantError(f"no adjugate row separates the classes of {lat.terms}")
+    """Adjugate row 0, whose residues mod 2|det| separate the classes
+    (e_1 generates the discriminant group)."""
+    d, adj = _chain_adjugate(lat.terms)
+    return abs(d), tuple(adj[0])
 
 
 @lru_cache(maxsize=256)

@@ -215,3 +215,25 @@ def test_malformed_graph_document_is_one_line_domain_error(tmp_path, capsys, com
     assert out == ""
     assert len(err.splitlines()) == 1 and field in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, doc, field", [
+    ("octet", {"dims": [1, 1]}, "dims"),
+    ("octet", {"dims": [1, True, 1]}, "dims"),
+    ("octet", {"dims": [1, 1, 1], "dos": ["0;0"]}, "dos"),
+    ("octet", {"dims": [1, 1, 1], "dsu": ["0,1"]}, "dsu"),
+    ("octet", {"dims": [1, 1, 1], "doo": "0,0"}, "doo"),
+    ("octet", [1], "JSON object"),
+    ("triangle", {"dims": [1, 1]}, "dims"),
+    ("triangle", {"dims": [1, 1, -2]}, "dims"),
+    ("triangle", {"dims": [1, 1, 2], "f0": [[0, 0]]}, "f0"),
+    ("triangle", [1], "JSON object"),
+])
+def test_malformed_f2_document_is_one_line_domain_error(tmp_path, capsys, command, doc, field):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, command, "verify", str(path))
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and field in err
+    assert "Traceback" not in err

@@ -1,4 +1,4 @@
-"""Graded homology, octet assembly, and the mapping-cone criterion."""
+"""Homology, octet assembly, and the mapping-cone criterion."""
 
 import random
 
@@ -22,16 +22,6 @@ from lenslab.f2homalg.fuzz import (
     random_octet,
     random_square_zero,
 )
-
-
-def test_homology_zero_differential():
-    cx = GradedComplex.graded({0: 2, 1: 3}, {})
-    assert complex_homology(cx) == {0: 2, 1: 3}
-
-
-def test_homology_identity_differential():
-    cx = GradedComplex.graded({0: 1, 1: 1}, {1: F2Matrix.identity(1)})
-    assert complex_homology(cx) == {0: 0, 1: 0}
 
 
 def test_homology_random_vs_independent_elimination():

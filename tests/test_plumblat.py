@@ -9,6 +9,7 @@ from lenslab.errors import DomainError
 from lenslab.exactnum import hj_expand
 from lenslab.plumblat import (
     CharClass,
+    _chain_adjugate,
     char_classes,
     lattice_from_hj,
     lattice_vs_recursion_check,
@@ -54,6 +55,24 @@ def test_char_class_validation():
         CharClass(lat, (3,))  # wrong length
     with pytest.raises(DomainError):
         max_char_square(lattice_from_hj([3]), CharClass(lat, (3, 2)))
+
+
+def test_closed_form_adjugate_to_61():
+    # G . adj = det . I fixes the adjugate uniquely; the corner cofactor +-1
+    # is why e_1 generates the discriminant group
+    for p in range(2, 62):
+        for q in range(1, p):
+            if gcd(p, q) != 1:
+                continue
+            lat = lattice_from_hj(hj_expand(Fraction(p, q)))
+            n, gram = lat.rank, lat.gram()
+            det, adj = _chain_adjugate(lat.terms)
+            assert abs(det) == p
+            assert abs(adj[n - 1][0]) == 1
+            for i in range(n):
+                for j in range(n):
+                    entry = sum(gram[i][k] * adj[k][j] for k in range(n))
+                    assert entry == (det if i == j else 0)
 
 
 def test_class_count_and_distinctness():
