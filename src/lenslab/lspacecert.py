@@ -189,6 +189,7 @@ class WeightedTree:
             raise DomainError("empty tree")
         if len(self.edges) != n - 1:
             raise DomainError("a tree on n vertices has n - 1 edges")
+        _check_endpoints(n, self.edges)
         if not _connected_with(n, self.edges):
             raise DomainError("tree is not connected")
 
@@ -244,14 +245,31 @@ def _integer_det(matrix: list[list[int]]) -> int:
 
 
 def tree_h1(tree: WeightedTree) -> int:
-    """|det| of the weighted adjacency form; 0 signals a non-RHS boundary."""
+    """|det| of the weighted adjacency form; 0 signals a non-RHS boundary.
+
+    Leaves are folded into their parents, in O(n) integer steps: rooted at
+    vertex 0, A_v is the determinant of the subtree below v and B_v that of
+    the subtree with v deleted.  Starting from (w_v, 1), each child c folds
+    in as (A_v, B_v) <- (A_v A_c - B_v B_c, B_v A_c), children before parents.
+    """
     n = len(tree.weights)
-    matrix = [[0] * n for _ in range(n)]
-    for v, w in enumerate(tree.weights):
-        matrix[v][v] = w
+    nbrs: list[list[int]] = [[] for _ in range(n)]
     for a, b in tree.edges:
-        matrix[a][b] = matrix[b][a] = 1
-    return abs(_integer_det(matrix))
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    parent = [-1] * n
+    order = [0]  # breadth-first, so every parent precedes its children
+    for v in order:
+        for c in nbrs[v]:
+            if c != parent[v]:
+                parent[c] = v
+                order.append(c)
+    det = list(tree.weights)
+    rest = [1] * n
+    for c in reversed(order[1:]):
+        v = parent[c]
+        det[v], rest[v] = det[v] * det[c] - rest[v] * rest[c], rest[v] * det[c]
+    return abs(det[0])
 
 
 def _tree_fact(tree: WeightedTree) -> Fact:
@@ -393,9 +411,7 @@ class TaitGraph:
     def __post_init__(self) -> None:
         if self.num_vertices < 1:
             raise DomainError("need at least one vertex")
-        for a, b in self.edges:
-            if not (0 <= a < self.num_vertices and 0 <= b < self.num_vertices):
-                raise DomainError(f"edge ({a}, {b}) out of range")
+        _check_endpoints(self.num_vertices, self.edges)
         if not _connected_with(self.num_vertices, self.edges):
             raise DomainError("graph is not connected")
 
@@ -417,6 +433,12 @@ class TaitGraph:
             f"Tait graph on {self.num_vertices} vertices "
             + "[" + ",".join(f"{a}-{b}" for a, b in self.edges) + "]"
         )
+
+
+def _check_endpoints(n: int, edges: tuple[tuple[int, int], ...]) -> None:
+    for a, b in edges:
+        if not (0 <= a < n and 0 <= b < n):
+            raise DomainError(f"edge ({a}, {b}) out of range")
 
 
 def _connected_with(n: int, edges: tuple[tuple[int, int], ...]) -> bool:

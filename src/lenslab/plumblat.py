@@ -6,15 +6,20 @@ characteristic covectors we maximize K^T G^{-1} K exactly; the multiset of
 (max + n) over all classes is an oracle for 4 * d_rec over all labels, and
 `lattice_vs_recursion_check` reports whether the two multisets agree.
 
-The maximization works in the coordinates x = G^{-1} K (scaled by p to stay
-integral), where the quadratic form is local along the chain:
+The maximization works in the coordinates y = p G^{-1} K (integral), where
+the quadratic form is local along the chain:
 
-    x^T G x = -(a_1 - 1) x_1^2 - sum (x_i - x_{i+1})^2
-              - sum_interior (a_i - 2) x_i^2 - (a_n - 1) x_n^2.
+    y^T G y = -(a_1 - 1) y_1^2 - sum (y_i - y_{i+1})^2
+              - sum_interior (a_i - 2) y_i^2 - (a_n - 1) y_n^2.
 
-A representative search over x in x_0 + 2Z^n is then a dynamic program over
-chain positions whose per-coordinate state space is bounded by the value of
-a greedy incumbent.  Every arithmetic step is integer arithmetic.
+The start vector y_0 = p G^{-1} K_0 comes from the continuants in O(n), with
+no matrix.  The maximum over the class, y in y_0 + 2p Z^n, is found by
+steepest ascent: over the box of the three coset points y_i - 2p, y_i,
+y_i + 2p per coordinate the best point is a dynamic program along the
+chain, and each of its steps, a max-plus convolution with a parabola, costs
+time linear in the points through an upper envelope of lines.  The form is
+L-natural-concave in the coset coordinates, so a point that is best in its
+own box is a global maximum.  Every arithmetic step is integer arithmetic.
 
 One continuant recurrence serves the determinant, the definiteness check and
 the adjugate.  With theta_k the leading principal minors of G (theta_0 = 1)
@@ -30,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd
 
 from .errors import DomainError, InvariantError
 from .exactnum import hj_eval, is_normalized_hj
@@ -137,81 +142,124 @@ def same_class(lat: Lattice, u: tuple[int, ...], v: tuple[int, ...]) -> bool:
     return True
 
 
-def _max_square_scaled(terms: tuple[int, ...], y0: list[int], p: int) -> Fraction:
-    """max of (y^T G y) / p^2 over y in y0 + 2p Z^n, exact."""
-    n = len(terms)
-    a = terms
-    step = 2 * p
-    if n == 1:
-        r = y0[0] % step
-        best = min(r * r, (r - step) ** 2)
-        return Fraction(-a[0] * best, p * p)
+def _start_vector(theta: list[int], phi: list[int], rep: tuple[int, ...]) -> list[int]:
+    """y0 = sign(det) adj K in O(n) from the continuants, without the adjugate.
 
-    w = [ai - 2 for ai in a]
-    w[0] = a[0] - 1
-    w[-1] = a[-1] - 1
+    With adj[i][j] = (-1)^(i+j) theta_min(i,j) phi_(n-1-max(i,j)),
 
-    # greedy incumbent following local parabola vertices
-    prev = 0
-    incumbent = 0
+        (adj K)_i = (-1)^i (theta_i sum_(j>=i) (-1)^j phi_(n-1-j) K_j
+                            + phi_(n-1-i) sum_(j<i) (-1)^j theta_j K_j).
+    """
+    n = len(rep)
+    tail = [0] * (n + 1)  # tail[i] = sum_(j>=i) (-1)^j phi_(n-1-j) K_j
+    for j in range(n - 1, -1, -1):
+        v = phi[n - 1 - j] * rep[j]
+        tail[j] = tail[j + 1] + (-v if j % 2 else v)
+    sign = 1 if theta[n] > 0 else -1
+    head = 0  # sum_(j<i) (-1)^j theta_j K_j
+    y0 = []
     for i in range(n):
-        base = y0[i] % step
-        best_val = None
-        best_y = base
-        centre = prev // (w[i] + 1) if i else 0
-        k = (centre - base) // step
-        for kk in (k - 1, k, k + 1):
-            yv = base + step * kk
-            val = -w[i] * yv * yv - ((prev - yv) ** 2 if i else 0)
-            if best_val is None or val > best_val:
-                best_val, best_y = val, yv
-        incumbent += best_val
-        prev = best_y
-    bound = -incumbent if incumbent else 1  # |Q(opt)| <= |Q(greedy)|
+        v = theta[i] * tail[i] + phi[n - 1 - i] * head
+        y0.append(-sign * v if i % 2 else sign * v)
+        v = theta[i] * rep[i]
+        head += -v if i % 2 else v
+    return y0
 
-    def layer(i: int, radius: int) -> list[int]:
-        base = y0[i] % step
-        lo = -((radius + base) // step)
-        hi = (radius - base) // step
-        if lo > hi:
-            return [base if base <= p else base - step]
-        return [base + step * k for k in range(lo, hi + 1)]
 
-    # optimum prefix bounds: w_1 y_1^2 <= bound and running diff^2 sums
-    # <= bound; with w_1 = 0 (expansions of slopes < 1) the first coordinate
-    # is only anchored through the chain, so widen to the worst-case drift
-    if w[0] >= 1:
-        first_radius = isqrt(bound // w[0]) + step
-    else:
-        first_radius = 2 * isqrt(n * bound) + 2 * step
-    score = {y: -w[0] * y * y for y in layer(0, first_radius)}
-    for i in range(1, n):
-        radius = isqrt(i * bound) + first_radius + step
-        items = list(score.items())
-        nxt = {}
-        for y2 in layer(i, radius):
-            own = -w[i] * y2 * y2
-            best = None
-            for y1, s in items:
-                diff = y1 - y2
-                val = s - diff * diff
-                if best is None or val > best:
-                    best = val
-            nxt[y2] = best + own
-        score = nxt
-    return Fraction(max(score.values()), p * p)
+def _parabola_max(ys: list[int], ss: list[int], xs: list[int]) -> tuple[list[int], list[int]]:
+    """For strictly ascending ys and ascending xs, the values
+    max_k (ss[k] - (ys[k] - x)^2) over x in xs and an index k attaining each,
+    in O(len(ys) + len(xs)) exact integer steps.
+
+    s - (y - x)^2 = (s - y^2) + 2 y x - x^2, so each state is a line of slope
+    2y and intercept s - y^2, with ascending slopes (Felzenszwalb and
+    Huttenlocher, "Distance Transforms of Sampled Functions", 2012).  The
+    upper envelope of the lines is built with integer cross-multiplication:
+    the last line is dropped when the new one meets the one before it no
+    later than the last line does.  The ascending queries then walk the
+    envelope with one forward pointer.
+    """
+    hk: list[int] = []  # envelope lines, as indices into ys
+    hm: list[int] = []  # their slopes 2y
+    hb: list[int] = []  # their intercepts s - y^2
+    for k, (y, s) in enumerate(zip(ys, ss)):
+        m, b = 2 * y, s - y * y
+        while len(hm) >= 2 and (b - hb[-2]) * (hm[-1] - hm[-2]) >= (hb[-1] - hb[-2]) * (m - hm[-2]):
+            hk.pop()
+            hm.pop()
+            hb.pop()
+        hk.append(k)
+        hm.append(m)
+        hb.append(b)
+    values, args = [], []
+    j, last = 0, len(hm) - 1
+    for x in xs:
+        while j < last and hb[j + 1] + hm[j + 1] * x >= hb[j] + hm[j] * x:
+            j += 1
+        values.append(hb[j] + hm[j] * x - x * x)
+        args.append(hk[j])
+    return values, args
+
+
+def _chain_max(w: list[int], layers: list[list[int]]) -> tuple[int, list[int]]:
+    """max of -sum w_i y_i^2 - sum (y_i - y_(i+1))^2 over y with each y_i in
+    layers[i] (ascending), and a y attaining it: a dynamic program along the
+    chain whose inner step is _parabola_max, linear in the number of points."""
+    ss = [-w[0] * x * x for x in layers[0]]
+    args = []
+    for i in range(1, len(layers)):
+        values, arg = _parabola_max(layers[i - 1], ss, layers[i])
+        ss = [v - w[i] * x * x for v, x in zip(values, layers[i])]
+        args.append(arg)
+    best = max(ss)
+    j = ss.index(best)
+    point = [layers[-1][j]]
+    for i in range(len(args) - 1, -1, -1):
+        j = args[i][j]
+        point.append(layers[i][j])
+    return best, point[::-1]
+
+
+def _max_square_scaled(terms: tuple[int, ...], y0: list[int], p: int) -> Fraction:
+    """max of (y^T G y) / p^2 over y in y0 + 2p Z^n, exact.
+
+    y^T G y = -sum w_i y_i^2 - sum (y_i - y_(i+1))^2, where w_i is a_i less
+    the number of chain neighbours of vertex i, and w_i >= 0 for a normalized
+    expansion.  In the coordinates y = y0 + 2p k this is a sum of concave
+    functions of single k_i and of differences k_i - k_(i+1), that is an
+    L-natural-concave function of k, and such a function is maximal at k as
+    soon as no k + chi_S and no k - chi_S (chi_S a 0/1 vector) is larger
+    (Murota, "Discrete Convex Analysis", SIAM 2003, ch. 7).  Those points all
+    lie in the box k +- 1, so: start at y0 and move to the best point of the
+    box around the current one until that is the current point or no better
+    than it.  The value rises strictly with every move and the form is
+    definite, so the ascent ends.
+    """
+    n = len(terms)
+    step = 2 * p
+    w = [a - (i > 0) - (i < n - 1) for i, a in enumerate(terms)]
+    y = y0
+    value = None  # Q(y) once y is the best point of a box
+    while True:
+        best, z = _chain_max(w, [[v - step, v, v + step] for v in y])
+        if z == y or best == value:
+            return Fraction(best, p * p)
+        value, y = best, z
 
 
 def max_char_square(lat: Lattice, cls: CharClass) -> Fraction:
     """max over the class of K^T G^{-1} K + rank (exact rational)."""
     if cls.lattice != lat:
         raise DomainError("class does not belong to this lattice")
-    n = lat.rank
-    d, adj = _chain_adjugate(lat.terms)
-    p = abs(d)
-    sign = p // d
-    y0 = [sign * sum(adj[i][j] * cls.rep[j] for j in range(n)) for i in range(n)]
-    return _max_square_scaled(lat.terms, y0, p) + n
+    if not is_normalized_hj(list(lat.terms)):
+        raise DomainError(f"not a normalized expansion: {lat.terms}")
+    theta = _continuants(lat.terms)
+    phi = _continuants(lat.terms[::-1])
+    p = abs(theta[-1])
+    # the ascent starts at the coset point nearest 0 in every coordinate
+    start = [v % (2 * p) for v in _start_vector(theta, phi, cls.rep)]
+    start = [r - 2 * p if r > p else r for r in start]
+    return _max_square_scaled(lat.terms, start, p) + lat.rank
 
 
 def _class_key_row(lat: Lattice) -> tuple[int, tuple[int, ...]]:

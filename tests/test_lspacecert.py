@@ -54,6 +54,38 @@ def test_tree_h1_examples():
     assert tree_h1(path_tree([2, 2])) == 3
 
 
+def random_tree(rng: random.Random) -> WeightedTree:
+    n = rng.randrange(1, 13)
+    label = list(range(n))
+    rng.shuffle(label)
+    edges = []
+    for v in range(1, n):
+        a, b = label[rng.randrange(v)], label[v]
+        edges.append((a, b) if rng.random() < 0.5 else (b, a))
+    return WeightedTree(tuple(rng.randint(-5, 6) for _ in range(n)), tuple(edges))
+
+
+def test_tree_h1_matches_dense_determinant():
+    from lenslab.lspacecert import _integer_det
+
+    rng = random.Random(20)
+    for _ in range(2000):
+        tree = random_tree(rng)
+        n = len(tree.weights)
+        matrix = [[0] * n for _ in range(n)]
+        for v, w in enumerate(tree.weights):
+            matrix[v][v] = w
+        for a, b in tree.edges:
+            matrix[a][b] = matrix[b][a] = 1
+        assert tree_h1(tree) == abs(_integer_det(matrix))
+
+
+def test_certify_long_path():
+    cert = certify_tree(path_tree([2] * 60))
+    assert cert.conclusion.h1_order == 61
+    assert check_certificate(cert) == cert.size()
+
+
 def test_certify_tree_single_vertex():
     cert = certify_tree(WeightedTree((5,), ()))
     assert cert.rule == "axiom:lens-space"
@@ -275,6 +307,10 @@ def test_weighted_tree_validation():
         WeightedTree((2, 2, 2), ((0, 1), (0, 1)))  # cycle, vertex 2 isolated
     with pytest.raises(DomainError):
         WeightedTree((), ())
+    with pytest.raises(DomainError, match=r"edge \(0, -1\) out of range"):
+        WeightedTree((2, 2), ((0, -1),))
+    with pytest.raises(DomainError, match=r"edge \(2, 0\) out of range"):
+        WeightedTree((2, 2), ((2, 0),))
 
 
 def test_named_axioms():

@@ -1,7 +1,8 @@
 """Chain lattices and the characteristic-vector maximization oracle."""
 
+import random
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 import pytest
 
@@ -9,7 +10,12 @@ from lenslab.errors import DomainError
 from lenslab.exactnum import hj_expand
 from lenslab.plumblat import (
     CharClass,
+    Lattice,
     _chain_adjugate,
+    _continuants,
+    _max_square_scaled,
+    _parabola_max,
+    _start_vector,
     char_classes,
     lattice_from_hj,
     lattice_vs_recursion_check,
@@ -55,6 +61,10 @@ def test_char_class_validation():
         CharClass(lat, (3,))  # wrong length
     with pytest.raises(DomainError):
         max_char_square(lattice_from_hj([3]), CharClass(lat, (3, 2)))
+    # an interior weight 1 makes the chain form non-concave along the chain
+    odd = Lattice((3, 1, 3))
+    with pytest.raises(DomainError):
+        max_char_square(odd, CharClass(odd, (3, 1, 3)))
 
 
 def test_closed_form_adjugate_to_61():
@@ -196,3 +206,163 @@ def test_matching_partitions_everything():
     labels = [l for _, _, ls in report.matching for l in ls]
     assert sorted(classes) == list(range(9))
     assert sorted(labels) == list(range(9))
+
+
+# --- the pairwise dynamic program, kept as an oracle for the envelope -------
+
+
+def _oracle_start_vector(terms, rep):
+    """p and y0 = p G^{-1} K, by Fraction elimination on the tridiagonal G."""
+    n = len(terms)
+    diag = [Fraction(-a) for a in terms]
+    rhs = [Fraction(k) for k in rep]
+    for i in range(1, n):
+        f = 1 / diag[i - 1]
+        diag[i] -= f
+        rhs[i] -= f * rhs[i - 1]
+    x = [Fraction(0)] * n
+    x[-1] = rhs[-1] / diag[-1]
+    for i in range(n - 2, -1, -1):
+        x[i] = (rhs[i] - x[i + 1]) / diag[i]
+    det = 1
+    for d in diag:
+        det *= d
+    p = abs(det)
+    y0 = [p * v for v in x]
+    assert all(v.denominator == 1 for v in y0)
+    return int(p), [int(v) for v in y0]
+
+
+def _oracle_max_square_scaled(terms, y0, p):
+    """max of (y^T G y) / p^2 over y in y0 + 2p Z^n: a greedy incumbent bounds
+    the search box and every layer pair (y1, y2) is compared."""
+    n = len(terms)
+    a = terms
+    step = 2 * p
+    if n == 1:
+        r = y0[0] % step
+        best = min(r * r, (r - step) ** 2)
+        return Fraction(-a[0] * best, p * p)
+    w = [ai - 2 for ai in a]
+    w[0] = a[0] - 1
+    w[-1] = a[-1] - 1
+    prev = 0
+    incumbent = 0
+    for i in range(n):
+        base = y0[i] % step
+        best_val = None
+        best_y = base
+        centre = prev // (w[i] + 1) if i else 0
+        k = (centre - base) // step
+        for kk in (k - 1, k, k + 1):
+            yv = base + step * kk
+            val = -w[i] * yv * yv - ((prev - yv) ** 2 if i else 0)
+            if best_val is None or val > best_val:
+                best_val, best_y = val, yv
+        incumbent += best_val
+        prev = best_y
+    bound = -incumbent if incumbent else 1
+
+    def layer(i, radius):
+        base = y0[i] % step
+        lo = -((radius + base) // step)
+        hi = (radius - base) // step
+        if lo > hi:
+            return [base if base <= p else base - step]
+        return [base + step * k for k in range(lo, hi + 1)]
+
+    if w[0] >= 1:
+        first_radius = isqrt(bound // w[0]) + step
+    else:
+        first_radius = 2 * isqrt(n * bound) + 2 * step
+    score = {y: -w[0] * y * y for y in layer(0, first_radius)}
+    for i in range(1, n):
+        radius = isqrt(i * bound) + first_radius + step
+        nxt = {}
+        for y2 in layer(i, radius):
+            nxt[y2] = max(s - (y1 - y2) ** 2 for y1, s in score.items()) - w[i] * y2 * y2
+        score = nxt
+    return Fraction(max(score.values()), p * p)
+
+
+def _oracle_max_char_square(lat, cls):
+    p, y0 = _oracle_start_vector(lat.terms, cls.rep)
+    return _oracle_max_square_scaled(lat.terms, y0, p) + lat.rank
+
+
+def test_dp_matches_pairwise_oracle():
+    slopes = [Fraction(p, q) for p in range(2, 21) for q in range(1, p) if gcd(p, q) == 1]
+    slopes += [Fraction(2, 3), Fraction(3, 4), Fraction(5, 7), Fraction(1, 3)]
+    for r in slopes:
+        lat = lattice_from_hj(hj_expand(r))
+        for cls in char_classes(lat):
+            assert max_char_square(lat, cls) == _oracle_max_char_square(lat, cls)
+
+
+def test_ascent_from_far_starts():
+    # starting far out in the coset makes the ascent take several moves
+    rng = random.Random(9)
+    for r in (Fraction(13, 12), Fraction(19, 7), Fraction(17, 5), Fraction(3, 4), Fraction(11, 1)):
+        lat = lattice_from_hj(hj_expand(r))
+        for cls in char_classes(lat):
+            p, y0 = _oracle_start_vector(lat.terms, cls.rep)
+            expected = _oracle_max_square_scaled(lat.terms, y0, p)
+            far = [v + 2 * p * rng.randint(-6, 6) for v in y0]
+            assert _max_square_scaled(lat.terms, far, p) == expected
+
+
+def _brute_parabola_max(ys, ss, x):
+    return max(s - (y - x) ** 2 for y, s in zip(ys, ss))
+
+
+def test_parabola_max_random_layers():
+    rng = random.Random(4)
+    for trial in range(3000):
+        size = rng.choice([1, 1, 2, 3, 5, 8, 20])
+        spread = rng.choice([3, 10, 1000])
+        ys = sorted(rng.sample(range(-spread * size, spread * size + 1), size))
+        if trial % 3 == 0:
+            # many ties: scores from a tiny range, or one parabola sampled
+            ss = [rng.randrange(-2, 1) for _ in ys]
+        elif trial % 3 == 1:
+            c = rng.randrange(-spread, spread + 1)
+            ss = [-(y - c) ** 2 for y in ys]
+        else:
+            ss = [rng.randrange(-spread**2, spread**2) for _ in ys]
+        reach = 2 * spread * size
+        xs = sorted(rng.choices(range(-reach, reach + 1), k=rng.randrange(1, 12)))
+        values, args = _parabola_max(ys, ss, xs)
+        assert values == [_brute_parabola_max(ys, ss, x) for x in xs]
+        assert values == [ss[k] - (ys[k] - x) ** 2 for k, x in zip(args, xs)]
+
+
+def test_parabola_max_ties_and_tails():
+    # three lines through one point: the middle one touches the envelope there only
+    assert _parabola_max([-1, 0, 1], [0, -1, 0], [-3, 0, 3])[0] == [-4, -1, -4]
+    # the last line wins only at the far right, the first only at the far left
+    ys, ss = [-10, 0, 10], [0, -1000, 0]
+    xs = [-50, -5, 0, 5, 50]
+    assert _parabola_max(ys, ss, xs)[0] == [_brute_parabola_max(ys, ss, x) for x in xs]
+    assert _parabola_max([7], [-4], [-7, 7])[0] == [-200, -4]
+
+
+def test_start_vector_matches_adjugate_to_30():
+    for p in range(2, 31):
+        for q in range(1, p):
+            if gcd(p, q) != 1:
+                continue
+            lat = lattice_from_hj(hj_expand(Fraction(p, q)))
+            n = lat.rank
+            det, adj = _chain_adjugate(lat.terms)
+            sign = 1 if det > 0 else -1
+            theta = _continuants(lat.terms)
+            phi = _continuants(lat.terms[::-1])
+            for cls in char_classes(lat):
+                expected = [sign * sum(adj[i][j] * cls.rep[j] for j in range(n)) for i in range(n)]
+                assert _start_vector(theta, phi, cls.rep) == expected
+
+
+def test_lattice_vs_recursion_wide_chains():
+    # q = p - 1 is the chain [2, ..., 2] of rank p - 1, the costliest q
+    for p in (37, 41, 53, 61):
+        assert lattice_vs_recursion_check(p, p - 1).equal
