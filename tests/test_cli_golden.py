@@ -34,6 +34,15 @@ def invocations() -> list[list[str]]:
     for g in ("2", "3"):
         runs += [["genus-scan", g], ["--json", "genus-scan", g, "--no-pm1-filter"]]
     runs.append(["lattice-check", "9", "7"])
+    for n in range(26):
+        for kind in ("tau", "twisted"):
+            series = ["series", kind, "--truncate", str(n)]
+            runs += [series, ["--json"] + series]
+    for p in range(1, 9):
+        for n0 in range(p):
+            for truncate in ([], ["--truncate", "25"]):
+                series = ["series", "surgery", str(p), str(n0)] + truncate
+                runs += [series, ["--json"] + series]
     return runs
 
 

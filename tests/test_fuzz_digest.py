@@ -1,0 +1,42 @@
+"""The fuzz generators' output, pinned by digest.
+
+`random_chain_map` draws one `rng.random()` per nullspace basis vector, so
+these digests also pin the order of the basis `F2Matrix.nullspace` returns.
+A digest changes only if a generator, or the linear algebra under it, draws
+or builds something different.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from lenslab.f2homalg.fuzz import random_cone_triple, random_octet
+
+DRAWS = 40
+
+DIGESTS = {
+    (random_octet, 0): "0b88f451e7b9639d74d77b8247a77086c379ce3c5cca27b1fe087b46d2fa4a7b",
+    (random_octet, 1): "85f415022ef3c49864b070812f548dd8f62ce5d233c241fc0823bebb7a157bae",
+    (random_octet, 20240917): "48a380499d0b1b541e7970e8dc4e21ed428355f87ea2e8e1109beb43f1250e16",
+    (random_octet, "fuzz:1"): "a567aefc13f1be95cee61ae3250601b4ec269636d580c001f22be8244d3fe26a",
+    (random_cone_triple, 0): "83e0161d629f99ca922baa6a283df51ff1e77eb74ee77377823cfb8715d8ae50",
+    (random_cone_triple, 1): "79af1b50adfa62c8061b09ffc3c22a4fcc861fc65f00753c685796520da2995c",
+    (random_cone_triple, 20240917): "0e0bb7094c72c5ec5d9dc6aed3600843eef3837e5e0be1965ccabd52e7a7da96",
+    (random_cone_triple, "fuzz:1"): "503eb554a759abfbf56d30f821f5c07aa5d203e5be617f5d39bf142b5951a7fd",
+}
+
+
+def digest(generator, seed) -> str:
+    rng = random.Random(seed)
+    h = hashlib.sha256()
+    for _ in range(DRAWS):
+        h.update(repr(generator(rng)).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "generator, seed", DIGESTS, ids=[f"{g.__name__}-{s}" for g, s in DIGESTS]
+)
+def test_generator_digest(generator, seed):
+    assert digest(generator, seed) == DIGESTS[generator, seed]
