@@ -341,12 +341,14 @@ def _cmd_lattice_check(args: argparse.Namespace) -> None:
 
 def _cmd_series(args: argparse.Namespace) -> None:
     n = args.truncate
-    if args.kind == "tau":
-        series = tau_series(n)
-    elif args.kind == "surgery":
+    if args.kind == "surgery":
         if len(args.args) != 2:
             raise DomainError("series surgery needs P and N0 arguments")
         series = surgery_series(args.args[0], args.args[1], n)
+    elif args.args:
+        raise DomainError(f"series {args.kind} takes no P or N0 arguments")
+    elif args.kind == "tau":
+        series = tau_series(n)
     else:
         series = twisted_genus1_series(n)
     if args.json:

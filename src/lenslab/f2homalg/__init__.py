@@ -10,8 +10,9 @@ from .complexes import (
     cone_exactness,
 )
 from .series import (
+    F2Series,
     GroupRingElem,
-    USeries,
+    GroupRingSeries,
     tau_series,
     surgery_series,
     twisted_genus1_series,
@@ -27,8 +28,9 @@ __all__ = [
     "octet_assemble",
     "cone_verify",
     "cone_exactness",
+    "F2Series",
     "GroupRingElem",
-    "USeries",
+    "GroupRingSeries",
     "tau_series",
     "surgery_series",
     "twisted_genus1_series",

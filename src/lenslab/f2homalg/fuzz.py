@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 
-from .gf2 import F2Matrix
+from .gf2 import F2Matrix, _echelon
 from .complexes import ConeTriple, GradedComplex, Octet
 
 
@@ -33,19 +33,11 @@ def random_invertible(rng: random.Random, n: int) -> tuple[F2Matrix, F2Matrix]:
 
 
 def _invert(m: F2Matrix) -> F2Matrix:
+    """Inverse of an invertible matrix: eliminating the rows of [M | I] leaves
+    the row pivoting at column j as e_j | (row j of M^-1) << n."""
     n = m.rows
-    work = list(m.data)
-    aug = [1 << i for i in range(n)]
-    row_at = list(range(n))
-    for col in range(n):
-        piv = next(r for r in range(col, n) if (work[r] >> col) & 1)
-        work[col], work[piv] = work[piv], work[col]
-        aug[col], aug[piv] = aug[piv], aug[col]
-        for r in range(n):
-            if r != col and (work[r] >> col) & 1:
-                work[r] ^= work[col]
-                aug[r] ^= aug[col]
-    return F2Matrix(n, n, tuple(aug))
+    echelon = _echelon(row | (1 << (n + i)) for i, row in enumerate(m.data))
+    return F2Matrix(n, n, tuple(row >> n for _, row in echelon))
 
 
 def _seed_octets() -> list[Octet]:

@@ -2,9 +2,10 @@
 
 Matrices map column vectors on the left: (M @ N) means "apply N, then M".
 Rows are stored as int bitmasks (bit j of row i = entry (i, j)); vectors are
-single bitmasks.  Rank comes in two independent implementations -- the
-bitmask elimination used everywhere, and a set-of-positions elimination kept
-as the oracle the fuzz tests compare against.
+single bitmasks.  Every rank, kernel, span and preimage comes from one
+bitmask elimination, `_echelon`; a set-of-positions elimination,
+`rank_positions`, is kept apart from it as the oracle the tests compare
+against.
 """
 
 from __future__ import annotations
@@ -139,25 +140,15 @@ class F2Matrix:
     # elimination ----------------------------------------------------------
 
     def rank(self) -> int:
-        return rank_dense(list(self.data))
+        return len(_echelon(self.data))
 
     def rank_sparse(self) -> int:
         return rank_positions(set(self.entries()), self.rows, self.cols)
 
     def nullspace(self) -> list[int]:
-        """Basis of {v : self.apply(v) = 0} as column bitmasks."""
-        echelon: list[tuple[int, int]] = []  # (pivot column, fully reduced row)
-        for row in self.data:
-            cur = row
-            for pc, er in echelon:
-                if (cur >> pc) & 1:
-                    cur ^= er
-            if cur:
-                pc = (cur & -cur).bit_length() - 1
-                echelon = [
-                    (c, er ^ cur if (er >> pc) & 1 else er) for c, er in echelon
-                ]
-                echelon.append((pc, cur))
+        """Basis of {v : self.apply(v) = 0} as column bitmasks, one vector per
+        free column in ascending order."""
+        echelon = _echelon(self.data)
         pivot_cols = {pc for pc, _ in echelon}
         basis = []
         for free in range(self.cols):
@@ -171,17 +162,22 @@ class F2Matrix:
         return basis
 
 
-def rank_dense(rows: list[int]) -> int:
-    work = list(rows)
-    rank = 0
-    while work:
-        row = work.pop()
-        if row == 0:
-            continue
-        pivot = row & -row
-        rank += 1
-        work = [r ^ row if r & pivot else r for r in work]
-    return rank
+def _echelon(vectors) -> list[tuple[int, int]]:
+    """Fully reduced echelon form of the span of `vectors`: (pivot, row) pairs
+    sorted by pivot, each pivot the row's lowest set bit and clear in every
+    other row."""
+    echelon: list[tuple[int, int]] = []
+    for vec in vectors:
+        cur = vec
+        for pc, ev in echelon:
+            if (cur >> pc) & 1:
+                cur ^= ev
+        if cur:
+            pc = (cur & -cur).bit_length() - 1
+            echelon = [(c, ev ^ cur if (ev >> pc) & 1 else ev) for c, ev in echelon]
+            echelon.append((pc, cur))
+    echelon.sort()
+    return echelon
 
 
 def rank_positions(entries: set[tuple[int, int]], rows: int, cols: int) -> int:
@@ -209,63 +205,24 @@ def rank_positions(entries: set[tuple[int, int]], rows: int, cols: int) -> int:
 
 def span_basis(vectors: list[int]) -> list[int]:
     """Fully reduced echelon basis (pivot = lowest set bit) of the span."""
-    echelon: list[tuple[int, int]] = []
-    for vec in vectors:
-        cur = vec
-        for pc, ev in echelon:
-            if (cur >> pc) & 1:
-                cur ^= ev
-        if cur:
-            pc = (cur & -cur).bit_length() - 1
-            echelon = [(c, ev ^ cur if (ev >> pc) & 1 else ev) for c, ev in echelon]
-            echelon.append((pc, cur))
-    return [v for _, v in sorted(echelon)]
-
-
-def in_span(vec: int, basis: list[int]) -> bool:
-    """Membership test; `basis` must come from span_basis."""
-    cur = vec
-    for b in basis:
-        if cur & (b & -b):
-            cur ^= b
-    return cur == 0
+    return [row for _, row in _echelon(vectors)]
 
 
 def spans_equal(a: list[int], b: list[int]) -> bool:
-    ra = span_basis(a)
-    rb = span_basis(b)
-    return len(ra) == len(rb) and all(in_span(v, ra) for v in rb)
+    # the fully reduced echelon basis of a subspace is unique
+    return span_basis(a) == span_basis(b)
 
 
 def preimage_in_span(
     matrix: F2Matrix, domain_basis: list[int], target_basis: list[int]
 ) -> list[int]:
-    """Basis of {x in span(domain) : matrix(x) in span(target)}."""
-    target = span_basis(target_basis)
+    """Basis of {x in span(domain) : matrix(x) in span(target)}.
 
-    def residual(vec: int) -> int:
-        cur = vec
-        for b in target:
-            if cur & (b & -b):
-                cur ^= b
-        return cur
-
-    residuals = [residual(matrix.apply(d)) for d in domain_basis]
-    # coefficient vectors alpha with sum alpha_i residuals_i = 0
-    k = len(domain_basis)
-    rows = []
-    for bit in range(matrix.rows):
-        row = 0
-        for i, res in enumerate(residuals):
-            if (res >> bit) & 1:
-                row |= 1 << i
-        rows.append(row)
-    coeff_null = F2Matrix(matrix.rows, k, tuple(rows)).nullspace()
-    out = []
-    for alpha in coeff_null:
-        vec = 0
-        for i in range(k):
-            if (alpha >> i) & 1:
-                vec ^= domain_basis[i]
-        out.append(vec)
-    return span_basis(out)
+    Each domain vector d becomes the row matrix(d) | d << matrix.rows, under
+    the target vectors.  After elimination the rows pivoting at or above
+    matrix.rows are exactly those with no image bits left, so their high
+    parts are the reduced echelon basis of the preimage.
+    """
+    shift = matrix.rows
+    rows = list(target_basis) + [matrix.apply(d) | (d << shift) for d in domain_basis]
+    return [row >> shift for pc, row in _echelon(rows) if pc >= shift]

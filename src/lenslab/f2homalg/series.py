@@ -1,4 +1,5 @@
-"""Truncated U-power series over GF(2) and over the rational-exponent group ring.
+"""Truncated U-power series over GF(2) (`F2Series`, one int bitmask) and over
+the rational-exponent group ring (`GroupRingSeries`).
 
 The three series that drive the surgery arguments:
 
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from ..errors import DomainError, InvariantError
 
@@ -55,152 +55,106 @@ class GroupRingElem:
         return " + ".join(f"mu({x})" for x in sorted(self.support))
 
 
-GF2 = "gf2"
-GROUP_RING = "groupring"
-
-Coeff = Union[int, GroupRingElem]
-
-
 @dataclass(frozen=True)
-class USeries:
-    """Power series in U truncated at order N (exponents > N unrepresented)."""
+class F2Series:
+    """GF(2) power series in U truncated at order N: bit k of `bits` is the
+    coefficient of U^k, for k <= N."""
 
-    ring: str
     truncation: int
-    coeffs: tuple[tuple[int, Coeff], ...]  # sorted (exponent, nonzero coeff)
+    bits: int
 
-    @classmethod
-    def make(cls, ring: str, truncation: int, data: dict[int, Coeff]) -> "USeries":
-        if ring not in (GF2, GROUP_RING):
-            raise DomainError(f"unknown coefficient ring {ring!r}")
-        if truncation < 0:
+    def __post_init__(self) -> None:
+        if self.truncation < 0:
             raise DomainError("truncation order must be >= 0")
-        items = []
-        for k, c in sorted(data.items()):
-            if k < 0:
-                raise DomainError("negative exponent")
-            if k > truncation:
-                continue
-            if ring == GF2:
-                c = int(c) % 2
-                if c:
-                    items.append((k, 1))
-            else:
-                if not isinstance(c, GroupRingElem):
-                    raise DomainError("group-ring series needs GroupRingElem coefficients")
-                if c:
-                    items.append((k, c))
-        return cls(ring, truncation, tuple(items))
+        if self.bits < 0 or self.bits >> (self.truncation + 1):
+            raise DomainError("coefficient beyond the truncation order")
 
-    @classmethod
-    def zero(cls, ring: str, truncation: int) -> "USeries":
-        return cls.make(ring, truncation, {})
+    def coeff(self, k: int) -> int:
+        return (self.bits >> k) & 1 if k >= 0 else 0
 
-    @classmethod
-    def one(cls, ring: str, truncation: int) -> "USeries":
-        unit: Coeff = 1 if ring == GF2 else GroupRingElem.mu(0)
-        return cls.make(ring, truncation, {0: unit})
-
-    def coeff(self, k: int) -> Coeff:
-        for j, c in self.coeffs:
-            if j == k:
-                return c
-        return 0 if self.ring == GF2 else GroupRingElem.zero()
-
-    def __add__(self, other: "USeries") -> "USeries":
+    def __add__(self, other: "F2Series") -> "F2Series":
         self._match(other)
-        data = dict(self.coeffs)
-        for k, c in other.coeffs:
-            if k in data:
-                merged = (data[k] + c) if self.ring == GROUP_RING else (data[k] ^ c)
-                if merged:
-                    data[k] = merged
-                else:
-                    del data[k]
-            else:
-                data[k] = c
-        return USeries.make(self.ring, self.truncation, data)
+        return F2Series(self.truncation, self.bits ^ other.bits)
 
-    def __mul__(self, other: "USeries") -> "USeries":
+    def __mul__(self, other: "F2Series") -> "F2Series":
+        """Carry-less product, cut back to the truncation order."""
         self._match(other)
-        n = self.truncation
-        data: dict[int, Coeff] = {}
-        for j, a in self.coeffs:
-            for k, b in other.coeffs:
-                e = j + k
-                if e > n:
-                    continue
-                term = (a * b) if self.ring == GROUP_RING else (a & b)
-                if e in data:
-                    merged = (data[e] + term) if self.ring == GROUP_RING else (data[e] ^ term)
-                    if merged:
-                        data[e] = merged
-                    else:
-                        del data[e]
-                elif term:
-                    data[e] = term
-        return USeries.make(self.ring, self.truncation, data)
+        acc = 0
+        rest = self.bits
+        while rest:
+            low = rest & -rest
+            acc ^= other.bits << (low.bit_length() - 1)
+            rest ^= low
+        return F2Series(self.truncation, acc & ((1 << (self.truncation + 1)) - 1))
 
-    def _match(self, other: "USeries") -> None:
-        if self.ring != other.ring or self.truncation != other.truncation:
+    def _match(self, other: object) -> None:
+        if not isinstance(other, F2Series) or self.truncation != other.truncation:
             raise DomainError("series live in different truncated rings")
 
     def is_invertible(self) -> bool:
-        """Invertibility in the truncated ring: the constant coefficient must
-        be invertible in the coefficient ring (for group-ring coefficients
-        this means invertible in its field of fractions, i.e. nonzero)."""
-        c0 = self.coeff(0)
-        if self.ring == GF2:
-            return c0 == 1
-        return bool(c0)
+        """Invertible in the truncated ring exactly when the constant term is 1."""
+        return bool(self.bits & 1)
 
-    def inverse(self) -> "USeries":
-        """Multiplicative inverse up to the truncation order (GF(2) only)."""
-        if self.ring != GF2:
-            raise DomainError("inverse implemented for GF(2) coefficients only")
+    def inverse(self) -> "F2Series":
+        """Multiplicative inverse up to the truncation order."""
         if not self.is_invertible():
             raise DomainError("constant coefficient is not invertible")
-        n = self.truncation
-        a = {k: c for k, c in self.coeffs}
-        b = [0] * (n + 1)
-        b[0] = 1
-        for k in range(1, n + 1):
-            acc = 0
-            for j in range(1, k + 1):
-                if a.get(j, 0) and b[k - j]:
-                    acc ^= 1
-            b[k] = acc
-        return USeries.make(GF2, n, {k: v for k, v in enumerate(b) if v})
+        # add U^k to the inverse whenever the product so far has a U^k term
+        inv, prod = 1, self.bits
+        for k in range(1, self.truncation + 1):
+            if (prod >> k) & 1:
+                inv |= 1 << k
+                prod ^= self.bits << k
+        return F2Series(self.truncation, inv)
+
+    def __str__(self) -> str:
+        terms = [
+            "1" if k == 0 else ("U" if k == 1 else f"U^{k}")
+            for k in range(self.truncation + 1)
+            if (self.bits >> k) & 1
+        ]
+        return " + ".join(terms) or "0"
+
+
+@dataclass(frozen=True)
+class GroupRingSeries:
+    """Power series in U truncated at order N with group-ring coefficients."""
+
+    truncation: int
+    coeffs: tuple[tuple[int, GroupRingElem], ...]  # sorted (exponent, nonzero coeff)
+
+    def coeff(self, k: int) -> GroupRingElem:
+        return dict(self.coeffs).get(k, GroupRingElem.zero())
+
+    def is_invertible(self) -> bool:
+        """Invertibility in the truncated ring: the constant coefficient must
+        be invertible in the field of fractions of the group ring, i.e. nonzero."""
+        return bool(self.coeff(0))
 
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
         parts = []
         for k, c in self.coeffs:
-            if self.ring == GF2:
-                head = "1" if k == 0 else ("U" if k == 1 else f"U^{k}")
-            else:
-                body = str(c)
-                head = body if k == 0 else (
-                    f"U*({body})" if k == 1 else f"U^{k}*({body})"
-                )
+            body = str(c)
+            head = body if k == 0 else (f"U*({body})" if k == 1 else f"U^{k}*({body})")
             parts.append(head)
         return " + ".join(parts)
 
 
-def tau_series(truncation: int) -> USeries:
+def tau_series(truncation: int) -> F2Series:
     """Coefficient 1 exactly at the triangular exponents k(k+1)/2 <= N."""
     if truncation < 0:
         raise DomainError("truncation order must be >= 0")
-    data = {}
+    bits = 0
     k = 0
     while k * (k + 1) // 2 <= truncation:
-        data[k * (k + 1) // 2] = 1
+        bits |= 1 << (k * (k + 1) // 2)
         k += 1
-    return USeries.make(GF2, truncation, data)
+    return F2Series(truncation, bits)
 
 
-def surgery_series(p: int, n: int, truncation: int) -> USeries:
+def surgery_series(p: int, n: int, truncation: int) -> F2Series:
     """GF(2) sum of U^((2n'-p)^2 - (2n-p)^2) / (8p) over all n' = n (mod p)
     with integral exponent in [0, N].
 
@@ -214,7 +168,7 @@ def surgery_series(p: int, n: int, truncation: int) -> USeries:
     if truncation < 0:
         raise DomainError("truncation order must be >= 0")
     base = (2 * n - p) ** 2
-    data: dict[int, int] = {}
+    bits = 0
     k = 0
     while True:
         hit_window = False
@@ -231,20 +185,21 @@ def surgery_series(p: int, n: int, truncation: int) -> USeries:
                 )
             if e <= truncation:
                 hit_window = True
-                data[e] = data.get(e, 0) ^ 1
+                bits ^= 1 << e
         if not hit_window and k > 0:
             break
         k += 1
-    return USeries.make(GF2, truncation, data)
+    return F2Series(truncation, bits)
 
 
-def twisted_genus1_series(truncation: int) -> USeries:
+def twisted_genus1_series(truncation: int) -> GroupRingSeries:
     """Group-ring series: coefficient mu(2n+1) + mu(-2n-1) at U^(n(n+1)/2)."""
     if truncation < 0:
         raise DomainError("truncation order must be >= 0")
-    data: dict[int, Coeff] = {}
+    mu = GroupRingElem.mu
+    coeffs = []
     n = 0
     while n * (n + 1) // 2 <= truncation:
-        data[n * (n + 1) // 2] = GroupRingElem.mu(2 * n + 1) + GroupRingElem.mu(-2 * n - 1)
+        coeffs.append((n * (n + 1) // 2, mu(2 * n + 1) + mu(-2 * n - 1)))
         n += 1
-    return USeries.make(GROUP_RING, truncation, data)
+    return GroupRingSeries(truncation, tuple(coeffs))

@@ -193,15 +193,20 @@ class WeightedTree:
         if not _connected_with(n, self.edges):
             raise DomainError("tree is not connected")
 
-    def degree(self, v: int) -> int:
-        return sum(1 for a, b in self.edges if v in (a, b))
-
     def describe(self) -> str:
         return (
             "plumbing tree "
             + "[" + ",".join(map(str, self.weights)) + "; "
             + ",".join(f"{a}-{b}" for a, b in self.edges) + "]"
         )
+
+
+def _degrees(tree: WeightedTree) -> list[int]:
+    degree = [0] * len(tree.weights)
+    for a, b in tree.edges:
+        degree[a] += 1
+        degree[b] += 1
+    return degree
 
 
 def star_tree(centre: int, legs: list[list[int]]) -> WeightedTree:
@@ -333,11 +338,12 @@ def certify_tree(tree: WeightedTree, require_hypothesis: bool = True) -> Certifi
             "boundary is not a rational homology sphere (|H1| = 0)"
         )
     if require_hypothesis:
-        slack = [tree.weights[v] - tree.degree(v) for v in range(len(tree.weights))]
+        degree = _degrees(tree)
+        slack = [w - d for w, d in zip(tree.weights, degree)]
         if any(s < 0 for s in slack):
             bad = min(range(len(slack)), key=lambda v: slack[v])
             raise HypothesisNotMetError(
-                f"vertex {bad} has weight {tree.weights[bad]} < degree {tree.degree(bad)}"
+                f"vertex {bad} has weight {tree.weights[bad]} < degree {degree[bad]}"
             )
         if all(s == 0 for s in slack):
             raise HypothesisNotMetError(
@@ -362,7 +368,8 @@ def _certify_tree_rec(tree: WeightedTree) -> Certificate:
             )
         return lens_axiom(weight) if weight > 1 else sphere_axiom()
 
-    leaves = [v for v in range(n) if tree.degree(v) == 1]
+    degree = _degrees(tree)
+    leaves = [v for v in range(n) if degree[v] == 1]
     for v in leaves:
         if tree.weights[v] == 1:
             smaller = _blow_down_leaf(tree, v)
@@ -370,7 +377,7 @@ def _certify_tree_rec(tree: WeightedTree) -> Certificate:
                 raise InvariantError("blow-down changed |H1|")
             return _unary_rule("blow-down", _certify_tree_rec(smaller), _tree_fact(tree))
     for v in range(n):
-        if tree.weights[v] == 1 and tree.degree(v) == 2:
+        if tree.weights[v] == 1 and degree[v] == 2:
             smaller = _blow_down_interior(tree, v)
             if tree_h1(smaller) != h1:
                 raise InvariantError("interior blow-down changed |H1|")

@@ -66,6 +66,14 @@ def test_series_surgery_needs_args(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("kind", ["tau", "twisted"])
+def test_series_rejects_stray_args(capsys, kind):
+    code, out, err = run_cli(capsys, "series", kind, "1", "2")
+    assert code == 1
+    assert out == ""
+    assert err.strip().splitlines() == [f"error: series {kind} takes no P or N0 arguments"]
+
+
 def test_hj_and_farey(capsys):
     code, out, _ = run_cli(capsys, "hj", "9/7")
     assert code == 0 and out.strip() == "9/7 = [2,2,2,3]"

@@ -5,9 +5,9 @@ import random
 import pytest
 
 from lenslab.errors import DomainError
+from lenslab.f2homalg.fuzz import _invert
 from lenslab.f2homalg.gf2 import (
     F2Matrix,
-    in_span,
     preimage_in_span,
     span_basis,
     spans_equal,
@@ -84,8 +84,8 @@ def test_block_assembly():
 def test_span_utilities():
     basis = span_basis([0b011, 0b110, 0b101])
     assert len(basis) == 2
-    assert in_span(0b101, basis)
-    assert not in_span(0b001, basis)
+    assert spans_equal(basis, basis + [0b101])
+    assert not spans_equal(basis, basis + [0b001])
     assert spans_equal([0b011, 0b110], [0b011, 0b101])
     assert not spans_equal([0b011], [0b011, 0b100])
 
@@ -98,3 +98,87 @@ def test_preimage_in_span():
     pre = preimage_in_span(m, domain, target)
     # preimage = {v : z-component of m(v) = 0} = span{x, y}
     assert spans_equal(pre, [0b001, 0b010])
+
+
+# Brute force over GF(2)^n, n <= 5: every subspace is listed element by
+# element, so none of these checks shares code with the elimination.
+
+
+def span_set(vectors) -> frozenset[int]:
+    """All subset sums of `vectors`."""
+    out = {0}
+    for vec in vectors:
+        out |= {x ^ vec for x in out}
+    return frozenset(out)
+
+
+def low_bit(vec: int) -> int:
+    return (vec & -vec).bit_length() - 1
+
+
+def reduced_basis(space: frozenset[int], pivots=None) -> list[int]:
+    """For each pivot in ascending order, the one vector of `space` with that
+    bit set and every other pivot bit clear.  The pivots default to the lowest
+    set bits occurring in `space`, which gives its reduced echelon basis."""
+    if pivots is None:
+        pivots = sorted({low_bit(v) for v in space if v})
+    others = {p: sum(1 << q for q in pivots if q != p) for p in pivots}
+    basis = []
+    for p in pivots:
+        (vec,) = [v for v in space if (v >> p) & 1 and not v & others[p]]
+        basis.append(vec)
+    return basis
+
+
+def random_vectors(rng, width, count):
+    return [rng.randrange(1 << width) for _ in range(count)]
+
+
+def test_span_helpers_against_enumeration():
+    rng = random.Random(2024)
+    for _ in range(500):
+        n = rng.randrange(1, 6)
+        a = random_vectors(rng, n, rng.randrange(0, 6))
+        space = span_set(a)
+        assert span_basis(a) == reduced_basis(space)
+        # b spans the same space as a half of the time
+        b = [x for x in space if rng.random() < 0.5] if rng.random() < 0.5 else a
+        b = b + random_vectors(rng, n, rng.randrange(0, 2))
+        assert spans_equal(a, b) == (span_set(b) == space)
+
+
+def test_nullspace_against_enumeration():
+    rng = random.Random(2025)
+    for _ in range(500):
+        m = random_matrix(rng, rng.randrange(0, 6), rng.randrange(1, 6), rng.random())
+        kernel = frozenset(v for v in range(1 << m.cols) if m.apply(v) == 0)
+        row_pivots = {low_bit(r) for r in span_set(m.data) if r}
+        free = [c for c in range(m.cols) if c not in row_pivots]
+        # one kernel vector per free column, ascending, clear at the other free columns
+        assert m.nullspace() == reduced_basis(kernel, free)
+        assert m.rank() == len(row_pivots)
+
+
+def test_preimage_against_enumeration():
+    rng = random.Random(2026)
+    for _ in range(500):
+        m = random_matrix(rng, rng.randrange(1, 6), rng.randrange(1, 6), rng.random())
+        domain = random_vectors(rng, m.cols, rng.randrange(0, 5))
+        target = random_vectors(rng, m.rows, rng.randrange(0, 5))
+        wanted = span_set(target)
+        pre = frozenset(x for x in span_set(domain) if m.apply(x) in wanted)
+        assert preimage_in_span(m, domain, target) == reduced_basis(pre)
+
+
+def test_invert_against_enumeration():
+    rng = random.Random(2027)
+    tried = 0
+    while tried < 300:
+        n = rng.randrange(1, 6)
+        m = random_matrix(rng, n, n, 0.5)
+        if len({m.apply(v) for v in range(1 << n)}) < 1 << n:
+            continue  # not injective, so not invertible
+        tried += 1
+        inv = _invert(m)
+        assert m @ inv == F2Matrix.identity(n)
+        assert inv @ m == F2Matrix.identity(n)

@@ -7,17 +7,16 @@ import pytest
 
 from lenslab.errors import DomainError
 from lenslab.f2homalg.series import (
-    GF2,
+    F2Series,
     GroupRingElem,
-    USeries,
     surgery_series,
     tau_series,
     twisted_genus1_series,
 )
 
 
-def gf2_series(rng: random.Random, n: int) -> USeries:
-    return USeries.make(GF2, n, {k: rng.randrange(2) for k in range(n + 1)})
+def gf2_series(rng: random.Random, n: int) -> F2Series:
+    return F2Series(n, sum(rng.randrange(2) << k for k in range(n + 1)))
 
 
 def test_tau_series_examples():
@@ -28,14 +27,14 @@ def test_tau_series_examples():
 
 def test_tau_series_21():
     series = tau_series(21)
-    assert [k for k, _ in series.coeffs] == [0, 1, 3, 6, 10, 15, 21]
+    assert [k for k in range(22) if series.coeff(k)] == [0, 1, 3, 6, 10, 15, 21]
     assert series.is_invertible()
-    assert series * series.inverse() == USeries.one(GF2, 21)
+    assert series * series.inverse() == F2Series(21, 1)
 
 
 def test_surgery_series_examples():
-    assert surgery_series(2, 0, 10) == USeries.zero(GF2, 10)
-    assert surgery_series(2, 1, 10) == USeries.one(GF2, 10)
+    assert surgery_series(2, 0, 10) == F2Series(10, 0)
+    assert surgery_series(2, 1, 10) == F2Series(10, 1)
     series = surgery_series(3, 1, 10)
     assert series.coeff(0) == 1
     assert series.is_invertible()
@@ -43,7 +42,7 @@ def test_surgery_series_examples():
 
 def test_surgery_series_vanishes_at_zero_label():
     for p in range(1, 12):
-        assert surgery_series(p, 0, 40) == USeries.zero(GF2, 40)
+        assert surgery_series(p, 0, 40) == F2Series(40, 0)
 
 
 def test_surgery_series_domain():
@@ -90,7 +89,7 @@ def test_invertibility_iff_constant_term():
         assert series.is_invertible() == (series.coeff(0) == 1)
         if series.is_invertible():
             n = series.truncation
-            assert series * series.inverse() == USeries.one(GF2, n)
+            assert series * series.inverse() == F2Series(n, 1)
 
 
 def test_mismatched_rings_rejected():
@@ -98,5 +97,27 @@ def test_mismatched_rings_rejected():
         tau_series(5) + tau_series(6)
     with pytest.raises(DomainError):
         tau_series(5) * twisted_genus1_series(5)
+    assert not hasattr(twisted_genus1_series(5), "inverse")
+
+
+def test_product_matches_coefficient_convolution():
+    rng = random.Random(41)
+    for _ in range(200):
+        n = rng.randrange(0, 15)
+        a, b = gf2_series(rng, n), gf2_series(rng, n)
+        product = a * b
+        for k in range(n + 1):
+            expected = sum(a.coeff(j) * b.coeff(k - j) for j in range(k + 1)) % 2
+            assert product.coeff(k) == expected, (a, b, k)
+
+
+def test_f2_series_rejects_out_of_range_bits():
+    assert str(F2Series(3, 0b1011)) == "1 + U + U^3"
     with pytest.raises(DomainError):
-        twisted_genus1_series(5).inverse()
+        F2Series(3, 1 << 4)
+    with pytest.raises(DomainError):
+        F2Series(3, -1)
+    with pytest.raises(DomainError):
+        F2Series(-1, 0)
+    with pytest.raises(DomainError):
+        F2Series(4, 0b10).inverse()
