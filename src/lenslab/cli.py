@@ -38,6 +38,7 @@ from .f2homalg.series import surgery_series, tau_series, twisted_genus1_series
 from .lspacecert import (
     CONCLUSION_SENTENCE,
     Certificate,
+    CertificateCheckError,
     TaitGraph,
     WeightedTree,
     certify_alternating,
@@ -69,9 +70,24 @@ def _is_int(value: object) -> bool:
     return type(value) is int  # JSON true/false load as bool, an int subclass
 
 
+def _read_json(path: str) -> object:
+    """The JSON document in an input file; every input file is read here, and
+    an unreadable or malformed one is a DomainError naming the path."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+    except OSError as exc:
+        raise DomainError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    except json.JSONDecodeError as exc:
+        raise DomainError(f"malformed JSON input in {path}: {exc}") from None
+    except RecursionError:
+        raise DomainError(f"malformed JSON input in {path}: nested too deeply") from None
+
+
 def _load_object(path: str, kind: str) -> dict:
-    with open(path) as handle:
-        doc = json.load(handle)
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise DomainError(f"{kind} document is not a JSON object")
     return doc
@@ -159,9 +175,11 @@ def _load_graph(path: str, weighted: bool) -> tuple:
 def _emit_certificate(cert: Certificate, as_json: bool) -> None:
     nodes = check_certificate(cert)
     if as_json:
+        table = cert.to_json_dict()
         print(json.dumps({
-            "certificate": cert.to_json_dict(),
+            "certificate": table,
             "nodes": nodes,
+            "distinct_nodes": len(table["nodes"]),
             "conclusion": CONCLUSION_SENTENCE,
         }, indent=2, sort_keys=True))
     else:
@@ -228,6 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     ls_bor.add_argument("a")
     ls_bor.add_argument("b")
     ls_bor.add_argument("c")
+    ls_check = ls_sub.add_parser("check", help="re-verify a certificate file")
+    ls_check.add_argument("file")
     return parser
 
 
@@ -417,23 +437,29 @@ def _cmd_triangle(args: argparse.Namespace) -> None:
 def _cmd_lspace(args: argparse.Namespace) -> None:
     if args.ls_command == "tree":
         cert = certify_tree(WeightedTree(*_load_graph(args.file, weighted=True)))
-        _emit_certificate(cert, args.json)
     elif args.ls_command == "alt":
         cert = certify_alternating(TaitGraph(*_load_graph(args.file, weighted=False)))
-        _emit_certificate(cert, args.json)
     elif args.ls_command == "slope":
         base_slope = parse_slope(args.base)
         target = parse_slope(args.target)
         base = surgery_lspace_axiom(args.knot, base_slope)
         cert = propagate_slope(base, target)
-        _emit_certificate(cert, args.json)
     elif args.ls_command == "borromean":
         cert = certify_borromean(
             parse_slope(args.a), parse_slope(args.b), parse_slope(args.c)
         )
-        _emit_certificate(cert, args.json)
+    elif args.ls_command == "check":
+        doc = _read_json(args.file)
+        if isinstance(doc, dict) and "certificate" in doc:  # `lspace ... --json` output
+            doc = doc["certificate"]
+        try:
+            _emit_certificate(Certificate.from_json_dict(doc), args.json)
+        except CertificateCheckError as exc:
+            raise DomainError(f"certificate rejected: {exc}") from None
+        return
     else:
         raise SystemExit(EXIT_USAGE)
+    _emit_certificate(cert, args.json)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -462,12 +488,6 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except json.JSONDecodeError as exc:
-        print(f"error: malformed JSON input: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     return EXIT_OK
 
 

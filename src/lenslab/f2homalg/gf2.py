@@ -108,15 +108,6 @@ class F2Matrix:
                 acc |= 1 << i
         return acc
 
-    def transpose(self) -> "F2Matrix":
-        out = [0] * self.cols
-        for r, row in enumerate(self.data):
-            while row:
-                low = row & -row
-                out[low.bit_length() - 1] |= 1 << r
-                row ^= low
-        return F2Matrix(self.cols, self.rows, tuple(out))
-
     @classmethod
     def block(cls, grid) -> "F2Matrix":
         """Assemble from a 2D grid of conforming blocks."""

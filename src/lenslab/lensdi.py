@@ -50,9 +50,6 @@ class LensSpace:
         qinv = pow(self.q, -1, self.p)
         return LensSpace(self.p, min(self.q, qinv if qinv else self.p))
 
-    def is_homeomorphic(self, other: "LensSpace") -> bool:
-        return self.canonical() == other.canonical()
-
 
 def lens_normalize(p: int, q: int) -> LensSpace:
     """Reduce q mod p into [1, p]; reject non-coprime pairs."""

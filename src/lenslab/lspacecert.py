@@ -1,18 +1,25 @@
 """Certificate calculus for monopole L-spaces.
 
-A certificate is a finite proof tree.  Leaves are axioms (lens spaces,
-connected sums of lens spaces, the three-sphere, the Poincare sphere, or a
-caller-supplied L-space fact).  Interior nodes are:
+A certificate is a finite proof DAG: a sub-proof used twice is one shared
+node.  Leaves are axioms (lens spaces, connected sums of lens spaces, the
+three-sphere, the Poincare sphere, or a caller-supplied L-space fact).
+Interior nodes are:
 
-  * "triangle"   -- two premises, |H1| additivity |H1(Y2)| = |H1(Y0)| + |H1(Y1)|;
+  * "triangle"   -- two premises, |H1| additivity |H1(Y2)| = |H1(Y0)| + |H1(Y1)|,
+    along a surgery triad: a plumbing leaf deleted and decremented, a Tait
+    edge contracted and deleted, a slope from its two Farey parents, or an
+    integer slope from its predecessor and the three-sphere;
   * "blow-down"  -- one premise, same manifold after a weight-1 vertex removal;
   * "reduce"     -- one premise, Tait-graph loop deletion / bridge contraction;
-  * "rational-to-integer-lift" -- one premise, slope r lifted to ceil(r).
+  * "rational-to-integer-lift" -- one premise, slope r lifted to ceil(r);
+  * "seifert-filling-identification" -- one premise, the pretzel star whose
+    boundary is the (2n+4)-filling of the (-2, 3, n) pretzel knot.
 
-That a triangle node's three manifolds really form a surgery triad is
-carried as descriptor metadata established by each constructor, never
-re-derived from topology; the checker re-verifies all arithmetic side
-conditions on any certificate independently of construction.
+Every fact carries the data that names its manifold (tree weights and edges,
+a Tait edge list, surgery slopes).  The checker rebuilds each fact from that
+data, recomputing |H1|, and confirms that the premises of every node are
+exactly the move the node names.  Builders, checker and serialiser visit
+each distinct node once and never recurse.
 
 Certified conclusions are monopole L-spaces, hence manifolds admitting no
 taut foliation.
@@ -22,9 +29,11 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, prod
+from math import ceil, gcd, prod
+from typing import Callable, Generator, Hashable
 
 from .errors import (
     DomainError,
@@ -35,6 +44,7 @@ from .errors import (
 from .exactnum import INFINITY, farey_parents, format_slope, hj_expand, parse_slope
 
 CONCLUSION_SENTENCE = "monopole L-space => admits no taut foliation"
+JSON_FORMAT = 2
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +58,6 @@ class Fact:
 
     descriptor: str
     h1_order: int
-    status: str = "axiom"  # "axiom" | "derived"
     kind: str = "named"
     params: tuple[tuple[str, str], ...] = ()
 
@@ -66,93 +75,267 @@ class Fact:
         return None
 
 
-@dataclass(frozen=True)
+def _fact(descriptor: str, h1: int, kind: str, **params: object) -> Fact:
+    return Fact(descriptor, h1, kind, tuple(sorted((k, str(v)) for k, v in params.items())))
+
+
+@dataclass(frozen=True, eq=False)
 class Certificate:
+    """One node of a certificate DAG.  Nodes compare by identity, so equality
+    and hashing never walk the premises."""
+
     conclusion: Fact
     rule: str
     premises: tuple["Certificate", ...] = ()
 
     def size(self) -> int:
-        return 1 + sum(c.size() for c in self.premises)
+        """Node count of the certificate expanded into a tree."""
+        return _tree_count(_topological(self))
 
     def to_json_dict(self) -> dict:
+        """The format-2 node table: each distinct node once, premises first,
+        ids 0..n-1 in that order, the root last."""
+        nodes = _topological(self)
+        index = {id(node): i for i, node in enumerate(nodes)}
         return {
-            "conclusion": {
-                "descriptor": self.conclusion.descriptor,
-                "h1": self.conclusion.h1_order,
-                "kind": self.conclusion.kind,
-                "params": dict(self.conclusion.params),
-            },
-            "rule": self.rule,
-            "premises": [c.to_json_dict() for c in self.premises],
+            "format": JSON_FORMAT,
+            "root": len(nodes) - 1,
+            "nodes": [
+                {
+                    "id": i,
+                    "rule": node.rule,
+                    "premises": [index[id(p)] for p in node.premises],
+                    "conclusion": {
+                        "descriptor": node.conclusion.descriptor,
+                        "h1": node.conclusion.h1_order,
+                        "kind": node.conclusion.kind,
+                        "params": dict(node.conclusion.params),
+                    },
+                }
+                for i, node in enumerate(nodes)
+            ],
         }
 
     @classmethod
-    def from_json_dict(cls, doc: dict) -> "Certificate":
-        conclusion = Fact(
-            descriptor=doc["conclusion"]["descriptor"],
-            h1_order=doc["conclusion"]["h1"],
-            status="axiom" if not doc["premises"] else "derived",
-            kind=doc["conclusion"].get("kind", "named"),
-            params=tuple(sorted(doc["conclusion"].get("params", {}).items())),
-        )
-        return cls(
-            conclusion,
-            doc["rule"],
-            tuple(cls.from_json_dict(p) for p in doc["premises"]),
-        )
+    def from_json_dict(cls, doc: object) -> "Certificate":
+        """Load a format-2 node table; a malformed table raises DomainError.
+
+        Premises must be listed before the nodes that use them, so the table
+        is read in one pass and can hold no cycle.  The table must be in the
+        order `to_json_dict` writes, so a checker error's node id is the
+        file's own id and every row is part of the proof."""
+        if not isinstance(doc, dict) or doc.get("format") != JSON_FORMAT:
+            raise DomainError(f"certificate is not a format-{JSON_FORMAT} node table")
+        entries = doc.get("nodes")
+        if not isinstance(entries, list) or not entries:
+            raise DomainError("field 'nodes' is missing or not a non-empty list")
+        listed = set()
+        for pos, entry in enumerate(entries):
+            node_id = _field(entry, "id", int, f"node #{pos}")
+            if node_id in listed:
+                raise DomainError(f"duplicate node id {node_id}")
+            listed.add(node_id)
+        built: dict[int, Certificate] = {}
+        for entry in entries:
+            where = f"node {entry['id']}"
+            premises = []
+            for ref in _field(entry, "premises", list, where):
+                if type(ref) is not int or ref not in listed:
+                    raise DomainError(f"{where} refers to unknown node {ref!r}")
+                if ref not in built:
+                    raise DomainError(
+                        f"{where} refers to node {ref}, which is not listed before it "
+                        "(forward or cyclic reference)"
+                    )
+                premises.append(built[ref])
+            conclusion = _field(entry, "conclusion", dict, where)
+            params = _field(conclusion, "params", dict, where)
+            if not all(type(v) is str for v in params.values()):
+                raise DomainError(f"{where}: conclusion params must be strings")
+            fact = Fact(
+                _field(conclusion, "descriptor", str, where),
+                _field(conclusion, "h1", int, where),
+                _field(conclusion, "kind", str, where),
+                tuple(sorted(params.items())),
+            )
+            built[entry["id"]] = cls(fact, _field(entry, "rule", str, where), tuple(premises))
+        root = doc.get("root")
+        if type(root) is not int or root not in built:
+            raise DomainError(f"field 'root' is missing or names no listed node: {root!r}")
+        listed_order = [built[entry["id"]] for entry in entries]
+        if list(built) != list(range(len(built))) or _topological(built[root]) != listed_order:
+            raise DomainError(
+                "nodes are not in canonical order: ids 0..n-1, each node after its "
+                "premises (depth first, premises in order), the root last"
+            )
+        return built[root]
 
 
-def _axiom(descriptor: str, h1: int, kind: str, rule: str, **params: object) -> Certificate:
-    fact = Fact(
-        descriptor,
-        h1,
-        status="axiom",
-        kind=kind,
-        params=tuple(sorted((k, str(v)) for k, v in params.items())),
+def _field(doc: object, key: str, kind: type, where: str):
+    value = doc.get(key) if isinstance(doc, dict) else None
+    if type(value) is not kind:  # JSON true/false load as bool, an int subclass
+        raise DomainError(f"{where}: field {key!r} is missing or not of type {kind.__name__}")
+    return value
+
+
+def _topological(root: Certificate) -> list[Certificate]:
+    """The distinct nodes under root, premises before the nodes that use them
+    (depth first, premises in order), root last."""
+    order: list[Certificate] = []
+    seen: set[int] = set()
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p in reversed(node.premises))
+    return order
+
+
+def _tree_count(nodes: list[Certificate]) -> int:
+    """Node count of the tree expansion of a topologically ordered DAG."""
+    size: dict[int, int] = {}
+    for node in nodes:
+        size[id(node)] = 1 + sum(size[id(p)] for p in node.premises)
+    return size[id(nodes[-1])]
+
+
+def _sharing() -> Callable[[Certificate], Certificate]:
+    """Hash-consing for one build: share(node) returns the first node built
+    with the same (fact, rule, premise identities)."""
+    table: dict[tuple, Certificate] = {}
+
+    def share(node: Certificate) -> Certificate:
+        key = (node.conclusion, node.rule, tuple(map(id, node.premises)))
+        return table.setdefault(key, node)
+
+    return share
+
+
+Steps = Generator[Hashable, object, Certificate]
+
+
+def _derive(root: Hashable, steps: Callable[[Hashable], Steps], memo: dict) -> Certificate:
+    """The certificate steps(root) returns, with its recursion on a stack.
+
+    steps(x) is a generator: it yields each sub-problem it needs and receives
+    that sub-problem's certificate, or has its HypothesisNotMetError raised
+    at the yield.  Certificates and failures are memoised per sub-problem,
+    so each distinct one is derived once.
+    """
+    if root in memo:
+        return memo[root]
+    stack = [(root, steps(root))]
+    value: object = None
+    while True:
+        key, gen = stack[-1]
+        try:
+            if isinstance(value, HypothesisNotMetError):
+                sub = gen.throw(value.with_traceback(None))
+            else:
+                sub = gen.send(value)
+        except StopIteration as done:
+            value = done.value
+        except HypothesisNotMetError as exc:
+            value = exc
+        else:
+            if sub in memo:
+                value = memo[sub]
+            else:
+                stack.append((sub, steps(sub)))
+                value = None
+            continue
+        memo[key] = value
+        stack.pop()
+        if not stack:
+            if isinstance(value, HypothesisNotMetError):
+                raise value.with_traceback(None)
+            return value
+
+
+# ---------------------------------------------------------------------------
+# Facts of each kind of manifold
+# ---------------------------------------------------------------------------
+
+
+def _lens_fact(p: int, q: int = 1) -> Fact:
+    return _fact("S3" if p == 1 else f"L({p},{q})", p, "lens", p=p, q=q)
+
+
+def _connected_sum_fact(orders: list[int]) -> Fact:
+    orders = [p for p in orders if p != 1]
+    if not orders:
+        return _lens_fact(1)
+    return _fact(
+        " # ".join(f"L({p},1)" for p in orders), prod(orders), "connected-sum-lens",
+        orders=",".join(map(str, orders)),
     )
-    return Certificate(fact, rule)
+
+
+_POINCARE = _fact("Poincare homology sphere", 1, "named")
+
+
+def _surgery_fact(knot: str, slope: Fraction, **extra: str) -> Fact:
+    text = format_slope(slope)
+    return _fact(f"S3_{text}({knot})", slope.numerator, "surgery", knot=knot, slope=text, **extra)
+
+
+def _borromean_fact(a: Fraction, b: Fraction, c: Fraction) -> Fact:
+    slopes = ",".join(format_slope(x) for x in (a, b, c))
+    desc = "M(1,1,1) = Poincare homology sphere" if (a, b, c) == (1, 1, 1) else f"M({slopes})"
+    return _fact(desc, a.numerator * b.numerator * c.numerator, "borromean", slopes=slopes)
+
+
+def _edge_text(edges: tuple[tuple[int, int], ...]) -> str:
+    return ",".join(f"{a}-{b}" for a, b in edges)
+
+
+def _tree_fact(tree: "WeightedTree", h1: int) -> Fact:
+    return _fact(
+        "boundary of " + tree.describe(), h1, "tree-boundary",
+        weights=",".join(map(str, tree.weights)), edges=_edge_text(tree.edges),
+    )
+
+
+def _tait_fact(graph: "TaitGraph", det: int) -> Fact:
+    return _fact(
+        "branched double cover of " + graph.describe(), det, "branched-double-cover",
+        vertices=graph.num_vertices, edges=_edge_text(graph.edges),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Axioms and rules
+# ---------------------------------------------------------------------------
 
 
 def lens_axiom(p: int, q: int = 1) -> Certificate:
-    return _axiom(f"L({p},{q})", p, "lens", "axiom:lens-space", p=p, q=q)
+    return Certificate(_lens_fact(p, q), "axiom:lens-space")
 
 
 def sphere_axiom() -> Certificate:
-    return _axiom("S3", 1, "lens", "axiom:three-sphere", p=1, q=1)
+    return Certificate(_lens_fact(1), "axiom:three-sphere")
 
 
 def connected_sum_lens_axiom(orders: list[int]) -> Certificate:
-    orders = [p for p in orders if p != 1]
-    if not orders:
+    fact = _connected_sum_fact(orders)
+    if fact.kind == "lens":
         return sphere_axiom()
-    desc = " # ".join(f"L({p},1)" for p in orders)
-    return _axiom(
-        desc, prod(orders), "connected-sum-lens",
-        "axiom:connected-sum-of-lens-spaces", orders=",".join(map(str, orders)),
-    )
+    return Certificate(fact, "axiom:connected-sum-of-lens-spaces")
 
 
 def poincare_sphere_axiom() -> Certificate:
-    return _axiom(
-        "Poincare homology sphere", 1, "named",
-        "axiom:positive-scalar-curvature",
-    )
+    return Certificate(_POINCARE, "axiom:positive-scalar-curvature")
 
 
 def surgery_lspace_axiom(knot: str, slope: Fraction, note: str = "lens space") -> Certificate:
     """Caller-supplied fact: the slope-r filling of this knot is an L-space."""
     if slope <= 0:
         raise DomainError("surgery L-space facts need a positive slope")
-    return _axiom(
-        f"S3_{format_slope(slope)}({knot})", slope.numerator, "surgery",
-        "axiom:given-l-space", knot=knot, slope=format_slope(slope), note=note,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Rules
-# ---------------------------------------------------------------------------
+    return Certificate(_surgery_fact(knot, slope, note=note), "axiom:given-l-space")
 
 
 def triangle_rule(c0: Certificate, c1: Certificate, target: Fact) -> Certificate:
@@ -164,13 +347,7 @@ def triangle_rule(c0: Certificate, c1: Certificate, target: Fact) -> Certificate
             f"|H1| additivity fails: {target.h1_order} != "
             f"{c0.conclusion.h1_order} + {c1.conclusion.h1_order}"
         )
-    fact = Fact(target.descriptor, target.h1_order, "derived", target.kind, target.params)
-    return Certificate(fact, "triangle", (c0, c1))
-
-
-def _unary_rule(rule: str, premise: Certificate, target: Fact) -> Certificate:
-    fact = Fact(target.descriptor, target.h1_order, "derived", target.kind, target.params)
-    return Certificate(fact, rule, (premise,))
+    return Certificate(target, "triangle", (c0, c1))
 
 
 # ---------------------------------------------------------------------------
@@ -193,11 +370,18 @@ class WeightedTree:
         if not _connected_with(n, self.edges):
             raise DomainError("tree is not connected")
 
+    @classmethod
+    def _of(cls, weights: tuple[int, ...], edges: tuple[tuple[int, int], ...]) -> "WeightedTree":
+        """A tree made by a move on a valid tree, which needs no re-validation."""
+        tree = object.__new__(cls)
+        object.__setattr__(tree, "weights", weights)
+        object.__setattr__(tree, "edges", edges)
+        return tree
+
     def describe(self) -> str:
         return (
             "plumbing tree "
-            + "[" + ",".join(map(str, self.weights)) + "; "
-            + ",".join(f"{a}-{b}" for a, b in self.edges) + "]"
+            + "[" + ",".join(map(str, self.weights)) + "; " + _edge_text(self.edges) + "]"
         )
 
 
@@ -277,20 +461,10 @@ def tree_h1(tree: WeightedTree) -> int:
     return abs(det[0])
 
 
-def _tree_fact(tree: WeightedTree) -> Fact:
-    return Fact(
-        "boundary of " + tree.describe(),
-        tree_h1(tree),
-        "derived",
-        "tree-boundary",
-        (("weights", ",".join(map(str, tree.weights))),),
-    )
-
-
 def _delete_vertex(tree: WeightedTree, v: int) -> WeightedTree:
     keep = [i for i in range(len(tree.weights)) if i != v]
     index = {old: new for new, old in enumerate(keep)}
-    return WeightedTree(
+    return WeightedTree._of(
         tuple(tree.weights[i] for i in keep),
         tuple((index[a], index[b]) for a, b in tree.edges if v not in (a, b)),
     )
@@ -299,7 +473,7 @@ def _delete_vertex(tree: WeightedTree, v: int) -> WeightedTree:
 def _set_weight(tree: WeightedTree, v: int, value: int) -> WeightedTree:
     weights = list(tree.weights)
     weights[v] = value
-    return WeightedTree(tuple(weights), tree.edges)
+    return WeightedTree._of(tuple(weights), tree.edges)
 
 
 def _blow_down_leaf(tree: WeightedTree, v: int) -> WeightedTree:
@@ -320,7 +494,7 @@ def _blow_down_interior(tree: WeightedTree, v: int) -> WeightedTree:
         (index[a], index[b]) for a, b in tree.edges if v not in (a, b)
     ]
     edges.append((index[nbrs[0]], index[nbrs[1]]))
-    return WeightedTree(tuple(weights), tuple(edges))
+    return WeightedTree._of(tuple(weights), tuple(edges))
 
 
 def certify_tree(tree: WeightedTree, require_hypothesis: bool = True) -> Certificate:
@@ -349,39 +523,36 @@ def certify_tree(tree: WeightedTree, require_hypothesis: bool = True) -> Certifi
             raise HypothesisNotMetError(
                 "weight inequality must be strict at at least one vertex"
             )
-    return _certify_tree_rec(tree)
+    share = _sharing()
+    return _derive((tree, h1), lambda sub: _tree_steps(*sub, share), {})
 
 
-def _certify_tree_rec(tree: WeightedTree) -> Certificate:
+def _tree_steps(tree: WeightedTree, h1: int, share) -> Steps:
+    """Blow down a weight-1 vertex if there is one, else split at the first
+    leaf (lightest first) whose deletion and decrement both certify.  A
+    sub-tree is yielded as (tree, |H1|): each |H1| is computed once."""
     n = len(tree.weights)
-    h1 = tree_h1(tree)
-    if h1 == 0:
-        raise HypothesisNotMetError(
-            "intermediate stage is not a rational homology sphere: "
-            + tree.describe()
-        )
     if n == 1:
         weight = tree.weights[0]
         if weight < 1:
             raise HypothesisNotMetError(
                 f"single vertex of weight {weight} reached; not certifiable"
             )
-        return lens_axiom(weight) if weight > 1 else sphere_axiom()
+        return share(lens_axiom(weight) if weight > 1 else sphere_axiom())
 
+    fact = _tree_fact(tree, h1)
     degree = _degrees(tree)
     leaves = [v for v in range(n) if degree[v] == 1]
-    for v in leaves:
-        if tree.weights[v] == 1:
-            smaller = _blow_down_leaf(tree, v)
-            if tree_h1(smaller) != h1:
-                raise InvariantError("blow-down changed |H1|")
-            return _unary_rule("blow-down", _certify_tree_rec(smaller), _tree_fact(tree))
-    for v in range(n):
-        if tree.weights[v] == 1 and degree[v] == 2:
-            smaller = _blow_down_interior(tree, v)
-            if tree_h1(smaller) != h1:
-                raise InvariantError("interior blow-down changed |H1|")
-            return _unary_rule("blow-down", _certify_tree_rec(smaller), _tree_fact(tree))
+    blow_downs = [(v, _blow_down_leaf) for v in leaves if tree.weights[v] == 1] + [
+        (v, _blow_down_interior) for v in range(n) if tree.weights[v] == 1 and degree[v] == 2
+    ]
+    if blow_downs:
+        v, move = blow_downs[0]
+        smaller = move(tree, v)
+        if tree_h1(smaller) != h1:
+            raise InvariantError("blow-down changed |H1|")
+        premise = yield smaller, h1
+        return share(Certificate(fact, "blow-down", (premise,)))
 
     errors = []
     for v in sorted(leaves, key=lambda v: tree.weights[v]):
@@ -392,12 +563,12 @@ def _certify_tree_rec(tree: WeightedTree) -> Certificate:
             errors.append(f"split at leaf {v}: {h1} != {h0} + {h1_side}")
             continue
         try:
-            c0 = _certify_tree_rec(deleted)
-            c1 = _certify_tree_rec(decremented)
+            c0 = yield deleted, h0
+            c1 = yield decremented, h1_side
         except HypothesisNotMetError as exc:
             errors.append(f"split at leaf {v}: {exc}")
             continue
-        return triangle_rule(c0, c1, _tree_fact(tree))
+        return share(triangle_rule(c0, c1, fact))
     raise HypothesisNotMetError(
         "no leaf admits a determinant-positive split: " + "; ".join(errors)
     )
@@ -436,10 +607,7 @@ class TaitGraph:
         return out
 
     def describe(self) -> str:
-        return (
-            f"Tait graph on {self.num_vertices} vertices "
-            + "[" + ",".join(f"{a}-{b}" for a, b in self.edges) + "]"
-        )
+        return f"Tait graph on {self.num_vertices} vertices [" + _edge_text(self.edges) + "]"
 
 
 def _check_endpoints(n: int, edges: tuple[tuple[int, int], ...]) -> None:
@@ -544,16 +712,6 @@ def _delete(graph: TaitGraph, idx: int) -> TaitGraph:
     )
 
 
-def _tait_fact(graph: TaitGraph) -> Fact:
-    return Fact(
-        "branched double cover of " + graph.describe(),
-        tait_det(graph),
-        "derived",
-        "branched-double-cover",
-        (("edges", ",".join(f"{a}-{b}" for a, b in graph.edges)),),
-    )
-
-
 def certify_alternating(graph: TaitGraph) -> Certificate:
     """Certificate for the branched double cover of the alternating link with
     this checkerboard graph, by deletion-contraction on crossings.
@@ -563,55 +721,44 @@ def certify_alternating(graph: TaitGraph) -> Certificate:
     count and the manifold unchanged.  Disconnected graphs (split links) are
     rejected by the TaitGraph constructor.
     """
-    return _certify_tait_rec(graph)
-
-
-def _certify_tait_rec(graph: TaitGraph) -> Certificate:
     det = tait_det(graph)
     if det == 0:
         raise InvariantError("spanning-tree count vanished; diagram not reduced")
+    share = _sharing()
+    return _derive((graph, det), lambda sub: _tait_steps(*sub, share), {})
+
+
+def _tait_steps(graph: TaitGraph, det: int, share) -> Steps:
+    """Delete the first loop, else contract the first bridge, else split
+    edge 0 by contraction and deletion.  A sub-graph is yielded as
+    (graph, spanning-tree count)."""
     if not graph.edges:
         if graph.num_vertices != 1:
             raise InvariantError("edgeless graph with several vertices")
-        return sphere_axiom()
+        return share(sphere_axiom())
+    fact = _tait_fact(graph, det)
     loops = graph.loops()
-    if loops:
-        smaller = _delete(graph, loops[0])
+    bridges = [] if loops else graph.bridges()
+    if loops or bridges:
+        smaller = _delete(graph, loops[0]) if loops else _contract(graph, bridges[0])
         if tait_det(smaller) != det:
-            raise InvariantError("loop deletion changed the spanning-tree count")
-        return _unary_rule("reduce", _certify_tait_rec(smaller), _tait_fact(graph))
-    bridges = graph.bridges()
-    if bridges:
-        smaller = _contract(graph, bridges[0])
-        if tait_det(smaller) != det:
-            raise InvariantError("bridge contraction changed the spanning-tree count")
-        return _unary_rule("reduce", _certify_tait_rec(smaller), _tait_fact(graph))
-    idx = 0
-    contracted = _contract(graph, idx)
-    deleted = _delete(graph, idx)
+            raise InvariantError("loop deletion or bridge contraction changed the spanning-tree count")
+        premise = yield smaller, det
+        return share(Certificate(fact, "reduce", (premise,)))
+    contracted, deleted = _contract(graph, 0), _delete(graph, 0)
     d0, d1 = tait_det(contracted), tait_det(deleted)
     if d0 + d1 != det:
         raise InvariantError(
             f"deletion-contraction additivity failed: {det} != {d0} + {d1}"
         )
-    return triangle_rule(
-        _certify_tait_rec(contracted), _certify_tait_rec(deleted), _tait_fact(graph)
-    )
+    c0 = yield contracted, d0
+    c1 = yield deleted, d1
+    return share(triangle_rule(c0, c1, fact))
 
 
 # ---------------------------------------------------------------------------
 # Slope propagation
 # ---------------------------------------------------------------------------
-
-
-def _surgery_fact(knot: str, slope: Fraction) -> Fact:
-    return Fact(
-        f"S3_{format_slope(slope)}({knot})",
-        slope.numerator,
-        "derived",
-        "surgery",
-        (("knot", knot), ("slope", format_slope(slope))),
-    )
 
 
 def propagate_slope(base: Certificate, target: Fraction) -> Certificate:
@@ -633,55 +780,43 @@ def propagate_slope(base: Certificate, target: Fraction) -> Certificate:
     if target < r:
         raise DomainError(f"target {target} below the base slope {r}")
 
+    share = _sharing()
+    sphere = share(sphere_axiom())
     memo: dict[Fraction, Certificate] = {r: base}
-
     lifted = r
     if r.denominator != 1:
         lifted = Fraction(ceil(r))
-        memo[lifted] = _unary_rule(
-            "rational-to-integer-lift", base, _surgery_fact(knot, lifted)
-        )
+        memo[lifted] = share(Certificate(
+            _surgery_fact(knot, lifted), "rational-to-integer-lift", (base,)
+        ))
 
-    def integer_cert(value: Fraction) -> Certificate:
-        current = lifted
-        while current < value:
-            nxt = current + 1
-            if nxt not in memo:
-                memo[nxt] = triangle_rule(
-                    memo[current], sphere_axiom(), _surgery_fact(knot, nxt)
-                )
-            current = nxt
-        return memo[value]
-
-    def certify(s: Fraction) -> Certificate:
-        if s in memo:
-            return memo[s]
+    def steps(s: Fraction) -> Steps:
         if s.denominator == 1:
-            return integer_cert(s)
+            if s < lifted:
+                raise DomainError(
+                    f"the Farey descent of {format_slope(target)} reaches "
+                    f"{format_slope(s)}, below the base slope {format_slope(r)}"
+                )
+            current = lifted
+            while current < s:
+                nxt = current + 1
+                if nxt not in memo:
+                    memo[nxt] = share(triangle_rule(memo[current], sphere, _surgery_fact(knot, nxt)))
+                current = nxt
+            return memo[s]
         high, low = farey_parents(s)
         if high is INFINITY:
             raise InvariantError("non-integral slope with an infinite parent")
-        c_low = certify(low)
-        c_high = certify(high)
-        cert = triangle_rule(c_low, c_high, _surgery_fact(knot, s))
-        memo[s] = cert
-        return cert
+        c_low = yield low
+        c_high = yield high
+        return share(triangle_rule(c_low, c_high, _surgery_fact(knot, s)))
 
-    return certify(target)
+    return _derive(target, steps, memo)
 
 
 # ---------------------------------------------------------------------------
 # Borromean surgeries
 # ---------------------------------------------------------------------------
-
-
-def _borromean_fact(a: Fraction, b: Fraction, c: Fraction) -> Fact:
-    order = a.numerator * b.numerator * c.numerator
-    desc = f"M({format_slope(a)},{format_slope(b)},{format_slope(c)})"
-    return Fact(
-        desc, order, "derived", "surgery",
-        (("slopes", ",".join(format_slope(x) for x in (a, b, c))),),
-    )
 
 
 def certify_borromean(a: Fraction, b: Fraction, c: Fraction) -> Certificate:
@@ -691,11 +826,13 @@ def certify_borromean(a: Fraction, b: Fraction, c: Fraction) -> Certificate:
     connected sum of lens spaces as the second premise; a non-integral
     coordinate descends through its Farey parents.
     """
-    slopes = [Fraction(x) for x in (a, b, c)]
+    slopes = tuple(Fraction(x) for x in (a, b, c))
     if any(x < 1 for x in slopes):
         raise DomainError("all three slopes must be >= 1")
+    share = _sharing()
 
-    def build(xs: tuple[Fraction, Fraction, Fraction]) -> Certificate:
+    def steps(xs: tuple[Fraction, Fraction, Fraction]) -> Steps:
+        fact = _borromean_fact(*xs)
         for idx, x in enumerate(xs):
             if x.denominator != 1:
                 high, low = farey_parents(x)
@@ -705,25 +842,18 @@ def certify_borromean(a: Fraction, b: Fraction, c: Fraction) -> Certificate:
                     raise DomainError(
                         f"Farey descent of coordinate {idx} leaves the slope range"
                     )
-                lo = build(_replace(xs, idx, low))
-                hi = build(_replace(xs, idx, high))
-                return triangle_rule(lo, hi, _borromean_fact(*xs))
+                lo = yield _replace(xs, idx, low)
+                hi = yield _replace(xs, idx, high)
+                return share(triangle_rule(lo, hi, fact))
         ints = [int(x) for x in xs]
         if ints == [1, 1, 1]:
-            return _axiom(
-                "M(1,1,1) = Poincare homology sphere", 1, "surgery",
-                "axiom:positive-scalar-curvature", slopes="1,1,1",
-            )
+            return share(Certificate(fact, "axiom:positive-scalar-curvature"))
         idx = max(range(3), key=lambda i: ints[i])
-        below = list(xs)
-        below[idx] = xs[idx] - 1
-        others = [ints[i] for i in range(3) if i != idx]
-        side = connected_sum_lens_axiom(others)
-        return triangle_rule(
-            build(tuple(below)), side, _borromean_fact(*xs)
-        )
+        below = yield _replace(xs, idx, xs[idx] - 1)
+        side = share(connected_sum_lens_axiom([ints[i] for i in range(3) if i != idx]))
+        return share(triangle_rule(below, side, fact))
 
-    return build(tuple(slopes))
+    return _derive(slopes, steps, {})
 
 
 def _replace(
@@ -766,7 +896,7 @@ def certify_pretzel_surgeries(n: int, target: Fraction) -> Certificate:
     tree_cert = certify_tree(tree, require_hypothesis=(n == 7))
     knot = f"(-2,3,{n})-pretzel"
     base_fact = _surgery_fact(knot, base_slope)
-    base = _unary_rule("seifert-filling-identification", tree_cert, base_fact)
+    base = Certificate(base_fact, "seifert-filling-identification", (tree_cert,))
     return propagate_slope(base, target)
 
 
@@ -780,105 +910,248 @@ class CertificateCheckError(InvariantError):
 
 
 def check_certificate(cert: Certificate) -> int:
-    """Walk a certificate re-verifying every rule; returns the node count.
+    """Re-verify every distinct node once; returns the tree-expanded node count.
 
-    This is a separate code path from the constructors: it re-computes every
-    additivity equation and every axiom's order from the descriptor data.
+    Each fact is rebuilt from its own data (|H1| by tree_h1, tait_det or the
+    slope numerators), and each node's premises must be exactly the move its
+    rule names.  An error names the failing node by its id in the node table
+    `Certificate.to_json_dict` writes (and `from_json_dict` requires).
     """
-    count = 1
-    rule = cert.rule
-    fact = cert.conclusion
-    if rule.startswith("axiom:"):
-        if cert.premises:
-            raise CertificateCheckError("axiom node with premises")
-        _check_axiom(rule, fact)
-    elif rule == "triangle":
-        if len(cert.premises) != 2:
-            raise CertificateCheckError("triangle node needs two premises")
-        total = sum(p.conclusion.h1_order for p in cert.premises)
-        if fact.h1_order != total:
-            raise CertificateCheckError(
-                f"additivity fails at {fact.descriptor}: {fact.h1_order} != {total}"
-            )
-        _check_triangle_side_conditions(cert)
-    elif rule in ("blow-down", "reduce", "seifert-filling-identification"):
-        if len(cert.premises) != 1:
-            raise CertificateCheckError(f"{rule} node needs one premise")
-        if cert.premises[0].conclusion.h1_order != fact.h1_order:
-            raise CertificateCheckError(f"{rule} must preserve |H1|")
-    elif rule == "rational-to-integer-lift":
-        if len(cert.premises) != 1:
-            raise CertificateCheckError("lift node needs one premise")
-        premise = cert.premises[0].conclusion
-        r_text = premise.param("slope")
-        s_text = fact.param("slope")
-        if r_text is None or s_text is None:
-            raise CertificateCheckError("lift node needs surgery descriptors")
-        r = parse_slope(r_text)
-        s = parse_slope(s_text)
-        if r.denominator == 1 or s != Fraction(ceil(r)):
-            raise CertificateCheckError(
-                f"lift must go from non-integral r to ceil(r); got {r} -> {s}"
-            )
-        if fact.h1_order != s.numerator:
-            raise CertificateCheckError("lifted order must equal the integer slope")
+    nodes = _topological(cert)
+    views: dict[int, tuple[str, object]] = {}
+    for i, node in enumerate(nodes):
+        try:
+            view = _view(node.conclusion)
+            _check_rule(node, view, [views[id(p)] for p in node.premises])
+        except (CertificateCheckError, ValueError) as exc:
+            raise CertificateCheckError(f"node {i} ({node.rule}): {exc}") from None
+        views[id(node)] = view
+    return _tree_count(nodes)
+
+
+_S3_VIEW = ("lens", (1, 1))
+
+
+def _param(fact: Fact, key: str) -> str:
+    value = fact.param(key)
+    if value is None:
+        raise CertificateCheckError(f"{fact.kind} fact lacks the parameter {key!r}")
+    return value
+
+
+def _edges(text: str) -> tuple[tuple[int, int], ...]:
+    out = []
+    for edge in text.split(",") if text else ():
+        a, b = edge.split("-")
+        out.append((int(a), int(b)))
+    return tuple(out)
+
+
+def _view(fact: Fact) -> tuple[str, object]:
+    """(kind, data): the manifold a fact names, rebuilt from its params.
+
+    The fact must equal the fact built afresh from that data, so its
+    descriptor and |H1| are recomputed, not trusted.
+    """
+    kind = fact.kind
+    if kind == "lens":
+        data = (int(_param(fact, "p")), int(_param(fact, "q")))
+        if data[0] < 1 or gcd(*data) != 1:
+            raise CertificateCheckError(f"no lens space L{data}")
+        rebuilt = _lens_fact(*data)
+    elif kind == "connected-sum-lens":
+        data = tuple(int(p) for p in _param(fact, "orders").split(","))
+        if min(data) < 2:
+            raise CertificateCheckError("connected-sum orders must be >= 2")
+        rebuilt = _connected_sum_fact(list(data))
+    elif kind == "tree-boundary":
+        weights = tuple(int(w) for w in _param(fact, "weights").split(","))
+        data = WeightedTree(weights, _edges(_param(fact, "edges")))
+        rebuilt = _tree_fact(data, tree_h1(data))
+    elif kind == "branched-double-cover":
+        data = TaitGraph(int(_param(fact, "vertices")), _edges(_param(fact, "edges")))
+        rebuilt = _tait_fact(data, tait_det(data))
+    elif kind == "surgery":
+        data = (_param(fact, "knot"), parse_slope(_param(fact, "slope")))
+        note = fact.param("note")
+        rebuilt = _surgery_fact(*data, **({} if note is None else {"note": note}))
+    elif kind == "borromean":
+        data = tuple(parse_slope(x) for x in _param(fact, "slopes").split(","))
+        if len(data) != 3 or min(data) < 1:
+            raise CertificateCheckError("Borromean surgeries need three slopes >= 1")
+        rebuilt = _borromean_fact(*data)
+    elif kind == "named":
+        if fact != _POINCARE:
+            raise CertificateCheckError(f"no data rebuilds the manifold {fact.descriptor!r}")
+        data, rebuilt = None, fact
     else:
-        raise CertificateCheckError(f"unknown rule {rule!r}")
-    for premise in cert.premises:
-        count += check_certificate(premise)
-    return count
-
-
-def _check_axiom(rule: str, fact: Fact) -> None:
-    name = rule.removeprefix("axiom:")
-    if name == "lens-space":
-        p = fact.param("p")
-        if p is None or int(p) != fact.h1_order:
-            raise CertificateCheckError(f"lens axiom order mismatch at {fact.descriptor}")
-    elif name == "three-sphere":
-        if fact.h1_order != 1:
-            raise CertificateCheckError("three-sphere must have |H1| = 1")
-    elif name == "connected-sum-of-lens-spaces":
-        orders = fact.param("orders")
-        if orders is None:
-            raise CertificateCheckError("connected sum axiom needs its orders")
-        expected = prod(int(x) for x in orders.split(","))
-        if expected != fact.h1_order:
-            raise CertificateCheckError("connected sum order mismatch")
-    elif name == "positive-scalar-curvature":
-        if fact.h1_order < 1:
-            raise CertificateCheckError("bad positive-scalar-curvature axiom")
-    elif name == "given-l-space":
-        slope = fact.param("slope")
-        if slope is None or parse_slope(slope).numerator != fact.h1_order:
-            raise CertificateCheckError("given L-space fact order mismatch")
-    else:
-        raise CertificateCheckError(f"unknown axiom {name!r}")
-
-
-def _check_triangle_side_conditions(cert: Certificate) -> None:
-    """Descriptor-level consistency for the triangle instances this package
-    constructs (surgery slopes must be Farey-compatible when present)."""
-    fact = cert.conclusion
-    slope_text = fact.param("slope")
-    if fact.kind != "surgery" or slope_text is None:
-        return
-    s = parse_slope(slope_text)
-    premise_slopes = []
-    for p in cert.premises:
-        text = p.conclusion.param("slope")
-        if text is None:
-            return
-        premise_slopes.append(parse_slope(text))
-    if s.denominator == 1:
-        return  # integer rung against the three-sphere
-    nums = sorted(x.numerator for x in premise_slopes)
-    dens = sorted(x.denominator for x in premise_slopes)
-    if sum(nums) != s.numerator or sum(dens) != s.denominator:
+        raise CertificateCheckError(f"unknown kind of manifold {kind!r}")
+    if rebuilt != fact:
         raise CertificateCheckError(
-            f"Farey mediant mismatch at {fact.descriptor}"
+            f"fact {fact.descriptor!r} with |H1| = {fact.h1_order} does not match "
+            f"its data, which give {rebuilt.descriptor!r} with |H1| = {rebuilt.h1_order}"
         )
+    return kind, data
+
+
+_AXIOMS: dict[str, Callable[[tuple[str, object]], bool]] = {
+    "axiom:lens-space": lambda view: view[0] == "lens",
+    "axiom:three-sphere": lambda view: view == _S3_VIEW,
+    "axiom:connected-sum-of-lens-spaces": lambda view: view[0] == "connected-sum-lens",
+    "axiom:positive-scalar-curvature": lambda view: view in (("named", None), ("borromean", (1, 1, 1))),
+    "axiom:given-l-space": lambda view: view[0] == "surgery",
+}
+
+
+def _check_rule(node: Certificate, view: tuple[str, object], premises: list) -> None:
+    rule, fact = node.rule, node.conclusion
+    kind, data = view
+    if rule.startswith("axiom:"):
+        if premises:
+            raise CertificateCheckError("axiom node with premises")
+        allowed = _AXIOMS.get(rule)
+        if allowed is None:
+            raise CertificateCheckError(f"unknown axiom {rule!r}")
+        if not allowed(view):
+            raise CertificateCheckError(f"{fact.descriptor!r} is not an instance of this axiom")
+        return
+    moves = _MOVES.get(rule)
+    if moves is None:
+        raise CertificateCheckError(f"unknown rule {rule!r}")
+    arity = 2 if rule == "triangle" else 1
+    if len(premises) != arity:
+        raise CertificateCheckError(f"{rule} node needs {arity} premise(s), has {len(premises)}")
+    orders = [p.conclusion.h1_order for p in node.premises]
+    if rule == "triangle" and fact.h1_order != sum(orders):
+        raise CertificateCheckError(
+            f"additivity fails: {fact.h1_order} != {orders[0]} + {orders[1]}"
+        )
+    if rule in ("blow-down", "reduce", "seifert-filling-identification") and orders[0] != fact.h1_order:
+        raise CertificateCheckError(f"{rule} must preserve |H1|")
+    move = moves.get(kind)
+    if move is None or not move(data, premises):
+        raise CertificateCheckError(f"the premises are not a {rule} move on this {kind} node")
+
+
+def _tree_view(view: tuple[str, object]) -> WeightedTree | None:
+    kind, data = view
+    if kind == "tree-boundary":
+        return data
+    if kind == "lens" and data[1] == 1:  # L(p,1) bounds the single vertex of weight p
+        return WeightedTree._of((data[0],), ())
+    return None
+
+
+def _graph_view(view: tuple[str, object]) -> TaitGraph | None:
+    if view[0] == "branched-double-cover":
+        return view[1]
+    return TaitGraph(1, ()) if view == _S3_VIEW else None
+
+
+def _leaf_split(tree: WeightedTree, premises: list) -> bool:
+    deleted, decremented = map(_tree_view, premises)
+    degree = _degrees(tree)
+    return any(
+        degree[v] == 1
+        and deleted == _delete_vertex(tree, v)
+        and decremented == _set_weight(tree, v, tree.weights[v] - 1)
+        for v in range(len(tree.weights))
+    )
+
+
+def _blow_down(tree: WeightedTree, premises: list) -> bool:
+    smaller = _tree_view(premises[0])
+    degree = _degrees(tree)
+    return any(
+        (degree[v] == 1 and smaller == _blow_down_leaf(tree, v))
+        or (degree[v] == 2 and smaller == _blow_down_interior(tree, v))
+        for v in range(len(tree.weights))
+        if tree.weights[v] == 1
+    )
+
+
+def _crossing_split(graph: TaitGraph, premises: list) -> bool:
+    contracted, deleted = map(_graph_view, premises)
+    bridges = graph.bridges()
+    return any(
+        a != b and i not in bridges
+        and contracted == _contract(graph, i) and deleted == _delete(graph, i)
+        for i, (a, b) in enumerate(graph.edges)
+    )
+
+
+def _nugatory(graph: TaitGraph, premises: list) -> bool:
+    smaller = _graph_view(premises[0])
+    return any(smaller == _delete(graph, i) for i in graph.loops()) or any(
+        smaller == _contract(graph, i) for i in graph.bridges()
+    )
+
+
+def _slope_triad(data: tuple[str, Fraction], premises: list) -> bool:
+    knot, s = data
+    if s.denominator == 1:
+        return premises == [("surgery", (knot, s - 1)), _S3_VIEW]
+    high, low = farey_parents(s)
+    return premises == [("surgery", (knot, low)), ("surgery", (knot, high))]
+
+
+def _borromean_triad(slopes: tuple[Fraction, ...], premises: list) -> bool:
+    for idx, x in enumerate(slopes):
+        if x.denominator != 1:
+            high, low = farey_parents(x)
+            expected = [
+                ("borromean", _replace(slopes, idx, low)),
+                ("borromean", _replace(slopes, idx, high)),
+            ]
+        elif all(y.denominator == 1 for y in slopes):
+            others = [int(y) for i, y in enumerate(slopes) if i != idx]
+            expected = [
+                ("borromean", _replace(slopes, idx, x - 1)),
+                _view(_connected_sum_fact(others)),
+            ]
+        else:
+            continue
+        if premises == expected:
+            return True
+    return False
+
+
+_PRETZEL = re.compile(r"\(-2,3,(\d+)\)-pretzel")
+
+
+def _pretzel_filling(data: tuple[str, Fraction], premises: list) -> bool:
+    knot, s = data
+    match = _PRETZEL.fullmatch(knot)
+    if match is None:
+        return False
+    n = int(match.group(1))
+    return s == 2 * n + 4 and _tree_view(premises[0]) == pretzel_star(n)
+
+
+def _lift(data: tuple[str, Fraction], premises: list) -> bool:
+    knot, s = data
+    kind, base = premises[0]
+    if kind != "surgery":
+        return False
+    base_knot, r = base
+    return base_knot == knot and r.denominator != 1 and s == ceil(r)
+
+
+# rule -> kind of conclusion -> whether the premises are that move
+_MOVES: dict[str, dict[str, Callable[[object, list], bool]]] = {
+    "triangle": {
+        "tree-boundary": _leaf_split,
+        "branched-double-cover": _crossing_split,
+        "surgery": _slope_triad,
+        "borromean": _borromean_triad,
+    },
+    "blow-down": {"tree-boundary": _blow_down},
+    "reduce": {"branched-double-cover": _nugatory},
+    "seifert-filling-identification": {"surgery": _pretzel_filling},
+    "rational-to-integer-lift": {"surgery": _lift},
+}
 
 
 def certificate_json(cert: Certificate) -> str:
-    return json.dumps(cert.to_json_dict(), indent=2, sort_keys=True)
+    """The certificate's format-2 node table as one line of JSON."""
+    return json.dumps(cert.to_json_dict(), sort_keys=True)

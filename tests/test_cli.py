@@ -165,7 +165,10 @@ def test_lspace_slope_and_borromean(capsys):
     code, out, _ = run_cli(capsys, "--json", "lspace", "borromean", "1", "5/2", "5")
     assert code == 0
     doc = json.loads(out)
-    assert doc["certificate"]["conclusion"]["h1"] == 25
+    table = doc["certificate"]
+    assert table["format"] == 2
+    assert table["nodes"][table["root"]]["conclusion"]["h1"] == 25
+    assert (doc["nodes"], doc["distinct_nodes"]) == (25, len(table["nodes"])) == (25, 13)
     assert doc["conclusion"].startswith("monopole L-space")
 
 
@@ -245,3 +248,89 @@ def test_malformed_f2_document_is_one_line_domain_error(tmp_path, capsys, comman
     assert out == ""
     assert len(err.splitlines()) == 1 and field in err
     assert "Traceback" not in err
+
+
+def test_lspace_slope_past_the_recursion_limit(capsys):
+    code, out, err = run_cli(capsys, "lspace", "slope", "--base", "1", "--target", "1000")
+    assert code == 0 and err == ""
+    assert out.splitlines()[:3] == [
+        "certified: S3_1000(K)", "|H1| = 1000", "certificate nodes: 1999 (re-verified independently)",
+    ]
+
+
+def test_lspace_slope_below_the_base_is_one_line_domain_error(capsys):
+    # the Farey descent of 5/2 passes the integer 2, below the base 12/5
+    code, out, err = run_cli(capsys, "lspace", "slope", "--base", "12/5", "--target", "5/2")
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        "error: the Farey descent of 5/2 reaches 2, below the base slope 12/5"
+    ]
+
+
+@pytest.mark.parametrize("argv", [
+    ["lspace", "borromean", "1", "5/2", "5"],
+    ["lspace", "slope", "--base", "5/2", "--target", "13/5"],
+    ["lspace", "alt", "{alt}"],
+    ["lspace", "tree", "{tree}"],
+])
+def test_lspace_check_reprints_the_build(tmp_path, capsys, argv):
+    (tmp_path / "alt.json").write_text(json.dumps({"vertices": 2, "edges": [[0, 1]] * 4}))
+    (tmp_path / "tree.json").write_text(json.dumps({"vertices": [3, 2, 2, 2], "edges": [[0, 1], [0, 2], [0, 3]]}))
+    argv = [a.format(alt=tmp_path / "alt.json", tree=tmp_path / "tree.json") for a in argv]
+    code, built, _ = run_cli(capsys, *argv)
+    assert code == 0
+    _, doc, _ = run_cli(capsys, "--json", *argv)
+    envelope = tmp_path / "envelope.json"
+    envelope.write_text(doc)
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps(json.loads(doc)["certificate"]))
+    for path in (envelope, table):
+        assert run_cli(capsys, "lspace", "check", str(path)) == (0, built, "")
+    assert run_cli(capsys, "--json", "lspace", "check", str(table)) == (0, doc, "")
+
+
+@pytest.mark.parametrize("command", ["check", "tree", "alt"])
+@pytest.mark.parametrize("make, message", [
+    (lambda tmp: tmp, "cannot read"),
+    (lambda tmp: _write_bytes(tmp / "latin1.json", b'{"vertices": "\xe9"}'), "is not UTF-8 text"),
+    (lambda tmp: _write_bytes(tmp / "deep.json", b"[" * 100_000), "nested too deeply"),
+    (lambda tmp: tmp / "missing.json", "cannot read"),
+])
+def test_unreadable_input_is_one_line_domain_error(tmp_path, capsys, command, make, message):
+    path = make(tmp_path)
+    code, out, err = run_cli(capsys, "lspace", command, str(path))
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert message in err and str(path) in err
+
+
+def _write_bytes(path, data):
+    path.write_bytes(data)
+    return path
+
+
+def test_lspace_check_rejects_a_tampered_file_in_one_line(tmp_path, capsys):
+    _, out, _ = run_cli(capsys, "--json", "lspace", "borromean", "1", "5/2", "5")
+    table = json.loads(out)["certificate"]
+    table["nodes"][table["root"]]["conclusion"]["h1"] = 26
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(table))
+    code, out, err = run_cli(capsys, "lspace", "check", str(path))
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: certificate rejected: node 12 (triangle): ")
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"format": 1}, "format-2"),
+    ({"format": 2, "root": 0, "nodes": [{"id": 0, "rule": "axiom:three-sphere", "premises": [0],
+      "conclusion": {"descriptor": "S3", "h1": 1, "kind": "lens", "params": {"p": "1", "q": "1"}}}]},
+     "forward or cyclic"),
+    ([1, 2], "format-2"),
+])
+def test_lspace_check_rejects_a_malformed_table_in_one_line(tmp_path, capsys, doc, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "lspace", "check", str(path))
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and message in err

@@ -1,7 +1,9 @@
 """Certificate construction, the independent checker, and the input builders."""
 
+import contextlib
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,7 @@ from lenslab.lspacecert import (
     Fact,
     TaitGraph,
     WeightedTree,
+    certificate_json,
     certify_alternating,
     certify_borromean,
     certify_pretzel_surgeries,
@@ -39,13 +42,17 @@ from lenslab.lspacecert import (
 
 
 def test_triangle_rule_examples():
-    c2 = lens_axiom(2)
-    c3 = lens_axiom(3)
-    cert = triangle_rule(c2, c3, Fact("L(5,1)", 5, kind="lens", params=(("p", "5"), ("q", "1"))))
+    base = surgery_lspace_axiom("K", Fraction(4))
+    target = Fact("S3_5(K)", 5, kind="surgery", params=(("knot", "K"), ("slope", "5")))
+    cert = triangle_rule(base, sphere_axiom(), target)  # the integer rung 4 -> 5
     assert cert.rule == "triangle"
     assert check_certificate(cert) == 3
     with pytest.raises(RuleViolationError):
-        triangle_rule(c2, c3, Fact("bogus", 6))
+        triangle_rule(base, sphere_axiom(), Fact("bogus", 6))
+    # |H1| additivity alone is no triad: unknot surgeries at 2 and 3 give L(5,2)
+    lens_5_1 = Fact("L(5,1)", 5, kind="lens", params=(("p", "5"), ("q", "1")))
+    with pytest.raises(CertificateCheckError, match=r"^node 2 \(triangle\)"):
+        check_certificate(triangle_rule(lens_axiom(2), lens_axiom(3), lens_5_1))
 
 
 def test_tree_h1_examples():
@@ -277,13 +284,14 @@ def test_pretzel_wrapper():
 def test_checker_rejects_tampering():
     cert = certify_tree(star_tree(3, [[2], [2], [2]]))
     doc = cert.to_json_dict()
-    doc["conclusion"]["h1"] = 13
-    with pytest.raises(CertificateCheckError):
+    root = doc["nodes"][doc["root"]]
+    root["conclusion"]["h1"] = 13
+    with pytest.raises(CertificateCheckError, match=rf"^node {doc['root']} "):
         check_certificate(Certificate.from_json_dict(doc))
 
     doc = cert.to_json_dict()
-    doc["rule"] = "made-up-rule"
-    with pytest.raises(CertificateCheckError):
+    doc["nodes"][doc["root"]]["rule"] = "made-up-rule"
+    with pytest.raises(CertificateCheckError, match="unknown rule 'made-up-rule'"):
         check_certificate(Certificate.from_json_dict(doc))
 
 
@@ -326,3 +334,146 @@ def test_named_axioms():
     assert cert.conclusion.h1_order == 15
     check_certificate(cert)
     assert connected_sum_lens_axiom([1, 1]).rule == "axiom:three-sphere"
+
+
+def test_checker_rejects_the_three_forgeries():
+    # a positive-scalar-curvature leaf for an arbitrary named manifold
+    with pytest.raises(CertificateCheckError, match=r"^node 0 \(axiom:positive-scalar-curvature\)"):
+        check_certificate(Certificate(Fact("anything", 5), "axiom:positive-scalar-curvature"))
+    # ... or for a lens space: only the Poincare sphere and M(1,1,1) qualify
+    with pytest.raises(CertificateCheckError, match="not an instance of this axiom"):
+        check_certificate(Certificate(lens_axiom(5).conclusion, "axiom:positive-scalar-curvature"))
+    # a blow-down of [2,3], which has no weight-1 vertex, onto L(5,1)
+    two_three = certify_tree(path_tree([2, 3])).conclusion
+    assert two_three.h1_order == 5
+    with pytest.raises(CertificateCheckError, match=r"^node 1 \(blow-down\): the premises are not"):
+        check_certificate(Certificate(two_three, "blow-down", (lens_axiom(5),)))
+    # a triangle joining L(3,1) and L(4,1) into a named "Y"
+    with pytest.raises(CertificateCheckError, match=r"^node 2 \(triangle\)"):
+        check_certificate(triangle_rule(lens_axiom(3), lens_axiom(4), Fact("Y", 7)))
+
+
+def _swapped(cert):
+    return Certificate(cert.conclusion, cert.rule, cert.premises[::-1])
+
+
+def _replaced(cert, premise):
+    return Certificate(cert.conclusion, cert.rule, (premise,))
+
+
+@pytest.mark.parametrize("cert", [
+    # triangles with their premises swapped, so |H1| still adds up
+    _swapped(propagate_slope(surgery_lspace_axiom("K", Fraction(1)), Fraction(8, 5))),
+    _swapped(certify_alternating(cycle_graph(4))),
+    _swapped(certify_tree(star_tree(3, [[2], [3], [2, 2]]))),
+    _swapped(certify_borromean(Fraction(1), Fraction(5, 2), Fraction(5))),
+    # one-premise moves onto another certified manifold
+    _replaced(certify_tree(path_tree([1, 3])), certify_alternating(theta_graph(2))),
+    _replaced(certify_alternating(TaitGraph(3, ((0, 1), (1, 2), (2, 0), (0, 0)))), lens_axiom(3)),
+    _replaced(certify_pretzel_surgeries(7, Fraction(18)), lens_axiom(18)),
+    _replaced(
+        propagate_slope(surgery_lspace_axiom("K", Fraction(5, 2)), Fraction(3)),
+        surgery_lspace_axiom("J", Fraction(5, 2)),
+    ),
+], ids=lambda cert: cert.rule)
+def test_checker_rejects_a_premise_that_is_not_the_named_move(cert):
+    root = len(cert.to_json_dict()["nodes"]) - 1
+    for premise in cert.premises:
+        check_certificate(premise)
+    with pytest.raises(CertificateCheckError, match=rf"^node {root} \({cert.rule}\): the premises are not"):
+        check_certificate(cert)
+
+
+@contextlib.contextmanager
+def _default_recursion_limit():
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def _fib(n):
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+@pytest.mark.parametrize("target, nodes, distinct", [
+    (Fraction(10000), 19999, 10001),  # base, 9999 rungs, one shared S3
+    (Fraction(1001, 1000), 2001, 1002),  # (k+1)/k -> k/(k-1) and 1: a descent of depth 1000
+] + [
+    # F(n+1)/F(n) has Farey parents F(n)/F(n-1) and F(n-1)/F(n-2): n+1 distinct slopes
+    (Fraction(_fib(n + 1), _fib(n)), None, n + 1) for n in range(2, 31)
+])
+def test_deep_certificates_are_linear_in_depth(target, nodes, distinct):
+    with _default_recursion_limit():
+        cert = propagate_slope(surgery_lspace_axiom("K", Fraction(1)), target)
+        size = check_certificate(cert)
+        assert size == cert.size() == (size if nodes is None else nodes)
+        doc = json.loads(certificate_json(cert))
+        assert len(doc["nodes"]) == distinct
+        again = Certificate.from_json_dict(doc)
+        assert check_certificate(again) == size
+        assert again.to_json_dict() == doc
+
+
+@pytest.mark.parametrize("n", [10, 20, 30])
+def test_borromean_builds_each_slope_triple_once(n):
+    with _default_recursion_limit():
+        cert = certify_borromean(Fraction(_fib(n + 1), _fib(n)), Fraction(1), Fraction(5))
+        assert check_certificate(cert) == cert.size()
+    # the slopes F(k+1)/F(k), 3 <= k <= n, and 11 nodes climbing to M(1,1,5) and M(2,1,5)
+    assert len(cert.to_json_dict()["nodes"]) == n + 9
+
+
+def test_tree_builder_shares_equal_subtrees():
+    cert = certify_tree(path_tree([2] * 100))
+    assert cert.conclusion.h1_order == 101
+    # one node for each path [2]*k and each path [1]+[2]*(k-1), 1 <= k <= 100
+    assert (len(cert.to_json_dict()["nodes"]), cert.size()) == (200, 5149)
+
+
+def _table():
+    return certify_alternating(cycle_graph(3)).to_json_dict()
+
+
+def _drop(key):
+    def edit(doc):
+        del doc["nodes"][-1][key]
+    return edit
+
+
+def _shift_ids(doc):
+    for node in doc["nodes"]:
+        node["id"] += 1
+        node["premises"] = [p + 1 for p in node["premises"]]
+    doc["root"] += 1
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc["nodes"].reverse(), "forward or cyclic"),
+    (lambda doc: doc["nodes"][-1]["premises"].append(99), "unknown node 99"),
+    (lambda doc: doc["nodes"][-1]["premises"].append(doc["root"]), "forward or cyclic"),
+    (lambda doc: doc["nodes"][0]["premises"].append(1), "forward or cyclic"),
+    (lambda doc: doc["nodes"][1].update(id=0), "duplicate node id 0"),
+    (lambda doc: doc.update(root=99), "field 'root'"),
+    (lambda doc: doc.update(format=1), "format-2"),
+    (lambda doc: doc.update(root=0), "canonical order"),  # rows 1.. are not part of the proof
+    (_shift_ids, "canonical order"),
+    (_drop("rule"), "'rule'"),
+    (_drop("premises"), "'premises'"),
+    (_drop("conclusion"), "'conclusion'"),
+    (lambda doc: doc["nodes"][0].update(id=True), "'id'"),
+    (lambda doc: doc["nodes"][0]["conclusion"].update(h1="1"), "'h1'"),
+    (lambda doc: doc["nodes"][0]["conclusion"].update(h1=0), "rational homology spheres"),
+    (lambda doc: doc["nodes"][0]["conclusion"]["params"].update(p=1), "params must be strings"),
+])
+def test_malformed_node_tables_are_domain_errors(edit, message):
+    doc = _table()
+    Certificate.from_json_dict(doc)
+    edit(doc)
+    with pytest.raises(DomainError, match=message):
+        Certificate.from_json_dict(doc)
