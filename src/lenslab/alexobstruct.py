@@ -8,6 +8,15 @@ affine label bijections sigma, form the difference vector
 and accept sigma only when every t_i is a nonpositive even integer.  The
 filter runs on the 4p-scaled integer tables of `lensdi`: with N = 4p * t_i,
 t_i <= 0 exactly when N <= 0, and t_i is even exactly when 8p divides N.
+
+The filter is pruned label by label.  sigma(0) = c, so t_0 depends on the
+offset c alone and is tested once per offset; the units u of the offsets
+that pass are then filtered at i = 1, 2, ... in turn, and nearly all of
+them fail at i = 1.  Only the surviving sigma get a whole t-vector.  They
+are taken in the order of the full enumeration, u ascending and then c
+ascending, and a sigma that fails the filter never yields a candidate, so
+the first witness of every polynomial, and with it the sigma reported, is
+the one the full enumeration finds.
 The torsion coefficients are then T_i = -t_i / 2 and the candidate
 polynomial is recovered through the second-difference inverse
 
@@ -68,16 +77,19 @@ class AlexPoly:
 
     def full_coeffs(self) -> list[int]:
         """Coefficients from degree -g to +g."""
-        g = self.degree
-        return [self.coeff(i) for i in range(-g, g + 1)]
+        half = [0] * (self.degree + 1)
+        for i, a in self.coeffs:
+            half[i] = a
+        return half[:0:-1] + half
 
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
         parts = []
         g = self.degree
+        full = self.full_coeffs()
         for i in range(g, -g - 1, -1):
-            a = self.coeff(i)
+            a = full[i + g]
             if a == 0:
                 continue
             sign = "-" if a < 0 else "+"
@@ -138,9 +150,12 @@ def alex_from_torsion(seq: TorsionSeq) -> AlexPoly:
     with t nonpositive); the identity itself is sign-agnostic.
     """
     top = seq.support_bound
+    t = [0] * (top + 3)
+    for i, v in seq.values:
+        t[i] = v
     data: dict[int, int] = {}
     for i in range(1, top + 2):
-        a = seq.value(i - 1) - 2 * seq.value(i) + seq.value(i + 1)
+        a = t[i - 1] - 2 * t[i] + t[i + 1]
         if a:
             data[i] = a
     data[0] = 1 - 2 * sum(data.values())
@@ -182,13 +197,22 @@ def enumerate_correspondences(space: LensSpace) -> list[Correspondence]:
     The offsets c are the solutions of 2c = q - 1 (mod p): one for odd p,
     two (p/2 apart) for even p, the same for every unit u.
     """
-    p = space.p
-    offsets = [c for c in range(p) if (2 * c - space.q + 1) % p == 0]
-    return [
-        Correspondence(space, c, u)
-        for u in range(1, p + 1) if gcd(u, p) == 1
-        for c in offsets
-    ]
+    offsets = _offsets(space)
+    return [Correspondence(space, c, u) for u in _units(space.p) for c in offsets]
+
+
+def _offsets(space: LensSpace) -> list[int]:
+    """The solutions c of 2c = q - 1 (mod p) in [0, p), ascending."""
+    p, q = space.p, space.q
+    if p % 2:
+        return [(q - 1) * (p + 1) // 2 % p]  # (p + 1) / 2 inverts 2
+    half = p // 2  # q is odd, so q - 1 is even
+    c = (q - 1) // 2 % half
+    return [c, c + half]
+
+
+def _units(p: int) -> list[int]:
+    return [u for u in range(1, p + 1) if gcd(u, p) == 1]
 
 
 @dataclass(frozen=True)
@@ -208,7 +232,7 @@ def _scaled_t(
 ) -> tuple[int, ...]:
     """4p * t_i for 0 <= i <= p/2, from the scaled tables of L(p,1) and L(p,q)."""
     p = len(table)
-    return tuple(base[i % p] - table[sigma(i)] for i in range(p // 2 + 1))
+    return tuple([base[i % p] - table[sigma(i)] for i in range(p // 2 + 1)])
 
 
 def _scaled_tables(space: LensSpace) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -246,6 +270,33 @@ def _pm1_alternating(poly: AlexPoly) -> bool:
     return all(nz[k] == -nz[k + 1] for k in range(len(nz) - 1))
 
 
+def _passing_correspondences(
+    space: LensSpace, base: tuple[int, ...], table: tuple[int, ...]
+) -> list[Correspondence]:
+    """The equivariant sigma whose t-vector is nonpositive and even, in the
+    order of enumerate_correspondences (units ascending, then c ascending).
+
+    t_0 = d(L(p,1), 0) - d(L(p,q), c) depends on c alone, so it is tested
+    once per offset; the units are then filtered one label at a time, and
+    almost every unit drops out at label 1.
+    """
+    p = space.p
+    even = 8 * p  # t_i is an even integer exactly when 8p | 4p * t_i
+    passing = []
+    for c in _offsets(space):
+        n = base[0] - table[c]
+        if n > 0 or n % even:
+            continue
+        units = _units(p)
+        for i in range(1, p // 2 + 1):
+            b = base[i]
+            units = [u for u in units if (n := b - table[(c + u * i) % p]) <= 0 and not n % even]
+            if not units:
+                break
+        passing.extend((u, c) for u in units)
+    return [Correspondence(space, c, u) for u, c in sorted(passing)]
+
+
 @dataclass(frozen=True)
 class Candidate:
     poly: AlexPoly
@@ -258,12 +309,10 @@ def candidate_polynomials(
 ) -> list[Candidate]:
     """Deduplicated candidate polynomials with one witnessing sigma each."""
     tables = _scaled_tables(space)
-    even = 8 * space.p  # t_i is an even integer exactly when 8p | 4p * t_i
+    even = 8 * space.p
     seen: dict[tuple, Candidate] = {}
-    for sigma in enumerate_correspondences(space):
+    for sigma in _passing_correspondences(space, *tables):
         scaled = _scaled_t(*tables, sigma)
-        if any(n > 0 or n % even for n in scaled):
-            continue
         seq = TorsionSeq.from_list([-n // even for n in scaled])
         try:
             poly = alex_from_torsion(seq)

@@ -68,20 +68,36 @@ def conj_label(space: LensSpace, i: int) -> int:
     return (space.p + space.q - 1 - i) % space.p
 
 
+def _inexact(p: int, q: int, i: int) -> InvariantError:
+    return InvariantError(f"4p * d(L({p},{q}), {i}) is not an integer")
+
+
 def _lift(p: int, q: int, i: int, below: int) -> int:
     """N(p, q, i) from below = N(q, p mod q, i mod q); the division by q is checked."""
     n, rem = divmod(p * q - (2 * i + 1 - p - q) ** 2 - p * below, q)
     if rem:
-        raise InvariantError(f"4p * d(L({p},{q}), {i}) is not an integer")
+        raise _inexact(p, q, i)
     return n
 
 
 def _table(p: int, q: int) -> tuple[int, ...]:
-    """N(p, q, i) for every label i; recursion depth is that of Euclid on (p, q)."""
+    """N(p, q, i) for every label i; recursion depth is that of Euclid on (p, q).
+
+    Row i pairs 2i + 1 - p - q (a step-2 range) with the sub-table entry
+    i mod q (the sub-table repeated); every numerator is checked for
+    divisibility by q before the division.
+    """
     if p == 1:
         return (0,)
     below = _table(q, p % q)
-    return tuple(_lift(p, q, i, below[i % q]) for i in range(p))
+    pq = p * q
+    nums = [
+        pq - s * s - p * n
+        for s, n in zip(range(1 - p - q, p - q, 2), below * (p // q + 1))
+    ]
+    if any([n % q for n in nums]):
+        raise _inexact(p, q, next(i for i, n in enumerate(nums) if n % q))
+    return tuple([n // q for n in nums])
 
 
 def _label(p: int, q: int, i: int) -> int:
@@ -92,13 +108,15 @@ def _label(p: int, q: int, i: int) -> int:
 def scaled_d_table(space: LensSpace) -> tuple[int, ...]:
     """N(p, q, i) = 4p * d(L(p, q), i) for every label i, conjugation-checked."""
     values = _table(space.p, space.q)
-    for i, n in enumerate(values):
-        j = conj_label(space, i)
-        if n != values[j]:
-            raise InvariantError(
-                f"conjugation symmetry broken for {space}: "
-                f"4p*d({i}) = {n} but 4p*d({j}) = {values[j]}"
-            )
+    k = space.q - 1  # conj_label(space, i) = k - i (mod p), so conjugation reverses
+    if values != values[k::-1] + values[:k:-1]:  # labels 0..k, then k+1..p-1
+        for i, n in enumerate(values):
+            j = conj_label(space, i)
+            if n != values[j]:
+                raise InvariantError(
+                    f"conjugation symmetry broken for {space}: "
+                    f"4p*d({i}) = {n} but 4p*d({j}) = {values[j]}"
+                )
     return values
 
 
@@ -121,9 +139,10 @@ class DInvariantTable:
 def d_table(space: LensSpace) -> DInvariantTable:
     """All p d-values, as Fractions, of the conjugation-checked scaled table."""
     scale = 4 * space.p
-    return DInvariantTable(
-        space, tuple(Fraction(n, scale) for n in scaled_d_table(space))
-    )
+    scaled = scaled_d_table(space)
+    # conjugation pairs the labels, so most values repeat: one Fraction each
+    fractions = {n: Fraction(n, scale) for n in set(scaled)}
+    return DInvariantTable(space, tuple(map(fractions.__getitem__, scaled)))
 
 
 def froy_closed_form(p: int, n: int) -> Fraction:

@@ -313,6 +313,9 @@ def _tait_fact(graph: "TaitGraph", det: int) -> Fact:
 
 
 def lens_axiom(p: int, q: int = 1) -> Certificate:
+    """L(p, q) is an L-space; p >= 1, 1 <= q <= p and gcd(p, q) = 1."""
+    if p < 1 or not 1 <= q <= p or gcd(p, q) != 1:
+        raise DomainError(f"no lens space L({p},{q}): need 1 <= q <= p and gcd(p, q) = 1")
     return Certificate(_lens_fact(p, q), "axiom:lens-space")
 
 

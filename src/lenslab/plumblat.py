@@ -16,10 +16,10 @@ The start vector y_0 = p G^{-1} K_0 comes from the continuants in O(n), with
 no matrix.  The maximum over the class, y in y_0 + 2p Z^n, is found by
 steepest ascent: over the box of the three coset points y_i - 2p, y_i,
 y_i + 2p per coordinate the best point is a dynamic program along the
-chain, and each of its steps, a max-plus convolution with a parabola, costs
-time linear in the points through an upper envelope of lines.  The form is
-L-natural-concave in the coset coordinates, so a point that is best in its
-own box is a global maximum.  Every arithmetic step is integer arithmetic.
+chain with three states per vertex, nine exact integer candidates per
+step.  The form is L-natural-concave in the coset coordinates, so a point
+that is best in its own box is a global maximum.  Every arithmetic step is
+integer arithmetic.
 
 One continuant recurrence serves the determinant, the definiteness check and
 the adjugate.  With theta_k the leading principal minors of G (theta_0 = 1)
@@ -39,7 +39,8 @@ from math import gcd
 
 from .errors import DomainError, InvariantError
 from .exactnum import hj_eval, is_normalized_hj
-from .lensdi import LensSpace, d_table
+from .lensdi import LensSpace, scaled_d_table
+from .lensdi import d_table  # noqa: F401  perfbench/tracing.py wraps it at this name
 
 
 def _continuants(terms: tuple[int, ...]) -> list[int]:
@@ -166,57 +167,51 @@ def _start_vector(theta: list[int], phi: list[int], rep: tuple[int, ...]) -> lis
     return y0
 
 
-def _parabola_max(ys: list[int], ss: list[int], xs: list[int]) -> tuple[list[int], list[int]]:
-    """For strictly ascending ys and ascending xs, the values
-    max_k (ss[k] - (ys[k] - x)^2) over x in xs and an index k attaining each,
-    in O(len(ys) + len(xs)) exact integer steps.
+def _box_max(w: list[int], y: list[int], step: int) -> tuple[int, list[int]]:
+    """max of -sum w_i z_i^2 - sum (z_i - z_(i+1))^2 over the box of z with
+    each z_i in {y_i - step, y_i, y_i + step}, and a z attaining it.
 
-    s - (y - x)^2 = (s - y^2) + 2 y x - x^2, so each state is a line of slope
-    2y and intercept s - y^2, with ascending slopes (Felzenszwalb and
-    Huttenlocher, "Distance Transforms of Sampled Functions", 2012).  The
-    upper envelope of the lines is built with integer cross-multiplication:
-    the last line is dropped when the new one meets the one before it no
-    later than the last line does.  The ascending queries then walk the
-    envelope with one forward pointer.
+    A dynamic program along the chain over the three states of each vertex.
+    Between vertices i-1 and i the nine differences z_(i-1) - z_i are
+    d + k step for d = y_(i-1) - y_i and k = -2..2, so five squares give
+    the nine candidate values, and each state keeps the best of its three.
     """
-    hk: list[int] = []  # envelope lines, as indices into ys
-    hm: list[int] = []  # their slopes 2y
-    hb: list[int] = []  # their intercepts s - y^2
-    for k, (y, s) in enumerate(zip(ys, ss)):
-        m, b = 2 * y, s - y * y
-        while len(hm) >= 2 and (b - hb[-2]) * (hm[-1] - hm[-2]) >= (hb[-1] - hb[-2]) * (m - hm[-2]):
-            hk.pop()
-            hm.pop()
-            hb.pop()
-        hk.append(k)
-        hm.append(m)
-        hb.append(b)
-    values, args = [], []
-    j, last = 0, len(hm) - 1
-    for x in xs:
-        while j < last and hb[j + 1] + hm[j + 1] * x >= hb[j] + hm[j] * x:
-            j += 1
-        values.append(hb[j] + hm[j] * x - x * x)
-        args.append(hk[j])
-    return values, args
-
-
-def _chain_max(w: list[int], layers: list[list[int]]) -> tuple[int, list[int]]:
-    """max of -sum w_i y_i^2 - sum (y_i - y_(i+1))^2 over y with each y_i in
-    layers[i] (ascending), and a y attaining it: a dynamic program along the
-    chain whose inner step is _parabola_max, linear in the number of points."""
-    ss = [-w[0] * x * x for x in layers[0]]
-    args = []
-    for i in range(1, len(layers)):
-        values, arg = _parabola_max(layers[i - 1], ss, layers[i])
-        ss = [v - w[i] * x * x for v, x in zip(values, layers[i])]
-        args.append(arg)
-    best = max(ss)
-    j = ss.index(best)
-    point = [layers[-1][j]]
-    for i in range(len(args) - 1, -1, -1):
-        j = args[i][j]
-        point.append(layers[i][j])
+    lo, mid, hi = y[0] - step, y[0], y[0] + step
+    a = w[0]
+    s0, s1, s2 = -a * lo * lo, -a * mid * mid, -a * hi * hi
+    back = []  # per vertex, the best predecessor state of each state
+    for i in range(1, len(y)):
+        v = y[i]
+        d = mid - v
+        q0, qm, qp = d * d, (d - step) ** 2, (d + step) ** 2
+        qmm, qpp = (d - 2 * step) ** 2, (d + 2 * step) ** 2
+        lo, mid, hi = v - step, v, v + step
+        a = w[i]
+        # state 0 (z_i = lo) from states 0, 1, 2 of vertex i-1
+        t0, e0 = s0 - q0, 0
+        if s1 - qp > t0:
+            t0, e0 = s1 - qp, 1
+        if s2 - qpp > t0:
+            t0, e0 = s2 - qpp, 2
+        # state 1 (z_i = mid)
+        t1, e1 = s0 - qm, 0
+        if s1 - q0 > t1:
+            t1, e1 = s1 - q0, 1
+        if s2 - qp > t1:
+            t1, e1 = s2 - qp, 2
+        # state 2 (z_i = hi)
+        t2, e2 = s0 - qmm, 0
+        if s1 - qm > t2:
+            t2, e2 = s1 - qm, 1
+        if s2 - q0 > t2:
+            t2, e2 = s2 - q0, 2
+        s0, s1, s2 = t0 - a * lo * lo, t1 - a * mid * mid, t2 - a * hi * hi
+        back.append((e0, e1, e2))
+    best, state = max((s0, 0), (s1, 1), (s2, 2), key=lambda pair: pair[0])
+    point = [y[-1] + (state - 1) * step]
+    for i in range(len(back) - 1, -1, -1):
+        state = back[i][state]
+        point.append(y[i] + (state - 1) * step)
     return best, point[::-1]
 
 
@@ -241,7 +236,7 @@ def _max_square_scaled(terms: tuple[int, ...], y0: list[int], p: int) -> Fractio
     y = y0
     value = None  # Q(y) once y is the best point of a box
     while True:
-        best, z = _chain_max(w, [[v - step, v, v + step] for v in y])
+        best, z = _box_max(w, y, step)
         if z == y or best == value:
             return Fraction(best, p * p)
         value, y = best, z
@@ -341,19 +336,27 @@ def lattice_vs_recursion_check(p: int, q: int) -> LatticeCheckReport:
     from .exactnum import hj_expand
 
     lat = lattice_from_hj(hj_expand(Fraction(p, q)))
-    class_values = [max_char_square(lat, cls) for cls in char_classes(lat)]
-    space = LensSpace(p, q)
-    label_values = [4 * v for v in d_table(space).values]
+    # Both sides are keyed by the integer p * value.  A class value is
+    # K^T adj K / det + n, so its denominator divides p; a label value
+    # 4d = N / p has the scaled table entry N as its key.
+    class_keys = [
+        v.numerator * (p // v.denominator)
+        for v in (max_char_square(lat, cls) for cls in char_classes(lat))
+    ]
+    label_keys = scaled_d_table(LensSpace(p, q))
 
-    by_value: dict[Fraction, tuple[list[int], list[int]]] = {}
-    for c, v in enumerate(class_values):
-        by_value.setdefault(v, ([], []))[0].append(c)
-    for i, v in enumerate(label_values):
-        by_value.setdefault(v, ([], []))[1].append(i)
+    by_key: dict[int, tuple[list[int], list[int]]] = {}
+    for c, k in enumerate(class_keys):
+        by_key.setdefault(k, ([], []))[0].append(c)
+    for i, k in enumerate(label_keys):
+        by_key.setdefault(k, ([], []))[1].append(i)
+    value = {k: Fraction(k, p) for k in by_key}
     matching = tuple(
-        (f"{v.numerator}/{v.denominator}", tuple(cs), tuple(ls))
-        for v, (cs, ls) in sorted(by_value.items())
+        (f"{value[k].numerator}/{value[k].denominator}", tuple(cs), tuple(ls))
+        for k, (cs, ls) in sorted(by_key.items())
     )
-    a = tuple(sorted(class_values))
-    b = tuple(sorted(label_values))
-    return LatticeCheckReport(p, q, a, b, a == b, matching)
+    a = sorted(class_keys)
+    b = sorted(label_keys)
+    return LatticeCheckReport(
+        p, q, tuple(value[k] for k in a), tuple(value[k] for k in b), a == b, matching
+    )

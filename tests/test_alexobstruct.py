@@ -11,8 +11,14 @@ from lenslab.alexobstruct import (
     ONE,
     TREFOIL,
     AlexPoly,
+    Candidate,
     Correspondence,
+    FilterSet,
     TorsionSeq,
+    _fractions,
+    _pm1_alternating,
+    _scaled_t,
+    _scaled_tables,
     alex_from_torsion,
     candidate_polynomials,
     default_scan_radius,
@@ -132,6 +138,39 @@ def test_candidate_polynomials_examples():
     assert TREFOIL in {c.poly for c in candidate_polynomials(LensSpace(5, 4))}
 
 
+def full_enumeration_candidates(space: LensSpace, filters: FilterSet) -> list[Candidate]:
+    """Every equivariant sigma gets its whole t-vector before any filter runs."""
+    tables = _scaled_tables(space)
+    even = 8 * space.p
+    seen: dict[tuple, Candidate] = {}
+    for sigma in enumerate_correspondences(space):
+        scaled = _scaled_t(*tables, sigma)
+        if any(n > 0 or n % even for n in scaled):
+            continue
+        seq = TorsionSeq.from_list([-n // even for n in scaled])
+        try:
+            poly = alex_from_torsion(seq)
+        except DomainError:
+            continue
+        if filters.require_pm1_alternating and not _pm1_alternating(poly):
+            continue
+        if poly.coeffs not in seen:
+            seen[poly.coeffs] = Candidate(poly, sigma, _fractions(space, scaled))
+    return [seen[k] for k in sorted(seen)]
+
+
+def test_pruned_candidates_match_full_enumeration_below_90():
+    # equal as Candidate objects: same polynomials, witnesses sigma and t-vectors
+    for p in range(1, 90):
+        for q in range(1, p + 1):
+            if gcd(p, q) != 1 or (q == p and p > 1):
+                continue
+            space = LensSpace(p, q)
+            for filters in (FilterSet(True), FilterSet(False)):
+                expected = full_enumeration_candidates(space, filters)
+                assert candidate_polynomials(space, filters) == expected, (p, q, filters)
+
+
 def test_identity_baseline():
     for p in range(1, 21):
         polys = {c.poly for c in candidate_polynomials(LensSpace(p, 1))}
@@ -167,6 +206,15 @@ def test_scan_realizable_genus_two():
     assert [h.space for h in hits] == [LensSpace(9, 4), LensSpace(11, 3)]
     assert LensSpace(9, 7) in hits[0].representatives
     assert all(p.degree == 2 for h in hits for p in h.polys)
+
+
+@pytest.mark.parametrize("g", [5, 10, 15])
+def test_scan_hits_obey_rasmussens_bound(g):
+    # Rasmussen (arXiv:0710.2531): a genus-g knot with a lens-space surgery
+    # has p <= 4g + 3, far inside the scan radius 12g - 7
+    hits = scan_realizable(g)
+    assert hits
+    assert all(h.space.p <= 4 * g + 3 for h in hits)
 
 
 def test_scan_radius_default():

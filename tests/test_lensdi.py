@@ -2,6 +2,7 @@
 an independent Fraction implementation of it."""
 
 import random
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -190,9 +191,26 @@ def test_scaled_table_is_4p_times_d():
 def test_inexact_division_is_an_invariant_error(monkeypatch):
     import lenslab.lensdi as lensdi
 
-    real_lift = lensdi._lift
-    monkeypatch.setattr(
-        lensdi, "_lift", lambda p, q, i, below: real_lift(p, q, i, below + (p == 9))
-    )
+    real_table = lensdi._table
+
+    def corrupt_sub_table(p, q):
+        # the recursion looks its sub-tables up at this module name
+        table = real_table(p, q)
+        return (table[0] + 1, *table[1:]) if (p, q) == (7, 2) else table
+
+    monkeypatch.setattr(lensdi, "_table", corrupt_sub_table)
     with pytest.raises(InvariantError, match="not an integer"):
+        scaled_d_table(LensSpace(9, 7))
+
+
+def test_broken_conjugation_symmetry_names_the_first_label(monkeypatch):
+    import lenslab.lensdi as lensdi
+
+    real_table = lensdi._table
+    monkeypatch.setattr(
+        lensdi, "_table",
+        lambda p, q: (0, 9, *real_table(p, q)[2:]) if (p, q) == (9, 7) else real_table(p, q),
+    )
+    message = "conjugation symmetry broken for L(9,7): 4p*d(1) = 9 but 4p*d(5) = 8"
+    with pytest.raises(InvariantError, match=re.escape(message)):
         scaled_d_table(LensSpace(9, 7))

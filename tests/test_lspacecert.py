@@ -353,6 +353,13 @@ def test_checker_rejects_the_three_forgeries():
         check_certificate(triangle_rule(lens_axiom(3), lens_axiom(4), Fact("Y", 7)))
 
 
+def test_lens_axiom_rejects_pairs_that_are_no_lens_space():
+    for p, q in ((4, 2), (6, 3), (5, 0), (5, 6), (0, 1)):
+        with pytest.raises(DomainError, match="no lens space"):
+            lens_axiom(p, q)
+    assert check_certificate(lens_axiom(7, 3)) == 1
+
+
 def _swapped(cert):
     return Certificate(cert.conclusion, cert.rule, cert.premises[::-1])
 

@@ -1,5 +1,6 @@
 """Chain lattices and the characteristic-vector maximization oracle."""
 
+import itertools
 import random
 from fractions import Fraction
 from math import gcd, isqrt, prod
@@ -11,10 +12,10 @@ from lenslab.exactnum import hj_expand
 from lenslab.plumblat import (
     CharClass,
     Lattice,
+    _box_max,
     _chain_adjugate,
     _continuants,
     _max_square_scaled,
-    _parabola_max,
     _start_vector,
     char_classes,
     lattice_from_hj,
@@ -311,39 +312,33 @@ def test_ascent_from_far_starts():
             assert _max_square_scaled(lat.terms, far, p) == expected
 
 
-def _brute_parabola_max(ys, ss, x):
-    return max(s - (y - x) ** 2 for y, s in zip(ys, ss))
+def _chain_form(w, z):
+    return -sum(a * v * v for a, v in zip(w, z)) - sum(
+        (u - v) ** 2 for u, v in zip(z, z[1:])
+    )
 
 
-def test_parabola_max_random_layers():
+def test_box_max_matches_brute_force():
+    # every one of the 3^n box points, for chains of up to 7 vertices
     rng = random.Random(4)
-    for trial in range(3000):
-        size = rng.choice([1, 1, 2, 3, 5, 8, 20])
-        spread = rng.choice([3, 10, 1000])
-        ys = sorted(rng.sample(range(-spread * size, spread * size + 1), size))
-        if trial % 3 == 0:
-            # many ties: scores from a tiny range, or one parabola sampled
-            ss = [rng.randrange(-2, 1) for _ in ys]
-        elif trial % 3 == 1:
-            c = rng.randrange(-spread, spread + 1)
-            ss = [-(y - c) ** 2 for y in ys]
+    for trial in range(400):
+        n = rng.randint(1, 7)
+        step = rng.choice([1, 2, 3, 10])
+        if trial % 4 == 0:
+            # ties: no vertex weight and a constant centre make z and -z equal
+            w, y = [0] * n, [0] * n
+        elif trial % 4 == 1:
+            w = [rng.randrange(0, 2) for _ in range(n)]
+            y = [rng.choice([-step, 0, step]) for _ in range(n)]
         else:
-            ss = [rng.randrange(-spread**2, spread**2) for _ in ys]
-        reach = 2 * spread * size
-        xs = sorted(rng.choices(range(-reach, reach + 1), k=rng.randrange(1, 12)))
-        values, args = _parabola_max(ys, ss, xs)
-        assert values == [_brute_parabola_max(ys, ss, x) for x in xs]
-        assert values == [ss[k] - (ys[k] - x) ** 2 for k, x in zip(args, xs)]
-
-
-def test_parabola_max_ties_and_tails():
-    # three lines through one point: the middle one touches the envelope there only
-    assert _parabola_max([-1, 0, 1], [0, -1, 0], [-3, 0, 3])[0] == [-4, -1, -4]
-    # the last line wins only at the far right, the first only at the far left
-    ys, ss = [-10, 0, 10], [0, -1000, 0]
-    xs = [-50, -5, 0, 5, 50]
-    assert _parabola_max(ys, ss, xs)[0] == [_brute_parabola_max(ys, ss, x) for x in xs]
-    assert _parabola_max([7], [-4], [-7, 7])[0] == [-200, -4]
+            w = [rng.randrange(0, 6) for _ in range(n)]
+            y = [rng.randrange(-5 * step, 5 * step + 1) for _ in range(n)]
+        box = itertools.product(*[(v - step, v, v + step) for v in y])
+        expected = max(_chain_form(w, z) for z in box)
+        best, z = _box_max(w, y, step)
+        assert best == expected, (w, y, step)
+        assert all(abs(u - v) in (0, step) for u, v in zip(z, y))
+        assert _chain_form(w, z) == best
 
 
 def test_start_vector_matches_adjugate_to_30():
