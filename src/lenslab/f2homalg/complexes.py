@@ -8,14 +8,12 @@ endomorphism (the data is abstract linear algebra, not a manifold invariant).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import xor
 
 from ..errors import DomainError, InvariantError
-from .gf2 import (
-    F2Matrix,
-    preimage_in_span,
-    span_basis,
-    spans_equal,
-)
+from .gf2 import F2Matrix, _combine, preimage_in_span, span_basis
+from .gf2 import spans_equal  # noqa: F401  perfbench/tracing.py wraps it here
 
 
 @dataclass(frozen=True)
@@ -25,22 +23,31 @@ class GradedComplex:
     dim: int
     d: F2Matrix
 
+    def __post_init__(self) -> None:
+        if (self.d.rows, self.d.cols) != (self.dim, self.dim):
+            raise DomainError("ungraded differential must be square")
+
     @classmethod
     def ungraded(cls, dim: int, d: F2Matrix) -> "GradedComplex":
-        if (d.rows, d.cols) != (dim, dim):
-            raise DomainError("ungraded differential must be square")
         return cls(dim, d)
 
     def check_squares_to_zero(self) -> None:
-        if not (self.d @ self.d).is_zero():
+        if any(_combine(self.d.data, self.d.data)):
             raise DomainError("differential does not square to zero")
 
-    # the two subspaces homology is built from
-    def cycles(self) -> list[int]:
-        return span_basis(self.d.nullspace())
-
-    def boundaries(self) -> list[int]:
-        return span_basis([self.d.apply(1 << j) for j in range(self.d.cols)])
+    def homology_bases(self) -> tuple[list[int], list[int]]:
+        """(cycles, boundaries): the fully reduced echelon bases of ker d and
+        im d, from one elimination of the rows d(e_j) | e_j << dim.  Rows
+        with image bits left span im d; the others are e_j-combinations
+        whose image is zero."""
+        n = self.dim
+        low = (1 << n) - 1
+        echelon = span_basis(
+            [col | (1 << (n + j)) for j, col in enumerate(self.d.columns())]
+        )
+        cycles = [row >> n for row in echelon if not row & low]
+        boundaries = [row & low for row in echelon if row & low]
+        return cycles, boundaries
 
     def homology_dim(self) -> int:
         return self.dim - 2 * self.d.rank()
@@ -126,18 +133,14 @@ _IDENTITY_NAMES = (
 )
 
 
-def _identity_values(o: Octet) -> list[F2Matrix]:
-    return [
-        o.doo @ o.doo + o.duo @ o.dsu @ o.dos,
-        o.dos @ o.doo + o.dss @ o.dos + o.dIus @ o.dsu @ o.dos,
-        o.doo @ o.duo + o.duo @ o.duu + o.duo @ o.dsu @ o.dIus,
-        o.dus + o.dos @ o.duo + o.dss @ o.dIus + o.dIus @ o.duu
-        + o.dIus @ o.dsu @ o.dIus,
-        o.dss @ o.dss + o.dus @ o.dsu,
-        o.dss @ o.dus + o.dus @ o.duu,
-        o.duu @ o.dsu + o.dsu @ o.dss,
-        o.duu @ o.duu + o.dsu @ o.dus,
-    ]
+def _sums_to_zero(*terms) -> bool:
+    """Whether row lists of one shape add up to the zero matrix."""
+    return not any(reduce(xor, rows) for rows in zip(*terms))
+
+
+def _join(left, right, shift: int) -> list[int]:
+    """Rows of the block row [left | right], `left` being `shift` columns wide."""
+    return [a | b << shift for a, b in zip(left, right)]
 
 
 @dataclass(frozen=True)
@@ -153,10 +156,24 @@ class OctetReport:
 
 
 def octet_verify(octet: Octet) -> OctetReport:
-    """Evaluate all eight identities; report each pass/fail."""
-    values = _identity_values(octet)
+    """Evaluate all eight identities on the rows; report each pass/fail."""
+    o, mul = octet, _combine
+    doo, dos, duo, dIus = o.doo.data, o.dos.data, o.duo.data, o.dIus.data
+    dss, dsu, dus, duu = o.dss.data, o.dsu.data, o.dus.data, o.duu.data
+    su_os = mul(dsu, dos)
+    su_Ius = mul(dsu, dIus)
+    sums = (
+        (mul(doo, doo), mul(duo, su_os)),
+        (mul(dos, doo), mul(dss, dos), mul(dIus, su_os)),
+        (mul(doo, duo), mul(duo, duu), mul(duo, su_Ius)),
+        (dus, mul(dos, duo), mul(dss, dIus), mul(dIus, duu), mul(dIus, su_Ius)),
+        (mul(dss, dss), mul(dus, dsu)),
+        (mul(dss, dus), mul(dus, duu)),
+        (mul(duu, dsu), mul(dsu, dss)),
+        (mul(duu, duu), mul(dsu, dus)),
+    )
     return OctetReport(
-        tuple((name, val.is_zero()) for name, val in zip(_IDENTITY_NAMES, values))
+        tuple((name, _sums_to_zero(*terms)) for name, terms in zip(_IDENTITY_NAMES, sums))
     )
 
 
@@ -184,91 +201,87 @@ def octet_assemble(octet: Octet) -> AssembledTriangle:
     report = octet_verify(octet)
     if not report.all_ok:
         raise DomainError(f"octet fails identities: {report.failures()}")
-    o = octet
-    d_to = F2Matrix.block([
-        [o.doo, o.duo @ o.dsu],
-        [o.dos, o.dss + o.dIus @ o.dsu],
-    ])
-    d_from = F2Matrix.block([
-        [o.doo, o.duo],
-        [o.dsu @ o.dos, o.duu + o.dsu @ o.dIus],
-    ])
-    d_red = F2Matrix.block([
-        [o.dss, o.dus],
-        [o.dsu, o.duu],
-    ])
+    o, mul = octet, _combine
     no, ns, nu = o.dim_o, o.dim_s, o.dim_u
-    ident_s = F2Matrix.identity(ns)
-    ident_o = F2Matrix.identity(no)
-    ident_u = F2Matrix.identity(nu)
-    map_i = F2Matrix.block([  # red = s+u  ->  to = o+s
-        [F2Matrix.zero(no, ns), o.duo],
-        [ident_s, o.dIus],
-    ])
-    map_j = F2Matrix.block([  # to = o+s  ->  from = o+u
-        [ident_o, F2Matrix.zero(no, ns)],
-        [F2Matrix.zero(nu, no), o.dsu],
-    ])
-    map_p = F2Matrix.block([  # from = o+u  ->  red = s+u
-        [o.dos, o.dIus],
-        [F2Matrix.zero(nu, no), ident_u],
-    ])
+    doo, dos, duo, dIus = o.doo.data, o.dos.data, o.duo.data, o.dIus.data
+    dss, dsu, dus, duu = o.dss.data, o.dsu.data, o.dus.data, o.duu.data
+    # row lists: to = o+s, from = o+u, red = s+u
+    d_to = _join(doo, mul(duo, dsu), no) + _join(
+        dos, map(xor, dss, mul(dIus, dsu)), no
+    )
+    d_from = _join(doo, duo, no) + _join(
+        mul(dsu, dos), map(xor, duu, mul(dsu, dIus)), no
+    )
+    d_red = _join(dss, dus, ns) + _join(dsu, duu, ns)
+    map_i = [d << ns for d in duo] + [1 << r | d << ns for r, d in enumerate(dIus)]
+    map_j = [1 << r for r in range(no)] + [d << no for d in dsu]
+    map_p = _join(dos, dIus, no) + [1 << (no + r) for r in range(nu)]
 
-    for name, mat in (("d_to", d_to), ("d_from", d_from), ("d_red", d_red)):
-        if not (mat @ mat).is_zero():
-            raise InvariantError(f"{name} does not square to zero")
+    failures = _assembly_failures(d_to, d_from, d_red, map_i, map_j, map_p)
+    if failures:
+        raise InvariantError(failures[0])
+
+    c_to = GradedComplex(no + ns, F2Matrix(no + ns, no + ns, tuple(d_to)))
+    c_from = GradedComplex(no + nu, F2Matrix(no + nu, no + nu, tuple(d_from)))
+    c_red = GradedComplex(ns + nu, F2Matrix(ns + nu, ns + nu, tuple(d_red)))
+    maps = (
+        F2Matrix(no + ns, ns + nu, tuple(map_i)),
+        F2Matrix(no + nu, no + ns, tuple(map_j)),
+        F2Matrix(ns + nu, no + nu, tuple(map_p)),
+    )
+    bases = [c.homology_bases() for c in (c_red, c_to, c_from)]
+    failures = _triangle_exactness_failures(bases, maps, ("to", "from", "red"))
+    h_red, h_to, h_from = (len(cycles) - len(bounds) for cycles, bounds in bases)
+    return AssembledTriangle(
+        c_to, c_from, c_red, *maps, h_to, h_from, h_red, exact=not failures,
+    )
+
+
+def _assembly_failures(d_to, d_from, d_red, map_i, map_j, map_p) -> list[str]:
+    """What octet_assemble asserts of its row lists: each differential
+    squares to zero and i, j, p are chain maps.  One message per failure."""
+    mul = _combine
+    failures = [
+        f"{name} does not square to zero"
+        for name, d in (("d_to", d_to), ("d_from", d_from), ("d_red", d_red))
+        if any(mul(d, d))
+    ]
     chain_checks = (
         ("i", map_i, d_red, d_to),
         ("j", map_j, d_to, d_from),
         ("p", map_p, d_from, d_red),
     )
-    for name, f, d_dom, d_cod in chain_checks:
-        if not (d_cod @ f + f @ d_dom).is_zero():
-            raise InvariantError(f"map {name} is not a chain map")
-
-    c_to = GradedComplex.ungraded(no + ns, d_to)
-    c_from = GradedComplex.ungraded(no + nu, d_from)
-    c_red = GradedComplex.ungraded(ns + nu, d_red)
-    failures = _triangle_exactness_failures(
-        (c_red, c_to, c_from), (map_i, map_j, map_p), ("to", "from", "red")
-    )
-    return AssembledTriangle(
-        c_to, c_from, c_red, map_i, map_j, map_p,
-        c_to.homology_dim(), c_from.homology_dim(), c_red.homology_dim(),
-        exact=not failures,
-    )
-
-
-def _induced_image(f: F2Matrix, dom: GradedComplex, cod: GradedComplex) -> list[int]:
-    """Basis (in the codomain chain space) of image(f_*) + boundaries."""
-    img = [f.apply(z) for z in dom.cycles()]
-    return span_basis(img + cod.boundaries())
-
-
-def _induced_kernel(f: F2Matrix, dom: GradedComplex, cod: GradedComplex) -> list[int]:
-    """Basis of {z in Z(dom) : f z in B(cod)} + boundaries of dom."""
-    pre = preimage_in_span(f, dom.cycles(), cod.boundaries())
-    return span_basis(pre + dom.boundaries())
+    failures += [
+        f"map {name} is not a chain map"
+        for name, f, d_dom, d_cod in chain_checks
+        if mul(d_cod, f) != mul(f, d_dom)
+    ]
+    return failures
 
 
 def _triangle_exactness_failures(
-    complexes: tuple[GradedComplex, GradedComplex, GradedComplex],
+    bases: list[tuple[list[int], list[int]]],
     maps: tuple[F2Matrix, F2Matrix, F2Matrix],
     node_names: tuple[str, str, str],
 ) -> list[str]:
     """Exactness of ... -> H(C_0) -f0-> H(C_1) -f1-> H(C_2) -f2-> H(C_0) -> ...
 
-    complexes = (C_0, C_1, C_2), maps = (f_0: C_0->C_1, f_1: C_1->C_2,
-    f_2: C_2->C_0).  Returns the nodes where image != kernel.
+    bases = the (cycles, boundaries) of C_0, C_1, C_2 and maps = the chain
+    maps (f_0: C_0->C_1, f_1: C_1->C_2, f_2: C_2->C_0).  At C_{n+1} the image
+    of f_n is f_n(Z_n) + B_{n+1}, and the kernel of f_{n+1} is
+    {z in Z_{n+1} : f_{n+1} z in B_{n+2}}, which holds B_{n+1} because
+    f_{n+1} is a chain map.  Both come as fully reduced echelon bases, which
+    are unique, so they are compared as lists.  Returns the nodes where
+    image != kernel.
     """
     failures = []
     for n in range(3):
-        into = maps[n % 3]          # f_n : C_n -> C_{n+1}
-        out_of = maps[(n + 1) % 3]  # f_{n+1} : C_{n+1} -> C_{n+2}
-        mid = complexes[(n + 1) % 3]
-        image = _induced_image(into, complexes[n % 3], mid)
-        kernel = _induced_kernel(out_of, mid, complexes[(n + 2) % 3])
-        if not spans_equal(image, kernel):
+        cycles, _ = bases[n]
+        mid_cycles, mid_bounds = bases[(n + 1) % 3]
+        _, cod_bounds = bases[(n + 2) % 3]
+        image = span_basis(_combine(cycles, maps[n].columns()) + mid_bounds)
+        kernel = preimage_in_span(maps[(n + 1) % 3], mid_cycles, cod_bounds)
+        if image != kernel:
             failures.append(node_names[n])
     return failures
 
@@ -312,43 +325,42 @@ class ConeHypothesisReport:
         )
 
 
-def _is_homology_iso(psi: F2Matrix, cx: GradedComplex) -> bool:
-    cycles = cx.cycles()
-    bounds = cx.boundaries()
-    h_dim = len(cycles) - len(bounds)
-    image = span_basis([psi.apply(z) for z in cycles] + bounds)
-    return len(image) - len(bounds) == h_dim
-
-
 def cone_verify(triple: ConeTriple) -> ConeHypothesisReport:
     """Check the two mapping-cone hypotheses and whether each
-    psi_n = f_{n+2} H_n + H_{n+1} f_n is a homology isomorphism."""
-    cs = triple.complexes
-    d = [c.d for c in cs]
-    chain = []
-    homot = []
+    psi_n = f_{n+2} H_n + H_{n+1} f_n is a homology isomorphism: whether
+    psi_n(Z_n) + B_n has the dimension of Z_n."""
+    mul = _combine
+    d = [c.d.data for c in triple.complexes]
+    f = [m.data for m in triple.f]
+    h = [m.data for m in triple.h]
+    chain = tuple(mul(d[(n + 1) % 3], f[n]) == mul(f[n], d[n]) for n in range(3))
+    homot = tuple(
+        _sums_to_zero(
+            mul(d[(n + 2) % 3], h[n]), mul(h[n], d[n]), mul(f[(n + 1) % 3], f[n])
+        )
+        for n in range(3)
+    )
+    f_cols = [m.columns() for m in triple.f]
+    h_cols = [m.columns() for m in triple.h]
     iso = []
-    for n in range(3):
-        f_n = triple.f[n]
-        chain.append((d[(n + 1) % 3] @ f_n + f_n @ d[n]).is_zero())
-    for n in range(3):
-        lhs = d[(n + 2) % 3] @ triple.h[n] + triple.h[n] @ d[n]
-        rhs = triple.f[(n + 1) % 3] @ triple.f[n]
-        homot.append((lhs + rhs).is_zero())
-    for n in range(3):
-        psi = triple.f[(n + 2) % 3] @ triple.h[n] + triple.h[(n + 1) % 3] @ triple.f[n]
-        iso.append(_is_homology_iso(psi, cs[n]))
-    return ConeHypothesisReport(tuple(chain), tuple(homot), tuple(iso))
+    for n, cx in enumerate(triple.complexes):
+        cycles, bounds = cx.homology_bases()
+        psi_cycles = map(
+            xor,
+            mul(mul(cycles, h_cols[n]), f_cols[(n + 2) % 3]),
+            mul(mul(cycles, f_cols[n]), h_cols[(n + 1) % 3]),
+        )
+        iso.append(len(span_basis([*psi_cycles, *bounds])) == len(cycles))
+    return ConeHypothesisReport(chain, homot, tuple(iso))
 
 
 def cone_exactness(triple: ConeTriple) -> bool:
     """Directly verify image = kernel at all three homology nodes; this does
     not consult the hypotheses."""
     for n, f_n in enumerate(triple.f):
-        d_dom = triple.complexes[n].d
-        d_cod = triple.complexes[(n + 1) % 3].d
-        if not (d_cod @ f_n + f_n @ d_dom).is_zero():
+        d_dom = triple.complexes[n].d.data
+        d_cod = triple.complexes[(n + 1) % 3].d.data
+        if _combine(d_cod, f_n.data) != _combine(f_n.data, d_dom):
             raise DomainError(f"f_{n} is not a chain map")
-    return not _triangle_exactness_failures(
-        triple.complexes, triple.f, ("C1", "C2", "C0")
-    )
+    bases = [c.homology_bases() for c in triple.complexes]
+    return not _triangle_exactness_failures(bases, triple.f, ("C1", "C2", "C0"))

@@ -96,11 +96,11 @@ _SEEDS = _seed_octets()
 
 
 def _direct_sum(a: Octet, b: Octet) -> Octet:
-    def stack(x: F2Matrix, y: F2Matrix) -> F2Matrix:
-        return F2Matrix.block([
-            [x, F2Matrix.zero(x.rows, y.cols)],
-            [F2Matrix.zero(y.rows, x.cols), y],
-        ])
+    def stack(x: F2Matrix, y: F2Matrix) -> F2Matrix:  # [[x, 0], [0, y]]
+        return F2Matrix(
+            x.rows + y.rows, x.cols + y.cols,
+            x.data + tuple(row << x.cols for row in y.data),
+        )
 
     return Octet(
         a.dim_o + b.dim_o, a.dim_s + b.dim_s, a.dim_u + b.dim_u,

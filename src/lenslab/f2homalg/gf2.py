@@ -2,10 +2,11 @@
 
 Matrices map column vectors on the left: (M @ N) means "apply N, then M".
 Rows are stored as int bitmasks (bit j of row i = entry (i, j)); vectors are
-single bitmasks.  Every rank, kernel, span and preimage comes from one
-bitmask elimination, `_echelon`; a set-of-positions elimination,
-`rank_positions`, is kept apart from it as the oracle the tests compare
-against.
+single bitmasks.  Every product and image comes from one row kernel,
+`_combine`, and every rank, kernel, span and preimage from one bitmask
+elimination, `_echelon`.  The oracles the tests check them against (an
+entry-by-entry product, a set-of-positions elimination) live in
+`tests/f2_oracles.py`, apart from this code.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ class F2Matrix:
     def __post_init__(self) -> None:
         if self.rows < 0 or self.cols < 0 or len(self.data) != self.rows:
             raise DomainError("inconsistent matrix shape")
-        mask = (1 << self.cols) - 1
-        if any(row & ~mask for row in self.data):
+        if self.data and (min(self.data) < 0 or max(self.data) >> self.cols):
             raise DomainError("entry outside declared column range")
 
     # construction -------------------------------------------------------
@@ -75,6 +75,17 @@ class F2Matrix:
     def is_zero(self) -> bool:
         return all(row == 0 for row in self.data)
 
+    def columns(self) -> list[int]:
+        """The transpose's rows: bit i of column j = entry (i, j)."""
+        cols = [0] * self.cols
+        for i, row in enumerate(self.data):
+            bit = 1 << i
+            while row:
+                low = row & -row
+                cols[low.bit_length() - 1] |= bit
+                row ^= low
+        return cols
+
     # algebra --------------------------------------------------------------
 
     def __add__(self, other: "F2Matrix") -> "F2Matrix":
@@ -89,16 +100,7 @@ class F2Matrix:
             raise DomainError(
                 f"shape mismatch: ({self.rows}x{self.cols}) @ ({other.rows}x{other.cols})"
             )
-        out = []
-        for row in self.data:
-            acc = 0
-            rr = row
-            while rr:
-                low = rr & -rr
-                acc ^= other.data[low.bit_length() - 1]
-                rr ^= low
-            out.append(acc)
-        return F2Matrix(self.rows, other.cols, tuple(out))
+        return F2Matrix(self.rows, other.cols, tuple(_combine(self.data, other.data)))
 
     def apply(self, vec: int) -> int:
         """Image of a column vector (bitmask over self.cols)."""
@@ -133,9 +135,6 @@ class F2Matrix:
     def rank(self) -> int:
         return len(_echelon(self.data))
 
-    def rank_sparse(self) -> int:
-        return rank_positions(set(self.entries()), self.rows, self.cols)
-
     def nullspace(self) -> list[int]:
         """Basis of {v : self.apply(v) = 0} as column bitmasks, one vector per
         free column in ascending order."""
@@ -151,6 +150,24 @@ class F2Matrix:
                     vec |= 1 << pc
             basis.append(vec)
         return basis
+
+
+def _combine(selectors, rows) -> list[int]:
+    """For each selector, the XOR of the `rows` at its set bits.
+
+    With `rows` the rows of N and the selectors the rows of M this gives the
+    rows of M @ N; with `rows` the columns of M and the selectors vectors it
+    gives their images under M.
+    """
+    out = []
+    for sel in selectors:
+        acc = 0
+        while sel:
+            low = sel & -sel
+            acc ^= rows[low.bit_length() - 1]
+            sel ^= low
+        out.append(acc)
+    return out
 
 
 def _echelon(vectors) -> list[tuple[int, int]]:
@@ -171,29 +188,6 @@ def _echelon(vectors) -> list[tuple[int, int]]:
     return echelon
 
 
-def rank_positions(entries: set[tuple[int, int]], rows: int, cols: int) -> int:
-    """Set-of-positions Gaussian elimination; independent of the bitmask path."""
-    matrix: dict[int, set[int]] = {}
-    for r, c in entries:
-        matrix.setdefault(r, set()).symmetric_difference_update({c})
-    live = [cells for cells in matrix.values() if cells]
-    rank = 0
-    while live:
-        row = live.pop()
-        if not row:
-            continue
-        pivot = min(row)
-        rank += 1
-        nxt = []
-        for other in live:
-            if pivot in other:
-                other = other ^ row
-            if other:
-                nxt.append(other)
-        live = nxt
-    return rank
-
-
 def span_basis(vectors: list[int]) -> list[int]:
     """Fully reduced echelon basis (pivot = lowest set bit) of the span."""
     return [row for _, row in _echelon(vectors)]
@@ -210,10 +204,12 @@ def preimage_in_span(
     """Basis of {x in span(domain) : matrix(x) in span(target)}.
 
     Each domain vector d becomes the row matrix(d) | d << matrix.rows, under
-    the target vectors.  After elimination the rows pivoting at or above
-    matrix.rows are exactly those with no image bits left, so their high
-    parts are the reduced echelon basis of the preimage.
+    the target vectors; the images are combinations of the matrix's columns.
+    After elimination the rows pivoting at or above matrix.rows are exactly
+    those with no image bits left, so their high parts are the reduced
+    echelon basis of the preimage.
     """
     shift = matrix.rows
-    rows = list(target_basis) + [matrix.apply(d) | (d << shift) for d in domain_basis]
+    images = _combine(domain_basis, matrix.columns())
+    rows = list(target_basis) + [im | (d << shift) for im, d in zip(images, domain_basis)]
     return [row >> shift for pc, row in _echelon(rows) if pc >= shift]

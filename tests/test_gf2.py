@@ -3,11 +3,13 @@
 import random
 
 import pytest
+from f2_oracles import product_by_entries, rank_sparse
 
 from lenslab.errors import DomainError
 from lenslab.f2homalg.fuzz import _invert
 from lenslab.f2homalg.gf2 import (
     F2Matrix,
+    _combine,
     preimage_in_span,
     span_basis,
     spans_equal,
@@ -29,6 +31,26 @@ def test_constructors_and_entries():
     assert F2Matrix.from_lists([[1, 0], [0, 1]]) == F2Matrix.identity(2)
     with pytest.raises(DomainError):
         F2Matrix.from_entries(1, 1, [(0, 1)])
+
+
+@pytest.mark.parametrize("rows, cols, data", [
+    (1, 2, (-1,)),
+    (1, 2, (0b100,)),
+    (2, 2, (0b11, -1)),
+    (2, 2, (0b11, 0b111)),
+    (2, 0, (0, 1)),
+    (1, 2, ()),
+    (-1, 2, ()),
+])
+def test_constructor_rejects_out_of_range_rows(rows, cols, data):
+    with pytest.raises(DomainError):
+        F2Matrix(rows, cols, data)
+
+
+def test_constructor_accepts_full_rows_and_empty_shapes():
+    assert F2Matrix(2, 2, (0b11, 0b10)).entries() == [(0, 0), (0, 1), (1, 1)]
+    assert F2Matrix(0, 3, ()).is_zero()
+    assert F2Matrix(2, 0, (0, 0)).is_zero()
 
 
 def test_matmul_and_add():
@@ -57,7 +79,27 @@ def test_rank_dense_vs_sparse():
         rows = rng.randrange(1, 8)
         cols = rng.randrange(1, 8)
         m = random_matrix(rng, rows, cols)
-        assert m.rank() == m.rank_sparse()
+        assert m.rank() == rank_sparse(m)
+
+
+def test_row_kernel_and_columns_match_the_definitions():
+    rng = random.Random(17)
+    for trial in range(400):
+        dims = [rng.randrange(1, 7) for _ in range(3)]
+        if trial % 4 == 0:  # empty rows, inner dimension or columns in turn
+            dims[trial // 4 % 3] = 0
+        a = random_matrix(rng, dims[0], dims[1], rng.random())
+        b = random_matrix(rng, dims[1], dims[2], rng.random())
+        expected = product_by_entries(a, b)
+        assert _combine(a.data, b.data) == list(expected.data)
+        assert a @ b == expected
+        cols = a.columns()
+        assert len(cols) == a.cols
+        assert all((cols[j] >> i) & 1 == a.entry(i, j)
+                   for i in range(a.rows) for j in range(a.cols))
+        assert all(col >> a.rows == 0 for col in cols)
+        vectors = [rng.randrange(1 << a.cols) for _ in range(4)]
+        assert _combine(vectors, cols) == [a.apply(v) for v in vectors]
 
 
 def test_nullspace_properties():
