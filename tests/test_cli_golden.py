@@ -1,7 +1,9 @@
 """CLI stdout, byte for byte, against a recorded transcript.
 
 `tests/data/cli_golden.txt` holds the stdout of every invocation below, each
-preceded by a `$ lenslab ...` line.  Regenerate it (only when an output
+preceded by a `$ lenslab ...` line.  An argument `data/NAME` names a fixture
+in `tests/data/`; the transcript shows it in that form, so it does not depend
+on the working directory.  Regenerate it (only when an output
 change is intended) with
 
     PYTHONPATH=src python tests/test_cli_golden.py > tests/data/cli_golden.txt
@@ -15,7 +17,8 @@ from pathlib import Path
 
 from lenslab.cli import main
 
-GOLDEN = Path(__file__).parent / "data" / "cli_golden.txt"
+HERE = Path(__file__).parent
+GOLDEN = HERE / "data" / "cli_golden.txt"
 
 
 def invocations() -> list[list[str]]:
@@ -43,6 +46,23 @@ def invocations() -> list[list[str]]:
             for truncate in ([], ["--truncate", "25"]):
                 series = ["series", "surgery", str(p), str(n0)] + truncate
                 runs += [series, ["--json"] + series]
+    files = [
+        ["octet", "verify", "data/octet_ok.json"],
+        ["octet", "verify", "data/octet_fails.json"],
+        ["triangle", "verify", "data/cone_holds.json"],
+        ["triangle", "verify", "data/cone_fails.json"],
+        ["lspace", "tree", "data/tree.json"],
+        ["lspace", "alt", "data/tait.json"],
+        ["lspace", "slope", "--base", "3/2", "--target", "17/5"],
+        ["lspace", "slope", "--base", "18", "--target", "37/2", "--knot", "(-2,3,7)-pretzel"],
+        ["lspace", "borromean", "1", "5/2", "5"],
+        ["lspace", "borromean", "7/2", "5/3", "4"],
+        ["lspace", "check", "data/certificate.json"],
+        ["hj", "17/5"], ["hj", "89/55"], ["hj", "4"],
+        ["farey", "17/5"], ["farey", "89/55"], ["farey", "3"],
+    ]
+    for argv in files:
+        runs += [argv, ["--json"] + argv]
     return runs
 
 
@@ -51,7 +71,7 @@ def render() -> str:
     for argv in invocations():
         out.write("$ lenslab " + " ".join(argv) + "\n")
         with contextlib.redirect_stdout(out):
-            code = main(argv)
+            code = main([str(HERE / a) if a.startswith("data/") else a for a in argv])
         if code != 0:
             out.write(f"[exit {code}]\n")
     return out.getvalue()
