@@ -120,13 +120,6 @@ class TorsionSeq:
     def from_list(cls, seq: list[int]) -> "TorsionSeq":
         return cls(tuple((i, t) for i, t in enumerate(seq) if t != 0))
 
-    def value(self, i: int) -> int:
-        i = abs(i)
-        for j, t in self.values:
-            if j == i:
-                return t
-        return 0
-
     @property
     def support_bound(self) -> int:
         return self.values[-1][0] + 1 if self.values else 0
@@ -314,10 +307,7 @@ def candidate_polynomials(
     for sigma in _passing_correspondences(space, *tables):
         scaled = _scaled_t(*tables, sigma)
         seq = TorsionSeq.from_list([-n // even for n in scaled])
-        try:
-            poly = alex_from_torsion(seq)
-        except DomainError:
-            continue
+        poly = alex_from_torsion(seq)
         if filters.require_pm1_alternating and not _pm1_alternating(poly):
             continue
         if poly.coeffs not in seen:

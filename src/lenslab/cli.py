@@ -26,12 +26,13 @@ from .alexobstruct import (
 from .plumblat import lattice_vs_recursion_check
 from .f2homalg.gf2 import F2Matrix
 from .f2homalg.complexes import (
+    OCTET_MAPS,
     ConeTriple,
     GradedComplex,
     Octet,
+    _assemble,
     cone_exactness,
     cone_verify,
-    octet_assemble,
     octet_verify,
 )
 from .f2homalg.series import surgery_series, tau_series, twisted_genus1_series
@@ -124,22 +125,18 @@ def _parse_matrix(doc: dict, name: str, rows: int, cols: int) -> F2Matrix:
 
 def _load_octet(path: str) -> Octet:
     doc = _load_object(path, "octet")
-    do, ds, du = _load_dims(doc)
-    shapes = {
-        "doo": (do, do), "dos": (ds, do), "duo": (do, du), "dIus": (ds, du),
-        "dss": (ds, ds), "dsu": (du, ds), "dus": (ds, du), "duu": (du, du),
-    }
-    mats = {
-        name: _parse_matrix(doc, name, r, c) for name, (r, c) in shapes.items()
-    }
-    return Octet(do, ds, du, **mats)
+    dims = _load_dims(doc)
+    return Octet(*dims, **{
+        name: _parse_matrix(doc, name, dims[cod], dims[dom])
+        for name, cod, dom in OCTET_MAPS
+    })
 
 
 def _load_cone_triple(path: str) -> ConeTriple:
     doc = _load_object(path, "triangle")
     dims = _load_dims(doc)
     complexes = tuple(
-        GradedComplex.ungraded(dims[n], _parse_matrix(doc, f"d{n}", dims[n], dims[n]))
+        GradedComplex(dims[n], _parse_matrix(doc, f"d{n}", dims[n], dims[n]))
         for n in range(3)
     )
     f = tuple(
@@ -390,7 +387,7 @@ def _cmd_octet(args: argparse.Namespace) -> None:
         "all_identities": report.all_ok,
     }
     if report.all_ok:
-        assembled = octet_assemble(octet)
+        assembled = _assemble(octet)
         payload["homology"] = {
             "to": assembled.homology_to,
             "from": assembled.homology_from,

@@ -27,10 +27,6 @@ class GradedComplex:
         if (self.d.rows, self.d.cols) != (self.dim, self.dim):
             raise DomainError("ungraded differential must be square")
 
-    @classmethod
-    def ungraded(cls, dim: int, d: F2Matrix) -> "GradedComplex":
-        return cls(dim, d)
-
     def check_squares_to_zero(self) -> None:
         if any(_combine(self.d.data, self.d.data)):
             raise DomainError("differential does not square to zero")
@@ -64,13 +60,19 @@ def complex_homology(complex_: GradedComplex) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 
 
+# The octet's layout: (name, codomain, domain) of each boundary map, with the
+# spaces indexed o = 0, s = 1, u = 2, in the order of Octet's fields.
+OCTET_MAPS = (
+    ("doo", 0, 0), ("dos", 1, 0), ("duo", 0, 2), ("dIus", 1, 2),
+    ("dss", 1, 1), ("dsu", 2, 1), ("dus", 1, 2), ("duu", 2, 2),
+)
+
+
 @dataclass(frozen=True)
 class Octet:
-    """Boundary data on C^o, C^s, C^u.
-
-    Irreducible-count quartet: doo: o->o, dos: o->s, duo: u->o, dIus: u->s.
-    Reducible quartet: dss: s->s, dsu: s->u, dus: u->s, duu: u->u.
-    dus and dIus are different maps.
+    """Boundary data on C^o, C^s, C^u, laid out as OCTET_MAPS says: the
+    irreducible-count quartet doo, dos, duo, dIus and the reducible quartet
+    dss, dsu, dus, duu.  dus and dIus are different maps.
     """
 
     dim_o: int
@@ -86,39 +88,27 @@ class Octet:
     duu: F2Matrix
 
     def __post_init__(self) -> None:
-        shapes = {
-            "doo": (self.dim_o, self.dim_o),
-            "dos": (self.dim_s, self.dim_o),
-            "duo": (self.dim_o, self.dim_u),
-            "dIus": (self.dim_s, self.dim_u),
-            "dss": (self.dim_s, self.dim_s),
-            "dsu": (self.dim_u, self.dim_s),
-            "dus": (self.dim_s, self.dim_u),
-            "duu": (self.dim_u, self.dim_u),
-        }
-        for name, (r, c) in shapes.items():
+        dims = self.dims
+        for name, cod, dom in OCTET_MAPS:
             m: F2Matrix = getattr(self, name)
-            if (m.rows, m.cols) != (r, c):
+            if (m.rows, m.cols) != (dims[cod], dims[dom]):
                 raise DomainError(
-                    f"{name} must be {r}x{c}, got {m.rows}x{m.cols}"
+                    f"{name} must be {dims[cod]}x{dims[dom]}, got {m.rows}x{m.cols}"
                 )
+
+    @property
+    def dims(self) -> tuple[int, int, int]:
+        return self.dim_o, self.dim_s, self.dim_u
 
     @classmethod
     def zero(cls, dim_o: int, dim_s: int, dim_u: int) -> "Octet":
-        z = F2Matrix.zero
-        return cls(
-            dim_o, dim_s, dim_u,
-            doo=z(dim_o, dim_o), dos=z(dim_s, dim_o),
-            duo=z(dim_o, dim_u), dIus=z(dim_s, dim_u),
-            dss=z(dim_s, dim_s), dsu=z(dim_u, dim_s),
-            dus=z(dim_s, dim_u), duu=z(dim_u, dim_u),
-        )
+        dims = dim_o, dim_s, dim_u
+        return cls(*dims, **{
+            name: F2Matrix.zero(dims[cod], dims[dom]) for name, cod, dom in OCTET_MAPS
+        })
 
     def matrices(self) -> dict[str, F2Matrix]:
-        return {
-            name: getattr(self, name)
-            for name in ("doo", "dos", "duo", "dIus", "dss", "dsu", "dus", "duu")
-        }
+        return {name: getattr(self, name) for name, _, _ in OCTET_MAPS}
 
 
 _IDENTITY_NAMES = (
@@ -158,8 +148,7 @@ class OctetReport:
 def octet_verify(octet: Octet) -> OctetReport:
     """Evaluate all eight identities on the rows; report each pass/fail."""
     o, mul = octet, _combine
-    doo, dos, duo, dIus = o.doo.data, o.dos.data, o.duo.data, o.dIus.data
-    dss, dsu, dus, duu = o.dss.data, o.dsu.data, o.dus.data, o.duu.data
+    doo, dos, duo, dIus, dss, dsu, dus, duu = (m.data for m in o.matrices().values())
     su_os = mul(dsu, dos)
     su_Ius = mul(dsu, dIus)
     sums = (
@@ -195,16 +184,21 @@ def octet_assemble(octet: Octet) -> AssembledTriangle:
     """Build the three block differentials and the i/j/p triangle, asserting
     d^2 = 0, the chain-map property, and exactness of the homology sequence.
 
-    Any failed assertion raises with the name of the identity or node that
+    An octet that fails its identities is a DomainError naming them.  Any
+    other failed assertion raises with the name of the identity or node that
     failed; a verified octet never trips them.
     """
     report = octet_verify(octet)
     if not report.all_ok:
         raise DomainError(f"octet fails identities: {report.failures()}")
+    return _assemble(octet)
+
+
+def _assemble(octet: Octet) -> AssembledTriangle:
+    """octet_assemble for an octet whose identities are known to hold."""
     o, mul = octet, _combine
-    no, ns, nu = o.dim_o, o.dim_s, o.dim_u
-    doo, dos, duo, dIus = o.doo.data, o.dos.data, o.duo.data, o.dIus.data
-    dss, dsu, dus, duu = o.dss.data, o.dsu.data, o.dus.data, o.duu.data
+    no, ns, nu = o.dims
+    doo, dos, duo, dIus, dss, dsu, dus, duu = (m.data for m in o.matrices().values())
     # row lists: to = o+s, from = o+u, red = s+u
     d_to = _join(doo, mul(duo, dsu), no) + _join(
         dos, map(xor, dss, mul(dIus, dsu)), no

@@ -11,9 +11,10 @@ satisfies both cone hypotheses with explicit homotopies.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from .gf2 import F2Matrix, _echelon
-from .complexes import ConeTriple, GradedComplex, Octet
+from .complexes import OCTET_MAPS, ConeTriple, GradedComplex, Octet
 
 
 def random_invertible(rng: random.Random, n: int) -> tuple[F2Matrix, F2Matrix]:
@@ -42,105 +43,63 @@ def _invert(m: F2Matrix) -> F2Matrix:
 
 def _seed_octets() -> list[Octet]:
     """Hand-verified octets: every one satisfies all eight identities."""
-    z = F2Matrix.zero
+    z = Octet.zero
     one = F2Matrix.identity(1)
     nil2 = F2Matrix(2, 2, (0, 1))  # strictly triangular, squares to zero
-    seeds = [Octet.zero(1, 1, 1), Octet.zero(1, 0, 0), Octet.zero(0, 1, 1)]
-    # dos and dsu both nonzero (the only seed with a composite identity term)
-    seeds.append(
-        Octet(1, 1, 1,
-              doo=z(1, 1), dos=one, duo=z(1, 1), dIus=z(1, 1),
-              dss=z(1, 1), dsu=one, dus=z(1, 1), duu=z(1, 1))
-    )
-    # single nonzero map seeds
-    seeds.append(
-        Octet(1, 1, 0,
-              doo=z(1, 1), dos=one, duo=z(1, 0), dIus=z(1, 0),
-              dss=z(1, 1), dsu=z(0, 1), dus=z(1, 0), duu=z(0, 0))
-    )
-    seeds.append(
-        Octet(1, 0, 1,
-              doo=z(1, 1), dos=z(0, 1), duo=one, dIus=z(0, 1),
-              dss=z(0, 0), dsu=z(1, 0), dus=z(0, 1), duu=z(1, 1))
-    )
-    seeds.append(
-        Octet(0, 1, 1,
-              doo=z(0, 0), dos=z(1, 0), duo=z(0, 1), dIus=one,
-              dss=z(1, 1), dsu=z(1, 1), dus=z(1, 1), duu=z(1, 1))
-    )
-    seeds.append(
-        Octet(0, 1, 1,
-              doo=z(0, 0), dos=z(1, 0), duo=z(0, 1), dIus=z(1, 1),
-              dss=z(1, 1), dsu=one, dus=z(1, 1), duu=z(1, 1))
-    )
-    # nilpotent squares on a single summand
-    seeds.append(
-        Octet(2, 0, 0,
-              doo=nil2, dos=z(0, 2), duo=z(2, 0), dIus=z(0, 0),
-              dss=z(0, 0), dsu=z(0, 0), dus=z(0, 0), duu=z(0, 0))
-    )
-    seeds.append(
-        Octet(0, 2, 0,
-              doo=z(0, 0), dos=z(2, 0), duo=z(0, 0), dIus=z(2, 0),
-              dss=nil2, dsu=z(0, 2), dus=z(2, 0), duu=z(0, 0))
-    )
-    seeds.append(
-        Octet(0, 0, 2,
-              doo=z(0, 0), dos=z(0, 0), duo=z(0, 2), dIus=z(0, 2),
-              dss=z(0, 0), dsu=z(2, 0), dus=z(0, 2), duu=nil2)
-    )
-    return seeds
+    return [
+        z(1, 1, 1),
+        z(1, 0, 0),
+        z(0, 1, 1),
+        # dos and dsu both nonzero (the only seed with a composite identity term)
+        replace(z(1, 1, 1), dos=one, dsu=one),
+        # single nonzero map seeds
+        replace(z(1, 1, 0), dos=one),
+        replace(z(1, 0, 1), duo=one),
+        replace(z(0, 1, 1), dIus=one),
+        replace(z(0, 1, 1), dsu=one),
+        # nilpotent squares on a single summand
+        replace(z(2, 0, 0), doo=nil2),
+        replace(z(0, 2, 0), dss=nil2),
+        replace(z(0, 0, 2), duu=nil2),
+    ]
 
 
 _SEEDS = _seed_octets()
 
 
-def _direct_sum(a: Octet, b: Octet) -> Octet:
-    def stack(x: F2Matrix, y: F2Matrix) -> F2Matrix:  # [[x, 0], [0, y]]
-        return F2Matrix(
-            x.rows + y.rows, x.cols + y.cols,
-            x.data + tuple(row << x.cols for row in y.data),
-        )
-
-    return Octet(
-        a.dim_o + b.dim_o, a.dim_s + b.dim_s, a.dim_u + b.dim_u,
-        doo=stack(a.doo, b.doo), dos=stack(a.dos, b.dos),
-        duo=stack(a.duo, b.duo), dIus=stack(a.dIus, b.dIus),
-        dss=stack(a.dss, b.dss), dsu=stack(a.dsu, b.dsu),
-        dus=stack(a.dus, b.dus), duu=stack(a.duu, b.duu),
-    )
+def _direct_sum(parts: list[Octet]) -> Octet:
+    """The block-diagonal sum: each map of each part, its rows shifted past
+    the columns of the parts before it."""
+    dims = [0, 0, 0]
+    rows: dict[str, list[int]] = {name: [] for name, _, _ in OCTET_MAPS}
+    for part in parts:
+        for name, _, dom in OCTET_MAPS:
+            rows[name] += [row << dims[dom] for row in getattr(part, name).data]
+        dims = [a + b for a, b in zip(dims, part.dims)]
+    return Octet(*dims, **{
+        name: F2Matrix(dims[cod], dims[dom], tuple(rows[name]))
+        for name, cod, dom in OCTET_MAPS
+    })
 
 
 def _conjugate(o: Octet, rng: random.Random) -> Octet:
-    p_o, p_o_inv = random_invertible(rng, o.dim_o)
-    p_s, p_s_inv = random_invertible(rng, o.dim_s)
-    p_u, p_u_inv = random_invertible(rng, o.dim_u)
-
-    def tf(m: F2Matrix, left: F2Matrix, right_inv: F2Matrix) -> F2Matrix:
-        return left @ m @ right_inv
-
-    return Octet(
-        o.dim_o, o.dim_s, o.dim_u,
-        doo=tf(o.doo, p_o, p_o_inv), dos=tf(o.dos, p_s, p_o_inv),
-        duo=tf(o.duo, p_o, p_u_inv), dIus=tf(o.dIus, p_s, p_u_inv),
-        dss=tf(o.dss, p_s, p_s_inv), dsu=tf(o.dsu, p_u, p_s_inv),
-        dus=tf(o.dus, p_s, p_u_inv), duu=tf(o.duu, p_u, p_u_inv),
-    )
+    """P_cod @ m @ P_dom^-1 for every map, P_o, P_s, P_u drawn in that order."""
+    ps = [random_invertible(rng, n) for n in o.dims]
+    return Octet(*o.dims, **{
+        name: ps[cod][0] @ getattr(o, name) @ ps[dom][1]
+        for name, cod, dom in OCTET_MAPS
+    })
 
 
 def random_octet(rng: random.Random, max_dim: int = 6) -> Octet:
     """Random identity-satisfying octet with all three dims <= max_dim."""
-    acc = _SEEDS[rng.randrange(len(_SEEDS))]
+    parts = [_SEEDS[rng.randrange(len(_SEEDS))]]
     for _ in range(6):
         nxt = _SEEDS[rng.randrange(len(_SEEDS))]
-        if (
-            acc.dim_o + nxt.dim_o > max_dim
-            or acc.dim_s + nxt.dim_s > max_dim
-            or acc.dim_u + nxt.dim_u > max_dim
-        ):
+        if any(sum(sizes) > max_dim for sizes in zip(nxt.dims, *(p.dims for p in parts))):
             break
-        acc = _direct_sum(acc, nxt)
-    return _conjugate(acc, rng)
+        parts.append(nxt)
+    return _conjugate(_direct_sum(parts), rng)
 
 
 def random_square_zero(rng: random.Random, n: int) -> F2Matrix:
@@ -214,9 +173,9 @@ def random_cone_triple(rng: random.Random, max_dim: int = 5) -> ConeTriple:
     h2 = F2Matrix.block([[F2Matrix.zero(nb, na), F2Matrix.identity(nb)]])
     triple = ConeTriple(
         (
-            GradedComplex.ungraded(na, d_a),
-            GradedComplex.ungraded(nb, d_b),
-            GradedComplex.ungraded(na + nb, d_cone),
+            GradedComplex(na, d_a),
+            GradedComplex(nb, d_b),
+            GradedComplex(na + nb, d_cone),
         ),
         (f0, f1, f2),
         (h0, h1, h2),
@@ -225,18 +184,10 @@ def random_cone_triple(rng: random.Random, max_dim: int = 5) -> ConeTriple:
 
 
 def _conjugate_triple(t: ConeTriple, rng: random.Random) -> ConeTriple:
-    dims = [c.dim for c in t.complexes]
-    ps = []
-    for n in dims:
-        ps.append(random_invertible(rng, n))
-    new_cs = []
-    for idx, c in enumerate(t.complexes):
-        p, p_inv = ps[idx]
-        new_cs.append(GradedComplex.ungraded(dims[idx], p @ c.d @ p_inv))
-    new_f = tuple(
-        ps[(n + 1) % 3][0] @ t.f[n] @ ps[n][1] for n in range(3)
+    ps = [random_invertible(rng, c.dim) for c in t.complexes]
+    complexes = tuple(
+        GradedComplex(c.dim, p @ c.d @ p_inv) for c, (p, p_inv) in zip(t.complexes, ps)
     )
-    new_h = tuple(
-        ps[(n + 2) % 3][0] @ t.h[n] @ ps[n][1] for n in range(3)
-    )
-    return ConeTriple(tuple(new_cs), new_f, new_h)
+    new_f = tuple(ps[(n + 1) % 3][0] @ t.f[n] @ ps[n][1] for n in range(3))
+    new_h = tuple(ps[(n + 2) % 3][0] @ t.h[n] @ ps[n][1] for n in range(3))
+    return ConeTriple(complexes, new_f, new_h)

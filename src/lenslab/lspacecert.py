@@ -1,8 +1,10 @@
 """Certificate calculus for monopole L-spaces.
 
 A certificate is a finite proof DAG: a sub-proof used twice is one shared
-node.  Leaves are axioms (lens spaces, connected sums of lens spaces, the
-three-sphere, the Poincare sphere, or a caller-supplied L-space fact).
+node.  Each build derives every distinct sub-problem once, through a memo
+keyed by the sub-problem, and that memo is what shares the nodes.  Leaves
+are axioms (lens spaces, connected sums of lens spaces, the three-sphere,
+the Poincare sphere, or a caller-supplied L-space fact).
 Interior nodes are:
 
   * "triangle"   -- two premises, |H1| additivity |H1(Y2)| = |H1(Y0)| + |H1(Y1)|,
@@ -201,18 +203,6 @@ def _tree_count(nodes: list[Certificate]) -> int:
     for node in nodes:
         size[id(node)] = 1 + sum(size[id(p)] for p in node.premises)
     return size[id(nodes[-1])]
-
-
-def _sharing() -> Callable[[Certificate], Certificate]:
-    """Hash-consing for one build: share(node) returns the first node built
-    with the same (fact, rule, premise identities)."""
-    table: dict[tuple, Certificate] = {}
-
-    def share(node: Certificate) -> Certificate:
-        key = (node.conclusion, node.rule, tuple(map(id, node.premises)))
-        return table.setdefault(key, node)
-
-    return share
 
 
 Steps = Generator[Hashable, object, Certificate]
@@ -526,11 +516,10 @@ def certify_tree(tree: WeightedTree, require_hypothesis: bool = True) -> Certifi
             raise HypothesisNotMetError(
                 "weight inequality must be strict at at least one vertex"
             )
-    share = _sharing()
-    return _derive((tree, h1), lambda sub: _tree_steps(*sub, share), {})
+    return _derive((tree, h1), lambda sub: _tree_steps(*sub), {})
 
 
-def _tree_steps(tree: WeightedTree, h1: int, share) -> Steps:
+def _tree_steps(tree: WeightedTree, h1: int) -> Steps:
     """Blow down a weight-1 vertex if there is one, else split at the first
     leaf (lightest first) whose deletion and decrement both certify.  A
     sub-tree is yielded as (tree, |H1|): each |H1| is computed once."""
@@ -541,7 +530,7 @@ def _tree_steps(tree: WeightedTree, h1: int, share) -> Steps:
             raise HypothesisNotMetError(
                 f"single vertex of weight {weight} reached; not certifiable"
             )
-        return share(lens_axiom(weight) if weight > 1 else sphere_axiom())
+        return lens_axiom(weight) if weight > 1 else sphere_axiom()
 
     fact = _tree_fact(tree, h1)
     degree = _degrees(tree)
@@ -555,7 +544,7 @@ def _tree_steps(tree: WeightedTree, h1: int, share) -> Steps:
         if tree_h1(smaller) != h1:
             raise InvariantError("blow-down changed |H1|")
         premise = yield smaller, h1
-        return share(Certificate(fact, "blow-down", (premise,)))
+        return Certificate(fact, "blow-down", (premise,))
 
     errors = []
     for v in sorted(leaves, key=lambda v: tree.weights[v]):
@@ -571,7 +560,7 @@ def _tree_steps(tree: WeightedTree, h1: int, share) -> Steps:
         except HypothesisNotMetError as exc:
             errors.append(f"split at leaf {v}: {exc}")
             continue
-        return share(triangle_rule(c0, c1, fact))
+        return triangle_rule(c0, c1, fact)
     raise HypothesisNotMetError(
         "no leaf admits a determinant-positive split: " + "; ".join(errors)
     )
@@ -727,18 +716,17 @@ def certify_alternating(graph: TaitGraph) -> Certificate:
     det = tait_det(graph)
     if det == 0:
         raise InvariantError("spanning-tree count vanished; diagram not reduced")
-    share = _sharing()
-    return _derive((graph, det), lambda sub: _tait_steps(*sub, share), {})
+    return _derive((graph, det), lambda sub: _tait_steps(*sub), {})
 
 
-def _tait_steps(graph: TaitGraph, det: int, share) -> Steps:
+def _tait_steps(graph: TaitGraph, det: int) -> Steps:
     """Delete the first loop, else contract the first bridge, else split
     edge 0 by contraction and deletion.  A sub-graph is yielded as
     (graph, spanning-tree count)."""
     if not graph.edges:
         if graph.num_vertices != 1:
             raise InvariantError("edgeless graph with several vertices")
-        return share(sphere_axiom())
+        return sphere_axiom()
     fact = _tait_fact(graph, det)
     loops = graph.loops()
     bridges = [] if loops else graph.bridges()
@@ -747,7 +735,7 @@ def _tait_steps(graph: TaitGraph, det: int, share) -> Steps:
         if tait_det(smaller) != det:
             raise InvariantError("loop deletion or bridge contraction changed the spanning-tree count")
         premise = yield smaller, det
-        return share(Certificate(fact, "reduce", (premise,)))
+        return Certificate(fact, "reduce", (premise,))
     contracted, deleted = _contract(graph, 0), _delete(graph, 0)
     d0, d1 = tait_det(contracted), tait_det(deleted)
     if d0 + d1 != det:
@@ -756,7 +744,7 @@ def _tait_steps(graph: TaitGraph, det: int, share) -> Steps:
         )
     c0 = yield contracted, d0
     c1 = yield deleted, d1
-    return share(triangle_rule(c0, c1, fact))
+    return triangle_rule(c0, c1, fact)
 
 
 # ---------------------------------------------------------------------------
@@ -783,15 +771,14 @@ def propagate_slope(base: Certificate, target: Fraction) -> Certificate:
     if target < r:
         raise DomainError(f"target {target} below the base slope {r}")
 
-    share = _sharing()
-    sphere = share(sphere_axiom())
+    sphere = sphere_axiom()
     memo: dict[Fraction, Certificate] = {r: base}
     lifted = r
     if r.denominator != 1:
         lifted = Fraction(ceil(r))
-        memo[lifted] = share(Certificate(
+        memo[lifted] = Certificate(
             _surgery_fact(knot, lifted), "rational-to-integer-lift", (base,)
-        ))
+        )
 
     def steps(s: Fraction) -> Steps:
         if s.denominator == 1:
@@ -804,7 +791,7 @@ def propagate_slope(base: Certificate, target: Fraction) -> Certificate:
             while current < s:
                 nxt = current + 1
                 if nxt not in memo:
-                    memo[nxt] = share(triangle_rule(memo[current], sphere, _surgery_fact(knot, nxt)))
+                    memo[nxt] = triangle_rule(memo[current], sphere, _surgery_fact(knot, nxt))
                 current = nxt
             return memo[s]
         high, low = farey_parents(s)
@@ -812,7 +799,7 @@ def propagate_slope(base: Certificate, target: Fraction) -> Certificate:
             raise InvariantError("non-integral slope with an infinite parent")
         c_low = yield low
         c_high = yield high
-        return share(triangle_rule(c_low, c_high, _surgery_fact(knot, s)))
+        return triangle_rule(c_low, c_high, _surgery_fact(knot, s))
 
     return _derive(target, steps, memo)
 
@@ -832,7 +819,7 @@ def certify_borromean(a: Fraction, b: Fraction, c: Fraction) -> Certificate:
     slopes = tuple(Fraction(x) for x in (a, b, c))
     if any(x < 1 for x in slopes):
         raise DomainError("all three slopes must be >= 1")
-    share = _sharing()
+    sides: dict[Fact, Certificate] = {}  # connected-sum premises, shared by conclusion
 
     def steps(xs: tuple[Fraction, Fraction, Fraction]) -> Steps:
         fact = _borromean_fact(*xs)
@@ -847,14 +834,15 @@ def certify_borromean(a: Fraction, b: Fraction, c: Fraction) -> Certificate:
                     )
                 lo = yield _replace(xs, idx, low)
                 hi = yield _replace(xs, idx, high)
-                return share(triangle_rule(lo, hi, fact))
+                return triangle_rule(lo, hi, fact)
         ints = [int(x) for x in xs]
         if ints == [1, 1, 1]:
-            return share(Certificate(fact, "axiom:positive-scalar-curvature"))
+            return Certificate(fact, "axiom:positive-scalar-curvature")
         idx = max(range(3), key=lambda i: ints[i])
         below = yield _replace(xs, idx, xs[idx] - 1)
-        side = share(connected_sum_lens_axiom([ints[i] for i in range(3) if i != idx]))
-        return share(triangle_rule(below, side, fact))
+        side = connected_sum_lens_axiom([ints[i] for i in range(3) if i != idx])
+        side = sides.setdefault(side.conclusion, side)
+        return triangle_rule(below, side, fact)
 
     return _derive(slopes, steps, {})
 

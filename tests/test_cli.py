@@ -1,10 +1,15 @@
 """Command-line behavior: output shapes, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from lenslab import cli
 from lenslab.cli import main
+from lenslab.f2homalg import complexes
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -117,6 +122,21 @@ def test_octet_verify_file(tmp_path, capsys):
     parsed = json.loads(out)
     assert parsed["all_identities"] and parsed["exact"]
     assert parsed["homology"] == {"to": 0, "from": 0, "red": 0}
+
+
+def test_octet_verify_checks_the_identities_once(monkeypatch, capsys):
+    original = complexes.octet_verify
+    calls = []
+
+    def counted(octet):
+        calls.append(octet)
+        return original(octet)
+
+    for module in (cli, complexes):
+        monkeypatch.setattr(module, "octet_verify", counted)
+    code, out, _ = run_cli(capsys, "octet", "verify", str(DATA / "octet_ok.json"))
+    assert code == 0 and "exact triangle" in out
+    assert len(calls) == 1
 
 
 def test_triangle_verify_file(tmp_path, capsys):

@@ -42,14 +42,14 @@ def test_homology_random_vs_independent_elimination():
     rng = random.Random(5)
     for _ in range(100):
         d = random_square_zero(rng, 6)
-        cx = GradedComplex.ungraded(6, d)
+        cx = GradedComplex(6, d)
         # oracle: dim ker - rank via the set-based elimination
         rank = rank_sparse(d)
         assert complex_homology(cx) == {0: 6 - 2 * rank}
 
 
 def test_invalid_complex_rejected():
-    bad = GradedComplex.ungraded(1, F2Matrix.identity(1))
+    bad = GradedComplex(1, F2Matrix.identity(1))
     with pytest.raises(DomainError):
         complex_homology(bad)
     for d in (F2Matrix.zero(1, 2), F2Matrix.zero(1, 1)):
@@ -130,7 +130,7 @@ def test_fuzzed_octets_smoke():
 
 
 def test_cone_zero_triple():
-    zero = GradedComplex.ungraded(0, F2Matrix.zero(0, 0))
+    zero = GradedComplex(0, F2Matrix.zero(0, 0))
     z = F2Matrix.zero(0, 0)
     triple = ConeTriple((zero, zero, zero), (z, z, z), (z, z, z))
     report = cone_verify(triple)
@@ -142,8 +142,8 @@ def test_cone_hypotheses_sufficient_not_necessary():
     # C0 = C1 = rank one with zero differential, C2 = 0, f0 = identity:
     # the homotopy identities hold with zero homotopies, psi_0 = 0 fails to
     # be an isomorphism on H = F2, yet the homology sequence is exact.
-    rank1 = GradedComplex.ungraded(1, F2Matrix.zero(1, 1))
-    zero = GradedComplex.ungraded(0, F2Matrix.zero(0, 0))
+    rank1 = GradedComplex(1, F2Matrix.zero(1, 1))
+    zero = GradedComplex(0, F2Matrix.zero(0, 0))
     triple = ConeTriple(
         (rank1, rank1, zero),
         (F2Matrix.identity(1), F2Matrix.zero(0, 1), F2Matrix.zero(1, 0)),
@@ -158,7 +158,7 @@ def test_cone_hypotheses_sufficient_not_necessary():
 
 
 def test_cone_shape_errors():
-    rank1 = GradedComplex.ungraded(1, F2Matrix.zero(1, 1))
+    rank1 = GradedComplex(1, F2Matrix.zero(1, 1))
     with pytest.raises(DomainError):
         ConeTriple(
             (rank1, rank1, rank1),
@@ -246,7 +246,7 @@ def random_triple(rng, chain_maps=True):
         else random_matrix(rng, dims[(n + 2) % 3], dims[n])
         for n in range(3)
     )
-    complexes = tuple(GradedComplex.ungraded(n, d) for n, d in zip(dims, ds))
+    complexes = tuple(GradedComplex(n, d) for n, d in zip(dims, ds))
     return ConeTriple(complexes, fs, hs)
 
 

@@ -436,6 +436,18 @@ def test_borromean_builds_each_slope_triple_once(n):
     assert len(cert.to_json_dict()["nodes"]) == n + 9
 
 
+@pytest.mark.parametrize("slopes, nodes, distinct", [
+    ((Fraction(1), Fraction(89, 55), Fraction(5)), 617, 19),
+    ((Fraction(7, 2), Fraction(5, 3), Fraction(4)), 85, 26),
+])
+def test_borromean_shares_connected_sum_premises(slopes, nodes, distinct):
+    # the connected-sum side premise of equal integer coordinates is one node,
+    # although each is met under a different slope triple
+    cert = certify_borromean(*slopes)
+    assert check_certificate(cert) == cert.size() == nodes
+    assert len(cert.to_json_dict()["nodes"]) == distinct
+
+
 def test_tree_builder_shares_equal_subtrees():
     cert = certify_tree(path_tree([2] * 100))
     assert cert.conclusion.h1_order == 101
