@@ -37,7 +37,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import DomainError
-from .lensdi import LensSpace, conj_label, lens_normalize, scaled_d_table
+from .lensdi import LensSpace, lens_normalize, scaled_d_table
 from .lensdi import d_rec  # noqa: F401  perfbench/tracing.py wraps it at this name
 
 
@@ -162,7 +162,7 @@ class Correspondence:
     Conjugation equivariance sigma(-i) = conj(sigma(i)) reads
     c - u*i = q - 1 - c - u*i (mod p): the single congruence 2c = q - 1
     (mod p), whatever u and i are.  enumerate_correspondences solves it;
-    is_equivariant checks the definition on every residue.
+    tests/lattice_oracles.py checks the definition on every residue.
     """
 
     space: LensSpace
@@ -175,13 +175,6 @@ class Correspondence:
 
     def __call__(self, i: int) -> int:
         return (self.c + self.u * i) % self.space.p
-
-    def is_equivariant(self) -> bool:
-        """sigma(-i) = conjugate of sigma(i) for every residue."""
-        space = self.space
-        return all(
-            self(-i) == conj_label(space, self(i)) for i in range(space.p)
-        )
 
 
 def enumerate_correspondences(space: LensSpace) -> list[Correspondence]:

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
-from fractions import Fraction
 
 from .errors import DomainError, InvariantError
 from .exactnum import farey_parents, format_slope, hj_expand, parse_slope
@@ -57,14 +57,15 @@ EXIT_USAGE = 64
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # argparse's negative numbers -7 and -1.5, and negative slopes -p/q
+        self._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
+
     def error(self, message: str) -> None:  # exit 64 on usage problems
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
         raise SystemExit(EXIT_USAGE)
-
-
-def _frac_str(value: Fraction) -> str:
-    return format_slope(value)
 
 
 def _is_int(value: object) -> bool:
@@ -255,11 +256,11 @@ def _cmd_dinv(args: argparse.Namespace) -> None:
         print(json.dumps({
             "p": space.p,
             "q": space.q,
-            "d": [_frac_str(v) for v in table.values],
+            "d": [format_slope(v) for v in table.values],
         }))
     else:
         for i, value in enumerate(table.values):
-            print(f"{i}\t{_frac_str(value)}")
+            print(f"{i}\t{format_slope(value)}")
 
 
 def _cmd_hj(args: argparse.Namespace) -> None:
@@ -293,14 +294,14 @@ def _cmd_alexlens(args: argparse.Namespace) -> None:
             "p": space.p,
             "q": space.q,
             "sigma": {"c": cand.sigma.c, "u": cand.sigma.u},
-            "t": [_frac_str(x) for x in cand.t.t],
+            "t": [format_slope(x) for x in cand.t.t],
             "alexander": [
                 [i, a] for i, a in cand.poly.coeffs
             ],
         }
         if args.literal:
             rec["literal_Lsigma"] = {
-                str(i): _frac_str(a)
+                str(i): format_slope(a)
                 for i, a in sorted(literal_reconstruction(cand.t).items())
             }
         records.append(rec)
@@ -349,8 +350,8 @@ def _cmd_lattice_check(args: argparse.Namespace) -> None:
         print(json.dumps(report.to_json_dict()))
     else:
         print(f"L({report.p},{report.q})")
-        print("lattice oracle:  " + " ".join(_frac_str(v) for v in report.lattice_multiset))
-        print("4 * d-recursion: " + " ".join(_frac_str(v) for v in report.recursion_multiset))
+        print("lattice oracle:  " + " ".join(format_slope(v) for v in report.lattice_multiset))
+        print("4 * d-recursion: " + " ".join(format_slope(v) for v in report.recursion_multiset))
         print("equal" if report.equal else "MISMATCH")
     if not report.equal:
         raise InvariantError("lattice oracle disagrees with the recursion")

@@ -10,10 +10,12 @@ which is the d-recursion
     d(p, q, i)   = (pq - (2i + 1 - p - q)^2) / (4pq) - d(q, p mod q, i mod q)
 
 multiplied through by 4p.  Every division by q is exact (checked), and a
-table of L(p, q) is built from the table of L(q, p mod q).  `d_rec` and
-`d_table` are `Fraction(N, 4p)` views of it and the sign primitive of the
-package: every consumer states its own sign usage relative to them rather
-than re-deriving orientation conventions.
+table of L(p, q) is built from the table of L(q, p mod q); this table is
+the package's only implementation of the recursion.  `d_rec` (one label)
+and `d_table` (every label) are `Fraction(N, 4p)` views of the
+conjugation-checked table, so `d_rec` builds a whole table per call, and
+they are the sign primitive of the package: every consumer states its own
+sign usage relative to them rather than re-deriving orientation conventions.
 """
 
 from __future__ import annotations
@@ -68,18 +70,6 @@ def conj_label(space: LensSpace, i: int) -> int:
     return (space.p + space.q - 1 - i) % space.p
 
 
-def _inexact(p: int, q: int, i: int) -> InvariantError:
-    return InvariantError(f"4p * d(L({p},{q}), {i}) is not an integer")
-
-
-def _lift(p: int, q: int, i: int, below: int) -> int:
-    """N(p, q, i) from below = N(q, p mod q, i mod q); the division by q is checked."""
-    n, rem = divmod(p * q - (2 * i + 1 - p - q) ** 2 - p * below, q)
-    if rem:
-        raise _inexact(p, q, i)
-    return n
-
-
 def _table(p: int, q: int) -> tuple[int, ...]:
     """N(p, q, i) for every label i; recursion depth is that of Euclid on (p, q).
 
@@ -96,13 +86,9 @@ def _table(p: int, q: int) -> tuple[int, ...]:
         for s, n in zip(range(1 - p - q, p - q, 2), below * (p // q + 1))
     ]
     if any([n % q for n in nums]):
-        raise _inexact(p, q, next(i for i, n in enumerate(nums) if n % q))
+        i = next(i for i, n in enumerate(nums) if n % q)
+        raise InvariantError(f"4p * d(L({p},{q}), {i}) is not an integer")
     return tuple([n // q for n in nums])
-
-
-def _label(p: int, q: int, i: int) -> int:
-    """N(p, q, i) for one label, along the same chain as _table."""
-    return 0 if p == 1 else _lift(p, q, i, _label(q, p % q, i % q))
 
 
 def scaled_d_table(space: LensSpace) -> tuple[int, ...]:
@@ -121,10 +107,10 @@ def scaled_d_table(space: LensSpace) -> tuple[int, ...]:
 
 
 def d_rec(space: LensSpace, i: int) -> Fraction:
-    """d(L(p, q), i) = N(p, q, i) / 4p."""
+    """d(L(p, q), i) = N(p, q, i) / 4p, read from the checked scaled table."""
     if not 0 <= i < space.p:
         raise DomainError(f"label {i} outside Z/{space.p}")
-    return Fraction(_label(space.p, space.q, i), 4 * space.p)
+    return Fraction(scaled_d_table(space)[i], 4 * space.p)
 
 
 @dataclass(frozen=True)

@@ -324,11 +324,11 @@ def poincare_sphere_axiom() -> Certificate:
     return Certificate(_POINCARE, "axiom:positive-scalar-curvature")
 
 
-def surgery_lspace_axiom(knot: str, slope: Fraction, note: str = "lens space") -> Certificate:
+def surgery_lspace_axiom(knot: str, slope: Fraction) -> Certificate:
     """Caller-supplied fact: the slope-r filling of this knot is an L-space."""
     if slope <= 0:
         raise DomainError("surgery L-space facts need a positive slope")
-    return Certificate(_surgery_fact(knot, slope, note=note), "axiom:given-l-space")
+    return Certificate(_surgery_fact(knot, slope, note="lens space"), "axiom:given-l-space")
 
 
 def triangle_rule(c0: Certificate, c1: Certificate, target: Fact) -> Certificate:
@@ -478,16 +478,13 @@ def _blow_down_leaf(tree: WeightedTree, v: int) -> WeightedTree:
 def _blow_down_interior(tree: WeightedTree, v: int) -> WeightedTree:
     """Remove an interior weight-1 vertex of degree 2, joining and
     decrementing its two neighbors (the plumbing move [a,1,b] -> [a-1,b-1])."""
-    nbrs = [b if a == v else a for a, b in tree.edges if v in (a, b)]
-    assert len(nbrs) == 2
-    keep = [i for i in range(len(tree.weights)) if i != v]
-    index = {old: new for new, old in enumerate(keep)}
-    weights = [tree.weights[i] - (1 if i in nbrs else 0) for i in keep]
-    edges = [
-        (index[a], index[b]) for a, b in tree.edges if v not in (a, b)
-    ]
-    edges.append((index[nbrs[0]], index[nbrs[1]]))
-    return WeightedTree._of(tuple(weights), tuple(edges))
+    a, b = [y if x == v else x for x, y in tree.edges if v in (x, y)]
+    out = _delete_vertex(tree, v)
+    a, b = a - (a > v), b - (b > v)  # the indices _delete_vertex gives them
+    weights = list(out.weights)
+    weights[a] -= 1
+    weights[b] -= 1
+    return WeightedTree._of(tuple(weights), out.edges + ((a, b),))
 
 
 def certify_tree(tree: WeightedTree, require_hypothesis: bool = True) -> Certificate:
@@ -787,13 +784,8 @@ def propagate_slope(base: Certificate, target: Fraction) -> Certificate:
                     f"the Farey descent of {format_slope(target)} reaches "
                     f"{format_slope(s)}, below the base slope {format_slope(r)}"
                 )
-            current = lifted
-            while current < s:
-                nxt = current + 1
-                if nxt not in memo:
-                    memo[nxt] = triangle_rule(memo[current], sphere, _surgery_fact(knot, nxt))
-                current = nxt
-            return memo[s]
+            below = yield s - 1
+            return triangle_rule(below, sphere, _surgery_fact(knot, s))
         high, low = farey_parents(s)
         if high is INFINITY:
             raise InvariantError("non-integral slope with an infinite parent")

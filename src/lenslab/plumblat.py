@@ -21,20 +21,17 @@ step.  The form is L-natural-concave in the coset coordinates, so a point
 that is best in its own box is a global maximum.  Every arithmetic step is
 integer arithmetic.
 
-One continuant recurrence serves the determinant, the definiteness check and
-the adjugate.  With theta_k the leading principal minors of G (theta_0 = 1)
-and phi_k those of the reversed chain, the adjugate has the closed form
-adj[i][j] = adj[j][i] = (-1)^(i+j) theta_i phi_(n-1-j) for 0-based i <= j
-(Usmani, "Inversion of a tridiagonal Jacobi matrix", 1994), and det = theta_n.
-Its corner entry adj[n-1][0] is +-1, so the first basis vector e_1 always
-generates the cyclic discriminant group: the classes are K_0 + 2c e_1.
+One continuant recurrence serves the determinant, the definiteness check,
+the start vector and the class representatives; `_start_vector` and
+`char_classes` state the closed-form adjugate they rely on.  The adjugate
+itself, class membership and a brute-force box search for the maxima are
+test oracles, kept apart from this module in tests/lattice_oracles.py.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 
 from .errors import DomainError, InvariantError
@@ -59,15 +56,6 @@ class Lattice:
     @property
     def rank(self) -> int:
         return len(self.terms)
-
-    def gram(self) -> list[list[int]]:
-        n = self.rank
-        g = [[0] * n for _ in range(n)]
-        for i, a in enumerate(self.terms):
-            g[i][i] = -a
-            if i + 1 < n:
-                g[i][i + 1] = g[i + 1][i] = 1
-        return g
 
     def determinant(self) -> int:
         return _continuants(self.terms)[-1]
@@ -103,24 +91,12 @@ def lattice_from_hj(terms: list[int] | tuple[int, ...]) -> Lattice:
     return Lattice(terms)
 
 
-def _chain_adjugate(terms: tuple[int, ...]) -> tuple[int, list[list[int]]]:
-    """Determinant and adjugate of the chain's Gram matrix, in closed form."""
-    n = len(terms)
-    theta = _continuants(terms)
-    phi = _continuants(terms[::-1])
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            v = theta[i] * phi[n - 1 - j]
-            adj[i][j] = adj[j][i] = -v if (i + j) % 2 else v
-    return theta[n], adj
-
-
 def char_classes(lat: Lattice) -> list[CharClass]:
     """One representative per class; there are exactly |det| classes.
 
     Representatives are K_0 + 2c * e_1 for c = 0..p-1: e_1 generates the
-    cyclic discriminant group because the cofactor adj[n-1][0] is +-1.
+    cyclic discriminant group because the cofactor adj[n-1][0] =
+    (-1)^(n-1) theta_0 phi_0 is +-1 (closed form in `_start_vector`).
     """
     p = abs(lat.determinant())
     base = [-a for a in lat.terms]
@@ -132,21 +108,14 @@ def char_classes(lat: Lattice) -> list[CharClass]:
     return out
 
 
-def same_class(lat: Lattice, u: tuple[int, ...], v: tuple[int, ...]) -> bool:
-    """Whether two characteristic vectors differ by an element of 2 G Z^n."""
-    d, adj = _chain_adjugate(lat.terms)
-    n = lat.rank
-    for i in range(n):
-        s = sum(adj[i][j] * (u[j] - v[j]) for j in range(n))
-        if s % (2 * d) != 0:
-            return False
-    return True
-
-
 def _start_vector(theta: list[int], phi: list[int], rep: tuple[int, ...]) -> list[int]:
     """y0 = sign(det) adj K in O(n) from the continuants, without the adjugate.
 
-    With adj[i][j] = (-1)^(i+j) theta_min(i,j) phi_(n-1-max(i,j)),
+    With theta_k the leading principal minors of G (theta_0 = 1) and phi_k
+    those of the reversed chain, det = theta_n and the adjugate has the
+    closed form adj[i][j] = (-1)^(i+j) theta_min(i,j) phi_(n-1-max(i,j))
+    for 0-based i, j (Usmani, "Inversion of a tridiagonal Jacobi matrix",
+    1994), so
 
         (adj K)_i = (-1)^i (theta_i sum_(j>=i) (-1)^j phi_(n-1-j) K_j
                             + phi_(n-1-i) sum_(j<i) (-1)^j theta_j K_j).
@@ -255,54 +224,6 @@ def max_char_square(lat: Lattice, cls: CharClass) -> Fraction:
     start = [v % (2 * p) for v in _start_vector(theta, phi, cls.rep)]
     start = [r - 2 * p if r > p else r for r in start]
     return _max_square_scaled(lat.terms, start, p) + lat.rank
-
-
-def _class_key_row(lat: Lattice) -> tuple[int, tuple[int, ...]]:
-    """Adjugate row 0, whose residues mod 2|det| separate the classes
-    (e_1 generates the discriminant group)."""
-    d, adj = _chain_adjugate(lat.terms)
-    return abs(d), tuple(adj[0])
-
-
-@lru_cache(maxsize=256)
-def _box_class_maxima(terms: tuple[int, ...], widen: int) -> dict[int, int]:
-    """One pass over the box |K_i| <= widen * a_i: per-class max of the
-    numerator of K^T adj K (shares the sign fix-up with its caller)."""
-    import itertools
-
-    lat = Lattice(terms)
-    n = lat.rank
-    p, row = _class_key_row(lat)
-    _, adj = _chain_adjugate(terms)
-    ranges = []
-    for a in terms:
-        top = widen * a
-        ranges.append(range(-top + (0 if (top - a) % 2 == 0 else 1), top + 1, 2))
-    d = lat.determinant()
-    sign = 1 if d > 0 else -1
-    best: dict[int, int] = {}
-    for vec in itertools.product(*ranges):
-        key = sum(r * k for r, k in zip(row, vec)) % (2 * p)
-        total = sign * sum(
-            vec[i] * sum(adj[i][j] * vec[j] for j in range(n)) for i in range(n)
-        )
-        if key not in best or total > best[key]:
-            best[key] = total
-    return best
-
-
-def max_char_square_box(lat: Lattice, cls: CharClass, widen: int = 1) -> Fraction:
-    """Brute-force reference: maximize over the box |K_i| <= widen * a_i.
-
-    Exponential in the rank; only usable on small lattices.  Kept as the
-    independent check that the DP search region loses nothing.
-    """
-    p, row = _class_key_row(lat)
-    maxima = _box_class_maxima(lat.terms, widen)
-    key = sum(r * k for r, k in zip(row, cls.rep)) % (2 * p)
-    if key not in maxima:
-        raise DomainError("box contains no representative of the class")
-    return Fraction(maxima[key], p) + lat.rank
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,105 @@
+"""Test oracles for `lenslab.plumblat` and `lenslab.alexobstruct`, kept apart
+from the code they check.
+
+None of these is used by the package: the chain's Gram matrix and its
+closed-form adjugate, class membership and class keys read off the adjugate,
+the brute-force box search for the characteristic maxima, and the definition
+of conjugation equivariance checked on every residue.
+"""
+
+import itertools
+from fractions import Fraction
+from functools import lru_cache
+
+from lenslab.alexobstruct import Correspondence
+from lenslab.errors import DomainError
+from lenslab.lensdi import conj_label
+from lenslab.plumblat import CharClass, Lattice, _continuants
+
+
+def gram(lat: Lattice) -> list[list[int]]:
+    """The chain's Gram matrix: -a_i on the diagonal, 1 on the off-diagonals."""
+    n = lat.rank
+    g = [[0] * n for _ in range(n)]
+    for i, a in enumerate(lat.terms):
+        g[i][i] = -a
+        if i + 1 < n:
+            g[i][i + 1] = g[i + 1][i] = 1
+    return g
+
+
+def chain_adjugate(terms: tuple[int, ...]) -> tuple[int, list[list[int]]]:
+    """Determinant and adjugate of the chain's Gram matrix, in closed form:
+    adj[i][j] = adj[j][i] = (-1)^(i+j) theta_i phi_(n-1-j) for i <= j
+    (Usmani, "Inversion of a tridiagonal Jacobi matrix", 1994)."""
+    n = len(terms)
+    theta = _continuants(terms)
+    phi = _continuants(terms[::-1])
+    adj = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            v = theta[i] * phi[n - 1 - j]
+            adj[i][j] = adj[j][i] = -v if (i + j) % 2 else v
+    return theta[n], adj
+
+
+def same_class(lat: Lattice, u: tuple[int, ...], v: tuple[int, ...]) -> bool:
+    """Whether two characteristic vectors differ by an element of 2 G Z^n."""
+    d, adj = chain_adjugate(lat.terms)
+    n = lat.rank
+    for i in range(n):
+        s = sum(adj[i][j] * (u[j] - v[j]) for j in range(n))
+        if s % (2 * d) != 0:
+            return False
+    return True
+
+
+def class_key_row(lat: Lattice) -> tuple[int, tuple[int, ...]]:
+    """Adjugate row 0, whose residues mod 2|det| separate the classes
+    (e_1 generates the discriminant group)."""
+    d, adj = chain_adjugate(lat.terms)
+    return abs(d), tuple(adj[0])
+
+
+@lru_cache(maxsize=256)
+def _box_class_maxima(terms: tuple[int, ...], widen: int) -> dict[int, int]:
+    """One pass over the box |K_i| <= widen * a_i: per-class max of the
+    numerator of K^T adj K (shares the sign fix-up with its caller)."""
+    n = len(terms)
+    d, adj = chain_adjugate(terms)
+    p, row = abs(d), adj[0]
+    ranges = []
+    for a in terms:
+        top = widen * a
+        ranges.append(range(-top + (0 if (top - a) % 2 == 0 else 1), top + 1, 2))
+    sign = 1 if d > 0 else -1
+    best: dict[int, int] = {}
+    for vec in itertools.product(*ranges):
+        key = sum(r * k for r, k in zip(row, vec)) % (2 * p)
+        total = sign * sum(
+            vec[i] * sum(adj[i][j] * vec[j] for j in range(n)) for i in range(n)
+        )
+        if key not in best or total > best[key]:
+            best[key] = total
+    return best
+
+
+def max_char_square_box(lat: Lattice, cls: CharClass, widen: int = 1) -> Fraction:
+    """Brute-force reference: maximize over the box |K_i| <= widen * a_i.
+
+    Exponential in the rank; only usable on small lattices.  Kept as the
+    independent check that the DP search region loses nothing.
+    """
+    p, row = class_key_row(lat)
+    maxima = _box_class_maxima(lat.terms, widen)
+    key = sum(r * k for r, k in zip(row, cls.rep)) % (2 * p)
+    if key not in maxima:
+        raise DomainError("box contains no representative of the class")
+    return Fraction(maxima[key], p) + lat.rank
+
+
+def is_equivariant(sigma: Correspondence) -> bool:
+    """sigma(-i) = conjugate of sigma(i) for every residue: the definition
+    that `enumerate_correspondences` solves as one congruence."""
+    space = sigma.space
+    return all(sigma(-i) == conj_label(space, sigma(i)) for i in range(space.p))

@@ -5,6 +5,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from lattice_oracles import is_equivariant
 
 from lenslab.errors import DomainError
 from lenslab.alexobstruct import (
@@ -80,7 +81,7 @@ def brute_force_correspondences(space: LensSpace) -> list[Correspondence]:
         sigma
         for u in range(1, space.p + 1) if gcd(u, space.p) == 1
         for c in range(space.p)
-        if (sigma := Correspondence(space, c, u)).is_equivariant()
+        if is_equivariant(sigma := Correspondence(space, c, u))
     ]
 
 
@@ -95,7 +96,7 @@ def test_enumerate_correspondences_matches_brute_force_up_to_40():
 
 def test_correspondence_equivariance_hand_check():
     sigma = Correspondence(LensSpace(9, 7), 3, 4)
-    assert sigma.is_equivariant()
+    assert is_equivariant(sigma)
     for i in range(9):
         assert sigma(-i) == conj_label(LensSpace(9, 7), sigma(i))
 

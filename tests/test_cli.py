@@ -287,6 +287,27 @@ def test_lspace_slope_below_the_base_is_one_line_domain_error(capsys):
     ]
 
 
+@pytest.mark.parametrize("argv, expected", [
+    ("hj -7/3", 1),
+    ("farey -7/3", 1),
+    ("lspace borromean 1 -5/2 5", 1),
+    ("lspace slope --base 1 --target -3/2", 1),
+    ("hj -7", 1),
+    ("hj -1.5", 1),
+    ("hj", 64),
+])
+def test_negative_slopes_are_values_not_options(capsys, argv, expected):
+    try:
+        code = main(argv.split())
+    except SystemExit as exc:  # usage errors leave through argparse
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == expected and captured.out == ""
+    if expected == 1:
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+
+
 @pytest.mark.parametrize("argv", [
     ["lspace", "borromean", "1", "5/2", "5"],
     ["lspace", "slope", "--base", "5/2", "--target", "13/5"],

@@ -203,6 +203,22 @@ def test_inexact_division_is_an_invariant_error(monkeypatch):
         scaled_d_table(LensSpace(9, 7))
 
 
+def test_d_rec_reads_the_checked_table(monkeypatch):
+    import lenslab.lensdi as lensdi
+
+    real_table = lensdi._table
+    monkeypatch.setattr(
+        lensdi, "_table",
+        lambda p, q: (real_table(p, q)[0] + 1, *real_table(p, q)[1:]) if (p, q) == (7, 2)
+        else real_table(p, q),
+    )
+    with pytest.raises(InvariantError, match="not an integer") as from_table:
+        scaled_d_table(LensSpace(9, 7))
+    for i in range(9):
+        with pytest.raises(InvariantError, match=re.escape(str(from_table.value))):
+            d_rec(LensSpace(9, 7), i)
+
+
 def test_broken_conjugation_symmetry_names_the_first_label(monkeypatch):
     import lenslab.lensdi as lensdi
 

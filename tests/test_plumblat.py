@@ -6,6 +6,13 @@ from fractions import Fraction
 from math import gcd, isqrt, prod
 
 import pytest
+from lattice_oracles import (
+    chain_adjugate,
+    class_key_row,
+    gram,
+    max_char_square_box,
+    same_class,
+)
 
 from lenslab.errors import DomainError
 from lenslab.exactnum import hj_expand
@@ -13,7 +20,6 @@ from lenslab.plumblat import (
     CharClass,
     Lattice,
     _box_max,
-    _chain_adjugate,
     _continuants,
     _max_square_scaled,
     _start_vector,
@@ -21,21 +27,19 @@ from lenslab.plumblat import (
     lattice_from_hj,
     lattice_vs_recursion_check,
     max_char_square,
-    max_char_square_box,
-    same_class,
 )
 
 
 def test_lattice_from_hj_examples():
     lat = lattice_from_hj([3])
-    assert lat.gram() == [[-3]]
+    assert gram(lat) == [[-3]]
     assert abs(lat.determinant()) == 3
 
     lat = lattice_from_hj([2, 2, 2, 3])
     assert abs(lat.determinant()) == 9
 
     lat = lattice_from_hj([3, 2])
-    assert lat.gram() == [[-3, 1], [1, -2]]
+    assert gram(lat) == [[-3, 1], [1, -2]]
     assert abs(lat.determinant()) == 5
 
 
@@ -76,13 +80,13 @@ def test_closed_form_adjugate_to_61():
             if gcd(p, q) != 1:
                 continue
             lat = lattice_from_hj(hj_expand(Fraction(p, q)))
-            n, gram = lat.rank, lat.gram()
-            det, adj = _chain_adjugate(lat.terms)
+            n, g = lat.rank, gram(lat)
+            det, adj = chain_adjugate(lat.terms)
             assert abs(det) == p
             assert abs(adj[n - 1][0]) == 1
             for i in range(n):
                 for j in range(n):
-                    entry = sum(gram[i][k] * adj[k][j] for k in range(n))
+                    entry = sum(g[i][k] * adj[k][j] for k in range(n))
                     assert entry == (det if i == j else 0)
 
 
@@ -102,8 +106,6 @@ def test_class_count_and_distinctness():
 
 def test_class_count_exhaustive_to_30():
     # exactly p classes for every chain with p <= 30 (separating-key check)
-    from lenslab.plumblat import _class_key_row
-
     for p in range(2, 31):
         for q in range(1, p):
             if gcd(p, q) != 1:
@@ -111,7 +113,7 @@ def test_class_count_exhaustive_to_30():
             lat = lattice_from_hj(hj_expand(Fraction(p, q)))
             classes = char_classes(lat)
             assert len(classes) == p
-            _, row = _class_key_row(lat)
+            _, row = class_key_row(lat)
             keys = {
                 sum(r * k for r, k in zip(row, cls.rep)) % (2 * p)
                 for cls in classes
@@ -348,7 +350,7 @@ def test_start_vector_matches_adjugate_to_30():
                 continue
             lat = lattice_from_hj(hj_expand(Fraction(p, q)))
             n = lat.rank
-            det, adj = _chain_adjugate(lat.terms)
+            det, adj = chain_adjugate(lat.terms)
             sign = 1 if det > 0 else -1
             theta = _continuants(lat.terms)
             phi = _continuants(lat.terms[::-1])
