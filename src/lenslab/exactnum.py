@@ -104,9 +104,9 @@ def farey_parents(r: Fraction) -> tuple[Slope, Slope]:
     """
     if isinstance(r, _Infinity):
         raise DomainError("1/0 has no Farey parents here")
-    if r <= 0:
-        raise DomainError(f"Farey parents need a positive slope, got {r}")
     p, q = r.numerator, r.denominator
+    if p <= 0:
+        raise DomainError(f"Farey parents need a positive slope, got {r}")
     if q == 1:
         return INFINITY, Fraction(p - 1)
     # Solve p0*q = 1 (mod p) with 1 <= p0 <= p, then q0 from the mediant.

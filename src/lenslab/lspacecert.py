@@ -8,14 +8,34 @@ the Poincare sphere, or a caller-supplied L-space fact).
 Interior nodes are:
 
   * "triangle"   -- two premises, |H1| additivity |H1(Y2)| = |H1(Y0)| + |H1(Y1)|,
-    along a surgery triad: a plumbing leaf deleted and decremented, a Tait
-    edge contracted and deleted, a slope from its two Farey parents, or an
-    integer slope from its predecessor and the three-sphere;
+    along a surgery triad;
   * "blow-down"  -- one premise, same manifold after a weight-1 vertex removal;
   * "reduce"     -- one premise, Tait-graph loop deletion / bridge contraction;
   * "rational-to-integer-lift" -- one premise, slope r lifted to ceil(r);
   * "seifert-filling-identification" -- one premise, the pretzel star whose
     boundary is the (2n+4)-filling of the (-2, 3, n) pretzel knot.
+
+Each triangle, blow-down and reduce move is stated once, by the move
+enumerator of its kind of manifold, which yields every legal (rule,
+premises) move in the order the builders try them:
+
+  * `_tree_moves`: blow-downs of weight-1 leaves, then of weight-1 vertices
+    of degree 2, then each leaf deleted and decremented, lightest leaf
+    first.  `certify_tree` takes the first blow-down with no fallback, else
+    tries the splits in turn, backtracking past a split that fails;
+  * `_tait_moves`: loop deletions, then bridge contractions, then the
+    contraction and deletion of each other edge.  `certify_alternating`
+    takes the first;
+  * `_slope_moves`: the fillings at the two Farey parents of the slope
+    (s - 1 and 1/0, the three-sphere, for an integer s);
+  * `_borromean_moves`: the Farey parents of each non-integral coordinate,
+    or, when all three are integers, of each coordinate above 1, largest
+    first.  1/0 deletes that component of the rings, leaving the connected
+    sum of the other two fillings.  `certify_borromean` takes the first.
+
+The checker accepts one of these nodes only if its premises are among the
+enumerator's moves for its rule.  The two one-off rules, lift and
+identification, keep a predicate each.
 
 Every fact carries the data that names its manifold (tree weights and edges,
 a Tait edge list, surgery slopes).  The checker rebuilds each fact from that
@@ -35,7 +55,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, gcd, prod
-from typing import Callable, Generator, Hashable
+from typing import Callable, Generator, Hashable, Iterator
 
 from .errors import (
     DomainError,
@@ -43,7 +63,7 @@ from .errors import (
     InvariantError,
     RuleViolationError,
 )
-from .exactnum import INFINITY, farey_parents, format_slope, hj_expand, parse_slope
+from .exactnum import INFINITY, Slope, farey_parents, format_slope, hj_expand, parse_slope
 
 CONCLUSION_SENTENCE = "monopole L-space => admits no taut foliation"
 JSON_FORMAT = 2
@@ -232,11 +252,9 @@ def _derive(root: Hashable, steps: Callable[[Hashable], Steps], memo: dict) -> C
         except HypothesisNotMetError as exc:
             value = exc
         else:
-            if sub in memo:
-                value = memo[sub]
-            else:
+            value = memo.get(sub)
+            if value is None:
                 stack.append((sub, steps(sub)))
-                value = None
             continue
         memo[key] = value
         stack.pop()
@@ -266,6 +284,7 @@ def _connected_sum_fact(orders: list[int]) -> Fact:
 
 
 _POINCARE = _fact("Poincare homology sphere", 1, "named")
+_S3_VIEW = ("lens", (1, 1))  # the checker's view of the three-sphere, see _view
 
 
 def _surgery_fact(knot: str, slope: Fraction, **extra: str) -> Fact:
@@ -516,10 +535,23 @@ def certify_tree(tree: WeightedTree, require_hypothesis: bool = True) -> Certifi
     return _derive((tree, h1), lambda sub: _tree_steps(*sub), {})
 
 
+def _tree_moves(tree: WeightedTree) -> Iterator[tuple[str, tuple[WeightedTree, ...]]]:
+    n = len(tree.weights)
+    degree = _degrees(tree)
+    leaves = [v for v in range(n) if degree[v] == 1]
+    for v in leaves:
+        if tree.weights[v] == 1:
+            yield "blow-down", (_blow_down_leaf(tree, v),)
+    for v in range(n):
+        if tree.weights[v] == 1 and degree[v] == 2:
+            yield "blow-down", (_blow_down_interior(tree, v),)
+    for v in sorted(leaves, key=lambda v: tree.weights[v]):
+        yield "triangle", (_delete_vertex(tree, v), _set_weight(tree, v, tree.weights[v] - 1))
+
+
 def _tree_steps(tree: WeightedTree, h1: int) -> Steps:
-    """Blow down a weight-1 vertex if there is one, else split at the first
-    leaf (lightest first) whose deletion and decrement both certify.  A
-    sub-tree is yielded as (tree, |H1|): each |H1| is computed once."""
+    """A sub-tree is yielded as (tree, |H1|): each |H1| is computed once.  A
+    rejection names the first split that failed, at the lightest leaf."""
     n = len(tree.weights)
     if n == 1:
         weight = tree.weights[0]
@@ -530,36 +562,28 @@ def _tree_steps(tree: WeightedTree, h1: int) -> Steps:
         return lens_axiom(weight) if weight > 1 else sphere_axiom()
 
     fact = _tree_fact(tree, h1)
-    degree = _degrees(tree)
-    leaves = [v for v in range(n) if degree[v] == 1]
-    blow_downs = [(v, _blow_down_leaf) for v in leaves if tree.weights[v] == 1] + [
-        (v, _blow_down_interior) for v in range(n) if tree.weights[v] == 1 and degree[v] == 2
-    ]
-    if blow_downs:
-        v, move = blow_downs[0]
-        smaller = move(tree, v)
-        if tree_h1(smaller) != h1:
-            raise InvariantError("blow-down changed |H1|")
-        premise = yield smaller, h1
-        return Certificate(fact, "blow-down", (premise,))
-
-    errors = []
-    for v in sorted(leaves, key=lambda v: tree.weights[v]):
-        deleted = _delete_vertex(tree, v)
-        decremented = _set_weight(tree, v, tree.weights[v] - 1)
+    failure = None
+    for rule, premises in _tree_moves(tree):
+        if rule == "blow-down":
+            (smaller,) = premises
+            if tree_h1(smaller) != h1:
+                raise InvariantError("blow-down changed |H1|")
+            premise = yield smaller, h1
+            return Certificate(fact, rule, (premise,))
+        deleted, decremented = premises
         h0, h1_side = tree_h1(deleted), tree_h1(decremented)
         if h0 + h1_side != h1 or h0 == 0 or h1_side == 0:
-            errors.append(f"split at leaf {v}: {h1} != {h0} + {h1_side}")
+            failure = failure or f"{h1} != {h0} + {h1_side}"
             continue
         try:
             c0 = yield deleted, h0
             c1 = yield decremented, h1_side
         except HypothesisNotMetError as exc:
-            errors.append(f"split at leaf {v}: {exc}")
+            failure = failure or str(exc)
             continue
         return triangle_rule(c0, c1, fact)
     raise HypothesisNotMetError(
-        "no leaf admits a determinant-positive split: " + "; ".join(errors)
+        f"no leaf admits a determinant-positive split; the lightest: {failure}"
     )
 
 
@@ -705,10 +729,10 @@ def certify_alternating(graph: TaitGraph) -> Certificate:
     """Certificate for the branched double cover of the alternating link with
     this checkerboard graph, by deletion-contraction on crossings.
 
-    Loops and bridges are nugatory crossings; they are consumed by "reduce"
-    nodes (loop deletion, bridge contraction), which leave the spanning-tree
-    count and the manifold unchanged.  Disconnected graphs (split links) are
-    rejected by the TaitGraph constructor.
+    Loops and bridges are nugatory crossings; "reduce" nodes remove them,
+    leaving the spanning-tree count and the manifold unchanged.
+    Disconnected graphs (split links) are rejected by the TaitGraph
+    constructor.
     """
     det = tait_det(graph)
     if det == 0:
@@ -716,32 +740,34 @@ def certify_alternating(graph: TaitGraph) -> Certificate:
     return _derive((graph, det), lambda sub: _tait_steps(*sub), {})
 
 
+def _tait_moves(graph: TaitGraph) -> Iterator[tuple[str, tuple[TaitGraph, ...]]]:
+    for i in graph.loops():
+        yield "reduce", (_delete(graph, i),)
+    bridges = graph.bridges()
+    for i in bridges:
+        yield "reduce", (_contract(graph, i),)
+    for i, (a, b) in enumerate(graph.edges):
+        if a != b and i not in bridges:
+            yield "triangle", (_contract(graph, i), _delete(graph, i))
+
+
 def _tait_steps(graph: TaitGraph, det: int) -> Steps:
-    """Delete the first loop, else contract the first bridge, else split
-    edge 0 by contraction and deletion.  A sub-graph is yielded as
-    (graph, spanning-tree count)."""
+    """A sub-graph is yielded as (graph, spanning-tree count)."""
     if not graph.edges:
         if graph.num_vertices != 1:
             raise InvariantError("edgeless graph with several vertices")
         return sphere_axiom()
-    fact = _tait_fact(graph, det)
-    loops = graph.loops()
-    bridges = [] if loops else graph.bridges()
-    if loops or bridges:
-        smaller = _delete(graph, loops[0]) if loops else _contract(graph, bridges[0])
-        if tait_det(smaller) != det:
-            raise InvariantError("loop deletion or bridge contraction changed the spanning-tree count")
-        premise = yield smaller, det
-        return Certificate(fact, "reduce", (premise,))
-    contracted, deleted = _contract(graph, 0), _delete(graph, 0)
-    d0, d1 = tait_det(contracted), tait_det(deleted)
-    if d0 + d1 != det:
+    rule, premises = next(_tait_moves(graph))
+    dets = [tait_det(g) for g in premises]
+    if sum(dets) != det:
         raise InvariantError(
-            f"deletion-contraction additivity failed: {det} != {d0} + {d1}"
+            f"{rule} move breaks spanning-tree additivity: {det} != "
+            + " + ".join(map(str, dets))
         )
-    c0 = yield contracted, d0
-    c1 = yield deleted, d1
-    return triangle_rule(c0, c1, fact)
+    certs = []
+    for g, d in zip(premises, dets):
+        certs.append((yield g, d))
+    return Certificate(_tait_fact(graph, det), rule, tuple(certs))
 
 
 # ---------------------------------------------------------------------------
@@ -749,14 +775,23 @@ def _tait_steps(graph: TaitGraph, det: int) -> Steps:
 # ---------------------------------------------------------------------------
 
 
+def _surgery_view(knot: str, s: Slope) -> tuple[str, object]:
+    return _S3_VIEW if s is INFINITY else ("surgery", (knot, s))
+
+
+def _slope_moves(data: tuple[str, Fraction]) -> Iterator[tuple[str, tuple]]:
+    knot, s = data
+    high, low = farey_parents(s)  # an integer s has s - 1 and 1/0
+    yield "triangle", (("surgery", (knot, low)), _surgery_view(knot, high))
+
+
 def propagate_slope(base: Certificate, target: Fraction) -> Certificate:
     """From an L-space filling at slope r, certify the filling at s >= r.
 
     Chain: lift r to ceil(r) (one named non-triangle node, recorded because
-    its justification is homological rather than combinatorial), climb the
-    integers by triangles against the three-sphere, and reach non-integral
-    slopes by Farey-mediant triangles whose |H1| additivity is the numerator
-    sum.
+    its justification is homological rather than combinatorial), then
+    triangles whose |H1| additivity is the numerator sum.  A sub-problem is
+    the view of its filling.
     """
     slope_text = base.conclusion.param("slope")
     knot = base.conclusion.param("knot") or "K"
@@ -768,32 +803,27 @@ def propagate_slope(base: Certificate, target: Fraction) -> Certificate:
     if target < r:
         raise DomainError(f"target {target} below the base slope {r}")
 
-    sphere = sphere_axiom()
-    memo: dict[Fraction, Certificate] = {r: base}
+    memo = {_S3_VIEW: sphere_axiom(), _surgery_view(knot, r): base}
     lifted = r
     if r.denominator != 1:
         lifted = Fraction(ceil(r))
-        memo[lifted] = Certificate(
+        memo[_surgery_view(knot, lifted)] = Certificate(
             _surgery_fact(knot, lifted), "rational-to-integer-lift", (base,)
         )
 
-    def steps(s: Fraction) -> Steps:
-        if s.denominator == 1:
-            if s < lifted:
-                raise DomainError(
-                    f"the Farey descent of {format_slope(target)} reaches "
-                    f"{format_slope(s)}, below the base slope {format_slope(r)}"
-                )
-            below = yield s - 1
-            return triangle_rule(below, sphere, _surgery_fact(knot, s))
-        high, low = farey_parents(s)
-        if high is INFINITY:
-            raise InvariantError("non-integral slope with an infinite parent")
+    def steps(view: tuple[str, tuple[str, Fraction]]) -> Steps:
+        s = view[1][1]
+        if s.denominator == 1 and s < lifted:
+            raise DomainError(
+                f"the Farey descent of {format_slope(target)} reaches "
+                f"{format_slope(s)}, below the base slope {format_slope(r)}"
+            )
+        _, (low, high) = next(_slope_moves(view[1]))
         c_low = yield low
         c_high = yield high
         return triangle_rule(c_low, c_high, _surgery_fact(knot, s))
 
-    return _derive(target, steps, memo)
+    return _derive(_surgery_view(knot, target), steps, memo)
 
 
 # ---------------------------------------------------------------------------
@@ -804,47 +834,46 @@ def propagate_slope(base: Certificate, target: Fraction) -> Certificate:
 def certify_borromean(a: Fraction, b: Fraction, c: Fraction) -> Certificate:
     """Certificate for the (a, b, c) surgery on the Borromean rings, a, b, c >= 1.
 
-    Integer coordinates climb from the Poincare sphere M(1,1,1) with a
-    connected sum of lens spaces as the second premise; a non-integral
-    coordinate descends through its Farey parents.
+    The Poincare sphere M(1,1,1) is the one leaf that is no lens space.  A
+    sub-problem is the view of its manifold, so equal connected sums are
+    one node wherever they are met.
     """
     slopes = tuple(Fraction(x) for x in (a, b, c))
     if any(x < 1 for x in slopes):
         raise DomainError("all three slopes must be >= 1")
-    sides: dict[Fact, Certificate] = {}  # connected-sum premises, shared by conclusion
 
-    def steps(xs: tuple[Fraction, Fraction, Fraction]) -> Steps:
-        fact = _borromean_fact(*xs)
-        for idx, x in enumerate(xs):
-            if x.denominator != 1:
-                high, low = farey_parents(x)
-                if high is INFINITY:
-                    raise InvariantError("non-integral slope with infinite parent")
-                if low < 1:
-                    raise DomainError(
-                        f"Farey descent of coordinate {idx} leaves the slope range"
-                    )
-                lo = yield _replace(xs, idx, low)
-                hi = yield _replace(xs, idx, high)
-                return triangle_rule(lo, hi, fact)
-        ints = [int(x) for x in xs]
-        if ints == [1, 1, 1]:
+    def steps(view: tuple[str, tuple]) -> Steps:
+        kind, data = view
+        if kind == "connected-sum-lens":
+            return connected_sum_lens_axiom(list(data))
+        fact = _borromean_fact(*data)
+        if data == (1, 1, 1):
             return Certificate(fact, "axiom:positive-scalar-curvature")
-        idx = max(range(3), key=lambda i: ints[i])
-        below = yield _replace(xs, idx, xs[idx] - 1)
-        side = connected_sum_lens_axiom([ints[i] for i in range(3) if i != idx])
-        side = sides.setdefault(side.conclusion, side)
-        return triangle_rule(below, side, fact)
+        _, (low, high) = next(_borromean_moves(data))
+        c_low = yield low
+        c_high = yield high
+        return triangle_rule(c_low, c_high, fact)
 
-    return _derive(slopes, steps, {})
+    return _derive(("borromean", slopes), steps, {_S3_VIEW: sphere_axiom()})
 
 
-def _replace(
-    xs: tuple[Fraction, Fraction, Fraction], idx: int, value: Fraction
-) -> tuple[Fraction, Fraction, Fraction]:
-    out = list(xs)
-    out[idx] = value
-    return tuple(out)
+def _borromean_moves(xs: tuple[Fraction, ...]) -> Iterator[tuple[str, tuple]]:
+    # The Farey parents of a non-integral x lie in [floor(x), ceil(x)], so
+    # every coordinate stays >= 1.
+    fractional = [i for i, x in enumerate(xs) if x.denominator != 1]
+    for idx in fractional or sorted((i for i, x in enumerate(xs) if x > 1), key=lambda i: -xs[i]):
+        high, low = farey_parents(xs[idx])
+        yield "triangle", (_borromean_view(xs, idx, low), _borromean_view(xs, idx, high))
+
+
+def _borromean_view(xs: tuple[Fraction, ...], idx: int, x: Slope) -> tuple[str, object]:
+    """The view of M(xs) with slope x at coordinate idx.  Slope 1/0 deletes
+    that component, which leaves the other two unlinked: the connected sum
+    of their fillings, in the form `_view` gives it."""
+    if x is not INFINITY:
+        return "borromean", xs[:idx] + (x,) + xs[idx + 1 :]
+    orders = tuple(int(y) for i, y in enumerate(xs) if i != idx and y != 1)
+    return ("connected-sum-lens", orders) if orders else _S3_VIEW
 
 
 # ---------------------------------------------------------------------------
@@ -910,9 +939,6 @@ def check_certificate(cert: Certificate) -> int:
             raise CertificateCheckError(f"node {i} ({node.rule}): {exc}") from None
         views[id(node)] = view
     return _tree_count(nodes)
-
-
-_S3_VIEW = ("lens", (1, 1))
 
 
 def _param(fact: Fact, key: str) -> str:
@@ -998,8 +1024,7 @@ def _check_rule(node: Certificate, view: tuple[str, object], premises: list) -> 
         if not allowed(view):
             raise CertificateCheckError(f"{fact.descriptor!r} is not an instance of this axiom")
         return
-    moves = _MOVES.get(rule)
-    if moves is None:
+    if rule not in ("triangle", "blow-down", "reduce") and rule not in _SURGERY_RULES:
         raise CertificateCheckError(f"unknown rule {rule!r}")
     arity = 2 if rule == "triangle" else 1
     if len(premises) != arity:
@@ -1011,8 +1036,14 @@ def _check_rule(node: Certificate, view: tuple[str, object], premises: list) -> 
         )
     if rule in ("blow-down", "reduce", "seifert-filling-identification") and orders[0] != fact.h1_order:
         raise CertificateCheckError(f"{rule} must preserve |H1|")
-    move = moves.get(kind)
-    if move is None or not move(data, premises):
+    if rule in _SURGERY_RULES:
+        legal = kind == "surgery" and _SURGERY_RULES[rule](data, premises)
+    else:
+        moves, premise_data = _MOVES.get(kind, (None, None))
+        if premise_data is not None:
+            premises = map(premise_data, premises)
+        legal = moves is not None and (rule, tuple(premises)) in moves(data)
+    if not legal:
         raise CertificateCheckError(f"the premises are not a {rule} move on this {kind} node")
 
 
@@ -1029,74 +1060,6 @@ def _graph_view(view: tuple[str, object]) -> TaitGraph | None:
     if view[0] == "branched-double-cover":
         return view[1]
     return TaitGraph(1, ()) if view == _S3_VIEW else None
-
-
-def _leaf_split(tree: WeightedTree, premises: list) -> bool:
-    deleted, decremented = map(_tree_view, premises)
-    degree = _degrees(tree)
-    return any(
-        degree[v] == 1
-        and deleted == _delete_vertex(tree, v)
-        and decremented == _set_weight(tree, v, tree.weights[v] - 1)
-        for v in range(len(tree.weights))
-    )
-
-
-def _blow_down(tree: WeightedTree, premises: list) -> bool:
-    smaller = _tree_view(premises[0])
-    degree = _degrees(tree)
-    return any(
-        (degree[v] == 1 and smaller == _blow_down_leaf(tree, v))
-        or (degree[v] == 2 and smaller == _blow_down_interior(tree, v))
-        for v in range(len(tree.weights))
-        if tree.weights[v] == 1
-    )
-
-
-def _crossing_split(graph: TaitGraph, premises: list) -> bool:
-    contracted, deleted = map(_graph_view, premises)
-    bridges = graph.bridges()
-    return any(
-        a != b and i not in bridges
-        and contracted == _contract(graph, i) and deleted == _delete(graph, i)
-        for i, (a, b) in enumerate(graph.edges)
-    )
-
-
-def _nugatory(graph: TaitGraph, premises: list) -> bool:
-    smaller = _graph_view(premises[0])
-    return any(smaller == _delete(graph, i) for i in graph.loops()) or any(
-        smaller == _contract(graph, i) for i in graph.bridges()
-    )
-
-
-def _slope_triad(data: tuple[str, Fraction], premises: list) -> bool:
-    knot, s = data
-    if s.denominator == 1:
-        return premises == [("surgery", (knot, s - 1)), _S3_VIEW]
-    high, low = farey_parents(s)
-    return premises == [("surgery", (knot, low)), ("surgery", (knot, high))]
-
-
-def _borromean_triad(slopes: tuple[Fraction, ...], premises: list) -> bool:
-    for idx, x in enumerate(slopes):
-        if x.denominator != 1:
-            high, low = farey_parents(x)
-            expected = [
-                ("borromean", _replace(slopes, idx, low)),
-                ("borromean", _replace(slopes, idx, high)),
-            ]
-        elif all(y.denominator == 1 for y in slopes):
-            others = [int(y) for i, y in enumerate(slopes) if i != idx]
-            expected = [
-                ("borromean", _replace(slopes, idx, x - 1)),
-                _view(_connected_sum_fact(others)),
-            ]
-        else:
-            continue
-        if premises == expected:
-            return True
-    return False
 
 
 _PRETZEL = re.compile(r"\(-2,3,(\d+)\)-pretzel")
@@ -1120,18 +1083,18 @@ def _lift(data: tuple[str, Fraction], premises: list) -> bool:
     return base_knot == knot and r.denominator != 1 and s == ceil(r)
 
 
-# rule -> kind of conclusion -> whether the premises are that move
-_MOVES: dict[str, dict[str, Callable[[object, list], bool]]] = {
-    "triangle": {
-        "tree-boundary": _leaf_split,
-        "branched-double-cover": _crossing_split,
-        "surgery": _slope_triad,
-        "borromean": _borromean_triad,
-    },
-    "blow-down": {"tree-boundary": _blow_down},
-    "reduce": {"branched-double-cover": _nugatory},
-    "seifert-filling-identification": {"surgery": _pretzel_filling},
-    "rational-to-integer-lift": {"surgery": _lift},
+# kind of conclusion -> (its move enumerator, the data its moves name a
+# premise by, read from the premise's view; None where that is the view)
+_MOVES: dict[str, tuple[Callable, Callable | None]] = {
+    "tree-boundary": (_tree_moves, _tree_view),
+    "branched-double-cover": (_tait_moves, _graph_view),
+    "surgery": (_slope_moves, None),
+    "borromean": (_borromean_moves, None),
+}
+# rule -> whether the premises are that move on a surgery node
+_SURGERY_RULES: dict[str, Callable[[tuple[str, Fraction], list], bool]] = {
+    "seifert-filling-identification": _pretzel_filling,
+    "rational-to-integer-lift": _lift,
 }
 
 

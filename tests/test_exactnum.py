@@ -1,7 +1,7 @@
 """Slope arithmetic: reduction, continued fractions, Farey parents."""
 
 from fractions import Fraction
-from math import gcd
+from math import ceil, floor, gcd
 
 import pytest
 
@@ -83,6 +83,18 @@ def test_farey_parents_integers_use_infinity():
     high, low = farey_parents(Fraction(1))
     assert high is INFINITY
     assert low == Fraction(0)
+
+
+def test_farey_parents_of_a_non_integral_slope_lie_between_its_floor_and_ceiling():
+    # so a Farey descent from a slope >= 1 never leaves [1, oo), and only an
+    # integer has the parent 1/0 (comparing with INFINITY raises TypeError)
+    for q in range(2, 61):
+        for p in range(1, 301):
+            if gcd(p, q) != 1:
+                continue
+            r = Fraction(p, q)
+            high, low = farey_parents(r)
+            assert floor(r) <= low < r < high <= ceil(r)
 
 
 def test_farey_parents_domain():

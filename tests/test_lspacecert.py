@@ -4,6 +4,7 @@ import contextlib
 import json
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -118,6 +119,17 @@ def test_certify_tree_hypothesis_gate():
     cert = certify_tree(star_tree(2, [[2], [4], [3]]), require_hypothesis=False)
     assert cert.conclusion.h1_order == 22
     check_certificate(cert)
+
+
+def test_tree_rejection_names_one_failed_split():
+    # every leaf split of this tree fails somewhere below; a rejection that
+    # joined the messages of all of them grew exponentially with the depth
+    tree = WeightedTree((4, 4, 5, 1, 5, 3, 5), ((0, 1), (0, 2), (0, 3), (3, 4), (0, 5), (0, 6)))
+    start = time.perf_counter()
+    with pytest.raises(HypothesisNotMetError, match="^no leaf admits a determinant-positive split") as info:
+        certify_tree(tree, require_hypothesis=False)
+    assert time.perf_counter() - start < 1
+    assert "\n" not in str(info.value)
 
 
 def test_certify_tree_blow_down_path():
@@ -389,6 +401,17 @@ def test_checker_rejects_a_premise_that_is_not_the_named_move(cert):
         check_certificate(premise)
     with pytest.raises(CertificateCheckError, match=rf"^node {root} \({cert.rule}\): the premises are not"):
         check_certificate(cert)
+
+
+@pytest.mark.parametrize("cert, rule", [
+    (certify_tree(path_tree([1, 3])), "reduce"),
+    (certify_alternating(TaitGraph(3, ((0, 1), (1, 2), (2, 0), (0, 0)))), "blow-down"),
+], ids=["tree-blow-down-named-reduce", "tait-reduce-named-blow-down"])
+def test_checker_rejects_a_legal_move_under_another_rule(cert, rule):
+    check_certificate(cert)
+    root = len(cert.to_json_dict()["nodes"]) - 1
+    with pytest.raises(CertificateCheckError, match=rf"^node {root} \({rule}\): the premises are not"):
+        check_certificate(Certificate(cert.conclusion, rule, cert.premises))
 
 
 @contextlib.contextmanager
