@@ -30,10 +30,9 @@ from .f2homalg.complexes import (
     ConeTriple,
     GradedComplex,
     Octet,
-    _assemble,
+    _verify_and_assemble,
     cone_exactness,
     cone_verify,
-    octet_verify,
 )
 from .f2homalg.series import surgery_series, tau_series, twisted_genus1_series
 from .lspacecert import (
@@ -95,6 +94,13 @@ def _load_object(path: str, kind: str) -> dict:
     return doc
 
 
+# The largest dimension an octet or cone-triple document may declare.  Every
+# map is allocated at its declared size before any entry is read, so without
+# a cap a 28-byte document such as {"dims": [100000000, 0, 0]} runs out of
+# memory.
+MAX_DIM = 1000
+
+
 def _load_dims(doc: dict) -> list[int]:
     dims = doc.get("dims")
     if not (
@@ -102,6 +108,8 @@ def _load_dims(doc: dict) -> list[int]:
         and all(_is_int(n) and n >= 0 for n in dims)
     ):
         raise DomainError("field 'dims' is missing or not a list of 3 non-negative integers")
+    if max(dims) > MAX_DIM:
+        raise DomainError(f"field 'dims' has an entry above the cap {MAX_DIM}")
     return dims
 
 
@@ -381,14 +389,12 @@ def _cmd_series(args: argparse.Namespace) -> None:
 
 
 def _cmd_octet(args: argparse.Namespace) -> None:
-    octet = _load_octet(args.file)
-    report = octet_verify(octet)
+    report, assembled = _verify_and_assemble(_load_octet(args.file))
     payload: dict = {
         "identities": [{"identity": name, "ok": ok} for name, ok in report.results],
         "all_identities": report.all_ok,
     }
-    if report.all_ok:
-        assembled = _assemble(octet)
+    if assembled is not None:
         payload["homology"] = {
             "to": assembled.homology_to,
             "from": assembled.homology_from,

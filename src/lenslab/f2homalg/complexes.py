@@ -3,6 +3,12 @@ the i/j/p exact triangle, and the mapping-cone exactness criterion.
 
 All complexes here are a single ungraded bucket with a square-zero
 endomorphism (the data is abstract linear algebra, not a manifold invariant).
+
+An octet's eight identities are blocks of three products of its assembly
+(d_to^2, d_red^2 and the chain defect of i), built once and reused by the
+assembly's own assertions.  Exactness at each node of a triangle is a
+dimension count and a containment test: one elimination per node, and no
+preimage is computed.
 """
 
 from __future__ import annotations
@@ -10,10 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from operator import xor
+from typing import NamedTuple
 
 from ..errors import DomainError, InvariantError
-from .gf2 import F2Matrix, _combine, preimage_in_span, span_basis
-from .gf2 import spans_equal  # noqa: F401  perfbench/tracing.py wraps it here
+from .gf2 import F2Matrix, _combine, in_span, span_basis
+from .gf2 import preimage_in_span, spans_equal  # noqa: F401  perfbench/tracing.py wraps them here
 
 
 @dataclass(frozen=True)
@@ -145,25 +152,75 @@ class OctetReport:
         return [name for name, ok in self.results if not ok]
 
 
-def octet_verify(octet: Octet) -> OctetReport:
-    """Evaluate all eight identities on the rows; report each pass/fail."""
-    o, mul = octet, _combine
-    doo, dos, duo, dIus, dss, dsu, dus, duu = (m.data for m in o.matrices().values())
-    su_os = mul(dsu, dos)
-    su_Ius = mul(dsu, dIus)
-    sums = (
-        (mul(doo, doo), mul(duo, su_os)),
-        (mul(dos, doo), mul(dss, dos), mul(dIus, su_os)),
-        (mul(doo, duo), mul(duo, duu), mul(duo, su_Ius)),
-        (dus, mul(dos, duo), mul(dss, dIus), mul(dIus, duu), mul(dIus, su_Ius)),
-        (mul(dss, dss), mul(dus, dsu)),
-        (mul(dss, dus), mul(dus, duu)),
-        (mul(duu, dsu), mul(dsu, dss)),
-        (mul(duu, duu), mul(dsu, dus)),
+class _OctetAssembly(NamedTuple):
+    """An octet's three block differentials and i/j/p maps as row lists, with
+    the three products its eight identities are blocks of."""
+
+    dims: tuple[int, int, int]
+    d_to: list[int]
+    d_from: list[int]
+    d_red: list[int]
+    map_i: list[int]
+    map_j: list[int]
+    map_p: list[int]
+    to_squared: list[int]   # d_to.d_to
+    red_squared: list[int]  # d_red.d_red
+    i_defect: list[int]     # d_to.i + i.d_red
+
+
+def _assembly(octet: Octet) -> _OctetAssembly:
+    """The block rows (to = o+s, from = o+u, red = s+u) and the products
+    d_to^2, d_red^2 and d_to.i + i.d_red, each built once."""
+    mul = _combine
+    no, ns, nu = octet.dims
+    doo, dos, duo, dIus, dss, dsu, dus, duu = (m.data for m in octet.matrices().values())
+    d_to = _join(doo, mul(duo, dsu), no) + _join(
+        dos, map(xor, dss, mul(dIus, dsu)), no
+    )
+    d_from = _join(doo, duo, no) + _join(
+        mul(dsu, dos), map(xor, duu, mul(dsu, dIus)), no
+    )
+    d_red = _join(dss, dus, ns) + _join(dsu, duu, ns)
+    map_i = [d << ns for d in duo] + [1 << r | d << ns for r, d in enumerate(dIus)]
+    map_j = [1 << r for r in range(no)] + [d << no for d in dsu]
+    map_p = _join(dos, dIus, no) + [1 << (no + r) for r in range(nu)]
+    return _OctetAssembly(
+        octet.dims, d_to, d_from, d_red, map_i, map_j, map_p,
+        mul(d_to, d_to), mul(d_red, d_red),
+        list(map(xor, mul(d_to, map_i), mul(map_i, d_red))),
+    )
+
+
+def _identity_report(a: _OctetAssembly) -> OctetReport:
+    """Each identity is one block of the assembled products, as the block
+    forms d_to = [doo, duo.dsu; dos, dss + dIus.dsu], d_red = [dss, dus;
+    dsu, duu] and i = [0, duo; 1, dIus] show by multiplying out:
+
+    - identities 1 and 2 are the o-columns of d_to^2 (its o and s rows);
+    - identities 3 and 4 are the u-columns of d_to.i + i.d_red (its o and
+      s rows), whose s-columns are zero for every octet;
+    - identities 5 to 8 are the blocks ss, su, us and uu of d_red^2.
+    """
+    no, ns, _ = a.dims
+    o_cols, s_cols = (1 << no) - 1, (1 << ns) - 1
+    blocks = (
+        (r & o_cols for r in a.to_squared[:no]),
+        (r & o_cols for r in a.to_squared[no:]),
+        (r >> ns for r in a.i_defect[:no]),
+        (r >> ns for r in a.i_defect[no:]),
+        (r & s_cols for r in a.red_squared[:ns]),
+        (r >> ns for r in a.red_squared[:ns]),
+        (r & s_cols for r in a.red_squared[ns:]),
+        (r >> ns for r in a.red_squared[ns:]),
     )
     return OctetReport(
-        tuple((name, _sums_to_zero(*terms)) for name, terms in zip(_IDENTITY_NAMES, sums))
+        tuple((name, not any(block)) for name, block in zip(_IDENTITY_NAMES, blocks))
     )
+
+
+def octet_verify(octet: Octet) -> OctetReport:
+    """Evaluate all eight identities; report each pass/fail."""
+    return _identity_report(_assembly(octet))
 
 
 @dataclass(frozen=True)
@@ -188,40 +245,34 @@ def octet_assemble(octet: Octet) -> AssembledTriangle:
     other failed assertion raises with the name of the identity or node that
     failed; a verified octet never trips them.
     """
-    report = octet_verify(octet)
-    if not report.all_ok:
+    report, assembled = _verify_and_assemble(octet)
+    if assembled is None:
         raise DomainError(f"octet fails identities: {report.failures()}")
-    return _assemble(octet)
+    return assembled
 
 
-def _assemble(octet: Octet) -> AssembledTriangle:
-    """octet_assemble for an octet whose identities are known to hold."""
-    o, mul = octet, _combine
-    no, ns, nu = o.dims
-    doo, dos, duo, dIus, dss, dsu, dus, duu = (m.data for m in o.matrices().values())
-    # row lists: to = o+s, from = o+u, red = s+u
-    d_to = _join(doo, mul(duo, dsu), no) + _join(
-        dos, map(xor, dss, mul(dIus, dsu)), no
-    )
-    d_from = _join(doo, duo, no) + _join(
-        mul(dsu, dos), map(xor, duu, mul(dsu, dIus)), no
-    )
-    d_red = _join(dss, dus, ns) + _join(dsu, duu, ns)
-    map_i = [d << ns for d in duo] + [1 << r | d << ns for r, d in enumerate(dIus)]
-    map_j = [1 << r for r in range(no)] + [d << no for d in dsu]
-    map_p = _join(dos, dIus, no) + [1 << (no + r) for r in range(nu)]
+def _verify_and_assemble(octet: Octet) -> tuple[OctetReport, AssembledTriangle | None]:
+    """The identity report and, when every identity holds, the triangle,
+    both read from one assembly."""
+    a = _assembly(octet)
+    report = _identity_report(a)
+    return report, _assemble(a) if report.all_ok else None
 
-    failures = _assembly_failures(d_to, d_from, d_red, map_i, map_j, map_p)
+
+def _assemble(a: _OctetAssembly) -> AssembledTriangle:
+    """The triangle of an assembly, with no identity gate: raises
+    InvariantError with the first of _assembly_failures."""
+    failures = _assembly_failures(a)
     if failures:
         raise InvariantError(failures[0])
-
-    c_to = GradedComplex(no + ns, F2Matrix(no + ns, no + ns, tuple(d_to)))
-    c_from = GradedComplex(no + nu, F2Matrix(no + nu, no + nu, tuple(d_from)))
-    c_red = GradedComplex(ns + nu, F2Matrix(ns + nu, ns + nu, tuple(d_red)))
+    no, ns, nu = a.dims
+    c_to = GradedComplex(no + ns, F2Matrix(no + ns, no + ns, tuple(a.d_to)))
+    c_from = GradedComplex(no + nu, F2Matrix(no + nu, no + nu, tuple(a.d_from)))
+    c_red = GradedComplex(ns + nu, F2Matrix(ns + nu, ns + nu, tuple(a.d_red)))
     maps = (
-        F2Matrix(no + ns, ns + nu, tuple(map_i)),
-        F2Matrix(no + nu, no + ns, tuple(map_j)),
-        F2Matrix(ns + nu, no + nu, tuple(map_p)),
+        F2Matrix(no + ns, ns + nu, tuple(a.map_i)),
+        F2Matrix(no + nu, no + ns, tuple(a.map_j)),
+        F2Matrix(ns + nu, no + nu, tuple(a.map_p)),
     )
     bases = [c.homology_bases() for c in (c_red, c_to, c_from)]
     failures = _triangle_exactness_failures(bases, maps, ("to", "from", "red"))
@@ -231,26 +282,25 @@ def _assemble(octet: Octet) -> AssembledTriangle:
     )
 
 
-def _assembly_failures(d_to, d_from, d_red, map_i, map_j, map_p) -> list[str]:
-    """What octet_assemble asserts of its row lists: each differential
-    squares to zero and i, j, p are chain maps.  One message per failure."""
+def _assembly_failures(a: _OctetAssembly) -> list[str]:
+    """What octet_assemble asserts of an assembly: each differential squares
+    to zero and i, j, p are chain maps.  One message per failure.  The
+    squares of d_to and d_red and the chain defect of i are the products
+    the identities were read from."""
     mul = _combine
-    failures = [
-        f"{name} does not square to zero"
-        for name, d in (("d_to", d_to), ("d_from", d_from), ("d_red", d_red))
-        if any(mul(d, d))
-    ]
-    chain_checks = (
-        ("i", map_i, d_red, d_to),
-        ("j", map_j, d_to, d_from),
-        ("p", map_p, d_from, d_red),
+    squares = (
+        ("d_to", a.to_squared),
+        ("d_from", mul(a.d_from, a.d_from)),
+        ("d_red", a.red_squared),
     )
-    failures += [
-        f"map {name} is not a chain map"
-        for name, f, d_dom, d_cod in chain_checks
-        if mul(d_cod, f) != mul(f, d_dom)
-    ]
-    return failures
+    chain_defects = (
+        ("i", any(a.i_defect)),
+        ("j", mul(a.d_from, a.map_j) != mul(a.map_j, a.d_to)),
+        ("p", mul(a.d_red, a.map_p) != mul(a.map_p, a.d_from)),
+    )
+    return [
+        f"{name} does not square to zero" for name, square in squares if any(square)
+    ] + [f"map {name} is not a chain map" for name, defect in chain_defects if defect]
 
 
 def _triangle_exactness_failures(
@@ -260,22 +310,33 @@ def _triangle_exactness_failures(
 ) -> list[str]:
     """Exactness of ... -> H(C_0) -f0-> H(C_1) -f1-> H(C_2) -f2-> H(C_0) -> ...
 
-    bases = the (cycles, boundaries) of C_0, C_1, C_2 and maps = the chain
-    maps (f_0: C_0->C_1, f_1: C_1->C_2, f_2: C_2->C_0).  At C_{n+1} the image
-    of f_n is f_n(Z_n) + B_{n+1}, and the kernel of f_{n+1} is
-    {z in Z_{n+1} : f_{n+1} z in B_{n+2}}, which holds B_{n+1} because
-    f_{n+1} is a chain map.  Both come as fully reduced echelon bases, which
-    are unique, so they are compared as lists.  Returns the nodes where
-    image != kernel.
+    bases = the (cycles, boundaries) of C_0, C_1, C_2 as fully reduced
+    echelon bases, and maps = the chain maps f_0: C_0->C_1, f_1: C_1->C_2,
+    f_2: C_2->C_0.  Both callers check the chain-map property first, and the
+    argument below needs it.  Returns the nodes where image != kernel.
+
+    At C_{n+1} the image of f_n on homology lifts to I_{n+1} = f_n(Z_n) +
+    B_{n+1}, and the kernel of f_{n+1} on homology to K_{n+1} = {z in
+    Z_{n+1} : f_{n+1} z in B_{n+2}}.
+    K_{n+1} is the kernel of z -> [f_{n+1} z] from Z_{n+1} onto
+    I_{n+2} / B_{n+2}, so dim K_{n+1} = dim Z_{n+1} - (dim I_{n+2} -
+    dim B_{n+2}).  Since f_{n+1}(B_{n+1}) lies in B_{n+2}, I_{n+1} lies in
+    K_{n+1} exactly when f_{n+1}(f_n(Z_n)) lies in B_{n+2}.  So the node
+    is exact exactly when that containment holds and dim I_{n+1} =
+    dim K_{n+1}: one elimination per node for dim I, and a reduction
+    against the basis of B_{n+2} for the containment.
     """
+    lifted = [_combine(bases[n][0], maps[n].columns()) for n in range(3)]
+    image_dims = [
+        len(span_basis(lifted[n] + bases[(n + 1) % 3][1])) for n in range(3)
+    ]
     failures = []
     for n in range(3):
-        cycles, _ = bases[n]
-        mid_cycles, mid_bounds = bases[(n + 1) % 3]
+        mid_cycles, _ = bases[(n + 1) % 3]
         _, cod_bounds = bases[(n + 2) % 3]
-        image = span_basis(_combine(cycles, maps[n].columns()) + mid_bounds)
-        kernel = preimage_in_span(maps[(n + 1) % 3], mid_cycles, cod_bounds)
-        if image != kernel:
+        kernel_dim = len(mid_cycles) - (image_dims[(n + 1) % 3] - len(cod_bounds))
+        twice = _combine(lifted[n], maps[(n + 1) % 3].columns())
+        if image_dims[n] != kernel_dim or not in_span(twice, cod_bounds):
             failures.append(node_names[n])
     return failures
 

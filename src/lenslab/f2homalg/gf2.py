@@ -4,9 +4,11 @@ Matrices map column vectors on the left: (M @ N) means "apply N, then M".
 Rows are stored as int bitmasks (bit j of row i = entry (i, j)); vectors are
 single bitmasks.  Every product and image comes from one row kernel,
 `_combine`, and every rank, kernel, span and preimage from one bitmask
-elimination, `_echelon`.  The oracles the tests check them against (an
-entry-by-entry product, a set-of-positions elimination) live in
-`tests/f2_oracles.py`, apart from this code.
+elimination, `_echelon`, which reduces each vector by its lowest set bit
+and back-substitutes once.  Membership in a span already in reduced form
+(`in_span`) is a reduction, not an elimination.  The oracles the tests check
+them against (an entry-by-entry product, a set-of-positions elimination)
+live in `tests/f2_oracles.py`, apart from this code.
 """
 
 from __future__ import annotations
@@ -173,19 +175,36 @@ def _combine(selectors, rows) -> list[int]:
 def _echelon(vectors) -> list[tuple[int, int]]:
     """Fully reduced echelon form of the span of `vectors`: (pivot, row) pairs
     sorted by pivot, each pivot the row's lowest set bit and clear in every
-    other row."""
-    echelon: list[tuple[int, int]] = []
-    for vec in vectors:
-        cur = vec
-        for pc, ev in echelon:
-            if (cur >> pc) & 1:
-                cur ^= ev
-        if cur:
+    other row.
+
+    Each vector is reduced by its lowest set bit against the rows kept so
+    far, which leaves a row whose lowest bit is a new pivot (or nothing).
+    One back-substitution pass in descending pivot order then clears every
+    row at the pivots above its own: a row reduced there is clear at every
+    other pivot, so adding it clears one bit and sets no other pivot.  The
+    fully reduced echelon basis of a subspace is unique, so the order of
+    `vectors` never changes the result.
+    """
+    pivots: dict[int, int] = {}
+    for cur in vectors:
+        while cur:
             pc = (cur & -cur).bit_length() - 1
-            echelon = [(c, ev ^ cur if (ev >> pc) & 1 else ev) for c, ev in echelon]
-            echelon.append((pc, cur))
-    echelon.sort()
-    return echelon
+            row = pivots.get(pc)
+            if row is None:
+                pivots[pc] = cur
+                break
+            cur ^= row
+    done = 0  # the pivots above the current one, whose rows are reduced
+    for pc in sorted(pivots, reverse=True):
+        row = pivots[pc]
+        hits = row & done
+        while hits:
+            low = hits & -hits
+            row ^= pivots[low.bit_length() - 1]
+            hits ^= low
+        pivots[pc] = row
+        done |= 1 << pc
+    return sorted(pivots.items())
 
 
 def span_basis(vectors: list[int]) -> list[int]:
@@ -196,6 +215,22 @@ def span_basis(vectors: list[int]) -> list[int]:
 def spans_equal(a: list[int], b: list[int]) -> bool:
     # the fully reduced echelon basis of a subspace is unique
     return span_basis(a) == span_basis(b)
+
+
+def in_span(vectors, basis: list[int]) -> bool:
+    """Whether every vector lies in the span of `basis`, a fully reduced
+    echelon basis as span_basis returns it.  Adding the row of each pivot the
+    vector has set clears that pivot and no other, so one pass leaves a
+    vector clear at every pivot, which is zero exactly when it is in the
+    span.  No elimination is needed."""
+    pivots = [(row & -row, row) for row in basis]
+    for vec in vectors:
+        for bit, row in pivots:
+            if vec & bit:
+                vec ^= row
+        if vec:
+            return False
+    return True
 
 
 def preimage_in_span(

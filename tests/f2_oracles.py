@@ -8,27 +8,32 @@ entry-by-entry product, the octet identities and assembled differentials as
 from lenslab.f2homalg.gf2 import F2Matrix
 
 
+def echelon_positions(vectors: list[set[int]]) -> dict[int, set[int]]:
+    """Set-of-positions Gauss-Jordan elimination; independent of the bitmask
+    path.  Maps each pivot (the lowest position of its row) to its row, with
+    every pivot absent from every other row: the fully reduced echelon form."""
+    rows: dict[int, set[int]] = {}
+    for vec in vectors:
+        cur = set(vec)
+        for pivot, row in rows.items():
+            if pivot in cur:
+                cur ^= row
+        if not cur:
+            continue
+        new = min(cur)
+        for pivot, row in rows.items():
+            if new in row:
+                rows[pivot] = row ^ cur
+        rows[new] = cur
+    return rows
+
+
 def rank_positions(entries: set[tuple[int, int]], rows: int, cols: int) -> int:
-    """Set-of-positions Gaussian elimination; independent of the bitmask path."""
+    """Rank of the matrix with ones at `entries`, by echelon_positions."""
     matrix: dict[int, set[int]] = {}
     for r, c in entries:
         matrix.setdefault(r, set()).symmetric_difference_update({c})
-    live = [cells for cells in matrix.values() if cells]
-    rank = 0
-    while live:
-        row = live.pop()
-        if not row:
-            continue
-        pivot = min(row)
-        rank += 1
-        nxt = []
-        for other in live:
-            if pivot in other:
-                other = other ^ row
-            if other:
-                nxt.append(other)
-        live = nxt
-    return rank
+    return len(echelon_positions(list(matrix.values())))
 
 
 def rank_sparse(m: F2Matrix) -> int:

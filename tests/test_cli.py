@@ -1,6 +1,7 @@
 """Command-line behavior: output shapes, exit codes, determinism."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -125,18 +126,20 @@ def test_octet_verify_file(tmp_path, capsys):
 
 
 def test_octet_verify_checks_the_identities_once(monkeypatch, capsys):
-    original = complexes.octet_verify
+    """One assembly gives both the identity report and the triangle, and
+    the identities are read off it once."""
     calls = []
+    for name in ("_assembly", "_identity_report", "octet_verify"):
+        original = getattr(complexes, name)
 
-    def counted(octet):
-        calls.append(octet)
-        return original(octet)
+        def counted(arg, name=name, original=original):
+            calls.append(name)
+            return original(arg)
 
-    for module in (cli, complexes):
-        monkeypatch.setattr(module, "octet_verify", counted)
+        monkeypatch.setattr(complexes, name, counted)
     code, out, _ = run_cli(capsys, "octet", "verify", str(DATA / "octet_ok.json"))
     assert code == 0 and "exact triangle" in out
-    assert len(calls) == 1
+    assert calls == ["_assembly", "_identity_report"]
 
 
 def test_triangle_verify_file(tmp_path, capsys):
@@ -268,6 +271,27 @@ def test_malformed_f2_document_is_one_line_domain_error(tmp_path, capsys, comman
     assert out == ""
     assert len(err.splitlines()) == 1 and field in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["octet", "triangle"])
+@pytest.mark.parametrize("dims", [[100000000, 0, 0], [3000, 0, 0], [0, 0, cli.MAX_DIM + 1]])
+def test_dims_over_the_cap_are_one_line_domain_errors(tmp_path, capsys, command, dims):
+    # a 28-byte document must not allocate its declared maps
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"dims": dims}))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, command, "verify", str(path))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"error: field 'dims' has an entry above the cap {cli.MAX_DIM}"]
+
+
+@pytest.mark.parametrize("command", ["octet", "triangle"])
+def test_dims_at_the_cap_are_accepted(tmp_path, capsys, command):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"dims": [cli.MAX_DIM] * 3}))
+    code, out, err = run_cli(capsys, command, "verify", str(path))
+    assert (code, err) == (0, "") and out
 
 
 def test_lspace_slope_past_the_recursion_limit(capsys):

@@ -6,7 +6,9 @@ mostly by one of the same JSON type, delete a key or list item, or add one;
 now and then it also cuts the JSON text short.  Every call must return
 exit code 0 with nothing on stderr, or exit code 1 with a one-line
 diagnostic; any other exception fails the test.
-Every integer drawn lies in -3..12, so every mutated document stays small.
+Every integer drawn lies in -3..12, so every mutated document stays small,
+except that one edit in six sets an entry of `dims` anywhere from just below
+the loader's cap MAX_DIM to far above it.
 """
 
 import io
@@ -19,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lenslab.cli import main
+from lenslab.cli import MAX_DIM, main
 
 DOCUMENTS = {
     "octet": (
@@ -51,6 +53,7 @@ ENTRY_TEXTS = st.sampled_from(["0,0", "1,0", "0,1", "1,1", "2,1", "0,-1", "0;0",
                                "1", "", "0,0,0", " 1,0", "a,b", "1_0,0"])
 SCALARS = (st.none() | st.booleans() | st.integers(-3, 12) | ENTRY_TEXTS
            | st.floats(allow_nan=False, allow_infinity=False, width=16))
+LARGE_DIMS = st.integers(MAX_DIM - 1, 10**12)
 VALUES = st.recursive(
     SCALARS,
     lambda inner: st.lists(inner, max_size=4)
@@ -85,6 +88,10 @@ def similar(data, value):
 
 def mutate(data, doc):
     """Apply one random edit to `doc` in place."""
+    dims = doc.get("dims")
+    if isinstance(dims, list) and dims and data.draw(st.integers(0, 5)) == 0:
+        dims[data.draw(st.integers(0, len(dims) - 1))] = data.draw(LARGE_DIMS)
+        return
     target = data.draw(st.sampled_from(containers(doc)))
     slots = sorted(target) if isinstance(target, dict) else range(len(target))
     action = data.draw(st.sampled_from(["tweak", "delete", "add"] if slots else ["add"]))

@@ -13,14 +13,14 @@ from f2_oracles import (
 )
 
 from lenslab.errors import DomainError, InvariantError
-from lenslab.f2homalg import complexes
 from lenslab.f2homalg.gf2 import F2Matrix
 from lenslab.f2homalg.complexes import (
     ConeHypothesisReport,
     ConeTriple,
     GradedComplex,
     Octet,
-    OctetReport,
+    _assemble,
+    _assembly,
     _assembly_failures,
     _triangle_exactness_failures,
     complex_homology,
@@ -300,13 +300,10 @@ def test_cone_verify_matches_brute_force():
     assert seen == {True, False}
 
 
-def test_assembly_checks_match_the_matrix_oracle(monkeypatch):
+def test_assembly_checks_match_the_matrix_oracle():
     """Valid identities imply d^2 = 0 and the chain-map property, so these
-    checks are reached only with the identity check bypassed, and some only
-    together with others."""
-    monkeypatch.setattr(
-        complexes, "octet_verify", lambda octet: OctetReport((("all", True),))
-    )
+    checks are reached only through the unchecked path `_assemble`, which
+    skips the identity gate, and some only together with others."""
     rng = random.Random(812)
     seen = set()
     for trial in range(400):
@@ -325,12 +322,94 @@ def test_assembly_checks_match_the_matrix_oracle(monkeypatch):
             )
             if cod @ f != f @ dom
         ]
+        a = _assembly(octet)
         rows = [m.data for m in (d_to, d_from, d_red, map_i, map_j, map_p)]
-        assert _assembly_failures(*rows) == expected
+        built = (a.d_to, a.d_from, a.d_red, a.map_i, a.map_j, a.map_p)
+        assert [tuple(r) for r in built] == rows
+        assert tuple(a.to_squared) == (d_to @ d_to).data
+        assert tuple(a.red_squared) == (d_red @ d_red).data
+        assert tuple(a.i_defect) == (d_to @ map_i + map_i @ d_red).data
+        assert _assembly_failures(a) == expected
         seen.update(expected)
         if expected:
             with pytest.raises(InvariantError, match=expected[0]):
-                octet_assemble(octet)
+                _assemble(a)
         else:
-            octet_assemble(octet)
+            _assemble(a)
     assert len(seen) == 6
+
+
+def test_each_identity_is_read_off_one_flipped_entry():
+    """One flipped entry in each of the eight maps of valid octets: every
+    identity verdict matches its matrix expression."""
+    rng = random.Random(813)
+    flipped = {}
+    for _ in range(150):
+        octet = random_octet(rng, rng.randrange(1, 5))
+        for name, m in octet.matrices().items():
+            if not (m.rows and m.cols):
+                continue
+            data = list(m.data)
+            data[rng.randrange(m.rows)] ^= 1 << rng.randrange(m.cols)
+            changed = dict(octet.matrices(), **{name: F2Matrix(m.rows, m.cols, tuple(data))})
+            bad = Octet(*octet.dims, **changed)
+            expected = [(ident, value.is_zero()) for ident, value in identity_values(bad)]
+            assert list(octet_verify(bad).results) == expected
+            for ident, ok in expected:
+                flipped[name, ident] = flipped.get((name, ident), False) or not ok
+    # every identity fails for some flip, and each map's flips reach one
+    assert {ident for (_, ident), failed in flipped.items() if failed} == {
+        ident for ident, _ in identity_values(Octet.zero(0, 0, 0))
+    }
+    assert {name for (name, _), failed in flipped.items() if failed} == set(
+        Octet.zero(0, 0, 0).matrices()
+    )
+
+
+def node_failures(ds, fs, names):
+    """The nodes the brute-force oracle finds not exact, in node order."""
+    return [name for name, ok in zip(names, exact_nodes(ds, fs)) if not ok]
+
+
+def test_exactness_node_by_node_on_assembled_octets():
+    """The rank-count exactness against the element-by-element oracle, on
+    octet triangles with their own maps i, j, p (always exact) and with
+    random chain maps between the same three complexes (often not)."""
+    rng = random.Random(814)
+    names = ("to", "from", "red")
+    failing = set()
+    for trial in range(300):
+        assembled = octet_assemble(random_octet(rng, 3))
+        cxs = (assembled.complex_red, assembled.complex_to, assembled.complex_from)
+        maps = (assembled.map_i, assembled.map_j, assembled.map_p)
+        ds = [c.d for c in cxs]
+        if trial % 2:
+            maps = tuple(random_chain_map(rng, ds[n], ds[(n + 1) % 3]) for n in range(3))
+        bases = [c.homology_bases() for c in cxs]
+        expected = node_failures(ds, maps, names)
+        assert _triangle_exactness_failures(bases, maps, names) == expected
+        assert not expected or trial % 2
+        failing.update(expected)
+    assert failing == set(names)
+
+
+def test_exactness_node_by_node_on_cone_triples():
+    """The same on mapping-cone triples, as generated (always exact) and with
+    their maps replaced by random chain maps (often not)."""
+    rng = random.Random(815)
+    names = ("C1", "C2", "C0")
+    failing = set()
+    for trial in range(300):
+        triple = random_cone_triple(rng, 3)
+        ds = [c.d for c in triple.complexes]
+        maps = triple.f
+        if trial % 2:
+            maps = tuple(random_chain_map(rng, ds[n], ds[(n + 1) % 3]) for n in range(3))
+            triple = ConeTriple(triple.complexes, maps, triple.h)
+        bases = [c.homology_bases() for c in triple.complexes]
+        expected = node_failures(ds, maps, names)
+        assert _triangle_exactness_failures(bases, maps, names) == expected
+        assert cone_exactness(triple) == (not expected)
+        assert not expected or trial % 2
+        failing.update(expected)
+    assert failing == set(names)

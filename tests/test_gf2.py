@@ -3,13 +3,15 @@
 import random
 
 import pytest
-from f2_oracles import product_by_entries, rank_sparse
+from f2_oracles import echelon_positions, product_by_entries, rank_sparse
 
 from lenslab.errors import DomainError
 from lenslab.f2homalg.fuzz import _invert
 from lenslab.f2homalg.gf2 import (
     F2Matrix,
     _combine,
+    _echelon,
+    in_span,
     preimage_in_span,
     span_basis,
     spans_equal,
@@ -130,6 +132,57 @@ def test_span_utilities():
     assert not spans_equal(basis, basis + [0b001])
     assert spans_equal([0b011, 0b110], [0b011, 0b101])
     assert not spans_equal([0b011], [0b011, 0b100])
+
+
+def positions(vec: int) -> set[int]:
+    return {c for c in range(vec.bit_length()) if (vec >> c) & 1}
+
+
+def awkward_vectors(rng, width, count):
+    """Vectors with zeros, repeats and sums of earlier vectors mixed in."""
+    vectors = []
+    for _ in range(count):
+        kind = rng.randrange(4)
+        if kind == 0 or not vectors:
+            vectors.append(0 if rng.random() < 0.3 else rng.getrandbits(width))
+        elif kind == 1:
+            vectors.append(rng.choice(vectors))
+        elif kind == 2:
+            vectors.append(rng.choice(vectors) ^ rng.choice(vectors))
+        else:
+            # sparse, so that pivots collide and rows cancel
+            vectors.append(sum(1 << rng.randrange(width) for _ in range(rng.randrange(1, 4))))
+    return vectors
+
+
+def test_echelon_matches_the_set_based_elimination():
+    rng = random.Random(2028)
+    for trial in range(600):
+        width = rng.choice([1, 5, 63, 64, 65, 130, 200])
+        vectors = awkward_vectors(rng, width, rng.randrange(0, 3 + trial % 40))
+        expected = sorted(
+            (pivot, sum(1 << c for c in row))
+            for pivot, row in echelon_positions([positions(v) for v in vectors]).items()
+        )
+        assert _echelon(vectors) == expected
+        assert _echelon(iter(vectors)) == expected
+        shuffled = vectors[:]
+        rng.shuffle(shuffled)
+        assert _echelon(shuffled) == expected
+
+
+def test_in_span_against_the_echelon_oracle():
+    rng = random.Random(2029)
+    seen = set()
+    for _ in range(400):
+        width = rng.choice([3, 64, 100])
+        basis = span_basis(awkward_vectors(rng, width, rng.randrange(0, 8)))
+        vectors = awkward_vectors(rng, width, rng.randrange(0, 4))
+        rank = len(echelon_positions([positions(v) for v in basis]))
+        grown = len(echelon_positions([positions(v) for v in basis + vectors]))
+        assert in_span(vectors, basis) == (grown == rank)
+        seen.add(grown == rank)
+    assert seen == {True, False}
 
 
 def test_preimage_in_span():
