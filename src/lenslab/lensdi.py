@@ -9,13 +9,19 @@ which is the d-recursion
 
     d(p, q, i)   = (pq - (2i + 1 - p - q)^2) / (4pq) - d(q, p mod q, i mod q)
 
-multiplied through by 4p.  Every division by q is exact (checked), and a
-table of L(p, q) is built from the table of L(q, p mod q); this table is
-the package's only implementation of the recursion.  `d_rec` (one label)
-and `d_table` (every label) are `Fraction(N, 4p)` views of the
-conjugation-checked table, so `d_rec` builds a whole table per call, and
-they are the sign primitive of the package: every consumer states its own
-sign usage relative to them rather than re-deriving orientation conventions.
+multiplied through by 4p.  A table of L(p, q) is built from the table of
+L(q, p mod q) in one pass over its p labels; this table is the package's
+only implementation of the recursion.  One comparison checks that every
+division by q is exact: floor division leaves a remainder in [0, q)
+whatever the numerator's sign, so the remainders sum to 0 exactly when each
+of them is 0, that is when q * sum(N) equals the numerators' sum, and that
+sum has a closed form (see `_table`).
+
+`d_rec` (one label) and `d_table` (every label) are `Fraction(N, 4p)` views
+of the conjugation-checked table, so `d_rec` builds a whole table per call,
+and they are the sign primitive of the package: every consumer states its
+own sign usage relative to them rather than re-deriving orientation
+conventions.
 """
 
 from __future__ import annotations
@@ -73,22 +79,39 @@ def conj_label(space: LensSpace, i: int) -> int:
 def _table(p: int, q: int) -> tuple[int, ...]:
     """N(p, q, i) for every label i; recursion depth is that of Euclid on (p, q).
 
-    Row i pairs 2i + 1 - p - q (a step-2 range) with the sub-table entry
-    i mod q (the sub-table repeated); every numerator is checked for
-    divisibility by q before the division.
+    Label i pairs s_i = 2i + 1 - p - q (a step-2 range) with the numerator
+    row m_j = pq - p * N(q, p mod q, j) at j = i mod q, so
+
+        N(p, q, i) = (m_(i mod q) - s_i^2) // q.
+
+    Each numerator is q N_i + r_i with the floor remainder 0 <= r_i < q, so
+    sum(r) = (sum of numerators) - q * sum(N) is 0 exactly when every r_i
+    is, and the numerators' sum has the closed form
+
+        (p // q) * sum(m) + sum(m[:p % q]) - sum_i s_i^2,
+        sum_i s_i^2 = p a^2 + 2a p(p - 1) + 2p(p - 1)(2p - 1)/3,  a = s_0,
+
+    so one comparison checks every division.
     """
     if p == 1:
         return (0,)
-    below = _table(q, p % q)
-    pq = p * q
-    nums = [
-        pq - s * s - p * n
-        for s, n in zip(range(1 - p - q, p - q, 2), below * (p // q + 1))
-    ]
-    if any([n % q for n in nums]):
-        i = next(i for i, n in enumerate(nums) if n % q)
+    return _row(p, q, _table(q, p % q))
+
+
+def _row(p: int, q: int, below: tuple[int, ...]) -> tuple[int, ...]:
+    """The table of L(p, q) from `below`, the table of L(q, p mod q), checked
+    as `_table` states; a failure names the first label q does not divide."""
+    rows = [p * q - p * n for n in below]
+    k, r = divmod(p, q)
+    quots = [(m - s * s) // q for s, m in zip(range(1 - p - q, p - q, 2), rows * (k + 1))]
+    a = 1 - p - q
+    squares = p * a * a + 2 * a * p * (p - 1) + 2 * (p - 1) * p * (2 * p - 1) // 3
+    if q * sum(quots) != k * sum(rows) + sum(rows[:r]) - squares:
+        i = next(
+            i for i, s in enumerate(range(1 - p - q, p - q, 2)) if (rows[i % q] - s * s) % q
+        )
         raise InvariantError(f"4p * d(L({p},{q}), {i}) is not an integer")
-    return tuple([n // q for n in nums])
+    return tuple(quots)
 
 
 def scaled_d_table(space: LensSpace) -> tuple[int, ...]:

@@ -21,15 +21,27 @@ step.  The form is L-natural-concave in the coset coordinates, so a point
 that is best in its own box is a global maximum.  Every arithmetic step is
 integer arithmetic.
 
+`lattice_vs_recursion_check` sweeps the classes once per lattice.  It
+computes the continuants, the weights w_i and the normalization check once,
+and it starts class c = 0..p-1, represented by K_0 + 2c e_1, at the previous
+class's start vector plus one fixed vector (column 0 of the adjugate, times
+2 sign(det)), with no per-class representative or Fraction.  Each class's
+integer maximum comes from the same ascent as `max_char_square`, and it is
+keyed by max / p + n p, the integer p * (max K^2 + n); p divides the maximum
+because K^T G^{-1} K has a denominator dividing p, and a maximum that p does
+not divide is an invariant error.
+
 One continuant recurrence serves the determinant, the definiteness check,
 the start vector and the class representatives; `_start_vector` and
 `char_classes` state the closed-form adjugate they rely on.  The adjugate
-itself, class membership and a brute-force box search for the maxima are
-test oracles, kept apart from this module in tests/lattice_oracles.py.
+itself, class membership, a brute-force box search for the maxima and the
+check built class by class through `max_char_square` are test oracles, kept
+apart from this module in tests/lattice_oracles.py.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -184,30 +196,39 @@ def _box_max(w: list[int], y: list[int], step: int) -> tuple[int, list[int]]:
     return best, point[::-1]
 
 
-def _max_square_scaled(terms: tuple[int, ...], y0: list[int], p: int) -> Fraction:
-    """max of (y^T G y) / p^2 over y in y0 + 2p Z^n, exact.
+def _weights(terms: tuple[int, ...]) -> list[int]:
+    """w_i = a_i less the number of chain neighbours of vertex i."""
+    n = len(terms)
+    return [a - (i > 0) - (i < n - 1) for i, a in enumerate(terms)]
 
-    y^T G y = -sum w_i y_i^2 - sum (y_i - y_(i+1))^2, where w_i is a_i less
-    the number of chain neighbours of vertex i, and w_i >= 0 for a normalized
-    expansion.  In the coordinates y = y0 + 2p k this is a sum of concave
-    functions of single k_i and of differences k_i - k_(i+1), that is an
-    L-natural-concave function of k, and such a function is maximal at k as
-    soon as no k + chi_S and no k - chi_S (chi_S a 0/1 vector) is larger
+
+def _centred(y: list[int], p: int) -> list[int]:
+    """The point of the coset y + 2p Z^n nearest 0 in every coordinate."""
+    step = 2 * p
+    return [r - step if r > p else r for r in (v % step for v in y)]
+
+
+def _max_square_scaled(w: list[int], y0: list[int], p: int) -> int:
+    """max of y^T G y over y in y0 + 2p Z^n, exact, with w = _weights(terms).
+
+    y^T G y = -sum w_i y_i^2 - sum (y_i - y_(i+1))^2, and w_i >= 0 for a
+    normalized expansion.  In the coordinates y = y0 + 2p k this is a sum of
+    concave functions of single k_i and of differences k_i - k_(i+1), that is
+    an L-natural-concave function of k, and such a function is maximal at k
+    as soon as no k + chi_S and no k - chi_S (chi_S a 0/1 vector) is larger
     (Murota, "Discrete Convex Analysis", SIAM 2003, ch. 7).  Those points all
     lie in the box k +- 1, so: start at y0 and move to the best point of the
     box around the current one until that is the current point or no better
     than it.  The value rises strictly with every move and the form is
     definite, so the ascent ends.
     """
-    n = len(terms)
     step = 2 * p
-    w = [a - (i > 0) - (i < n - 1) for i, a in enumerate(terms)]
     y = y0
     value = None  # Q(y) once y is the best point of a box
     while True:
         best, z = _box_max(w, y, step)
         if z == y or best == value:
-            return Fraction(best, p * p)
+            return best
         value, y = best, z
 
 
@@ -220,10 +241,27 @@ def max_char_square(lat: Lattice, cls: CharClass) -> Fraction:
     theta = _continuants(lat.terms)
     phi = _continuants(lat.terms[::-1])
     p = abs(theta[-1])
-    # the ascent starts at the coset point nearest 0 in every coordinate
-    start = [v % (2 * p) for v in _start_vector(theta, phi, cls.rep)]
-    start = [r - 2 * p if r > p else r for r in start]
-    return _max_square_scaled(lat.terms, start, p) + lat.rank
+    start = _centred(_start_vector(theta, phi, cls.rep), p)
+    return Fraction(_max_square_scaled(_weights(lat.terms), start, p), p * p) + lat.rank
+
+
+def _class_start_vectors(
+    theta: list[int], phi: list[int], terms: tuple[int, ...]
+) -> Iterator[list[int]]:
+    """y0 = sign(det) adj K for K = K_0 + 2c e_1, c = 0..p-1 (the classes of
+    `char_classes`, in order), one vector addition per class.
+
+    y0 is linear in K and column 0 of the adjugate is (-1)^i phi_(n-1-i)
+    (closed form in `_start_vector`), so class c + 1 starts at class c's
+    start vector plus 2 sign(det) (-1)^i phi_(n-1-i).
+    """
+    n = len(terms)
+    sign = 1 if theta[n] > 0 else -1
+    delta = [2 * sign * (-phi[n - 1 - i] if i % 2 else phi[n - 1 - i]) for i in range(n)]
+    y = _start_vector(theta, phi, tuple(-a for a in terms))
+    for _ in range(abs(theta[n])):
+        yield y
+        y = [u + d for u, d in zip(y, delta)]
 
 
 @dataclass(frozen=True)
@@ -257,13 +295,20 @@ def lattice_vs_recursion_check(p: int, q: int) -> LatticeCheckReport:
     from .exactnum import hj_expand
 
     lat = lattice_from_hj(hj_expand(Fraction(p, q)))
-    # Both sides are keyed by the integer p * value.  A class value is
-    # K^T adj K / det + n, so its denominator divides p; a label value
-    # 4d = N / p has the scaled table entry N as its key.
-    class_keys = [
-        v.numerator * (p // v.denominator)
-        for v in (max_char_square(lat, cls) for cls in char_classes(lat))
-    ]
+    n = lat.rank
+    theta = _continuants(lat.terms)
+    phi = _continuants(lat.terms[::-1])
+    w = _weights(lat.terms)
+    # Both sides are keyed by the integer p * value: a class's maximum of
+    # y^T G y by maximum / p + n p, a label's 4d = N / p by its table entry N.
+    class_keys = []
+    for c, y in enumerate(_class_start_vectors(theta, phi, lat.terms)):
+        key, rest = divmod(_max_square_scaled(w, _centred(y, p), p), p)
+        if rest:
+            raise InvariantError(
+                f"max K^2 of class {c} of L({p},{q}) has a denominator not dividing {p}"
+            )
+        class_keys.append(key + n * p)
     label_keys = scaled_d_table(LensSpace(p, q))
 
     by_key: dict[int, tuple[list[int], list[int]]] = {}

@@ -3,8 +3,9 @@ from the code they check.
 
 None of these is used by the package: the chain's Gram matrix and its
 closed-form adjugate, class membership and class keys read off the adjugate,
-the brute-force box search for the characteristic maxima, and the definition
-of conjugation equivariance checked on every residue.
+the brute-force box search for the characteristic maxima, the lattice check
+built class by class through `max_char_square`, and the definition of
+conjugation equivariance checked on every residue.
 """
 
 import itertools
@@ -13,8 +14,17 @@ from functools import lru_cache
 
 from lenslab.alexobstruct import Correspondence
 from lenslab.errors import DomainError
-from lenslab.lensdi import conj_label
-from lenslab.plumblat import CharClass, Lattice, _continuants
+from lenslab.exactnum import hj_expand
+from lenslab.lensdi import LensSpace, conj_label, d_table
+from lenslab.plumblat import (
+    CharClass,
+    Lattice,
+    LatticeCheckReport,
+    _continuants,
+    char_classes,
+    lattice_from_hj,
+    max_char_square,
+)
 
 
 def gram(lat: Lattice) -> list[list[int]]:
@@ -96,6 +106,24 @@ def max_char_square_box(lat: Lattice, cls: CharClass, widen: int = 1) -> Fractio
     if key not in maxima:
         raise DomainError("box contains no representative of the class")
     return Fraction(maxima[key], p) + lat.rank
+
+
+def per_class_report(p: int, q: int) -> LatticeCheckReport:
+    """`lattice_vs_recursion_check(p, q)` class by class: one `max_char_square`
+    per `char_classes` representative, and the labels' values 4d as Fractions."""
+    lat = lattice_from_hj(hj_expand(Fraction(p, q)))
+    class_values = [max_char_square(lat, cls) for cls in char_classes(lat)]
+    label_values = [4 * d for d in d_table(LensSpace(p, q)).values]
+    by_value: dict[Fraction, tuple[list[int], list[int]]] = {}
+    for side, values in enumerate((class_values, label_values)):
+        for index, v in enumerate(values):
+            by_value.setdefault(v, ([], []))[side].append(index)
+    matching = tuple(
+        (f"{v.numerator}/{v.denominator}", tuple(cs), tuple(ls))
+        for v, (cs, ls) in sorted(by_value.items())
+    )
+    a, b = tuple(sorted(class_values)), tuple(sorted(label_values))
+    return LatticeCheckReport(p, q, a, b, a == b, matching)
 
 
 def is_equivariant(sigma: Correspondence) -> bool:

@@ -294,6 +294,49 @@ def test_dims_at_the_cap_are_accepted(tmp_path, capsys, command):
     assert (code, err) == (0, "") and out
 
 
+def _path_tree(weights):
+    return {"vertices": weights, "edges": [[i, i + 1] for i in range(len(weights) - 1)]}
+
+
+TREE_CAP = f"error: field 'vertices' has more than the cap of {cli.MAX_TREE_VERTICES} vertices"
+TAIT_CAP = f"error: field 'vertices' has more than the cap of {cli.MAX_TAIT_VERTICES} vertices"
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("alt", {"vertices": 100000000, "edges": [[0, 1], [1, 0]]}, TAIT_CAP),
+    ("alt", {"vertices": cli.MAX_TAIT_VERTICES + 1, "edges": []}, TAIT_CAP),
+    ("alt", {"vertices": 2, "edges": [[0, 1]] * (cli.MAX_TAIT_EDGES + 1)},
+     f"error: field 'edges' has more than the cap of {cli.MAX_TAIT_EDGES} edges"),
+    ("tree", _path_tree([3] * 200000), TREE_CAP),
+    ("tree", _path_tree([3] * (cli.MAX_TREE_VERTICES + 1)), TREE_CAP),
+    ("tree", {"vertices": [3, 2], "edges": [[0, 1]] * cli.MAX_TREE_VERTICES},
+     f"error: field 'edges' has more than the cap of {cli.MAX_TREE_VERTICES - 1} edges"),
+])
+def test_graphs_over_the_cap_are_one_line_domain_errors(tmp_path, capsys, command, doc, message):
+    # both 200,000-vertex documents ran out of a 2 GB address space uncapped
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "lspace", command, str(path))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [message]
+
+
+@pytest.mark.parametrize("command, doc", [
+    # blow-downs from the weight-1 end keep this tree cheap at the cap
+    ("tree", _path_tree([1] + [2] * (cli.MAX_TREE_VERTICES - 2) + [3])),
+    # a star on MAX_TAIT_VERTICES vertices has MAX_TAIT_EDGES edges
+    ("alt", {"vertices": cli.MAX_TAIT_VERTICES,
+             "edges": [[0, v] for v in range(1, cli.MAX_TAIT_VERTICES)]}),
+])
+def test_graphs_at_the_cap_are_accepted(tmp_path, capsys, command, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "lspace", command, str(path))
+    assert (code, err) == (0, "") and out
+
+
 def test_lspace_slope_past_the_recursion_limit(capsys):
     code, out, err = run_cli(capsys, "lspace", "slope", "--base", "1", "--target", "1000")
     assert code == 0 and err == ""

@@ -7,8 +7,11 @@ now and then it also cuts the JSON text short.  Every call must return
 exit code 0 with nothing on stderr, or exit code 1 with a one-line
 diagnostic; any other exception fails the test.
 Every integer drawn lies in -3..12, so every mutated document stays small,
-except that one edit in six sets an entry of `dims` anywhere from just below
-the loader's cap MAX_DIM to far above it.
+except that one example in three ends with an edit of a size the loaders
+cap: it sets a Tait vertex count, or one entry of `dims`, `vertices` or an
+edge, to a negative integer or to one from just below its cap to far above
+it, or it grows the `vertices` or `edges` list to anywhere from just below
+its cap to four times it.
 """
 
 import io
@@ -21,7 +24,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lenslab.cli import MAX_DIM, main
+from lenslab.cli import (
+    MAX_DIM,
+    MAX_TAIT_EDGES,
+    MAX_TAIT_VERTICES,
+    MAX_TREE_VERTICES,
+    main,
+)
 
 DOCUMENTS = {
     "octet": (
@@ -53,7 +62,6 @@ ENTRY_TEXTS = st.sampled_from(["0,0", "1,0", "0,1", "1,1", "2,1", "0,-1", "0;0",
                                "1", "", "0,0,0", " 1,0", "a,b", "1_0,0"])
 SCALARS = (st.none() | st.booleans() | st.integers(-3, 12) | ENTRY_TEXTS
            | st.floats(allow_nan=False, allow_infinity=False, width=16))
-LARGE_DIMS = st.integers(MAX_DIM - 1, 10**12)
 VALUES = st.recursive(
     SCALARS,
     lambda inner: st.lists(inner, max_size=4)
@@ -86,12 +94,45 @@ def similar(data, value):
     return data.draw(VALUES)
 
 
+def large(data, cap):
+    """A negative integer, or one from just below `cap` to far above it; about
+    one draw in three is -1, cap - 1, cap, cap + 1, 10^8 or 10^12."""
+    return data.draw(
+        st.sampled_from([-1, cap - 1, cap, cap + 1, 10**8, 10**12])
+        | st.integers(-10**12, -1) | st.integers(cap - 1, 10**12)
+    )
+
+
+def set_large(data, doc):
+    """Make one size in `doc` large or negative; False if it has none to edit."""
+    tree = isinstance(doc.get("vertices"), list)
+    caps = {
+        "dims": MAX_DIM,
+        "vertices": MAX_TREE_VERTICES if tree else MAX_TAIT_VERTICES,
+        "edges": MAX_TREE_VERTICES - 1 if tree else MAX_TAIT_EDGES,
+    }
+    names = [name for name in sorted(caps) if name in doc]
+    if not names:
+        return False
+    name = data.draw(st.sampled_from(names))
+    value, cap = doc[name], caps[name]
+    if type(value) is int:
+        doc[name] = large(data, cap)
+    elif not isinstance(value, list) or not value:
+        return False
+    elif name != "dims" and data.draw(st.booleans()):
+        doc[name] = (value * 4 * cap)[:data.draw(st.integers(cap - 1, 4 * cap))]
+    else:
+        i = data.draw(st.integers(0, len(value) - 1))
+        if isinstance(value[i], list) and value[i]:  # an edge: one endpoint
+            value[i][data.draw(st.integers(0, len(value[i]) - 1))] = large(data, cap)
+        else:
+            value[i] = large(data, cap)
+    return True
+
+
 def mutate(data, doc):
     """Apply one random edit to `doc` in place."""
-    dims = doc.get("dims")
-    if isinstance(dims, list) and dims and data.draw(st.integers(0, 5)) == 0:
-        dims[data.draw(st.integers(0, len(dims) - 1))] = data.draw(LARGE_DIMS)
-        return
     target = data.draw(st.sampled_from(containers(doc)))
     slots = sorted(target) if isinstance(target, dict) else range(len(target))
     action = data.draw(st.sampled_from(["tweak", "delete", "add"] if slots else ["add"]))
@@ -122,8 +163,11 @@ def run_cli(argv):
 def test_mutated_documents_exit_cleanly(kind, data):
     argv, valid = DOCUMENTS[kind]
     doc = json.loads(json.dumps(valid))
-    for _ in range(data.draw(st.integers(1, 3))):
+    sized = data.draw(st.integers(0, 2)) == 0
+    for _ in range(data.draw(st.integers(0 if sized else 1, 3))):
         mutate(data, doc)
+    if sized:
+        set_large(data, doc)  # last, so that no other edit undoes it
     text = json.dumps(doc)
     if data.draw(st.integers(0, 5)) == 5:
         text = text[:data.draw(st.integers(0, len(text)))]

@@ -13,6 +13,8 @@ from lenslab.errors import DomainError, InvariantError, NotALensSpaceError
 from lenslab.exactnum import hj_expand
 from lenslab.lensdi import (
     LensSpace,
+    _row,
+    _table,
     conj_label,
     d_rec,
     d_table,
@@ -201,6 +203,51 @@ def test_inexact_division_is_an_invariant_error(monkeypatch):
     monkeypatch.setattr(lensdi, "_table", corrupt_sub_table)
     with pytest.raises(InvariantError, match="not an integer"):
         scaled_d_table(LensSpace(9, 7))
+
+
+def _first_non_integer_label(p, q, below):
+    """The first label whose numerator q does not divide, entry by entry."""
+    for i in range(p):
+        s = 2 * i + 1 - p - q
+        if (p * q - s * s - p * below[i % q]) % q:
+            return i
+    return None
+
+
+# Each corruption shifts the numerators of the labels i = j (mod q) by
+# -p * delta, which q does not divide.  A floor remainder lies in [0, q) for
+# either sign of the numerator, so a numerator pushed down (even below 0)
+# leaves a remainder of at least 1, just as one pushed up does: remainders
+# never cancel, and q * sum(N) falls short of the numerators' sum.  The mixed
+# case leaves the numerators' sum itself unchanged.
+@pytest.mark.parametrize("corruption", [{0: 1}, {0: -1}, {3: 2}, {4: -3}, {0: 1, 1: -1}])
+@pytest.mark.parametrize("p, q", [(9, 7), (23, 5), (100, 19), (1009, 13)])
+def test_corrupted_sub_table_names_the_first_bad_label(p, q, corruption):
+    below = list(_table(q, p % q))
+    for j, delta in corruption.items():
+        below[j % q] += delta
+    label = _first_non_integer_label(p, q, below)
+    assert label is not None
+    message = f"4p * d(L({p},{q}), {label}) is not an integer"
+    with pytest.raises(InvariantError, match=re.escape(message)):
+        _row(p, q, tuple(below))
+
+
+def test_row_step_checks_every_residue():
+    # every single-entry corruption of every sub-table below p = 40 is caught
+    for p in range(2, 40):
+        for q in range(2, p):
+            if gcd(p, q) != 1:
+                continue
+            table = _table(q, p % q)
+            for j in range(q):
+                for delta in (1, -1):
+                    below = list(table)
+                    below[j] += delta
+                    label = _first_non_integer_label(p, q, below)
+                    with pytest.raises(InvariantError) as raised:
+                        _row(p, q, tuple(below))
+                    assert str(raised.value) == f"4p * d(L({p},{q}), {label}) is not an integer"
 
 
 def test_d_rec_reads_the_checked_table(monkeypatch):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 from math import gcd, isqrt, prod
 
@@ -11,18 +12,21 @@ from lattice_oracles import (
     class_key_row,
     gram,
     max_char_square_box,
+    per_class_report,
     same_class,
 )
 
-from lenslab.errors import DomainError
+from lenslab.errors import DomainError, InvariantError
 from lenslab.exactnum import hj_expand
 from lenslab.plumblat import (
     CharClass,
     Lattice,
     _box_max,
+    _class_start_vectors,
     _continuants,
     _max_square_scaled,
     _start_vector,
+    _weights,
     char_classes,
     lattice_from_hj,
     lattice_vs_recursion_check,
@@ -311,7 +315,7 @@ def test_ascent_from_far_starts():
             p, y0 = _oracle_start_vector(lat.terms, cls.rep)
             expected = _oracle_max_square_scaled(lat.terms, y0, p)
             far = [v + 2 * p * rng.randint(-6, 6) for v in y0]
-            assert _max_square_scaled(lat.terms, far, p) == expected
+            assert Fraction(_max_square_scaled(_weights(lat.terms), far, p), p * p) == expected
 
 
 def _chain_form(w, z):
@@ -354,9 +358,30 @@ def test_start_vector_matches_adjugate_to_30():
             sign = 1 if det > 0 else -1
             theta = _continuants(lat.terms)
             phi = _continuants(lat.terms[::-1])
-            for cls in char_classes(lat):
+            classes = char_classes(lat)
+            sweep = list(_class_start_vectors(theta, phi, lat.terms))
+            assert len(sweep) == len(classes)
+            for cls, swept in zip(classes, sweep):
                 expected = [sign * sum(adj[i][j] * cls.rep[j] for j in range(n)) for i in range(n)]
                 assert _start_vector(theta, phi, cls.rep) == expected
+                assert swept == expected
+
+
+def test_class_sweep_matches_per_class_maxima():
+    # the whole report, matching included, against one max_char_square per class
+    pairs = [(p, q) for p in range(2, 62) for q in range(1, p) if gcd(p, q) == 1]
+    pairs += [(p, p - 1) for p in range(62, 81)]
+    for p, q in pairs:
+        assert lattice_vs_recursion_check(p, q) == per_class_report(p, q), (p, q)
+
+
+def test_class_value_off_the_1_over_p_grid_is_an_invariant_error(monkeypatch):
+    import lenslab.plumblat as plumblat
+
+    real = plumblat._max_square_scaled
+    monkeypatch.setattr(plumblat, "_max_square_scaled", lambda w, y, p: real(w, y, p) + 1)
+    with pytest.raises(InvariantError, match=re.escape("max K^2 of class 0 of L(9,7)")):
+        lattice_vs_recursion_check(9, 7)
 
 
 def test_lattice_vs_recursion_wide_chains():
