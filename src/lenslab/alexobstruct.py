@@ -294,11 +294,17 @@ def candidate_polynomials(
     space: LensSpace, filters: FilterSet = FilterSet()
 ) -> list[Candidate]:
     """Deduplicated candidate polynomials with one witnessing sigma each."""
-    tables = _scaled_tables(space)
+    return _candidates(space, *_scaled_tables(space), filters)
+
+
+def _candidates(
+    space: LensSpace, base: tuple[int, ...], table: tuple[int, ...], filters: FilterSet
+) -> list[Candidate]:
+    """candidate_polynomials, given the scaled tables of L(p,1) and of space."""
     even = 8 * space.p
     seen: dict[tuple, Candidate] = {}
-    for sigma in _passing_correspondences(space, *tables):
-        scaled = _scaled_t(*tables, sigma)
+    for sigma in _passing_correspondences(space, base, table):
+        scaled = _scaled_t(base, table, sigma)
         seq = TorsionSeq.from_list([-n // even for n in scaled])
         poly = alex_from_torsion(seq)
         if filters.require_pm1_alternating and not _pm1_alternating(poly):
@@ -347,7 +353,11 @@ class ScanHit:
 def scan_realizable(
     g: int, pmax: int | None = None, filters: FilterSet = FilterSet()
 ) -> list[ScanHit]:
-    """Canonical lens spaces of order <= pmax admitting a candidate of degree g."""
+    """Canonical lens spaces of order <= pmax admitting a candidate of degree g.
+
+    The scaled table of L(p,1), which every q of the same p shares, is built
+    once per p.
+    """
     if g < 1:
         raise DomainError("scan needs g >= 1")
     if pmax is None:
@@ -356,12 +366,14 @@ def scan_realizable(
         raise DomainError("scan needs pmax >= 1")
     hits: dict[LensSpace, tuple[set[LensSpace], dict[tuple, AlexPoly]]] = {}
     for p in range(max(2 * g - 1, 2), pmax + 1):
+        base = scaled_d_table(LensSpace(p, 1))
         for q in range(1, p):
             if gcd(p, q) != 1:
                 continue
             space = LensSpace(p, q)
+            table = base if q == 1 else scaled_d_table(space)
             polys = [
-                c.poly for c in candidate_polynomials(space, filters)
+                c.poly for c in _candidates(space, base, table, filters)
                 if c.poly.degree == g
             ]
             if not polys:

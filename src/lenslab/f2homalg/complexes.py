@@ -326,7 +326,8 @@ def _triangle_exactness_failures(
     dim K_{n+1}: one elimination per node for dim I, and a reduction
     against the basis of B_{n+2} for the containment.
     """
-    lifted = [_combine(bases[n][0], maps[n].columns()) for n in range(3)]
+    columns = [f.columns() for f in maps]
+    lifted = [_combine(bases[n][0], columns[n]) for n in range(3)]
     image_dims = [
         len(span_basis(lifted[n] + bases[(n + 1) % 3][1])) for n in range(3)
     ]
@@ -335,7 +336,7 @@ def _triangle_exactness_failures(
         mid_cycles, _ = bases[(n + 1) % 3]
         _, cod_bounds = bases[(n + 2) % 3]
         kernel_dim = len(mid_cycles) - (image_dims[(n + 1) % 3] - len(cod_bounds))
-        twice = _combine(lifted[n], maps[(n + 1) % 3].columns())
+        twice = _combine(lifted[n], columns[(n + 1) % 3])
         if image_dims[n] != kernel_dim or not in_span(twice, cod_bounds):
             failures.append(node_names[n])
     return failures

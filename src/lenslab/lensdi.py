@@ -21,13 +21,17 @@ sum has a closed form (see `_table`).
 of the conjugation-checked table, so `d_rec` builds a whole table per call,
 and they are the sign primitive of the package: every consumer states its
 own sign usage relative to them rather than re-deriving orientation
-conventions.
+conventions.  Conjugation i -> q - 1 - i (mod p) reverses labels 0..q-1 and
+labels q..p-1, and the check compares each block with its mirror, so
+`d_table` builds one Fraction per conjugate pair, for the first half of each
+block, and reads the second half off the first, reversed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import gcd
 
 from .errors import DomainError, InvariantError, NotALensSpaceError
@@ -146,12 +150,20 @@ class DInvariantTable:
 
 
 def d_table(space: LensSpace) -> DInvariantTable:
-    """All p d-values, as Fractions, of the conjugation-checked scaled table."""
+    """All p d-values, as Fractions, of the conjugation-checked scaled table.
+
+    `scaled_d_table` has checked that conjugation reverses labels 0..q-1 and
+    labels q..p-1, so each block is the Fractions of its first half followed
+    by that half mirrored: one Fraction per conjugate pair, at most p // 2 + 1.
+    """
     scale = 4 * space.p
     scaled = scaled_d_table(space)
-    # conjugation pairs the labels, so most values repeat: one Fraction each
-    fractions = {n: Fraction(n, scale) for n in set(scaled)}
-    return DInvariantTable(space, tuple(map(fractions.__getitem__, scaled)))
+    values: list[Fraction] = []
+    for block in (scaled[: space.q], scaled[space.q :]):
+        half = list(map(Fraction, block[: (len(block) + 1) // 2], repeat(scale)))
+        values += half
+        values += half[: len(block) // 2][::-1]
+    return DInvariantTable(space, tuple(values))
 
 
 def froy_closed_form(p: int, n: int) -> Fraction:

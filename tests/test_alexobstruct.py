@@ -218,6 +218,22 @@ def test_scan_hits_obey_rasmussens_bound(g):
     assert all(h.space.p <= 4 * g + 3 for h in hits)
 
 
+def test_scan_builds_the_l_p_1_table_once_per_p(monkeypatch):
+    import lenslab.alexobstruct as alexobstruct
+
+    built = []
+    real = alexobstruct.scaled_d_table
+
+    def counted(space):
+        if space.q == 1:
+            built.append(space.p)
+        return real(space)
+
+    monkeypatch.setattr(alexobstruct, "scaled_d_table", counted)
+    scan_realizable(3)
+    assert built == list(range(5, default_scan_radius(3) + 1))
+
+
 def test_scan_radius_default():
     assert default_scan_radius(2) == 17
     assert default_scan_radius(5) == 53

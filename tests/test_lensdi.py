@@ -1,6 +1,7 @@
 """Lens-space normalization and the d-invariant recursion, checked against
 an independent Fraction implementation of it."""
 
+import hashlib
 import random
 import re
 from fractions import Fraction
@@ -110,14 +111,32 @@ def test_grading_diff_additivity_and_antisymmetry():
 
 
 def test_conjugation_symmetry_up_to_60():
+    # d_table shares one Fraction per conjugate pair: at most p // 2 + 1
     for p in range(1, 61):
         for q in range(1, p + 1):
             if gcd(p, q) != 1:
                 continue
             space = LensSpace(p, q)
-            values = d_table(space).values  # raises if symmetry breaks
+            scaled = scaled_d_table(space)  # raises if symmetry breaks
+            values = d_table(space).values
+            assert len(values) == p
             for i in range(p):
-                assert values[i] == values[conj_label(space, i)]
+                assert values[i] == Fraction(scaled[i], 4 * p)
+                assert values[i] is values[conj_label(space, i)], (space, i)
+            assert len({id(v) for v in values}) <= p // 2 + 1, space
+
+
+def _table_digest(values) -> str:
+    """sha256[:16] of the sorted values as num/den lines."""
+    text = "\n".join(f"{v.numerator}/{v.denominator}" for v in sorted(values))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "p, q, digest", [(10007, 27, "37cb227ae8fb24e1"), (100019, 23, "0359caaace30a94d")]
+)
+def test_large_d_table_digests(p, q, digest):
+    assert _table_digest(d_table(LensSpace(p, q)).values) == digest
 
 
 def test_q1_closed_form_up_to_60():
