@@ -25,8 +25,10 @@ from lenslab.lspacecert import (
     certify_pretzel_surgeries,
     certify_tree,
     check_certificate,
+    cycle_graph,
     propagate_slope,
     surgery_lspace_axiom,
+    theta_graph,
 )
 
 INPUTS = 100
@@ -120,3 +122,43 @@ def digest(corpus, seed) -> str:
 @pytest.mark.parametrize("corpus, seed", DIGESTS, ids=[f"{c.__name__}-{s}" for c, s in DIGESTS])
 def test_certificate_digest(corpus, seed):
     assert digest(corpus, seed) == DIGESTS[corpus, seed]
+
+
+def grid_graph(rows: int, cols: int) -> TaitGraph:
+    """The rows x cols grid: vertex r * cols + c joined to its right and lower
+    neighbours."""
+    edges = [(v, v + 1) for v in range(rows * cols) if (v + 1) % cols]
+    edges += [(v, v + cols) for v in range((rows - 1) * cols)]
+    return TaitGraph(rows * cols, tuple(edges))
+
+
+# Tait graphs the random corpus rarely reaches: grids, a long cycle, many
+# parallel strands, and loops next to bridges.
+TAIT_DIGESTS = {
+    "grid-3x3": (
+        grid_graph(3, 3),
+        "a574f808c566cd31cf853c82a6d375840538754228ce40a7bac5bcd9f9e73c27 746",
+    ),
+    "grid-3x5": (
+        grid_graph(3, 5),
+        "7943da4bd7f54c18617ba2bba50ea9d529e765def379fdae32c98d5ff3ee71df 119733",
+    ),
+    "cycle-10": (
+        cycle_graph(10),
+        "6e7014e6d18e8ba2188a7a055a1e9f1688d89f401c3365be69da7411bd158724 65",
+    ),
+    "theta-4": (
+        theta_graph(4),
+        "dea92605a1f9367ae94c09d6da8f75d4ee7516ca266da3a7673a9f9e8e4e568d 14",
+    ),
+    "loops-and-bridges": (
+        TaitGraph(5, ((0, 0), (0, 1), (1, 2), (2, 3), (3, 1), (3, 3), (2, 4), (4, 4), (1, 2))),
+        "0b0331707384b37df4ab652f9749a89b3fe0480f0ea74170328423810e0e88f8 21",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", TAIT_DIGESTS)
+def test_tait_certificate_digest(name):
+    graph, expected = TAIT_DIGESTS[name]
+    assert outcome(lambda: certify_alternating(graph)) == expected

@@ -40,3 +40,34 @@ def digest(generator, seed) -> str:
 )
 def test_generator_digest(generator, seed):
     assert digest(generator, seed) == DIGESTS[generator, seed]
+
+
+# The small dims of the generators' own tests, where a seed octet or a
+# summand of the cone is often the whole instance.
+SMALL_DIGESTS = {
+    (random_octet, 0, 1):
+        "9eaec3489fd0a7dc2c8016fceba96e09a2bd138019d04791cff69092bba74eb4",
+    (random_octet, 0, 3):
+        "0e4fa788f040f7a76db85fdf24a4b816e21605ec8654ab170fa290fa7a9c4369",
+    (random_octet, "small:1", 1):
+        "04301e5ee3da29d49e757e094e1c8643764d83ad8254997ce287761c9da6fe5b",
+    (random_octet, "small:1", 3):
+        "fd65fb536db7724fb64f43a6438199c6ca5ff5e49ec7a20ae2eff05406b38822",
+    (random_cone_triple, 0, 1):
+        "87865e58e024941776cf83c72ba7fefd92ddf4e75d7c1d8e48fc9dc9c2076df6",
+    (random_cone_triple, 0, 3):
+        "309309cc0dfb70402efc879f45a3551f5394c58802bfa8815970ea7bb4231beb",
+    (random_cone_triple, "small:1", 1):
+        "d71c43c06366d750e687a2fd89f89e249f02b35d87d3bb50ff47cc39975d874c",
+    (random_cone_triple, "small:1", 3):
+        "d10bb9d74e060c01acb1192ed9cfaed5c0e98b34477c28503f93b5de78db4146",
+}
+
+
+@pytest.mark.parametrize(
+    "generator, seed, max_dim", SMALL_DIGESTS,
+    ids=[f"{g.__name__}-{s}-max_dim{m}" for g, s, m in SMALL_DIGESTS],
+)
+def test_generator_digest_at_small_dims(generator, seed, max_dim):
+    digest_of = digest(lambda rng: generator(rng, max_dim), seed)
+    assert digest_of == SMALL_DIGESTS[generator, seed, max_dim]
