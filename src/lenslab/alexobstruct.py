@@ -203,14 +203,20 @@ def _units(p: int) -> list[int]:
 
 @dataclass(frozen=True)
 class TVector:
-    """t_i for 0 <= i <= p/2; t_{-i} = t_i, zero outside 2|i| <= p."""
+    """t_i for 0 <= i <= p/2, held as the integers 4p * t_i; t_{-i} = t_i,
+    zero outside 2|i| <= p."""
 
     space: LensSpace
-    t: tuple[Fraction, ...]
+    scaled: tuple[int, ...]
+
+    @property
+    def t(self) -> tuple[Fraction, ...]:
+        scale = 4 * self.space.p
+        return tuple(Fraction(n, scale) for n in self.scaled)
 
     def value(self, i: int) -> Fraction:
         i = abs(i)
-        return self.t[i] if i < len(self.t) else Fraction(0)
+        return Fraction(self.scaled[i], 4 * self.space.p) if i < len(self.scaled) else Fraction(0)
 
 
 def _scaled_t(
@@ -225,15 +231,10 @@ def _scaled_tables(space: LensSpace) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return scaled_d_table(lens_normalize(space.p, 1)), scaled_d_table(space)
 
 
-def _fractions(space: LensSpace, scaled: tuple[int, ...]) -> TVector:
-    scale = 4 * space.p
-    return TVector(space, tuple(Fraction(n, scale) for n in scaled))
-
-
 def t_vector(space: LensSpace, sigma: Correspondence) -> TVector:
     if sigma.space != space:
         raise DomainError("correspondence belongs to a different lens space")
-    return _fractions(space, _scaled_t(*_scaled_tables(space), sigma))
+    return TVector(space, _scaled_t(*_scaled_tables(space), sigma))
 
 
 @dataclass(frozen=True)
@@ -269,11 +270,12 @@ def _passing_correspondences(
     p = space.p
     even = 8 * p  # t_i is an even integer exactly when 8p | 4p * t_i
     passing = []
+    all_units = _units(p)
     for c in _offsets(space):
         n = base[0] - table[c]
         if n > 0 or n % even:
             continue
-        units = _units(p)
+        units = all_units
         for i in range(1, p // 2 + 1):
             b = base[i]
             units = [u for u in units if (n := b - table[(c + u * i) % p]) <= 0 and not n % even]
@@ -310,7 +312,7 @@ def _candidates(
         if filters.require_pm1_alternating and not _pm1_alternating(poly):
             continue
         if poly.coeffs not in seen:
-            seen[poly.coeffs] = Candidate(poly, sigma, _fractions(space, scaled))
+            seen[poly.coeffs] = Candidate(poly, sigma, TVector(space, scaled))
     return [seen[k] for k in sorted(seen)]
 
 
@@ -320,7 +322,7 @@ def literal_reconstruction(tv: TVector) -> dict[int, Fraction]:
     Comparison output only; differs from the normative reconstruction by the
     sign of every non-constant coefficient.
     """
-    bound = len(tv.t) + 1
+    bound = len(tv.scaled) + 1
     out: dict[int, Fraction] = {}
     for i in range(-bound, bound + 1):
         a = tv.value(i - 1) / 2 - tv.value(i) + tv.value(i + 1) / 2

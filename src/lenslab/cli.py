@@ -255,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tri.add_argument("file")
 
     p_ls = sub.add_parser("lspace", help="L-space certificates")
-    ls_sub = p_ls.add_subparsers(dest="ls_command")
+    ls_sub = p_ls.add_subparsers(dest="subcommand", required=True)
     ls_tree = ls_sub.add_parser("tree")
     ls_tree.add_argument("file")
     ls_alt = ls_sub.add_parser("alt")
@@ -455,20 +455,20 @@ def _cmd_triangle(args: argparse.Namespace) -> None:
 
 
 def _cmd_lspace(args: argparse.Namespace) -> None:
-    if args.ls_command == "tree":
+    if args.subcommand == "tree":
         cert = certify_tree(WeightedTree(*_load_graph(args.file, weighted=True)))
-    elif args.ls_command == "alt":
+    elif args.subcommand == "alt":
         cert = certify_alternating(TaitGraph(*_load_graph(args.file, weighted=False)))
-    elif args.ls_command == "slope":
+    elif args.subcommand == "slope":
         base_slope = parse_slope(args.base)
         target = parse_slope(args.target)
         base = surgery_lspace_axiom(args.knot, base_slope)
         cert = propagate_slope(base, target)
-    elif args.ls_command == "borromean":
+    elif args.subcommand == "borromean":
         cert = certify_borromean(
             parse_slope(args.a), parse_slope(args.b), parse_slope(args.c)
         )
-    elif args.ls_command == "check":
+    elif args.subcommand == "check":
         doc = _read_json(args.file)
         if isinstance(doc, dict) and "certificate" in doc:  # `lspace ... --json` output
             doc = doc["certificate"]
@@ -477,8 +477,6 @@ def _cmd_lspace(args: argparse.Namespace) -> None:
         except CertificateCheckError as exc:
             raise DomainError(f"certificate rejected: {exc}") from None
         return
-    else:
-        raise SystemExit(EXIT_USAGE)
     _emit_certificate(cert, args.json)
 
 

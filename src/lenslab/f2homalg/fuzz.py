@@ -6,6 +6,12 @@ direct sum, and then conjugated by random invertible basis changes that
 respect the o/s/u splitting -- all three steps preserve the identities.
 Cone triples come from the mapping cone of a random chain map, which
 satisfies both cone hypotheses with explicit homotopies.
+
+Both generators write every map as a list of row bitmasks and pass it
+through one conjugation, `_conjugated`, which draws a basis change for each
+space and gives P_cod m P_dom^-1 of each map.  Each call builds its one
+`Octet` or `ConeTriple` from the conjugated rows, and no generator
+multiplies or assembles `F2Matrix` objects.
 """
 
 from __future__ import annotations
@@ -76,42 +82,37 @@ def _seed_octets() -> list[Octet]:
 _SEEDS = _seed_octets()
 
 
-def _direct_sum(parts: list[Octet]) -> Octet:
-    """The block-diagonal sum: each map of each part, its rows shifted past
-    the columns of the parts before it."""
-    dims = [0, 0, 0]
-    rows: dict[str, list[int]] = {name: [] for name, _, _ in OCTET_MAPS}
-    for part in parts:
-        for name, _, dom in OCTET_MAPS:
-            rows[name] += [row << dims[dom] for row in getattr(part, name).data]
-        dims = [a + b for a, b in zip(dims, part.dims)]
-    return Octet(*dims, **{
-        name: F2Matrix(dims[cod], dims[dom], tuple(rows[name]))
-        for name, cod, dom in OCTET_MAPS
-    })
-
-
-def _conjugate(o: Octet, rng: random.Random) -> Octet:
-    """P_cod @ m @ P_dom^-1 for every map, P_o, P_s, P_u drawn in that order."""
-    dims = o.dims
+def _conjugated(rng: random.Random, dims, maps) -> list[F2Matrix]:
+    """P_cod m P_dom^-1 of each (rows of m, cod, dom) in `maps`, with one
+    basis change P_i drawn for each space of `dims`, in order."""
     ps = [random_invertible(rng, n) for n in dims]
-    return Octet(*dims, **{
-        name: F2Matrix(dims[cod], dims[dom], tuple(_combine(
-            ps[cod][0].data, _combine(getattr(o, name).data, ps[dom][1].data)
-        )))
-        for name, cod, dom in OCTET_MAPS
-    })
+    return [
+        F2Matrix(dims[cod], dims[dom], tuple(
+            _combine(ps[cod][0].data, _combine(rows, ps[dom][1].data))
+        ))
+        for rows, cod, dom in maps
+    ]
 
 
 def random_octet(rng: random.Random, max_dim: int = 6) -> Octet:
-    """Random identity-satisfying octet with all three dims <= max_dim."""
+    """Random identity-satisfying octet with all three dims <= max_dim: the
+    block-diagonal sum of seeds (each map's rows shifted past the columns of
+    the seeds before it), conjugated."""
     parts = [_SEEDS[rng.randrange(len(_SEEDS))]]
     for _ in range(6):
         nxt = _SEEDS[rng.randrange(len(_SEEDS))]
         if any(sum(sizes) > max_dim for sizes in zip(nxt.dims, *(p.dims for p in parts))):
             break
         parts.append(nxt)
-    return _conjugate(_direct_sum(parts), rng)
+    dims = [0, 0, 0]
+    rows: dict[str, list[int]] = {name: [] for name, _, _ in OCTET_MAPS}
+    for part in parts:
+        for name, _, dom in OCTET_MAPS:
+            rows[name] += [row << dims[dom] for row in getattr(part, name).data]
+        dims = [a + b for a, b in zip(dims, part.dims)]
+    return Octet(*dims, *_conjugated(
+        rng, dims, [(rows[name], cod, dom) for name, cod, dom in OCTET_MAPS]
+    ))
 
 
 def random_square_zero(rng: random.Random, n: int) -> F2Matrix:
@@ -122,43 +123,32 @@ def random_square_zero(rng: random.Random, n: int) -> F2Matrix:
     data = [0] * n
     for i in range(k):
         data[2 * i + 1] = 1 << (2 * i)  # e_{2i+1} -> e_{2i}
-    d = F2Matrix(n, n, tuple(data))
-    p, p_inv = random_invertible(rng, n)
-    return p @ d @ p_inv
+    return _conjugated(rng, [n], [(data, 0, 0)])[0]
 
 
 def random_chain_map(
     rng: random.Random, d_dom: F2Matrix, d_cod: F2Matrix
 ) -> F2Matrix:
-    """Uniform random solution of f d_dom = d_cod f."""
+    """Uniform random solution of f d_dom = d_cod f.
+
+    Unknown f_{ik} is bit i*n + k, so row i of f is the n bits from i*n.  The
+    constraint row of entry (i, j) is column j of d_dom shifted to row i of f,
+    for (f d_dom)_{ij} = sum_k f_{ik} d_dom[k][j], plus bit j of each row k of
+    f that row i of d_cod selects, for (d_cod f)_{ij}."""
     n, m = d_dom.cols, d_cod.cols
     if n == 0 or m == 0:
         return F2Matrix.zero(m, n)
-    # unknowns f_{rc}; constraint rows indexed by (i, j)
+    cols = d_dom.columns()
     rows = []
-    for i in range(m):
-        for j in range(n):
-            row = 0
-            # (f d_dom)_{ij} = sum_k f_{ik} d_dom[k][j]
-            for k in range(n):
-                if d_dom.entry(k, j):
-                    row ^= 1 << (i * n + k)
-            # (d_cod f)_{ij} = sum_k d_cod[i][k] f_{kj}
-            for k in range(m):
-                if d_cod.entry(i, k):
-                    row ^= 1 << (k * n + j)
-            rows.append(row)
-    basis = F2Matrix(len(rows), m * n, tuple(rows)).nullspace()
+    for i, sel in enumerate(d_cod.data):
+        spread = sum(1 << (k * n) for k in range(m) if (sel >> k) & 1)
+        rows += [(cols[j] << (i * n)) ^ (spread << j) for j in range(n)]
     vec = 0
-    for b in basis:
+    for b in F2Matrix(len(rows), m * n, tuple(rows)).nullspace():
         if rng.random() < 0.5:
             vec ^= b
-    data = [0] * m
-    for r in range(m):
-        for c in range(n):
-            if (vec >> (r * n + c)) & 1:
-                data[r] |= 1 << c
-    return F2Matrix(m, n, tuple(data))
+    mask = (1 << n) - 1
+    return F2Matrix(m, n, tuple((vec >> (i * n)) & mask for i in range(m)))
 
 
 def random_cone_triple(rng: random.Random, max_dim: int = 5) -> ConeTriple:
@@ -166,40 +156,22 @@ def random_cone_triple(rng: random.Random, max_dim: int = 5) -> ConeTriple:
 
     For g: A -> B the cone C = A (+) B carries d(a, b) = (d_A a, g a + d_B b),
     and with f = (g, include, project) the homotopies H_0(a) = (a, 0),
-    H_1 = 0, H_2(a, b) = b make every psi_n the identity.
+    H_1 = 0, H_2(a, b) = b make every psi_n the identity.  Each map is
+    written as rows, A's coordinates first in C, and conjugated once.
     """
     na = rng.randrange(1, max_dim + 1)
     nb = rng.randrange(1, max_dim + 1)
     d_a = random_square_zero(rng, na)
     d_b = random_square_zero(rng, nb)
     g = random_chain_map(rng, d_a, d_b)
-    d_cone = F2Matrix.block([
-        [d_a, F2Matrix.zero(na, nb)],
-        [g, d_b],
-    ])
-    f0 = g
-    f1 = F2Matrix.block([[F2Matrix.zero(na, nb)], [F2Matrix.identity(nb)]])
-    f2 = F2Matrix.block([[F2Matrix.identity(na), F2Matrix.zero(na, nb)]])
-    h0 = F2Matrix.block([[F2Matrix.identity(na)], [F2Matrix.zero(nb, na)]])
-    h1 = F2Matrix.zero(na, nb)
-    h2 = F2Matrix.block([[F2Matrix.zero(nb, na), F2Matrix.identity(nb)]])
-    triple = ConeTriple(
-        (
-            GradedComplex(na, d_a),
-            GradedComplex(nb, d_b),
-            GradedComplex(na + nb, d_cone),
-        ),
-        (f0, f1, f2),
-        (h0, h1, h2),
-    )
-    return _conjugate_triple(triple, rng)
-
-
-def _conjugate_triple(t: ConeTriple, rng: random.Random) -> ConeTriple:
-    ps = [random_invertible(rng, c.dim) for c in t.complexes]
-    complexes = tuple(
-        GradedComplex(c.dim, p @ c.d @ p_inv) for c, (p, p_inv) in zip(t.complexes, ps)
-    )
-    new_f = tuple(ps[(n + 1) % 3][0] @ t.f[n] @ ps[n][1] for n in range(3))
-    new_h = tuple(ps[(n + 2) % 3][0] @ t.h[n] @ ps[n][1] for n in range(3))
-    return ConeTriple(complexes, new_f, new_h)
+    unit_a = [1 << i for i in range(na)]
+    unit_b = [1 << i for i in range(nb)]
+    d_cone = [*d_a.data, *(gr | dr << na for gr, dr in zip(g.data, d_b.data))]
+    maps = [  # (rows, codomain, domain), the spaces A, B, C numbered 0, 1, 2
+        (d_a.data, 0, 0), (d_b.data, 1, 1), (d_cone, 2, 2),  # d_A, d_B, d_C
+        (g.data, 1, 0), ([0] * na + unit_b, 2, 1), (unit_a, 0, 2),  # f_0, f_1, f_2
+        (unit_a + [0] * nb, 2, 0), ([0] * na, 0, 1), ([u << na for u in unit_b], 1, 2),  # H_n
+    ]
+    d0, d1, d2, *fh = _conjugated(rng, [na, nb, na + nb], maps)
+    complexes = (GradedComplex(na, d0), GradedComplex(nb, d1), GradedComplex(na + nb, d2))
+    return ConeTriple(complexes, tuple(fh[:3]), tuple(fh[3:]))

@@ -37,6 +37,11 @@ The checker accepts one of these nodes only if its premises are among the
 enumerator's moves for its rule.  The two one-off rules, lift and
 identification, keep a predicate each.
 
+Trees and Tait graphs are validated where they enter: by their
+constructors, the CLI loaders and the checker, which rebuilds every graph
+it reads.  A move builds the tree or graph it derives through `_moved`,
+without re-validation.
+
 Every fact carries the data that names its manifold (tree weights and edges,
 a Tait edge list, surgery slopes).  The checker rebuilds each fact from that
 data, recomputing |H1|, and confirms that the premises of every node are
@@ -382,19 +387,21 @@ class WeightedTree:
         if not _connected_with(n, self.edges):
             raise DomainError("tree is not connected")
 
-    @classmethod
-    def _of(cls, weights: tuple[int, ...], edges: tuple[tuple[int, int], ...]) -> "WeightedTree":
-        """A tree made by a move on a valid tree, which needs no re-validation."""
-        tree = object.__new__(cls)
-        object.__setattr__(tree, "weights", weights)
-        object.__setattr__(tree, "edges", edges)
-        return tree
-
     def describe(self) -> str:
         return (
             "plumbing tree "
             + "[" + ",".join(map(str, self.weights)) + "; " + _edge_text(self.edges) + "]"
         )
+
+
+def _moved(cls: type, *values):
+    """The WeightedTree or TaitGraph with these fields, built without
+    re-validation: a single vertex, or what a move derives from a valid one.
+    Every tree and Tait move (no loop contracted, no bridge deleted) keeps
+    the graph connected."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return obj
 
 
 def _degrees(tree: WeightedTree) -> list[int]:
@@ -476,7 +483,8 @@ def tree_h1(tree: WeightedTree) -> int:
 def _delete_vertex(tree: WeightedTree, v: int) -> WeightedTree:
     keep = [i for i in range(len(tree.weights)) if i != v]
     index = {old: new for new, old in enumerate(keep)}
-    return WeightedTree._of(
+    return _moved(
+        WeightedTree,
         tuple(tree.weights[i] for i in keep),
         tuple((index[a], index[b]) for a, b in tree.edges if v not in (a, b)),
     )
@@ -485,7 +493,7 @@ def _delete_vertex(tree: WeightedTree, v: int) -> WeightedTree:
 def _set_weight(tree: WeightedTree, v: int, value: int) -> WeightedTree:
     weights = list(tree.weights)
     weights[v] = value
-    return WeightedTree._of(tuple(weights), tree.edges)
+    return _moved(WeightedTree, tuple(weights), tree.edges)
 
 
 def _blow_down_leaf(tree: WeightedTree, v: int) -> WeightedTree:
@@ -503,7 +511,7 @@ def _blow_down_interior(tree: WeightedTree, v: int) -> WeightedTree:
     weights = list(out.weights)
     weights[a] -= 1
     weights[b] -= 1
-    return WeightedTree._of(tuple(weights), out.edges + ((a, b),))
+    return _moved(WeightedTree, tuple(weights), out.edges + ((a, b),))
 
 
 def certify_tree(tree: WeightedTree, require_hypothesis: bool = True) -> Certificate:
@@ -701,28 +709,17 @@ def spanning_tree_count_bruteforce(graph: TaitGraph) -> int:
 
 
 def _contract(graph: TaitGraph, idx: int) -> TaitGraph:
+    """Contract edge idx, which is no loop: its larger end becomes the
+    smaller, and each vertex above the larger end moves down one."""
     a, b = graph.edges[idx]
-    if a == b:
-        raise DomainError("cannot contract a loop")
-    keep, gone = min(a, b), max(a, b)
-
-    def relabel(v: int) -> int:
-        if v == gone:
-            return keep
-        return v - 1 if v > gone else v
-
-    edges = tuple(
-        (relabel(x), relabel(y))
-        for i, (x, y) in enumerate(graph.edges)
-        if i != idx
-    )
-    return TaitGraph(graph.num_vertices - 1, edges)
+    n, gone = graph.num_vertices, max(a, b)
+    label = [*range(gone), min(a, b), *range(gone, n - 1)]
+    rest = graph.edges[:idx] + graph.edges[idx + 1 :]
+    return _moved(TaitGraph, n - 1, tuple((label[x], label[y]) for x, y in rest))
 
 
 def _delete(graph: TaitGraph, idx: int) -> TaitGraph:
-    return TaitGraph(
-        graph.num_vertices, graph.edges[:idx] + graph.edges[idx + 1 :]
-    )
+    return _moved(TaitGraph, graph.num_vertices, graph.edges[:idx] + graph.edges[idx + 1 :])
 
 
 def certify_alternating(graph: TaitGraph) -> Certificate:
@@ -734,10 +731,7 @@ def certify_alternating(graph: TaitGraph) -> Certificate:
     Disconnected graphs (split links) are rejected by the TaitGraph
     constructor.
     """
-    det = tait_det(graph)
-    if det == 0:
-        raise InvariantError("spanning-tree count vanished; diagram not reduced")
-    return _derive((graph, det), lambda sub: _tait_steps(*sub), {})
+    return _derive((graph, tait_det(graph)), lambda sub: _tait_steps(*sub), {})
 
 
 def _tait_moves(graph: TaitGraph) -> Iterator[tuple[str, tuple[TaitGraph, ...]]]:
@@ -1052,14 +1046,14 @@ def _tree_view(view: tuple[str, object]) -> WeightedTree | None:
     if kind == "tree-boundary":
         return data
     if kind == "lens" and data[1] == 1:  # L(p,1) bounds the single vertex of weight p
-        return WeightedTree._of((data[0],), ())
+        return _moved(WeightedTree, (data[0],), ())
     return None
 
 
 def _graph_view(view: tuple[str, object]) -> TaitGraph | None:
     if view[0] == "branched-double-cover":
         return view[1]
-    return TaitGraph(1, ()) if view == _S3_VIEW else None
+    return _moved(TaitGraph, 1, ()) if view == _S3_VIEW else None
 
 
 _PRETZEL = re.compile(r"\(-2,3,(\d+)\)-pretzel")

@@ -16,7 +16,7 @@ from lenslab.alexobstruct import (
     Correspondence,
     FilterSet,
     TorsionSeq,
-    _fractions,
+    TVector,
     _pm1_alternating,
     _scaled_t,
     _scaled_tables,
@@ -156,7 +156,7 @@ def full_enumeration_candidates(space: LensSpace, filters: FilterSet) -> list[Ca
         if filters.require_pm1_alternating and not _pm1_alternating(poly):
             continue
         if poly.coeffs not in seen:
-            seen[poly.coeffs] = Candidate(poly, sigma, _fractions(space, scaled))
+            seen[poly.coeffs] = Candidate(poly, sigma, TVector(space, scaled))
     return [seen[k] for k in sorted(seen)]
 
 

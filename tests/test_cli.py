@@ -8,6 +8,7 @@ import pytest
 
 from lenslab import cli
 from lenslab.cli import main
+from lenslab.errors import InvariantError
 from lenslab.f2homalg import complexes
 
 DATA = Path(__file__).parent / "data"
@@ -208,6 +209,25 @@ def test_usage_exit_code(capsys):
         main(["nosuchcommand"])
     assert exc.value.code == 64
     assert main([]) == 64
+
+
+def test_lspace_without_subcommand_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["lspace"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 64 and captured.out == ""
+    usage, error = captured.err.splitlines()
+    assert usage.startswith("usage: lenslab lspace ")
+    assert error == "error: the following arguments are required: subcommand"
+
+
+def test_invariant_error_in_a_handler_exits_2(monkeypatch, capsys):
+    def fail(p, q):
+        raise InvariantError("planted")
+
+    monkeypatch.setattr(cli, "lens_normalize", fail)
+    code, out, err = run_cli(capsys, "dinv", "9", "7")
+    assert (code, out, err.splitlines()) == (2, "", ["internal invariant violated: planted"])
 
 
 def test_missing_file_is_domain_error(capsys):

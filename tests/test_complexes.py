@@ -121,6 +121,23 @@ def test_seed_octets_all_valid():
         assert octet_assemble(seed).exact
 
 
+@pytest.mark.parametrize("generator, built", [
+    (random_octet, Octet), (random_cone_triple, ConeTriple),
+])
+def test_each_draw_builds_one_object_and_no_matrix_product(monkeypatch, generator, built):
+    calls = []
+    check = built.__post_init__
+    monkeypatch.setattr(built, "__post_init__", lambda self: calls.append(check(self)))
+    for name in ("block", "__matmul__"):
+        monkeypatch.setattr(
+            F2Matrix, name, lambda *args, name=name: pytest.fail(f"F2Matrix.{name} called")
+        )
+    rng = random.Random(7)
+    for draws in range(1, 51):
+        generator(rng)
+        assert len(calls) == draws
+
+
 def test_fuzzed_octets_smoke():
     rng = random.Random(99)
     for _ in range(300):

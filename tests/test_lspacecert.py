@@ -3,6 +3,7 @@
 import contextlib
 import json
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -26,6 +27,7 @@ from lenslab.lspacecert import (
     certify_pretzel_surgeries,
     certify_tree,
     check_certificate,
+    connected_sum_lens_axiom,
     cycle_graph,
     lens_axiom,
     path_tree,
@@ -512,6 +514,8 @@ def _shift_ids(doc):
     (lambda doc: doc["nodes"][0]["conclusion"].update(h1="1"), "'h1'"),
     (lambda doc: doc["nodes"][0]["conclusion"].update(h1=0), "rational homology spheres"),
     (lambda doc: doc["nodes"][0]["conclusion"]["params"].update(p=1), "params must be strings"),
+    (lambda doc: doc.pop("nodes"), "field 'nodes' is missing or not a non-empty list"),
+    (lambda doc: doc.update(nodes=[]), "field 'nodes' is missing or not a non-empty list"),
 ])
 def test_malformed_node_tables_are_domain_errors(edit, message):
     doc = _table()
@@ -519,3 +523,99 @@ def test_malformed_node_tables_are_domain_errors(edit, message):
     edit(doc)
     with pytest.raises(DomainError, match=message):
         Certificate.from_json_dict(doc)
+
+
+def _slopes_1_to_3():
+    # 0: S3_1(K), 1: S3, 2: S3_2(K) = triangle [0, 1], 3: S3_3(K) = triangle [2, 1]
+    return propagate_slope(surgery_lspace_axiom("K", Fraction(1)), Fraction(3))
+
+
+def _root_conclusion(cert):
+    return cert.to_json_dict()["nodes"][-1]["conclusion"]
+
+
+def _set(node_id, **fields):
+    def edit(doc):
+        doc["nodes"][node_id].update(fields)
+    return edit
+
+
+def _set_params(node_id, **params):
+    def edit(doc):
+        doc["nodes"][node_id]["conclusion"]["params"].update(params)
+    return edit
+
+
+def _drop_param(node_id, key):
+    def edit(doc):
+        del doc["nodes"][node_id]["conclusion"]["params"][key]
+    return edit
+
+
+@pytest.mark.parametrize("cert, edit, node_id, reason", [
+    (_slopes_1_to_3(), lambda doc: doc["nodes"][1]["premises"].append(0), 1,
+     "axiom node with premises"),
+    (_slopes_1_to_3(), _set(1, rule="axiom:made-up"), 1, "unknown axiom 'axiom:made-up'"),
+    (_slopes_1_to_3(), lambda doc: doc["nodes"][3]["premises"].append(1), 3,
+     "triangle node needs 2 premise(s), has 3"),
+    (_slopes_1_to_3(),
+     _set(3, conclusion=_root_conclusion(
+         propagate_slope(surgery_lspace_axiom("K", Fraction(1)), Fraction(4))
+     )), 3, "additivity fails: 4 != 2 + 1"),
+    # [1, 3] blows down to L(2, 1); [1, 4] has |H1| = 3
+    (certify_tree(path_tree([1, 3])),
+     _set(1, conclusion=_root_conclusion(certify_tree(path_tree([1, 4])))), 1,
+     "blow-down must preserve |H1|"),
+    (lens_axiom(5), _set_params(0, p="4", q="2"), 0, "no lens space L(4, 2)"),
+    (connected_sum_lens_axiom([3, 5]), _set_params(0, orders="1,5"), 0,
+     "connected-sum orders must be >= 2"),
+    (certify_borromean(Fraction(1), Fraction(1), Fraction(1)), _set_params(0, slopes="1,1"), 0,
+     "Borromean surgeries need three slopes >= 1"),
+    (certify_borromean(Fraction(1), Fraction(1), Fraction(1)), _set_params(0, slopes="0,1,1"), 0,
+     "Borromean surgeries need three slopes >= 1"),
+    (lens_axiom(5), lambda doc: doc["nodes"][0]["conclusion"].update(kind="klein-bottle"), 0,
+     "unknown kind of manifold 'klein-bottle'"),
+    (lens_axiom(5), _drop_param(0, "q"), 0, "lens fact lacks the parameter 'q'"),
+    # the lift's premise, S3_5/2(K), becomes the lens space L(5, 1)
+    (propagate_slope(surgery_lspace_axiom("K", Fraction(5, 2)), Fraction(3)),
+     _set(0, rule="axiom:lens-space", conclusion=_root_conclusion(lens_axiom(5))), 1,
+     "the premises are not a rational-to-integer-lift move on this surgery node"),
+    # the pretzel filling S3_18((-2,3,7)-pretzel) becomes S3_18(K)
+    (certify_pretzel_surgeries(7, Fraction(18)),
+     _set(7, conclusion=_root_conclusion(
+         propagate_slope(surgery_lspace_axiom("K", Fraction(17)), Fraction(18))
+     )), 7, "the premises are not a seifert-filling-identification move on this surgery node"),
+], ids=[
+    "axiom-with-premises", "unknown-axiom", "arity", "additivity", "preserve-h1",
+    "no-lens-space", "connected-sum-orders", "borromean-two-slopes", "borromean-slope-below-1",
+    "unknown-kind", "missing-parameter", "lift-of-no-surgery", "filling-of-no-pretzel",
+])
+def test_checker_rejects_each_edited_node_table(cert, edit, node_id, reason):
+    doc = cert.to_json_dict()
+    check_certificate(Certificate.from_json_dict(doc))
+    edit(doc)
+    rule = doc["nodes"][node_id]["rule"]
+    edited = Certificate.from_json_dict(doc)
+    with pytest.raises(CertificateCheckError, match=rf"^node {node_id} \({re.escape(rule)}\): "
+                       + re.escape(reason)):
+        check_certificate(edited)
+
+
+@pytest.mark.parametrize("certify, manifold", [
+    (certify_tree, star_tree(3, [[2], [3], [2, 2]])),
+    (lambda tree: certify_tree(tree, require_hypothesis=False), path_tree([2, 1, 3])),
+    (certify_alternating,
+     TaitGraph(5, ((0, 0), (0, 1), (1, 2), (2, 3), (3, 1), (3, 3), (2, 4), (4, 4), (1, 2)))),
+    (certify_alternating, cycle_graph(6)),
+], ids=["star", "interior-blow-down", "loops-and-bridges", "cycle"])
+def test_moves_build_their_trees_and_graphs_without_revalidation(monkeypatch, certify, manifold):
+    validated = []
+    for cls in (WeightedTree, TaitGraph):
+        check = cls.__post_init__
+        monkeypatch.setattr(
+            cls, "__post_init__", lambda self, check=check: validated.append(check(self))
+        )
+    cert = certify(manifold)
+    assert validated == []
+    check_certificate(cert)  # the checker rebuilds every tree and graph it reads
+    assert validated
