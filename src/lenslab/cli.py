@@ -62,9 +62,12 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
 
     def error(self, message: str) -> None:  # exit 64 on usage problems
+        raise SystemExit(self._usage_error(message))
+
+    def _usage_error(self, message: str) -> int:
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
-        raise SystemExit(EXIT_USAGE)
+        return EXIT_USAGE
 
 
 def _is_int(value: object) -> bool:
@@ -496,8 +499,7 @@ def main(argv: list[str] | None = None) -> int:
         "lspace": _cmd_lspace,
     }
     if args.command is None:
-        parser.print_usage(sys.stderr)
-        return EXIT_USAGE
+        return parser._usage_error("the following arguments are required: command")
     try:
         handlers[args.command](args)
     except DomainError as exc:

@@ -20,9 +20,6 @@ class _Infinity:
     def __repr__(self) -> str:
         return "1/0"
 
-    def __str__(self) -> str:
-        return "1/0"
-
 
 INFINITY = _Infinity()
 

@@ -52,14 +52,12 @@ class GradedComplex:
         boundaries = [row & low for row in echelon if row & low]
         return cycles, boundaries
 
-    def homology_dim(self) -> int:
-        return self.dim - 2 * self.d.rank()
-
 
 def complex_homology(complex_: GradedComplex) -> dict[int, int]:
     """Homology rank via GF(2) elimination, keyed by the single grading 0."""
     complex_.check_squares_to_zero()
-    return {0: complex_.homology_dim()}
+    cycles, boundaries = complex_.homology_bases()
+    return {0: len(cycles) - len(boundaries)}
 
 
 # ---------------------------------------------------------------------------

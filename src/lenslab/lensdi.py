@@ -59,8 +59,7 @@ class LensSpace:
         """Least-q representative of the homeomorphism class {q, q^-1 mod p}."""
         if self.p == 1:
             return LensSpace(1, 1)
-        qinv = pow(self.q, -1, self.p)
-        return LensSpace(self.p, min(self.q, qinv if qinv else self.p))
+        return LensSpace(self.p, min(self.q, pow(self.q, -1, self.p)))
 
 
 def lens_normalize(p: int, q: int) -> LensSpace:
@@ -144,9 +143,6 @@ def d_rec(space: LensSpace, i: int) -> Fraction:
 class DInvariantTable:
     space: LensSpace
     values: tuple[Fraction, ...]
-
-    def __getitem__(self, i: int) -> Fraction:
-        return self.values[i % self.space.p]
 
 
 def d_table(space: LensSpace) -> DInvariantTable:

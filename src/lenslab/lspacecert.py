@@ -4,7 +4,9 @@ A certificate is a finite proof DAG: a sub-proof used twice is one shared
 node.  Each build derives every distinct sub-problem once, through a memo
 keyed by the sub-problem, and that memo is what shares the nodes.  Leaves
 are axioms (lens spaces, connected sums of lens spaces, the three-sphere,
-the Poincare sphere, or a caller-supplied L-space fact).
+the Poincare sphere M(1,1,1), or a caller-supplied L-space fact), and the
+checker accepts each axiom only in the form its constructor builds: S3 is
+`sphere_axiom()` alone, never a lens space L(1,1) or an empty connected sum.
 Interior nodes are:
 
   * "triangle"   -- two premises, |H1| additivity |H1(Y2)| = |H1(Y0)| + |H1(Y1)|,
@@ -25,7 +27,7 @@ premises) move in the order the builders try them:
     tries the splits in turn, backtracking past a split that fails;
   * `_tait_moves`: loop deletions, then bridge contractions, then the
     contraction and deletion of each other edge.  `certify_alternating`
-    takes the first;
+    takes the first, and counts each minor's spanning trees once;
   * `_slope_moves`: the fillings at the two Farey parents of the slope
     (s - 1 and 1/0, the three-sphere, for an integer s);
   * `_borromean_moves`: the Farey parents of each non-integral coordinate,
@@ -279,16 +281,12 @@ def _lens_fact(p: int, q: int = 1) -> Fact:
 
 
 def _connected_sum_fact(orders: list[int]) -> Fact:
-    orders = [p for p in orders if p != 1]
-    if not orders:
-        return _lens_fact(1)
     return _fact(
         " # ".join(f"L({p},1)" for p in orders), prod(orders), "connected-sum-lens",
         orders=",".join(map(str, orders)),
     )
 
 
-_POINCARE = _fact("Poincare homology sphere", 1, "named")
 _S3_VIEW = ("lens", (1, 1))  # the checker's view of the three-sphere, see _view
 
 
@@ -326,11 +324,15 @@ def _tait_fact(graph: "TaitGraph", det: int) -> Fact:
 # ---------------------------------------------------------------------------
 
 
+def _is_lens_pair(p: int, q: int) -> bool:
+    return 1 <= q <= p and gcd(p, q) == 1
+
+
 def lens_axiom(p: int, q: int = 1) -> Certificate:
-    """L(p, q) is an L-space; p >= 1, 1 <= q <= p and gcd(p, q) = 1."""
-    if p < 1 or not 1 <= q <= p or gcd(p, q) != 1:
+    """L(p, q) is an L-space; 1 <= q <= p and gcd(p, q) = 1.  L(1,1) is S3."""
+    if not _is_lens_pair(p, q):
         raise DomainError(f"no lens space L({p},{q}): need 1 <= q <= p and gcd(p, q) = 1")
-    return Certificate(_lens_fact(p, q), "axiom:lens-space")
+    return Certificate(_lens_fact(p, q), "axiom:lens-space") if p > 1 else sphere_axiom()
 
 
 def sphere_axiom() -> Certificate:
@@ -338,14 +340,16 @@ def sphere_axiom() -> Certificate:
 
 
 def connected_sum_lens_axiom(orders: list[int]) -> Certificate:
-    fact = _connected_sum_fact(orders)
-    if fact.kind == "lens":
+    orders = [p for p in orders if p != 1]
+    if not orders:
         return sphere_axiom()
-    return Certificate(fact, "axiom:connected-sum-of-lens-spaces")
+    return Certificate(_connected_sum_fact(orders), "axiom:connected-sum-of-lens-spaces")
 
 
 def poincare_sphere_axiom() -> Certificate:
-    return Certificate(_POINCARE, "axiom:positive-scalar-curvature")
+    """The Poincare sphere, M(1,1,1): positive scalar curvature."""
+    one = Fraction(1)
+    return Certificate(_borromean_fact(one, one, one), "axiom:positive-scalar-curvature")
 
 
 def surgery_lspace_axiom(knot: str, slope: Fraction) -> Certificate:
@@ -496,28 +500,25 @@ def _set_weight(tree: WeightedTree, v: int, value: int) -> WeightedTree:
     return _moved(WeightedTree, tuple(weights), tree.edges)
 
 
-def _blow_down_leaf(tree: WeightedTree, v: int) -> WeightedTree:
-    (neighbor,) = [b if a == v else a for a, b in tree.edges if v in (a, b)]
-    out = _set_weight(tree, neighbor, tree.weights[neighbor] - 1)
-    return _delete_vertex(out, v)
-
-
-def _blow_down_interior(tree: WeightedTree, v: int) -> WeightedTree:
-    """Remove an interior weight-1 vertex of degree 2, joining and
-    decrementing its two neighbors (the plumbing move [a,1,b] -> [a-1,b-1])."""
-    a, b = [y if x == v else x for x, y in tree.edges if v in (x, y)]
+def _blow_down(tree: WeightedTree, v: int) -> WeightedTree:
+    """Blow down the weight-1 vertex v: decrement each neighbor and delete v,
+    joining its neighbors if it had two (the plumbing move [a,1,b] -> [a-1,b-1])."""
+    nbrs = [b if a == v else a for a, b in tree.edges if v in (a, b)]
     out = _delete_vertex(tree, v)
-    a, b = a - (a > v), b - (b > v)  # the indices _delete_vertex gives them
+    nbrs = [u - (u > v) for u in nbrs]  # the indices _delete_vertex gives them
     weights = list(out.weights)
-    weights[a] -= 1
-    weights[b] -= 1
-    return _moved(WeightedTree, tuple(weights), out.edges + ((a, b),))
+    for u in nbrs:
+        weights[u] -= 1
+    joined = (tuple(nbrs),) if len(nbrs) == 2 else ()
+    return _moved(WeightedTree, tuple(weights), out.edges + joined)
 
 
 def certify_tree(tree: WeightedTree, require_hypothesis: bool = True) -> Certificate:
     """Certificate that the plumbing boundary is a monopole L-space.
 
-    Default hypothesis gate: m(v) >= degree(v) everywhere, strict somewhere.
+    Default hypothesis gate: m(v) >= degree(v) everywhere.  It is strict
+    somewhere, because |H1| = 0 is rejected first: with m(v) = degree(v)
+    everywhere the form is the signed Laplacian of a tree, which is singular.
     With require_hypothesis=False the gate is skipped and soundness rests on
     the per-node determinant checks alone (used for Seifert stars whose
     centre weight is below its degree); every produced certificate passes
@@ -536,10 +537,6 @@ def certify_tree(tree: WeightedTree, require_hypothesis: bool = True) -> Certifi
             raise HypothesisNotMetError(
                 f"vertex {bad} has weight {tree.weights[bad]} < degree {degree[bad]}"
             )
-        if all(s == 0 for s in slack):
-            raise HypothesisNotMetError(
-                "weight inequality must be strict at at least one vertex"
-            )
     return _derive((tree, h1), lambda sub: _tree_steps(*sub), {})
 
 
@@ -547,12 +544,9 @@ def _tree_moves(tree: WeightedTree) -> Iterator[tuple[str, tuple[WeightedTree, .
     n = len(tree.weights)
     degree = _degrees(tree)
     leaves = [v for v in range(n) if degree[v] == 1]
-    for v in leaves:
+    for v in leaves + [v for v in range(n) if degree[v] == 2]:
         if tree.weights[v] == 1:
-            yield "blow-down", (_blow_down_leaf(tree, v),)
-    for v in range(n):
-        if tree.weights[v] == 1 and degree[v] == 2:
-            yield "blow-down", (_blow_down_interior(tree, v),)
+            yield "blow-down", (_blow_down(tree, v),)
     for v in sorted(leaves, key=lambda v: tree.weights[v]):
         yield "triangle", (_delete_vertex(tree, v), _set_weight(tree, v, tree.weights[v] - 1))
 
@@ -567,7 +561,7 @@ def _tree_steps(tree: WeightedTree, h1: int) -> Steps:
             raise HypothesisNotMetError(
                 f"single vertex of weight {weight} reached; not certifiable"
             )
-        return lens_axiom(weight) if weight > 1 else sphere_axiom()
+        return lens_axiom(weight)
 
     fact = _tree_fact(tree, h1)
     failure = None
@@ -731,7 +725,7 @@ def certify_alternating(graph: TaitGraph) -> Certificate:
     Disconnected graphs (split links) are rejected by the TaitGraph
     constructor.
     """
-    return _derive((graph, tait_det(graph)), lambda sub: _tait_steps(*sub), {})
+    return _derive(graph, _tait_steps, {})
 
 
 def _tait_moves(graph: TaitGraph) -> Iterator[tuple[str, tuple[TaitGraph, ...]]]:
@@ -745,22 +739,24 @@ def _tait_moves(graph: TaitGraph) -> Iterator[tuple[str, tuple[TaitGraph, ...]]]
             yield "triangle", (_contract(graph, i), _delete(graph, i))
 
 
-def _tait_steps(graph: TaitGraph, det: int) -> Steps:
-    """A sub-graph is yielded as (graph, spanning-tree count)."""
+def _tait_steps(graph: TaitGraph) -> Steps:
+    """Each minor counts its spanning trees once, and checks the count
+    against the sum of its premises' |H1|."""
     if not graph.edges:
         if graph.num_vertices != 1:
             raise InvariantError("edgeless graph with several vertices")
         return sphere_axiom()
+    det = tait_det(graph)
     rule, premises = next(_tait_moves(graph))
-    dets = [tait_det(g) for g in premises]
+    certs = []
+    for g in premises:
+        certs.append((yield g))
+    dets = [c.conclusion.h1_order for c in certs]
     if sum(dets) != det:
         raise InvariantError(
             f"{rule} move breaks spanning-tree additivity: {det} != "
             + " + ".join(map(str, dets))
         )
-    certs = []
-    for g, d in zip(premises, dets):
-        certs.append((yield g, d))
     return Certificate(_tait_fact(graph, det), rule, tuple(certs))
 
 
@@ -840,9 +836,9 @@ def certify_borromean(a: Fraction, b: Fraction, c: Fraction) -> Certificate:
         kind, data = view
         if kind == "connected-sum-lens":
             return connected_sum_lens_axiom(list(data))
-        fact = _borromean_fact(*data)
         if data == (1, 1, 1):
-            return Certificate(fact, "axiom:positive-scalar-curvature")
+            return poincare_sphere_axiom()
+        fact = _borromean_fact(*data)
         _, (low, high) = next(_borromean_moves(data))
         c_low = yield low
         c_high = yield high
@@ -959,7 +955,7 @@ def _view(fact: Fact) -> tuple[str, object]:
     kind = fact.kind
     if kind == "lens":
         data = (int(_param(fact, "p")), int(_param(fact, "q")))
-        if data[0] < 1 or gcd(*data) != 1:
+        if not _is_lens_pair(*data):
             raise CertificateCheckError(f"no lens space L{data}")
         rebuilt = _lens_fact(*data)
     elif kind == "connected-sum-lens":
@@ -983,10 +979,6 @@ def _view(fact: Fact) -> tuple[str, object]:
         if len(data) != 3 or min(data) < 1:
             raise CertificateCheckError("Borromean surgeries need three slopes >= 1")
         rebuilt = _borromean_fact(*data)
-    elif kind == "named":
-        if fact != _POINCARE:
-            raise CertificateCheckError(f"no data rebuilds the manifold {fact.descriptor!r}")
-        data, rebuilt = None, fact
     else:
         raise CertificateCheckError(f"unknown kind of manifold {kind!r}")
     if rebuilt != fact:
@@ -998,10 +990,10 @@ def _view(fact: Fact) -> tuple[str, object]:
 
 
 _AXIOMS: dict[str, Callable[[tuple[str, object]], bool]] = {
-    "axiom:lens-space": lambda view: view[0] == "lens",
+    "axiom:lens-space": lambda view: view[0] == "lens" and view != _S3_VIEW,
     "axiom:three-sphere": lambda view: view == _S3_VIEW,
     "axiom:connected-sum-of-lens-spaces": lambda view: view[0] == "connected-sum-lens",
-    "axiom:positive-scalar-curvature": lambda view: view in (("named", None), ("borromean", (1, 1, 1))),
+    "axiom:positive-scalar-curvature": lambda view: view == ("borromean", (1, 1, 1)),
     "axiom:given-l-space": lambda view: view[0] == "surgery",
 }
 

@@ -31,12 +31,12 @@ keyed by max / p + n p, the integer p * (max K^2 + n); p divides the maximum
 because K^T G^{-1} K has a denominator dividing p, and a maximum that p does
 not divide is an invariant error.
 
-One continuant recurrence serves the determinant, the definiteness check,
-the start vector and the class representatives; `_start_vector` and
-`char_classes` state the closed-form adjugate they rely on.  The adjugate
-itself, class membership, a brute-force box search for the maxima and the
-check built class by class through `max_char_square` are test oracles, kept
-apart from this module in tests/lattice_oracles.py.
+One continuant recurrence serves the determinant, the start vector and the
+class representatives; `_start_vector` and `char_classes` state the
+closed-form adjugate they rely on.  The adjugate itself, class membership, a
+brute-force box search for the maxima and the check built class by class
+through `max_char_square` are test oracles, kept apart from this module in
+tests/lattice_oracles.py.
 """
 
 from __future__ import annotations
@@ -93,13 +93,13 @@ def lattice_from_hj(terms: list[int] | tuple[int, ...]) -> Lattice:
     terms = tuple(terms)
     if not is_normalized_hj(list(terms)):
         raise DomainError(f"not a normalized expansion: {terms}")
-    theta = _continuants(terms)
-    # leading principal minors must alternate in sign (negative definiteness)
-    if any(t * (-1) ** k <= 0 for k, t in enumerate(theta)):
-        raise DomainError(f"expansion {terms} gives an indefinite chain")
+    # A normalized chain is negative definite, so nothing checks it: s_k =
+    # (-1)^k theta_k has s_0 = 1, s_1 = a_1 >= 1 and s_k - s_(k-1) =
+    # (a_k - 2) s_(k-1) + (s_(k-1) - s_(k-2)) >= 0, so every s_k >= 1.
+    det = abs(_continuants(terms)[-1])
     p = hj_eval(list(terms)).numerator
-    if abs(theta[-1]) != p:
-        raise InvariantError(f"|det| = {abs(theta[-1])} != numerator {p} for {terms}")
+    if det != p:
+        raise InvariantError(f"|det| = {det} != numerator {p} for {terms}")
     return Lattice(terms)
 
 

@@ -200,6 +200,22 @@ def test_genus_bound_check_examples():
     assert genus_bound_check(2, 9)
     assert not genus_bound_check(5, 8)
     assert genus_bound_check(0, 1)
+    with pytest.raises(DomainError, match="need g >= 0 and p >= 1"):
+        genus_bound_check(-1, 5)
+
+
+def test_alex_poly_from_dict_rejects_a_negative_degree_and_a_value_not_1_at_1():
+    with pytest.raises(DomainError, match="store only the i >= 0 half"):
+        AlexPoly.from_dict({-1: 1, 0: -1, 1: 1})
+    with pytest.raises(DomainError, match="evaluates to 3 != 1 at T = 1"):
+        AlexPoly.from_dict({0: 1, 1: 1})
+
+
+def test_correspondence_needs_a_unit_and_its_own_space():
+    with pytest.raises(DomainError, match="u=3 is not a unit mod 9"):
+        Correspondence(LensSpace(9, 7), 0, 3)
+    with pytest.raises(DomainError, match="different lens space"):
+        t_vector(LensSpace(9, 7), Correspondence(LensSpace(9, 2), 0, 1))
 
 
 def test_scan_realizable_genus_two():

@@ -211,6 +211,14 @@ def test_usage_exit_code(capsys):
     assert main([]) == 64
 
 
+def test_no_command_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys)
+    assert code == 64 and out == ""
+    usage, *_, error = err.splitlines()
+    assert usage.startswith("usage: lenslab ")
+    assert error == "error: the following arguments are required: command"
+
+
 def test_lspace_without_subcommand_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["lspace"])
@@ -449,12 +457,26 @@ def test_lspace_check_rejects_a_tampered_file_in_one_line(tmp_path, capsys):
     assert err.startswith("error: certificate rejected: node 12 (triangle): ")
 
 
+def _lens_leaf(descriptor, h1, p, q):
+    """A one-node table: the lens-space axiom on the lens fact with these params."""
+    conclusion = {"descriptor": descriptor, "h1": h1, "kind": "lens", "params": {"p": p, "q": q}}
+    return {"format": 2, "root": 0, "nodes": [
+        {"id": 0, "rule": "axiom:lens-space", "premises": [], "conclusion": conclusion},
+    ]}
+
+
 @pytest.mark.parametrize("doc, message", [
     ({"format": 1}, "format-2"),
     ({"format": 2, "root": 0, "nodes": [{"id": 0, "rule": "axiom:three-sphere", "premises": [0],
       "conclusion": {"descriptor": "S3", "h1": 1, "kind": "lens", "params": {"p": "1", "q": "1"}}}]},
      "forward or cyclic"),
     ([1, 2], "format-2"),
+    (_lens_leaf("L(5,7)", 5, "5", "7"),
+     "error: certificate rejected: node 0 (axiom:lens-space): no lens space L(5, 7)"),
+    (_lens_leaf("L(5,-2)", 5, "5", "-2"),
+     "error: certificate rejected: node 0 (axiom:lens-space): no lens space L(5, -2)"),
+    (_lens_leaf("S3", 1, "1", "7"),
+     "error: certificate rejected: node 0 (axiom:lens-space): no lens space L(1, 7)"),
 ])
 def test_lspace_check_rejects_a_malformed_table_in_one_line(tmp_path, capsys, doc, message):
     path = tmp_path / "bad.json"
@@ -462,3 +484,20 @@ def test_lspace_check_rejects_a_malformed_table_in_one_line(tmp_path, capsys, do
     code, out, err = run_cli(capsys, "lspace", "check", str(path))
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and message in err
+
+
+@pytest.mark.parametrize("argv", [
+    "genus-scan 0",
+    "genus-scan 2 --pmax 0",
+    "series tau --truncate -1",
+    "series surgery 3 1 --truncate -1",
+    "series twisted --truncate -1",
+    "dinv 0 1",
+    "dinv 4 0",
+    "lspace slope --base 0 --target 1",
+])
+def test_out_of_range_arguments_are_one_line_domain_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+

@@ -176,11 +176,17 @@ def test_cone_hypotheses_sufficient_not_necessary():
 
 def test_cone_shape_errors():
     rank1 = GradedComplex(1, F2Matrix.zero(1, 1))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="f_0 has the wrong shape"):
         ConeTriple(
             (rank1, rank1, rank1),
             (F2Matrix.zero(2, 1), F2Matrix.zero(1, 1), F2Matrix.zero(1, 1)),
             (F2Matrix.zero(1, 1), F2Matrix.zero(1, 1), F2Matrix.zero(1, 1)),
+        )
+    with pytest.raises(DomainError, match="H_1 has the wrong shape"):
+        ConeTriple(
+            (rank1, rank1, rank1),
+            (F2Matrix.zero(1, 1), F2Matrix.zero(1, 1), F2Matrix.zero(1, 1)),
+            (F2Matrix.zero(1, 1), F2Matrix.zero(2, 1), F2Matrix.zero(1, 1)),
         )
 
 

@@ -83,6 +83,8 @@ def test_farey_parents_integers_use_infinity():
     high, low = farey_parents(Fraction(1))
     assert high is INFINITY
     assert low == Fraction(0)
+    with pytest.raises(DomainError, match="1/0 has no Farey parents"):
+        farey_parents(INFINITY)
 
 
 def test_farey_parents_of_a_non_integral_slope_lie_between_its_floor_and_ceiling():

@@ -33,6 +33,10 @@ def test_constructors_and_entries():
     assert F2Matrix.from_lists([[1, 0], [0, 1]]) == F2Matrix.identity(2)
     with pytest.raises(DomainError):
         F2Matrix.from_entries(1, 1, [(0, 1)])
+    with pytest.raises(DomainError, match="ragged rows"):
+        F2Matrix.from_lists([[1, 0], [1]])
+    with pytest.raises(DomainError, match="shape mismatch in addition"):
+        F2Matrix.zero(1, 2) + F2Matrix.zero(2, 1)
 
 
 @pytest.mark.parametrize("rows, cols, data", [

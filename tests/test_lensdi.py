@@ -44,10 +44,15 @@ def test_lens_normalize_examples():
     assert space.canonical() == LensSpace(9, 4)  # 7 * 4 = 28 = 1 (mod 9)
     with pytest.raises(NotALensSpaceError):
         lens_normalize(4, 2)
+    with pytest.raises(NotALensSpaceError, match="p must be positive"):
+        LensSpace(0, 1)
+    with pytest.raises(NotALensSpaceError, match="q=6 not normalized for p=5"):
+        LensSpace(5, 6)
 
 
 def test_lens_normalize_trivial_family():
     assert lens_normalize(1, 0) == LensSpace(1, 1)
+    assert LensSpace(1, 1).canonical() == LensSpace(1, 1)
     assert lens_normalize(1, 17) == LensSpace(1, 1)
 
 
@@ -93,12 +98,16 @@ def test_froy_closed_form_examples():
     assert froy_closed_form(4, 2) == Fraction(-1, 4)
     with pytest.raises(DomainError):
         froy_closed_form(4, 5)
+    with pytest.raises(DomainError, match="p must be positive"):
+        froy_closed_form(0, 0)
 
 
 def test_grading_diff_examples():
     assert grading_diff(2, 2, 0) == 0
     assert grading_diff(1, 2, 0) == 2
     assert grading_diff(9, 9, 0) == 0
+    with pytest.raises(DomainError, match="p must be positive"):
+        grading_diff(0, 0, 0)
 
 
 def test_grading_diff_additivity_and_antisymmetry():

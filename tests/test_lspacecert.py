@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from lenslab import lspacecert
 from lenslab.errors import (
     DomainError,
     HypothesisNotMetError,
@@ -31,6 +32,7 @@ from lenslab.lspacecert import (
     cycle_graph,
     lens_axiom,
     path_tree,
+    poincare_sphere_axiom,
     pretzel_star,
     propagate_slope,
     spanning_tree_count_bruteforce,
@@ -140,10 +142,21 @@ def test_certify_tree_blow_down_path():
     check_certificate(cert)
 
 
+def test_trees_with_weight_equal_to_degree_have_no_rational_homology():
+    rng = random.Random(16)
+    for _ in range(200):
+        n = rng.randint(2, 30)
+        edges = tuple((v, rng.randrange(v)) for v in range(1, n))
+        degree = [sum(v in edge for edge in edges) for v in range(n)]
+        with pytest.raises(HypothesisNotMetError, match=r"^boundary is not a rational homology sphere"):
+            certify_tree(WeightedTree(tuple(degree), edges))
+
+
 def test_tait_det_examples():
     assert tait_det(cycle_graph(3)) == 3
     assert tait_det(TaitGraph(2, ((0, 1),))) == 1
     assert tait_det(theta_graph()) == 3
+    assert tait_det(TaitGraph(1, ())) == spanning_tree_count_bruteforce(TaitGraph(1, ())) == 1
 
 
 def test_certify_alternating_examples():
@@ -158,10 +171,40 @@ def test_certify_alternating_examples():
     assert four.conclusion.h1_order == 4
     check_certificate(four)
 
+    loop = certify_alternating(cycle_graph(1))
+    assert (loop.rule, loop.premises[0].rule) == ("reduce", "axiom:three-sphere")
+    assert check_certificate(loop) == 2
+
 
 def test_tait_disconnected_rejected():
     with pytest.raises(DomainError):
         TaitGraph(3, ((0, 1),))
+    with pytest.raises(DomainError, match="need at least one vertex"):
+        TaitGraph(0, ())
+
+
+def _grid_by_vertex(rows: int, cols: int) -> TaitGraph:
+    """The rows x cols grid, each vertex's edges to its right and lower
+    neighbours listed in turn."""
+    edges = []
+    for v in range(rows * cols):
+        if (v + 1) % cols:
+            edges.append((v, v + 1))
+        if v + cols < rows * cols:
+            edges.append((v, v + cols))
+    return TaitGraph(rows * cols, tuple(edges))
+
+
+@pytest.mark.parametrize("graph, minors", [
+    (cycle_graph(64), 127),
+    (_grid_by_vertex(3, 5), 1328),
+], ids=["cycle-64", "grid-3x5"])
+def test_each_tait_minor_counts_its_spanning_trees_once(monkeypatch, graph, minors):
+    counted = []
+    monkeypatch.setattr(lspacecert, "tait_det", lambda g: counted.append(g) or tait_det(g))
+    nodes = certify_alternating(graph).to_json_dict()["nodes"]
+    distinct = [node for node in nodes if node["conclusion"]["kind"] == "branched-double-cover"]
+    assert len(counted) == len(distinct) == minors
 
 
 def random_connected_graph(rng: random.Random):
@@ -246,6 +289,11 @@ def test_propagate_slope_domain():
     base = surgery_lspace_axiom("K", Fraction(18))
     with pytest.raises(DomainError):
         propagate_slope(base, Fraction(17))
+    with pytest.raises(DomainError, match="does not describe a surgery"):
+        propagate_slope(lens_axiom(5), Fraction(6))
+    negative = Fact("S3_-1(K)", 1, "surgery", (("knot", "K"), ("slope", "-1")))
+    with pytest.raises(DomainError, match="needs a positive base slope"):
+        propagate_slope(Certificate(negative, "axiom:given-l-space"), Fraction(2))
 
 
 def test_borromean_examples():
@@ -339,10 +387,10 @@ def test_named_axioms():
     cert = sphere_axiom()
     assert cert.conclusion.h1_order == 1
     check_certificate(cert)
-    from lenslab.lspacecert import connected_sum_lens_axiom, poincare_sphere_axiom
-
+    # each leaf has one form: S3 is the three-sphere axiom, the Poincare sphere M(1,1,1)
+    assert lens_axiom(1).rule == "axiom:three-sphere"
     cert = poincare_sphere_axiom()
-    assert cert.conclusion.h1_order == 1
+    assert cert.conclusion == certify_borromean(Fraction(1), Fraction(1), Fraction(1)).conclusion
     check_certificate(cert)
     cert = connected_sum_lens_axiom([3, 5])
     assert cert.conclusion.h1_order == 15
@@ -567,6 +615,10 @@ def _drop_param(node_id, key):
      _set(1, conclusion=_root_conclusion(certify_tree(path_tree([1, 4])))), 1,
      "blow-down must preserve |H1|"),
     (lens_axiom(5), _set_params(0, p="4", q="2"), 0, "no lens space L(4, 2)"),
+    (sphere_axiom(), _set(0, rule="axiom:lens-space"), 0, "'S3' is not an instance of this axiom"),
+    (poincare_sphere_axiom(),
+     _set(0, conclusion={"descriptor": "Poincare homology sphere", "h1": 1, "kind": "named", "params": {}}),
+     0, "unknown kind of manifold 'named'"),
     (connected_sum_lens_axiom([3, 5]), _set_params(0, orders="1,5"), 0,
      "connected-sum orders must be >= 2"),
     (certify_borromean(Fraction(1), Fraction(1), Fraction(1)), _set_params(0, slopes="1,1"), 0,
@@ -587,7 +639,8 @@ def _drop_param(node_id, key):
      )), 7, "the premises are not a seifert-filling-identification move on this surgery node"),
 ], ids=[
     "axiom-with-premises", "unknown-axiom", "arity", "additivity", "preserve-h1",
-    "no-lens-space", "connected-sum-orders", "borromean-two-slopes", "borromean-slope-below-1",
+    "no-lens-space", "three-sphere-as-lens-space", "named-poincare-sphere", "connected-sum-orders",
+    "borromean-two-slopes", "borromean-slope-below-1",
     "unknown-kind", "missing-parameter", "lift-of-no-surgery", "filling-of-no-pretzel",
 ])
 def test_checker_rejects_each_edited_node_table(cert, edit, node_id, reason):
