@@ -8,15 +8,16 @@ An octet's eight identities are blocks of three products of its assembly
 (d_to^2, d_red^2 and the chain defect of i), built once and reused by the
 assembly's own assertions.  Exactness at each node of a triangle is a
 dimension count and a containment test: one elimination per node, and no
-preimage is computed.
+preimage is computed.  A cone triple finds its chain-map flags and each
+complex's homology bases once, when it is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from operator import xor
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from ..errors import DomainError, InvariantError
 from .gf2 import F2Matrix, _combine, in_span, span_basis
@@ -302,7 +303,7 @@ def _assembly_failures(a: _OctetAssembly) -> list[str]:
 
 
 def _triangle_exactness_failures(
-    bases: list[tuple[list[int], list[int]]],
+    bases: Sequence[tuple[list[int], list[int]]],
     maps: tuple[F2Matrix, F2Matrix, F2Matrix],
     node_names: tuple[str, str, str],
 ) -> list[str]:
@@ -348,22 +349,30 @@ def _triangle_exactness_failures(
 @dataclass(frozen=True)
 class ConeTriple:
     """Three ungraded complexes with chain maps f_n: C_n -> C_{n+1} and
-    candidate homotopies H_n: C_n -> C_{n+2} (indices mod 3)."""
+    candidate homotopies H_n: C_n -> C_{n+2} (indices mod 3).  Where it checks
+    d^2 = 0 it also finds, once, whether each f_n is a chain map and each
+    complex's homology bases, which cone_verify and cone_exactness read."""
 
     complexes: tuple[GradedComplex, GradedComplex, GradedComplex]
     f: tuple[F2Matrix, F2Matrix, F2Matrix]
     h: tuple[F2Matrix, F2Matrix, F2Matrix]
+    _chain_maps: tuple[bool, bool, bool] = field(init=False, repr=False, compare=False)
+    _bases: tuple = field(init=False, repr=False, compare=False)  # homology_bases() of each
 
     def __post_init__(self) -> None:
         dims = [c.dim for c in self.complexes]
+        d = [c.d.data for c in self.complexes]
+        chain = []
         for n, cx in enumerate(self.complexes):
             cx.check_squares_to_zero()
-            fn = self.f[n]
+            fn, hn = self.f[n], self.h[n]
             if (fn.rows, fn.cols) != (dims[(n + 1) % 3], dims[n]):
                 raise DomainError(f"f_{n} has the wrong shape")
-            hn = self.h[n]
             if (hn.rows, hn.cols) != (dims[(n + 2) % 3], dims[n]):
                 raise DomainError(f"H_{n} has the wrong shape")
+            chain.append(_combine(d[(n + 1) % 3], fn.data) == _combine(fn.data, d[n]))
+        object.__setattr__(self, "_chain_maps", tuple(chain))
+        object.__setattr__(self, "_bases", tuple(c.homology_bases() for c in self.complexes))
 
 
 @dataclass(frozen=True)
@@ -387,7 +396,6 @@ def cone_verify(triple: ConeTriple) -> ConeHypothesisReport:
     d = [c.d.data for c in triple.complexes]
     f = [m.data for m in triple.f]
     h = [m.data for m in triple.h]
-    chain = tuple(mul(d[(n + 1) % 3], f[n]) == mul(f[n], d[n]) for n in range(3))
     homot = tuple(
         _sums_to_zero(
             mul(d[(n + 2) % 3], h[n]), mul(h[n], d[n]), mul(f[(n + 1) % 3], f[n])
@@ -397,24 +405,19 @@ def cone_verify(triple: ConeTriple) -> ConeHypothesisReport:
     f_cols = [m.columns() for m in triple.f]
     h_cols = [m.columns() for m in triple.h]
     iso = []
-    for n, cx in enumerate(triple.complexes):
-        cycles, bounds = cx.homology_bases()
+    for n, (cycles, bounds) in enumerate(triple._bases):
         psi_cycles = map(
             xor,
             mul(mul(cycles, h_cols[n]), f_cols[(n + 2) % 3]),
             mul(mul(cycles, f_cols[n]), h_cols[(n + 1) % 3]),
         )
         iso.append(len(span_basis([*psi_cycles, *bounds])) == len(cycles))
-    return ConeHypothesisReport(chain, homot, tuple(iso))
+    return ConeHypothesisReport(triple._chain_maps, homot, tuple(iso))
 
 
 def cone_exactness(triple: ConeTriple) -> bool:
     """Directly verify image = kernel at all three homology nodes; this does
     not consult the hypotheses."""
-    for n, f_n in enumerate(triple.f):
-        d_dom = triple.complexes[n].d.data
-        d_cod = triple.complexes[(n + 1) % 3].d.data
-        if _combine(d_cod, f_n.data) != _combine(f_n.data, d_dom):
-            raise DomainError(f"f_{n} is not a chain map")
-    bases = [c.homology_bases() for c in triple.complexes]
-    return not _triangle_exactness_failures(bases, triple.f, ("C1", "C2", "C0"))
+    if not all(triple._chain_maps):
+        raise DomainError(f"f_{triple._chain_maps.index(False)} is not a chain map")
+    return not _triangle_exactness_failures(triple._bases, triple.f, ("C1", "C2", "C0"))

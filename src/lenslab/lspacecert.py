@@ -27,13 +27,16 @@ premises) move in the order the builders try them:
     tries the splits in turn, backtracking past a split that fails;
   * `_tait_moves`: loop deletions, then bridge contractions, then the
     contraction and deletion of each other edge.  `certify_alternating`
-    takes the first, and counts each minor's spanning trees once;
+    counts each minor's spanning trees once and takes the first;
   * `_slope_moves`: the fillings at the two Farey parents of the slope
     (s - 1 and 1/0, the three-sphere, for an integer s);
   * `_borromean_moves`: the Farey parents of each non-integral coordinate,
     or, when all three are integers, of each coordinate above 1, largest
     first.  1/0 deletes that component of the rings, leaving the connected
     sum of the other two fillings.  `certify_borromean` takes the first.
+
+The Tait, slope and Borromean builders take that first move through one
+step, `_first_move`, which derives its premises and checks their |H1| sum.
 
 The checker accepts one of these nodes only if its premises are among the
 enumerator's moves for its rule.  The two one-off rules, lift and
@@ -269,6 +272,19 @@ def _derive(root: Hashable, steps: Callable[[Hashable], Steps], memo: dict) -> C
             if isinstance(value, HypothesisNotMetError):
                 raise value.with_traceback(None)
             return value
+
+
+def _first_move(fact: Fact, moves: Iterator[tuple[str, tuple]]) -> Steps:
+    """The node for `fact` by the first of `moves`, its premises derived in turn.
+    Premises whose |H1| does not add up to the fact's are a builder bug."""
+    rule, premises = next(moves)
+    certs = []
+    for sub in premises:
+        certs.append((yield sub))
+    if sum(c.conclusion.h1_order for c in certs) != fact.h1_order:
+        orders = " + ".join(str(c.conclusion.h1_order) for c in certs)
+        raise InvariantError(f"{rule} move breaks |H1| additivity: {fact.h1_order} != {orders}")
+    return Certificate(fact, rule, tuple(certs))
 
 
 # ---------------------------------------------------------------------------
@@ -740,24 +756,12 @@ def _tait_moves(graph: TaitGraph) -> Iterator[tuple[str, tuple[TaitGraph, ...]]]
 
 
 def _tait_steps(graph: TaitGraph) -> Steps:
-    """Each minor counts its spanning trees once, and checks the count
-    against the sum of its premises' |H1|."""
+    """Each minor counts its spanning trees once, for `_first_move` to check."""
     if not graph.edges:
         if graph.num_vertices != 1:
             raise InvariantError("edgeless graph with several vertices")
         return sphere_axiom()
-    det = tait_det(graph)
-    rule, premises = next(_tait_moves(graph))
-    certs = []
-    for g in premises:
-        certs.append((yield g))
-    dets = [c.conclusion.h1_order for c in certs]
-    if sum(dets) != det:
-        raise InvariantError(
-            f"{rule} move breaks spanning-tree additivity: {det} != "
-            + " + ".join(map(str, dets))
-        )
-    return Certificate(_tait_fact(graph, det), rule, tuple(certs))
+    return (yield from _first_move(_tait_fact(graph, tait_det(graph)), _tait_moves(graph)))
 
 
 # ---------------------------------------------------------------------------
@@ -808,10 +812,7 @@ def propagate_slope(base: Certificate, target: Fraction) -> Certificate:
                 f"the Farey descent of {format_slope(target)} reaches "
                 f"{format_slope(s)}, below the base slope {format_slope(r)}"
             )
-        _, (low, high) = next(_slope_moves(view[1]))
-        c_low = yield low
-        c_high = yield high
-        return triangle_rule(c_low, c_high, _surgery_fact(knot, s))
+        return (yield from _first_move(_surgery_fact(knot, s), _slope_moves(view[1])))
 
     return _derive(_surgery_view(knot, target), steps, memo)
 
@@ -838,11 +839,7 @@ def certify_borromean(a: Fraction, b: Fraction, c: Fraction) -> Certificate:
             return connected_sum_lens_axiom(list(data))
         if data == (1, 1, 1):
             return poincare_sphere_axiom()
-        fact = _borromean_fact(*data)
-        _, (low, high) = next(_borromean_moves(data))
-        c_low = yield low
-        c_high = yield high
-        return triangle_rule(c_low, c_high, fact)
+        return (yield from _first_move(_borromean_fact(*data), _borromean_moves(data)))
 
     return _derive(("borromean", slopes), steps, {_S3_VIEW: sphere_axiom()})
 

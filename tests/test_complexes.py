@@ -13,6 +13,7 @@ from f2_oracles import (
 )
 
 from lenslab.errors import DomainError, InvariantError
+from lenslab.f2homalg import complexes
 from lenslab.f2homalg.gf2 import F2Matrix
 from lenslab.f2homalg.complexes import (
     ConeHypothesisReport,
@@ -436,3 +437,34 @@ def test_exactness_node_by_node_on_cone_triples():
         assert not expected or trial % 2
         failing.update(expected)
     assert failing == set(names)
+
+
+def test_a_cone_op_costs_nine_eliminations_and_36_products(monkeypatch):
+    """Built, then passed to cone_verify and cone_exactness, a triple costs 9
+    eliminations: one per complex for its homology bases, found when the
+    triple is built, one per psi_n and one per node's image.  It costs 36
+    products: 9 at build (3 squares, 6 for the chain maps), 21 in cone_verify
+    (9 homotopy, 12 psi) and 6 in cone_exactness (lifts and their images)."""
+    calls = dict.fromkeys(("span_basis", "_combine"), 0)
+    for name in calls:
+        def counted(*args, name=name, real=getattr(complexes, name)):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(complexes, name, counted)
+    rng = random.Random(816)
+    for _ in range(50):
+        t = random_cone_triple(rng)
+        calls.update(span_basis=0, _combine=0)
+        triple = ConeTriple(t.complexes, t.f, t.h)
+        assert cone_verify(triple).applicable and cone_exactness(triple)
+        assert calls == {"span_basis": 9, "_combine": 36}
+
+
+def test_cone_exactness_names_the_first_map_that_is_no_chain_map():
+    # d e_1 = e_0; the projection onto e_0 does not commute with d
+    cx = GradedComplex(2, F2Matrix.from_lists([[0, 1], [0, 0]]))
+    proj, zero = F2Matrix.from_lists([[1, 0], [0, 0]]), F2Matrix.zero(2, 2)
+    triple = ConeTriple((cx, cx, cx), (F2Matrix.identity(2), proj, proj), (zero,) * 3)
+    assert cone_verify(triple).chain_maps == (True, False, False)
+    with pytest.raises(DomainError, match="^f_1 is not a chain map$"):
+        cone_exactness(triple)

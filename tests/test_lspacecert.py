@@ -14,6 +14,7 @@ from lenslab import lspacecert
 from lenslab.errors import (
     DomainError,
     HypothesisNotMetError,
+    InvariantError,
     RuleViolationError,
 )
 from lenslab.lspacecert import (
@@ -205,6 +206,35 @@ def test_each_tait_minor_counts_its_spanning_trees_once(monkeypatch, graph, mino
     nodes = certify_alternating(graph).to_json_dict()["nodes"]
     distinct = [node for node in nodes if node["conclusion"]["kind"] == "branched-double-cover"]
     assert len(counted) == len(distinct) == minors
+
+
+def _first_premise_twice(enumerator):
+    """A move enumerator whose first move repeats its first premise."""
+    def moves(data):
+        rule, premises = next(enumerator(data))
+        yield rule, (premises[0], premises[0])
+    return moves
+
+
+def _root_miscounted(det):
+    """tait_det, one too high on the triangle alone."""
+    return lambda graph: det(graph) + (graph == cycle_graph(3))
+
+
+@pytest.mark.parametrize("name, patch, build, message", [
+    ("tait_det", _root_miscounted, lambda: certify_alternating(cycle_graph(3)), "4 != 2 + 1"),
+    ("_slope_moves", _first_premise_twice,
+     lambda: propagate_slope(surgery_lspace_axiom("K", Fraction(4)), Fraction(5)), "5 != 4 + 4"),
+    ("_borromean_moves", _first_premise_twice,
+     lambda: certify_borromean(Fraction(3), Fraction(1), Fraction(1)), "3 != 2 + 2"),
+], ids=["tait", "slope", "borromean"])
+def test_builders_check_the_first_moves_h1_sum(monkeypatch, name, patch, build, message):
+    """Premises whose |H1| do not add up are a builder bug (InvariantError,
+    exit 2), not a domain error.  The checker's _MOVES keeps the originals."""
+    monkeypatch.setattr(lspacecert, name, patch(getattr(lspacecert, name)))
+    expected = f"triangle move breaks |H1| additivity: {message}"
+    with pytest.raises(InvariantError, match=re.escape(expected)):
+        build()
 
 
 def random_connected_graph(rng: random.Random):
