@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 domain error (single-line diagnostic), 2 internal
 invariant failure (names the failing assertion), 64 usage error.  Output is
 deterministic: collections are sorted and rationals rendered "num/den" with
-the denominator omitted when it is 1.
+the denominator omitted when it is 1, except in the multisets of
+`lattice-check --json`, which keep it ("0/1", "4/1").
 """
 
 from __future__ import annotations
@@ -197,21 +198,30 @@ def _load_graph(path: str, weighted: bool) -> tuple:
     return vertices, tuple(map(tuple, edges))
 
 
-def _emit_certificate(cert: Certificate, as_json: bool) -> None:
-    nodes = check_certificate(cert)
-    if as_json:
-        table = cert.to_json_dict()
-        print(json.dumps({
-            "certificate": table,
-            "nodes": nodes,
-            "distinct_nodes": len(table["nodes"]),
-            "conclusion": CONCLUSION_SENTENCE,
-        }, indent=2, sort_keys=True))
+def _emit(args: argparse.Namespace, payload: object, lines: list[str], **json_style) -> None:
+    """Write a command's result: its JSON document under --json, otherwise its
+    text lines.  This is the only code in the CLI that writes to stdout."""
+    if args.json:
+        print(json.dumps(payload, **json_style))
     else:
-        print(f"certified: {cert.conclusion.descriptor}")
-        print(f"|H1| = {cert.conclusion.h1_order}")
-        print(f"certificate nodes: {nodes} (re-verified independently)")
-        print(CONCLUSION_SENTENCE)
+        for line in lines:
+            print(line)
+
+
+def _emit_certificate(args: argparse.Namespace, cert: Certificate) -> None:
+    nodes = check_certificate(cert)
+    table = cert.to_json_dict()
+    _emit(args, {
+        "certificate": table,
+        "nodes": nodes,
+        "distinct_nodes": len(table["nodes"]),
+        "conclusion": CONCLUSION_SENTENCE,
+    }, [
+        f"certified: {cert.conclusion.descriptor}",
+        f"|H1| = {cert.conclusion.h1_order}",
+        f"certificate nodes: {nodes} (re-verified independently)",
+        CONCLUSION_SENTENCE,
+    ], indent=2, sort_keys=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -219,167 +229,145 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     sub = parser.add_subparsers(dest="command")
 
-    p_dinv = sub.add_parser("dinv", help="d-invariant table of L(p,q)")
+    def command(subparsers, name: str, handler, **kwargs) -> argparse.ArgumentParser:
+        # `help` only where given: add_parser(name, help=None) still lists it
+        cmd = subparsers.add_parser(name, **kwargs)
+        cmd.set_defaults(handler=handler)
+        return cmd
+
+    p_dinv = command(sub, "dinv", _cmd_dinv, help="d-invariant table of L(p,q)")
     p_dinv.add_argument("p", type=int)
     p_dinv.add_argument("q", type=int)
 
-    p_hj = sub.add_parser("hj", help="continued-fraction expansion of a slope")
+    p_hj = command(sub, "hj", _cmd_hj, help="continued-fraction expansion of a slope")
     p_hj.add_argument("slope")
 
-    p_farey = sub.add_parser("farey", help="Farey parents of a slope")
+    p_farey = command(sub, "farey", _cmd_farey, help="Farey parents of a slope")
     p_farey.add_argument("slope")
 
-    p_alex = sub.add_parser("alexlens", help="candidate knot polynomials for L(p,q)")
+    p_alex = command(sub, "alexlens", _cmd_alexlens,
+                     help="candidate knot polynomials for L(p,q)")
     p_alex.add_argument("p", type=int)
     p_alex.add_argument("q", type=int)
     p_alex.add_argument("--literal-Lsigma", action="store_true", dest="literal")
     p_alex.add_argument("--no-pm1-filter", action="store_true")
 
-    p_scan = sub.add_parser("genus-scan", help="lens spaces realizable at a genus")
+    p_scan = command(sub, "genus-scan", _cmd_genus_scan, help="lens spaces realizable at a genus")
     p_scan.add_argument("genus", type=int)
     p_scan.add_argument("--pmax", type=int, default=None)
     p_scan.add_argument("--no-pm1-filter", action="store_true")
 
-    p_lat = sub.add_parser("lattice-check", help="lattice oracle vs recursion")
+    p_lat = command(sub, "lattice-check", _cmd_lattice_check, help="lattice oracle vs recursion")
     p_lat.add_argument("p", type=int)
     p_lat.add_argument("q", type=int)
 
-    p_series = sub.add_parser("series", help="truncated U-power series")
+    p_series = command(sub, "series", _cmd_series, help="truncated U-power series")
     p_series.add_argument("kind", choices=["tau", "surgery", "twisted"])
     p_series.add_argument("args", nargs="*", type=int)
     p_series.add_argument("--truncate", type=int, default=20)
 
-    p_octet = sub.add_parser("octet", help="octet identity verification")
+    p_octet = command(sub, "octet", _cmd_octet, help="octet identity verification")
     p_octet.add_argument("action", choices=["verify"])
     p_octet.add_argument("file")
 
-    p_tri = sub.add_parser("triangle", help="mapping-cone triple verification")
+    p_tri = command(sub, "triangle", _cmd_triangle, help="mapping-cone triple verification")
     p_tri.add_argument("action", choices=["verify"])
     p_tri.add_argument("file")
 
     p_ls = sub.add_parser("lspace", help="L-space certificates")
     ls_sub = p_ls.add_subparsers(dest="subcommand", required=True)
-    ls_tree = ls_sub.add_parser("tree")
-    ls_tree.add_argument("file")
-    ls_alt = ls_sub.add_parser("alt")
-    ls_alt.add_argument("file")
-    ls_slope = ls_sub.add_parser("slope")
+    command(ls_sub, "tree", _cmd_lspace_tree).add_argument("file")
+    command(ls_sub, "alt", _cmd_lspace_alt).add_argument("file")
+    ls_slope = command(ls_sub, "slope", _cmd_lspace_slope)
     ls_slope.add_argument("--base", required=True)
     ls_slope.add_argument("--target", required=True)
     ls_slope.add_argument("--knot", default="K")
-    ls_bor = ls_sub.add_parser("borromean")
+    ls_bor = command(ls_sub, "borromean", _cmd_lspace_borromean)
     ls_bor.add_argument("a")
     ls_bor.add_argument("b")
     ls_bor.add_argument("c")
-    ls_check = ls_sub.add_parser("check", help="re-verify a certificate file")
+    ls_check = command(ls_sub, "check", _cmd_lspace_check, help="re-verify a certificate file")
     ls_check.add_argument("file")
     return parser
 
 
 def _cmd_dinv(args: argparse.Namespace) -> None:
     space = lens_normalize(args.p, args.q)
-    table = d_table(space)
-    if args.json:
-        print(json.dumps({
-            "p": space.p,
-            "q": space.q,
-            "d": [format_slope(v) for v in table.values],
-        }))
-    else:
-        for i, value in enumerate(table.values):
-            print(f"{i}\t{format_slope(value)}")
+    values = [format_slope(v) for v in d_table(space).values]
+    _emit(args, {"p": space.p, "q": space.q, "d": values},
+          [f"{i}\t{value}" for i, value in enumerate(values)])
 
 
 def _cmd_hj(args: argparse.Namespace) -> None:
     slope = parse_slope(args.slope)
     terms = hj_expand(slope)
-    if args.json:
-        print(json.dumps({"slope": format_slope(slope), "terms": terms}))
-    else:
-        print(f"{format_slope(slope)} = [" + ",".join(map(str, terms)) + "]")
+    name = format_slope(slope)
+    _emit(args, {"slope": name, "terms": terms}, [f"{name} = [{','.join(map(str, terms))}]"])
 
 
 def _cmd_farey(args: argparse.Namespace) -> None:
     slope = parse_slope(args.slope)
-    high, low = farey_parents(slope)
-    if args.json:
-        print(json.dumps({
-            "slope": format_slope(slope),
-            "parents": [format_slope(high), format_slope(low)],
-        }))
-    else:
-        print(f"parents({format_slope(slope)}) = ({format_slope(high)}, {format_slope(low)})")
+    name, high, low = map(format_slope, (slope, *farey_parents(slope)))
+    _emit(args, {"slope": name, "parents": [high, low]}, [f"parents({name}) = ({high}, {low})"])
 
 
 def _cmd_alexlens(args: argparse.Namespace) -> None:
     space = lens_normalize(args.p, args.q)
     filters = FilterSet(require_pm1_alternating=not args.no_pm1_filter)
-    candidates = candidate_polynomials(space, filters)
-    records = []
-    for cand in candidates:
-        rec = {
+    records, lines = [], []
+    for cand in candidate_polynomials(space, filters):
+        c, u = cand.sigma.c, cand.sigma.u
+        t = [format_slope(x) for x in cand.t.t]
+        records.append({
             "p": space.p,
             "q": space.q,
-            "sigma": {"c": cand.sigma.c, "u": cand.sigma.u},
-            "t": [format_slope(x) for x in cand.t.t],
-            "alexander": [
-                [i, a] for i, a in cand.poly.coeffs
-            ],
-        }
+            "sigma": {"c": c, "u": u},
+            "t": t,
+            "alexander": [[i, a] for i, a in cand.poly.coeffs],
+        })
+        lines.append(f"{space}: sigma(i) = {c} + {u}*i  t = ({', '.join(t)})  Delta = {cand.poly}")
         if args.literal:
-            rec["literal_Lsigma"] = {
+            literal = {
                 str(i): format_slope(a)
                 for i, a in sorted(literal_reconstruction(cand.t).items())
             }
-        records.append(rec)
-    if args.json:
-        print(json.dumps({"candidates": records, "filters": filters.names()}))
-    else:
-        if not records:
-            print(f"{space}: no candidate polynomials")
-        for cand, rec in zip(candidates, records):
-            sigma = rec["sigma"]
-            print(
-                f"{space}: sigma(i) = {sigma['c']} + {sigma['u']}*i  "
-                f"t = ({', '.join(rec['t'])})  Delta = {cand.poly}"
-            )
-            if args.literal:
-                lit = ", ".join(f"T^{i}: {v}" for i, v in rec["literal_Lsigma"].items())
-                print(f"  one-sided display formula gives: {lit}")
+            records[-1]["literal_Lsigma"] = literal
+            lines.append("  one-sided display formula gives: "
+                         + ", ".join(f"T^{i}: {v}" for i, v in literal.items()))
+    _emit(args, {"candidates": records, "filters": filters.names()},
+          lines or [f"{space}: no candidate polynomials"])
 
 
 def _cmd_genus_scan(args: argparse.Namespace) -> None:
     pmax = args.pmax if args.pmax is not None else default_scan_radius(args.genus)
     filters = FilterSet(require_pm1_alternating=not args.no_pm1_filter)
     hits = scan_realizable(args.genus, pmax, filters)
-    if args.json:
-        print(json.dumps({
-            "genus": args.genus,
-            "pmax": pmax,
-            "filters": filters.names(),
-            "spaces": [
-                {
-                    "canonical": [hit.space.p, hit.space.q],
-                    "representatives": [[s.p, s.q] for s in hit.representatives],
-                }
-                for hit in hits
-            ],
-        }))
-    else:
-        print(f"# genus {args.genus}, orders up to {pmax}, filters: "
-              + ",".join(filters.names()))
-        print(", ".join(str(hit.space) for hit in hits) if hits else "(none)")
+    names = filters.names()
+    _emit(args, {
+        "genus": args.genus,
+        "pmax": pmax,
+        "filters": names,
+        "spaces": [
+            {
+                "canonical": [hit.space.p, hit.space.q],
+                "representatives": [[s.p, s.q] for s in hit.representatives],
+            }
+            for hit in hits
+        ],
+    }, [
+        f"# genus {args.genus}, orders up to {pmax}, filters: " + ",".join(names),
+        ", ".join(str(hit.space) for hit in hits) if hits else "(none)",
+    ])
 
 
 def _cmd_lattice_check(args: argparse.Namespace) -> None:
     report = lattice_vs_recursion_check(args.p, args.q)
-    if args.json:
-        print(json.dumps(report.to_json_dict()))
-    else:
-        print(f"L({report.p},{report.q})")
-        print("lattice oracle:  " + " ".join(format_slope(v) for v in report.lattice_multiset))
-        print("4 * d-recursion: " + " ".join(format_slope(v) for v in report.recursion_multiset))
-        print("equal" if report.equal else "MISMATCH")
+    _emit(args, report.to_json_dict(), [
+        f"L({report.p},{report.q})",
+        "lattice oracle:  " + " ".join(map(format_slope, report.lattice_multiset)),
+        "4 * d-recursion: " + " ".join(map(format_slope, report.recursion_multiset)),
+        "equal" if report.equal else "MISMATCH",
+    ])
     if not report.equal:
         raise InvariantError("lattice oracle disagrees with the recursion")
 
@@ -396,15 +384,13 @@ def _cmd_series(args: argparse.Namespace) -> None:
         series = tau_series(n)
     else:
         series = twisted_genus1_series(n)
-    if args.json:
-        print(json.dumps({
-            "kind": args.kind,
-            "truncate": n,
-            "series": str(series),
-            "invertible": series.is_invertible(),
-        }))
-    else:
-        print(str(series))
+    text = str(series)
+    _emit(args, {
+        "kind": args.kind,
+        "truncate": n,
+        "series": text,
+        "invertible": series.is_invertible(),
+    }, [text])
 
 
 def _cmd_octet(args: argparse.Namespace) -> None:
@@ -413,95 +399,80 @@ def _cmd_octet(args: argparse.Namespace) -> None:
         "identities": [{"identity": name, "ok": ok} for name, ok in report.results],
         "all_identities": report.all_ok,
     }
-    if assembled is not None:
-        payload["homology"] = {
+    lines = [f"{'ok  ' if ok else 'FAIL'} {name}" for name, ok in report.results]
+    if assembled is None:
+        lines.append("identities fail; complexes not assembled")
+    else:
+        h = payload["homology"] = {
             "to": assembled.homology_to,
             "from": assembled.homology_from,
             "red": assembled.homology_red,
         }
         payload["exact"] = assembled.exact
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        for entry in payload["identities"]:
-            print(f"{'ok  ' if entry['ok'] else 'FAIL'} {entry['identity']}")
-        if report.all_ok:
-            h = payload["homology"]
-            print(f"homology ranks: to={h['to']} from={h['from']} red={h['red']}")
-            print("exact triangle" if payload["exact"] else "NOT EXACT")
-        else:
-            print("identities fail; complexes not assembled")
+        lines += [
+            f"homology ranks: to={h['to']} from={h['from']} red={h['red']}",
+            "exact triangle" if assembled.exact else "NOT EXACT",
+        ]
+    _emit(args, payload, lines)
 
 
 def _cmd_triangle(args: argparse.Namespace) -> None:
     triple = _load_cone_triple(args.file)
     report = cone_verify(triple)
     exact = cone_exactness(triple)
-    payload = {
+    lines = []
+    for n, flags in enumerate(
+        zip(report.chain_maps, report.homotopy_identities, report.psi_isomorphisms)
+    ):
+        chain, homotopy, psi = ("ok" if flag else "FAIL" for flag in flags)
+        lines.append(f"n={n}: chain-map {chain}, homotopy {homotopy}, psi iso {psi}")
+    lines.append("hypotheses hold" if report.applicable else "hypotheses do not hold")
+    lines.append("exact" if exact else "NOT EXACT")
+    _emit(args, {
         "chain_maps": list(report.chain_maps),
         "homotopy_identities": list(report.homotopy_identities),
         "psi_isomorphisms": list(report.psi_isomorphisms),
         "hypotheses_hold": report.applicable,
         "exact": exact,
-    }
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        for n in range(3):
-            print(
-                f"n={n}: chain-map {'ok' if report.chain_maps[n] else 'FAIL'}, "
-                f"homotopy {'ok' if report.homotopy_identities[n] else 'FAIL'}, "
-                f"psi iso {'ok' if report.psi_isomorphisms[n] else 'FAIL'}"
-            )
-        print("hypotheses hold" if report.applicable else "hypotheses do not hold")
-        print("exact" if exact else "NOT EXACT")
+    }, lines)
 
 
-def _cmd_lspace(args: argparse.Namespace) -> None:
-    if args.subcommand == "tree":
-        cert = certify_tree(WeightedTree(*_load_graph(args.file, weighted=True)))
-    elif args.subcommand == "alt":
-        cert = certify_alternating(TaitGraph(*_load_graph(args.file, weighted=False)))
-    elif args.subcommand == "slope":
-        base_slope = parse_slope(args.base)
-        target = parse_slope(args.target)
-        base = surgery_lspace_axiom(args.knot, base_slope)
-        cert = propagate_slope(base, target)
-    elif args.subcommand == "borromean":
-        cert = certify_borromean(
-            parse_slope(args.a), parse_slope(args.b), parse_slope(args.c)
-        )
-    elif args.subcommand == "check":
-        doc = _read_json(args.file)
-        if isinstance(doc, dict) and "certificate" in doc:  # `lspace ... --json` output
-            doc = doc["certificate"]
-        try:
-            _emit_certificate(Certificate.from_json_dict(doc), args.json)
-        except CertificateCheckError as exc:
-            raise DomainError(f"certificate rejected: {exc}") from None
-        return
-    _emit_certificate(cert, args.json)
+def _cmd_lspace_tree(args: argparse.Namespace) -> None:
+    tree = WeightedTree(*_load_graph(args.file, weighted=True))
+    _emit_certificate(args, certify_tree(tree))
+
+
+def _cmd_lspace_alt(args: argparse.Namespace) -> None:
+    graph = TaitGraph(*_load_graph(args.file, weighted=False))
+    _emit_certificate(args, certify_alternating(graph))
+
+
+def _cmd_lspace_slope(args: argparse.Namespace) -> None:
+    base, target = parse_slope(args.base), parse_slope(args.target)
+    _emit_certificate(args, propagate_slope(surgery_lspace_axiom(args.knot, base), target))
+
+
+def _cmd_lspace_borromean(args: argparse.Namespace) -> None:
+    _emit_certificate(args, certify_borromean(*map(parse_slope, (args.a, args.b, args.c))))
+
+
+def _cmd_lspace_check(args: argparse.Namespace) -> None:
+    doc = _read_json(args.file)
+    if isinstance(doc, dict) and "certificate" in doc:  # `lspace ... --json` output
+        doc = doc["certificate"]
+    try:
+        _emit_certificate(args, Certificate.from_json_dict(doc))
+    except CertificateCheckError as exc:
+        raise DomainError(f"certificate rejected: {exc}") from None
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "dinv": _cmd_dinv,
-        "hj": _cmd_hj,
-        "farey": _cmd_farey,
-        "alexlens": _cmd_alexlens,
-        "genus-scan": _cmd_genus_scan,
-        "lattice-check": _cmd_lattice_check,
-        "series": _cmd_series,
-        "octet": _cmd_octet,
-        "triangle": _cmd_triangle,
-        "lspace": _cmd_lspace,
-    }
     if args.command is None:
         return parser._usage_error("the following arguments are required: command")
     try:
-        handlers[args.command](args)
+        args.handler(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -42,6 +42,13 @@ def test_torsion_from_alex_examples():
     assert torsion_from_alex(T25).values == ((0, 1), (1, 1))
 
 
+def test_alex_poly_display():
+    assert str(T25) == "T^2 - T + 1 - T^-1 + T^-2"
+    assert str(TREFOIL) == "T - 1 + T^-1"
+    assert str(ONE) == "1"
+    assert str(AlexPoly(())) == "0"
+
+
 def test_alex_from_torsion_examples():
     assert alex_from_torsion(TorsionSeq(())) == ONE
     assert alex_from_torsion(TorsionSeq(((0, 1),))) == TREFOIL

@@ -2,6 +2,7 @@
 
 import json
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from lenslab import cli
 from lenslab.cli import main
 from lenslab.errors import InvariantError
 from lenslab.f2homalg import complexes
+from lenslab.plumblat import LatticeCheckReport
 
 DATA = Path(__file__).parent / "data"
 
@@ -501,3 +503,24 @@ def test_out_of_range_arguments_are_one_line_domain_errors(capsys, argv):
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
+
+
+def _planted_mismatch(p, q):
+    return LatticeCheckReport(p, q, (Fraction(-2),), (Fraction(0),), False, ())
+
+
+def test_lattice_check_mismatch_prints_then_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "lattice_vs_recursion_check", _planted_mismatch)
+    code, out, err = run_cli(capsys, "lattice-check", "9", "7")
+    assert code == 2
+    assert out.splitlines() == ["L(9,7)", "lattice oracle:  -2", "4 * d-recursion: 0", "MISMATCH"]
+    assert err.splitlines() == [
+        "internal invariant violated: lattice oracle disagrees with the recursion"
+    ]
+    code, out, err = run_cli(capsys, "--json", "lattice-check", "9", "7")
+    assert code == 2
+    assert json.loads(out) == {
+        "p": 9, "q": 7, "lattice_multiset": ["-2/1"], "recursion_multiset": ["0/1"],
+        "equal": False,
+    }
+    assert len(err.splitlines()) == 1

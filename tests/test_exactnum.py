@@ -126,6 +126,7 @@ def test_format_and_parse():
     assert format_slope(Fraction(9, 7)) == "9/7"
     assert format_slope(Fraction(-3)) == "-3"
     assert format_slope(INFINITY) == "1/0"
+    assert repr(INFINITY) == "1/0"
     assert parse_slope("37/2") == Fraction(37, 2)
     assert parse_slope("18") == Fraction(18)
     with pytest.raises(DomainError):

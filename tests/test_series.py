@@ -9,6 +9,7 @@ from lenslab.errors import DomainError
 from lenslab.f2homalg.series import (
     F2Series,
     GroupRingElem,
+    GroupRingSeries,
     surgery_series,
     tau_series,
     twisted_genus1_series,
@@ -67,6 +68,8 @@ def test_group_ring_axioms():
     assert mu(Fraction(1, 2)) * mu(Fraction(1, 3)) == mu(Fraction(5, 6))
     assert mu(2) + mu(2) == GroupRingElem.zero()
     assert not GroupRingElem.zero()
+    assert str(GroupRingElem.zero()) == "0"
+    assert str(GroupRingSeries(5, ())) == "0"
     assert (mu(1) + mu(-1)) * (mu(1) + mu(-1)) == mu(2) + mu(-2)
     assert mu(5).is_unit()
     assert not (mu(1) + mu(2)).is_unit()
