@@ -104,6 +104,23 @@ def _load_object(path: str, kind: str) -> dict:
 # memory.
 MAX_DIM = 1000
 
+# The largest order p that `dinv`, `alexlens` and `lattice-check` accept.  Their
+# work grows with p whatever q is, and a p of 20 digits made `dinv` and
+# `alexlens` overflow a list size and `lattice-check` sweep its classes for
+# ever.  Each cap lets the slowest q finish in about 2 s (median wall time of
+# the command on a 2-vCPU VM, Python 3.11): `dinv 399999 399998` took 2.1 s,
+# `alexlens 80001 10000 --literal-Lsigma --no-pm1-filter` (one candidate,
+# 2.2 MB of output; a space with a candidate costs the most) 2.0-2.2 s, and
+# `lattice-check 1099 1098` (q = p - 1 is the longest chain) 2.0 s.
+MAX_DINV_P = 400_000
+MAX_ALEXLENS_P = 80_000
+MAX_LATTICE_P = 1_100
+
+
+def _check_order(p: int, cap: int) -> None:
+    if p > cap:
+        raise DomainError(f"p={p} is above the cap {cap}")
+
 
 def _load_dims(doc: dict) -> list[int]:
     dims = doc.get("dims")
@@ -292,6 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_dinv(args: argparse.Namespace) -> None:
+    _check_order(args.p, MAX_DINV_P)
     space = lens_normalize(args.p, args.q)
     values = [format_slope(v) for v in d_table(space).values]
     _emit(args, {"p": space.p, "q": space.q, "d": values},
@@ -312,6 +330,7 @@ def _cmd_farey(args: argparse.Namespace) -> None:
 
 
 def _cmd_alexlens(args: argparse.Namespace) -> None:
+    _check_order(args.p, MAX_ALEXLENS_P)
     space = lens_normalize(args.p, args.q)
     filters = FilterSet(require_pm1_alternating=not args.no_pm1_filter)
     records, lines = [], []
@@ -361,6 +380,7 @@ def _cmd_genus_scan(args: argparse.Namespace) -> None:
 
 
 def _cmd_lattice_check(args: argparse.Namespace) -> None:
+    _check_order(args.p, MAX_LATTICE_P)
     report = lattice_vs_recursion_check(args.p, args.q)
     _emit(args, report.to_json_dict(), [
         f"L({report.p},{report.q})",

@@ -324,6 +324,23 @@ def test_dims_at_the_cap_are_accepted(tmp_path, capsys, command):
     assert (code, err) == (0, "") and out
 
 
+@pytest.mark.parametrize("command, cap", [
+    ("dinv", cli.MAX_DINV_P),
+    ("alexlens", cli.MAX_ALEXLENS_P),
+    ("lattice-check", cli.MAX_LATTICE_P),
+])
+@pytest.mark.parametrize("over", [1, 10**20])
+def test_orders_over_the_cap_are_one_line_domain_errors(capsys, command, cap, over):
+    # rejected before any d-table or class sweep: a 20-digit p used to
+    # overflow a list size or never return
+    p = cap + over
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, command, str(p), str(p - 1))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"error: p={p} is above the cap {cap}"]
+
+
 def _path_tree(weights):
     return {"vertices": weights, "edges": [[i, i + 1] for i in range(len(weights) - 1)]}
 

@@ -23,6 +23,7 @@ from lenslab.plumblat import (
     Lattice,
     _box_max,
     _class_start_vectors,
+    _class_step,
     _continuants,
     _max_square_scaled,
     _start_vector,
@@ -388,3 +389,62 @@ def test_lattice_vs_recursion_wide_chains():
     # q = p - 1 is the chain [2, ..., 2] of rank p - 1, the costliest q
     for p in (37, 41, 53, 61):
         assert lattice_vs_recursion_check(p, p - 1).equal
+
+
+def test_negation_pairs_class_c_with_class_s_minus_c_to_61():
+    # s is read as lattice_vs_recursion_check reads it: off the last entry of
+    # the start vector of class 0 and of the class step, which is +-2
+    for p in range(2, 62):
+        for q in range(1, p):
+            if gcd(p, q) != 1:
+                continue
+            lat = lattice_from_hj(hj_expand(Fraction(p, q)))
+            theta = _continuants(lat.terms)
+            phi = _continuants(lat.terms[::-1])
+            step = _class_step(theta, phi)
+            assert abs(step[-1]) == 2
+            y0 = next(_class_start_vectors(theta, phi, lat.terms))
+            s = -y0[-1] * (step[-1] // 2) % p
+            classes = char_classes(lat)
+            for c, cls in enumerate(classes):
+                negated = tuple(-k for k in cls.rep)
+                assert same_class(lat, negated, classes[(s - c) % p].rep), (p, q, c)
+
+
+def test_one_ascent_per_conjugate_pair(monkeypatch):
+    import lenslab.plumblat as plumblat
+
+    real = plumblat._max_square_scaled
+    calls = []
+
+    def counted(w, y, p):
+        calls.append(y)
+        return real(w, y, p)
+
+    monkeypatch.setattr(plumblat, "_max_square_scaled", counted)
+    pairs = [(p, q) for p in range(2, 42) for q in range(1, p) if gcd(p, q) == 1]
+    pairs += [(p, p - 1) for p in (64, 81, 100, 101)]
+    for p, q in pairs:
+        calls.clear()
+        assert lattice_vs_recursion_check(p, q).equal
+        assert len(calls) <= p // 2 + 1, (p, q)
+        if p % 2:
+            assert len(calls) == (p + 1) // 2, (p, q)
+
+
+def test_broken_conjugation_congruence_is_an_invariant_error(monkeypatch):
+    import lenslab.plumblat as plumblat
+
+    real = plumblat._class_start_vectors
+
+    def shifted(theta, phi, terms):
+        # +2 on the first entry of every start vector: the steps between
+        # classes and the last entry, which fixes s, are unchanged
+        for y in real(theta, phi, terms):
+            yield [y[0] + 2, *y[1:]]
+
+    monkeypatch.setattr(plumblat, "_class_start_vectors", shifted)
+    with pytest.raises(
+        InvariantError, match=re.escape("conjugation does not pair the classes of L(9,7)")
+    ):
+        lattice_vs_recursion_check(9, 7)
