@@ -115,11 +115,22 @@ MAX_DIM = 1000
 MAX_DINV_P = 400_000
 MAX_ALEXLENS_P = 80_000
 MAX_LATTICE_P = 1_100
+# The largest pmax `genus-scan` accepts, given as --pmax or else the default
+# radius 12g - 7.  The scan builds the d-tables of every order up to pmax: a
+# 20-digit genus overflowed a list size and a 20-digit --pmax never returned.
+# The cap admits g = 60, whose default radius is 713, and is not a time
+# bound: at the cap `genus-scan 2 --pmax 720` took 92 s (one run, same VM).
+MAX_SCAN_PMAX = 720
+# The largest truncation order N that `series` accepts.  Each series is built
+# one big-integer term at a time, so its cost grows faster than N; at the cap
+# the slowest kind, `series surgery 1 0` (the most terms), took 1.95 s and
+# 2.36 s (medians of two sets of five runs, as the host's speed varied).
+MAX_SERIES_TRUNCATION = 6_000_000
 
 
-def _check_order(p: int, cap: int) -> None:
-    if p > cap:
-        raise DomainError(f"p={p} is above the cap {cap}")
+def _check_cap(name: str, value: int, cap: int) -> None:
+    if value > cap:
+        raise DomainError(f"{name}={value} is above the cap {cap}")
 
 
 def _load_dims(doc: dict) -> list[int]:
@@ -309,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_dinv(args: argparse.Namespace) -> None:
-    _check_order(args.p, MAX_DINV_P)
+    _check_cap("p", args.p, MAX_DINV_P)
     space = lens_normalize(args.p, args.q)
     values = [format_slope(v) for v in d_table(space).values]
     _emit(args, {"p": space.p, "q": space.q, "d": values},
@@ -330,7 +341,7 @@ def _cmd_farey(args: argparse.Namespace) -> None:
 
 
 def _cmd_alexlens(args: argparse.Namespace) -> None:
-    _check_order(args.p, MAX_ALEXLENS_P)
+    _check_cap("p", args.p, MAX_ALEXLENS_P)
     space = lens_normalize(args.p, args.q)
     filters = FilterSet(require_pm1_alternating=not args.no_pm1_filter)
     records, lines = [], []
@@ -359,6 +370,7 @@ def _cmd_alexlens(args: argparse.Namespace) -> None:
 
 def _cmd_genus_scan(args: argparse.Namespace) -> None:
     pmax = args.pmax if args.pmax is not None else default_scan_radius(args.genus)
+    _check_cap("pmax", pmax, MAX_SCAN_PMAX)
     filters = FilterSet(require_pm1_alternating=not args.no_pm1_filter)
     hits = scan_realizable(args.genus, pmax, filters)
     names = filters.names()
@@ -380,7 +392,7 @@ def _cmd_genus_scan(args: argparse.Namespace) -> None:
 
 
 def _cmd_lattice_check(args: argparse.Namespace) -> None:
-    _check_order(args.p, MAX_LATTICE_P)
+    _check_cap("p", args.p, MAX_LATTICE_P)
     report = lattice_vs_recursion_check(args.p, args.q)
     _emit(args, report.to_json_dict(), [
         f"L({report.p},{report.q})",
@@ -394,6 +406,7 @@ def _cmd_lattice_check(args: argparse.Namespace) -> None:
 
 def _cmd_series(args: argparse.Namespace) -> None:
     n = args.truncate
+    _check_cap("truncate", n, MAX_SERIES_TRUNCATION)
     if args.kind == "surgery":
         if len(args.args) != 2:
             raise DomainError("series surgery needs P and N0 arguments")

@@ -6,10 +6,18 @@ endomorphism (the data is abstract linear algebra, not a manifold invariant).
 
 An octet's eight identities are blocks of three products of its assembly
 (d_to^2, d_red^2 and the chain defect of i), built once and reused by the
-assembly's own assertions.  Exactness at each node of a triangle is a
-dimension count and a containment test: one elimination per node, and no
-preimage is computed.  A cone triple finds its chain-map flags and each
-complex's homology bases once, when it is built.
+assembly's own assertions.  octet_verify leaves its report and assembly on
+the octet, and the next octet_assemble takes them and clears them, so an
+octet that is verified and then assembled is assembled once; nothing stays
+on the octet after that.  The triangle's matrices and complexes are built
+without re-running their validators, since their shapes follow from the
+octet's.  Exactness at each node of a triangle is a dimension count and a
+containment test: one elimination per node, and no preimage is computed.  A
+cone triple finds its chain-map flags and each complex's homology bases
+once, when it is built.  Where only a dimension is used (the image at each
+node, the psi tests of a cone) the elimination is the forward pass alone,
+with no back-substitution, and the boundaries' reduced basis enters it as
+ready-made pivots.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from operator import xor
 from typing import NamedTuple, Sequence
 
 from ..errors import DomainError, InvariantError
-from .gf2 import F2Matrix, _combine, in_span, span_basis
+from .gf2 import F2Matrix, _combine, _pivot_rows, in_span, span_basis
 from .gf2 import preimage_in_span, spans_equal  # noqa: F401  perfbench/tracing.py wraps them here
 
 
@@ -92,6 +100,8 @@ class Octet:
     dsu: F2Matrix
     dus: F2Matrix
     duu: F2Matrix
+    # octet_verify's (report, assembly), until octet_assemble takes it
+    _verified: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         dims = self.dims
@@ -217,9 +227,17 @@ def _identity_report(a: _OctetAssembly) -> OctetReport:
     )
 
 
+def _report_and_assembly(octet: Octet) -> tuple[OctetReport, _OctetAssembly]:
+    a = _assembly(octet)
+    return _identity_report(a), a
+
+
 def octet_verify(octet: Octet) -> OctetReport:
-    """Evaluate all eight identities; report each pass/fail."""
-    return _identity_report(_assembly(octet))
+    """Evaluate all eight identities; report each pass/fail.  The report and
+    its assembly stay on the octet for the next octet_assemble."""
+    verified = _report_and_assembly(octet)
+    object.__setattr__(octet, "_verified", verified)
+    return verified[0]
 
 
 @dataclass(frozen=True)
@@ -252,10 +270,20 @@ def octet_assemble(octet: Octet) -> AssembledTriangle:
 
 def _verify_and_assemble(octet: Octet) -> tuple[OctetReport, AssembledTriangle | None]:
     """The identity report and, when every identity holds, the triangle,
-    both read from one assembly."""
-    a = _assembly(octet)
-    report = _identity_report(a)
+    both read from one assembly: the one octet_verify left on the octet,
+    which this takes and clears, or else a new one."""
+    report, a = octet._verified or _report_and_assembly(octet)
+    object.__setattr__(octet, "_verified", None)
     return report, _assemble(a) if report.all_ok else None
+
+
+def _unchecked(cls: type, *values):
+    """The dataclass instance with these fields, built without running its
+    validator: the triangle's matrices and complexes, whose shapes follow
+    from the octet's."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return obj
 
 
 def _assemble(a: _OctetAssembly) -> AssembledTriangle:
@@ -265,13 +293,15 @@ def _assemble(a: _OctetAssembly) -> AssembledTriangle:
     if failures:
         raise InvariantError(failures[0])
     no, ns, nu = a.dims
-    c_to = GradedComplex(no + ns, F2Matrix(no + ns, no + ns, tuple(a.d_to)))
-    c_from = GradedComplex(no + nu, F2Matrix(no + nu, no + nu, tuple(a.d_from)))
-    c_red = GradedComplex(ns + nu, F2Matrix(ns + nu, ns + nu, tuple(a.d_red)))
+    n_to, n_from, n_red = no + ns, no + nu, ns + nu
+    c_to, c_from, c_red = (
+        _unchecked(GradedComplex, n, _unchecked(F2Matrix, n, n, tuple(d)))
+        for n, d in ((n_to, a.d_to), (n_from, a.d_from), (n_red, a.d_red))
+    )
     maps = (
-        F2Matrix(no + ns, ns + nu, tuple(a.map_i)),
-        F2Matrix(no + nu, no + ns, tuple(a.map_j)),
-        F2Matrix(ns + nu, no + nu, tuple(a.map_p)),
+        _unchecked(F2Matrix, n_to, n_red, tuple(a.map_i)),
+        _unchecked(F2Matrix, n_from, n_to, tuple(a.map_j)),
+        _unchecked(F2Matrix, n_red, n_from, tuple(a.map_p)),
     )
     bases = [c.homology_bases() for c in (c_red, c_to, c_from)]
     failures = _triangle_exactness_failures(bases, maps, ("to", "from", "red"))
@@ -322,14 +352,12 @@ def _triangle_exactness_failures(
     dim B_{n+2}).  Since f_{n+1}(B_{n+1}) lies in B_{n+2}, I_{n+1} lies in
     K_{n+1} exactly when f_{n+1}(f_n(Z_n)) lies in B_{n+2}.  So the node
     is exact exactly when that containment holds and dim I_{n+1} =
-    dim K_{n+1}: one elimination per node for dim I, and a reduction
-    against the basis of B_{n+2} for the containment.
+    dim K_{n+1}: one forward elimination pass per node for dim I, and a
+    reduction against the basis of B_{n+2} for the containment.
     """
     columns = [f.columns() for f in maps]
     lifted = [_combine(bases[n][0], columns[n]) for n in range(3)]
-    image_dims = [
-        len(span_basis(lifted[n] + bases[(n + 1) % 3][1])) for n in range(3)
-    ]
+    image_dims = [len(_pivot_rows(lifted[n], bases[(n + 1) % 3][1])) for n in range(3)]
     failures = []
     for n in range(3):
         mid_cycles, _ = bases[(n + 1) % 3]
@@ -411,7 +439,7 @@ def cone_verify(triple: ConeTriple) -> ConeHypothesisReport:
             mul(mul(cycles, h_cols[n]), f_cols[(n + 2) % 3]),
             mul(mul(cycles, f_cols[n]), h_cols[(n + 1) % 3]),
         )
-        iso.append(len(span_basis([*psi_cycles, *bounds])) == len(cycles))
+        iso.append(len(_pivot_rows(psi_cycles, bounds)) == len(cycles))
     return ConeHypothesisReport(triple._chain_maps, homot, tuple(iso))
 
 

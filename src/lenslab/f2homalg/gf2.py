@@ -3,12 +3,16 @@
 Matrices map column vectors on the left: (M @ N) means "apply N, then M".
 Rows are stored as int bitmasks (bit j of row i = entry (i, j)); vectors are
 single bitmasks.  Every product and image comes from one row kernel,
-`_combine`, and every rank, kernel, span and preimage from one bitmask
-elimination, `_echelon`, which reduces each vector by its lowest set bit
-and back-substitutes once.  Membership in a span already in reduced form
-(`in_span`) is a reduction, not an elimination.  The oracles the tests check
-them against (an entry-by-entry product, a set-of-positions elimination)
-live in `tests/f2_oracles.py`, apart from this code.
+`_combine`, and every rank, kernel, span and preimage from one forward
+elimination pass, `_pivot_rows`, which reduces each vector by its lowest set
+bit against the rows kept so far.  Where only a dimension is used (a rank)
+that pass is all the work; `_echelon` adds one back-substitution pass for
+the fully reduced basis that kernels, spans and preimages need.  A reduced
+basis already in hand enters the pass as ready-made pivots.  Membership in a
+span already in reduced form (`in_span`) is a reduction, not an elimination.
+The oracles the tests check them against (an entry-by-entry product, a
+set-of-positions elimination) live in `tests/f2_oracles.py`, apart from this
+code.
 """
 
 from __future__ import annotations
@@ -135,7 +139,7 @@ class F2Matrix:
     # elimination ----------------------------------------------------------
 
     def rank(self) -> int:
-        return len(_echelon(self.data))
+        return len(_pivot_rows(self.data))
 
     def nullspace(self) -> list[int]:
         """Basis of {v : self.apply(v) = 0} as column bitmasks, one vector per
@@ -172,20 +176,17 @@ def _combine(selectors, rows) -> list[int]:
     return out
 
 
-def _echelon(vectors) -> list[tuple[int, int]]:
-    """Fully reduced echelon form of the span of `vectors`: (pivot, row) pairs
-    sorted by pivot, each pivot the row's lowest set bit and clear in every
-    other row.
+def _pivot_rows(vectors, basis=()) -> dict[int, int]:
+    """The forward elimination pass: rows spanning `vectors` and `basis`,
+    keyed by their lowest set bits, which are all different.  Its length is
+    the dimension of the span.
 
-    Each vector is reduced by its lowest set bit against the rows kept so
-    far, which leaves a row whose lowest bit is a new pivot (or nothing).
-    One back-substitution pass in descending pivot order then clears every
-    row at the pivots above its own: a row reduced there is clear at every
-    other pivot, so adding it clears one bit and sets no other pivot.  The
-    fully reduced echelon basis of a subspace is unique, so the order of
-    `vectors` never changes the result.
+    `basis` must have different lowest set bits already (an echelon basis,
+    such as span_basis returns); its rows are taken as pivots unchanged.
+    Each vector is then reduced by its lowest set bit against the rows kept
+    so far, which leaves a row whose lowest bit is a new pivot (or nothing).
     """
-    pivots: dict[int, int] = {}
+    pivots = {(row & -row).bit_length() - 1: row for row in basis}
     for cur in vectors:
         while cur:
             pc = (cur & -cur).bit_length() - 1
@@ -194,6 +195,21 @@ def _echelon(vectors) -> list[tuple[int, int]]:
                 pivots[pc] = cur
                 break
             cur ^= row
+    return pivots
+
+
+def _echelon(vectors) -> list[tuple[int, int]]:
+    """Fully reduced echelon form of the span of `vectors`: (pivot, row) pairs
+    sorted by pivot, each pivot the row's lowest set bit and clear in every
+    other row.
+
+    After the forward pass, `_pivot_rows`, one back-substitution pass in
+    descending pivot order clears every row at the pivots above its own: a
+    row reduced there is clear at every other pivot, so adding it clears one
+    bit and sets no other pivot.  The fully reduced echelon basis of a
+    subspace is unique, so the order of `vectors` never changes the result.
+    """
+    pivots = _pivot_rows(vectors)
     done = 0  # the pivots above the current one, whose rows are reduced
     for pc in sorted(pivots, reverse=True):
         row = pivots[pc]

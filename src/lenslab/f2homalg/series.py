@@ -108,11 +108,14 @@ class F2Series:
         return F2Series(self.truncation, inv)
 
     def __str__(self) -> str:
-        terms = [
-            "1" if k == 0 else ("U" if k == 1 else f"U^{k}")
-            for k in range(self.truncation + 1)
-            if (self.bits >> k) & 1
-        ]
+        # one binary rendering, read from the low end, visits only the set
+        # bits; shifting `bits` once per exponent would be quadratic in N
+        digits = f"{self.bits:b}"[::-1]
+        terms = []
+        k = digits.find("1")
+        while k >= 0:
+            terms.append("1" if k == 0 else ("U" if k == 1 else f"U^{k}"))
+            k = digits.find("1", k + 1)
         return " + ".join(terms) or "0"
 
 

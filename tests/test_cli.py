@@ -341,6 +341,40 @@ def test_orders_over_the_cap_are_one_line_domain_errors(capsys, command, cap, ov
     assert err.splitlines() == [f"error: p={p} is above the cap {cap}"]
 
 
+@pytest.mark.parametrize("argv, value", [
+    (["2", "--pmax", str(cli.MAX_SCAN_PMAX + 1)], cli.MAX_SCAN_PMAX + 1),
+    (["2", "--pmax", "99999999999999999999"], 99999999999999999999),
+    # no --pmax: the default radius 12g - 7 is capped
+    ([str((cli.MAX_SCAN_PMAX + 7) // 12 + 1)], 12 * ((cli.MAX_SCAN_PMAX + 7) // 12 + 1) - 7),
+    (["99999999999999999999"], 12 * 99999999999999999999 - 7),
+])
+def test_genus_scan_over_the_pmax_cap_is_a_one_line_domain_error(capsys, argv, value):
+    # a 20-digit genus used to overflow a list size, a 20-digit --pmax to
+    # scan for ever; both are now rejected before any d-table is built
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "genus-scan", *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"error: pmax={value} is above the cap {cli.MAX_SCAN_PMAX}"]
+
+
+def test_the_pmax_cap_admits_the_default_radius_of_genus_60():
+    assert cli.default_scan_radius(60) == 713 <= cli.MAX_SCAN_PMAX
+
+
+@pytest.mark.parametrize("argv", [
+    ["tau"], ["twisted"], ["surgery", "3", "1"],
+])
+@pytest.mark.parametrize("over", [1, 10**20])
+def test_series_over_the_truncation_cap_is_a_one_line_domain_error(capsys, argv, over):
+    n = cli.MAX_SERIES_TRUNCATION + over
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "series", *argv, "--truncate", str(n))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"error: truncate={n} is above the cap {cli.MAX_SERIES_TRUNCATION}"]
+
+
 def _path_tree(weights):
     return {"vertices": weights, "edges": [[i, i + 1] for i in range(len(weights) - 1)]}
 

@@ -441,11 +441,12 @@ def test_exactness_node_by_node_on_cone_triples():
 
 def test_a_cone_op_costs_nine_eliminations_and_36_products(monkeypatch):
     """Built, then passed to cone_verify and cone_exactness, a triple costs 9
-    eliminations: one per complex for its homology bases, found when the
-    triple is built, one per psi_n and one per node's image.  It costs 36
-    products: 9 at build (3 squares, 6 for the chain maps), 21 in cone_verify
-    (9 homotopy, 12 psi) and 6 in cone_exactness (lifts and their images)."""
-    calls = dict.fromkeys(("span_basis", "_combine"), 0)
+    eliminations: one full elimination per complex for its homology bases,
+    found when the triple is built, and a rank-only one (the forward pass
+    alone) per psi_n and per node's image.  It costs 36 products: 9 at build
+    (3 squares, 6 for the chain maps), 21 in cone_verify (9 homotopy, 12 psi)
+    and 6 in cone_exactness (lifts and their images)."""
+    calls = dict.fromkeys(("span_basis", "_pivot_rows", "_combine"), 0)
     for name in calls:
         def counted(*args, name=name, real=getattr(complexes, name)):
             calls[name] += 1
@@ -454,10 +455,10 @@ def test_a_cone_op_costs_nine_eliminations_and_36_products(monkeypatch):
     rng = random.Random(816)
     for _ in range(50):
         t = random_cone_triple(rng)
-        calls.update(span_basis=0, _combine=0)
+        calls.update(span_basis=0, _pivot_rows=0, _combine=0)
         triple = ConeTriple(t.complexes, t.f, t.h)
         assert cone_verify(triple).applicable and cone_exactness(triple)
-        assert calls == {"span_basis": 9, "_combine": 36}
+        assert calls == {"span_basis": 3, "_pivot_rows": 6, "_combine": 36}
 
 
 def test_cone_exactness_names_the_first_map_that_is_no_chain_map():

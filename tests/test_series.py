@@ -124,3 +124,23 @@ def test_f2_series_rejects_out_of_range_bits():
         F2Series(-1, 0)
     with pytest.raises(DomainError):
         F2Series(4, 0b10).inverse()
+
+
+def str_by_shifting(series: F2Series) -> str:
+    """The rendering F2Series.__str__ used to compute, one shift per exponent."""
+    terms = [
+        "1" if k == 0 else ("U" if k == 1 else f"U^{k}")
+        for k in range(series.truncation + 1)
+        if (series.bits >> k) & 1
+    ]
+    return " + ".join(terms) or "0"
+
+
+def test_str_visits_the_set_bits_as_the_shifting_rendering_did():
+    rng = random.Random("series-str")
+    cases = [F2Series(0, 0), F2Series(0, 1), F2Series(1, 0b10), F2Series(70, 1 << 70)]
+    cases += [gf2_series(rng, rng.randrange(0, 200)) for _ in range(300)]
+    cases += [tau_series(n) for n in (0, 1, 2, 3, 1000)]
+    cases += [surgery_series(p, n, 500) for p in range(1, 8) for n in range(p)]
+    for series in cases:
+        assert str(series) == str_by_shifting(series)
