@@ -13,6 +13,8 @@ import argparse
 import json
 import re
 import sys
+from fractions import Fraction
+from math import ceil
 
 from .errors import DomainError, InvariantError
 from .exactnum import farey_parents, format_slope, hj_expand, parse_slope
@@ -121,11 +123,47 @@ MAX_LATTICE_P = 1_100
 # The cap admits g = 60, whose default radius is 713, and is not a time
 # bound: at the cap `genus-scan 2 --pmax 720` took 92 s (one run, same VM).
 MAX_SCAN_PMAX = 720
-# The largest truncation order N that `series` accepts.  Each series is built
-# one big-integer term at a time, so its cost grows faster than N; at the cap
-# the slowest kind, `series surgery 1 0` (the most terms), took 1.95 s and
-# 2.36 s (medians of two sets of five runs, as the host's speed varied).
-MAX_SERIES_TRUNCATION = 6_000_000
+# The largest truncation order N that `series` accepts.  A series is built
+# and printed in time and memory linear in N, about 2.1 bytes per order at
+# the peak, as `str` formats all N + 1 bits.  At the cap the slowest kinds,
+# `series tau` and `series surgery 3 1` (most printed terms), took 1.5-2.4 s
+# (wall time on the VM above) at a peak RSS of 629 MiB; `series surgery 1
+# 0`, whose terms all cancel, took 0.3-0.4 s.
+MAX_SERIES_TRUNCATION = 300_000_000
+
+
+# The largest Farey descent `lspace slope` and `lspace borromean` accept,
+# measured as work before anything is built.  The descent length is the sum
+# of the partial quotients of each slope's continued fraction, less the
+# ceiling of the base for `slope`.  It bounds the certificate's distinct
+# nodes: they were at most 3 more for `slope`, and at most 4 times as many
+# for `borromean`, in the sweeps of tests/test_cli.py.  A node costs a
+# constant plus a share growing with the bit lengths of the slopes'
+# numerators and denominators (a node of 680-bit slopes cost ten times one
+# of small slopes, mostly in the modular inverse of `farey_parents`), so the
+# work is the length times (64 + those bit lengths).  A 20-digit slope used
+# to run for ever, and F(10001)/F(10000), a descent of length 10000, took
+# 110 s.  Each cap lets the slowest case finish in about 2 s (wall time on
+# the VM above): at the caps, `lspace slope --base 1 --target 25001` took
+# 1.6-1.9 s (`--target 21001/21000` 1.6 s), and `lspace borromean 3/2 3/2
+# 3876`, which descends the last coordinate once for each of four integer
+# pairs, 1.6-1.8 s.
+MAX_SLOPE_WORK = 2_000_000
+MAX_BORROMEAN_WORK = 330_000
+
+
+def _descent_work(descent: int, *slopes: Fraction) -> int:
+    bits = sum(x.numerator.bit_length() + x.denominator.bit_length() for x in slopes)
+    return descent * (64 + bits)
+
+
+def _farey_depth(x: Fraction) -> int:
+    """The sum of the partial quotients of x's continued fraction, by Euclid."""
+    p, q, depth = x.numerator, x.denominator, 0
+    while q:
+        depth += p // q
+        p, q = q, p % q
+    return depth
 
 
 def _check_cap(name: str, value: int, cap: int) -> None:
@@ -482,11 +520,16 @@ def _cmd_lspace_alt(args: argparse.Namespace) -> None:
 
 def _cmd_lspace_slope(args: argparse.Namespace) -> None:
     base, target = parse_slope(args.base), parse_slope(args.target)
+    work = _descent_work(_farey_depth(target) - ceil(base), target)
+    _check_cap("descent work", work, MAX_SLOPE_WORK)
     _emit_certificate(args, propagate_slope(surgery_lspace_axiom(args.knot, base), target))
 
 
 def _cmd_lspace_borromean(args: argparse.Namespace) -> None:
-    _emit_certificate(args, certify_borromean(*map(parse_slope, (args.a, args.b, args.c))))
+    slopes = [parse_slope(x) for x in (args.a, args.b, args.c)]
+    work = _descent_work(sum(map(_farey_depth, slopes)), *slopes)
+    _check_cap("descent work", work, MAX_BORROMEAN_WORK)
+    _emit_certificate(args, certify_borromean(*slopes))
 
 
 def _cmd_lspace_check(args: argparse.Namespace) -> None:

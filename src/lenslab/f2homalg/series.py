@@ -149,12 +149,13 @@ def tau_series(truncation: int) -> F2Series:
     """Coefficient 1 exactly at the triangular exponents k(k+1)/2 <= N."""
     if truncation < 0:
         raise DomainError("truncation order must be >= 0")
-    bits = 0
+    bits = bytearray(truncation // 8 + 1)
     k = 0
     while k * (k + 1) // 2 <= truncation:
-        bits |= 1 << (k * (k + 1) // 2)
+        e = k * (k + 1) // 2
+        bits[e >> 3] |= 1 << (e & 7)
         k += 1
-    return F2Series(truncation, bits)
+    return F2Series(truncation, int.from_bytes(bits, "little"))
 
 
 def surgery_series(p: int, n: int, truncation: int) -> F2Series:
@@ -162,7 +163,9 @@ def surgery_series(p: int, n: int, truncation: int) -> F2Series:
     with integral exponent in [0, N].
 
     A non-integral exponent for some contributing n' would mean the
-    congruence handling is wrong, so it raises instead of skipping.
+    congruence handling is wrong, so it raises instead of skipping.  Like
+    `tau_series`, it sets its bits in a bytearray and makes the integer
+    once: one big-integer XOR per term would cost about N^1.5.
     """
     if p < 1:
         raise DomainError("p must be positive")
@@ -171,7 +174,7 @@ def surgery_series(p: int, n: int, truncation: int) -> F2Series:
     if truncation < 0:
         raise DomainError("truncation order must be >= 0")
     base = (2 * n - p) ** 2
-    bits = 0
+    bits = bytearray(truncation // 8 + 1)
     k = 0
     while True:
         hit_window = False
@@ -188,11 +191,11 @@ def surgery_series(p: int, n: int, truncation: int) -> F2Series:
                 )
             if e <= truncation:
                 hit_window = True
-                bits ^= 1 << e
+                bits[e >> 3] ^= 1 << (e & 7)
         if not hit_window and k > 0:
             break
         k += 1
-    return F2Series(truncation, bits)
+    return F2Series(truncation, int.from_bytes(bits, "little"))
 
 
 def twisted_genus1_series(truncation: int) -> GroupRingSeries:

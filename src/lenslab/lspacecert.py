@@ -35,8 +35,12 @@ premises) move in the order the builders try them:
     first.  1/0 deletes that component of the rings, leaving the connected
     sum of the other two fillings.  `certify_borromean` takes the first.
 
-The Tait, slope and Borromean builders take that first move through one
-step, `_first_move`, which derives its premises and checks their |H1| sum.
+A manifold is named by its view (kind, data), as `_view` rebuilds it from a
+fact, in memo keys, enumerated premises and the checker alike.  A single
+vertex of weight w is L(w, 1), and the edgeless graph on one vertex is S3.
+Every builder runs one step function, `_steps`: an axiom at a leaf, the tree
+search on a tree, else the first move through `_first_move`, which derives
+its premises and checks their |H1| sum.
 
 The checker accepts one of these nodes only if its premises are among the
 enumerator's moves for its rule.  The two one-off rules, lift and
@@ -285,6 +289,29 @@ def _first_move(fact: Fact, moves: Iterator[tuple[str, tuple]]) -> Steps:
         orders = " + ".join(str(c.conclusion.h1_order) for c in certs)
         raise InvariantError(f"{rule} move breaks |H1| additivity: {fact.h1_order} != {orders}")
     return Certificate(fact, rule, tuple(certs))
+
+
+def _steps(view: tuple[str, object]) -> Steps:
+    """The certificate of the manifold `view` names.  The enumerators and
+    `tait_det` are looked up by their global names on each call."""
+    kind, data = view
+    if kind == "lens" and data[0] < 1:
+        raise HypothesisNotMetError(f"single vertex of weight {data[0]} reached; not certifiable")
+    if kind == "lens":
+        return lens_axiom(*data)
+    if kind == "connected-sum-lens":
+        return connected_sum_lens_axiom(list(data))
+    if kind == "tree-boundary":
+        return (yield from _tree_steps(data))
+    if kind == "branched-double-cover":
+        fact, moves = _tait_fact(data, tait_det(data)), _tait_moves(data)
+    elif kind == "surgery":
+        fact, moves = _surgery_fact(*data), _slope_moves(data)
+    elif data == (1, 1, 1):
+        return poincare_sphere_axiom()
+    else:
+        fact, moves = _borromean_fact(*data), _borromean_moves(data)
+    return (yield from _first_move(fact, moves))
 
 
 # ---------------------------------------------------------------------------
@@ -553,49 +580,48 @@ def certify_tree(tree: WeightedTree, require_hypothesis: bool = True) -> Certifi
             raise HypothesisNotMetError(
                 f"vertex {bad} has weight {tree.weights[bad]} < degree {degree[bad]}"
             )
-    return _derive((tree, h1), lambda sub: _tree_steps(*sub), {})
+    return _derive(_view_of_tree(tree), _steps, {})
 
 
-def _tree_moves(tree: WeightedTree) -> Iterator[tuple[str, tuple[WeightedTree, ...]]]:
+def _view_of_tree(tree: WeightedTree) -> tuple[str, object]:
+    """A single vertex of weight w bounds L(w, 1)."""
+    if len(tree.weights) == 1:
+        return "lens", (tree.weights[0], 1)
+    return "tree-boundary", tree
+
+
+def _tree_moves(tree: WeightedTree) -> Iterator[tuple[str, tuple]]:
     n = len(tree.weights)
     degree = _degrees(tree)
     leaves = [v for v in range(n) if degree[v] == 1]
     for v in leaves + [v for v in range(n) if degree[v] == 2]:
         if tree.weights[v] == 1:
-            yield "blow-down", (_blow_down(tree, v),)
+            yield "blow-down", (_view_of_tree(_blow_down(tree, v)),)
     for v in sorted(leaves, key=lambda v: tree.weights[v]):
-        yield "triangle", (_delete_vertex(tree, v), _set_weight(tree, v, tree.weights[v] - 1))
+        deleted, decremented = _delete_vertex(tree, v), _set_weight(tree, v, tree.weights[v] - 1)
+        yield "triangle", (_view_of_tree(deleted), _view_of_tree(decremented))
 
 
-def _tree_steps(tree: WeightedTree, h1: int) -> Steps:
-    """A sub-tree is yielded as (tree, |H1|): each |H1| is computed once.  A
-    rejection names the first split that failed, at the lightest leaf."""
-    n = len(tree.weights)
-    if n == 1:
-        weight = tree.weights[0]
-        if weight < 1:
-            raise HypothesisNotMetError(
-                f"single vertex of weight {weight} reached; not certifiable"
-            )
-        return lens_axiom(weight)
-
+def _tree_steps(tree: WeightedTree) -> Steps:
+    """A tree of two or more vertices.  A rejection names the first split
+    that failed, at the lightest leaf."""
+    h1 = tree_h1(tree)
     fact = _tree_fact(tree, h1)
     failure = None
     for rule, premises in _tree_moves(tree):
+        orders = [abs(data[0]) if kind == "lens" else tree_h1(data) for kind, data in premises]
         if rule == "blow-down":
-            (smaller,) = premises
-            if tree_h1(smaller) != h1:
+            if orders[0] != h1:
                 raise InvariantError("blow-down changed |H1|")
-            premise = yield smaller, h1
+            premise = yield premises[0]
             return Certificate(fact, rule, (premise,))
-        deleted, decremented = premises
-        h0, h1_side = tree_h1(deleted), tree_h1(decremented)
+        h0, h1_side = orders
         if h0 + h1_side != h1 or h0 == 0 or h1_side == 0:
             failure = failure or f"{h1} != {h0} + {h1_side}"
             continue
         try:
-            c0 = yield deleted, h0
-            c1 = yield decremented, h1_side
+            c0 = yield premises[0]
+            c1 = yield premises[1]
         except HypothesisNotMetError as exc:
             failure = failure or str(exc)
             continue
@@ -741,27 +767,28 @@ def certify_alternating(graph: TaitGraph) -> Certificate:
     Disconnected graphs (split links) are rejected by the TaitGraph
     constructor.
     """
-    return _derive(graph, _tait_steps, {})
+    return _derive(_view_of_graph(graph), _steps, {})
 
 
-def _tait_moves(graph: TaitGraph) -> Iterator[tuple[str, tuple[TaitGraph, ...]]]:
+def _view_of_graph(graph: TaitGraph) -> tuple[str, object]:
+    """The edgeless graph on one vertex is the unknot's: its cover is S3."""
+    if graph.edges:
+        return "branched-double-cover", graph
+    if graph.num_vertices != 1:
+        raise InvariantError("edgeless graph with several vertices")
+    return _S3_VIEW
+
+
+def _tait_moves(graph: TaitGraph) -> Iterator[tuple[str, tuple]]:
     for i in graph.loops():
-        yield "reduce", (_delete(graph, i),)
+        yield "reduce", (_view_of_graph(_delete(graph, i)),)
     bridges = graph.bridges()
     for i in bridges:
-        yield "reduce", (_contract(graph, i),)
+        yield "reduce", (_view_of_graph(_contract(graph, i)),)
     for i, (a, b) in enumerate(graph.edges):
         if a != b and i not in bridges:
-            yield "triangle", (_contract(graph, i), _delete(graph, i))
-
-
-def _tait_steps(graph: TaitGraph) -> Steps:
-    """Each minor counts its spanning trees once, for `_first_move` to check."""
-    if not graph.edges:
-        if graph.num_vertices != 1:
-            raise InvariantError("edgeless graph with several vertices")
-        return sphere_axiom()
-    return (yield from _first_move(_tait_fact(graph, tait_det(graph)), _tait_moves(graph)))
+            contracted, deleted = _contract(graph, i), _delete(graph, i)
+            yield "triangle", (_view_of_graph(contracted), _view_of_graph(deleted))
 
 
 # ---------------------------------------------------------------------------
@@ -784,8 +811,8 @@ def propagate_slope(base: Certificate, target: Fraction) -> Certificate:
 
     Chain: lift r to ceil(r) (one named non-triangle node, recorded because
     its justification is homological rather than combinatorial), then
-    triangles whose |H1| additivity is the numerator sum.  A sub-problem is
-    the view of its filling.
+    triangles whose |H1| additivity is the numerator sum.  S3 is seeded, so
+    `steps` meets surgery views alone.
     """
     slope_text = base.conclusion.param("slope")
     knot = base.conclusion.param("knot") or "K"
@@ -812,7 +839,7 @@ def propagate_slope(base: Certificate, target: Fraction) -> Certificate:
                 f"the Farey descent of {format_slope(target)} reaches "
                 f"{format_slope(s)}, below the base slope {format_slope(r)}"
             )
-        return (yield from _first_move(_surgery_fact(knot, s), _slope_moves(view[1])))
+        return _steps(view)
 
     return _derive(_surgery_view(knot, target), steps, memo)
 
@@ -825,23 +852,13 @@ def propagate_slope(base: Certificate, target: Fraction) -> Certificate:
 def certify_borromean(a: Fraction, b: Fraction, c: Fraction) -> Certificate:
     """Certificate for the (a, b, c) surgery on the Borromean rings, a, b, c >= 1.
 
-    The Poincare sphere M(1,1,1) is the one leaf that is no lens space.  A
-    sub-problem is the view of its manifold, so equal connected sums are
-    one node wherever they are met.
+    The Poincare sphere M(1,1,1) is the one leaf that is no lens space, and
+    equal connected sums are one node wherever they are met.
     """
     slopes = tuple(Fraction(x) for x in (a, b, c))
     if any(x < 1 for x in slopes):
         raise DomainError("all three slopes must be >= 1")
-
-    def steps(view: tuple[str, tuple]) -> Steps:
-        kind, data = view
-        if kind == "connected-sum-lens":
-            return connected_sum_lens_axiom(list(data))
-        if data == (1, 1, 1):
-            return poincare_sphere_axiom()
-        return (yield from _first_move(_borromean_fact(*data), _borromean_moves(data)))
-
-    return _derive(("borromean", slopes), steps, {_S3_VIEW: sphere_axiom()})
+    return _derive(("borromean", slopes), _steps, {})
 
 
 def _borromean_moves(xs: tuple[Fraction, ...]) -> Iterator[tuple[str, tuple]]:
@@ -1022,27 +1039,9 @@ def _check_rule(node: Certificate, view: tuple[str, object], premises: list) -> 
     if rule in _SURGERY_RULES:
         legal = kind == "surgery" and _SURGERY_RULES[rule](data, premises)
     else:
-        moves, premise_data = _MOVES.get(kind, (None, None))
-        if premise_data is not None:
-            premises = map(premise_data, premises)
-        legal = moves is not None and (rule, tuple(premises)) in moves(data)
+        legal = kind in _MOVES and (rule, tuple(premises)) in _MOVES[kind](data)
     if not legal:
         raise CertificateCheckError(f"the premises are not a {rule} move on this {kind} node")
-
-
-def _tree_view(view: tuple[str, object]) -> WeightedTree | None:
-    kind, data = view
-    if kind == "tree-boundary":
-        return data
-    if kind == "lens" and data[1] == 1:  # L(p,1) bounds the single vertex of weight p
-        return _moved(WeightedTree, (data[0],), ())
-    return None
-
-
-def _graph_view(view: tuple[str, object]) -> TaitGraph | None:
-    if view[0] == "branched-double-cover":
-        return view[1]
-    return _moved(TaitGraph, 1, ()) if view == _S3_VIEW else None
 
 
 _PRETZEL = re.compile(r"\(-2,3,(\d+)\)-pretzel")
@@ -1054,7 +1053,7 @@ def _pretzel_filling(data: tuple[str, Fraction], premises: list) -> bool:
     if match is None:
         return False
     n = int(match.group(1))
-    return s == 2 * n + 4 and _tree_view(premises[0]) == pretzel_star(n)
+    return s == 2 * n + 4 and premises[0] == _view_of_tree(pretzel_star(n))
 
 
 def _lift(data: tuple[str, Fraction], premises: list) -> bool:
@@ -1066,13 +1065,12 @@ def _lift(data: tuple[str, Fraction], premises: list) -> bool:
     return base_knot == knot and r.denominator != 1 and s == ceil(r)
 
 
-# kind of conclusion -> (its move enumerator, the data its moves name a
-# premise by, read from the premise's view; None where that is the view)
-_MOVES: dict[str, tuple[Callable, Callable | None]] = {
-    "tree-boundary": (_tree_moves, _tree_view),
-    "branched-double-cover": (_tait_moves, _graph_view),
-    "surgery": (_slope_moves, None),
-    "borromean": (_borromean_moves, None),
+# kind of conclusion -> its move enumerator, whose premises are views
+_MOVES: dict[str, Callable[[object], Iterator[tuple[str, tuple]]]] = {
+    "tree-boundary": _tree_moves,
+    "branched-double-cover": _tait_moves,
+    "surgery": _slope_moves,
+    "borromean": _borromean_moves,
 }
 # rule -> whether the premises are that move on a surgery node
 _SURGERY_RULES: dict[str, Callable[[tuple[str, Fraction], list], bool]] = {

@@ -1,16 +1,20 @@
 """Command-line behavior: output shapes, exit codes, determinism."""
 
 import json
+import random
+import re
 import time
 from fractions import Fraction
+from math import ceil
 from pathlib import Path
 
 import pytest
 
 from lenslab import cli
 from lenslab.cli import main
-from lenslab.errors import InvariantError
+from lenslab.errors import DomainError, InvariantError
 from lenslab.f2homalg import complexes
+from lenslab.lspacecert import certify_borromean, propagate_slope, surgery_lspace_axiom
 from lenslab.plumblat import LatticeCheckReport
 
 DATA = Path(__file__).parent / "data"
@@ -373,6 +377,85 @@ def test_series_over_the_truncation_cap_is_a_one_line_domain_error(capsys, argv,
     assert time.perf_counter() - start < 1
     assert (code, out) == (1, "")
     assert err.splitlines() == [f"error: truncate={n} is above the cap {cli.MAX_SERIES_TRUNCATION}"]
+
+
+@pytest.mark.parametrize("argv, cap", [
+    # the first integer target past the cap: 25001 steps of 64 + 16 bits
+    (["slope", "--base", "1", "--target", "25002"], cli.MAX_SLOPE_WORK),
+    (["slope", "--base", "1", "--target", "99999999999999999999"], cli.MAX_SLOPE_WORK),
+    (["slope", "--base", "2", "--target", "12345678901234567890/12345678901234567889"],
+     cli.MAX_SLOPE_WORK),
+    # four integer pairs below 3/2 and 3/2, each descending the last coordinate
+    (["borromean", "3/2", "3/2", "3877"], cli.MAX_BORROMEAN_WORK),
+    (["borromean", "1", "1", "987654321/123456790"], cli.MAX_BORROMEAN_WORK),
+    (["borromean", "99999999999999999999", "1", "1"], cli.MAX_BORROMEAN_WORK),
+])
+def test_lspace_descents_over_the_cap_are_one_line_domain_errors(capsys, argv, cap):
+    # measured before anything is built: a 20-digit slope used to run for ever
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "lspace", *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    (line,) = err.splitlines()
+    match = re.fullmatch(rf"error: descent work=(\d+) is above the cap {cap}", line)
+    assert match and int(match.group(1)) > cap
+
+
+@pytest.mark.parametrize("argv, cap, work", [
+    # the largest case of the tests, and the lift of a rational base
+    (["slope", "--base", "1", "--target", "1000"], "MAX_SLOPE_WORK", 999 * (64 + 10 + 1)),
+    (["slope", "--base", "5/2", "--target", "17/5"], "MAX_SLOPE_WORK",
+     (3 + 2 + 2 - 3) * (64 + 5 + 3)),
+    (["borromean", "1", "5/2", "5"], "MAX_BORROMEAN_WORK", (1 + 4 + 5) * (64 + 2 + 5 + 4)),
+])
+def test_lspace_descents_at_the_cap_are_accepted_and_one_over_rejected(
+    monkeypatch, capsys, argv, cap, work
+):
+    monkeypatch.setattr(cli, cap, work)
+    code, out, err = run_cli(capsys, "lspace", *argv)
+    assert (code, err) == (0, "") and out
+    monkeypatch.setattr(cli, cap, work - 1)
+    assert run_cli(capsys, "lspace", *argv) == (
+        1, "", f"error: descent work={work} is above the cap {work - 1}\n"
+    )
+
+
+def test_the_caps_admit_the_slowest_measured_cases():
+    assert cli._descent_work(25000, Fraction(25001)) == cli.MAX_SLOPE_WORK
+    slopes = (Fraction(3, 2), Fraction(3, 2), Fraction(3876))
+    assert cli._descent_work(sum(map(cli._farey_depth, slopes)), *slopes) <= cli.MAX_BORROMEAN_WORK
+
+
+@pytest.mark.parametrize("base, target, distinct", [
+    (Fraction(1), Fraction(1001, 1000), 1002),
+    (Fraction(5, 2), Fraction(100), 100),
+    (Fraction(99), Fraction(100), 3),
+])
+def test_slope_descents_of_known_length(base, target, distinct):
+    cert = propagate_slope(surgery_lspace_axiom("K", base), target)
+    descent = cli._farey_depth(target) - ceil(base)
+    assert len(cert.to_json_dict()["nodes"]) == distinct <= descent + 3
+
+
+def test_the_descent_length_bounds_the_distinct_nodes():
+    rng = random.Random("descent")
+    built = 0
+    for _ in range(300):
+        base = Fraction(rng.randint(1, 60), rng.randint(1, 9))
+        target = base + Fraction(rng.randint(0, 300), rng.randint(1, 20))
+        try:
+            cert = propagate_slope(surgery_lspace_axiom("K", base), target)
+        except DomainError:  # the descent passes an integer below a rational base
+            continue
+        built += 1
+        descent = cli._farey_depth(target) - ceil(base)
+        assert len(cert.to_json_dict()["nodes"]) <= descent + 3, (base, target)
+    assert built > 250
+    for _ in range(200):
+        slopes = [1 + Fraction(rng.randint(0, 40), rng.randint(1, 9)) for _ in range(3)]
+        cert = certify_borromean(*slopes)
+        descent = sum(map(cli._farey_depth, slopes))
+        assert len(cert.to_json_dict()["nodes"]) <= 4 * descent, slopes
 
 
 def _path_tree(weights):

@@ -702,3 +702,62 @@ def test_moves_build_their_trees_and_graphs_without_revalidation(monkeypatch, ce
     assert validated == []
     check_certificate(cert)  # the checker rebuilds every tree and graph it reads
     assert validated
+
+
+def test_every_memo_key_is_the_view_of_its_certificate(monkeypatch):
+    """Builders name each sub-problem as the checker names its conclusion."""
+    memos = []
+    derive = lspacecert._derive
+
+    def recording(root, steps, memo):
+        memos.append(memo)
+        return derive(root, steps, memo)
+
+    monkeypatch.setattr(lspacecert, "_derive", recording)
+    certify_tree(star_tree(3, [[2], [3], [2, 2]]))
+    certify_tree(path_tree([2, 1, 3]), require_hypothesis=False)
+    # backtracks past three failed sub-trees
+    certify_tree(WeightedTree((2, 2, 2, 3, 3, 2), ((0, 1), (1, 2), (2, 3), (1, 4), (4, 5))),
+                 require_hypothesis=False)
+    certify_alternating(
+        TaitGraph(5, ((0, 0), (0, 1), (1, 2), (2, 3), (3, 1), (3, 3), (2, 4), (4, 4), (1, 2)))
+    )
+    certify_alternating(cycle_graph(6))
+    propagate_slope(surgery_lspace_axiom("K", Fraction(5, 2)), Fraction(17, 5))  # a rational base
+    certify_borromean(Fraction(7, 2), Fraction(5, 3), Fraction(4))
+    certify_pretzel_surgeries(9, Fraction(45, 2))
+    entries = [
+        (key, cert) for memo in memos for key, cert in memo.items() if isinstance(cert, Certificate)
+    ]
+    assert any(isinstance(value, HypothesisNotMetError) for memo in memos for value in memo.values())
+    assert [key for key, cert in entries if lspacecert._view(cert.conclusion) != key] == []
+    assert {key[0] for key, _ in entries} == {
+        "lens", "connected-sum-lens", "tree-boundary", "branched-double-cover", "surgery", "borromean",
+    }
+
+
+def _conclusion(fact):
+    return {"descriptor": fact.descriptor, "h1": fact.h1_order, "kind": fact.kind,
+            "params": dict(fact.params)}
+
+
+@pytest.mark.parametrize("cert, leaf", [
+    # L(2,1), the blow-down of [1, 3], named as the boundary of the single vertex [2]
+    (certify_tree(path_tree([1, 3])), lspacecert._tree_fact(WeightedTree((2,), ()), 2)),
+    # S3, the end of the deletion-contraction of the triangle, named by the edgeless graph
+    (certify_alternating(cycle_graph(3)), lspacecert._tait_fact(TaitGraph(1, ()), 1)),
+], ids=["single-vertex-tree", "edgeless-graph"])
+def test_a_leaf_named_by_its_tree_or_graph_is_rejected_at_its_own_node(cert, leaf):
+    """No move or axiom yields such a node, so the premise fails before its user."""
+    doc = cert.to_json_dict()
+    node_id = next(i for i, node in enumerate(doc["nodes"]) if node["rule"].startswith("axiom:"))
+    rule = doc["nodes"][node_id]["rule"]
+    doc["nodes"][node_id]["conclusion"] = _conclusion(leaf)
+    edited = Certificate.from_json_dict(doc)
+    with pytest.raises(CertificateCheckError, match=rf"^node {node_id} \({rule}\): "
+                       + re.escape(f"{leaf.descriptor!r} is not an instance of this axiom")):
+        check_certificate(edited)
+    for other in ("blow-down", "reduce", "triangle", "axiom:lens-space", "axiom:three-sphere"):
+        doc["nodes"][node_id]["rule"] = other
+        with pytest.raises(CertificateCheckError, match=rf"^node {node_id} "):
+            check_certificate(Certificate.from_json_dict(doc))

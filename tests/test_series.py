@@ -144,3 +144,36 @@ def test_str_visits_the_set_bits_as_the_shifting_rendering_did():
     cases += [surgery_series(p, n, 500) for p in range(1, 8) for n in range(p)]
     for series in cases:
         assert str(series) == str_by_shifting(series)
+
+
+def tau_by_big_integer(truncation: int) -> F2Series:
+    """tau_series as it used to be built, one big-integer OR per term."""
+    bits, k = 0, 0
+    while k * (k + 1) // 2 <= truncation:
+        bits |= 1 << (k * (k + 1) // 2)
+        k += 1
+    return F2Series(truncation, bits)
+
+
+def surgery_by_big_integer(p: int, n: int, truncation: int) -> F2Series:
+    """surgery_series as it used to be built, one big-integer XOR per term."""
+    base = (2 * n - p) ** 2
+    bits, k = 0, 0
+    while True:
+        pair = (n + k * p, n - k * p) if k else (n,)
+        exponents = (((2 * m - p) ** 2 - base) // (8 * p) for m in pair)
+        inside = [e for e in exponents if e <= truncation]
+        for e in inside:
+            bits ^= 1 << e
+        if not inside and k > 0:
+            return F2Series(truncation, bits)
+        k += 1
+
+
+@pytest.mark.parametrize("truncation", [0, 1, 7, 8, 9, 63, 64, 65, 1000, 4097])
+def test_bytearray_builders_match_the_big_integer_builders(truncation):
+    assert tau_series(truncation) == tau_by_big_integer(truncation)
+    for p in range(1, 10):
+        for n in range(p):  # n = 0 cancels every term
+            assert surgery_series(p, n, truncation) == surgery_by_big_integer(p, n, truncation)
+    assert surgery_series(1, 0, truncation) == F2Series(truncation, 0)
