@@ -33,9 +33,10 @@ from .f2homalg.complexes import (
     ConeTriple,
     GradedComplex,
     Octet,
-    _verify_and_assemble,
     cone_exactness,
     cone_verify,
+    octet_assemble,
+    octet_verify,
 )
 from .f2homalg.series import surgery_series, tau_series, twisted_genus1_series
 from .lspacecert import (
@@ -124,11 +125,13 @@ MAX_LATTICE_P = 1_100
 # bound: at the cap `genus-scan 2 --pmax 720` took 92 s (one run, same VM).
 MAX_SCAN_PMAX = 720
 # The largest truncation order N that `series` accepts.  A series is built
-# and printed in time and memory linear in N, about 2.1 bytes per order at
-# the peak, as `str` formats all N + 1 bits.  At the cap the slowest kinds,
-# `series tau` and `series surgery 3 1` (most printed terms), took 1.5-2.4 s
-# (wall time on the VM above) at a peak RSS of 629 MiB; `series surgery 1
-# 0`, whose terms all cancel, took 0.3-0.4 s.
+# and printed in time and memory linear in N, about 0.4 bytes per order at
+# the peak, which comes from making the coefficient integer out of an
+# N/8-byte bytearray; `str` holds the integer's bytes, another N/8, and
+# visits only the nonzero ones.  At the cap the slowest kinds, `series tau`
+# and `series surgery 3 1` (most printed terms), took 0.63-0.82 s (wall time
+# of a fresh interpreter on the VM above) at a peak RSS of 126-127 MiB;
+# `series surgery 1 0`, whose terms all cancel, took 0.22-0.29 s at 88 MiB.
 MAX_SERIES_TRUNCATION = 300_000_000
 
 
@@ -465,15 +468,17 @@ def _cmd_series(args: argparse.Namespace) -> None:
 
 
 def _cmd_octet(args: argparse.Namespace) -> None:
-    report, assembled = _verify_and_assemble(_load_octet(args.file))
+    octet = _load_octet(args.file)
+    report = octet_verify(octet)
     payload: dict = {
         "identities": [{"identity": name, "ok": ok} for name, ok in report.results],
         "all_identities": report.all_ok,
     }
     lines = [f"{'ok  ' if ok else 'FAIL'} {name}" for name, ok in report.results]
-    if assembled is None:
+    if not report.all_ok:
         lines.append("identities fail; complexes not assembled")
     else:
+        assembled = octet_assemble(octet)  # the assembly octet_verify built
         h = payload["homology"] = {
             "to": assembled.homology_to,
             "from": assembled.homology_from,

@@ -262,19 +262,13 @@ def octet_assemble(octet: Octet) -> AssembledTriangle:
     other failed assertion raises with the name of the identity or node that
     failed; a verified octet never trips them.
     """
-    report, assembled = _verify_and_assemble(octet)
-    if assembled is None:
-        raise DomainError(f"octet fails identities: {report.failures()}")
-    return assembled
-
-
-def _verify_and_assemble(octet: Octet) -> tuple[OctetReport, AssembledTriangle | None]:
-    """The identity report and, when every identity holds, the triangle,
-    both read from one assembly: the one octet_verify left on the octet,
-    which this takes and clears, or else a new one."""
+    # the assembly octet_verify left on the octet, taken and cleared, or else
+    # a new one: a verified octet is assembled once
     report, a = octet._verified or _report_and_assembly(octet)
     object.__setattr__(octet, "_verified", None)
-    return report, _assemble(a) if report.all_ok else None
+    if not report.all_ok:
+        raise DomainError(f"octet fails identities: {report.failures()}")
+    return _assemble(a)
 
 
 def _unchecked(cls: type, *values):

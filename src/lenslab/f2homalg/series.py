@@ -12,6 +12,7 @@ The three series that drive the surgery arguments:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -108,14 +109,17 @@ class F2Series:
         return F2Series(self.truncation, inv)
 
     def __str__(self) -> str:
-        # one binary rendering, read from the low end, visits only the set
-        # bits; shifting `bits` once per exponent would be quadratic in N
-        digits = f"{self.bits:b}"[::-1]
+        # the coefficient bytes, read once from the low end, nonzero ones
+        # only: about N/8 bytes are held, where a binary rendering holds two
+        # N-character strings and a shift per exponent is quadratic in N
+        data = self.bits.to_bytes((self.bits.bit_length() + 7) // 8, "little")
         terms = []
-        k = digits.find("1")
-        while k >= 0:
-            terms.append("1" if k == 0 else ("U" if k == 1 else f"U^{k}"))
-            k = digits.find("1", k + 1)
+        for match in re.finditer(rb"[^\x00]", data):
+            byte, base = match.group()[0], 8 * match.start()
+            for b in range(8):
+                if byte >> b & 1:
+                    k = base + b
+                    terms.append("1" if k == 0 else ("U" if k == 1 else f"U^{k}"))
         return " + ".join(terms) or "0"
 
 

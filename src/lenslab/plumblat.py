@@ -22,14 +22,14 @@ that is best in its own box is a global maximum.  Every arithmetic step is
 integer arithmetic.
 
 `lattice_vs_recursion_check` sweeps the classes once per lattice.  It
-computes the continuants, the weights w_i and the normalization check once,
-and it starts class c = 0..p-1, represented by K_0 + 2c e_1, at the previous
-class's start vector plus one fixed vector (column 0 of the adjugate, times
-2 sign(det)), with no per-class representative or Fraction.  Each class's
-integer maximum comes from the same ascent as `max_char_square`, and it is
-keyed by max / p + n p, the integer p * (max K^2 + n); p divides the maximum
-because K^T G^{-1} K has a denominator dividing p, and a maximum that p does
-not divide is an invariant error.
+computes the continuants, the weights w_i and the normalization check once.
+Class c = 0..p-1 is represented by K_0 + 2c e_1, and the start vector is
+linear in K, so class c starts at y_0 + c step, where step is the start
+vector of 2 e_1; no per-class representative or Fraction is built.  Each
+class's integer maximum comes from the same ascent as `max_char_square`, and
+it is keyed by max / p + n p, the integer p * (max K^2 + n); p divides the
+maximum because K^T G^{-1} K has a denominator dividing p, and a maximum
+that p does not divide is an invariant error.
 
 Conjugation K -> -K maps characteristic covectors to characteristic
 covectors and y to -y, and the form has Q(-y) = Q(y), so conjugate classes
@@ -37,22 +37,21 @@ have equal maxima.  With y_c = y_0 + c step, class c is conjugate to class
 (s - c) mod p, where 2 y_0 + s step = 0 (mod 2p); the last entry of step is
 +-2, so it fixes s, and the sweep checks the whole congruence once.  The
 ascent then runs once per conjugate pair, for the class with the smaller
-index: (p + 1) / 2 times for odd p, at most p / 2 + 1 for even p.
+index, and only those classes get a start vector: (p + 1) / 2 of them for
+odd p, at most p / 2 + 1 for even p.
 
-One continuant recurrence serves the determinant, the start vector and the
-class representatives; `_start_vector` and `char_classes` state the
-closed-form adjugate they rely on.  The adjugate itself, class membership, a
-brute-force box search for the maxima and the check built class by class
-through `max_char_square` are test oracles, kept apart from this module in
+One continuant recurrence serves the determinant, the start vectors and the
+class representatives; `_start_vector` alone states the closed-form adjugate
+they rely on.  The adjugate itself, class membership, a brute-force box
+search for the maxima and the check built class by class through
+`max_char_square` are test oracles, kept apart from this module in
 tests/lattice_oracles.py.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import gcd
 
 from .errors import DomainError, InvariantError
@@ -254,31 +253,6 @@ def max_char_square(lat: Lattice, cls: CharClass) -> Fraction:
     return Fraction(_max_square_scaled(_weights(lat.terms), start, p), p * p) + lat.rank
 
 
-def _class_step(theta: list[int], phi: list[int]) -> list[int]:
-    """2 sign(det) times column 0 of the adjugate, (-1)^i phi_(n-1-i) (closed
-    form in `_start_vector`): what 2 e_1 adds to a start vector.  Its last
-    entry is +-2, since phi_0 = 1."""
-    n = len(theta) - 1
-    sign = 1 if theta[n] > 0 else -1
-    return [2 * sign * (-phi[n - 1 - i] if i % 2 else phi[n - 1 - i]) for i in range(n)]
-
-
-def _class_start_vectors(
-    theta: list[int], phi: list[int], terms: tuple[int, ...]
-) -> Iterator[list[int]]:
-    """y0 = sign(det) adj K for K = K_0 + 2c e_1, c = 0..p-1 (the classes of
-    `char_classes`, in order), one vector addition per class.
-
-    y0 is linear in K, so class c + 1 starts at class c's start vector plus
-    `_class_step`.
-    """
-    delta = _class_step(theta, phi)
-    y = _start_vector(theta, phi, tuple(-a for a in terms))
-    for _ in range(abs(theta[-1])):
-        yield y
-        y = [u + d for u, d in zip(y, delta)]
-
-
 @dataclass(frozen=True)
 class LatticeCheckReport:
     p: int
@@ -317,22 +291,23 @@ def lattice_vs_recursion_check(p: int, q: int) -> LatticeCheckReport:
     theta = _continuants(lat.terms)
     phi = _continuants(lat.terms[::-1])
     w = _weights(lat.terms)
-    step = _class_step(theta, phi)
-    starts = _class_start_vectors(theta, phi, lat.terms)
-    y0 = next(starts)
+    # Class c, K_0 + 2c e_1, starts at y_0 + c step: the start vector is linear in K.
+    y0 = _start_vector(theta, phi, tuple(-a for a in lat.terms))
+    step = _start_vector(theta, phi, (2,) + (0,) * (n - 1))
     # -y_c = y_0 + (s - c) step (mod 2p) for every c once 2 y_0 + s step = 0
-    # (mod 2p); the last entry of step is +-2, so it fixes s mod p.
+    # (mod 2p); the last entry of step is +-2 (phi_0 = 1), so it fixes s mod p.
     s = -y0[-1] * (step[-1] // 2) % p
     if any((2 * u + s * d) % (2 * p) for u, d in zip(y0, step)):
         raise InvariantError(f"conjugation does not pair the classes of L({p},{q})")
     # Both sides are keyed by the integer p * value: a class's maximum of
     # y^T G y by maximum / p + n p, a label's 4d = N / p by its table entry N.
     class_keys: list[int] = []
-    for c, y in enumerate(chain([y0], starts)):
+    for c in range(p):
         mate = (s - c) % p
         if mate < c:  # Q(-y) = Q(y): the conjugate class has the same maximum
             class_keys.append(class_keys[mate])
             continue
+        y = [u + c * d for u, d in zip(y0, step)]
         key, rest = divmod(_max_square_scaled(w, _centred(y, p), p), p)
         if rest:
             raise InvariantError(

@@ -153,6 +153,54 @@ def test_trees_with_weight_equal_to_degree_have_no_rational_homology():
             certify_tree(WeightedTree(tuple(degree), edges))
 
 
+def test_gated_trees_take_the_first_move_and_never_backtrack(monkeypatch):
+    """On a tree with every weight >= its degree and |H1| != 0, a weight-1
+    vertex is a leaf, and blowing it down keeps the gate and |H1|; with no
+    weight-1 leaf, every leaf weighs >= 2 and either side of its split is a
+    gated tree strictly diagonally dominant somewhere (the leaf's neighbour
+    once it is deleted, another leaf once it is decremented), hence definite
+    with |H1| != 0, and the two |H1| add up.  So `_tree_steps` takes the
+    first move `_tree_moves` yields at every node, and its search serves
+    require_hypothesis=False alone.  The heavy-first tree order planned in
+    ROADMAP.md (item 4) relies on this, and updates this test if it changes
+    the enumerator's order.
+    """
+    memos = []
+    derive = lspacecert._derive
+
+    def recording(root, steps, memo):
+        memos.append(memo)
+        return derive(root, steps, memo)
+
+    monkeypatch.setattr(lspacecert, "_derive", recording)
+    rng = random.Random("gated-first-move")
+    trees = [
+        star_tree(3, [[2], [2], [2]]),
+        star_tree(4, [[2, 2], [3], [2], [2]]),
+        star_tree(5, [[1], [2, 3], [2, 1], [3], [2]]),
+        star_tree(3, [[2, 2, 2], [3, 1], [2]]),
+    ]
+    while len(trees) < 200:
+        n = rng.randint(2, 10)
+        edges = tuple((v, rng.randrange(v)) for v in range(1, n))
+        degree = [sum(v in edge for edge in edges) for v in range(n)]
+        tree = WeightedTree(tuple(d + rng.randrange(4) for d in degree), edges)
+        if tree_h1(tree):
+            trees.append(tree)
+    nodes = 0
+    for tree in trees:
+        cert = certify_tree(tree)
+        for node in lspacecert._topological(cert):
+            kind, data = lspacecert._view(node.conclusion)
+            if kind == "tree-boundary":
+                nodes += 1
+                premises = tuple(lspacecert._view(p.conclusion) for p in node.premises)
+                assert (node.rule, premises) == next(lspacecert._tree_moves(data)), tree
+    assert nodes > 1000
+    failures = [v for memo in memos for v in memo.values() if isinstance(v, HypothesisNotMetError)]
+    assert failures == []
+
+
 def test_tait_det_examples():
     assert tait_det(cycle_graph(3)) == 3
     assert tait_det(TaitGraph(2, ((0, 1),))) == 1

@@ -22,8 +22,6 @@ from lenslab.plumblat import (
     CharClass,
     Lattice,
     _box_max,
-    _class_start_vectors,
-    _class_step,
     _continuants,
     _max_square_scaled,
     _start_vector,
@@ -360,7 +358,10 @@ def test_start_vector_matches_adjugate_to_30():
             theta = _continuants(lat.terms)
             phi = _continuants(lat.terms[::-1])
             classes = char_classes(lat)
-            sweep = list(_class_start_vectors(theta, phi, lat.terms))
+            # the sweep's start vectors: y_0 + c step, step the start vector of 2 e_1
+            y0 = _start_vector(theta, phi, classes[0].rep)
+            step = _start_vector(theta, phi, (2,) + (0,) * (n - 1))
+            sweep = [[u + c * d for u, d in zip(y0, step)] for c in range(p)]
             assert len(sweep) == len(classes)
             for cls, swept in zip(classes, sweep):
                 expected = [sign * sum(adj[i][j] * cls.rep[j] for j in range(n)) for i in range(n)]
@@ -393,7 +394,8 @@ def test_lattice_vs_recursion_wide_chains():
 
 def test_negation_pairs_class_c_with_class_s_minus_c_to_61():
     # s is read as lattice_vs_recursion_check reads it: off the last entry of
-    # the start vector of class 0 and of the class step, which is +-2
+    # the start vector of class 0 and of the class step (the start vector of
+    # 2 e_1), which is +-2
     for p in range(2, 62):
         for q in range(1, p):
             if gcd(p, q) != 1:
@@ -401,11 +403,11 @@ def test_negation_pairs_class_c_with_class_s_minus_c_to_61():
             lat = lattice_from_hj(hj_expand(Fraction(p, q)))
             theta = _continuants(lat.terms)
             phi = _continuants(lat.terms[::-1])
-            step = _class_step(theta, phi)
-            assert abs(step[-1]) == 2
-            y0 = next(_class_start_vectors(theta, phi, lat.terms))
-            s = -y0[-1] * (step[-1] // 2) % p
             classes = char_classes(lat)
+            step = _start_vector(theta, phi, (2,) + (0,) * (lat.rank - 1))
+            assert abs(step[-1]) == 2
+            y0 = _start_vector(theta, phi, classes[0].rep)
+            s = -y0[-1] * (step[-1] // 2) % p
             for c, cls in enumerate(classes):
                 negated = tuple(-k for k in cls.rep)
                 assert same_class(lat, negated, classes[(s - c) % p].rep), (p, q, c)
@@ -435,15 +437,16 @@ def test_one_ascent_per_conjugate_pair(monkeypatch):
 def test_broken_conjugation_congruence_is_an_invariant_error(monkeypatch):
     import lenslab.plumblat as plumblat
 
-    real = plumblat._class_start_vectors
+    real = plumblat._start_vector
 
-    def shifted(theta, phi, terms):
-        # +2 on the first entry of every start vector: the steps between
-        # classes and the last entry, which fixes s, are unchanged
-        for y in real(theta, phi, terms):
-            yield [y[0] + 2, *y[1:]]
+    def shifted(theta, phi, rep):
+        # +2 on the first entry of y_0, the start vector of K_0 = -a: the step
+        # between classes (the start vector of 2 e_1) and the last entry of
+        # y_0, which fixes s, are unchanged
+        y = real(theta, phi, rep)
+        return [y[0] + 2, *y[1:]] if rep[0] < 0 else y
 
-    monkeypatch.setattr(plumblat, "_class_start_vectors", shifted)
+    monkeypatch.setattr(plumblat, "_start_vector", shifted)
     with pytest.raises(
         InvariantError, match=re.escape("conjugation does not pair the classes of L(9,7)")
     ):

@@ -146,6 +146,34 @@ def test_str_visits_the_set_bits_as_the_shifting_rendering_did():
         assert str(series) == str_by_shifting(series)
 
 
+def str_by_binary_rendering(series: F2Series) -> str:
+    """The rendering F2Series.__str__ used to compute, one binary string of
+    all N + 1 bits read from the low end."""
+    digits = f"{series.bits:b}"[::-1]
+    terms = []
+    k = digits.find("1")
+    while k >= 0:
+        terms.append("1" if k == 0 else ("U" if k == 1 else f"U^{k}"))
+        k = digits.find("1", k + 1)
+    return " + ".join(terms) or "0"
+
+
+def test_str_reads_the_bytes_as_the_binary_rendering_did():
+    rng = random.Random("series-bytes")
+    for n in [*range(70), 1000, 4097]:
+        sparse = rng.getrandbits(n + 1) & rng.getrandbits(n + 1) & rng.getrandbits(n + 1)
+        cases = [
+            tau_series(n),
+            surgery_series(3, 1, n),
+            surgery_series(1, 0, n),
+            F2Series(n, 1 << n),
+            F2Series(n, sparse),
+            gf2_series(rng, n),
+        ]
+        for series in cases:
+            assert str(series) == str_by_binary_rendering(series), (n, series)
+
+
 def tau_by_big_integer(truncation: int) -> F2Series:
     """tau_series as it used to be built, one big-integer OR per term."""
     bits, k = 0, 0
