@@ -88,7 +88,7 @@ def _read_json(path: str) -> object:
         raise DomainError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise DomainError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad syntax, or an integer too long to convert
         raise DomainError(f"malformed JSON input in {path}: {exc}") from None
     except RecursionError:
         raise DomainError(f"malformed JSON input in {path}: nested too deeply") from None
@@ -265,6 +265,41 @@ def _load_graph(path: str, weighted: bool) -> tuple:
     if len(edges) > edge_cap:
         raise DomainError(f"field 'edges' has more than the cap of {edge_cap} edges")
     return vertices, tuple(map(tuple, edges))
+
+
+def _check_node_caps(table: dict) -> None:
+    """The caps of `lspace tree` and `lspace alt` on every tree and Tait graph
+    of a loaded node table, before the checker builds any of them.  The
+    certificates those commands print pass: their nodes are minors of a
+    capped document."""
+    for node in table["nodes"]:
+        kind, params = node["conclusion"]["kind"], node["conclusion"]["params"]
+        if kind == "tree-boundary":
+            sizes = [("weights", params.get("weights", "").count(",") + 1, MAX_TREE_VERTICES)]
+        elif kind == "branched-double-cover":
+            edges = params.get("edges", "")
+            sizes = [
+                ("vertices", _declared(params.get("vertices", "")), MAX_TAIT_VERTICES),
+                ("edges", edges.count(",") + 1 if edges else 0, MAX_TAIT_EDGES),
+            ]
+        else:
+            continue
+        for field, size, cap in sizes:
+            if size > cap:
+                noun = "edges" if field == "edges" else "vertices"
+                raise CertificateCheckError(
+                    f"node {node['id']} ({node['rule']}): "
+                    f"field {field!r} has more than the cap of {cap} {noun}"
+                )
+
+
+def _declared(text: str) -> int:
+    """The integer a param states, or 0 for text that is none: the checker
+    rejects that text before it builds anything."""
+    try:
+        return int(text)
+    except ValueError:
+        return 0
 
 
 def _emit(args: argparse.Namespace, payload: object, lines: list[str], **json_style) -> None:
@@ -542,7 +577,9 @@ def _cmd_lspace_check(args: argparse.Namespace) -> None:
     if isinstance(doc, dict) and "certificate" in doc:  # `lspace ... --json` output
         doc = doc["certificate"]
     try:
-        _emit_certificate(args, Certificate.from_json_dict(doc))
+        cert = Certificate.from_json_dict(doc)
+        _check_node_caps(doc)
+        _emit_certificate(args, cert)
     except CertificateCheckError as exc:
         raise DomainError(f"certificate rejected: {exc}") from None
 

@@ -145,7 +145,9 @@ def random_chain_map(
         rows += [(cols[j] << (i * n)) ^ (spread << j) for j in range(n)]
     vec = 0
     for b in F2Matrix(len(rows), m * n, tuple(rows)).nullspace():
-        if rng.random() < 0.5:
+        # random() < 0.5 without a float: the same two 32-bit words, and bit
+        # 31 is the top bit of the first, which decides that comparison
+        if not (rng.getrandbits(64) >> 31) & 1:
             vec ^= b
     mask = (1 << n) - 1
     return F2Matrix(m, n, tuple((vec >> (i * n)) & mask for i in range(m)))

@@ -38,9 +38,13 @@ premises) move in the order the builders try them:
 A manifold is named by its view (kind, data), as `_view` rebuilds it from a
 fact, in memo keys, enumerated premises and the checker alike.  A single
 vertex of weight w is L(w, 1), and the edgeless graph on one vertex is S3.
-Every builder runs one step function, `_steps`: an axiom at a leaf, the tree
-search on a tree, else the first move through `_first_move`, which derives
-its premises and checks their |H1| sum.
+`_fact_of` builds the fact of every view, for the axiom constructors, the
+builders and the checker.  Every builder runs one step function, `_steps`:
+a leaf takes its axiom from `_LEAF_AXIOMS`, the table the checker's
+`_AXIOMS` extends by the caller-supplied fact alone; a tree runs the tree
+search; anything else takes its first move.  Every interior node, the tree
+search's blow-downs and splits included, is built by `_first_move`, which
+derives its premises and checks their |H1| sum.
 
 The checker accepts one of these nodes only if its premises are among the
 enumerator's moves for its rule.  The two one-off rules, lift and
@@ -278,10 +282,10 @@ def _derive(root: Hashable, steps: Callable[[Hashable], Steps], memo: dict) -> C
             return value
 
 
-def _first_move(fact: Fact, moves: Iterator[tuple[str, tuple]]) -> Steps:
-    """The node for `fact` by the first of `moves`, its premises derived in turn.
-    Premises whose |H1| does not add up to the fact's are a builder bug."""
-    rule, premises = next(moves)
+def _first_move(fact: Fact, rule: str, premises: tuple) -> Steps:
+    """The node for `fact` by the move (rule, premises), its premises derived
+    in turn.  Premises whose |H1| does not add up to the fact's are a builder
+    bug."""
     certs = []
     for sub in premises:
         certs.append((yield sub))
@@ -297,21 +301,14 @@ def _steps(view: tuple[str, object]) -> Steps:
     kind, data = view
     if kind == "lens" and data[0] < 1:
         raise HypothesisNotMetError(f"single vertex of weight {data[0]} reached; not certifiable")
-    if kind == "lens":
-        return lens_axiom(*data)
-    if kind == "connected-sum-lens":
-        return connected_sum_lens_axiom(list(data))
+    rule = next((rule for rule, holds in _LEAF_AXIOMS.items() if holds(view)), None)
+    if rule is not None:
+        return Certificate(_fact_of(view), rule)
     if kind == "tree-boundary":
         return (yield from _tree_steps(data))
-    if kind == "branched-double-cover":
-        fact, moves = _tait_fact(data, tait_det(data)), _tait_moves(data)
-    elif kind == "surgery":
-        fact, moves = _surgery_fact(*data), _slope_moves(data)
-    elif data == (1, 1, 1):
-        return poincare_sphere_axiom()
-    else:
-        fact, moves = _borromean_fact(*data), _borromean_moves(data)
-    return (yield from _first_move(fact, moves))
+    moves = {"branched-double-cover": _tait_moves, "surgery": _slope_moves,
+             "borromean": _borromean_moves}[kind]
+    return (yield from _first_move(_fact_of(view), *next(moves(data))))
 
 
 # ---------------------------------------------------------------------------
@@ -319,47 +316,41 @@ def _steps(view: tuple[str, object]) -> Steps:
 # ---------------------------------------------------------------------------
 
 
-def _lens_fact(p: int, q: int = 1) -> Fact:
-    return _fact("S3" if p == 1 else f"L({p},{q})", p, "lens", p=p, q=q)
-
-
-def _connected_sum_fact(orders: list[int]) -> Fact:
-    return _fact(
-        " # ".join(f"L({p},1)" for p in orders), prod(orders), "connected-sum-lens",
-        orders=",".join(map(str, orders)),
-    )
+def _fact_of(view: tuple[str, object], **extra: str) -> Fact:
+    """The fact naming the manifold `view` names, its |H1| computed from the
+    view's data: by `tree_h1`, `tait_det` or the slope numerators.  `extra`
+    params (the note of a given L-space) go on surgery facts alone."""
+    kind, data = view
+    if kind == "lens":
+        p, q = data
+        return _fact("S3" if p == 1 else f"L({p},{q})", p, kind, p=p, q=q)
+    if kind == "connected-sum-lens":
+        desc = " # ".join(f"L({p},1)" for p in data)
+        return _fact(desc, prod(data), kind, orders=",".join(map(str, data)))
+    if kind == "tree-boundary":
+        return _fact(
+            "boundary of " + data.describe(), tree_h1(data), kind,
+            weights=",".join(map(str, data.weights)), edges=_edge_text(data.edges),
+        )
+    if kind == "branched-double-cover":
+        return _fact(
+            "branched double cover of " + data.describe(), tait_det(data), kind,
+            vertices=data.num_vertices, edges=_edge_text(data.edges),
+        )
+    if kind == "surgery":
+        knot, slope = data
+        text = format_slope(slope)
+        return _fact(f"S3_{text}({knot})", slope.numerator, kind, knot=knot, slope=text, **extra)
+    slopes = ",".join(format_slope(x) for x in data)
+    desc = "M(1,1,1) = Poincare homology sphere" if data == (1, 1, 1) else f"M({slopes})"
+    return _fact(desc, prod(x.numerator for x in data), kind, slopes=slopes)
 
 
 _S3_VIEW = ("lens", (1, 1))  # the checker's view of the three-sphere, see _view
 
 
-def _surgery_fact(knot: str, slope: Fraction, **extra: str) -> Fact:
-    text = format_slope(slope)
-    return _fact(f"S3_{text}({knot})", slope.numerator, "surgery", knot=knot, slope=text, **extra)
-
-
-def _borromean_fact(a: Fraction, b: Fraction, c: Fraction) -> Fact:
-    slopes = ",".join(format_slope(x) for x in (a, b, c))
-    desc = "M(1,1,1) = Poincare homology sphere" if (a, b, c) == (1, 1, 1) else f"M({slopes})"
-    return _fact(desc, a.numerator * b.numerator * c.numerator, "borromean", slopes=slopes)
-
-
 def _edge_text(edges: tuple[tuple[int, int], ...]) -> str:
     return ",".join(f"{a}-{b}" for a, b in edges)
-
-
-def _tree_fact(tree: "WeightedTree", h1: int) -> Fact:
-    return _fact(
-        "boundary of " + tree.describe(), h1, "tree-boundary",
-        weights=",".join(map(str, tree.weights)), edges=_edge_text(tree.edges),
-    )
-
-
-def _tait_fact(graph: "TaitGraph", det: int) -> Fact:
-    return _fact(
-        "branched double cover of " + graph.describe(), det, "branched-double-cover",
-        vertices=graph.num_vertices, edges=_edge_text(graph.edges),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -375,31 +366,33 @@ def lens_axiom(p: int, q: int = 1) -> Certificate:
     """L(p, q) is an L-space; 1 <= q <= p and gcd(p, q) = 1.  L(1,1) is S3."""
     if not _is_lens_pair(p, q):
         raise DomainError(f"no lens space L({p},{q}): need 1 <= q <= p and gcd(p, q) = 1")
-    return Certificate(_lens_fact(p, q), "axiom:lens-space") if p > 1 else sphere_axiom()
+    return Certificate(_fact_of(("lens", (p, q))), "axiom:lens-space") if p > 1 else sphere_axiom()
 
 
 def sphere_axiom() -> Certificate:
-    return Certificate(_lens_fact(1), "axiom:three-sphere")
+    return Certificate(_fact_of(_S3_VIEW), "axiom:three-sphere")
 
 
 def connected_sum_lens_axiom(orders: list[int]) -> Certificate:
     orders = [p for p in orders if p != 1]
     if not orders:
         return sphere_axiom()
-    return Certificate(_connected_sum_fact(orders), "axiom:connected-sum-of-lens-spaces")
+    view = ("connected-sum-lens", tuple(orders))
+    return Certificate(_fact_of(view), "axiom:connected-sum-of-lens-spaces")
 
 
 def poincare_sphere_axiom() -> Certificate:
     """The Poincare sphere, M(1,1,1): positive scalar curvature."""
-    one = Fraction(1)
-    return Certificate(_borromean_fact(one, one, one), "axiom:positive-scalar-curvature")
+    view = ("borromean", (Fraction(1),) * 3)
+    return Certificate(_fact_of(view), "axiom:positive-scalar-curvature")
 
 
 def surgery_lspace_axiom(knot: str, slope: Fraction) -> Certificate:
     """Caller-supplied fact: the slope-r filling of this knot is an L-space."""
     if slope <= 0:
         raise DomainError("surgery L-space facts need a positive slope")
-    return Certificate(_surgery_fact(knot, slope, note="lens space"), "axiom:given-l-space")
+    fact = _fact_of(("surgery", (knot, slope)), note="lens space")
+    return Certificate(fact, "axiom:given-l-space")
 
 
 def triangle_rule(c0: Certificate, c1: Certificate, target: Fact) -> Certificate:
@@ -605,27 +598,19 @@ def _tree_moves(tree: WeightedTree) -> Iterator[tuple[str, tuple]]:
 def _tree_steps(tree: WeightedTree) -> Steps:
     """A tree of two or more vertices.  A rejection names the first split
     that failed, at the lightest leaf."""
-    h1 = tree_h1(tree)
-    fact = _tree_fact(tree, h1)
+    fact = _fact_of(("tree-boundary", tree))
     failure = None
     for rule, premises in _tree_moves(tree):
-        orders = [abs(data[0]) if kind == "lens" else tree_h1(data) for kind, data in premises]
         if rule == "blow-down":
-            if orders[0] != h1:
-                raise InvariantError("blow-down changed |H1|")
-            premise = yield premises[0]
-            return Certificate(fact, rule, (premise,))
-        h0, h1_side = orders
-        if h0 + h1_side != h1 or h0 == 0 or h1_side == 0:
-            failure = failure or f"{h1} != {h0} + {h1_side}"
+            return (yield from _first_move(fact, rule, premises))
+        h0, h1_side = (abs(data[0]) if kind == "lens" else tree_h1(data) for kind, data in premises)
+        if h0 + h1_side != fact.h1_order or h0 == 0 or h1_side == 0:
+            failure = failure or f"{fact.h1_order} != {h0} + {h1_side}"
             continue
         try:
-            c0 = yield premises[0]
-            c1 = yield premises[1]
+            return (yield from _first_move(fact, rule, premises))
         except HypothesisNotMetError as exc:
             failure = failure or str(exc)
-            continue
-        return triangle_rule(c0, c1, fact)
     raise HypothesisNotMetError(
         f"no leaf admits a determinant-positive split; the lightest: {failure}"
     )
@@ -829,7 +814,7 @@ def propagate_slope(base: Certificate, target: Fraction) -> Certificate:
     if r.denominator != 1:
         lifted = Fraction(ceil(r))
         memo[_surgery_view(knot, lifted)] = Certificate(
-            _surgery_fact(knot, lifted), "rational-to-integer-lift", (base,)
+            _fact_of(("surgery", (knot, lifted))), "rational-to-integer-lift", (base,)
         )
 
     def steps(view: tuple[str, tuple[str, Fraction]]) -> Steps:
@@ -911,7 +896,7 @@ def certify_pretzel_surgeries(n: int, target: Fraction) -> Certificate:
         raise DomainError(f"target {target} below the certified slope {base_slope}")
     tree_cert = certify_tree(tree, require_hypothesis=(n == 7))
     knot = f"(-2,3,{n})-pretzel"
-    base_fact = _surgery_fact(knot, base_slope)
+    base_fact = _fact_of(("surgery", (knot, base_slope)))
     base = Certificate(base_fact, "seifert-filling-identification", (tree_cert,))
     return propagate_slope(base, target)
 
@@ -971,30 +956,25 @@ def _view(fact: Fact) -> tuple[str, object]:
         data = (int(_param(fact, "p")), int(_param(fact, "q")))
         if not _is_lens_pair(*data):
             raise CertificateCheckError(f"no lens space L{data}")
-        rebuilt = _lens_fact(*data)
     elif kind == "connected-sum-lens":
         data = tuple(int(p) for p in _param(fact, "orders").split(","))
         if min(data) < 2:
             raise CertificateCheckError("connected-sum orders must be >= 2")
-        rebuilt = _connected_sum_fact(list(data))
     elif kind == "tree-boundary":
         weights = tuple(int(w) for w in _param(fact, "weights").split(","))
         data = WeightedTree(weights, _edges(_param(fact, "edges")))
-        rebuilt = _tree_fact(data, tree_h1(data))
     elif kind == "branched-double-cover":
         data = TaitGraph(int(_param(fact, "vertices")), _edges(_param(fact, "edges")))
-        rebuilt = _tait_fact(data, tait_det(data))
     elif kind == "surgery":
         data = (_param(fact, "knot"), parse_slope(_param(fact, "slope")))
-        note = fact.param("note")
-        rebuilt = _surgery_fact(*data, **({} if note is None else {"note": note}))
     elif kind == "borromean":
         data = tuple(parse_slope(x) for x in _param(fact, "slopes").split(","))
         if len(data) != 3 or min(data) < 1:
             raise CertificateCheckError("Borromean surgeries need three slopes >= 1")
-        rebuilt = _borromean_fact(*data)
     else:
         raise CertificateCheckError(f"unknown kind of manifold {kind!r}")
+    note = fact.param("note") if kind == "surgery" else None
+    rebuilt = _fact_of((kind, data), **({} if note is None else {"note": note}))
     if rebuilt != fact:
         raise CertificateCheckError(
             f"fact {fact.descriptor!r} with |H1| = {fact.h1_order} does not match "
@@ -1003,13 +983,14 @@ def _view(fact: Fact) -> tuple[str, object]:
     return kind, data
 
 
-_AXIOMS: dict[str, Callable[[tuple[str, object]], bool]] = {
+# leaf axiom -> whether a view is an instance; builders and checker alike
+_LEAF_AXIOMS: dict[str, Callable[[tuple[str, object]], bool]] = {
     "axiom:lens-space": lambda view: view[0] == "lens" and view != _S3_VIEW,
     "axiom:three-sphere": lambda view: view == _S3_VIEW,
     "axiom:connected-sum-of-lens-spaces": lambda view: view[0] == "connected-sum-lens",
     "axiom:positive-scalar-curvature": lambda view: view == ("borromean", (1, 1, 1)),
-    "axiom:given-l-space": lambda view: view[0] == "surgery",
 }
+_AXIOMS = {**_LEAF_AXIOMS, "axiom:given-l-space": lambda view: view[0] == "surgery"}
 
 
 def _check_rule(node: Certificate, view: tuple[str, object], premises: list) -> None:

@@ -14,7 +14,15 @@ from lenslab import cli
 from lenslab.cli import main
 from lenslab.errors import DomainError, InvariantError
 from lenslab.f2homalg import complexes
-from lenslab.lspacecert import certify_borromean, propagate_slope, surgery_lspace_axiom
+from lenslab.lspacecert import (
+    TaitGraph,
+    WeightedTree,
+    certify_alternating,
+    certify_borromean,
+    certify_tree,
+    propagate_slope,
+    surgery_lspace_axiom,
+)
 from lenslab.plumblat import LatticeCheckReport
 
 DATA = Path(__file__).parent / "data"
@@ -620,6 +628,90 @@ def test_lspace_check_rejects_a_malformed_table_in_one_line(tmp_path, capsys, do
     code, out, err = run_cli(capsys, "lspace", "check", str(path))
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and message in err
+
+
+@pytest.mark.parametrize("argv", [
+    "octet verify", "triangle verify", "lspace tree", "lspace alt", "lspace check",
+])
+def test_an_over_long_integer_is_malformed_json(tmp_path, capsys, argv):
+    # past the 4,300 digits Python converts by default, json.load raises a
+    # ValueError that is no JSONDecodeError
+    path = tmp_path / "long.json"
+    path.write_text('{"dims": [' + "9" * 5000 + ", 0, 0]}")
+    code, out, err = run_cli(capsys, *argv.split(), str(path))
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: malformed JSON input in {path}: ")
+
+
+def _one_node(kind, params):
+    """A one-node table: the three-sphere axiom on a fact of this kind."""
+    conclusion = {"descriptor": "Y", "h1": 1, "kind": kind, "params": params}
+    return {"format": 2, "root": 0, "nodes": [
+        {"id": 0, "rule": "axiom:three-sphere", "premises": [], "conclusion": conclusion},
+    ]}
+
+
+def _edge_text(pairs):
+    return ",".join(f"{a}-{b}" for a, b in pairs)
+
+
+def _node_over_the_cap(node, rule, field, cap, noun):
+    return (f"error: certificate rejected: node {node} ({rule}): "
+            f"field '{field}' has more than the cap of {cap} {noun}")
+
+
+@pytest.mark.parametrize("table, message", [
+    # a dense Bareiss elimination took 11.3 s on this 4.8 KB node uncapped
+    (_one_node("branched-double-cover", {
+        "vertices": "600", "edges": _edge_text((v, v + 1) for v in range(599))}),
+     _node_over_the_cap(0, "axiom:three-sphere", "vertices", cli.MAX_TAIT_VERTICES, "vertices")),
+    # one list per declared vertex: 149 MiB at 10^6 uncapped
+    (_one_node("branched-double-cover", {"vertices": "1000000000", "edges": ""}),
+     _node_over_the_cap(0, "axiom:three-sphere", "vertices", cli.MAX_TAIT_VERTICES, "vertices")),
+    (_one_node("branched-double-cover", {
+        "vertices": "2", "edges": _edge_text([(0, 1)] * (cli.MAX_TAIT_EDGES + 1))}),
+     _node_over_the_cap(0, "axiom:three-sphere", "edges", cli.MAX_TAIT_EDGES, "edges")),
+    (_one_node("tree-boundary", {
+        "weights": ",".join(["2"] * 2000), "edges": _edge_text((0, v) for v in range(1, 2000))}),
+     _node_over_the_cap(0, "axiom:three-sphere", "weights", cli.MAX_TREE_VERTICES, "vertices")),
+    # what `lspace alt` and `lspace tree` would certify one past their caps
+    (certify_alternating(TaitGraph(
+        cli.MAX_TAIT_VERTICES + 1, tuple((v, v + 1) for v in range(cli.MAX_TAIT_VERTICES)),
+    )).to_json_dict(),
+     _node_over_the_cap(cli.MAX_TAIT_VERTICES, "reduce", "vertices", cli.MAX_TAIT_VERTICES,
+                        "vertices")),
+    (certify_tree(WeightedTree(
+        (1,) + (2,) * (cli.MAX_TREE_VERTICES - 1) + (3,),
+        tuple((v, v + 1) for v in range(cli.MAX_TREE_VERTICES)),
+    )).to_json_dict(),
+     _node_over_the_cap(cli.MAX_TREE_VERTICES, "blow-down", "weights", cli.MAX_TREE_VERTICES,
+                        "vertices")),
+], ids=["tait-path-600", "tait-declares-10^9", "tait-edges", "tree-star-2000",
+        "alt-one-over", "tree-one-over"])
+def test_lspace_check_caps_every_tree_and_tait_graph(tmp_path, capsys, table, message):
+    path = tmp_path / "over.json"
+    path.write_text(json.dumps(table))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "lspace", "check", str(path))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [message]
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("alt", {"vertices": cli.MAX_TAIT_VERTICES,
+             "edges": [[v, v + 1] for v in range(cli.MAX_TAIT_EDGES)]}),
+    ("tree", _path_tree([1] + [2] * (cli.MAX_TREE_VERTICES - 2) + [3])),
+], ids=["alt-64-edge-path", "tree-500-vertex-path"])
+def test_certificates_built_at_the_caps_check(tmp_path, capsys, command, doc):
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps(doc))
+    code, built, _ = run_cli(capsys, "--json", "lspace", command, str(graph))
+    assert code == 0
+    cert = tmp_path / "cert.json"
+    cert.write_text(built)
+    assert run_cli(capsys, "--json", "lspace", "check", str(cert)) == (0, built, "")
 
 
 @pytest.mark.parametrize("argv", [

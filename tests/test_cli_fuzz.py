@@ -1,9 +1,10 @@
 """Mutated input documents: the CLI exits 0 or 1, and on 1 prints one line.
 
 Each example starts from a valid octet, cone-triple, tree or Tait-graph
-document and applies a few random edits anywhere in it: replace a value,
-mostly by one of the same JSON type, delete a key or list item, or add one;
-now and then it also cuts the JSON text short.  Every call must return
+document, or the node table of a slope certificate, and applies a few
+random edits anywhere in it: replace a value, mostly by one of the same
+JSON type, delete a key or list item, or add one; now and then it also
+cuts the JSON text short.  Every call must return
 exit code 0 with nothing on stderr, or exit code 1 with a one-line
 diagnostic; any other exception fails the test.
 Every integer drawn lies in -3..12, so every mutated document stays small,
@@ -11,13 +12,15 @@ except that one example in three ends with an edit of a size the loaders
 cap: it sets a Tait vertex count, or one entry of `dims`, `vertices` or an
 edge, to a negative integer or to one from just below its cap to far above
 it, or it grows the `vertices` or `edges` list to anywhere from just below
-its cap to four times it.
+its cap to four times it.  One example in six also writes a 5,000-digit
+integer somewhere, past the 4,300 digits Python converts by default.
 """
 
 import io
 import json
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -31,6 +34,7 @@ from lenslab.cli import (
     MAX_TREE_VERTICES,
     main,
 )
+from lenslab.lspacecert import propagate_slope, surgery_lspace_axiom
 
 DOCUMENTS = {
     "octet": (
@@ -53,6 +57,10 @@ DOCUMENTS = {
     "tait": (
         ["lspace", "alt"],
         {"vertices": 3, "edges": [[0, 1], [1, 2], [2, 0]]},
+    ),
+    "certificate": (
+        ["lspace", "check"],
+        propagate_slope(surgery_lspace_axiom("K", Fraction(1)), Fraction(5, 2)).to_json_dict(),
     ),
 }
 
@@ -131,6 +139,18 @@ def set_large(data, doc):
     return True
 
 
+HUGE = "<huge>"  # written out as a 5,000-digit integer
+
+
+def set_huge(data, doc):
+    """Put HUGE into one slot of `doc`, or insert it into one of its lists."""
+    target = data.draw(st.sampled_from(containers(doc)))
+    if isinstance(target, dict):
+        target[data.draw(st.sampled_from(sorted(target) + list(KEYS)))] = HUGE
+    else:
+        target.insert(data.draw(st.integers(0, len(target))), HUGE)
+
+
 def mutate(data, doc):
     """Apply one random edit to `doc` in place."""
     target = data.draw(st.sampled_from(containers(doc)))
@@ -168,7 +188,9 @@ def test_mutated_documents_exit_cleanly(kind, data):
         mutate(data, doc)
     if sized:
         set_large(data, doc)  # last, so that no other edit undoes it
-    text = json.dumps(doc)
+    if data.draw(st.integers(0, 5)) == 0:
+        set_huge(data, doc)
+    text = json.dumps(doc).replace(json.dumps(HUGE), "9" * 5000)
     if data.draw(st.integers(0, 5)) == 5:
         text = text[:data.draw(st.integers(0, len(text)))]
     with tempfile.TemporaryDirectory() as tmp:

@@ -791,9 +791,9 @@ def _conclusion(fact):
 
 @pytest.mark.parametrize("cert, leaf", [
     # L(2,1), the blow-down of [1, 3], named as the boundary of the single vertex [2]
-    (certify_tree(path_tree([1, 3])), lspacecert._tree_fact(WeightedTree((2,), ()), 2)),
+    (certify_tree(path_tree([1, 3])), lspacecert._fact_of(("tree-boundary", WeightedTree((2,), ())))),
     # S3, the end of the deletion-contraction of the triangle, named by the edgeless graph
-    (certify_alternating(cycle_graph(3)), lspacecert._tait_fact(TaitGraph(1, ()), 1)),
+    (certify_alternating(cycle_graph(3)), lspacecert._fact_of(("branched-double-cover", TaitGraph(1, ())))),
 ], ids=["single-vertex-tree", "edgeless-graph"])
 def test_a_leaf_named_by_its_tree_or_graph_is_rejected_at_its_own_node(cert, leaf):
     """No move or axiom yields such a node, so the premise fails before its user."""
