@@ -235,7 +235,18 @@ def _load_cone_triple(path: str) -> ConeTriple:
 # vertices, 6.5 s and 217 MiB at 1000, 28 s and 895 MiB at 2000, and a Tait
 # cycle took 1.3 s at 64 edges, 7.2 s at 100 and over 90 s at 200.  A
 # connected graph has at most one vertex more than it has edges.
+#
+# The vertex cap does not bound the weights: each split decrements a leaf
+# by one, so the distinct nodes of a path grow with the sum of its weights,
+# and the 57-byte tree [10^9, 10^9] never finished.  A tree's work is the
+# sum of its weights' absolute values times (64 + n), checked before the tree
+# is built.  The cap admits the reference path above (500 vertices of weight
+# 3, work 846,000), which took 2.1-2.7 s (wall time on the VM above); at
+# about the same work, a path of 120 vertices of weight 38 took 2.4 s, one of
+# 20 of weight 505 1.6 s, and the pair [6439, 6439] 0.6 s.  Stars and
+# branched trees grow faster than this work, which does not bound them.
 MAX_TREE_VERTICES = 500
+MAX_TREE_WORK = 850_000
 MAX_TAIT_EDGES = 64
 MAX_TAIT_VERTICES = MAX_TAIT_EDGES + 1
 
@@ -264,6 +275,8 @@ def _load_graph(path: str, weighted: bool) -> tuple:
         )
     if len(edges) > edge_cap:
         raise DomainError(f"field 'edges' has more than the cap of {edge_cap} edges")
+    if weighted:
+        _check_cap("tree work", sum(map(abs, vertices)) * (64 + n), MAX_TREE_WORK)
     return vertices, tuple(map(tuple, edges))
 
 

@@ -15,8 +15,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 
-from ..errors import DomainError, InvariantError
+from ..errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -164,10 +165,11 @@ def tau_series(truncation: int) -> F2Series:
 
 def surgery_series(p: int, n: int, truncation: int) -> F2Series:
     """GF(2) sum of U^((2n'-p)^2 - (2n-p)^2) / (8p) over all n' = n (mod p)
-    with integral exponent in [0, N].
+    with exponent in [0, N].
 
-    A non-integral exponent for some contributing n' would mean the
-    congruence handling is wrong, so it raises instead of skipping.  Like
+    With n' = n + kp the exponent is k n + p k(k-1)/2, an integer >= 0 for
+    every integer k; it is nondecreasing in k >= 0 and increasing in -k >= 1,
+    so each direction stops at its first exponent above N.  Like
     `tau_series`, it sets its bits in a bytearray and makes the integer
     once: one big-integer XOR per term would cost about N^1.5.
     """
@@ -177,28 +179,13 @@ def surgery_series(p: int, n: int, truncation: int) -> F2Series:
         raise DomainError(f"n={n} outside [0, {p - 1}]")
     if truncation < 0:
         raise DomainError("truncation order must be >= 0")
-    base = (2 * n - p) ** 2
     bits = bytearray(truncation // 8 + 1)
-    k = 0
-    while True:
-        hit_window = False
-        for n2 in (n + k * p, n - k * p) if k else (n,):
-            num = (2 * n2 - p) ** 2 - base
-            if num % (8 * p) != 0:
-                raise InvariantError(
-                    f"non-integral exponent for p={p}, n={n}, n'={n2}"
-                )
-            e = num // (8 * p)
-            if e < 0:
-                raise InvariantError(
-                    f"negative exponent for p={p}, n={n}, n'={n2}"
-                )
-            if e <= truncation:
-                hit_window = True
-                bits[e >> 3] ^= 1 << (e & 7)
-        if not hit_window and k > 0:
-            break
-        k += 1
+    for ks in (count(0), count(-1, -1)):
+        for k in ks:
+            e = k * n + p * k * (k - 1) // 2
+            if e > truncation:
+                break
+            bits[e >> 3] ^= 1 << (e & 7)
     return F2Series(truncation, int.from_bytes(bits, "little"))
 
 

@@ -39,12 +39,14 @@ A manifold is named by its view (kind, data), as `_view` rebuilds it from a
 fact, in memo keys, enumerated premises and the checker alike.  A single
 vertex of weight w is L(w, 1), and the edgeless graph on one vertex is S3.
 `_fact_of` builds the fact of every view, for the axiom constructors, the
-builders and the checker.  Every builder runs one step function, `_steps`:
-a leaf takes its axiom from `_LEAF_AXIOMS`, the table the checker's
-`_AXIOMS` extends by the caller-supplied fact alone; a tree runs the tree
-search; anything else takes its first move.  Every interior node, the tree
-search's blow-downs and splits included, is built by `_first_move`, which
-derives its premises and checks their |H1| sum.
+builders and the checker, and renders each fact's text once.  A tree's |H1|
+is computed once per tree object (`WeightedTree._h1`), which its fact and
+the split checks of the tree search share.  Every builder runs one step
+function, `_steps`: a leaf takes its axiom from `_LEAF_AXIOMS`, the table
+the checker's `_AXIOMS` extends by the caller-supplied fact alone; a tree
+runs the tree search; anything else takes its first move.  Every interior
+node, the tree search's blow-downs and splits included, is built by
+`_first_move`, which derives its premises and checks their |H1| sum.
 
 The checker accepts one of these nodes only if its premises are among the
 enumerator's moves for its rule.  The two one-off rules, lift and
@@ -72,6 +74,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import ceil, gcd, prod
 from typing import Callable, Generator, Hashable, Iterator
 
@@ -328,15 +331,13 @@ def _fact_of(view: tuple[str, object], **extra: str) -> Fact:
         desc = " # ".join(f"L({p},1)" for p in data)
         return _fact(desc, prod(data), kind, orders=",".join(map(str, data)))
     if kind == "tree-boundary":
-        return _fact(
-            "boundary of " + data.describe(), tree_h1(data), kind,
-            weights=",".join(map(str, data.weights)), edges=_edge_text(data.edges),
-        )
+        weights, edges = ",".join(map(str, data.weights)), _edge_text(data.edges)
+        desc = f"boundary of plumbing tree [{weights}; {edges}]"
+        return _fact(desc, data._h1, kind, weights=weights, edges=edges)
     if kind == "branched-double-cover":
-        return _fact(
-            "branched double cover of " + data.describe(), tait_det(data), kind,
-            vertices=data.num_vertices, edges=_edge_text(data.edges),
-        )
+        n, edges = data.num_vertices, _edge_text(data.edges)
+        desc = f"branched double cover of Tait graph on {n} vertices [{edges}]"
+        return _fact(desc, tait_det(data), kind, vertices=n, edges=edges)
     if kind == "surgery":
         knot, slope = data
         text = format_slope(slope)
@@ -427,11 +428,9 @@ class WeightedTree:
         if not _connected_with(n, self.edges):
             raise DomainError("tree is not connected")
 
-    def describe(self) -> str:
-        return (
-            "plumbing tree "
-            + "[" + ",".join(map(str, self.weights)) + "; " + _edge_text(self.edges) + "]"
-        )
+    @cached_property
+    def _h1(self) -> int:
+        return tree_h1(self)
 
 
 def _moved(cls: type, *values):
@@ -560,11 +559,8 @@ def certify_tree(tree: WeightedTree, require_hypothesis: bool = True) -> Certifi
     centre weight is below its degree); every produced certificate passes
     the independent checker either way.
     """
-    h1 = tree_h1(tree)
-    if h1 == 0:
-        raise HypothesisNotMetError(
-            "boundary is not a rational homology sphere (|H1| = 0)"
-        )
+    if tree._h1 == 0:
+        raise HypothesisNotMetError("boundary is not a rational homology sphere (|H1| = 0)")
     if require_hypothesis:
         degree = _degrees(tree)
         slack = [w - d for w, d in zip(tree.weights, degree)]
@@ -603,7 +599,7 @@ def _tree_steps(tree: WeightedTree) -> Steps:
     for rule, premises in _tree_moves(tree):
         if rule == "blow-down":
             return (yield from _first_move(fact, rule, premises))
-        h0, h1_side = (abs(data[0]) if kind == "lens" else tree_h1(data) for kind, data in premises)
+        h0, h1_side = (abs(data[0]) if kind == "lens" else data._h1 for kind, data in premises)
         if h0 + h1_side != fact.h1_order or h0 == 0 or h1_side == 0:
             failure = failure or f"{fact.h1_order} != {h0} + {h1_side}"
             continue
@@ -647,9 +643,6 @@ class TaitGraph:
             if not _connected_with(self.num_vertices, rest):
                 out.append(i)
         return out
-
-    def describe(self) -> str:
-        return f"Tait graph on {self.num_vertices} vertices [" + _edge_text(self.edges) + "]"
 
 
 def _check_endpoints(n: int, edges: tuple[tuple[int, int], ...]) -> None:
@@ -886,10 +879,9 @@ def certify_pretzel_surgeries(n: int, target: Fraction) -> Certificate:
     pretzel knot are L-spaces.  The star's order is asserted to be 2n+4,
     which pins the plumbing orientation convention."""
     tree = pretzel_star(n)
-    order = tree_h1(tree)
-    if order != 2 * n + 4:
+    if tree._h1 != 2 * n + 4:
         raise InvariantError(
-            f"pretzel star for n={n} has |H1| = {order}, expected {2 * n + 4}"
+            f"pretzel star for n={n} has |H1| = {tree._h1}, expected {2 * n + 4}"
         )
     base_slope = Fraction(2 * n + 4)
     if target < base_slope:

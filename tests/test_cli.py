@@ -509,6 +509,31 @@ def test_graphs_at_the_cap_are_accepted(tmp_path, capsys, command, doc):
     assert (code, err) == (0, "") and out
 
 
+def test_tree_weights_over_the_work_cap_are_one_line_domain_errors(tmp_path, capsys):
+    # a split decrements a leaf by one, so this 57-byte tree never finished uncapped
+    path = tmp_path / "doc.json"
+    path.write_text('{"vertices": [1000000000, 1000000000], "edges": [[0, 1]]}')
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "lspace", "tree", str(path))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        f"error: tree work=132000000000 is above the cap {cli.MAX_TREE_WORK}"
+    ]
+
+
+def test_tree_weights_just_under_the_work_cap_are_accepted(tmp_path, capsys):
+    # the pair [w, w] has work 2w * (64 + 2)
+    w = cli.MAX_TREE_WORK // (2 * 66)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_path_tree([w, w])))
+    code, out, err = run_cli(capsys, "lspace", "tree", str(path))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == f"|H1| = {w * w - 1}"
+    path.write_text(json.dumps(_path_tree([w + 1, w + 1])))
+    assert run_cli(capsys, "lspace", "tree", str(path))[0] == 1
+
+
 def test_lspace_slope_past_the_recursion_limit(capsys):
     code, out, err = run_cli(capsys, "lspace", "slope", "--base", "1", "--target", "1000")
     assert code == 0 and err == ""

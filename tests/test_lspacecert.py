@@ -256,6 +256,55 @@ def test_each_tait_minor_counts_its_spanning_trees_once(monkeypatch, graph, mino
     assert len(counted) == len(distinct) == minors
 
 
+def _six_gated_trees():
+    """Random gated trees on 16 vertices, weights degree + 1..3: 9,397
+    distinct tree-boundary nodes between them."""
+    trees = []
+    for seed in range(6):
+        rng = random.Random(seed)
+        edges = tuple((rng.randrange(i), i) for i in range(1, 16))
+        degree = [sum(v in edge for edge in edges) for v in range(16)]
+        trees.append(WeightedTree(tuple(d + rng.randint(1, 3) for d in degree), edges))
+    return trees
+
+
+def test_a_build_computes_each_tree_objects_h1_once(monkeypatch):
+    """The split checks of the tree search and the fact of the premise they
+    derive read one |H1|.  The list keeps every tree alive, so no id is
+    reused."""
+    computed = []
+    monkeypatch.setattr(lspacecert, "tree_h1", lambda tree: computed.append(tree) or tree_h1(tree))
+    for tree in _six_gated_trees():
+        certify_tree(tree)
+    assert len(computed) >= 9397
+    assert len({id(tree) for tree in computed}) == len(computed)
+
+
+def test_each_tree_and_tait_fact_renders_its_edges_once(monkeypatch):
+    rendered, graph_facts = [], []
+    edge_text, fact_of = lspacecert._edge_text, lspacecert._fact_of
+
+    def counting_fact_of(view, **extra):
+        if view[0] in ("tree-boundary", "branched-double-cover"):
+            graph_facts.append(view)
+        return fact_of(view, **extra)
+
+    monkeypatch.setattr(lspacecert, "_edge_text", lambda edges: rendered.append(edges) or edge_text(edges))
+    monkeypatch.setattr(lspacecert, "_fact_of", counting_fact_of)
+
+    def once_per_fact(run):
+        rendered.clear()
+        graph_facts.clear()
+        result = run()
+        assert len(rendered) == len(graph_facts) > 0
+        return result
+
+    for manifold in _six_gated_trees()[:2] + [cycle_graph(12), _grid_by_vertex(2, 4)]:
+        certify = certify_tree if isinstance(manifold, WeightedTree) else certify_alternating
+        cert = once_per_fact(lambda: certify(manifold))
+        once_per_fact(lambda: check_certificate(cert))
+
+
 def _first_premise_twice(enumerator):
     """A move enumerator whose first move repeats its first premise."""
     def moves(data):

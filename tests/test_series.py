@@ -205,3 +205,21 @@ def test_bytearray_builders_match_the_big_integer_builders(truncation):
         for n in range(p):  # n = 0 cancels every term
             assert surgery_series(p, n, truncation) == surgery_by_big_integer(p, n, truncation)
     assert surgery_series(1, 0, truncation) == F2Series(truncation, 0)
+
+
+def test_surgery_exponents_are_the_closed_form_of_the_definition():
+    """With n' = n + kp, ((2n'-p)^2 - (2n-p)^2) / (8p) is k n + p k(k-1)/2, an
+    integer >= 0 for every k, and surgery_series reads the exponents off it.
+    Past |k| = 40 every exponent is above the truncation, for every p."""
+    truncation = 300
+    for p in range(1, 41):
+        for n in range(p):
+            bits = 0
+            for k in range(-40, 41):
+                num = (2 * (n + k * p) - p) ** 2 - (2 * n - p) ** 2
+                assert num % (8 * p) == 0, (p, n, k)
+                e = num // (8 * p)
+                assert e == k * n + p * k * (k - 1) // 2 >= 0, (p, n, k)
+                if e <= truncation:
+                    bits ^= 1 << e
+            assert surgery_series(p, n, truncation) == F2Series(truncation, bits), (p, n)
