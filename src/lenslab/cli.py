@@ -14,7 +14,6 @@ import json
 import re
 import sys
 from fractions import Fraction
-from math import ceil
 
 from .errors import DomainError, InvariantError
 from .exactnum import farey_parents, format_slope, hj_expand, parse_slope
@@ -135,38 +134,24 @@ MAX_SCAN_PMAX = 720
 MAX_SERIES_TRUNCATION = 300_000_000
 
 
-# The largest Farey descent `lspace slope` and `lspace borromean` accept,
-# measured as work before anything is built.  The descent length is the sum
-# of the partial quotients of each slope's continued fraction, less the
-# ceiling of the base for `slope`.  It bounds the certificate's distinct
-# nodes: they were at most 3 more for `slope`, and at most 4 times as many
-# for `borromean`, in the sweeps of tests/test_cli.py.  A node costs a
-# constant plus a share growing with the bit lengths of the slopes'
-# numerators and denominators (a node of 680-bit slopes cost ten times one
-# of small slopes, mostly in the modular inverse of `farey_parents`), so the
-# work is the length times (64 + those bit lengths).  A 20-digit slope used
-# to run for ever, and F(10001)/F(10000), a descent of length 10000, took
-# 110 s.  Each cap lets the slowest case finish in about 2 s (wall time on
-# the VM above): at the caps, `lspace slope --base 1 --target 25001` took
-# 1.6-1.9 s (`--target 21001/21000` 1.6 s), and `lspace borromean 3/2 3/2
-# 3876`, which descends the last coordinate once for each of four integer
-# pairs, 1.6-1.8 s.
-MAX_SLOPE_WORK = 2_000_000
-MAX_BORROMEAN_WORK = 330_000
+# The largest total bit length of the slopes `lspace slope` and `lspace
+# borromean` accept: the sum, over the slopes given, of the bit lengths of
+# numerator and denominator, checked before anything is built.  A certificate
+# has one node per partial quotient of each slope's continued fraction,
+# however large the quotient, so a 20-digit integer is three nodes.  The
+# worst case is every quotient 1 but the last, F(n+1)/F(n), whose n - 1
+# quotients take 1.39n bits, and a node costs time growing with the bit
+# lengths.  The slowest case at the cap is `lspace --json borromean 3/2 3/2
+# F(2300)/F(2299)` (3199 bits), which descends the last slope under each of
+# four integer pairs: it took 1.6-1.9 s and printed 14 MB (wall time on the
+# VM above), and `lspace check` on that 1.0-1.1 s.  `lspace --json slope`
+# with the same target took 0.4-0.5 s; F(10001)/F(10000) (13,886 bits) took
+# 5.0-5.2 s and printed 56 MB with the cap lifted, and its check 2.7-3.2 s.
+MAX_SLOPE_BITS = 3_200
 
 
-def _descent_work(descent: int, *slopes: Fraction) -> int:
-    bits = sum(x.numerator.bit_length() + x.denominator.bit_length() for x in slopes)
-    return descent * (64 + bits)
-
-
-def _farey_depth(x: Fraction) -> int:
-    """The sum of the partial quotients of x's continued fraction, by Euclid."""
-    p, q, depth = x.numerator, x.denominator, 0
-    while q:
-        depth += p // q
-        p, q = q, p % q
-    return depth
+def _slope_bits(*slopes: Fraction) -> int:
+    return sum(x.numerator.bit_length() + x.denominator.bit_length() for x in slopes)
 
 
 def _check_cap(name: str, value: int, cap: int) -> None:
@@ -573,15 +558,13 @@ def _cmd_lspace_alt(args: argparse.Namespace) -> None:
 
 def _cmd_lspace_slope(args: argparse.Namespace) -> None:
     base, target = parse_slope(args.base), parse_slope(args.target)
-    work = _descent_work(_farey_depth(target) - ceil(base), target)
-    _check_cap("descent work", work, MAX_SLOPE_WORK)
+    _check_cap("slope bits", _slope_bits(base, target), MAX_SLOPE_BITS)
     _emit_certificate(args, propagate_slope(surgery_lspace_axiom(args.knot, base), target))
 
 
 def _cmd_lspace_borromean(args: argparse.Namespace) -> None:
     slopes = [parse_slope(x) for x in (args.a, args.b, args.c)]
-    work = _descent_work(sum(map(_farey_depth, slopes)), *slopes)
-    _check_cap("descent work", work, MAX_BORROMEAN_WORK)
+    _check_cap("slope bits", _slope_bits(*slopes), MAX_SLOPE_BITS)
     _emit_certificate(args, certify_borromean(*slopes))
 
 

@@ -11,29 +11,49 @@ Interior nodes are:
 
   * "triangle"   -- two premises, |H1| additivity |H1(Y2)| = |H1(Y0)| + |H1(Y1)|,
     along a surgery triad;
+  * "triangle-run" -- two premises, the fillings Y0, Y1 of one knot (or of one
+    component of the Borromean rings, the others fixed) at Farey neighbours
+    y0 = p0/q0 and y1 = p1/q1, |p0*q1 - p1*q0| = 1, concluding the filling at
+    y0 + k*y1 = (p0 + k*p1)/(q0 + k*q1), k >= 2, with |H1(Y)| = |H1(Y0)| +
+    k*|H1(Y1)|.  It stands for the k triangles through y0 + j*y1,
+    0 < j <= k: y0 + (j-1)*y1 and y1 are neighbours too, and each |H1| is
+    its numerator, so each adds up (Ozsvath-Szabo, arXiv:math/0504404: the
+    L-space slopes of a knot from one upward form an interval);
   * "blow-down"  -- one premise, same manifold after a weight-1 vertex removal;
   * "reduce"     -- one premise, Tait-graph loop deletion / bridge contraction;
   * "rational-to-integer-lift" -- one premise, slope r lifted to ceil(r);
   * "seifert-filling-identification" -- one premise, the pretzel star whose
     boundary is the (2n+4)-filling of the (-2, 3, n) pretzel knot.
 
-Each triangle, blow-down and reduce move is stated once, by the move
-enumerator of its kind of manifold, which yields every legal (rule,
-premises) move in the order the builders try them:
+Each tree and Tait-graph move is stated once, by the move enumerator of its
+kind of manifold, which yields every legal (rule, premises) move in the
+order the builders try them:
 
   * `_tree_moves`: blow-downs of weight-1 leaves, then of weight-1 vertices
     of degree 2, then each leaf deleted and decremented, lightest leaf
     first.  `certify_tree` takes the first blow-down with no fallback, else
-    tries the splits in turn, backtracking past a split that fails;
+    tries the splits in turn, backtracking past a split that fails, and
+    reads a split premise's |H1| from the memo when it holds the premise;
   * `_tait_moves`: loop deletions, then bridge contractions, then the
     contraction and deletion of each other edge.  `certify_alternating`
-    counts each minor's spanning trees once and takes the first;
-  * `_slope_moves`: the fillings at the two Farey parents of the slope
-    (s - 1 and 1/0, the three-sphere, for an integer s);
-  * `_borromean_moves`: the Farey parents of each non-integral coordinate,
-    or, when all three are integers, of each coordinate above 1, largest
-    first.  1/0 deletes that component of the rings, leaving the connected
-    sum of the other two fillings.  `certify_borromean` takes the first.
+    counts each minor's spanning trees once and takes the first.
+
+Slopes and Borromean surgeries descend along the target's continued
+fraction instead, one node per partial quotient, computed once per target
+by `_farey_runs`: convergent c_i = c_(i-2) + a_i*c_(i-1) is a run for
+a_i >= 2 and a triangle, lower slope first, for a_i = 1.  A run that passes
+a slope the descent stops at (the base, its lift) starts there instead,
+with k reduced.  So a certificate holds exactly the slopes the plain Farey
+descent meets, less those inside runs:
+
+  * `_slope_moves`: the run or triangle of a slope, down to the base, its
+    lift and 1/0, the three-sphere;
+  * `_borromean_moves`: the run or triangle of the first non-integral
+    coordinate, down to its floor and ceiling, or to its floor and 1/0 when
+    the coordinates after it are integers; when all three are integers, the
+    run of the largest, first of equal ones, down to 1.  1/0 deletes that
+    component of the rings, leaving the connected sum of the other two
+    fillings.
 
 A manifold is named by its view (kind, data), as `_view` rebuilds it from a
 fact, in memo keys, enumerated premises and the checker alike.  A single
@@ -48,8 +68,16 @@ runs the tree search; anything else takes its first move.  Every interior
 node, the tree search's blow-downs and splits included, is built by
 `_first_move`, which derives its premises and checks their |H1| sum.
 
-The checker accepts one of these nodes only if its premises are among the
-enumerator's moves for its rule.  The two one-off rules, lift and
+The checker accepts a tree or Tait-graph node only if its premises are among
+the enumerator's moves for its rule.  It accepts a surgery or Borromean
+"triangle" or "triangle-run" node by one closed form (`_FAREY_STEPS`, with
+no descent and no modular inverse): the premises are fillings of the same
+knot, S3 counting as its 1/0 filling, or of M(xs) with one coordinate
+changed, a 1/0 there only where the other two are integers; their slopes
+y0, y1 are Farey neighbours; the conclusion's slope is y0 + k*y1, with k = 1
+and y0 < y1 for a triangle and k >= 2 for a run; and a run's |H1| is
+|H1(Y0)| + k*|H1(Y1)|.  So the triangles of certificates built before run
+nodes, one per Farey step, still check.  The two one-off rules, lift and
 identification, keep a predicate each.
 
 Trees and Tait graphs are validated where they enter: by their
@@ -74,8 +102,8 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import ceil, gcd, prod
+from functools import cached_property, partial
+from math import ceil, floor, gcd, prod
 from typing import Callable, Generator, Hashable, Iterator
 
 from .errors import (
@@ -84,7 +112,11 @@ from .errors import (
     InvariantError,
     RuleViolationError,
 )
-from .exactnum import INFINITY, Slope, farey_parents, format_slope, hj_expand, parse_slope
+from .exactnum import INFINITY, Slope, format_slope, hj_expand, parse_slope
+
+# Not called here; importable because perfbench/tracing.py wraps
+# `lspacecert.farey_parents` by name.
+from .exactnum import farey_parents  # noqa: F401
 
 CONCLUSION_SENTENCE = "monopole L-space => admits no taut foliation"
 JSON_FORMAT = 2
@@ -249,17 +281,18 @@ def _tree_count(nodes: list[Certificate]) -> int:
 Steps = Generator[Hashable, object, Certificate]
 
 
-def _derive(root: Hashable, steps: Callable[[Hashable], Steps], memo: dict) -> Certificate:
-    """The certificate steps(root) returns, with its recursion on a stack.
+def _derive(root: Hashable, steps: Callable[[Hashable, dict], Steps], memo: dict) -> Certificate:
+    """The certificate steps(root, memo) returns, with its recursion on a stack.
 
-    steps(x) is a generator: it yields each sub-problem it needs and receives
-    that sub-problem's certificate, or has its HypothesisNotMetError raised
-    at the yield.  Certificates and failures are memoised per sub-problem,
-    so each distinct one is derived once.
+    steps(x, memo) is a generator: it yields each sub-problem it needs and
+    receives that sub-problem's certificate, or has its HypothesisNotMetError
+    raised at the yield.  Certificates and failures are memoised per
+    sub-problem, so each distinct one is derived once; a step may read the
+    memo, never write it.
     """
     if root in memo:
         return memo[root]
-    stack = [(root, steps(root))]
+    stack = [(root, steps(root, memo))]
     value: object = None
     while True:
         key, gen = stack[-1]
@@ -275,7 +308,7 @@ def _derive(root: Hashable, steps: Callable[[Hashable], Steps], memo: dict) -> C
         else:
             value = memo.get(sub)
             if value is None:
-                stack.append((sub, steps(sub)))
+                stack.append((sub, steps(sub, memo)))
             continue
         memo[key] = value
         stack.pop()
@@ -285,22 +318,26 @@ def _derive(root: Hashable, steps: Callable[[Hashable], Steps], memo: dict) -> C
             return value
 
 
-def _first_move(fact: Fact, rule: str, premises: tuple) -> Steps:
+def _first_move(fact: Fact, rule: str, premises: tuple, k: int = 1) -> Steps:
     """The node for `fact` by the move (rule, premises), its premises derived
-    in turn.  Premises whose |H1| does not add up to the fact's are a builder
-    bug."""
+    in turn; a run counts its second premise k times.  Premises whose |H1|
+    does not add up to the fact's are a builder bug."""
     certs = []
     for sub in premises:
         certs.append((yield sub))
-    if sum(c.conclusion.h1_order for c in certs) != fact.h1_order:
-        orders = " + ".join(str(c.conclusion.h1_order) for c in certs)
-        raise InvariantError(f"{rule} move breaks |H1| additivity: {fact.h1_order} != {orders}")
+    orders = [c.conclusion.h1_order for c in certs]
+    if sum(orders) + (k - 1) * orders[-1] != fact.h1_order:
+        last = f"{k} * {orders[-1]}" if k > 1 else orders[-1]
+        terms = " + ".join(map(str, orders[:-1] + [last]))
+        raise InvariantError(f"{rule} move breaks |H1| additivity: {fact.h1_order} != {terms}")
     return Certificate(fact, rule, tuple(certs))
 
 
-def _steps(view: tuple[str, object]) -> Steps:
-    """The certificate of the manifold `view` names.  The enumerators and
-    `tait_det` are looked up by their global names on each call."""
+def _steps(view: tuple[str, object], memo: dict, first_move: Callable | None = None) -> Steps:
+    """The certificate of the manifold `view` names.  `first_move` gives the
+    move of a surgery or Borromean view, which its builder reads off the
+    target's convergents.  The enumerators and `tait_det` are looked up by
+    their global names on each call."""
     kind, data = view
     if kind == "lens" and data[0] < 1:
         raise HypothesisNotMetError(f"single vertex of weight {data[0]} reached; not certifiable")
@@ -308,10 +345,9 @@ def _steps(view: tuple[str, object]) -> Steps:
     if rule is not None:
         return Certificate(_fact_of(view), rule)
     if kind == "tree-boundary":
-        return (yield from _tree_steps(data))
-    moves = {"branched-double-cover": _tait_moves, "surgery": _slope_moves,
-             "borromean": _borromean_moves}[kind]
-    return (yield from _first_move(_fact_of(view), *next(moves(data))))
+        return (yield from _tree_steps(data, memo))
+    move = next(_tait_moves(data)) if kind == "branched-double-cover" else first_move(data)
+    return (yield from _first_move(_fact_of(view), *move))
 
 
 # ---------------------------------------------------------------------------
@@ -591,15 +627,24 @@ def _tree_moves(tree: WeightedTree) -> Iterator[tuple[str, tuple]]:
         yield "triangle", (_view_of_tree(deleted), _view_of_tree(decremented))
 
 
-def _tree_steps(tree: WeightedTree) -> Steps:
+def _tree_steps(tree: WeightedTree, memo: dict) -> Steps:
     """A tree of two or more vertices.  A rejection names the first split
-    that failed, at the lightest leaf."""
+    that failed, at the lightest leaf.  A split premise's |H1| is read from
+    its certificate when the memo holds one."""
     fact = _fact_of(("tree-boundary", tree))
     failure = None
+
+    def order(view: tuple[str, object]) -> int:
+        known = memo.get(view)
+        if isinstance(known, Certificate):
+            return known.conclusion.h1_order
+        kind, data = view
+        return abs(data[0]) if kind == "lens" else data._h1
+
     for rule, premises in _tree_moves(tree):
         if rule == "blow-down":
             return (yield from _first_move(fact, rule, premises))
-        h0, h1_side = (abs(data[0]) if kind == "lens" else data._h1 for kind, data in premises)
+        h0, h1_side = map(order, premises)
         if h0 + h1_side != fact.h1_order or h0 == 0 or h1_side == 0:
             failure = failure or f"{fact.h1_order} != {h0} + {h1_side}"
             continue
@@ -770,6 +815,78 @@ def _tait_moves(graph: TaitGraph) -> Iterator[tuple[str, tuple]]:
 
 
 # ---------------------------------------------------------------------------
+# Farey runs
+# ---------------------------------------------------------------------------
+
+
+def _terms(x: Slope) -> tuple[int, int]:
+    return (1, 0) if x is INFINITY else (x.numerator, x.denominator)
+
+
+def _multiple(x: Slope, y0: Slope, y1: Slope) -> int | None:
+    """The k with x = y0 + k*y1, numerators and denominators added, or None."""
+    (p, q), (p0, q0), (p1, q1) = _terms(x), _terms(y0), _terms(y1)
+    k, rest = divmod(p - p0, p1) if p1 else divmod(q - q0, q1)
+    return k if rest == 0 and q == q0 + k * q1 else None
+
+
+def _det(y0: Slope, y1: Slope) -> int:
+    """p0*q1 - p1*q0: +-1 for Farey neighbours, -1 when y0 is the lower."""
+    (p0, q0), (p1, q1) = _terms(y0), _terms(y1)
+    return p0 * q1 - p1 * q0
+
+
+def _farey_runs(target: Fraction, stops: set) -> dict[Fraction, tuple[Slope, Slope, int]]:
+    """The move of each slope met on the way from `target` down to `stops`:
+    slope -> (y0, y1, k) with slope = y0 + k*y1, read off the target's
+    convergents.
+
+    With partial quotients a_i and c_-2 = 0/1, c_-1 = 1/0, convergent c_i is
+    c_(i-2) + a_i*c_(i-1): a run of a_i triangles through the slopes
+    c_(i-2) + j*c_(i-1), 0 < j < a_i, each also resting on c_(i-1).  The
+    plain Farey descent from the target stops at the first stop among those
+    slopes, so the run starts at that stop with k = a_i - j; otherwise it
+    starts at c_(i-2), which is met too.  c_(i-1) is always met.  A met
+    c_0 = a_0 whose run holds no stop gets no move, and its caller rejects
+    it.
+    """
+    p, q = target.numerator, target.denominator
+    quotients = []
+    while q:
+        a, r = divmod(p, q)
+        quotients.append(a)
+        p, q = q, r
+    convergents: list[Slope] = [Fraction(0), INFINITY]  # c_-2, c_-1, then c_i at i + 2
+    before, last = (0, 1), (1, 0)
+    for a in quotients:
+        before, last = last, (a * last[0] + before[0], a * last[1] + before[1])
+        convergents.append(Fraction(*last))
+    runs = {}
+    reached = {len(quotients) - 1}
+    for i in reversed(range(len(quotients))):
+        x, y0, y1, a = convergents[i + 2], convergents[i], convergents[i + 1], quotients[i]
+        if i not in reached or x in stops:
+            continue
+        cuts = {_multiple(s, y0, y1): s for s in stops}
+        j = max((j for j in cuts if j is not None and 0 < j < a), default=0)
+        if j:
+            y0 = cuts[j]
+        elif i == 0:
+            continue
+        runs[x] = y0, y1, a - j
+        reached.update((i - 1,) if j else (i - 1, i - 2))
+    return runs
+
+
+def _farey_move(y0: Slope, y1: Slope, k: int, view: Callable[[Slope], tuple]) -> tuple:
+    """The move y0 + k*y1: a run for k >= 2, else a triangle, its lower
+    slope first."""
+    if k == 1 and _det(y0, y1) > 0:
+        y0, y1 = y1, y0
+    return ("triangle-run" if k > 1 else "triangle"), (view(y0), view(y1)), k
+
+
+# ---------------------------------------------------------------------------
 # Slope propagation
 # ---------------------------------------------------------------------------
 
@@ -778,19 +895,19 @@ def _surgery_view(knot: str, s: Slope) -> tuple[str, object]:
     return _S3_VIEW if s is INFINITY else ("surgery", (knot, s))
 
 
-def _slope_moves(data: tuple[str, Fraction]) -> Iterator[tuple[str, tuple]]:
+def _slope_moves(data: tuple[str, Fraction], runs: dict) -> tuple:
     knot, s = data
-    high, low = farey_parents(s)  # an integer s has s - 1 and 1/0
-    yield "triangle", (("surgery", (knot, low)), _surgery_view(knot, high))
+    return _farey_move(*runs[s], lambda y: _surgery_view(knot, y))
 
 
 def propagate_slope(base: Certificate, target: Fraction) -> Certificate:
     """From an L-space filling at slope r, certify the filling at s >= r.
 
     Chain: lift r to ceil(r) (one named non-triangle node, recorded because
-    its justification is homological rather than combinatorial), then
-    triangles whose |H1| additivity is the numerator sum.  S3 is seeded, so
-    `steps` meets surgery views alone.
+    its justification is homological rather than combinatorial), then one
+    node per partial quotient of s, down its convergents (`_farey_runs`),
+    each a run or a triangle whose |H1| additivity is the numerator sum.  S3
+    is seeded, so `steps` meets surgery views alone.
     """
     slope_text = base.conclusion.param("slope")
     knot = base.conclusion.param("knot") or "K"
@@ -809,15 +926,16 @@ def propagate_slope(base: Certificate, target: Fraction) -> Certificate:
         memo[_surgery_view(knot, lifted)] = Certificate(
             _fact_of(("surgery", (knot, lifted))), "rational-to-integer-lift", (base,)
         )
+    moves = partial(_slope_moves, runs=_farey_runs(target, {r, lifted, INFINITY}))
 
-    def steps(view: tuple[str, tuple[str, Fraction]]) -> Steps:
+    def steps(view: tuple[str, tuple[str, Fraction]], memo: dict) -> Steps:
         s = view[1][1]
         if s.denominator == 1 and s < lifted:
             raise DomainError(
                 f"the Farey descent of {format_slope(target)} reaches "
                 f"{format_slope(s)}, below the base slope {format_slope(r)}"
             )
-        return _steps(view)
+        return _steps(view, memo, moves)
 
     return _derive(_surgery_view(knot, target), steps, memo)
 
@@ -836,16 +954,31 @@ def certify_borromean(a: Fraction, b: Fraction, c: Fraction) -> Certificate:
     slopes = tuple(Fraction(x) for x in (a, b, c))
     if any(x < 1 for x in slopes):
         raise DomainError("all three slopes must be >= 1")
-    return _derive(("borromean", slopes), _steps, {})
+    # The first fractional coordinate descends first, so the coordinates
+    # after the last fractional one are integers while it descends: only
+    # there may it end at 1/0.  Elsewhere it ends at floor(x) and ceil(x).
+    fractional = [i for i, x in enumerate(slopes) if x.denominator != 1]
+    runs = {}
+    for i in fractional:
+        x = slopes[i]
+        runs[i] = _farey_runs(x, {Fraction(floor(x)), INFINITY if i == fractional[-1] else Fraction(ceil(x))})
+    moves = partial(_borromean_moves, runs=runs)
+    return _derive(("borromean", slopes), partial(_steps, first_move=moves), {})
 
 
-def _borromean_moves(xs: tuple[Fraction, ...]) -> Iterator[tuple[str, tuple]]:
-    # The Farey parents of a non-integral x lie in [floor(x), ceil(x)], so
-    # every coordinate stays >= 1.
+def _borromean_moves(xs: tuple[Fraction, ...], runs: dict) -> tuple:
+    """The first fractional coordinate's run, or, when all three are
+    integers, the largest coordinate's run down to 1 (1/0 deletes that
+    component of the rings, leaving the connected sum of the other two
+    fillings)."""
     fractional = [i for i, x in enumerate(xs) if x.denominator != 1]
-    for idx in fractional or sorted((i for i, x in enumerate(xs) if x > 1), key=lambda i: -xs[i]):
-        high, low = farey_parents(xs[idx])
-        yield "triangle", (_borromean_view(xs, idx, low), _borromean_view(xs, idx, high))
+    if fractional:
+        idx = fractional[0]
+        move = runs[idx][xs[idx]]
+    else:
+        idx = max(range(3), key=lambda i: xs[i])  # the first of equal ones
+        move = Fraction(1), INFINITY, xs[idx].numerator - 1
+    return _farey_move(*move, lambda y: _borromean_view(xs, idx, y))
 
 
 def _borromean_view(xs: tuple[Fraction, ...], idx: int, x: Slope) -> tuple[str, object]:
@@ -903,7 +1036,8 @@ class CertificateCheckError(InvariantError):
 
 
 def check_certificate(cert: Certificate) -> int:
-    """Re-verify every distinct node once; returns the tree-expanded node count.
+    """Re-verify every distinct node once; returns the tree-expanded node
+    count, in which a run counts as one node.
 
     Each fact is rebuilt from its own data (|H1| by tree_h1, tait_det or the
     slope numerators), and each node's premises must be exactly the move its
@@ -997,9 +1131,9 @@ def _check_rule(node: Certificate, view: tuple[str, object], premises: list) -> 
         if not allowed(view):
             raise CertificateCheckError(f"{fact.descriptor!r} is not an instance of this axiom")
         return
-    if rule not in ("triangle", "blow-down", "reduce") and rule not in _SURGERY_RULES:
+    if rule not in ("triangle", "triangle-run", "blow-down", "reduce", *_SURGERY_RULES):
         raise CertificateCheckError(f"unknown rule {rule!r}")
-    arity = 2 if rule == "triangle" else 1
+    arity = 2 if rule.startswith("triangle") else 1
     if len(premises) != arity:
         raise CertificateCheckError(f"{rule} node needs {arity} premise(s), has {len(premises)}")
     orders = [p.conclusion.h1_order for p in node.premises]
@@ -1011,10 +1145,61 @@ def _check_rule(node: Certificate, view: tuple[str, object], premises: list) -> 
         raise CertificateCheckError(f"{rule} must preserve |H1|")
     if rule in _SURGERY_RULES:
         legal = kind == "surgery" and _SURGERY_RULES[rule](data, premises)
+    elif kind in _FAREY_STEPS:
+        steps = _FAREY_STEPS[kind](data, premises)
+        legal = any(_farey_step_holds(rule, fact, orders, *step) for step in steps)
     else:
         legal = kind in _MOVES and (rule, tuple(premises)) in _MOVES[kind](data)
     if not legal:
         raise CertificateCheckError(f"the premises are not a {rule} move on this {kind} node")
+
+
+def _farey_step_holds(rule: str, fact: Fact, orders: list, x: Slope, y0: Slope, y1: Slope) -> bool:
+    """Whether x = y0 + k*y1 for Farey neighbours y0, y1: with k = 1 and the
+    lower slope first for a triangle, with k >= 2 for a run, whose |H1| must
+    then be |H1_0| + k*|H1_1|."""
+    det = _det(y0, y1)
+    k = _multiple(x, y0, y1) if abs(det) == 1 else None
+    if rule == "triangle":
+        return k == 1 and det == -1
+    if k is None or k < 2:
+        return False
+    if fact.h1_order != orders[0] + k * orders[1]:
+        raise CertificateCheckError(
+            f"additivity fails: {fact.h1_order} != {orders[0]} + {k} * {orders[1]}"
+        )
+    return True
+
+
+def _surgery_steps(data: tuple[str, Fraction], premises: list) -> list[tuple]:
+    """(s, y0, y1) when both premises are surgeries on this node's knot, S3
+    counting as its 1/0 filling."""
+    knot, s = data
+    slopes = [
+        INFINITY if view == _S3_VIEW else view[1][1]
+        for view in premises if view == _S3_VIEW or (view[0] == "surgery" and view[1][0] == knot)
+    ]
+    return [(s, *slopes)] if len(slopes) == 2 else []
+
+
+def _borromean_steps(xs: tuple[Fraction, ...], premises: list) -> list[tuple]:
+    """(x, y0, y1) for each coordinate at which both premises are M(xs) with
+    another slope there.  A premise at 1/0 is allowed only where the other
+    two coordinates are integers, as the builder makes it."""
+    steps = []
+    for idx in range(3):
+        rest = xs[:idx] + xs[idx + 1 :]
+        integral = all(y.denominator == 1 for y in rest)
+        infinity = _borromean_view(xs, idx, INFINITY) if integral else None
+        slopes = [
+            view[1][idx] if view[0] == "borromean" and view[1][:idx] + view[1][idx + 1 :] == rest
+            else INFINITY if view == infinity
+            else None
+            for view in premises
+        ]
+        if None not in slopes:
+            steps.append((xs[idx], *slopes))
+    return steps
 
 
 _PRETZEL = re.compile(r"\(-2,3,(\d+)\)-pretzel")
@@ -1042,8 +1227,12 @@ def _lift(data: tuple[str, Fraction], premises: list) -> bool:
 _MOVES: dict[str, Callable[[object], Iterator[tuple[str, tuple]]]] = {
     "tree-boundary": _tree_moves,
     "branched-double-cover": _tait_moves,
-    "surgery": _slope_moves,
-    "borromean": _borromean_moves,
+}
+# kind of conclusion -> its candidate Farey steps (x, y0, y1), for the
+# triangle and triangle-run rules
+_FAREY_STEPS: dict[str, Callable[[object, list], list[tuple]]] = {
+    "surgery": _surgery_steps,
+    "borromean": _borromean_steps,
 }
 # rule -> whether the premises are that move on a surgery node
 _SURGERY_RULES: dict[str, Callable[[tuple[str, Fraction], list], bool]] = {

@@ -87,12 +87,12 @@ DIGESTS = {
     (ungated_trees, 2): "6c50c266828f9875dc5f1a22127c80360d259a22b44664faf42f3f86e87392a2",
     (tait_graphs, 1): "ac0c73078125637a56e9c809ea506c5354e58ad7a3c0b7e3c1c196ea0b119e41",
     (tait_graphs, 2): "fa0e704f35c221200326cdaa72104329e0dd02287efded1159e98864c2e7ca35",
-    (slope_pairs, 1): "d5e0d9307177fee488994c67ce18b45c4788311b3bd74ef1dc5dde1a572685d5",
-    (slope_pairs, 2): "a258c042019d5128ce5814d33a5b7b37331987ebe9b4e8f4c8b44eea0b0f9444",
-    (borromean_triples, 1): "fa27279c64c1c4e99e600dc0a11b8040179badfebda3ab2ee140804b0565b260",
-    (borromean_triples, 2): "873f5ae4a796da14b51b2682e103bac1df48573ea7a65e631f8414e8ccbcda74",
-    (pretzel_fillings, 1): "aff3c234d29be3c2877eb3b608ee943acf96eed0d54caa55b5be775ffde3e761",
-    (pretzel_fillings, 2): "9e480397aef26e480a6d705111fc37f784b8202d5dca6b0700155c4a6dfdde08",
+    (slope_pairs, 1): "f1d26e44d502812c9b246258c5078b8d62f9a04245c6881a5507b768bbbed60c",
+    (slope_pairs, 2): "7402e7451ea2368902dc8ac0459936c16765d77cbe09c2f50957bd4f9b6a41ea",
+    (borromean_triples, 1): "21a084bd597901b3f896699a28f50dfd81eb4ed54d36f725ce41929e17434222",
+    (borromean_triples, 2): "a0d80f06242724a25cfd22f2dab9f1edc19483b1e2c00c282eb6010a4c5eaef4",
+    (pretzel_fillings, 1): "8b8d4de8e7d2cdaf6599940fd4990705584cfd45bcd7de032927139c8026de7d",
+    (pretzel_fillings, 2): "8729796244ce23cf019dca2d6fe7eb504a2bac1c0ae89ebb10acb695f15ea2b4",
 }
 
 

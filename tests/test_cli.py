@@ -24,6 +24,7 @@ from lenslab.lspacecert import (
     surgery_lspace_axiom,
 )
 from lenslab.plumblat import LatticeCheckReport
+from run_oracle import expand_runs, fib, partial_quotients
 
 DATA = Path(__file__).parent / "data"
 
@@ -206,7 +207,7 @@ def test_lspace_slope_and_borromean(capsys):
     table = doc["certificate"]
     assert table["format"] == 2
     assert table["nodes"][table["root"]]["conclusion"]["h1"] == 25
-    assert (doc["nodes"], doc["distinct_nodes"]) == (25, len(table["nodes"])) == (25, 13)
+    assert (doc["nodes"], doc["distinct_nodes"]) == (7, len(table["nodes"])) == (7, 7)
     assert doc["conclusion"].startswith("monopole L-space")
 
 
@@ -387,51 +388,73 @@ def test_series_over_the_truncation_cap_is_a_one_line_domain_error(capsys, argv,
     assert err.splitlines() == [f"error: truncate={n} is above the cap {cli.MAX_SERIES_TRUNCATION}"]
 
 
+def _fib_ratio(n):
+    """F(n+1)/F(n): every partial quotient 1 but the last, the most certificate
+    nodes a slope of its bit length can have."""
+    return f"{fib(n + 1)}/{fib(n)}"
+
+
 @pytest.mark.parametrize("argv, cap", [
-    # the first integer target past the cap: 25001 steps of 64 + 16 bits
-    (["slope", "--base", "1", "--target", "25002"], cli.MAX_SLOPE_WORK),
-    (["slope", "--base", "1", "--target", "99999999999999999999"], cli.MAX_SLOPE_WORK),
-    (["slope", "--base", "2", "--target", "12345678901234567890/12345678901234567889"],
-     cli.MAX_SLOPE_WORK),
-    # four integer pairs below 3/2 and 3/2, each descending the last coordinate
-    (["borromean", "3/2", "3/2", "3877"], cli.MAX_BORROMEAN_WORK),
-    (["borromean", "1", "1", "987654321/123456790"], cli.MAX_BORROMEAN_WORK),
-    (["borromean", "99999999999999999999", "1", "1"], cli.MAX_BORROMEAN_WORK),
+    # each just past the cap, the first by 1 + 1 + 3322 + 1 bits
+    (["slope", "--base", "1", "--target", "1" + "0" * 1000], cli.MAX_SLOPE_BITS),
+    (["slope", "--base", "1", "--target", _fib_ratio(2305)], cli.MAX_SLOPE_BITS),
+    (["slope", "--base", "2", "--target", f"{10**482}/{10**482 - 1}"], cli.MAX_SLOPE_BITS),
+    # the slowest measured case, one Fibonacci number further
+    (["borromean", "3/2", "3/2", _fib_ratio(2300)], cli.MAX_SLOPE_BITS),
+    (["borromean", "1", "1", f"{10**482 + 1}/{10**482}"], cli.MAX_SLOPE_BITS),
+    (["borromean", "1" + "0" * 963, "1", "1"], cli.MAX_SLOPE_BITS),
 ])
-def test_lspace_descents_over_the_cap_are_one_line_domain_errors(capsys, argv, cap):
-    # measured before anything is built: a 20-digit slope used to run for ever
+def test_lspace_slopes_over_the_cap_are_one_line_domain_errors(capsys, argv, cap):
+    # measured before anything is built: F(10001)/F(10000) took 5 s with the cap lifted
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "lspace", *argv)
     assert time.perf_counter() - start < 1
     assert (code, out) == (1, "")
     (line,) = err.splitlines()
-    match = re.fullmatch(rf"error: descent work=(\d+) is above the cap {cap}", line)
+    match = re.fullmatch(rf"error: slope bits=(\d+) is above the cap {cap}", line)
     assert match and int(match.group(1)) > cap
 
 
-@pytest.mark.parametrize("argv, cap, work", [
-    # the largest case of the tests, and the lift of a rational base
-    (["slope", "--base", "1", "--target", "1000"], "MAX_SLOPE_WORK", 999 * (64 + 10 + 1)),
-    (["slope", "--base", "5/2", "--target", "17/5"], "MAX_SLOPE_WORK",
-     (3 + 2 + 2 - 3) * (64 + 5 + 3)),
-    (["borromean", "1", "5/2", "5"], "MAX_BORROMEAN_WORK", (1 + 4 + 5) * (64 + 2 + 5 + 4)),
+@pytest.mark.parametrize("argv, distinct", [
+    # over the work caps that bounded the Farey descent, which ran one node per
+    # triangle: a 20-digit slope never finished
+    (["slope", "--base", "1", "--target", "25002"], 3),
+    (["slope", "--base", "1", "--target", "99999999999999999999"], 3),
+    (["slope", "--base", "1", "--target", "12345678901234567890/12345678901234567889"], 3),
+    (["borromean", "3/2", "3/2", "3877"], 11),
+    (["borromean", "1", "1", "987654321/123456790"], 4),
+    (["borromean", "99999999999999999999", "1", "1"], 3),
 ])
-def test_lspace_descents_at_the_cap_are_accepted_and_one_over_rejected(
-    monkeypatch, capsys, argv, cap, work
-):
-    monkeypatch.setattr(cli, cap, work)
+def test_lspace_slopes_past_the_old_descent_caps_are_certified_in_under_2_s(capsys, argv, distinct):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "--json", "lspace", *argv)
+    assert time.perf_counter() - start < 2
+    assert (code, err) == (0, "")
+    assert json.loads(out)["distinct_nodes"] == distinct
+
+
+@pytest.mark.parametrize("argv, bits", [
+    # the largest slope of the tests, and the lift of a rational base
+    (["slope", "--base", "1", "--target", "1000"], 1 + 1 + 10 + 1),
+    (["slope", "--base", "5/2", "--target", "17/5"], 3 + 2 + 5 + 3),
+    (["borromean", "1", "5/2", "5"], 1 + 1 + 3 + 2 + 3 + 1),
+])
+def test_lspace_slopes_at_the_cap_are_accepted_and_one_over_rejected(monkeypatch, capsys, argv, bits):
+    monkeypatch.setattr(cli, "MAX_SLOPE_BITS", bits)
     code, out, err = run_cli(capsys, "lspace", *argv)
     assert (code, err) == (0, "") and out
-    monkeypatch.setattr(cli, cap, work - 1)
+    monkeypatch.setattr(cli, "MAX_SLOPE_BITS", bits - 1)
     assert run_cli(capsys, "lspace", *argv) == (
-        1, "", f"error: descent work={work} is above the cap {work - 1}\n"
+        1, "", f"error: slope bits={bits} is above the cap {bits - 1}\n"
     )
 
 
 def test_the_caps_admit_the_slowest_measured_cases():
-    assert cli._descent_work(25000, Fraction(25001)) == cli.MAX_SLOPE_WORK
-    slopes = (Fraction(3, 2), Fraction(3, 2), Fraction(3876))
-    assert cli._descent_work(sum(map(cli._farey_depth, slopes)), *slopes) <= cli.MAX_BORROMEAN_WORK
+    # four Fibonacci descents of 2299 triangles, under each pair of integers
+    # floor and ceil of 3/2 and 3/2: about 2 s, as `lspace borromean`
+    slowest = (Fraction(3, 2), Fraction(3, 2), Fraction(fib(2300), fib(2299)))
+    assert cli._slope_bits(*slowest) == 3199 < cli.MAX_SLOPE_BITS
+    assert cli._slope_bits(*slowest[:2], Fraction(fib(2301), fib(2300))) > cli.MAX_SLOPE_BITS
 
 
 @pytest.mark.parametrize("base, target, distinct", [
@@ -440,12 +463,19 @@ def test_the_caps_admit_the_slowest_measured_cases():
     (Fraction(99), Fraction(100), 3),
 ])
 def test_slope_descents_of_known_length(base, target, distinct):
+    # `distinct` counts the Farey descent, one node per triangle: the
+    # certificate with each run expanded into its triangles
     cert = propagate_slope(surgery_lspace_axiom("K", base), target)
-    descent = cli._farey_depth(target) - ceil(base)
-    assert len(cert.to_json_dict()["nodes"]) == distinct <= descent + 3
+    descent = sum(partial_quotients(target)) - ceil(base)
+    assert len(expand_runs(cert).to_json_dict()["nodes"]) == distinct <= descent + 3
+    assert len(cert.to_json_dict()["nodes"]) <= len(partial_quotients(target)) + 3
 
 
 def test_the_descent_length_bounds_the_distinct_nodes():
+    # a certificate has a node per partial quotient, with no more than three
+    # leaves, and the Borromean surgeries one per quotient under each of the
+    # at most four integer pairs of the coordinates before it, and a run for
+    # each of at most three integers below it
     rng = random.Random("descent")
     built = 0
     for _ in range(300):
@@ -456,14 +486,13 @@ def test_the_descent_length_bounds_the_distinct_nodes():
         except DomainError:  # the descent passes an integer below a rational base
             continue
         built += 1
-        descent = cli._farey_depth(target) - ceil(base)
-        assert len(cert.to_json_dict()["nodes"]) <= descent + 3, (base, target)
+        assert len(cert.to_json_dict()["nodes"]) <= len(partial_quotients(target)) + 3, (base, target)
     assert built > 250
     for _ in range(200):
         slopes = [1 + Fraction(rng.randint(0, 40), rng.randint(1, 9)) for _ in range(3)]
         cert = certify_borromean(*slopes)
-        descent = sum(map(cli._farey_depth, slopes))
-        assert len(cert.to_json_dict()["nodes"]) <= 4 * descent, slopes
+        bound = sum(2**i * len(partial_quotients(x)) for i, x in enumerate(slopes)) + 4 * (3 + 3)
+        assert len(cert.to_json_dict()["nodes"]) <= bound, slopes
 
 
 def _path_tree(weights):
@@ -538,7 +567,7 @@ def test_lspace_slope_past_the_recursion_limit(capsys):
     code, out, err = run_cli(capsys, "lspace", "slope", "--base", "1", "--target", "1000")
     assert code == 0 and err == ""
     assert out.splitlines()[:3] == [
-        "certified: S3_1000(K)", "|H1| = 1000", "certificate nodes: 1999 (re-verified independently)",
+        "certified: S3_1000(K)", "|H1| = 1000", "certificate nodes: 3 (re-verified independently)",
     ]
 
 
@@ -623,7 +652,7 @@ def test_lspace_check_rejects_a_tampered_file_in_one_line(tmp_path, capsys):
     code, out, err = run_cli(capsys, "lspace", "check", str(path))
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1
-    assert err.startswith("error: certificate rejected: node 12 (triangle): ")
+    assert err.startswith("error: certificate rejected: node 6 (triangle-run): ")
 
 
 def _lens_leaf(descriptor, h1, p, q):

@@ -1,7 +1,8 @@
 """Mutated input documents: the CLI exits 0 or 1, and on 1 prints one line.
 
 Each example starts from a valid octet, cone-triple, tree or Tait-graph
-document, or the node table of a slope certificate, and applies a few
+document, or the node table of a slope certificate (one with a run node
+among its triangles, one a single run), and applies a few
 random edits anywhere in it: replace a value, mostly by one of the same
 JSON type, delete a key or list item, or add one; now and then it also
 cuts the JSON text short.  Every call must return
@@ -61,6 +62,11 @@ DOCUMENTS = {
     "certificate": (
         ["lspace", "check"],
         propagate_slope(surgery_lspace_axiom("K", Fraction(1)), Fraction(5, 2)).to_json_dict(),
+    ),
+    # 12 = 1 + 11 * (1/0), one run node
+    "run-certificate": (
+        ["lspace", "check"],
+        propagate_slope(surgery_lspace_axiom("K", Fraction(1)), Fraction(12)).to_json_dict(),
     ),
 }
 

@@ -45,6 +45,7 @@ from lenslab.lspacecert import (
     tree_h1,
     triangle_rule,
 )
+from run_oracle import expand_runs, farey_descent, partial_quotients
 
 
 def test_triangle_rule_examples():
@@ -270,13 +271,14 @@ def _six_gated_trees():
 
 def test_a_build_computes_each_tree_objects_h1_once(monkeypatch):
     """The split checks of the tree search and the fact of the premise they
-    derive read one |H1|.  The list keeps every tree alive, so no id is
-    reused."""
+    derive read one |H1|, and a premise the memo holds is not computed
+    again: one |H1| per distinct tree-boundary node.  The list keeps every
+    tree alive, so no id is reused."""
     computed = []
     monkeypatch.setattr(lspacecert, "tree_h1", lambda tree: computed.append(tree) or tree_h1(tree))
     for tree in _six_gated_trees():
         certify_tree(tree)
-    assert len(computed) >= 9397
+    assert len(computed) <= 9397
     assert len({id(tree) for tree in computed}) == len(computed)
 
 
@@ -305,12 +307,12 @@ def test_each_tree_and_tait_fact_renders_its_edges_once(monkeypatch):
         once_per_fact(lambda: check_certificate(cert))
 
 
-def _first_premise_twice(enumerator):
-    """A move enumerator whose first move repeats its first premise."""
-    def moves(data):
-        rule, premises = next(enumerator(data))
-        yield rule, (premises[0], premises[0])
-    return moves
+def _first_premise_twice(moves):
+    """A move function whose move repeats its first premise."""
+    def patched(*args, **kwargs):
+        rule, premises, k = moves(*args, **kwargs)
+        return rule, (premises[0], premises[0]), k
+    return patched
 
 
 def _root_miscounted(det):
@@ -319,18 +321,22 @@ def _root_miscounted(det):
 
 
 @pytest.mark.parametrize("name, patch, build, message", [
-    ("tait_det", _root_miscounted, lambda: certify_alternating(cycle_graph(3)), "4 != 2 + 1"),
+    ("tait_det", _root_miscounted, lambda: certify_alternating(cycle_graph(3)),
+     "triangle move breaks |H1| additivity: 4 != 2 + 1"),
     ("_slope_moves", _first_premise_twice,
-     lambda: propagate_slope(surgery_lspace_axiom("K", Fraction(4)), Fraction(5)), "5 != 4 + 4"),
+     lambda: propagate_slope(surgery_lspace_axiom("K", Fraction(4)), Fraction(5)),
+     "triangle move breaks |H1| additivity: 5 != 4 + 4"),
+    # M(5/2,1,1) = S3 + 2 * M(2,1,1), a run
     ("_borromean_moves", _first_premise_twice,
-     lambda: certify_borromean(Fraction(3), Fraction(1), Fraction(1)), "3 != 2 + 2"),
+     lambda: certify_borromean(Fraction(5, 2), Fraction(1), Fraction(1)),
+     "triangle-run move breaks |H1| additivity: 5 != 1 + 2 * 1"),
 ], ids=["tait", "slope", "borromean"])
 def test_builders_check_the_first_moves_h1_sum(monkeypatch, name, patch, build, message):
     """Premises whose |H1| do not add up are a builder bug (InvariantError,
-    exit 2), not a domain error.  The checker's _MOVES keeps the originals."""
+    exit 2), not a domain error.  The checker does not use the patched
+    functions."""
     monkeypatch.setattr(lspacecert, name, patch(getattr(lspacecert, name)))
-    expected = f"triangle move breaks |H1| additivity: {message}"
-    with pytest.raises(InvariantError, match=re.escape(expected)):
+    with pytest.raises(InvariantError, match=re.escape(message)):
         build()
 
 
@@ -370,10 +376,11 @@ def test_propagate_slope_examples():
     assert cert.conclusion.h1_order == 19
     assert check_certificate(cert) == 3  # base + sphere + rung
 
+    # 37/2 = 1/0 + 2 * 18: one run, not the triangles through 19 and 37/2
     half = propagate_slope(base, Fraction(37, 2))
     assert half.conclusion.h1_order == 37
-    premise_orders = sorted(p.conclusion.h1_order for p in half.premises)
-    assert premise_orders == [18, 19]
+    assert half.rule == "triangle-run"
+    assert [p.conclusion.h1_order for p in half.premises] == [1, 18]
     check_certificate(half)
 
     assert propagate_slope(base, Fraction(18)) is base
@@ -558,11 +565,12 @@ def _replaced(cert, premise):
 
 
 @pytest.mark.parametrize("cert", [
-    # triangles with their premises swapped, so |H1| still adds up
-    _swapped(propagate_slope(surgery_lspace_axiom("K", Fraction(1)), Fraction(8, 5))),
+    # triangles with their premises swapped, so |H1| still adds up: 5/3 is
+    # the mediant of 3/2 and 2, and 5/2 of 2 and 3
+    _swapped(propagate_slope(surgery_lspace_axiom("K", Fraction(3, 2)), Fraction(5, 3))),
     _swapped(certify_alternating(cycle_graph(4))),
     _swapped(certify_tree(star_tree(3, [[2], [3], [2, 2]]))),
-    _swapped(certify_borromean(Fraction(1), Fraction(5, 2), Fraction(5))),
+    _swapped(certify_borromean(Fraction(5, 2), Fraction(3, 2), Fraction(1))),
     # one-premise moves onto another certified manifold
     _replaced(certify_tree(path_tree([1, 3])), certify_alternating(theta_graph(2))),
     _replaced(certify_alternating(TaitGraph(3, ((0, 1), (1, 2), (2, 0), (0, 0)))), lens_axiom(3)),
@@ -571,6 +579,9 @@ def _replaced(cert, premise):
         propagate_slope(surgery_lspace_axiom("K", Fraction(5, 2)), Fraction(3)),
         surgery_lspace_axiom("J", Fraction(5, 2)),
     ),
+    # runs with their premises swapped: 17/5 = 3 + 2 * 7/2, 5/2 = 1/0 + 2 * 2
+    _swapped(propagate_slope(surgery_lspace_axiom("K", Fraction(1)), Fraction(17, 5))),
+    _swapped(certify_borromean(Fraction(1), Fraction(5, 2), Fraction(5))),
 ], ids=lambda cert: cert.rule)
 def test_checker_rejects_a_premise_that_is_not_the_named_move(cert):
     root = len(cert.to_json_dict()["nodes"]) - 1
@@ -616,15 +627,26 @@ def _fib(n):
     (Fraction(_fib(n + 1), _fib(n)), None, n + 1) for n in range(2, 31)
 ])
 def test_deep_certificates_are_linear_in_depth(target, nodes, distinct):
+    """`nodes` and `distinct` count the Farey descent: the certificate with
+    each run expanded into its triangles.  The certificate itself has a
+    node per partial quotient of the target, but for the base 1 = a_0 of a
+    target below 2, and the leaves S3 and the base."""
+    base = surgery_lspace_axiom("K", Fraction(1))
     with _default_recursion_limit():
-        cert = propagate_slope(surgery_lspace_axiom("K", Fraction(1)), target)
-        size = check_certificate(cert)
-        assert size == cert.size() == (size if nodes is None else nodes)
-        doc = json.loads(certificate_json(cert))
-        assert len(doc["nodes"]) == distinct
-        again = Certificate.from_json_dict(doc)
-        assert check_certificate(again) == size
-        assert again.to_json_dict() == doc
+        cert = propagate_slope(base, target)
+        expanded = expand_runs(cert)
+        for c in (cert, expanded):
+            size = check_certificate(c)
+            assert size == c.size()
+            doc = json.loads(certificate_json(c))
+            again = Certificate.from_json_dict(doc)
+            assert check_certificate(again) == size
+            assert again.to_json_dict() == doc
+        assert certificate_json(expanded) == certificate_json(farey_descent(base, target))
+    assert nodes is None or expanded.size() == nodes
+    assert len(expanded.to_json_dict()["nodes"]) == distinct
+    quotients = len(partial_quotients(target)) - (target < 2)
+    assert len(cert.to_json_dict()["nodes"]) == quotients + 2
 
 
 @pytest.mark.parametrize("n", [10, 20, 30])
@@ -632,13 +654,14 @@ def test_borromean_builds_each_slope_triple_once(n):
     with _default_recursion_limit():
         cert = certify_borromean(Fraction(_fib(n + 1), _fib(n)), Fraction(1), Fraction(5))
         assert check_certificate(cert) == cert.size()
-    # the slopes F(k+1)/F(k), 3 <= k <= n, and 11 nodes climbing to M(1,1,5) and M(2,1,5)
-    assert len(cert.to_json_dict()["nodes"]) == n + 9
+    # the slopes F(k+1)/F(k), 3 <= k <= n, then M(2,1,5) and M(1,1,5), each
+    # one run from M(1,1,1) or M(2,1,1) and five leaves
+    assert len(cert.to_json_dict()["nodes"]) == n + 3
 
 
 @pytest.mark.parametrize("slopes, nodes, distinct", [
-    ((Fraction(1), Fraction(89, 55), Fraction(5)), 617, 19),
-    ((Fraction(7, 2), Fraction(5, 3), Fraction(4)), 85, 26),
+    ((Fraction(1), Fraction(89, 55), Fraction(5)), 177, 13),
+    ((Fraction(7, 2), Fraction(5, 3), Fraction(4)), 27, 19),
 ])
 def test_borromean_shares_connected_sum_premises(slopes, nodes, distinct):
     # the connected-sum side premise of equal integer coordinates is one node,
@@ -701,8 +724,9 @@ def test_malformed_node_tables_are_domain_errors(edit, message):
 
 
 def _slopes_1_to_3():
-    # 0: S3_1(K), 1: S3, 2: S3_2(K) = triangle [0, 1], 3: S3_3(K) = triangle [2, 1]
-    return propagate_slope(surgery_lspace_axiom("K", Fraction(1)), Fraction(3))
+    # the run 3 = 1 + 2 * 1/0 as its triangles: 0: S3_1(K), 1: S3,
+    # 2: S3_2(K) = triangle [0, 1], 3: S3_3(K) = triangle [2, 1]
+    return expand_runs(propagate_slope(surgery_lspace_axiom("K", Fraction(1)), Fraction(3)))
 
 
 def _root_conclusion(cert):
