@@ -25,9 +25,10 @@ Interior nodes are:
   * "seifert-filling-identification" -- one premise, the pretzel star whose
     boundary is the (2n+4)-filling of the (-2, 3, n) pretzel knot.
 
-Each tree and Tait-graph move is stated once, by the move enumerator of its
-kind of manifold, which yields every legal (rule, premises) move in the
-order the builders try them:
+Each tree and Tait-graph move is stated once, by the move function of its
+kind (`_tree_move`, `_tait_move`): given the manifold, a rule and a vertex
+or edge, it returns that one move's (rule, premises), or None when the
+move is not legal.  The builders' enumerators call it in order:
 
   * `_tree_moves`: blow-downs of weight-1 leaves, then of weight-1 vertices
     of degree 2, then each leaf deleted and decremented, lightest leaf
@@ -68,17 +69,18 @@ runs the tree search; anything else takes its first move.  Every interior
 node, the tree search's blow-downs and splits included, is built by
 `_first_move`, which derives its premises and checks their |H1| sum.
 
-The checker accepts a tree or Tait-graph node only if its premises are among
-the enumerator's moves for its rule.  It accepts a surgery or Borromean
-"triangle" or "triangle-run" node by one closed form (`_FAREY_STEPS`, with
-no descent and no modular inverse): the premises are fillings of the same
-knot, S3 counting as its 1/0 filling, or of M(xs) with one coordinate
-changed, a 1/0 there only where the other two are integers; their slopes
-y0, y1 are Farey neighbours; the conclusion's slope is y0 + k*y1, with k = 1
-and y0 < y1 for a triangle and k >= 2 for a run; and a run's |H1| is
-|H1(Y0)| + k*|H1(Y1)|.  So the triangles of certificates built before run
-nodes, one per Farey step, still check.  The two one-off rules, lift and
-identification, keep a predicate each.
+The checker confirms every interior node one way (`_NAMED_MOVES`): it
+reads the hint of the one move the premises name off their views, rebuilds
+that move with the builders' move function and compares (rule, premises).
+The hint of a split is the leaf the second premise decrements; of a Tait
+triangle or loop deletion, the first edge the deleted graph lacks; of a
+blow-down or bridge contraction, each weight-1 vertex or edge.  A surgery or
+Borromean triangle or run names its premises' slopes y0, y1, S3 being 1/0
+(a Borromean 1/0 only where the other two slopes are integers); if they are
+Farey neighbours and the conclusion's slope is y0 + k*y1, k >= 1, with no
+descent and no modular inverse, `_farey_move` rebuilds the move: a
+triangle, lower slope first, for k = 1, else a run, whose |H1| must be
+|H1(Y0)| + k*|H1(Y1)|.  So certificates of one triangle per step still check.
 
 Trees and Tait graphs are validated where they enter: by their
 constructors, the CLI loaders and the checker, which rebuilds every graph
@@ -86,10 +88,9 @@ it reads.  A move builds the tree or graph it derives through `_moved`,
 without re-validation.
 
 Every fact carries the data that names its manifold (tree weights and edges,
-a Tait edge list, surgery slopes).  The checker rebuilds each fact from that
-data, recomputing |H1|, and confirms that the premises of every node are
-exactly the move the node names.  Builders, checker and serialiser visit
-each distinct node once and never recurse.
+a Tait edge list, surgery slopes), from which the checker rebuilds it,
+recomputing |H1|.  Builders, checker and serialiser visit each distinct
+node once and never recurse.
 
 Certified conclusions are monopole L-spaces, hence manifolds admitting no
 taut foliation.
@@ -104,7 +105,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from math import ceil, floor, gcd, prod
-from typing import Callable, Generator, Hashable, Iterator
+from typing import Callable, Generator, Hashable, Iterable, Iterator
 
 from .errors import (
     DomainError,
@@ -615,16 +616,26 @@ def _view_of_tree(tree: WeightedTree) -> tuple[str, object]:
     return "tree-boundary", tree
 
 
+def _tree_move(tree: WeightedTree, degree: list[int], rule: str, v: int) -> tuple | None:
+    """The move `rule` at vertex v, or None: a blow-down needs weight 1 and
+    degree 1 or 2; a split ("triangle") deletes the leaf v, and decrements it."""
+    if rule == "blow-down" and tree.weights[v] == 1 and degree[v] in (1, 2):
+        return rule, (_view_of_tree(_blow_down(tree, v)),)
+    if rule == "triangle" and degree[v] == 1:
+        deleted, decremented = _delete_vertex(tree, v), _set_weight(tree, v, tree.weights[v] - 1)
+        return rule, (_view_of_tree(deleted), _view_of_tree(decremented))
+    return None
+
+
 def _tree_moves(tree: WeightedTree) -> Iterator[tuple[str, tuple]]:
     n = len(tree.weights)
     degree = _degrees(tree)
     leaves = [v for v in range(n) if degree[v] == 1]
     for v in leaves + [v for v in range(n) if degree[v] == 2]:
         if tree.weights[v] == 1:
-            yield "blow-down", (_view_of_tree(_blow_down(tree, v)),)
+            yield _tree_move(tree, degree, "blow-down", v)
     for v in sorted(leaves, key=lambda v: tree.weights[v]):
-        deleted, decremented = _delete_vertex(tree, v), _set_weight(tree, v, tree.weights[v] - 1)
-        yield "triangle", (_view_of_tree(deleted), _view_of_tree(decremented))
+        yield _tree_move(tree, degree, "triangle", v)
 
 
 def _tree_steps(tree: WeightedTree, memo: dict) -> Steps:
@@ -675,9 +686,6 @@ class TaitGraph:
         _check_endpoints(self.num_vertices, self.edges)
         if not _connected_with(self.num_vertices, self.edges):
             raise DomainError("graph is not connected")
-
-    def loops(self) -> list[int]:
-        return [i for i, (a, b) in enumerate(self.edges) if a == b]
 
     def bridges(self) -> list[int]:
         out = []
@@ -802,16 +810,23 @@ def _view_of_graph(graph: TaitGraph) -> tuple[str, object]:
     return _S3_VIEW
 
 
+def _tait_move(graph: TaitGraph, rule: str, i: int) -> tuple | None:
+    """The move `rule` on edge i, or None: "reduce" deletes a loop or
+    contracts a bridge (one connectivity test), "triangle" any other edge."""
+    a, b = graph.edges[i]
+    bridge = a != b and not _connected_with(graph.num_vertices, graph.edges[:i] + graph.edges[i + 1 :])
+    if rule == "reduce" and (a == b or bridge):
+        return rule, (_view_of_graph(_contract(graph, i) if bridge else _delete(graph, i)),)
+    if rule == "triangle" and a != b and not bridge:
+        return rule, (_view_of_graph(_contract(graph, i)), _view_of_graph(_delete(graph, i)))
+    return None
+
+
 def _tait_moves(graph: TaitGraph) -> Iterator[tuple[str, tuple]]:
-    for i in graph.loops():
-        yield "reduce", (_view_of_graph(_delete(graph, i)),)
-    bridges = graph.bridges()
-    for i in bridges:
-        yield "reduce", (_view_of_graph(_contract(graph, i)),)
-    for i, (a, b) in enumerate(graph.edges):
-        if a != b and i not in bridges:
-            contracted, deleted = _contract(graph, i), _delete(graph, i)
-            yield "triangle", (_view_of_graph(contracted), _view_of_graph(deleted))
+    edges = range(len(graph.edges))
+    tried = [("reduce", i) for i in sorted(edges, key=lambda i: graph.edges[i][0] != graph.edges[i][1])]
+    tried += [("triangle", i) for i in edges]
+    return filter(None, (_tait_move(graph, rule, i) for rule, i in tried))
 
 
 # ---------------------------------------------------------------------------
@@ -909,9 +924,8 @@ def propagate_slope(base: Certificate, target: Fraction) -> Certificate:
     each a run or a triangle whose |H1| additivity is the numerator sum.  S3
     is seeded, so `steps` meets surgery views alone.
     """
-    slope_text = base.conclusion.param("slope")
-    knot = base.conclusion.param("knot") or "K"
-    if slope_text is None:
+    slope_text, knot = base.conclusion.param("slope"), base.conclusion.param("knot")
+    if slope_text is None or knot is None:
         raise DomainError("base certificate does not describe a surgery")
     r = parse_slope(slope_text)
     if r <= 0:
@@ -1119,6 +1133,10 @@ _LEAF_AXIOMS: dict[str, Callable[[tuple[str, object]], bool]] = {
 _AXIOMS = {**_LEAF_AXIOMS, "axiom:given-l-space": lambda view: view[0] == "surgery"}
 
 
+_ARITY = {"triangle": 2, "triangle-run": 2, "blow-down": 1, "reduce": 1,
+          "rational-to-integer-lift": 1, "seifert-filling-identification": 1}
+
+
 def _check_rule(node: Certificate, view: tuple[str, object], premises: list) -> None:
     rule, fact = node.rule, node.conclusion
     kind, data = view
@@ -1131,9 +1149,9 @@ def _check_rule(node: Certificate, view: tuple[str, object], premises: list) -> 
         if not allowed(view):
             raise CertificateCheckError(f"{fact.descriptor!r} is not an instance of this axiom")
         return
-    if rule not in ("triangle", "triangle-run", "blow-down", "reduce", *_SURGERY_RULES):
+    arity = _ARITY.get(rule)
+    if arity is None:
         raise CertificateCheckError(f"unknown rule {rule!r}")
-    arity = 2 if rule.startswith("triangle") else 1
     if len(premises) != arity:
         raise CertificateCheckError(f"{rule} node needs {arity} premise(s), has {len(premises)}")
     orders = [p.conclusion.h1_order for p in node.premises]
@@ -1143,101 +1161,82 @@ def _check_rule(node: Certificate, view: tuple[str, object], premises: list) -> 
         )
     if rule in ("blow-down", "reduce", "seifert-filling-identification") and orders[0] != fact.h1_order:
         raise CertificateCheckError(f"{rule} must preserve |H1|")
-    if rule in _SURGERY_RULES:
-        legal = kind == "surgery" and _SURGERY_RULES[rule](data, premises)
-    elif kind in _FAREY_STEPS:
-        steps = _FAREY_STEPS[kind](data, premises)
-        legal = any(_farey_step_holds(rule, fact, orders, *step) for step in steps)
-    else:
-        legal = kind in _MOVES and (rule, tuple(premises)) in _MOVES[kind](data)
-    if not legal:
+    moves = _NAMED_MOVES[kind](data, rule, premises) if kind in _NAMED_MOVES else ()
+    move = next((m for m in moves if m and m[:2] == (rule, tuple(premises))), None)
+    if move is None:
         raise CertificateCheckError(f"the premises are not a {rule} move on this {kind} node")
-
-
-def _farey_step_holds(rule: str, fact: Fact, orders: list, x: Slope, y0: Slope, y1: Slope) -> bool:
-    """Whether x = y0 + k*y1 for Farey neighbours y0, y1: with k = 1 and the
-    lower slope first for a triangle, with k >= 2 for a run, whose |H1| must
-    then be |H1_0| + k*|H1_1|."""
-    det = _det(y0, y1)
-    k = _multiple(x, y0, y1) if abs(det) == 1 else None
-    if rule == "triangle":
-        return k == 1 and det == -1
-    if k is None or k < 2:
-        return False
-    if fact.h1_order != orders[0] + k * orders[1]:
+    if rule == "triangle-run" and fact.h1_order != orders[0] + move[2] * orders[1]:
         raise CertificateCheckError(
-            f"additivity fails: {fact.h1_order} != {orders[0]} + {k} * {orders[1]}"
+            f"additivity fails: {fact.h1_order} != {orders[0]} + {move[2]} * {orders[1]}"
         )
-    return True
 
 
-def _surgery_steps(data: tuple[str, Fraction], premises: list) -> list[tuple]:
-    """(s, y0, y1) when both premises are surgeries on this node's knot, S3
-    counting as its 1/0 filling."""
-    knot, s = data
-    slopes = [
-        INFINITY if view == _S3_VIEW else view[1][1]
-        for view in premises if view == _S3_VIEW or (view[0] == "surgery" and view[1][0] == knot)
-    ]
-    return [(s, *slopes)] if len(slopes) == 2 else []
+def _first_change(old: tuple, new: tuple) -> list[int]:
+    """[the first index of `old` at which `new` differs], or [] if there is none."""
+    return next(([i] for i in range(len(old)) if i >= len(new) or old[i] != new[i]), [])
 
 
-def _borromean_steps(xs: tuple[Fraction, ...], premises: list) -> list[tuple]:
-    """(x, y0, y1) for each coordinate at which both premises are M(xs) with
-    another slope there.  A premise at 1/0 is allowed only where the other
-    two coordinates are integers, as the builder makes it."""
-    steps = []
-    for idx in range(3):
-        rest = xs[:idx] + xs[idx + 1 :]
-        integral = all(y.denominator == 1 for y in rest)
-        infinity = _borromean_view(xs, idx, INFINITY) if integral else None
-        slopes = [
-            view[1][idx] if view[0] == "borromean" and view[1][:idx] + view[1][idx + 1 :] == rest
-            else INFINITY if view == infinity
-            else None
-            for view in premises
-        ]
-        if None not in slopes:
-            steps.append((xs[idx], *slopes))
-    return steps
+def _named_tree_moves(tree: WeightedTree, rule: str, premises: list) -> Iterable[tuple | None]:
+    """A split at the leaf the second premise decrements, or a blow-down at each weight-1 vertex."""
+    kind, lowered = premises[-1]
+    if rule == "triangle":
+        vertices = _first_change(tree.weights, lowered.weights) if kind == "tree-boundary" else []
+    else:
+        vertices = [v for v in range(len(tree.weights)) if tree.weights[v] == 1]
+    degree = _degrees(tree)
+    return (_tree_move(tree, degree, rule, v) for v in vertices)
+
+
+def _named_tait_moves(graph: TaitGraph, rule: str, premises: list) -> Iterable[tuple | None]:
+    """The move on the first edge a deletion, the last premise, lacks, or on
+    each edge in turn when that premise is a contraction or S3."""
+    kind, minor = premises[-1]
+    edges = range(len(graph.edges))
+    if kind == "branched-double-cover" and minor.num_vertices == graph.num_vertices:
+        edges = _first_change(graph.edges, minor.edges)
+    return (_tait_move(graph, rule, i) for i in edges)
+
+
+def _farey_step(x: Slope, slopes: list, view: Callable[[Slope], tuple]) -> tuple | None:
+    """The move x = y0 + k*y1, k >= 1, between two premises' neighbouring slopes y0, y1."""
+    if len(slopes) != 2 or None in slopes or abs(_det(*slopes)) != 1:
+        return None
+    k = _multiple(x, *slopes)
+    return _farey_move(*slopes, k, view) if k is not None and k > 0 else None
 
 
 _PRETZEL = re.compile(r"\(-2,3,(\d+)\)-pretzel")
 
 
-def _pretzel_filling(data: tuple[str, Fraction], premises: list) -> bool:
+def _named_surgery_moves(data: tuple[str, Fraction], rule: str, premises: list) -> Iterable[tuple | None]:
+    """The lift of the premise's slope r to ceil(r), the pretzel star of the
+    knot, or the Farey step between the premises' slopes, 1/0 being S3."""
     knot, s = data
-    match = _PRETZEL.fullmatch(knot)
-    if match is None:
-        return False
-    n = int(match.group(1))
-    return s == 2 * n + 4 and premises[0] == _view_of_tree(pretzel_star(n))
+    slopes = [view[1][1] if view[0] == "surgery" else INFINITY for view in premises]
+    r, match = slopes[0], _PRETZEL.fullmatch(knot)
+    if rule == "rational-to-integer-lift" and r is not INFINITY and r.denominator != 1 and s == ceil(r):
+        return [(rule, (_surgery_view(knot, r),))]
+    if rule == "seifert-filling-identification" and match and s == 2 * int(match.group(1)) + 4:
+        return [(rule, (_view_of_tree(pretzel_star(int(match.group(1)))),))]
+    return [_farey_step(s, slopes, partial(_surgery_view, knot))]
 
 
-def _lift(data: tuple[str, Fraction], premises: list) -> bool:
-    knot, s = data
-    kind, base = premises[0]
-    if kind != "surgery":
-        return False
-    base_knot, r = base
-    return base_knot == knot and r.denominator != 1 and s == ceil(r)
+def _named_borromean_moves(xs: tuple[Fraction, ...], rule: str, premises: list) -> Iterable[tuple | None]:
+    """The Farey step at each coordinate between the premises' slopes there,
+    1/0 read only where the other two are integers, as the builder makes it."""
+    for idx in range(3):
+        integral = all(y.denominator == 1 for i, y in enumerate(xs) if i != idx)
+        slopes = [view[1][idx] if view[0] == "borromean" else INFINITY if integral else None
+                  for view in premises]
+        yield _farey_step(xs[idx], slopes, partial(_borromean_view, xs, idx))
 
 
-# kind of conclusion -> its move enumerator, whose premises are views
-_MOVES: dict[str, Callable[[object], Iterator[tuple[str, tuple]]]] = {
-    "tree-boundary": _tree_moves,
-    "branched-double-cover": _tait_moves,
-}
-# kind of conclusion -> its candidate Farey steps (x, y0, y1), for the
-# triangle and triangle-run rules
-_FAREY_STEPS: dict[str, Callable[[object, list], list[tuple]]] = {
-    "surgery": _surgery_steps,
-    "borromean": _borromean_steps,
-}
-# rule -> whether the premises are that move on a surgery node
-_SURGERY_RULES: dict[str, Callable[[tuple[str, Fraction], list], bool]] = {
-    "seifert-filling-identification": _pretzel_filling,
-    "rational-to-integer-lift": _lift,
+# kind of conclusion -> the moves a node's premises name: (rule, premise views[, k]) or None
+_NAMED_MOVES: dict[str, Callable[[object, str, list], Iterable[tuple | None]]] = {
+    "tree-boundary": _named_tree_moves,
+    "branched-double-cover": _named_tait_moves,
+    "surgery": _named_surgery_moves,
+    "borromean": _named_borromean_moves,
 }
 
 

@@ -655,6 +655,28 @@ def test_lspace_check_rejects_a_tampered_file_in_one_line(tmp_path, capsys):
     assert err.startswith("error: certificate rejected: node 6 (triangle-run): ")
 
 
+def test_lspace_check_rejects_a_one_premise_rule_on_a_borromean_node_in_one_line(capsys):
+    """The table: S3, and M(1,1,1) by blow-down from it."""
+    code, out, err = run_cli(capsys, "lspace", "check", str(DATA / "forged_one_premise_borromean.json"))
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        "error: certificate rejected: node 1 (blow-down): "
+        "the premises are not a blow-down move on this borromean node"
+    ]
+
+
+@pytest.mark.parametrize("base", ["1", "5/2"])
+def test_lspace_slope_on_the_empty_knot_name_is_certified(tmp_path, capsys, base):
+    argv = ["lspace", "slope", "--base", base, "--target", "3", "--knot", ""]
+    code, built, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert built.splitlines()[0] == "certified: S3_3()"
+    _, doc, _ = run_cli(capsys, "--json", *argv)
+    path = tmp_path / "empty_knot.json"
+    path.write_text(doc)
+    assert run_cli(capsys, "lspace", "check", str(path)) == (0, built, "")
+
+
 def _lens_leaf(descriptor, h1, p, q):
     """A one-node table: the lens-space axiom on the lens fact with these params."""
     conclusion = {"descriptor": descriptor, "h1": h1, "kind": "lens", "params": {"p": p, "q": q}}

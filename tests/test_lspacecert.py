@@ -430,6 +430,16 @@ def test_propagate_slope_domain():
         propagate_slope(Certificate(negative, "axiom:given-l-space"), Fraction(2))
 
 
+def test_propagate_slope_keeps_the_base_knot_as_given():
+    for base in (surgery_lspace_axiom("", Fraction(1)), surgery_lspace_axiom("", Fraction(5, 2))):
+        cert = propagate_slope(base, Fraction(3))
+        assert cert.conclusion.descriptor == "S3_3()"
+        check_certificate(cert)
+    unnamed = Fact("S3_3(K)", 3, "surgery", (("slope", "3"),))
+    with pytest.raises(DomainError, match="^base certificate does not describe a surgery$"):
+        propagate_slope(Certificate(unnamed, "axiom:given-l-space"), Fraction(4))
+
+
 def test_borromean_examples():
     poincare = certify_borromean(Fraction(1), Fraction(1), Fraction(1))
     assert poincare.rule == "axiom:positive-scalar-curvature"
@@ -600,6 +610,19 @@ def test_checker_rejects_a_legal_move_under_another_rule(cert, rule):
     root = len(cert.to_json_dict()["nodes"]) - 1
     with pytest.raises(CertificateCheckError, match=rf"^node {root} \({rule}\): the premises are not"):
         check_certificate(Certificate(cert.conclusion, rule, cert.premises))
+
+
+@pytest.mark.parametrize("cert", [
+    Certificate(poincare_sphere_axiom().conclusion, "blow-down", (sphere_axiom(),)),
+    Certificate(certify_borromean(Fraction(2), Fraction(1), Fraction(1)).conclusion, "reduce",
+                (connected_sum_lens_axiom([2]),)),
+], ids=["blow-down-from-s3", "reduce-from-a-connected-sum"])
+def test_checker_rejects_a_one_premise_rule_on_a_borromean_node(cert):
+    """The premise's view reads as the 1/0 filling at every coordinate, and
+    no Farey step has one premise."""
+    message = f"node 1 ({cert.rule}): the premises are not a {cert.rule} move on this borromean node"
+    with pytest.raises(CertificateCheckError, match=f"^{re.escape(message)}$"):
+        check_certificate(cert)
 
 
 @contextlib.contextmanager
