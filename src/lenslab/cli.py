@@ -215,11 +215,12 @@ def _load_cone_triple(path: str) -> ConeTriple:
     return ConeTriple(complexes, f, h)
 
 
-# The largest tree and Tait-graph documents.  The certificate search grows
-# faster than the document: a weight-3 path tree took 1.7 s and 60 MiB at 500
-# vertices, 6.5 s and 217 MiB at 1000, 28 s and 895 MiB at 2000, and a Tait
-# cycle took 1.3 s at 64 edges, 7.2 s at 100 and over 90 s at 200.  A
-# connected graph has at most one vertex more than it has edges.
+# One cost cap per kind, on documents and certificate nodes alike: a tree's
+# vertices and a Tait graph's edges.  The vertex bound is the graph's own,
+# checked by its constructor.  The certificate search grows faster than the
+# document: a weight-3 path tree took 1.7 s and 60 MiB at 500 vertices,
+# 6.5 s and 217 MiB at 1000, 28 s and 895 MiB at 2000, and a Tait cycle took
+# 1.3 s at 64 edges, 7.2 s at 100 and over 90 s at 200.
 #
 # The vertex cap does not bound the weights: each split decrements a leaf
 # by one, so the distinct nodes of a path grow with the sum of its weights,
@@ -233,7 +234,11 @@ def _load_cone_triple(path: str) -> ConeTriple:
 MAX_TREE_VERTICES = 500
 MAX_TREE_WORK = 850_000
 MAX_TAIT_EDGES = 64
-MAX_TAIT_VERTICES = MAX_TAIT_EDGES + 1
+
+
+def _over_cap(field: str, size: int, cap: int, noun: str) -> str | None:
+    """The diagnostic of a graph field over its cost cap, or None."""
+    return f"field {field!r} has more than the cap of {cap} {noun}" if size > cap else None
 
 
 def _load_graph(path: str, weighted: bool) -> tuple:
@@ -242,15 +247,13 @@ def _load_graph(path: str, weighted: bool) -> tuple:
     vertices, edges = doc.get("vertices"), doc.get("edges")
     if weighted and isinstance(vertices, list) and all(map(_is_int, vertices)):
         n, vertices = len(vertices), tuple(vertices)
-        cap, edge_cap = MAX_TREE_VERTICES, MAX_TREE_VERTICES - 1
+        if over := _over_cap("vertices", n, MAX_TREE_VERTICES, "vertices"):
+            raise DomainError(over)
     elif not weighted and _is_int(vertices):
         n = vertices
-        cap, edge_cap = MAX_TAIT_VERTICES, MAX_TAIT_EDGES
     else:
         kind = "a list of integer weights" if weighted else "an integer vertex count"
         raise DomainError(f"field 'vertices' is missing or not {kind}")
-    if n > cap:
-        raise DomainError(f"field 'vertices' has more than the cap of {cap} vertices")
     if not isinstance(edges, list) or not all(
         isinstance(e, list) and len(e) == 2 and all(_is_int(v) and 0 <= v < n for v in e)
         for e in edges
@@ -258,46 +261,30 @@ def _load_graph(path: str, weighted: bool) -> tuple:
         raise DomainError(
             f"field 'edges' is missing or not a list of [i, j] pairs with 0 <= i, j < {n}"
         )
-    if len(edges) > edge_cap:
-        raise DomainError(f"field 'edges' has more than the cap of {edge_cap} edges")
     if weighted:
         _check_cap("tree work", sum(map(abs, vertices)) * (64 + n), MAX_TREE_WORK)
+    elif over := _over_cap("edges", len(edges), MAX_TAIT_EDGES, "edges"):
+        raise DomainError(over)
     return vertices, tuple(map(tuple, edges))
 
 
 def _check_node_caps(table: dict) -> None:
-    """The caps of `lspace tree` and `lspace alt` on every tree and Tait graph
-    of a loaded node table, before the checker builds any of them.  The
-    certificates those commands print pass: their nodes are minors of a
+    """The cost caps of `lspace tree` and `lspace alt` on every tree and Tait
+    graph of a loaded node table, before the checker builds any of them.
+    The certificates those commands print pass: their nodes are minors of a
     capped document."""
     for node in table["nodes"]:
         kind, params = node["conclusion"]["kind"], node["conclusion"]["params"]
         if kind == "tree-boundary":
-            sizes = [("weights", params.get("weights", "").count(",") + 1, MAX_TREE_VERTICES)]
+            weights = params.get("weights", "")
+            over = _over_cap("weights", weights.count(",") + 1, MAX_TREE_VERTICES, "vertices")
         elif kind == "branched-double-cover":
             edges = params.get("edges", "")
-            sizes = [
-                ("vertices", _declared(params.get("vertices", "")), MAX_TAIT_VERTICES),
-                ("edges", edges.count(",") + 1 if edges else 0, MAX_TAIT_EDGES),
-            ]
+            over = _over_cap("edges", edges.count(",") + 1 if edges else 0, MAX_TAIT_EDGES, "edges")
         else:
             continue
-        for field, size, cap in sizes:
-            if size > cap:
-                noun = "edges" if field == "edges" else "vertices"
-                raise CertificateCheckError(
-                    f"node {node['id']} ({node['rule']}): "
-                    f"field {field!r} has more than the cap of {cap} {noun}"
-                )
-
-
-def _declared(text: str) -> int:
-    """The integer a param states, or 0 for text that is none: the checker
-    rejects that text before it builds anything."""
-    try:
-        return int(text)
-    except ValueError:
-        return 0
+        if over:
+            raise CertificateCheckError(f"node {node['id']} ({node['rule']}): {over}")
 
 
 def _emit(args: argparse.Namespace, payload: object, lines: list[str], **json_style) -> None:

@@ -82,10 +82,11 @@ descent and no modular inverse, `_farey_move` rebuilds the move: a
 triangle, lower slope first, for k = 1, else a run, whose |H1| must be
 |H1(Y0)| + k*|H1(Y1)|.  So certificates of one triangle per step still check.
 
-Trees and Tait graphs are validated where they enter: by their
-constructors, the CLI loaders and the checker, which rebuilds every graph
-it reads.  A move builds the tree or graph it derives through `_moved`,
-without re-validation.
+Trees and Tait graphs are validated where they enter, by their
+constructors, which the CLI loaders and the checker call on every graph
+they read; each shape bound, the vertex bound included, is the graph's own.
+The CLI adds one cost cap per kind.  A move builds the tree or graph it
+derives through `_moved`, without re-validation.
 
 Every fact carries the data that names its manifold (tree weights and edges,
 a Tait edge list, surgery slopes), from which the checker rebuilds it,
@@ -100,7 +101,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
@@ -684,18 +684,12 @@ class TaitGraph:
         if self.num_vertices < 1:
             raise DomainError("need at least one vertex")
         _check_endpoints(self.num_vertices, self.edges)
-        if not _connected_with(self.num_vertices, self.edges):
+        # a connected graph has at most |E| + 1 vertices: tested before anything is allocated per vertex
+        if self.num_vertices > len(self.edges) + 1 or not _connected_with(self.num_vertices, self.edges):
             raise DomainError("graph is not connected")
 
     def bridges(self) -> list[int]:
-        out = []
-        for i, (a, b) in enumerate(self.edges):
-            if a == b:
-                continue
-            rest = self.edges[:i] + self.edges[i + 1 :]
-            if not _connected_with(self.num_vertices, rest):
-                out.append(i)
-        return out
+        return [i for i in range(len(self.edges)) if _is_bridge(self, i)]
 
 
 def _check_endpoints(n: int, edges: tuple[tuple[int, int], ...]) -> None:
@@ -718,6 +712,12 @@ def _connected_with(n: int, edges: tuple[tuple[int, int], ...]) -> bool:
                 seen.add(w)
                 frontier.append(w)
     return len(seen) == n
+
+
+def _is_bridge(graph: TaitGraph, i: int) -> bool:
+    """Whether edge i is no loop and its deletion disconnects the graph."""
+    a, b = graph.edges[i]
+    return a != b and not _connected_with(graph.num_vertices, graph.edges[:i] + graph.edges[i + 1 :])
 
 
 def cycle_graph(n: int) -> TaitGraph:
@@ -814,7 +814,7 @@ def _tait_move(graph: TaitGraph, rule: str, i: int) -> tuple | None:
     """The move `rule` on edge i, or None: "reduce" deletes a loop or
     contracts a bridge (one connectivity test), "triangle" any other edge."""
     a, b = graph.edges[i]
-    bridge = a != b and not _connected_with(graph.num_vertices, graph.edges[:i] + graph.edges[i + 1 :])
+    bridge = _is_bridge(graph, i)
     if rule == "reduce" and (a == b or bridge):
         return rule, (_view_of_graph(_contract(graph, i) if bridge else _delete(graph, i)),)
     if rule == "triangle" and a != b and not bridge:
@@ -1140,6 +1140,9 @@ _ARITY = {"triangle": 2, "triangle-run": 2, "blow-down": 1, "reduce": 1,
 def _check_rule(node: Certificate, view: tuple[str, object], premises: list) -> None:
     rule, fact = node.rule, node.conclusion
     kind, data = view
+    note = "lens space" if rule == "axiom:given-l-space" else None  # as `surgery_lspace_axiom` writes it
+    if fact.param("note") != note:
+        raise CertificateCheckError(f"the note must be {note!r}" if note else "only a given L-space has a note")
     if rule.startswith("axiom:"):
         if premises:
             raise CertificateCheckError("axiom node with premises")
@@ -1205,19 +1208,18 @@ def _farey_step(x: Slope, slopes: list, view: Callable[[Slope], tuple]) -> tuple
     return _farey_move(*slopes, k, view) if k is not None and k > 0 else None
 
 
-_PRETZEL = re.compile(r"\(-2,3,(\d+)\)-pretzel")
-
-
 def _named_surgery_moves(data: tuple[str, Fraction], rule: str, premises: list) -> Iterable[tuple | None]:
     """The lift of the premise's slope r to ceil(r), the pretzel star of the
     knot, or the Farey step between the premises' slopes, 1/0 being S3."""
     knot, s = data
     slopes = [view[1][1] if view[0] == "surgery" else INFINITY for view in premises]
-    r, match = slopes[0], _PRETZEL.fullmatch(knot)
+    r, (kind, tree) = slopes[0], premises[0]
     if rule == "rational-to-integer-lift" and r is not INFINITY and r.denominator != 1 and s == ceil(r):
         return [(rule, (_surgery_view(knot, r),))]
-    if rule == "seifert-filling-identification" and match and s == 2 * int(match.group(1)) + 4:
-        return [(rule, (_view_of_tree(pretzel_star(int(match.group(1)))),))]
+    if rule == "seifert-filling-identification" and kind == "tree-boundary":
+        n = 2 * len(tree.weights) + 1  # the star of n has (n - 1)/2 vertices, so its cost is the premise's
+        if knot == f"(-2,3,{n})-pretzel" and s == 2 * n + 4:
+            return [(rule, (_view_of_tree(pretzel_star(n)),))]
     return [_farey_step(s, slopes, partial(_surgery_view, knot))]
 
 

@@ -500,18 +500,17 @@ def _path_tree(weights):
 
 
 TREE_CAP = f"error: field 'vertices' has more than the cap of {cli.MAX_TREE_VERTICES} vertices"
-TAIT_CAP = f"error: field 'vertices' has more than the cap of {cli.MAX_TAIT_VERTICES} vertices"
 
 
 @pytest.mark.parametrize("command, doc, message", [
-    ("alt", {"vertices": 100000000, "edges": [[0, 1], [1, 0]]}, TAIT_CAP),
-    ("alt", {"vertices": cli.MAX_TAIT_VERTICES + 1, "edges": []}, TAIT_CAP),
+    ("alt", {"vertices": 100000000, "edges": [[0, 1], [1, 0]]}, "error: graph is not connected"),
+    ("alt", {"vertices": cli.MAX_TAIT_EDGES + 2, "edges": []}, "error: graph is not connected"),
     ("alt", {"vertices": 2, "edges": [[0, 1]] * (cli.MAX_TAIT_EDGES + 1)},
      f"error: field 'edges' has more than the cap of {cli.MAX_TAIT_EDGES} edges"),
     ("tree", _path_tree([3] * 200000), TREE_CAP),
     ("tree", _path_tree([3] * (cli.MAX_TREE_VERTICES + 1)), TREE_CAP),
     ("tree", {"vertices": [3, 2], "edges": [[0, 1]] * cli.MAX_TREE_VERTICES},
-     f"error: field 'edges' has more than the cap of {cli.MAX_TREE_VERTICES - 1} edges"),
+     "error: a tree on n vertices has n - 1 edges"),
 ])
 def test_graphs_over_the_cap_are_one_line_domain_errors(tmp_path, capsys, command, doc, message):
     # both 200,000-vertex documents ran out of a 2 GB address space uncapped
@@ -527,9 +526,9 @@ def test_graphs_over_the_cap_are_one_line_domain_errors(tmp_path, capsys, comman
 @pytest.mark.parametrize("command, doc", [
     # blow-downs from the weight-1 end keep this tree cheap at the cap
     ("tree", _path_tree([1] + [2] * (cli.MAX_TREE_VERTICES - 2) + [3])),
-    # a star on MAX_TAIT_VERTICES vertices has MAX_TAIT_EDGES edges
-    ("alt", {"vertices": cli.MAX_TAIT_VERTICES,
-             "edges": [[0, v] for v in range(1, cli.MAX_TAIT_VERTICES)]}),
+    # a star on MAX_TAIT_EDGES + 1 vertices has MAX_TAIT_EDGES edges
+    ("alt", {"vertices": cli.MAX_TAIT_EDGES + 1,
+             "edges": [[0, v] for v in range(1, cli.MAX_TAIT_EDGES + 1)]}),
 ])
 def test_graphs_at_the_cap_are_accepted(tmp_path, capsys, command, doc):
     path = tmp_path / "doc.json"
@@ -665,6 +664,29 @@ def test_lspace_check_rejects_a_one_premise_rule_on_a_borromean_node_in_one_line
     ]
 
 
+def _forged_pretzel_star(n):
+    """The committed table with n for 20,000,001: L(2n + 4, 1), and the
+    (2n + 4)-filling of the (-2, 3, n) pretzel knot identified with it."""
+    text = (DATA / "forged_pretzel_star.json").read_text()
+    return text.replace("40000006", str(2 * n + 4)).replace("20000001", str(n))
+
+
+@pytest.mark.parametrize("n", [20_000_001, 10**40 + 1])
+def test_lspace_check_rejects_a_forged_pretzel_star_in_one_line(tmp_path, capsys, n):
+    """The star of n has (n - 1)/2 vertices; the checker compares that count
+    with the premise's before it builds the star."""
+    path = tmp_path / "forged.json"
+    path.write_text(_forged_pretzel_star(n))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "lspace", "check", str(path))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        "error: certificate rejected: node 1 (seifert-filling-identification): "
+        "the premises are not a seifert-filling-identification move on this surgery node"
+    ]
+
+
 @pytest.mark.parametrize("base", ["1", "5/2"])
 def test_lspace_slope_on_the_empty_knot_name_is_certified(tmp_path, capsys, base):
     argv = ["lspace", "slope", "--base", base, "--target", "3", "--knot", ""]
@@ -741,10 +763,10 @@ def _node_over_the_cap(node, rule, field, cap, noun):
     # a dense Bareiss elimination took 11.3 s on this 4.8 KB node uncapped
     (_one_node("branched-double-cover", {
         "vertices": "600", "edges": _edge_text((v, v + 1) for v in range(599))}),
-     _node_over_the_cap(0, "axiom:three-sphere", "vertices", cli.MAX_TAIT_VERTICES, "vertices")),
+     _node_over_the_cap(0, "axiom:three-sphere", "edges", cli.MAX_TAIT_EDGES, "edges")),
     # one list per declared vertex: 149 MiB at 10^6 uncapped
     (_one_node("branched-double-cover", {"vertices": "1000000000", "edges": ""}),
-     _node_over_the_cap(0, "axiom:three-sphere", "vertices", cli.MAX_TAIT_VERTICES, "vertices")),
+     "error: certificate rejected: node 0 (axiom:three-sphere): graph is not connected"),
     (_one_node("branched-double-cover", {
         "vertices": "2", "edges": _edge_text([(0, 1)] * (cli.MAX_TAIT_EDGES + 1))}),
      _node_over_the_cap(0, "axiom:three-sphere", "edges", cli.MAX_TAIT_EDGES, "edges")),
@@ -753,10 +775,9 @@ def _node_over_the_cap(node, rule, field, cap, noun):
      _node_over_the_cap(0, "axiom:three-sphere", "weights", cli.MAX_TREE_VERTICES, "vertices")),
     # what `lspace alt` and `lspace tree` would certify one past their caps
     (certify_alternating(TaitGraph(
-        cli.MAX_TAIT_VERTICES + 1, tuple((v, v + 1) for v in range(cli.MAX_TAIT_VERTICES)),
+        cli.MAX_TAIT_EDGES + 2, tuple((v, v + 1) for v in range(cli.MAX_TAIT_EDGES + 1)),
     )).to_json_dict(),
-     _node_over_the_cap(cli.MAX_TAIT_VERTICES, "reduce", "vertices", cli.MAX_TAIT_VERTICES,
-                        "vertices")),
+     _node_over_the_cap(cli.MAX_TAIT_EDGES + 1, "reduce", "edges", cli.MAX_TAIT_EDGES, "edges")),
     (certify_tree(WeightedTree(
         (1,) + (2,) * (cli.MAX_TREE_VERTICES - 1) + (3,),
         tuple((v, v + 1) for v in range(cli.MAX_TREE_VERTICES)),
@@ -776,7 +797,7 @@ def test_lspace_check_caps_every_tree_and_tait_graph(tmp_path, capsys, table, me
 
 
 @pytest.mark.parametrize("command, doc", [
-    ("alt", {"vertices": cli.MAX_TAIT_VERTICES,
+    ("alt", {"vertices": cli.MAX_TAIT_EDGES + 1,
              "edges": [[v, v + 1] for v in range(cli.MAX_TAIT_EDGES)]}),
     ("tree", _path_tree([1] + [2] * (cli.MAX_TREE_VERTICES - 2) + [3])),
 ], ids=["alt-64-edge-path", "tree-500-vertex-path"])

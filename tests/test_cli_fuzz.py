@@ -31,7 +31,6 @@ from hypothesis import strategies as st
 from lenslab.cli import (
     MAX_DIM,
     MAX_TAIT_EDGES,
-    MAX_TAIT_VERTICES,
     MAX_TREE_VERTICES,
     main,
 )
@@ -122,7 +121,7 @@ def set_large(data, doc):
     tree = isinstance(doc.get("vertices"), list)
     caps = {
         "dims": MAX_DIM,
-        "vertices": MAX_TREE_VERTICES if tree else MAX_TAIT_VERTICES,
+        "vertices": MAX_TREE_VERTICES if tree else MAX_TAIT_EDGES + 1,
         "edges": MAX_TREE_VERTICES - 1 if tree else MAX_TAIT_EDGES,
     }
     names = [name for name in sorted(caps) if name in doc]

@@ -7,6 +7,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -826,6 +827,51 @@ def test_checker_rejects_each_edited_node_table(cert, edit, node_id, reason):
     with pytest.raises(CertificateCheckError, match=rf"^node {node_id} \({re.escape(rule)}\): "
                        + re.escape(reason)):
         check_certificate(edited)
+
+
+@pytest.mark.parametrize("edit, node_id, reason", [
+    (_set_params(2, note="anything at all"), 2, "only a given L-space has a note"),
+    (_drop_param(0, "note"), 0, "the note must be 'lens space'"),
+    (_set_params(0, note="an L-space"), 0, "the note must be 'lens space'"),
+], ids=["note-on-a-run", "given-axiom-without-its-note", "given-axiom-with-another-note"])
+def test_checker_accepts_a_note_only_where_the_given_axiom_writes_it(edit, node_id, reason):
+    # 0: S3_1(K), given; 1: S3; 2: S3_3(K), the run 3 = 1 + 2 * 1/0
+    doc = propagate_slope(surgery_lspace_axiom("K", Fraction(1)), Fraction(3)).to_json_dict()
+    check_certificate(Certificate.from_json_dict(doc))
+    edit(doc)
+    rule = doc["nodes"][node_id]["rule"]
+    with pytest.raises(CertificateCheckError, match=rf"^node {node_id} \({rule}\): {reason}$"):
+        check_certificate(Certificate.from_json_dict(doc))
+
+
+def test_tait_graph_refuses_more_vertices_than_edges_plus_one_before_any_search(monkeypatch):
+    monkeypatch.setattr(lspacecert, "_connected_with", lambda n, edges: pytest.fail("searched"))
+    for n in (3, 10**12):
+        with pytest.raises(DomainError, match="^graph is not connected$"):
+            TaitGraph(n, ((0, 1),))
+
+
+def _one_tait_node(vertices):
+    conclusion = {"descriptor": "Y", "h1": 1, "kind": "branched-double-cover",
+                  "params": {"vertices": str(vertices), "edges": ""}}
+    return {"format": 2, "root": 0, "nodes": [
+        {"id": 0, "rule": "axiom:three-sphere", "premises": [], "conclusion": conclusion},
+    ]}
+
+
+@pytest.mark.parametrize("table, message", [
+    (_one_tait_node(10**12), "node 0 (axiom:three-sphere): graph is not connected"),
+    (json.loads((Path(__file__).parent / "data" / "forged_pretzel_star.json").read_text()),
+     "node 1 (seifert-filling-identification): "
+     "the premises are not a seifert-filling-identification move on this surgery node"),
+], ids=["tait-declares-10^12", "forged-pretzel-star"])
+def test_the_checker_rejects_a_declared_size_without_building_it(table, message):
+    """No CLI cap guards this path: the work is bounded by the table alone."""
+    start = time.perf_counter()
+    with pytest.raises(CertificateCheckError) as rejected:
+        check_certificate(Certificate.from_json_dict(table))
+    assert time.perf_counter() - start < 0.1
+    assert str(rejected.value) == message
 
 
 @pytest.mark.parametrize("certify, manifold", [
