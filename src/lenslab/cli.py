@@ -103,7 +103,16 @@ def _load_object(path: str, kind: str) -> dict:
 # The largest dimension an octet or cone-triple document may declare.  Every
 # map is allocated at its declared size before any entry is read, so without
 # a cap a 28-byte document such as {"dims": [100000000, 0, 0]} runs out of
-# memory.
+# memory.  At the cap, with dense maps, loading the document costs more than
+# checking it (3 runs each, wall time of a fresh interpreter on a 2-vCPU VM,
+# Python 3.11): `octet verify` on a conjugated block sum of fuzzed octets at
+# dims (897, 960, 999), a 34 MB document of 3.2 million entries, took
+# 5.4-8.2 s, of which loading took 3.7-4.1 s and octet_verify with
+# octet_assemble 2.3-2.6 s; `triangle verify` on a conjugated block sum of
+# cone triples at dims (998, 974, 1000), 48 MB and 4.4 million entries, took
+# 6.2-6.9 s, of which loading took 4.3-6.2 s and the triple's bases,
+# cone_verify and cone_exactness 0.9-1.2 s.  Decoding the JSON is 0.3-0.6 s
+# of the loading; the rest is turning "r,c" entries into matrices.
 MAX_DIM = 1000
 
 # The largest order p that `dinv`, `alexlens` and `lattice-check` accept.  Their

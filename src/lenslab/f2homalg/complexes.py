@@ -12,12 +12,18 @@ octet that is verified and then assembled is assembled once; nothing stays
 on the octet after that.  The triangle's matrices and complexes are built
 without re-running their validators, since their shapes follow from the
 octet's.  Exactness at each node of a triangle is a dimension count and a
-containment test: one elimination per node, and no preimage is computed.  A
-cone triple finds its chain-map flags and each complex's homology bases
-once, when it is built.  Where only a dimension is used (the image at each
-node, the psi tests of a cone) the elimination is the forward pass alone,
-with no back-substitution, and the boundaries' reduced basis enters it as
-ready-made pivots.
+containment test: one elimination per node, and no preimage is computed.
+
+Exactness and the psi tests of a cone are checked on the dual complexes
+(C*, d^T), with each map f replaced by f^T: dualising a long exact sequence
+of finite-dimensional spaces keeps it exact, and the columns of f^T are the
+rows of f, which are already held, so no transpose is ever built.  A
+complex's cocycles and coboundaries (the cycles and boundaries of d^T) come
+from one elimination of d's rows.  A cone triple finds its chain-map flags
+and each complex's cohomology bases once, when it is built.  Where only a
+dimension is used (the image at each node, the psi tests of a cone) the
+elimination is the forward pass alone, with no back-substitution, and the
+coboundaries' reduced basis enters it as ready-made pivots.
 """
 
 from __future__ import annotations
@@ -47,26 +53,27 @@ class GradedComplex:
         if any(_combine(self.d.data, self.d.data)):
             raise DomainError("differential does not square to zero")
 
-    def homology_bases(self) -> tuple[list[int], list[int]]:
-        """(cycles, boundaries): the fully reduced echelon bases of ker d and
-        im d, from one elimination of the rows d(e_j) | e_j << dim.  Rows
-        with image bits left span im d; the others are e_j-combinations
-        whose image is zero."""
+    def cohomology_bases(self) -> tuple[list[int], list[int]]:
+        """(cocycles, coboundaries): the fully reduced echelon bases of
+        ker d^T and im d^T, the cycles and boundaries of the dual complex,
+        from one elimination of the rows d^T(e_j) | e_j << dim.  Column j of
+        d^T is row j of d, so no transpose is built.  Rows with image bits
+        left span im d^T; the others are e_j-combinations whose image is
+        zero.  Over GF(2) the dual complex's homology is the dual of H(C),
+        of the same dimension."""
         n = self.dim
         low = (1 << n) - 1
-        echelon = span_basis(
-            [col | (1 << (n + j)) for j, col in enumerate(self.d.columns())]
-        )
-        cycles = [row >> n for row in echelon if not row & low]
-        boundaries = [row & low for row in echelon if row & low]
-        return cycles, boundaries
+        echelon = span_basis([row | (1 << (n + j)) for j, row in enumerate(self.d.data)])
+        cocycles = [row >> n for row in echelon if not row & low]
+        coboundaries = [row & low for row in echelon if row & low]
+        return cocycles, coboundaries
 
 
 def complex_homology(complex_: GradedComplex) -> dict[int, int]:
     """Homology rank via GF(2) elimination, keyed by the single grading 0."""
     complex_.check_squares_to_zero()
-    cycles, boundaries = complex_.homology_bases()
-    return {0: len(cycles) - len(boundaries)}
+    cocycles, coboundaries = complex_.cohomology_bases()
+    return {0: len(cocycles) - len(coboundaries)}
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +304,9 @@ def _assemble(a: _OctetAssembly) -> AssembledTriangle:
         _unchecked(F2Matrix, n_from, n_to, tuple(a.map_j)),
         _unchecked(F2Matrix, n_red, n_from, tuple(a.map_p)),
     )
-    bases = [c.homology_bases() for c in (c_red, c_to, c_from)]
+    bases = [c.cohomology_bases() for c in (c_red, c_to, c_from)]
     failures = _triangle_exactness_failures(bases, maps, ("to", "from", "red"))
-    h_red, h_to, h_from = (len(cycles) - len(bounds) for cycles, bounds in bases)
+    h_red, h_to, h_from = (len(cocycles) - len(cobounds) for cocycles, cobounds in bases)
     return AssembledTriangle(
         c_to, c_from, c_red, *maps, h_to, h_from, h_red, exact=not failures,
     )
@@ -333,32 +340,40 @@ def _triangle_exactness_failures(
 ) -> list[str]:
     """Exactness of ... -> H(C_0) -f0-> H(C_1) -f1-> H(C_2) -f2-> H(C_0) -> ...
 
-    bases = the (cycles, boundaries) of C_0, C_1, C_2 as fully reduced
-    echelon bases, and maps = the chain maps f_0: C_0->C_1, f_1: C_1->C_2,
-    f_2: C_2->C_0.  Both callers check the chain-map property first, and the
-    argument below needs it.  Returns the nodes where image != kernel.
+    bases = the (cocycles, coboundaries) of C_0, C_1, C_2 as fully reduced
+    echelon bases (cohomology_bases), and maps = the chain maps f_0:
+    C_0->C_1, f_1: C_1->C_2, f_2: C_2->C_0.  Both callers check the
+    chain-map property first, and the argument below needs it.  Returns the
+    nodes where image != kernel, node n being C_{n+1}.
 
-    At C_{n+1} the image of f_n on homology lifts to I_{n+1} = f_n(Z_n) +
-    B_{n+1}, and the kernel of f_{n+1} on homology to K_{n+1} = {z in
-    Z_{n+1} : f_{n+1} z in B_{n+2}}.
-    K_{n+1} is the kernel of z -> [f_{n+1} z] from Z_{n+1} onto
-    I_{n+2} / B_{n+2}, so dim K_{n+1} = dim Z_{n+1} - (dim I_{n+2} -
-    dim B_{n+2}).  Since f_{n+1}(B_{n+1}) lies in B_{n+2}, I_{n+1} lies in
-    K_{n+1} exactly when f_{n+1}(f_n(Z_n)) lies in B_{n+2}.  So the node
-    is exact exactly when that containment holds and dim I_{n+1} =
-    dim K_{n+1}: one forward elimination pass per node for dim I, and a
-    reduction against the basis of B_{n+2} for the containment.
+    The check runs on the dual triangle C_0* -> C_2* -> C_1* -> C_0*, with
+    maps f_2^T, f_1^T, f_0^T: the column of f_n^T at e_j is row j of f_n, so
+    f_n^T v is _combine([v], f_n.data) and no transpose is built.  Its
+    homology sequence is the dual of this one, and over a field a sequence
+    A -> B -> C is exact at B exactly when C* -> B* -> A* is exact at B*,
+    so node n is exact exactly when the dual is exact at C_{n+1}*.
+
+    Write Z*, B* for cocycles and coboundaries.  At C_{n+1}* the image of
+    f_{n+1}^T on cohomology lifts to I_{n+1} = f_{n+1}^T(Z*_{n+2}) +
+    B*_{n+1}, and the kernel of f_n^T to K_{n+1} = {z in Z*_{n+1} :
+    f_n^T z in B*_n}.  K_{n+1} is the kernel of z -> [f_n^T z] from Z*_{n+1}
+    onto I_n / B*_n, so dim K_{n+1} = dim Z*_{n+1} - (dim I_n - dim B*_n).
+    Since f_n^T(B*_{n+1}) lies in B*_n, I_{n+1} lies in K_{n+1} exactly when
+    f_n^T(f_{n+1}^T(Z*_{n+2})) lies in B*_n.  So the node is exact exactly
+    when that containment holds and dim I_{n+1} = dim K_{n+1}: one forward
+    elimination pass per node for dim I, and a reduction against the basis
+    of B*_n for the containment.
     """
-    columns = [f.columns() for f in maps]
-    lifted = [_combine(bases[n][0], columns[n]) for n in range(3)]
-    image_dims = [len(_pivot_rows(lifted[n], bases[(n + 1) % 3][1])) for n in range(3)]
+    # lifted[k] = f_k^T(Z*_{k+1}), in C_k*
+    lifted = [_combine(bases[(k + 1) % 3][0], maps[k].data) for k in range(3)]
+    image_dims = [len(_pivot_rows(lifted[k], bases[k][1])) for k in range(3)]
     failures = []
     for n in range(3):
-        mid_cycles, _ = bases[(n + 1) % 3]
-        _, cod_bounds = bases[(n + 2) % 3]
-        kernel_dim = len(mid_cycles) - (image_dims[(n + 1) % 3] - len(cod_bounds))
-        twice = _combine(lifted[n], columns[(n + 1) % 3])
-        if image_dims[n] != kernel_dim or not in_span(twice, cod_bounds):
+        mid_cocycles, _ = bases[(n + 1) % 3]
+        _, cod_cobounds = bases[n]
+        kernel_dim = len(mid_cocycles) - (image_dims[n] - len(cod_cobounds))
+        twice = _combine(lifted[(n + 1) % 3], maps[n].data)
+        if image_dims[(n + 1) % 3] != kernel_dim or not in_span(twice, cod_cobounds):
             failures.append(node_names[n])
     return failures
 
@@ -373,13 +388,13 @@ class ConeTriple:
     """Three ungraded complexes with chain maps f_n: C_n -> C_{n+1} and
     candidate homotopies H_n: C_n -> C_{n+2} (indices mod 3).  Where it checks
     d^2 = 0 it also finds, once, whether each f_n is a chain map and each
-    complex's homology bases, which cone_verify and cone_exactness read."""
+    complex's cohomology bases, which cone_verify and cone_exactness read."""
 
     complexes: tuple[GradedComplex, GradedComplex, GradedComplex]
     f: tuple[F2Matrix, F2Matrix, F2Matrix]
     h: tuple[F2Matrix, F2Matrix, F2Matrix]
     _chain_maps: tuple[bool, bool, bool] = field(init=False, repr=False, compare=False)
-    _bases: tuple = field(init=False, repr=False, compare=False)  # homology_bases() of each
+    _bases: tuple = field(init=False, repr=False, compare=False)  # cohomology_bases() of each
 
     def __post_init__(self) -> None:
         dims = [c.dim for c in self.complexes]
@@ -394,7 +409,7 @@ class ConeTriple:
                 raise DomainError(f"H_{n} has the wrong shape")
             chain.append(_combine(d[(n + 1) % 3], fn.data) == _combine(fn.data, d[n]))
         object.__setattr__(self, "_chain_maps", tuple(chain))
-        object.__setattr__(self, "_bases", tuple(c.homology_bases() for c in self.complexes))
+        object.__setattr__(self, "_bases", tuple(c.cohomology_bases() for c in self.complexes))
 
 
 @dataclass(frozen=True)
@@ -412,8 +427,15 @@ class ConeHypothesisReport:
 
 def cone_verify(triple: ConeTriple) -> ConeHypothesisReport:
     """Check the two mapping-cone hypotheses and whether each
-    psi_n = f_{n+2} H_n + H_{n+1} f_n is a homology isomorphism: whether
-    psi_n(Z_n) + B_n has the dimension of Z_n."""
+    psi_n = f_{n+2} H_n + H_{n+1} f_n is a homology isomorphism.
+
+    That is tested on the dual complex: whether psi_n^T(Z*_n) + B*_n has the
+    dimension of Z*_n, with psi_n^T = H_n^T f_{n+2}^T + f_n^T H_{n+1}^T and
+    each transpose applied through the rows of its map.  Both the primal
+    test, dim(psi_n(Z_n) + B_n) = dim Z_n, and this one say that the
+    preimage of B_n under psi_n meets Z_n in a space of the dimension of
+    B_n, since Z*_n and B*_n are the annihilators of B_n and Z_n; so they
+    agree for every psi_n, chain map or not."""
     mul = _combine
     d = [c.d.data for c in triple.complexes]
     f = [m.data for m in triple.f]
@@ -424,16 +446,14 @@ def cone_verify(triple: ConeTriple) -> ConeHypothesisReport:
         )
         for n in range(3)
     )
-    f_cols = [m.columns() for m in triple.f]
-    h_cols = [m.columns() for m in triple.h]
     iso = []
-    for n, (cycles, bounds) in enumerate(triple._bases):
-        psi_cycles = map(
+    for n, (cocycles, cobounds) in enumerate(triple._bases):
+        psi_cocycles = map(
             xor,
-            mul(mul(cycles, h_cols[n]), f_cols[(n + 2) % 3]),
-            mul(mul(cycles, f_cols[n]), h_cols[(n + 1) % 3]),
+            mul(mul(cocycles, f[(n + 2) % 3]), h[n]),
+            mul(mul(cocycles, h[(n + 1) % 3]), f[n]),
         )
-        iso.append(len(_pivot_rows(psi_cycles, bounds)) == len(cycles))
+        iso.append(len(_pivot_rows(psi_cocycles, cobounds)) == len(cocycles))
     return ConeHypothesisReport(triple._chain_maps, homot, tuple(iso))
 
 

@@ -80,6 +80,8 @@ def _seed_octets() -> list[Octet]:
 
 
 _SEEDS = _seed_octets()
+# each seed's rows of each map, in the order of OCTET_MAPS
+_SEED_ROWS = [[getattr(seed, name).data for name, _, _ in OCTET_MAPS] for seed in _SEEDS]
 
 
 def _conjugated(rng: random.Random, dims, maps) -> list[F2Matrix]:
@@ -97,21 +99,20 @@ def _conjugated(rng: random.Random, dims, maps) -> list[F2Matrix]:
 def random_octet(rng: random.Random, max_dim: int = 6) -> Octet:
     """Random identity-satisfying octet with all three dims <= max_dim: the
     block-diagonal sum of seeds (each map's rows shifted past the columns of
-    the seeds before it), conjugated."""
-    parts = [_SEEDS[rng.randrange(len(_SEEDS))]]
-    for _ in range(6):
-        nxt = _SEEDS[rng.randrange(len(_SEEDS))]
-        if any(sum(sizes) > max_dim for sizes in zip(nxt.dims, *(p.dims for p in parts))):
-            break
-        parts.append(nxt)
+    the seeds before it), conjugated.  The first seed drawn is always taken;
+    up to six more follow, until one would take a dimension past max_dim."""
     dims = [0, 0, 0]
-    rows: dict[str, list[int]] = {name: [] for name, _, _ in OCTET_MAPS}
-    for part in parts:
-        for name, _, dom in OCTET_MAPS:
-            rows[name] += [row << dims[dom] for row in getattr(part, name).data]
-        dims = [a + b for a, b in zip(dims, part.dims)]
+    rows: list[list[int]] = [[] for _ in OCTET_MAPS]
+    for draw in range(7):
+        pick = rng.randrange(len(_SEEDS))
+        sizes = _SEEDS[pick].dims
+        if draw and any(a + b > max_dim for a, b in zip(dims, sizes)):
+            break
+        for out, part, (_, _, dom) in zip(rows, _SEED_ROWS[pick], OCTET_MAPS):
+            out += [row << dims[dom] for row in part]
+        dims = [a + b for a, b in zip(dims, sizes)]
     return Octet(*dims, *_conjugated(
-        rng, dims, [(rows[name], cod, dom) for name, cod, dom in OCTET_MAPS]
+        rng, dims, [(out, cod, dom) for out, (_, cod, dom) in zip(rows, OCTET_MAPS)]
     ))
 
 

@@ -1,8 +1,9 @@
 """Test oracles for `lenslab.f2homalg`, kept apart from the code they check.
 
 None of these is used by the package: a set-of-positions elimination, an
-entry-by-entry product, the octet identities and assembled differentials as
-`F2Matrix` expressions, and brute-force subspaces of GF(2)^n for small n.
+entry-by-entry product, a row combination that tests one selector bit at a
+time, the octet identities and assembled differentials as `F2Matrix`
+expressions, and brute-force subspaces of GF(2)^n for small n.
 """
 
 from lenslab.f2homalg.gf2 import F2Matrix
@@ -47,6 +48,19 @@ def product_by_entries(a: F2Matrix, b: F2Matrix) -> F2Matrix:
         (i, j) for i in range(a.rows) for j in range(b.cols)
         if sum(a.entry(i, k) & b.entry(k, j) for k in range(a.cols)) % 2
     ])
+
+
+def combine_by_bits(selectors, rows) -> list[int]:
+    """For each selector, the XOR of `rows` at its set bits, testing the bits
+    one position at a time: the definition `_combine` must meet."""
+    out = []
+    for sel in selectors:
+        acc = 0
+        for i, row in enumerate(rows):
+            if (sel >> i) & 1:
+                acc ^= row
+        out.append(acc)
+    return out
 
 
 def identity_values(o) -> list[tuple[str, F2Matrix]]:

@@ -13,9 +13,10 @@ from f2_oracles import (
 )
 
 from lenslab.errors import DomainError, InvariantError
-from lenslab.f2homalg import complexes
-from lenslab.f2homalg.gf2 import F2Matrix
+from lenslab.f2homalg import complexes, gf2
+from lenslab.f2homalg.gf2 import F2Matrix, _combine, span_basis, spans_equal
 from lenslab.f2homalg.complexes import (
+    OCTET_MAPS,
     ConeHypothesisReport,
     ConeTriple,
     GradedComplex,
@@ -32,6 +33,7 @@ from lenslab.f2homalg.complexes import (
 )
 from lenslab.f2homalg.fuzz import (
     _SEEDS,
+    _conjugated,
     random_chain_map,
     random_cone_triple,
     random_octet,
@@ -47,6 +49,27 @@ def test_homology_random_vs_independent_elimination():
         # oracle: dim ker - rank via the set-based elimination
         rank = rank_sparse(d)
         assert complex_homology(cx) == {0: 6 - 2 * rank}
+
+
+def test_cohomology_ranks_match_the_primal_elimination():
+    """On random square-zero complexes, dimension 0 included, the bases of
+    the dual complex give the boundary and homology ranks of the primal
+    elimination of the rows d(e_j) | e_j << n, built through the transpose;
+    and they are what they say: d^T kills the cocycles, and the coboundaries
+    span the rows of d."""
+    rng = random.Random(29)
+    for trial in range(300):
+        n = trial % 13
+        d = random_square_zero(rng, n)
+        cocycles, coboundaries = GradedComplex(n, d).cohomology_bases()
+        low = (1 << n) - 1
+        echelon = span_basis([col | (1 << (n + j)) for j, col in enumerate(d.columns())])
+        cycles = [row >> n for row in echelon if not row & low]
+        boundaries = [row & low for row in echelon if row & low]
+        assert len(coboundaries) == len(boundaries) == rank_sparse(d)
+        assert len(cocycles) - len(coboundaries) == len(cycles) - len(boundaries)
+        assert not any(_combine(cocycles, d.data))
+        assert spans_equal(coboundaries, list(d.data))
 
 
 def test_invalid_complex_rejected():
@@ -145,6 +168,46 @@ def test_fuzzed_octets_smoke():
         octet = random_octet(rng)
         assert octet_verify(octet).all_ok
         assert octet_assemble(octet).exact
+
+
+def block_sum(rng, octets) -> Octet:
+    """The block-diagonal sum of octets, conjugated once; it satisfies the
+    identities when they all do."""
+    dims = [0, 0, 0]
+    rows = {name: [] for name, _, _ in OCTET_MAPS}
+    for octet in octets:
+        for name, _, dom in OCTET_MAPS:
+            rows[name] += [row << dims[dom] for row in getattr(octet, name).data]
+        dims = [a + b for a, b in zip(dims, octet.dims)]
+    maps = [(rows[name], cod, dom) for name, cod, dom in OCTET_MAPS]
+    return Octet(*dims, *_conjugated(rng, dims, maps))
+
+
+def test_no_octet_or_cone_check_transposes(monkeypatch):
+    """Exactness and the psi tests run on the dual complexes, whose maps'
+    columns are rows already held.  With F2Matrix.columns made to fail, the
+    criterion-9 generators' octets and cone triples pass every check, and so
+    does a block sum of octets large enough for the table product.  The
+    instances are drawn first: a cone triple's chain-map draw transposes."""
+    rng = random.Random(20240917)
+    octets = [random_octet(rng) for _ in range(200)]
+    octets.append(block_sum(rng, [random_octet(rng) for _ in range(40)]))
+    assert min(octets[-1].dims) >= gf2._TABLE_MIN
+    triples = [random_cone_triple(rng) for _ in range(100)]
+    table_combine = gf2._table_combine
+    tabled = []
+    monkeypatch.setattr(
+        gf2, "_table_combine", lambda sels, rows: tabled.append(1) or table_combine(sels, rows)
+    )
+    monkeypatch.setattr(F2Matrix, "columns", lambda self: pytest.fail("F2Matrix.columns called"))
+    for octet in octets:
+        assert octet_verify(octet).all_ok
+        assert octet_assemble(octet).exact
+    assert tabled
+    for t in triples:
+        triple = ConeTriple(t.complexes, t.f, t.h)
+        assert cone_verify(triple).applicable
+        assert cone_exactness(triple)
 
 
 def test_cone_zero_triple():
@@ -285,7 +348,7 @@ def test_cone_exactness_matches_brute_force():
         triple = random_triple(rng)
         ds = [c.d for c in triple.complexes]
         exact = exact_nodes(ds, triple.f)
-        bases = [c.homology_bases() for c in triple.complexes]
+        bases = [c.cohomology_bases() for c in triple.complexes]
         names = ("C1", "C2", "C0")
         assert _triangle_exactness_failures(bases, triple.f, names) == [
             name for name, ok in zip(names, exact) if not ok
@@ -409,7 +472,7 @@ def test_exactness_node_by_node_on_assembled_octets():
         ds = [c.d for c in cxs]
         if trial % 2:
             maps = tuple(random_chain_map(rng, ds[n], ds[(n + 1) % 3]) for n in range(3))
-        bases = [c.homology_bases() for c in cxs]
+        bases = [c.cohomology_bases() for c in cxs]
         expected = node_failures(ds, maps, names)
         assert _triangle_exactness_failures(bases, maps, names) == expected
         assert not expected or trial % 2
@@ -430,7 +493,7 @@ def test_exactness_node_by_node_on_cone_triples():
         if trial % 2:
             maps = tuple(random_chain_map(rng, ds[n], ds[(n + 1) % 3]) for n in range(3))
             triple = ConeTriple(triple.complexes, maps, triple.h)
-        bases = [c.homology_bases() for c in triple.complexes]
+        bases = [c.cohomology_bases() for c in triple.complexes]
         expected = node_failures(ds, maps, names)
         assert _triangle_exactness_failures(bases, maps, names) == expected
         assert cone_exactness(triple) == (not expected)
@@ -441,7 +504,7 @@ def test_exactness_node_by_node_on_cone_triples():
 
 def test_a_cone_op_costs_nine_eliminations_and_36_products(monkeypatch):
     """Built, then passed to cone_verify and cone_exactness, a triple costs 9
-    eliminations: one full elimination per complex for its homology bases,
+    eliminations: one full elimination per complex for its cohomology bases,
     found when the triple is built, and a rank-only one (the forward pass
     alone) per psi_n and per node's image.  It costs 36 products: 9 at build
     (3 squares, 6 for the chain maps), 21 in cone_verify (9 homotopy, 12 psi)

@@ -3,9 +3,10 @@
 import random
 
 import pytest
-from f2_oracles import echelon_positions, product_by_entries, rank_sparse
+from f2_oracles import combine_by_bits, echelon_positions, product_by_entries, rank_sparse
 
 from lenslab.errors import DomainError
+from lenslab.f2homalg import gf2
 from lenslab.f2homalg.fuzz import _invert
 from lenslab.f2homalg.gf2 import (
     F2Matrix,
@@ -106,6 +107,43 @@ def test_row_kernel_and_columns_match_the_definitions():
         assert all(col >> a.rows == 0 for col in cols)
         vectors = [rng.randrange(1 << a.cols) for _ in range(4)]
         assert _combine(vectors, cols) == [a.apply(v) for v in vectors]
+
+
+def test_table_product_matches_the_bit_loop_oracle(monkeypatch):
+    """_combine against the bit-by-bit oracle on every pairing of selector and
+    row counts either side of _TABLE_MIN, empty ones included, at row widths
+    from 0 up, with the selectors given as a list and as an iterator.  The
+    tables serve exactly the products with _TABLE_MIN rows and selectors or
+    more, and give the oracle's rows when called directly on any shape."""
+    table_combine = gf2._table_combine
+    tabled = []
+    monkeypatch.setattr(
+        gf2, "_table_combine", lambda sels, rows: tabled.append(1) or table_combine(sels, rows)
+    )
+    t = gf2._TABLE_MIN
+    sizes = (0, 1, 7, t - 1, t, t + 1, 2 * t + 5)
+    rng = random.Random(29)
+    for n_sel in sizes:
+        for n_rows in sizes:
+            for as_iterator in (False, True):
+                width = rng.choice((0, 1, 9, 70))
+                rows = [rng.getrandbits(width) for _ in range(n_rows)]
+                # dense, sparse, empty and full selectors
+                selectors = [
+                    rng.choice((
+                        rng.getrandbits(n_rows),
+                        rng.getrandbits(n_rows) & rng.getrandbits(n_rows) & rng.getrandbits(n_rows),
+                        0,
+                        (1 << n_rows) - 1,
+                    ))
+                    for _ in range(n_sel)
+                ]
+                expected = combine_by_bits(selectors, rows)
+                tabled.clear()
+                given = iter(selectors) if as_iterator else selectors
+                assert _combine(given, rows) == expected
+                assert len(tabled) == (n_sel >= t and n_rows >= t)
+                assert table_combine(selectors, rows) == expected
 
 
 def test_nullspace_properties():
