@@ -333,13 +333,6 @@ def literal_reconstruction(tv: TVector) -> dict[int, Fraction]:
     return out
 
 
-def genus_bound_check(g: int, p: int) -> bool:
-    """Whether genus g is permitted for a lens space of order p: 2g - 1 <= p."""
-    if g < 0 or p < 1:
-        raise DomainError("need g >= 0 and p >= 1")
-    return 2 * g - 1 <= p
-
-
 def default_scan_radius(g: int) -> int:
     """Search radius 12g - 7 (the hyperbolic-surgery order bound)."""
     return 12 * g - 7
@@ -389,49 +382,3 @@ def scan_realizable(
         ScanHit(k, tuple(sorted(reps)), tuple(bag[c] for c in sorted(bag)))
         for k, (reps, bag) in sorted(hits.items())
     ]
-
-
-@dataclass(frozen=True)
-class Obstruction:
-    statement: str
-    hypotheses: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class ObstructionReport:
-    genus: int
-    degree: int
-    obstructions: tuple[Obstruction, ...]
-
-
-def obstruction_report(poly: AlexPoly, g: int) -> ObstructionReport:
-    """Surgery obstructions for a knot of Seifert genus g with polynomial poly.
-
-    All obstructions fire exactly when deg < g; the 1/n clause needs g > 1 too.
-    """
-    deg = poly.degree
-    if g < deg:
-        raise DomainError(f"genus {g} below polynomial degree {deg}")
-    entries: list[Obstruction] = []
-    if deg < g:
-        gap = f"polynomial degree {deg} < Seifert genus {g}"
-        entries.append(
-            Obstruction(
-                "no integral surgery yields a lens space",
-                (gap, "an integral lens-space surgery forces degree = genus"),
-            )
-        )
-        entries.append(
-            Obstruction(
-                "no positively-oriented Seifert fibered surgery for any slope r >= 0",
-                (gap, "such a filling forces degree = genus as well"),
-            )
-        )
-        if g > 1:
-            entries.append(
-                Obstruction(
-                    "no 1/n surgery is Seifert fibered (either orientation)",
-                    (gap, f"Seifert genus {g} > 1"),
-                )
-            )
-    return ObstructionReport(g, deg, tuple(entries))

@@ -103,16 +103,15 @@ def _load_object(path: str, kind: str) -> dict:
 # The largest dimension an octet or cone-triple document may declare.  Every
 # map is allocated at its declared size before any entry is read, so without
 # a cap a 28-byte document such as {"dims": [100000000, 0, 0]} runs out of
-# memory.  At the cap, with dense maps, loading the document costs more than
-# checking it (3 runs each, wall time of a fresh interpreter on a 2-vCPU VM,
-# Python 3.11): `octet verify` on a conjugated block sum of fuzzed octets at
-# dims (897, 960, 999), a 34 MB document of 3.2 million entries, took
-# 5.4-8.2 s, of which loading took 3.7-4.1 s and octet_verify with
-# octet_assemble 2.3-2.6 s; `triangle verify` on a conjugated block sum of
-# cone triples at dims (998, 974, 1000), 48 MB and 4.4 million entries, took
-# 6.2-6.9 s, of which loading took 4.3-6.2 s and the triple's bases,
-# cone_verify and cone_exactness 0.9-1.2 s.  Decoding the JSON is 0.3-0.6 s
-# of the loading; the rest is turning "r,c" entries into matrices.
+# memory.  At the cap, with dense maps, loading the document costs about as
+# much as checking it (3 runs each, wall time of a fresh interpreter on a
+# 2-vCPU VM, Python 3.11): `octet verify` on a conjugated block sum of fuzzed
+# octets at dims (897, 960, 999), a 34 MB document of 3.2 million entries,
+# took 7.1-7.8 s, of which loading took 3.3-4.3 s; `triangle verify` on a
+# conjugated block sum of cone triples at dims (999, 994, 957), 47 MB and
+# 4.4 million entries, took 6.5-7.5 s, of which loading took 4.9-5.3 s.
+# Decoding the JSON is 0.4-0.6 s of the loading; the rest is the one pass
+# of _parse_matrix over the "r,c" entries.
 MAX_DIM = 1000
 
 # The largest order p that `dinv`, `alexlens` and `lattice-check` accept.  Their
@@ -187,7 +186,7 @@ def _parse_matrix(doc: dict, name: str, rows: int, cols: int) -> F2Matrix:
     )
     if not isinstance(texts, list):
         raise bad
-    entries = []
+    data = [0] * rows
     for text in texts:
         try:
             r, c = map(int, text.split(","))
@@ -195,8 +194,8 @@ def _parse_matrix(doc: dict, name: str, rows: int, cols: int) -> F2Matrix:
             raise bad from None
         if not (0 <= r < rows and 0 <= c < cols):
             raise bad
-        entries.append((r, c))
-    return F2Matrix.from_entries(rows, cols, entries)
+        data[r] ^= 1 << c  # a repeated entry cancels
+    return F2Matrix(rows, cols, tuple(data))
 
 
 def _load_octet(path: str) -> Octet:

@@ -14,10 +14,6 @@ class NotALensSpaceError(DomainError):
     """(p, q) with gcd(p, q) != 1 describes no lens space."""
 
 
-class RuleViolationError(DomainError):
-    """A certificate rule was applied with premises that do not fit it."""
-
-
 class HypothesisNotMetError(DomainError):
     """A certification routine's hypothesis fails; this is not a disproof."""
 

@@ -56,17 +56,6 @@ class F2Matrix:
             data[r] ^= 1 << c
         return cls(rows, cols, tuple(data))
 
-    @classmethod
-    def from_lists(cls, lists) -> "F2Matrix":
-        rows = len(lists)
-        cols = len(lists[0]) if rows else 0
-        data = []
-        for row in lists:
-            if len(row) != cols:
-                raise DomainError("ragged rows")
-            data.append(sum((1 << j) for j, v in enumerate(row) if v % 2))
-        return cls(rows, cols, tuple(data))
-
     # access -------------------------------------------------------------
 
     def entry(self, r: int, c: int) -> int:
@@ -80,9 +69,6 @@ class F2Matrix:
                 out.append((r, low.bit_length() - 1))
                 row ^= low
         return out
-
-    def is_zero(self) -> bool:
-        return all(row == 0 for row in self.data)
 
     def columns(self) -> list[int]:
         """The transpose's rows: bit i of column j = entry (i, j)."""
@@ -118,26 +104,6 @@ class F2Matrix:
             if (row & vec).bit_count() % 2:
                 acc |= 1 << i
         return acc
-
-    @classmethod
-    def block(cls, grid) -> "F2Matrix":
-        """Assemble from a 2D grid of conforming blocks."""
-        row_heights = [grid[i][0].rows for i in range(len(grid))]
-        col_widths = [grid[0][j].cols for j in range(len(grid[0]))]
-        for i, row in enumerate(grid):
-            for j, blk in enumerate(row):
-                if blk.rows != row_heights[i] or blk.cols != col_widths[j]:
-                    raise DomainError("non-conforming blocks")
-        data = []
-        for i, row in enumerate(grid):
-            for r in range(row_heights[i]):
-                acc = 0
-                offset = 0
-                for j, blk in enumerate(row):
-                    acc |= blk.data[r] << offset
-                    offset += col_widths[j]
-                data.append(acc)
-        return cls(sum(row_heights), sum(col_widths), tuple(data))
 
     # elimination ----------------------------------------------------------
 

@@ -47,10 +47,6 @@ class GroupRingElem:
     def __bool__(self) -> bool:
         return bool(self.support)
 
-    def is_unit(self) -> bool:
-        """Unit of the group ring itself (a single exponential)."""
-        return len(self.support) == 1
-
     def __str__(self) -> str:
         if not self.support:
             return "0"

@@ -107,12 +107,7 @@ from functools import cached_property, partial
 from math import ceil, floor, gcd, prod
 from typing import Callable, Generator, Hashable, Iterable, Iterator
 
-from .errors import (
-    DomainError,
-    HypothesisNotMetError,
-    InvariantError,
-    RuleViolationError,
-)
+from .errors import DomainError, HypothesisNotMetError, InvariantError
 from .exactnum import INFINITY, Slope, format_slope, hj_expand, parse_slope
 
 # Not called here; importable because perfbench/tracing.py wraps
@@ -433,18 +428,6 @@ def surgery_lspace_axiom(knot: str, slope: Fraction) -> Certificate:
     return Certificate(fact, "axiom:given-l-space")
 
 
-def triangle_rule(c0: Certificate, c1: Certificate, target: Fact) -> Certificate:
-    """Surgery-triangle rule: premises Y0, Y1 certify Y2 when
-    |H1(Y2)| = |H1(Y0)| + |H1(Y1)|."""
-    total = c0.conclusion.h1_order + c1.conclusion.h1_order
-    if target.h1_order != total:
-        raise RuleViolationError(
-            f"|H1| additivity fails: {target.h1_order} != "
-            f"{c0.conclusion.h1_order} + {c1.conclusion.h1_order}"
-        )
-    return Certificate(target, "triangle", (c0, c1))
-
-
 # ---------------------------------------------------------------------------
 # Weighted plumbing trees
 # ---------------------------------------------------------------------------
@@ -499,12 +482,6 @@ def star_tree(centre: int, legs: list[list[int]]) -> WeightedTree:
             edges.append((prev, len(weights) - 1))
             prev = len(weights) - 1
     return WeightedTree(tuple(weights), tuple(edges))
-
-
-def path_tree(weights: list[int]) -> WeightedTree:
-    return WeightedTree(
-        tuple(weights), tuple((i, i + 1) for i in range(len(weights) - 1))
-    )
 
 
 def _integer_det(matrix: list[list[int]]) -> int:
@@ -718,16 +695,6 @@ def _is_bridge(graph: TaitGraph, i: int) -> bool:
     """Whether edge i is no loop and its deletion disconnects the graph."""
     a, b = graph.edges[i]
     return a != b and not _connected_with(graph.num_vertices, graph.edges[:i] + graph.edges[i + 1 :])
-
-
-def cycle_graph(n: int) -> TaitGraph:
-    if n == 1:
-        return TaitGraph(1, ((0, 0),))
-    return TaitGraph(n, tuple((i, (i + 1) % n) for i in range(n)))
-
-
-def theta_graph(strands: int = 3) -> TaitGraph:
-    return TaitGraph(2, tuple((0, 1) for _ in range(strands)))
 
 
 def tait_det(graph: TaitGraph) -> int:

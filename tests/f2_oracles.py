@@ -3,10 +3,44 @@
 None of these is used by the package: a set-of-positions elimination, an
 entry-by-entry product, a row combination that tests one selector bit at a
 time, the octet identities and assembled differentials as `F2Matrix`
-expressions, and brute-force subspaces of GF(2)^n for small n.
+expressions, and brute-force subspaces of GF(2)^n for small n.  Two
+builders only the tests call live here too: `from_lists` (a matrix from
+0/1 row lists) and `block` (a matrix from a grid of conforming blocks).
 """
 
+from lenslab.errors import DomainError
 from lenslab.f2homalg.gf2 import F2Matrix
+
+
+def from_lists(lists) -> F2Matrix:
+    rows = len(lists)
+    cols = len(lists[0]) if rows else 0
+    data = []
+    for row in lists:
+        if len(row) != cols:
+            raise DomainError("ragged rows")
+        data.append(sum((1 << j) for j, v in enumerate(row) if v % 2))
+    return F2Matrix(rows, cols, tuple(data))
+
+
+def block(grid) -> F2Matrix:
+    """Assemble from a 2D grid of conforming blocks."""
+    row_heights = [grid[i][0].rows for i in range(len(grid))]
+    col_widths = [grid[0][j].cols for j in range(len(grid[0]))]
+    for i, row in enumerate(grid):
+        for j, blk in enumerate(row):
+            if blk.rows != row_heights[i] or blk.cols != col_widths[j]:
+                raise DomainError("non-conforming blocks")
+    data = []
+    for i, row in enumerate(grid):
+        for r in range(row_heights[i]):
+            acc = 0
+            offset = 0
+            for j, blk in enumerate(row):
+                acc |= blk.data[r] << offset
+                offset += col_widths[j]
+            data.append(acc)
+    return F2Matrix(sum(row_heights), sum(col_widths), tuple(data))
 
 
 def echelon_positions(vectors: list[set[int]]) -> dict[int, set[int]]:
@@ -83,15 +117,15 @@ def identity_values(o) -> list[tuple[str, F2Matrix]]:
 
 def assembled_differentials(o) -> tuple[F2Matrix, F2Matrix, F2Matrix]:
     """(d_to, d_from, d_red) of an octet, built as block matrices."""
-    d_to = F2Matrix.block([
+    d_to = block([
         [o.doo, o.duo @ o.dsu],
         [o.dos, o.dss + o.dIus @ o.dsu],
     ])
-    d_from = F2Matrix.block([
+    d_from = block([
         [o.doo, o.duo],
         [o.dsu @ o.dos, o.duu + o.dsu @ o.dIus],
     ])
-    d_red = F2Matrix.block([
+    d_red = block([
         [o.dss, o.dus],
         [o.dsu, o.duu],
     ])
@@ -102,9 +136,9 @@ def assembled_maps(o) -> tuple[F2Matrix, F2Matrix, F2Matrix]:
     """(i: red -> to, j: to -> from, p: from -> red), built as block matrices."""
     z = F2Matrix.zero
     no, ns, nu = o.dim_o, o.dim_s, o.dim_u
-    map_i = F2Matrix.block([[z(no, ns), o.duo], [F2Matrix.identity(ns), o.dIus]])
-    map_j = F2Matrix.block([[F2Matrix.identity(no), z(no, ns)], [z(nu, no), o.dsu]])
-    map_p = F2Matrix.block([[o.dos, o.dIus], [z(nu, no), F2Matrix.identity(nu)]])
+    map_i = block([[z(no, ns), o.duo], [F2Matrix.identity(ns), o.dIus]])
+    map_j = block([[F2Matrix.identity(no), z(no, ns)], [z(nu, no), o.dsu]])
+    map_p = block([[o.dos, o.dIus], [z(nu, no), F2Matrix.identity(nu)]])
     return map_i, map_j, map_p
 
 

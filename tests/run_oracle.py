@@ -17,7 +17,7 @@ from math import ceil
 from lenslab import lspacecert
 from lenslab.errors import DomainError
 from lenslab.exactnum import INFINITY, farey_parents, format_slope, parse_slope
-from lenslab.lspacecert import Certificate, check_certificate, sphere_axiom, triangle_rule
+from lenslab.lspacecert import Certificate, check_certificate, sphere_axiom
 
 S3_VIEW = ("lens", (1, 1))
 
@@ -33,6 +33,12 @@ def _terms(s):
 def _lower_first(a, b):
     """The pair (slope, certificate) a, b with the lower slope first; 1/0 is the highest."""
     return (b, a) if a[0] is INFINITY or (b[0] is not INFINITY and a[0] > b[0]) else (a, b)
+
+
+def _triangle(c0: Certificate, c1: Certificate, target) -> Certificate:
+    """The triangle node on premises c0, c1, once |H1| adds up."""
+    assert target.h1_order == c0.conclusion.h1_order + c1.conclusion.h1_order, target
+    return Certificate(target, "triangle", (c0, c1))
 
 
 def fib(n: int) -> int:
@@ -83,7 +89,7 @@ def farey_descent(base: Certificate, target: Fraction) -> Certificate:
             stack.extend(missing)  # the lower parent on top, derived first
             continue
         stack.pop()
-        known[s] = triangle_rule(known[low], known[high], fact(s))
+        known[s] = _triangle(known[low], known[high], fact(s))
     return known[target]
 
 
@@ -131,7 +137,7 @@ def expand_runs(cert: Certificate) -> Certificate:
                 fact = lspacecert._fact_of(make(z))
                 if fact not in by_fact:
                     low, high = _lower_first(prev, (y1, premises[1]))
-                    by_fact[fact] = triangle_rule(low[1], high[1], fact)
+                    by_fact[fact] = _triangle(low[1], high[1], fact)
                 prev = (z, by_fact[fact])
             new = prev[1]
         by_fact.setdefault(new.conclusion, new)

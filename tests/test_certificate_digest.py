@@ -14,6 +14,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from graph_fixtures import cycle_graph, theta_graph
 
 from lenslab.errors import DomainError
 from lenslab.lspacecert import (
@@ -25,10 +26,8 @@ from lenslab.lspacecert import (
     certify_pretzel_surgeries,
     certify_tree,
     check_certificate,
-    cycle_graph,
     propagate_slope,
     surgery_lspace_axiom,
-    theta_graph,
 )
 
 INPUTS = 100

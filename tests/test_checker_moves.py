@@ -28,13 +28,11 @@ from lenslab.lspacecert import (
     certify_pretzel_surgeries,
     certify_tree,
     check_certificate,
-    cycle_graph,
-    path_tree,
     propagate_slope,
     star_tree,
     surgery_lspace_axiom,
-    theta_graph,
 )
+from graph_fixtures import cycle_graph, path_tree, theta_graph
 from run_oracle import check_triangles, expand_runs
 
 RULES = [

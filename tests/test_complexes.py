@@ -8,6 +8,7 @@ from f2_oracles import (
     assembled_maps,
     cycles_and_boundaries,
     exact_nodes,
+    from_lists,
     identity_values,
     rank_sparse,
 )
@@ -152,10 +153,9 @@ def test_each_draw_builds_one_object_and_no_matrix_product(monkeypatch, generato
     calls = []
     check = built.__post_init__
     monkeypatch.setattr(built, "__post_init__", lambda self: calls.append(check(self)))
-    for name in ("block", "__matmul__"):
-        monkeypatch.setattr(
-            F2Matrix, name, lambda *args, name=name: pytest.fail(f"F2Matrix.{name} called")
-        )
+    monkeypatch.setattr(
+        F2Matrix, "__matmul__", lambda *args: pytest.fail("F2Matrix.__matmul__ called")
+    )
     rng = random.Random(7)
     for draws in range(1, 51):
         generator(rng)
@@ -286,7 +286,7 @@ def test_octet_identities_match_the_matrix_oracle():
     for trial in range(600):
         octet = flip_entries(rng, random_octet(rng, rng.randrange(1, 5)), trial % 4)
         seen_zero_dim += 0 in (octet.dim_o, octet.dim_s, octet.dim_u)
-        expected = [(name, value.is_zero()) for name, value in identity_values(octet)]
+        expected = [(name, not any(value.data)) for name, value in identity_values(octet)]
         report = octet_verify(octet)
         assert list(report.results) == expected
         if all(ok for _, ok in expected):
@@ -400,7 +400,7 @@ def test_assembly_checks_match_the_matrix_oracle():
         expected = [
             f"{name} does not square to zero"
             for name, d in (("d_to", d_to), ("d_from", d_from), ("d_red", d_red))
-            if not (d @ d).is_zero()
+            if any((d @ d).data)
         ] + [
             f"map {name} is not a chain map"
             for name, f, dom, cod in (
@@ -440,7 +440,7 @@ def test_each_identity_is_read_off_one_flipped_entry():
             data[rng.randrange(m.rows)] ^= 1 << rng.randrange(m.cols)
             changed = dict(octet.matrices(), **{name: F2Matrix(m.rows, m.cols, tuple(data))})
             bad = Octet(*octet.dims, **changed)
-            expected = [(ident, value.is_zero()) for ident, value in identity_values(bad)]
+            expected = [(ident, not any(value.data)) for ident, value in identity_values(bad)]
             assert list(octet_verify(bad).results) == expected
             for ident, ok in expected:
                 flipped[name, ident] = flipped.get((name, ident), False) or not ok
@@ -526,8 +526,8 @@ def test_a_cone_op_costs_nine_eliminations_and_36_products(monkeypatch):
 
 def test_cone_exactness_names_the_first_map_that_is_no_chain_map():
     # d e_1 = e_0; the projection onto e_0 does not commute with d
-    cx = GradedComplex(2, F2Matrix.from_lists([[0, 1], [0, 0]]))
-    proj, zero = F2Matrix.from_lists([[1, 0], [0, 0]]), F2Matrix.zero(2, 2)
+    cx = GradedComplex(2, from_lists([[0, 1], [0, 0]]))
+    proj, zero = from_lists([[1, 0], [0, 0]]), F2Matrix.zero(2, 2)
     triple = ConeTriple((cx, cx, cx), (F2Matrix.identity(2), proj, proj), (zero,) * 3)
     assert cone_verify(triple).chain_maps == (True, False, False)
     with pytest.raises(DomainError, match="^f_1 is not a chain map$"):

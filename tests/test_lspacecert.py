@@ -12,12 +12,7 @@ from pathlib import Path
 import pytest
 
 from lenslab import lspacecert
-from lenslab.errors import (
-    DomainError,
-    HypothesisNotMetError,
-    InvariantError,
-    RuleViolationError,
-)
+from lenslab.errors import DomainError, HypothesisNotMetError, InvariantError
 from lenslab.lspacecert import (
     Certificate,
     CertificateCheckError,
@@ -31,9 +26,7 @@ from lenslab.lspacecert import (
     certify_tree,
     check_certificate,
     connected_sum_lens_axiom,
-    cycle_graph,
     lens_axiom,
-    path_tree,
     poincare_sphere_axiom,
     pretzel_star,
     propagate_slope,
@@ -42,25 +35,23 @@ from lenslab.lspacecert import (
     star_tree,
     surgery_lspace_axiom,
     tait_det,
-    theta_graph,
     tree_h1,
-    triangle_rule,
 )
+from graph_fixtures import cycle_graph, path_tree, theta_graph
 from run_oracle import expand_runs, farey_descent, partial_quotients
 
 
 def test_triangle_rule_examples():
     base = surgery_lspace_axiom("K", Fraction(4))
     target = Fact("S3_5(K)", 5, kind="surgery", params=(("knot", "K"), ("slope", "5")))
-    cert = triangle_rule(base, sphere_axiom(), target)  # the integer rung 4 -> 5
-    assert cert.rule == "triangle"
+    cert = Certificate(target, "triangle", (base, sphere_axiom()))  # the integer rung 4 -> 5
     assert check_certificate(cert) == 3
-    with pytest.raises(RuleViolationError):
-        triangle_rule(base, sphere_axiom(), Fact("bogus", 6))
+    with pytest.raises(CertificateCheckError, match=r"^node 2 \(triangle\)"):
+        check_certificate(Certificate(Fact("bogus", 6), "triangle", (base, sphere_axiom())))
     # |H1| additivity alone is no triad: unknot surgeries at 2 and 3 give L(5,2)
     lens_5_1 = Fact("L(5,1)", 5, kind="lens", params=(("p", "5"), ("q", "1")))
     with pytest.raises(CertificateCheckError, match=r"^node 2 \(triangle\)"):
-        check_certificate(triangle_rule(lens_axiom(2), lens_axiom(3), lens_5_1))
+        check_certificate(Certificate(lens_5_1, "triangle", (lens_axiom(2), lens_axiom(3))))
 
 
 def test_tree_h1_examples():
@@ -557,7 +548,7 @@ def test_checker_rejects_the_three_forgeries():
         check_certificate(Certificate(two_three, "blow-down", (lens_axiom(5),)))
     # a triangle joining L(3,1) and L(4,1) into a named "Y"
     with pytest.raises(CertificateCheckError, match=r"^node 2 \(triangle\)"):
-        check_certificate(triangle_rule(lens_axiom(3), lens_axiom(4), Fact("Y", 7)))
+        check_certificate(Certificate(Fact("Y", 7), "triangle", (lens_axiom(3), lens_axiom(4))))
 
 
 def test_lens_axiom_rejects_pairs_that_are_no_lens_space():
