@@ -151,10 +151,12 @@ MAX_SERIES_TRUNCATION = 300_000_000
 # quotients take 1.39n bits, and a node costs time growing with the bit
 # lengths.  The slowest case at the cap is `lspace --json borromean 3/2 3/2
 # F(2300)/F(2299)` (3199 bits), which descends the last slope under each of
-# four integer pairs: it took 1.6-1.9 s and printed 14 MB (wall time on the
-# VM above), and `lspace check` on that 1.0-1.1 s.  `lspace --json slope`
-# with the same target took 0.4-0.5 s; F(10001)/F(10000) (13,886 bits) took
-# 5.0-5.2 s and printed 56 MB with the cap lifted, and its check 2.7-3.2 s.
+# four integer pairs: it took 1.39-1.73 s and printed 14 MB, and `lspace
+# check` on that 1.06-1.31 s (wall time of a fresh interpreter on the VM
+# above, compiling the package from source, 5 runs each).  `lspace --json
+# slope` with the same target took 0.40-0.53 s; F(10001)/F(10000) (13,886
+# bits) took 5.0-5.2 s and printed 56 MB with the cap lifted, and its check
+# 2.7-3.2 s, before slopes were held as integer pairs.
 MAX_SLOPE_BITS = 3_200
 
 

@@ -1,7 +1,8 @@
 """Exact slope arithmetic: rationals, negative continued fractions, Farey parents.
 
-Slopes are `fractions.Fraction` values throughout; nothing in this package
-touches floating point.  The slope infinity (the 1/0 filling) is a separate
+Slopes are `fractions.Fraction` values at every public interface (inside
+`lspacecert` they are integer pairs); nothing in this package touches
+floating point.  The slope infinity (the 1/0 filling) is a separate
 sentinel so it can never leak into ordinary arithmetic by accident.
 """
 

@@ -14,7 +14,8 @@ the fully reduced basis that kernels, spans and preimages need.  A reduced
 basis already in hand enters the pass as ready-made pivots.  Membership in a
 span already in reduced form (`in_span`) is a reduction, not an elimination.
 The oracles the tests check them against (an entry-by-entry product, a
-bit-by-bit row combination, a set-of-positions elimination) live in
+bit-by-bit row combination, a row-by-row parity image, a set-of-positions
+elimination) live in
 `tests/f2_oracles.py`, apart from this code.
 """
 
@@ -46,15 +47,6 @@ class F2Matrix:
     @classmethod
     def identity(cls, n: int) -> "F2Matrix":
         return cls(n, n, tuple(1 << i for i in range(n)))
-
-    @classmethod
-    def from_entries(cls, rows: int, cols: int, entries) -> "F2Matrix":
-        data = [0] * rows
-        for r, c in entries:
-            if not (0 <= r < rows and 0 <= c < cols):
-                raise DomainError(f"entry ({r}, {c}) out of bounds")
-            data[r] ^= 1 << c
-        return cls(rows, cols, tuple(data))
 
     # access -------------------------------------------------------------
 
@@ -97,21 +89,13 @@ class F2Matrix:
             )
         return F2Matrix(self.rows, other.cols, tuple(_combine(self.data, other.data)))
 
-    def apply(self, vec: int) -> int:
-        """Image of a column vector (bitmask over self.cols)."""
-        acc = 0
-        for i, row in enumerate(self.data):
-            if (row & vec).bit_count() % 2:
-                acc |= 1 << i
-        return acc
-
     # elimination ----------------------------------------------------------
 
     def rank(self) -> int:
         return len(_pivot_rows(self.data))
 
     def nullspace(self) -> list[int]:
-        """Basis of {v : self.apply(v) = 0} as column bitmasks, one vector per
+        """Basis of {v : M v = 0} as column bitmasks, one vector per
         free column in ascending order."""
         echelon = _echelon(self.data)
         pivot_cols = {pc for pc, _ in echelon}

@@ -57,8 +57,12 @@ descent meets, less those inside runs:
     fillings.
 
 A manifold is named by its view (kind, data), as `_view` rebuilds it from a
-fact, in memo keys, enumerated premises and the checker alike.  A single
-vertex of weight w is L(w, 1), and the edgeless graph on one vertex is S3.
+fact, in memo keys, enumerated premises and the checker alike.  A view, like
+every Farey helper, holds a slope p/q as its reduced integer pair (p, q),
+q > 0, with 1/0 as (1, 0).  `Fraction` is met only at the edges: the public
+builders convert their slopes once on entry, and the checker's `_view`
+parses a fact's slope text.  A single vertex of weight w is L(w, 1), and the
+edgeless graph on one vertex is S3.
 `_fact_of` builds the fact of every view, for the axiom constructors, the
 builders and the checker, and renders each fact's text once.  A tree's |H1|
 is computed once per tree object (`WeightedTree._h1`), which its fact and
@@ -108,7 +112,7 @@ from math import ceil, floor, gcd, prod
 from typing import Callable, Generator, Hashable, Iterable, Iterator
 
 from .errors import DomainError, HypothesisNotMetError, InvariantError
-from .exactnum import INFINITY, Slope, format_slope, hj_expand, parse_slope
+from .exactnum import hj_expand, parse_slope
 
 # Not called here; importable because perfbench/tracing.py wraps
 # `lspacecert.farey_parents` by name.
@@ -116,6 +120,7 @@ from .exactnum import farey_parents  # noqa: F401
 
 CONCLUSION_SENTENCE = "monopole L-space => admits no taut foliation"
 JSON_FORMAT = 2
+Slope = tuple[int, int]  # p/q as (p, q), reduced, q > 0; 1/0 is (1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -372,14 +377,21 @@ def _fact_of(view: tuple[str, object], **extra: str) -> Fact:
         return _fact(desc, tait_det(data), kind, vertices=n, edges=edges)
     if kind == "surgery":
         knot, slope = data
-        text = format_slope(slope)
-        return _fact(f"S3_{text}({knot})", slope.numerator, kind, knot=knot, slope=text, **extra)
-    slopes = ",".join(format_slope(x) for x in data)
-    desc = "M(1,1,1) = Poincare homology sphere" if data == (1, 1, 1) else f"M({slopes})"
-    return _fact(desc, prod(x.numerator for x in data), kind, slopes=slopes)
+        text = _slope_text(slope)
+        return _fact(f"S3_{text}({knot})", slope[0], kind, knot=knot, slope=text, **extra)
+    slopes = ",".join(map(_slope_text, data))
+    desc = "M(1,1,1) = Poincare homology sphere" if slopes == "1,1,1" else f"M({slopes})"
+    return _fact(desc, prod(p for p, _ in data), kind, slopes=slopes)
+
+
+def _slope_text(slope: Slope) -> str:
+    """The text of p/q: "p" when q = 1, else "p/q", so 1/0 is "1/0"."""
+    p, q = slope
+    return str(p) if q == 1 else f"{p}/{q}"
 
 
 _S3_VIEW = ("lens", (1, 1))  # the checker's view of the three-sphere, see _view
+_POINCARE_VIEW = ("borromean", ((1, 1),) * 3)
 
 
 def _edge_text(edges: tuple[tuple[int, int], ...]) -> str:
@@ -416,15 +428,14 @@ def connected_sum_lens_axiom(orders: list[int]) -> Certificate:
 
 def poincare_sphere_axiom() -> Certificate:
     """The Poincare sphere, M(1,1,1): positive scalar curvature."""
-    view = ("borromean", (Fraction(1),) * 3)
-    return Certificate(_fact_of(view), "axiom:positive-scalar-curvature")
+    return Certificate(_fact_of(_POINCARE_VIEW), "axiom:positive-scalar-curvature")
 
 
 def surgery_lspace_axiom(knot: str, slope: Fraction) -> Certificate:
     """Caller-supplied fact: the slope-r filling of this knot is an L-space."""
     if slope <= 0:
         raise DomainError("surgery L-space facts need a positive slope")
-    fact = _fact_of(("surgery", (knot, slope)), note="lens space")
+    fact = _fact_of(("surgery", (knot, (slope.numerator, slope.denominator))), note="lens space")
     return Certificate(fact, "axiom:given-l-space")
 
 
@@ -801,24 +812,20 @@ def _tait_moves(graph: TaitGraph) -> Iterator[tuple[str, tuple]]:
 # ---------------------------------------------------------------------------
 
 
-def _terms(x: Slope) -> tuple[int, int]:
-    return (1, 0) if x is INFINITY else (x.numerator, x.denominator)
-
-
 def _multiple(x: Slope, y0: Slope, y1: Slope) -> int | None:
     """The k with x = y0 + k*y1, numerators and denominators added, or None."""
-    (p, q), (p0, q0), (p1, q1) = _terms(x), _terms(y0), _terms(y1)
+    (p, q), (p0, q0), (p1, q1) = x, y0, y1
     k, rest = divmod(p - p0, p1) if p1 else divmod(q - q0, q1)
     return k if rest == 0 and q == q0 + k * q1 else None
 
 
 def _det(y0: Slope, y1: Slope) -> int:
     """p0*q1 - p1*q0: +-1 for Farey neighbours, -1 when y0 is the lower."""
-    (p0, q0), (p1, q1) = _terms(y0), _terms(y1)
+    (p0, q0), (p1, q1) = y0, y1
     return p0 * q1 - p1 * q0
 
 
-def _farey_runs(target: Fraction, stops: set) -> dict[Fraction, tuple[Slope, Slope, int]]:
+def _farey_runs(target: Slope, stops: set) -> dict[Slope, tuple[Slope, Slope, int]]:
     """The move of each slope met on the way from `target` down to `stops`:
     slope -> (y0, y1, k) with slope = y0 + k*y1, read off the target's
     convergents.
@@ -832,17 +839,16 @@ def _farey_runs(target: Fraction, stops: set) -> dict[Fraction, tuple[Slope, Slo
     c_0 = a_0 whose run holds no stop gets no move, and its caller rejects
     it.
     """
-    p, q = target.numerator, target.denominator
+    p, q = target
     quotients = []
     while q:
         a, r = divmod(p, q)
         quotients.append(a)
         p, q = q, r
-    convergents: list[Slope] = [Fraction(0), INFINITY]  # c_-2, c_-1, then c_i at i + 2
-    before, last = (0, 1), (1, 0)
+    convergents: list[Slope] = [(0, 1), (1, 0)]  # c_-2, c_-1, then c_i at i + 2
     for a in quotients:
-        before, last = last, (a * last[0] + before[0], a * last[1] + before[1])
-        convergents.append(Fraction(*last))
+        (p0, q0), (p1, q1) = convergents[-2:]
+        convergents.append((p0 + a * p1, q0 + a * q1))
     runs = {}
     reached = {len(quotients) - 1}
     for i in reversed(range(len(quotients))):
@@ -874,10 +880,10 @@ def _farey_move(y0: Slope, y1: Slope, k: int, view: Callable[[Slope], tuple]) ->
 
 
 def _surgery_view(knot: str, s: Slope) -> tuple[str, object]:
-    return _S3_VIEW if s is INFINITY else ("surgery", (knot, s))
+    return _S3_VIEW if s == (1, 0) else ("surgery", (knot, s))
 
 
-def _slope_moves(data: tuple[str, Fraction], runs: dict) -> tuple:
+def _slope_moves(data: tuple[str, Slope], runs: dict) -> tuple:
     knot, s = data
     return _farey_move(*runs[s], lambda y: _surgery_view(knot, y))
 
@@ -900,25 +906,24 @@ def propagate_slope(base: Certificate, target: Fraction) -> Certificate:
     if target < r:
         raise DomainError(f"target {target} below the base slope {r}")
 
-    memo = {_S3_VIEW: sphere_axiom(), _surgery_view(knot, r): base}
-    lifted = r
-    if r.denominator != 1:
-        lifted = Fraction(ceil(r))
+    start, lifted = (r.numerator, r.denominator), (ceil(r), 1)
+    memo = {_S3_VIEW: sphere_axiom(), _surgery_view(knot, start): base}
+    if start != lifted:
         memo[_surgery_view(knot, lifted)] = Certificate(
             _fact_of(("surgery", (knot, lifted))), "rational-to-integer-lift", (base,)
         )
-    moves = partial(_slope_moves, runs=_farey_runs(target, {r, lifted, INFINITY}))
+    end = (target.numerator, target.denominator)
+    moves = partial(_slope_moves, runs=_farey_runs(end, {start, lifted, (1, 0)}))
 
-    def steps(view: tuple[str, tuple[str, Fraction]], memo: dict) -> Steps:
-        s = view[1][1]
-        if s.denominator == 1 and s < lifted:
+    def steps(view: tuple[str, tuple[str, Slope]], memo: dict) -> Steps:
+        p, q = view[1][1]
+        if q == 1 and p < lifted[0]:
             raise DomainError(
-                f"the Farey descent of {format_slope(target)} reaches "
-                f"{format_slope(s)}, below the base slope {format_slope(r)}"
+                f"the Farey descent of {target} reaches {p}, below the base slope {r}"
             )
         return _steps(view, memo, moves)
 
-    return _derive(_surgery_view(knot, target), steps, memo)
+    return _derive(_surgery_view(knot, end), steps, memo)
 
 
 # ---------------------------------------------------------------------------
@@ -935,6 +940,7 @@ def certify_borromean(a: Fraction, b: Fraction, c: Fraction) -> Certificate:
     slopes = tuple(Fraction(x) for x in (a, b, c))
     if any(x < 1 for x in slopes):
         raise DomainError("all three slopes must be >= 1")
+    xs = tuple((x.numerator, x.denominator) for x in slopes)
     # The first fractional coordinate descends first, so the coordinates
     # after the last fractional one are integers while it descends: only
     # there may it end at 1/0.  Elsewhere it ends at floor(x) and ceil(x).
@@ -942,33 +948,33 @@ def certify_borromean(a: Fraction, b: Fraction, c: Fraction) -> Certificate:
     runs = {}
     for i in fractional:
         x = slopes[i]
-        runs[i] = _farey_runs(x, {Fraction(floor(x)), INFINITY if i == fractional[-1] else Fraction(ceil(x))})
+        runs[i] = _farey_runs(xs[i], {(floor(x), 1), (1, 0) if i == fractional[-1] else (ceil(x), 1)})
     moves = partial(_borromean_moves, runs=runs)
-    return _derive(("borromean", slopes), partial(_steps, first_move=moves), {})
+    return _derive(("borromean", xs), partial(_steps, first_move=moves), {})
 
 
-def _borromean_moves(xs: tuple[Fraction, ...], runs: dict) -> tuple:
+def _borromean_moves(xs: tuple[Slope, ...], runs: dict) -> tuple:
     """The first fractional coordinate's run, or, when all three are
     integers, the largest coordinate's run down to 1 (1/0 deletes that
     component of the rings, leaving the connected sum of the other two
     fillings)."""
-    fractional = [i for i, x in enumerate(xs) if x.denominator != 1]
+    fractional = [i for i, (_, q) in enumerate(xs) if q != 1]
     if fractional:
         idx = fractional[0]
         move = runs[idx][xs[idx]]
     else:
-        idx = max(range(3), key=lambda i: xs[i])  # the first of equal ones
-        move = Fraction(1), INFINITY, xs[idx].numerator - 1
+        idx = max(range(3), key=lambda i: xs[i][0])  # the first of equal ones
+        move = (1, 1), (1, 0), xs[idx][0] - 1
     return _farey_move(*move, lambda y: _borromean_view(xs, idx, y))
 
 
-def _borromean_view(xs: tuple[Fraction, ...], idx: int, x: Slope) -> tuple[str, object]:
+def _borromean_view(xs: tuple[Slope, ...], idx: int, x: Slope) -> tuple[str, object]:
     """The view of M(xs) with slope x at coordinate idx.  Slope 1/0 deletes
     that component, which leaves the other two unlinked: the connected sum
     of their fillings, in the form `_view` gives it."""
-    if x is not INFINITY:
+    if x != (1, 0):
         return "borromean", xs[:idx] + (x,) + xs[idx + 1 :]
-    orders = tuple(int(y) for i, y in enumerate(xs) if i != idx and y != 1)
+    orders = tuple(p for i, (p, _) in enumerate(xs) if i != idx and p != 1)
     return ("connected-sum-lens", orders) if orders else _S3_VIEW
 
 
@@ -997,12 +1003,11 @@ def certify_pretzel_surgeries(n: int, target: Fraction) -> Certificate:
         raise InvariantError(
             f"pretzel star for n={n} has |H1| = {tree._h1}, expected {2 * n + 4}"
         )
-    base_slope = Fraction(2 * n + 4)
-    if target < base_slope:
-        raise DomainError(f"target {target} below the certified slope {base_slope}")
+    if target < 2 * n + 4:
+        raise DomainError(f"target {target} below the certified slope {2 * n + 4}")
     tree_cert = certify_tree(tree, require_hypothesis=(n == 7))
     knot = f"(-2,3,{n})-pretzel"
-    base_fact = _fact_of(("surgery", (knot, base_slope)))
+    base_fact = _fact_of(("surgery", (knot, (2 * n + 4, 1))))
     base = Certificate(base_fact, "seifert-filling-identification", (tree_cert,))
     return propagate_slope(base, target)
 
@@ -1073,11 +1078,13 @@ def _view(fact: Fact) -> tuple[str, object]:
     elif kind == "branched-double-cover":
         data = TaitGraph(int(_param(fact, "vertices")), _edges(_param(fact, "edges")))
     elif kind == "surgery":
-        data = (_param(fact, "knot"), parse_slope(_param(fact, "slope")))
+        knot, s = _param(fact, "knot"), parse_slope(_param(fact, "slope"))
+        data = (knot, (s.numerator, s.denominator))
     elif kind == "borromean":
-        data = tuple(parse_slope(x) for x in _param(fact, "slopes").split(","))
-        if len(data) != 3 or min(data) < 1:
+        slopes = [parse_slope(x) for x in _param(fact, "slopes").split(",")]
+        if len(slopes) != 3 or min(slopes) < 1:
             raise CertificateCheckError("Borromean surgeries need three slopes >= 1")
+        data = tuple((x.numerator, x.denominator) for x in slopes)
     else:
         raise CertificateCheckError(f"unknown kind of manifold {kind!r}")
     note = fact.param("note") if kind == "surgery" else None
@@ -1095,7 +1102,7 @@ _LEAF_AXIOMS: dict[str, Callable[[tuple[str, object]], bool]] = {
     "axiom:lens-space": lambda view: view[0] == "lens" and view != _S3_VIEW,
     "axiom:three-sphere": lambda view: view == _S3_VIEW,
     "axiom:connected-sum-of-lens-spaces": lambda view: view[0] == "connected-sum-lens",
-    "axiom:positive-scalar-curvature": lambda view: view == ("borromean", (1, 1, 1)),
+    "axiom:positive-scalar-curvature": lambda view: view == _POINCARE_VIEW,
 }
 _AXIOMS = {**_LEAF_AXIOMS, "axiom:given-l-space": lambda view: view[0] == "surgery"}
 
@@ -1175,27 +1182,27 @@ def _farey_step(x: Slope, slopes: list, view: Callable[[Slope], tuple]) -> tuple
     return _farey_move(*slopes, k, view) if k is not None and k > 0 else None
 
 
-def _named_surgery_moves(data: tuple[str, Fraction], rule: str, premises: list) -> Iterable[tuple | None]:
+def _named_surgery_moves(data: tuple[str, Slope], rule: str, premises: list) -> Iterable[tuple | None]:
     """The lift of the premise's slope r to ceil(r), the pretzel star of the
     knot, or the Farey step between the premises' slopes, 1/0 being S3."""
     knot, s = data
-    slopes = [view[1][1] if view[0] == "surgery" else INFINITY for view in premises]
-    r, (kind, tree) = slopes[0], premises[0]
-    if rule == "rational-to-integer-lift" and r is not INFINITY and r.denominator != 1 and s == ceil(r):
-        return [(rule, (_surgery_view(knot, r),))]
+    slopes = [view[1][1] if view[0] == "surgery" else (1, 0) for view in premises]
+    (p, q), (kind, tree) = slopes[0], premises[0]
+    if rule == "rational-to-integer-lift" and q > 1 and s == (-(-p // q), 1):
+        return [(rule, (_surgery_view(knot, (p, q)),))]
     if rule == "seifert-filling-identification" and kind == "tree-boundary":
         n = 2 * len(tree.weights) + 1  # the star of n has (n - 1)/2 vertices, so its cost is the premise's
-        if knot == f"(-2,3,{n})-pretzel" and s == 2 * n + 4:
+        if knot == f"(-2,3,{n})-pretzel" and s == (2 * n + 4, 1):
             return [(rule, (_view_of_tree(pretzel_star(n)),))]
     return [_farey_step(s, slopes, partial(_surgery_view, knot))]
 
 
-def _named_borromean_moves(xs: tuple[Fraction, ...], rule: str, premises: list) -> Iterable[tuple | None]:
+def _named_borromean_moves(xs: tuple[Slope, ...], rule: str, premises: list) -> Iterable[tuple | None]:
     """The Farey step at each coordinate between the premises' slopes there,
     1/0 read only where the other two are integers, as the builder makes it."""
     for idx in range(3):
-        integral = all(y.denominator == 1 for i, y in enumerate(xs) if i != idx)
-        slopes = [view[1][idx] if view[0] == "borromean" else INFINITY if integral else None
+        integral = all(q == 1 for i, (_, q) in enumerate(xs) if i != idx)
+        slopes = [view[1][idx] if view[0] == "borromean" else (1, 0) if integral else None
                   for view in premises]
         yield _farey_step(xs[idx], slopes, partial(_borromean_view, xs, idx))
 

@@ -2,14 +2,34 @@
 
 None of these is used by the package: a set-of-positions elimination, an
 entry-by-entry product, a row combination that tests one selector bit at a
-time, the octet identities and assembled differentials as `F2Matrix`
-expressions, and brute-force subspaces of GF(2)^n for small n.  Two
-builders only the tests call live here too: `from_lists` (a matrix from
-0/1 row lists) and `block` (a matrix from a grid of conforming blocks).
+time, the image of a vector by one parity per row (`apply`), the octet
+identities and assembled differentials as `F2Matrix` expressions, and
+brute-force subspaces of GF(2)^n for small n.  Three builders only the tests
+call live here too: `from_entries` (a matrix from (row, column) entries,
+repeats cancelling), `from_lists` (a matrix from 0/1 row lists) and
+`block` (a matrix from a grid of conforming blocks).
 """
 
 from lenslab.errors import DomainError
 from lenslab.f2homalg.gf2 import F2Matrix
+
+
+def from_entries(rows: int, cols: int, entries) -> F2Matrix:
+    data = [0] * rows
+    for r, c in entries:
+        if not (0 <= r < rows and 0 <= c < cols):
+            raise DomainError(f"entry ({r}, {c}) out of bounds")
+        data[r] ^= 1 << c
+    return F2Matrix(rows, cols, tuple(data))
+
+
+def apply(m: F2Matrix, vec: int) -> int:
+    """Image of a column vector (bitmask over m.cols), one row parity at a time."""
+    acc = 0
+    for i, row in enumerate(m.data):
+        if (row & vec).bit_count() % 2:
+            acc |= 1 << i
+    return acc
 
 
 def from_lists(lists) -> F2Matrix:
@@ -78,7 +98,7 @@ def rank_sparse(m: F2Matrix) -> int:
 def product_by_entries(a: F2Matrix, b: F2Matrix) -> F2Matrix:
     """a @ b from the definition (ab)_ij = sum_k a_ik b_kj."""
     assert a.cols == b.rows
-    return F2Matrix.from_entries(a.rows, b.cols, [
+    return from_entries(a.rows, b.cols, [
         (i, j) for i in range(a.rows) for j in range(b.cols)
         if sum(a.entry(i, k) & b.entry(k, j) for k in range(a.cols)) % 2
     ])
@@ -145,8 +165,8 @@ def assembled_maps(o) -> tuple[F2Matrix, F2Matrix, F2Matrix]:
 def cycles_and_boundaries(d: F2Matrix) -> tuple[frozenset[int], frozenset[int]]:
     """ker d and im d as sets of vectors, by listing all of GF(2)^n."""
     vectors = range(1 << d.cols)
-    return (frozenset(v for v in vectors if d.apply(v) == 0),
-            frozenset(d.apply(v) for v in vectors))
+    return (frozenset(v for v in vectors if apply(d, v) == 0),
+            frozenset(apply(d, v) for v in vectors))
 
 
 def exact_nodes(ds, fs) -> list[bool]:
@@ -160,7 +180,7 @@ def exact_nodes(ds, fs) -> list[bool]:
         cycles, _ = spaces[n]
         mid_cycles, mid_bounds = spaces[(n + 1) % 3]
         _, cod_bounds = spaces[(n + 2) % 3]
-        image = {fs[n].apply(z) ^ b for z in cycles for b in mid_bounds}
-        kernel = {z for z in mid_cycles if fs[(n + 1) % 3].apply(z) in cod_bounds}
+        image = {apply(fs[n], z) ^ b for z in cycles for b in mid_bounds}
+        kernel = {z for z in mid_cycles if apply(fs[(n + 1) % 3], z) in cod_bounds}
         exact.append(image == kernel)
     return exact

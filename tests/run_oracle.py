@@ -23,11 +23,17 @@ S3_VIEW = ("lens", (1, 1))
 
 
 def _surgery_view(knot, s):
-    return S3_VIEW if s is INFINITY else ("surgery", (knot, s))
+    return S3_VIEW if s is INFINITY else ("surgery", (knot, _terms(s)))
 
 
 def _terms(s):
+    """A slope as views hold it: (p, q), with 1/0 as (1, 0)."""
     return (1, 0) if s is INFINITY else (s.numerator, s.denominator)
+
+
+def _slope(terms):
+    """The slope a view's (p, q) stands for."""
+    return INFINITY if terms == (1, 0) else Fraction(*terms)
 
 
 def _lower_first(a, b):
@@ -65,7 +71,7 @@ def farey_descent(base: Certificate, target: Fraction) -> Certificate:
         raise DomainError(f"target {target} below the base slope {r}")
 
     def fact(s):
-        return lspacecert._fact_of(("surgery", (knot, s)))
+        return lspacecert._fact_of(("surgery", (knot, _terms(s))))
 
     known = {INFINITY: sphere_axiom(), r: base}
     lifted = r
@@ -99,24 +105,24 @@ def run_parts(node: Certificate):
     kind, data = lspacecert._view(node.conclusion)
     views = [lspacecert._view(p.conclusion) for p in node.premises]
     if kind == "surgery":
-        knot, x = data
-        slopes = [INFINITY if v == S3_VIEW else v[1][1] for v in views]
+        knot, x = data[0], _slope(data[1])
+        slopes = [INFINITY if v == S3_VIEW else _slope(v[1][1]) for v in views]
         make = lambda y: _surgery_view(knot, y)  # noqa: E731
     else:
         for idx in range(3):
             slopes = [_borromean_slope(data, idx, v) for v in views]
             if None not in slopes:
                 break
-        x = data[idx]
-        make = lambda y, idx=idx: lspacecert._borromean_view(data, idx, y)  # noqa: E731
+        x = _slope(data[idx])
+        make = lambda y, idx=idx: lspacecert._borromean_view(data, idx, _terms(y))  # noqa: E731
     (p, _), (p0, _), (p1, _) = _terms(x), _terms(slopes[0]), _terms(slopes[1])
     return make, slopes[0], slopes[1], (p - p0) // p1
 
 
 def _borromean_slope(xs, idx, view):
     if view[0] == "borromean" and all(view[1][i] == xs[i] for i in range(3) if i != idx):
-        return view[1][idx]
-    return INFINITY if view == lspacecert._borromean_view(xs, idx, INFINITY) else None
+        return _slope(view[1][idx])
+    return INFINITY if view == lspacecert._borromean_view(xs, idx, (1, 0)) else None
 
 
 def expand_runs(cert: Certificate) -> Certificate:
@@ -152,13 +158,14 @@ def _todays_moves(kind, data):
     each coordinate above 1."""
     if kind == "surgery":
         knot, s = data
-        high, low = farey_parents(s)
+        high, low = farey_parents(_slope(s))
         return [(_surgery_view(knot, low), _surgery_view(knot, high))]
-    fractional = [i for i, x in enumerate(data) if x.denominator != 1]
+    xs = [_slope(x) for x in data]
+    fractional = [i for i, x in enumerate(xs) if x.denominator != 1]
     moves = []
-    for idx in fractional or [i for i, x in enumerate(data) if x > 1]:
-        high, low = farey_parents(data[idx])
-        moves.append(tuple(lspacecert._borromean_view(data, idx, y) for y in (low, high)))
+    for idx in fractional or [i for i, x in enumerate(xs) if x > 1]:
+        high, low = farey_parents(xs[idx])
+        moves.append(tuple(lspacecert._borromean_view(data, idx, _terms(y)) for y in (low, high)))
     return moves
 
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 from f2_oracles import (
+    apply,
     assembled_differentials,
     assembled_maps,
     cycles_and_boundaries,
@@ -374,7 +375,7 @@ def test_cone_verify_matches_brute_force():
         for n in range(3):
             psi = f[(n + 2) % 3] @ h[n] + h[(n + 1) % 3] @ f[n]
             cycles, bounds = cycles_and_boundaries(ds[n])
-            image = {psi.apply(z) ^ b for z in cycles for b in bounds}
+            image = {apply(psi, z) ^ b for z in cycles for b in bounds}
             iso.append(len(image) == len(cycles))
         report = cone_verify(triple)
         assert report == ConeHypothesisReport(chain, homot, tuple(iso))

@@ -38,7 +38,7 @@ from lenslab.lspacecert import (
     tree_h1,
 )
 from graph_fixtures import cycle_graph, path_tree, theta_graph
-from run_oracle import expand_runs, farey_descent, partial_quotients
+from run_oracle import expand_runs, farey_descent, fib, partial_quotients
 
 
 def test_triangle_rule_examples():
@@ -942,3 +942,59 @@ def test_a_leaf_named_by_its_tree_or_graph_is_rejected_at_its_own_node(cert, lea
         doc["nodes"][node_id]["rule"] = other
         with pytest.raises(CertificateCheckError, match=rf"^node {node_id} "):
             check_certificate(Certificate.from_json_dict(doc))
+
+
+_NOT_THE_DATA = "fact {!r} with |H1| = 1 does not match its data, which give {!r} with |H1| = {}"
+_NOT_AN_RHS = "certified manifolds are rational homology spheres; got |H1| = {} for {}"
+_NEED_THREE = "Borromean surgeries need three slopes >= 1"
+
+
+@pytest.mark.parametrize("rule, kind, text, message", [
+    ("axiom:given-l-space", "surgery", "2/4", _NOT_THE_DATA.format("S3_2/4(K)", "S3_1/2(K)", 1)),
+    ("axiom:given-l-space", "surgery", "1/-2", _NOT_AN_RHS.format(-1, "S3_-1/2(K)")),
+    ("axiom:given-l-space", "surgery", "-0", _NOT_AN_RHS.format(0, "S3_0(K)")),
+    ("axiom:given-l-space", "surgery", "+3", _NOT_THE_DATA.format("S3_+3(K)", "S3_3(K)", 3)),
+    ("axiom:given-l-space", "surgery", " 3", _NOT_THE_DATA.format("S3_ 3(K)", "S3_3(K)", 3)),
+    ("axiom:given-l-space", "surgery", "03", _NOT_THE_DATA.format("S3_03(K)", "S3_3(K)", 3)),
+    ("axiom:given-l-space", "surgery", "1/0", "not a rational slope: '1/0'"),
+    ("axiom:given-l-space", "surgery", "0/0", "not a rational slope: '0/0'"),
+    ("axiom:given-l-space", "surgery", "x", "not a rational slope: 'x'"),
+    ("axiom:given-l-space", "surgery", "-3", _NOT_AN_RHS.format(-3, "S3_-3(K)")),
+    ("axiom:positive-scalar-curvature", "borromean", "2/4,1,1", _NEED_THREE),
+    ("axiom:positive-scalar-curvature", "borromean", "1,1", _NEED_THREE),
+    ("axiom:positive-scalar-curvature", "borromean", "1/2,1,1", _NEED_THREE),
+    ("axiom:positive-scalar-curvature", "borromean", "1,1,1,1", _NEED_THREE),
+    ("axiom:positive-scalar-curvature", "borromean", "3/2,2,1",
+     _NOT_THE_DATA.format("M(3/2,2,1)", "M(3/2,2,1)", 6)),
+])
+def test_the_checker_reads_non_canonical_slope_texts_as_it_always_has(rule, kind, text, message):
+    """A one-node table whose slope text is not in the canonical form
+    `_fact_of` writes: the checker parses it, rebuilds the fact and names
+    the first difference, in these exact words."""
+    if kind == "surgery":
+        fact = Fact(f"S3_{text}(K)", 1, kind, (("knot", "K"), ("note", "lens space"), ("slope", text)))
+    else:
+        fact = Fact(f"M({text})", 1, kind, (("slopes", text),))
+    with pytest.raises(CertificateCheckError) as caught:
+        check_certificate(Certificate(fact, rule))
+    assert str(caught.value) == f"node 0 ({rule}): {message}"
+
+
+def test_no_slope_fraction_is_hashed(monkeypatch):
+    """Views and memo keys hold slopes as integer pairs: building, checking
+    and serialising deep slope and Borromean certificates hash no Fraction."""
+    deep = Fraction(fib(301), fib(300))
+    certs = [
+        lambda: propagate_slope(surgery_lspace_axiom("K", Fraction(1)), deep),
+        lambda: propagate_slope(surgery_lspace_axiom("K", Fraction(5, 2)), deep + 3),  # lifts 5/2 to 3
+        lambda: certify_borromean(Fraction(3, 2), Fraction(3, 2), deep),
+    ]
+
+    def refuse(self):
+        raise AssertionError(f"Fraction {self} hashed")
+
+    monkeypatch.setattr(Fraction, "__hash__", refuse)
+    for build in certs:
+        cert = build()
+        assert check_certificate(cert) > 100
+        assert len(certificate_json(cert)) > 10_000

@@ -1,6 +1,7 @@
 """`src/lenslab` keeps only what is called or documented.
 
-Every module-level public function and class of the package must be
+Every module-level public function and class of the package, and every
+public method of such a class, must be
   - referenced in `src/` outside its own definition, as a name, an
     attribute or an imported name (docstrings and comments do not count);
   - or named in `perfbench/*.py`, as a name or a string constant, since the
@@ -57,9 +58,21 @@ def documented(readme: str) -> set[str]:
     }
 
 
+def public_definitions(tree: ast.Module):
+    """(label, node) for each public module-level function and class, and
+    for each public method of such a class, labelled "Class.method"."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, (*functions, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(item, functions) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+
+
 def unused_public_names(root: Path) -> list[str]:
-    """"module:name" for each public module-level function or class under
-    `root/src/lenslab` that meets none of the four conditions."""
+    """"module:name" for each public definition under `root/src/lenslab`
+    (see `public_definitions`) that meets none of the four conditions."""
     package = root / "src" / "lenslab"
     trees = {path: ast.parse(path.read_text(), str(path)) for path in sorted(package.rglob("*.py"))}
     used, kept = Counter(), set()
@@ -74,13 +87,10 @@ def unused_public_names(root: Path) -> list[str]:
         }
     kept |= documented((root / "README.md").read_text())
     return [
-        f"{path.relative_to(package).as_posix()}:{node.name}"
+        f"{path.relative_to(package).as_posix()}:{label}"
         for path, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-        and node.name not in kept
-        and used[node.name] == references(node)[node.name]
+        for label, node in public_definitions(tree)
+        if node.name not in kept and used[node.name] == references(node)[node.name]
     ]
 
 
@@ -108,14 +118,22 @@ def test_the_guard_sees_each_kind_of_use(tmp_path):
         "def recursive(n): return recursive(n - 1)  # Dead\n"
         "class Dead:\n"
         "    def make(self): return Dead()\n"
+        "class Kept:\n"
+        "    def method(self): pass\n"
+        "    def documented(self): pass\n"
+        "    def benched(self): pass\n"
+        "    def again(self): return self.again()\n"
+        "    def _private(self): pass\n"
         "def _private(): pass\n"
-        "def user(x): return called() + x.as_attribute()\n"
+        "def user(x): return called() + x.as_attribute() + Kept().method()\n"
     )
     (tmp_path / "perfbench" / "tracing.py").write_text(
         "benched()\nwrap(owner, 'wrapped')\n"
     )
     (tmp_path / "README.md").write_text(
-        "## What is inside\n\n| `lenslab.mod` | `mod.readme`, `Dead()` |\n\n"
+        "## What is inside\n\n| `lenslab.mod` | `mod.readme`, `Dead()`, `Kept.documented` |\n\n"
         "## CLI\n\n`user`\n"
     )
-    assert unused_public_names(tmp_path) == ["mod.py:recursive", "mod.py:Dead", "mod.py:user"]
+    assert unused_public_names(tmp_path) == [
+        "mod.py:recursive", "mod.py:Dead", "mod.py:Dead.make", "mod.py:Kept.again", "mod.py:user",
+    ]

@@ -146,7 +146,7 @@ def test_builder_and_checker_never_take_farey_parents(monkeypatch):
 
 
 def _surgery(knot, slope):
-    return lspacecert._fact_of(("surgery", (knot, slope)))
+    return lspacecert._fact_of(("surgery", (knot, (slope.numerator, slope.denominator))))
 
 
 def _base(slope, knot="K"):
@@ -176,7 +176,7 @@ SEVEN_HALVES = RUNS.premises[1]
                 propagate_slope(_base(18), Fraction(19)).premises),
     # M(5/2,3,1) = M(5/2,1,1) + 2 * (1/0): a 1/0 premise beside the fractional
     # 5/2, here L(5,2), of the order that adds up
-    Certificate(lspacecert._fact_of(("borromean", (Fraction(5, 2), Fraction(3), Fraction(1)))),
+    Certificate(lspacecert._fact_of(("borromean", ((5, 2), (3, 1), (1, 1)))),
                 "triangle-run",
                 (certify_borromean(Fraction(5, 2), Fraction(1), Fraction(1)), lens_axiom(5, 2))),
 ], ids=["k-plus-one", "k-minus-one", "not-neighbours", "swapped", "another-knot", "k-is-one",
