@@ -117,11 +117,18 @@ MAX_DIM = 1000
 # The largest order p that `dinv`, `alexlens` and `lattice-check` accept.  Their
 # work grows with p whatever q is, and a p of 20 digits made `dinv` and
 # `alexlens` overflow a list size and `lattice-check` sweep its classes for
-# ever.  Each cap lets the slowest q finish in about 2 s (median wall time of
-# the command on a 2-vCPU VM, Python 3.11): `dinv 399999 399998` took 2.1 s,
-# `alexlens 80001 10000 --literal-Lsigma --no-pm1-filter` (one candidate,
-# 2.2 MB of output; a space with a candidate costs the most) 2.0-2.2 s, and
-# `lattice-check 1099 1098` (q = p - 1 is the longest chain) 2.0 s.
+# ever.  The caps of `dinv` and `alexlens` let the slowest q finish in about
+# 2 s (median wall time of the command on a 2-vCPU VM, Python 3.11):
+# `dinv 399999 399998` took 2.1 s and `alexlens 80001 10000 --literal-Lsigma
+# --no-pm1-filter` (one candidate, 2.2 MB of output; a space with a candidate
+# costs the most) 2.0-2.2 s.  `lattice-check` sweeps its classes in
+# O(p log p) for every q, since a run of 2s in the chain is one edge, so its
+# cap is far below 2 s: the slowest q at p = 1097 and 1099 (704 and 804 in a
+# sweep over every q, 31-40 ms in the library, like the next few) took
+# 0.14-0.21 s and `lattice-check 1099 1098` (the longest chain, one run)
+# 0.13-0.19 s, 9 runs each in a fresh interpreter compiling the package from
+# source, most of it start-up.  Sampled q put the slowest q near 2 s at p of
+# about 40,000-50,000.
 MAX_DINV_P = 400_000
 MAX_ALEXLENS_P = 80_000
 MAX_LATTICE_P = 1_100

@@ -13,23 +13,42 @@ the quadratic form is local along the chain:
               - sum_interior (a_i - 2) y_i^2 - (a_n - 1) y_n^2.
 
 The start vector y_0 = p G^{-1} K_0 comes from the continuants in O(n), with
-no matrix.  The maximum over the class, y in y_0 + 2p Z^n, is found by
-steepest ascent: over the box of the three coset points y_i - 2p, y_i,
-y_i + 2p per coordinate the best point is a dynamic program along the
-chain with three states per vertex, nine exact integer candidates per
-step.  The form is L-natural-concave in the coset coordinates, so a point
-that is best in its own box is a global maximum.  Every arithmetic step is
-integer arithmetic.
+no matrix.  The maximum over the class, y in y_0 + 2p Z^n, is taken on a
+shorter chain.  An interior vertex with a_i = 2 has weight 0, and there
+y_(i-1) - 2 y_i + y_(i+1) = p K_i with K_i even, so along a maximal run of
+such vertices every edge difference y_i - y_(i+1) lies in one class
+delta + 2p Z (the run congruence).  Only the kept vertices, the two ends and
+those with a_i >= 3, enter the search: between two of them, u < v, the run
+of m edges is one edge whose cost at T = y_u - y_v is the least sum of
+squares of m such differences adding up to T.  The most even split attains
+it: with T - m delta = 2p (m b + r) and 0 <= r < m, it costs
+(m - r) x^2 + r (x + 2p)^2 for x = delta + 2p b, and T^2 when m = 1.  A run
+whose T - m delta is not a multiple of 2p is an invariant error.
+
+The maximum on the kept vertices is found by steepest ascent: over the box
+of the three coset points y_i - 2p, y_i, y_i + 2p per kept vertex the best
+point is a dynamic program along the shortened chain with three states per
+vertex and five edge costs per step.  The run cost is convex in T, an
+infimal convolution of convex functions, so the form stays a sum of concave
+functions of single coordinates and of differences of neighbours: it is
+L-natural-concave in the coset coordinates (Murota, "Discrete Convex
+Analysis", 2003, ch. 7), and a point that is best in its own box is a
+global maximum.  Every entry a_i >= 3 at least doubles the continuant, so
+there are at most log2(p) + 2 kept vertices, and an ascent costs O(log p)
+per box whatever the chain's length.  Every arithmetic step is integer
+arithmetic.
 
 `lattice_vs_recursion_check` sweeps the classes once per lattice.  It
 computes the continuants, the weights w_i and the normalization check once.
 Class c = 0..p-1 is represented by K_0 + 2c e_1, and the start vector is
 linear in K, so class c starts at y_0 + c step, where step is the start
-vector of 2 e_1; no per-class representative or Fraction is built.  Each
-class's integer maximum comes from the same ascent as `max_char_square`, and
-it is keyed by max / p + n p, the integer p * (max K^2 + n); p divides the
-maximum because K^T G^{-1} K has a denominator dividing p, and a maximum
-that p does not divide is an invariant error.
+vector of 2 e_1; no per-class representative or Fraction is built, and the
+sweep reads y_0 and step only at the kept vertices and at the first vertex
+of each run, so it costs O(p log p) for every q.  Each class's integer
+maximum comes from the same ascent as `max_char_square`, and it is keyed by
+max / p + n p, the integer p * (max K^2 + n); p divides the maximum because
+K^T G^{-1} K has a denominator dividing p, and a maximum that p does not
+divide is an invariant error.
 
 Conjugation K -> -K maps characteristic covectors to characteristic
 covectors and y to -y, and the form has Q(-y) = Q(y), so conjugate classes
@@ -43,9 +62,9 @@ odd p, at most p / 2 + 1 for even p.
 One continuant recurrence serves the determinant, the start vectors and the
 class representatives; `_start_vector` alone states the closed-form adjugate
 they rely on.  The adjugate itself, class membership, a brute-force box
-search for the maxima and the check built class by class through
-`max_char_square` are test oracles, kept apart from this module in
-tests/lattice_oracles.py.
+search for the maxima, the run cost by enumerating splits and the check
+built class by class through `max_char_square` are test oracles, kept apart
+from this module in tests/lattice_oracles.py.
 """
 
 from __future__ import annotations
@@ -156,14 +175,38 @@ def _start_vector(theta: list[int], phi: list[int], rep: tuple[int, ...]) -> lis
     return y0
 
 
-def _box_max(w: list[int], y: list[int], step: int) -> tuple[int, list[int]]:
-    """max of -sum w_i z_i^2 - sum (z_i - z_(i+1))^2 over the box of z with
+def _run_costs(d: int, step: int, m: int, delta: int) -> list[int]:
+    """f(d + k step) for k = -2..2, where f(T) is the least sum of squares of
+    m integers in delta + step Z that add up to T; for m > 1, step divides
+    d - m delta, and for m = 1, f(T) = T^2 and delta is not read.
+
+    The most even split is best: with T = m delta + e step and e = m b + r,
+    0 <= r < m, it has m - r parts x = delta + b step and r parts x + step,
+    and (m - r) x^2 + r (x + step)^2 = (T^2 + step^2 r (m - r)) / m.
+    """
+    lo, hi = d - step, d + step
+    squares = [(lo - step) ** 2, lo * lo, d * d, hi * hi, (hi + step) ** 2]
+    if m == 1:
+        return squares
+    e = (d - m * delta) // step
+    ss = step * step
+    return [(t + ss * (r := (e + k) % m) * (m - r)) // m for k, t in zip(range(-2, 3), squares)]
+
+
+def _box_max(
+    w: list[int], y: list[int], step: int, runs: list[tuple[int, int]]
+) -> tuple[int, list[int]]:
+    """max of -sum w_i z_i^2 - sum f_i(z_i - z_(i+1)) over the box of z with
     each z_i in {y_i - step, y_i, y_i + step}, and a z attaining it.
 
-    A dynamic program along the chain over the three states of each vertex.
-    Between vertices i-1 and i the nine differences z_(i-1) - z_i are
-    d + k step for d = y_(i-1) - y_i and k = -2..2, so five squares give
-    the nine candidate values, and each state keeps the best of its three.
+    The edge from vertex i to i+1 is a run of m unit edges, (m, delta) =
+    runs[i], and f_i is its cost, `_run_costs`: the run's differences lie in
+    delta + step Z and step divides y_i - y_(i+1) - m delta; a single edge
+    (m = 1) costs T^2 whatever delta is.  A dynamic program along the
+    chain over the three states of each vertex.  Between vertices i-1 and i
+    the nine differences z_(i-1) - z_i are d + k step for d = y_(i-1) - y_i
+    and k = -2..2, so five run costs give the nine candidate values, and
+    each state keeps the best of its three.
     """
     lo, mid, hi = y[0] - step, y[0], y[0] + step
     a = w[0]
@@ -171,9 +214,7 @@ def _box_max(w: list[int], y: list[int], step: int) -> tuple[int, list[int]]:
     back = []  # per vertex, the best predecessor state of each state
     for i in range(1, len(y)):
         v = y[i]
-        d = mid - v
-        q0, qm, qp = d * d, (d - step) ** 2, (d + step) ** 2
-        qmm, qpp = (d - 2 * step) ** 2, (d + 2 * step) ** 2
+        qmm, qm, q0, qp, qpp = _run_costs(mid - v, step, *runs[i - 1])
         lo, mid, hi = v - step, v, v + step
         a = w[i]
         # state 0 (z_i = lo) from states 0, 1, 2 of vertex i-1
@@ -216,25 +257,78 @@ def _centred(y: list[int], p: int) -> list[int]:
     return [r - step if r > p else r for r in (v % step for v in y)]
 
 
+def _shorten(w: list[int]) -> tuple[list[int], list[int]]:
+    """w with each maximal stretch of interior zero weights written as one
+    entry -r, r its number of vertices, and the index in w of each entry: a
+    kept vertex's, or the first vertex of a stretch.
+
+    A normalized chain has w_i >= 0, and the interior zeros are its a_i = 2.
+    An interior entry -r of w counts as r vertices and an interior 0 as one,
+    so a shortened w shortens to itself.
+    """
+    n = len(w)
+    short, at = [w[0]], [0]
+    for i in range(1, n):
+        a = w[i]
+        if i == n - 1 or a > 0:
+            short.append(a)
+            at.append(i)
+            continue
+        r = max(-a, 1)
+        if short[-1] < 0:
+            short[-1] -= r
+        else:
+            short.append(-r)
+            at.append(i)
+    return short, at
+
+
 def _max_square_scaled(w: list[int], y0: list[int], p: int) -> int:
-    """max of y^T G y over y in y0 + 2p Z^n, exact, with w = _weights(terms).
+    """max of y^T G y over y in y0 + 2p Z^n, exact, with w = _weights(terms)
+    and y0 read at the indices `_shorten` keeps: w may come shortened, with
+    y0 holding the values at its entries only.
 
     y^T G y = -sum w_i y_i^2 - sum (y_i - y_(i+1))^2, and w_i >= 0 for a
-    normalized expansion.  In the coordinates y = y0 + 2p k this is a sum of
-    concave functions of single k_i and of differences k_i - k_(i+1), that is
-    an L-natural-concave function of k, and such a function is maximal at k
-    as soon as no k + chi_S and no k - chi_S (chi_S a 0/1 vector) is larger
-    (Murota, "Discrete Convex Analysis", SIAM 2003, ch. 7).  Those points all
-    lie in the box k +- 1, so: start at y0 and move to the best point of the
-    box around the current one until that is the current point or no better
-    than it.  The value rises strictly with every move and the form is
-    definite, so the ascent ends.
+    normalized expansion.  Take a run of m unit edges from a kept vertex u to
+    the next one, v, through a stretch of m - 1 vertices of weight 0, that is
+    of a_i = 2.  There (G y)_i = y_(i-1) - 2 y_i + y_(i+1) = p K_i with K_i
+    even, so every difference y_i - y_(i+1) along the run lies in one class
+    delta + 2p Z, and their sum is T = y_u - y_v.  The interior is free, so
+    the run costs the least sum of squares of m such differences with total
+    T, `_run_costs`; it is convex in T, being an infimal convolution of m
+    convex functions.  That leaves a chain of the kept vertices alone.  In
+    the coordinates y = y0 + 2p k it is a sum of concave functions of single
+    k_i and of differences k_i - k_(i+1), that is an L-natural-concave
+    function of k, and such a function is maximal at k as soon as no
+    k + chi_S and no k - chi_S (chi_S a 0/1 vector) is larger (Murota,
+    "Discrete Convex Analysis", SIAM 2003, ch. 7).  Those points all lie in
+    the box k +- 1, so: start at y0 and move to the best point of the box
+    around the current one until that is the current point or no better than
+    it.  The value rises strictly with every move and the form is definite,
+    so the ascent ends.  A start whose run differences do not share one
+    class mod 2p is an invariant error.
     """
     step = 2 * p
-    y = y0
+    w, at = _shorten(w)
+    kept, y, runs = [w[0]], [y0[0]], []
+    m = 1
+    for a, i in zip(w[1:], at[1:]):
+        v = y0[i]
+        if a < 0:  # a stretch of -a vertices, and its first value
+            m, first = 1 - a, v
+            continue
+        delta = y[-1] - (v if m == 1 else first)
+        if (y[-1] - v - m * delta) % step:
+            raise InvariantError(
+                f"a run of {m} edges has differences in two classes mod {step}"
+            )
+        runs.append((m, delta))
+        kept.append(a)
+        y.append(v)
+        m = 1
     value = None  # Q(y) once y is the best point of a box
     while True:
-        best, z = _box_max(w, y, step)
+        best, z = _box_max(kept, y, step, runs)
         if z == y or best == value:
             return best
         value, y = best, z
@@ -277,10 +371,10 @@ def lattice_vs_recursion_check(p: int, q: int) -> LatticeCheckReport:
 
     Each conjugate pair of classes c and (s - c) mod p is maximized once, at
     the smaller index, and both get its key; a start vector that breaks the
-    pairing congruence is an invariant error naming L(p,q).  A mismatch is
-    reported, not raised.  The value-level matching between class indices
-    and labels is included; it is the only correspondence the construction
-    pins down.
+    pairing congruence, or whose run differences fall in two classes mod 2p,
+    is an invariant error naming L(p,q).  A mismatch is reported, not
+    raised.  The value-level matching between class indices and labels is
+    included; it is the only correspondence the construction pins down.
     """
     if not (0 < q < p) or gcd(p, q) != 1:
         raise DomainError(f"need coprime 0 < q < p, got ({p}, {q})")
@@ -290,7 +384,6 @@ def lattice_vs_recursion_check(p: int, q: int) -> LatticeCheckReport:
     n = lat.rank
     theta = _continuants(lat.terms)
     phi = _continuants(lat.terms[::-1])
-    w = _weights(lat.terms)
     # Class c, K_0 + 2c e_1, starts at y_0 + c step: the start vector is linear in K.
     y0 = _start_vector(theta, phi, tuple(-a for a in lat.terms))
     step = _start_vector(theta, phi, (2,) + (0,) * (n - 1))
@@ -299,6 +392,10 @@ def lattice_vs_recursion_check(p: int, q: int) -> LatticeCheckReport:
     s = -y0[-1] * (step[-1] // 2) % p
     if any((2 * u + s * d) % (2 * p) for u, d in zip(y0, step)):
         raise InvariantError(f"conjugation does not pair the classes of L({p},{q})")
+    # The ascent reads y only where the shortened chain has an entry.
+    w, at = _shorten(_weights(lat.terms))
+    y0 = [y0[i] for i in at]
+    step = [step[i] for i in at]
     # Both sides are keyed by the integer p * value: a class's maximum of
     # y^T G y by maximum / p + n p, a label's 4d = N / p by its table entry N.
     class_keys: list[int] = []
@@ -308,7 +405,11 @@ def lattice_vs_recursion_check(p: int, q: int) -> LatticeCheckReport:
             class_keys.append(class_keys[mate])
             continue
         y = [u + c * d for u, d in zip(y0, step)]
-        key, rest = divmod(_max_square_scaled(w, _centred(y, p), p), p)
+        try:
+            top = _max_square_scaled(w, _centred(y, p), p)
+        except InvariantError as err:
+            raise InvariantError(f"class {c} of L({p},{q}): {err}") from None
+        key, rest = divmod(top, p)
         if rest:
             raise InvariantError(
                 f"max K^2 of class {c} of L({p},{q}) has a denominator not dividing {p}"

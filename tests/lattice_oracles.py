@@ -3,9 +3,10 @@ from the code they check.
 
 None of these is used by the package: the chain's Gram matrix and its
 closed-form adjugate, class membership and class keys read off the adjugate,
-the brute-force box search for the characteristic maxima, the lattice check
-built class by class through `max_char_square`, and the definition of
-conjugation equivariance checked on every residue.
+the brute-force box search for the characteristic maxima, the cost of a run
+of weight-0 vertices by enumerating its splits, the lattice check built
+class by class through `max_char_square`, and the definition of conjugation
+equivariance checked on every residue.
 """
 
 import itertools
@@ -106,6 +107,28 @@ def max_char_square_box(lat: Lattice, cls: CharClass, widen: int = 1) -> Fractio
     if key not in maxima:
         raise DomainError("box contains no representative of the class")
     return Fraction(maxima[key], p) + lat.rank
+
+
+def run_cost_by_splits(m: int, delta: int, p: int, total: int) -> int | None:
+    """Least sum of squares of m integers = delta (mod 2p) that add up to
+    `total`, by enumerating the splits up to order; None when there is none.
+
+    A best split has no two parts more than 2p apart (moving 2p from the
+    larger to the smaller part lowers the sum), and its parts average
+    total / m, so every part lies within |total| + 2p of 0.  Any m - 1 of
+    the parts, sorted, fix the last one.
+    """
+    step = 2 * p
+    bound = abs(total) + step
+    parts = range(-bound + (delta + bound) % step, bound + 1, step)
+    best = None
+    for head in itertools.combinations_with_replacement(parts, m - 1):
+        last = total - sum(head)
+        if (last - delta) % step == 0:
+            cost = sum(d * d for d in head) + last * last
+            if best is None or cost < best:
+                best = cost
+    return best
 
 
 def per_class_report(p: int, q: int) -> LatticeCheckReport:

@@ -13,6 +13,7 @@ from lattice_oracles import (
     gram,
     max_char_square_box,
     per_class_report,
+    run_cost_by_splits,
     same_class,
 )
 
@@ -24,6 +25,8 @@ from lenslab.plumblat import (
     _box_max,
     _continuants,
     _max_square_scaled,
+    _run_costs,
+    _shorten,
     _start_vector,
     _weights,
     char_classes,
@@ -317,6 +320,88 @@ def test_ascent_from_far_starts():
             assert Fraction(_max_square_scaled(_weights(lat.terms), far, p), p * p) == expected
 
 
+def test_run_cost_is_the_least_split():
+    # every split of T into m parts = delta (mod 2p), for two representatives
+    # of every class delta and every |T| <= 6p with T = m delta (mod 2p)
+    for p in range(1, 8):
+        step = 2 * p
+        for m in range(1, 6):
+            for delta in range(-step, step):
+                for total in range(-6 * p, 6 * p + 1):
+                    if (total - m * delta) % step == 0:
+                        expected = run_cost_by_splits(m, delta, p, total)
+                        got = _run_costs(total, step, m, delta)[2]
+                        assert got == expected, (m, delta, p, total)
+
+
+def _oracle_maxima(lat):
+    """(class, p, y0, pairwise-oracle maximum of y^T G y / p^2) per class.
+    The oracle runs once per pair of cosets y0 and -y0 + 2p Z^n, since
+    Q(-y) = Q(y)."""
+    maxima = {}
+    out = []
+    for cls in char_classes(lat):
+        p, y0 = _oracle_start_vector(lat.terms, cls.rep)
+        coset = tuple(v % (2 * p) for v in y0)
+        if coset not in maxima:
+            top = _oracle_max_square_scaled(lat.terms, y0, p)
+            maxima[coset] = maxima[tuple(-v % (2 * p) for v in y0)] = top
+        out.append((cls, p, y0, maxima[coset]))
+    return out
+
+
+@pytest.mark.parametrize("p", range(2, 41))
+def test_chains_with_runs_match_pairwise_oracle(p):
+    # q >= p/2 puts runs of 2s in the chain: q = p - 1 is one run
+    for q in range((p + 1) // 2, p):
+        if gcd(p, q) != 1:
+            continue
+        lat = lattice_from_hj(hj_expand(Fraction(p, q)))
+        for cls, _, _, top in _oracle_maxima(lat):
+            assert max_char_square(lat, cls) == top + lat.rank, q
+
+
+@pytest.mark.parametrize("r", [Fraction(41, 40), Fraction(29, 27), Fraction(23, 19)], ids=str)
+def test_ascent_through_runs_from_far_starts(r):
+    # the full chain and the shortened one, from the same far start
+    rng = random.Random(33)
+    lat = lattice_from_hj(hj_expand(r))
+    w = _weights(lat.terms)
+    short, at = _shorten(w)
+    assert len(short) < len(w)
+    for _, p, y0, expected in _oracle_maxima(lat):
+        far = [v + 2 * p * rng.randint(-6, 6) for v in y0]
+        assert Fraction(_max_square_scaled(w, far, p), p * p) == expected
+        shortened = [far[i] for i in at]
+        assert Fraction(_max_square_scaled(short, shortened, p), p * p) == expected
+
+
+def test_shorten_writes_each_run_once():
+    assert _shorten([1, 0, 0, 0, 1]) == ([1, -3, 1], [0, 1, 4])
+    assert _shorten([1, -3, 1]) == ([1, -3, 1], [0, 1, 2])
+    assert _shorten([0, 0, 1, 0, 2, 0]) == ([0, -1, 1, -1, 2, 0], [0, 1, 2, 3, 4, 5])
+    assert _shorten([2]) == ([2], [0])
+    # L(9,7) is [2, 2, 2, 3]: one run of 3 edges between the ends
+    assert _shorten(_weights((2, 2, 2, 3))) == ([1, -2, 2], [0, 1, 3])
+
+
+def test_sweep_work_is_linear_in_p(monkeypatch):
+    # q = p - 1 is one run of p - 2 edges, so each box has 2 vertices
+    import lenslab.plumblat as plumblat
+
+    real = plumblat._box_max
+    visited = []
+
+    def counted(w, y, step, runs):
+        visited.append(len(y))
+        return real(w, y, step, runs)
+
+    monkeypatch.setattr(plumblat, "_box_max", counted)
+    p = 1099
+    assert lattice_vs_recursion_check(p, p - 1).equal
+    assert sum(visited) <= 8 * p
+
+
 def _chain_form(w, z):
     return -sum(a * v * v for a, v in zip(w, z)) - sum(
         (u - v) ** 2 for u, v in zip(z, z[1:])
@@ -340,7 +425,7 @@ def test_box_max_matches_brute_force():
             y = [rng.randrange(-5 * step, 5 * step + 1) for _ in range(n)]
         box = itertools.product(*[(v - step, v, v + step) for v in y])
         expected = max(_chain_form(w, z) for z in box)
-        best, z = _box_max(w, y, step)
+        best, z = _box_max(w, y, step, [(1, 0)] * (n - 1))
         assert best == expected, (w, y, step)
         assert all(abs(u - v) in (0, step) for u, v in zip(z, y))
         assert _chain_form(w, z) == best
@@ -387,8 +472,9 @@ def test_class_value_off_the_1_over_p_grid_is_an_invariant_error(monkeypatch):
 
 
 def test_lattice_vs_recursion_wide_chains():
-    # q = p - 1 is the chain [2, ..., 2] of rank p - 1, the costliest q
-    for p in (37, 41, 53, 61):
+    # q = p - 1 is the chain [2, ..., 2] of rank p - 1, one run; 1099 is the
+    # longest chain the CLI admits
+    for p in (37, 41, 53, 61, 1099):
         assert lattice_vs_recursion_check(p, p - 1).equal
 
 
@@ -450,4 +536,22 @@ def test_broken_conjugation_congruence_is_an_invariant_error(monkeypatch):
     with pytest.raises(
         InvariantError, match=re.escape("conjugation does not pair the classes of L(9,7)")
     ):
+        lattice_vs_recursion_check(9, 7)
+
+
+def test_run_in_two_classes_is_an_invariant_error(monkeypatch):
+    import lenslab.plumblat as plumblat
+
+    real = plumblat._start_vector
+
+    def shifted(theta, phi, rep):
+        # L(9,7) is [2, 2, 2, 3]: one run of 3 edges from vertex 0 to vertex 3,
+        # whose class is read off y_0 - y_1.  +p on y_1 of the class-0 start
+        # vector keeps 2 y_0 + s step = 0 (mod 2p), so the conjugation check
+        # passes, but moves T - 3 delta to p (mod 2p)
+        y = real(theta, phi, rep)
+        return [y[0], y[1] + 9, *y[2:]] if rep[0] < 0 else y
+
+    monkeypatch.setattr(plumblat, "_start_vector", shifted)
+    with pytest.raises(InvariantError, match=re.escape("class 0 of L(9,7)")):
         lattice_vs_recursion_check(9, 7)
