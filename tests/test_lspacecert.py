@@ -617,6 +617,32 @@ def test_checker_rejects_a_one_premise_rule_on_a_borromean_node(cert):
         check_certificate(cert)
 
 
+# M(7/2,5/3,4) is the triangle of M(3,5/3,4) and M(4,5/3,4); M(3,2,1) is the
+# run of M(1,2,1) and L(2,1), the 1/0 filling at its first coordinate
+_SEVEN_HALVES = certify_borromean(Fraction(7, 2), Fraction(5, 3), Fraction(4))
+_THREE = certify_borromean(Fraction(3), Fraction(2), Fraction(1))
+
+
+@pytest.mark.parametrize("cert, node_id", [
+    # M(3,5/2,4) changes two coordinates, though |H1| adds up and 3 is the step at the first
+    (Certificate(_SEVEN_HALVES.conclusion, "triangle", (
+        certify_borromean(Fraction(3), Fraction(5, 2), Fraction(4)), _SEVEN_HALVES.premises[1])), 20),
+    (Certificate(_SEVEN_HALVES.conclusion, "triangle-run", (_SEVEN_HALVES,) * 2), 19),
+    (Certificate(_THREE.conclusion, "triangle",  # |H1| 6 = 2 + 4
+                 (connected_sum_lens_axiom([2]), connected_sum_lens_axiom([4]))), 2),
+    (_swapped(_SEVEN_HALVES), 18),
+    (_swapped(_THREE), 4),
+], ids=["two-coordinates", "the-conclusion-twice", "two-connected-sums", "swapped-triangle",
+        "swapped-run"])
+def test_checker_rejects_each_borromean_forgery_in_these_words(cert, node_id):
+    for premise in cert.premises:
+        check_certificate(premise)
+    message = (f"node {node_id} ({cert.rule}): "
+               f"the premises are not a {cert.rule} move on this borromean node")
+    with pytest.raises(CertificateCheckError, match=f"^{re.escape(message)}$"):
+        check_certificate(cert)
+
+
 @contextlib.contextmanager
 def _default_recursion_limit():
     old = sys.getrecursionlimit()
