@@ -1,14 +1,17 @@
 """Exact slope arithmetic: rationals, negative continued fractions, Farey parents.
 
-Slopes are `fractions.Fraction` values at every public interface (inside
-`lspacecert` they are integer pairs); nothing in this package touches
-floating point.  The slope infinity (the 1/0 filling) is a separate
-sentinel so it can never leak into ordinary arithmetic by accident.
+Slopes are `fractions.Fraction` values at every public interface; nothing
+in this package touches floating point.  The slope infinity (the 1/0
+filling) is a separate sentinel so it can never leak into ordinary
+arithmetic by accident.  The slope text grammar is here alone: `slope_pair`
+and `slope_text` read and write "p/q" as the reduced pair (p, q), q > 0,
+that `lspacecert` holds, and `parse_slope` and `format_slope` wrap them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import DomainError
 
@@ -36,26 +39,31 @@ def rational_reduce(num: int, den: int) -> Slope:
     return Fraction(num, den)
 
 
+def slope_text(pair: tuple[int, int]) -> str:
+    """The text of p/q: "p" when q = 1, else "p/q", so 1/0 is "1/0"."""
+    p, q = pair
+    return str(p) if q == 1 else f"{p}/{q}"
+
+
+def slope_pair(text: str) -> tuple[int, int]:
+    """Read "p/q" or "p" into (p, q), reduced, with q > 0."""
+    text = text.strip()
+    try:
+        num, den = map(int, text.split("/")) if "/" in text else (int(text), 1)
+        g = gcd(num, den) if den > 0 else -gcd(num, den) if den else 0  # q = 0 divides by 0
+        return num // g, den // g
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DomainError(f"not a rational slope: {text!r}") from exc
+
+
 def format_slope(r: Slope) -> str:
     """Canonical rendering: "num/den", den omitted when 1, sign on the numerator."""
-    if r is INFINITY:
-        return "1/0"
-    assert isinstance(r, Fraction)
-    if r.denominator == 1:
-        return str(r.numerator)
-    return f"{r.numerator}/{r.denominator}"
+    return slope_text((1, 0) if r is INFINITY else (r.numerator, r.denominator))
 
 
 def parse_slope(text: str) -> Fraction:
     """Parse "p/q" or "p" into an exact finite rational."""
-    text = text.strip()
-    try:
-        if "/" in text:
-            num, den = text.split("/")
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"not a rational slope: {text!r}") from exc
+    return Fraction(*slope_pair(text))
 
 
 def hj_expand(r: Fraction) -> list[int]:

@@ -58,11 +58,12 @@ descent meets, less those inside runs:
 
 A manifold is named by its view (kind, data), as `_view` rebuilds it from a
 fact, in memo keys, enumerated premises and the checker alike.  A view, like
-every Farey helper, holds a slope p/q as its reduced integer pair (p, q),
-q > 0, with 1/0 as (1, 0).  `Fraction` is met only at the edges: the public
-builders convert their slopes once on entry, and the checker's `_view`
-parses a fact's slope text.  A single vertex of weight w is L(w, 1), and the
-edgeless graph on one vertex is S3.
+every Farey helper, holds a slope as its reduced integer pair (p, q), q > 0,
+1/0 being (1, 0), from the text `slope_pair` reads to the text `slope_text`
+writes.  `Fraction` is met only in `pretzel_star` and where the public
+builders convert their slopes once on entry, so the checker builds none.  A
+single vertex of weight w is L(w, 1), and the edgeless graph on one vertex
+is S3.
 `_fact_of` builds the fact of every view, for the axiom constructors, the
 builders and the checker, and renders each fact's text once.  A tree's |H1|
 is computed once per tree object (`WeightedTree._h1`), which its fact and
@@ -78,13 +79,15 @@ reads the hint of the one move the premises name off their views, rebuilds
 that move with the builders' move function and compares (rule, premises).
 The hint of a split is the leaf the second premise decrements; of a Tait
 triangle or loop deletion, the first edge the deleted graph lacks; of a
-blow-down or bridge contraction, each weight-1 vertex or edge.  A surgery or
-Borromean triangle or run names its premises' slopes y0, y1, S3 being 1/0
-(a Borromean 1/0 only where the other two slopes are integers); if they are
-Farey neighbours and the conclusion's slope is y0 + k*y1, k >= 1, with no
-descent and no modular inverse, `_farey_move` rebuilds the move: a
-triangle, lower slope first, for k = 1, else a run, whose |H1| must be
-|H1(Y0)| + k*|H1(Y1)|.  So certificates of one triangle per step still check.
+blow-down or bridge contraction, each weight-1 vertex or edge; of a
+Borromean triangle or run, the coordinate the first Borromean premise
+changes first.  A surgery or Borromean triangle or run names its premises'
+slopes y0, y1 there, S3 being 1/0 (a Borromean 1/0 only where the other two
+are integers); if they are Farey neighbours and the conclusion's slope is
+y0 + k*y1, k >= 1, `_farey_move` rebuilds the move with no descent and no
+modular inverse: a triangle, lower slope first, for k = 1, else a run,
+whose |H1| must be |H1(Y0)| + k*|H1(Y1)|.  So certificates of one triangle
+per step still check.
 
 Trees and Tait graphs are validated where they enter, by their
 constructors, which the CLI loaders and the checker call on every graph
@@ -108,11 +111,11 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from math import ceil, floor, gcd, prod
+from math import gcd, prod
 from typing import Callable, Generator, Hashable, Iterable, Iterator
 
 from .errors import DomainError, HypothesisNotMetError, InvariantError
-from .exactnum import hj_expand, parse_slope
+from .exactnum import hj_expand, slope_pair, slope_text
 
 # Not called here; importable because perfbench/tracing.py wraps
 # `lspacecert.farey_parents` by name.
@@ -145,10 +148,7 @@ class Fact:
             )
 
     def param(self, key: str) -> str | None:
-        for k, v in self.params:
-            if k == key:
-                return v
-        return None
+        return next((v for k, v in self.params if k == key), None)
 
 
 def _fact(descriptor: str, h1: int, kind: str, **params: object) -> Fact:
@@ -377,17 +377,11 @@ def _fact_of(view: tuple[str, object], **extra: str) -> Fact:
         return _fact(desc, tait_det(data), kind, vertices=n, edges=edges)
     if kind == "surgery":
         knot, slope = data
-        text = _slope_text(slope)
+        text = slope_text(slope)
         return _fact(f"S3_{text}({knot})", slope[0], kind, knot=knot, slope=text, **extra)
-    slopes = ",".join(map(_slope_text, data))
+    slopes = ",".join(map(slope_text, data))
     desc = "M(1,1,1) = Poincare homology sphere" if slopes == "1,1,1" else f"M({slopes})"
     return _fact(desc, prod(p for p, _ in data), kind, slopes=slopes)
-
-
-def _slope_text(slope: Slope) -> str:
-    """The text of p/q: "p" when q = 1, else "p/q", so 1/0 is "1/0"."""
-    p, q = slope
-    return str(p) if q == 1 else f"{p}/{q}"
 
 
 _S3_VIEW = ("lens", (1, 1))  # the checker's view of the three-sphere, see _view
@@ -897,29 +891,29 @@ def propagate_slope(base: Certificate, target: Fraction) -> Certificate:
     each a run or a triangle whose |H1| additivity is the numerator sum.  S3
     is seeded, so `steps` meets surgery views alone.
     """
-    slope_text, knot = base.conclusion.param("slope"), base.conclusion.param("knot")
-    if slope_text is None or knot is None:
+    base_text, knot = base.conclusion.param("slope"), base.conclusion.param("knot")
+    if base_text is None or knot is None:
         raise DomainError("base certificate does not describe a surgery")
-    r = parse_slope(slope_text)
-    if r <= 0:
+    end = (target.numerator, target.denominator)
+    start = p, q = slope_pair(base_text)
+    if p <= 0:
         raise DomainError("slope propagation needs a positive base slope")
-    if target < r:
-        raise DomainError(f"target {target} below the base slope {r}")
+    if end[0] * q < p * end[1]:
+        raise DomainError(f"target {target} below the base slope {slope_text(start)}")
 
-    start, lifted = (r.numerator, r.denominator), (ceil(r), 1)
+    lifted = (-(-p // q), 1)
     memo = {_S3_VIEW: sphere_axiom(), _surgery_view(knot, start): base}
     if start != lifted:
         memo[_surgery_view(knot, lifted)] = Certificate(
             _fact_of(("surgery", (knot, lifted))), "rational-to-integer-lift", (base,)
         )
-    end = (target.numerator, target.denominator)
     moves = partial(_slope_moves, runs=_farey_runs(end, {start, lifted, (1, 0)}))
 
     def steps(view: tuple[str, tuple[str, Slope]], memo: dict) -> Steps:
         p, q = view[1][1]
         if q == 1 and p < lifted[0]:
             raise DomainError(
-                f"the Farey descent of {target} reaches {p}, below the base slope {r}"
+                f"the Farey descent of {target} reaches {p}, below the base slope {slope_text(start)}"
             )
         return _steps(view, memo, moves)
 
@@ -937,18 +931,17 @@ def certify_borromean(a: Fraction, b: Fraction, c: Fraction) -> Certificate:
     The Poincare sphere M(1,1,1) is the one leaf that is no lens space, and
     equal connected sums are one node wherever they are met.
     """
-    slopes = tuple(Fraction(x) for x in (a, b, c))
-    if any(x < 1 for x in slopes):
+    xs = tuple((x.numerator, x.denominator) for x in map(Fraction, (a, b, c)))
+    if any(p < q for p, q in xs):
         raise DomainError("all three slopes must be >= 1")
-    xs = tuple((x.numerator, x.denominator) for x in slopes)
     # The first fractional coordinate descends first, so the coordinates
     # after the last fractional one are integers while it descends: only
-    # there may it end at 1/0.  Elsewhere it ends at floor(x) and ceil(x).
-    fractional = [i for i, x in enumerate(slopes) if x.denominator != 1]
+    # there may it end at 1/0.  Elsewhere it ends at floor(x) and floor(x) + 1.
+    fractional = [i for i, (_, q) in enumerate(xs) if q != 1]
     runs = {}
     for i in fractional:
-        x = slopes[i]
-        runs[i] = _farey_runs(xs[i], {(floor(x), 1), (1, 0) if i == fractional[-1] else (ceil(x), 1)})
+        low = xs[i][0] // xs[i][1]
+        runs[i] = _farey_runs(xs[i], {(low, 1), (1, 0) if i == fractional[-1] else (low + 1, 1)})
     moves = partial(_borromean_moves, runs=runs)
     return _derive(("borromean", xs), partial(_steps, first_move=moves), {})
 
@@ -1078,13 +1071,11 @@ def _view(fact: Fact) -> tuple[str, object]:
     elif kind == "branched-double-cover":
         data = TaitGraph(int(_param(fact, "vertices")), _edges(_param(fact, "edges")))
     elif kind == "surgery":
-        knot, s = _param(fact, "knot"), parse_slope(_param(fact, "slope"))
-        data = (knot, (s.numerator, s.denominator))
+        data = (_param(fact, "knot"), slope_pair(_param(fact, "slope")))
     elif kind == "borromean":
-        slopes = [parse_slope(x) for x in _param(fact, "slopes").split(",")]
-        if len(slopes) != 3 or min(slopes) < 1:
+        data = tuple(map(slope_pair, _param(fact, "slopes").split(",")))
+        if len(data) != 3 or any(p < q for p, q in data):
             raise CertificateCheckError("Borromean surgeries need three slopes >= 1")
-        data = tuple((x.numerator, x.denominator) for x in slopes)
     else:
         raise CertificateCheckError(f"unknown kind of manifold {kind!r}")
     note = fact.param("note") if kind == "surgery" else None
@@ -1198,9 +1189,11 @@ def _named_surgery_moves(data: tuple[str, Slope], rule: str, premises: list) -> 
 
 
 def _named_borromean_moves(xs: tuple[Slope, ...], rule: str, premises: list) -> Iterable[tuple | None]:
-    """The Farey step at each coordinate between the premises' slopes there,
-    1/0 read only where the other two are integers, as the builder makes it."""
-    for idx in range(3):
+    """The Farey step between the premises' slopes at the first coordinate
+    the first Borromean premise changes, 1/0 read only where the other two
+    are integers, as the builder makes it."""
+    changed = next((_first_change(xs, data) for kind, data in premises if kind == "borromean"), [])
+    for idx in changed:
         integral = all(q == 1 for i, (_, q) in enumerate(xs) if i != idx)
         slopes = [view[1][idx] if view[0] == "borromean" else (1, 0) if integral else None
                   for view in premises]

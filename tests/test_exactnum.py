@@ -1,5 +1,6 @@
-"""Slope arithmetic: reduction, continued fractions, Farey parents."""
+"""Slope arithmetic: reduction, slope text, continued fractions, Farey parents."""
 
+import random
 from fractions import Fraction
 from math import ceil, floor, gcd
 
@@ -15,6 +16,8 @@ from lenslab.exactnum import (
     is_normalized_hj,
     parse_slope,
     rational_reduce,
+    slope_pair,
+    slope_text,
 )
 
 
@@ -131,3 +134,56 @@ def test_format_and_parse():
     assert parse_slope("18") == Fraction(18)
     with pytest.raises(DomainError):
         parse_slope("eighteen")
+
+
+def _fraction_of_text(text):
+    """The slope grammar as `Fraction` reads it: "p/q" or "p", each an
+    `int` literal, q != 0, the text stripped first."""
+    text = text.strip()
+    try:
+        if "/" in text:
+            num, den = text.split("/")
+            return Fraction(int(num), int(den))
+        return Fraction(int(text))
+    except (ValueError, ZeroDivisionError):
+        return f"not a rational slope: {text!r}"
+
+
+def _slope_texts():
+    texts = ["+3", "3_000", "\u0663", "0/-5", "2/4", "1//2", "1/2/3", "7" * 4301, "-0", "1/0",
+             "0/0", "/2", "2/", " 1 / 2 ", "1e3", "-3/-6", "1/0/", "", " ", "x", "0x10", "1.5"]
+    rng = random.Random(34)
+    for _ in range(2000):
+        sign, den_sign = rng.choice(["", "-", "+"]), rng.choice(["", "-", "+"])
+        num, den = rng.randrange(10 ** rng.randint(1, 30)), rng.randrange(50)
+        texts.append(f"{sign}{num}/{den_sign}{den}" if rng.random() < 0.8 else f"{sign}{num}")
+    return texts
+
+
+def test_slope_pair_is_the_slope_grammar_and_parse_slope_wraps_it():
+    """The reduced pair of each text, q > 0, or the same DomainError
+    message, as `Fraction` reads the text, and parse_slope alike."""
+    rejected = 0
+    for text in _slope_texts():
+        expected = _fraction_of_text(text)
+        for read in (slope_pair, parse_slope):
+            try:
+                got = read(text)
+            except DomainError as exc:
+                got = str(exc)
+            if isinstance(expected, str) or read is parse_slope:
+                assert got == expected, (read.__name__, text)
+            else:
+                assert got == (expected.numerator, expected.denominator), text
+        rejected += isinstance(expected, str)
+    assert rejected >= 40
+
+
+def test_slope_text_is_format_slope():
+    for value, pair, text in [(INFINITY, (1, 0), "1/0"), (Fraction(0), (0, 1), "0"),
+                              (Fraction(-1, 4), (-1, 4), "-1/4"), (Fraction(7, 3), (7, 3), "7/3")]:
+        assert slope_text(pair) == format_slope(value) == text
+    for text in _slope_texts():
+        value = _fraction_of_text(text)
+        if not isinstance(value, str):
+            assert slope_text(slope_pair(text)) == format_slope(value) == str(value)

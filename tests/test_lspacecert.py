@@ -1024,3 +1024,23 @@ def test_no_slope_fraction_is_hashed(monkeypatch):
         cert = build()
         assert check_certificate(cert) > 100
         assert len(certificate_json(cert)) > 10_000
+
+
+def test_the_checker_builds_no_fraction(monkeypatch):
+    """The checker reads slope text into integer pairs and compares them by
+    integer arithmetic.  Pretzel certificates are not checked here: their
+    star comes from `pretzel_star`, which expands a Fraction."""
+    deep = Fraction(fib(301), fib(300))
+    certs = [
+        propagate_slope(surgery_lspace_axiom("K", Fraction(1)), deep),
+        propagate_slope(surgery_lspace_axiom("K", Fraction(5, 2)), deep + 3),  # lifts 5/2 to 3
+        certify_borromean(Fraction(3, 2), Fraction(3, 2), deep),
+        certify_borromean(Fraction(7, 2), Fraction(5, 3), Fraction(4)),
+    ]
+
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("Fraction built")
+
+    monkeypatch.setattr(Fraction, "__new__", refuse)
+    for cert in certs:
+        assert check_certificate(cert) > 10
