@@ -3,9 +3,9 @@
 Slopes are `fractions.Fraction` values at every public interface; nothing
 in this package touches floating point.  The slope infinity (the 1/0
 filling) is a separate sentinel so it can never leak into ordinary
-arithmetic by accident.  The slope text grammar is here alone: `slope_pair`
-and `slope_text` read and write "p/q" as the reduced pair (p, q), q > 0,
-that `lspacecert` holds, and `parse_slope` and `format_slope` wrap them.
+arithmetic by accident.  The one slope text grammar, "p/q" or "p", is read
+into the reduced pair (p, q), q > 0, by `slope_pair` and written back by
+`slope_text`; `parse_slope` and `format_slope` wrap them.
 """
 
 from __future__ import annotations
@@ -41,8 +41,7 @@ def rational_reduce(num: int, den: int) -> Slope:
 
 def slope_text(pair: tuple[int, int]) -> str:
     """The text of p/q: "p" when q = 1, else "p/q", so 1/0 is "1/0"."""
-    p, q = pair
-    return str(p) if q == 1 else f"{p}/{q}"
+    return str(pair[0]) if pair[1] == 1 else f"{pair[0]}/{pair[1]}"
 
 
 def slope_pair(text: str) -> tuple[int, int]:

@@ -40,12 +40,11 @@ move is not legal.  The builders' enumerators call it in order:
     counts each minor's spanning trees once and takes the first.
 
 Slopes and Borromean surgeries descend along the target's continued
-fraction instead, one node per partial quotient, computed once per target
-by `_farey_runs`: convergent c_i = c_(i-2) + a_i*c_(i-1) is a run for
-a_i >= 2 and a triangle, lower slope first, for a_i = 1.  A run that passes
-a slope the descent stops at (the base, its lift) starts there instead,
-with k reduced.  So a certificate holds exactly the slopes the plain Farey
-descent meets, less those inside runs:
+fraction instead, one node per partial quotient a_i, computed once per
+target by `_farey_runs`: a run for a_i >= 2 and a triangle, lower slope
+first, for a_i = 1, cut short at a slope the descent stops at.  So a
+certificate holds exactly the slopes the plain Farey descent meets, less
+those inside runs:
 
   * `_slope_moves`: the run or triangle of a slope, down to the base, its
     lift and 1/0, the three-sphere;
@@ -89,16 +88,14 @@ modular inverse: a triangle, lower slope first, for k = 1, else a run,
 whose |H1| must be |H1(Y0)| + k*|H1(Y1)|.  So certificates of one triangle
 per step still check.
 
-Trees and Tait graphs are validated where they enter, by their
-constructors, which the CLI loaders and the checker call on every graph
-they read; each shape bound, the vertex bound included, is the graph's own.
-The CLI adds one cost cap per kind.  A move builds the tree or graph it
-derives through `_moved`, without re-validation.
-
 Every fact carries the data that names its manifold (tree weights and edges,
 a Tait edge list, surgery slopes), from which the checker rebuilds it,
-recomputing |H1|.  Builders, checker and serialiser visit each distinct
-node once and never recurse.
+recomputing |H1|.  Trees and Tait graphs are validated where they enter, by
+their constructors, which the CLI loaders and the checker call on every
+graph they read; each shape bound, the vertex bound included, is the
+graph's own, and the CLI adds one cost cap per kind.  A move builds the tree
+or graph it derives through `_moved`, without re-validation.  Builders,
+checker and serialiser visit each distinct node once and never recurse.
 
 Certified conclusions are monopole L-spaces, hence manifolds admitting no
 taut foliation.
@@ -878,8 +875,7 @@ def _surgery_view(knot: str, s: Slope) -> tuple[str, object]:
 
 
 def _slope_moves(data: tuple[str, Slope], runs: dict) -> tuple:
-    knot, s = data
-    return _farey_move(*runs[s], lambda y: _surgery_view(knot, y))
+    return _farey_move(*runs[data[1]], partial(_surgery_view, data[0]))
 
 
 def propagate_slope(base: Certificate, target: Fraction) -> Certificate:
@@ -900,7 +896,6 @@ def propagate_slope(base: Certificate, target: Fraction) -> Certificate:
         raise DomainError("slope propagation needs a positive base slope")
     if end[0] * q < p * end[1]:
         raise DomainError(f"target {target} below the base slope {slope_text(start)}")
-
     lifted = (-(-p // q), 1)
     memo = {_S3_VIEW: sphere_axiom(), _surgery_view(knot, start): base}
     if start != lifted:
@@ -1035,19 +1030,26 @@ def check_certificate(cert: Certificate) -> int:
     return _tree_count(nodes)
 
 
-def _param(fact: Fact, key: str) -> str:
+def _param(fact: Fact, key: str, read: Callable[[str], object] = str):
+    """The param `key`, read by `read`; text it cannot read names the kind and the param."""
     value = fact.param(key)
     if value is None:
         raise CertificateCheckError(f"{fact.kind} fact lacks the parameter {key!r}")
-    return value
+    try:
+        return read(value)
+    except ValueError:
+        raise CertificateCheckError(f"{fact.kind} fact has a malformed parameter {key!r}") from None
+
+
+def _ints(text: str, sep: str = ",") -> tuple[int, ...]:
+    return tuple(map(int, text.split(sep)))
 
 
 def _edges(text: str) -> tuple[tuple[int, int], ...]:
-    out = []
-    for edge in text.split(",") if text else ():
-        a, b = edge.split("-")
-        out.append((int(a), int(b)))
-    return tuple(out)
+    edges = tuple(_ints(edge, "-") for edge in text.split(",") if text)
+    if any(len(edge) != 2 for edge in edges):
+        raise ValueError("an edge joins two vertices")
+    return edges
 
 
 def _view(fact: Fact) -> tuple[str, object]:
@@ -1058,18 +1060,17 @@ def _view(fact: Fact) -> tuple[str, object]:
     """
     kind = fact.kind
     if kind == "lens":
-        data = (int(_param(fact, "p")), int(_param(fact, "q")))
+        data = (_param(fact, "p", int), _param(fact, "q", int))
         if not _is_lens_pair(*data):
             raise CertificateCheckError(f"no lens space L{data}")
     elif kind == "connected-sum-lens":
-        data = tuple(int(p) for p in _param(fact, "orders").split(","))
+        data = _param(fact, "orders", _ints)
         if min(data) < 2:
             raise CertificateCheckError("connected-sum orders must be >= 2")
     elif kind == "tree-boundary":
-        weights = tuple(int(w) for w in _param(fact, "weights").split(","))
-        data = WeightedTree(weights, _edges(_param(fact, "edges")))
+        data = WeightedTree(_param(fact, "weights", _ints), _param(fact, "edges", _edges))
     elif kind == "branched-double-cover":
-        data = TaitGraph(int(_param(fact, "vertices")), _edges(_param(fact, "edges")))
+        data = TaitGraph(_param(fact, "vertices", int), _param(fact, "edges", _edges))
     elif kind == "surgery":
         data = (_param(fact, "knot"), slope_pair(_param(fact, "slope")))
     elif kind == "borromean":
@@ -1192,8 +1193,7 @@ def _named_borromean_moves(xs: tuple[Slope, ...], rule: str, premises: list) -> 
     """The Farey step between the premises' slopes at the first coordinate
     the first Borromean premise changes, 1/0 read only where the other two
     are integers, as the builder makes it."""
-    changed = next((_first_change(xs, data) for kind, data in premises if kind == "borromean"), [])
-    for idx in changed:
+    for idx in next((_first_change(xs, data) for kind, data in premises if kind == "borromean"), []):
         integral = all(q == 1 for i, (_, q) in enumerate(xs) if i != idx)
         slopes = [view[1][idx] if view[0] == "borromean" else (1, 0) if integral else None
                   for view in premises]

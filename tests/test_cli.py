@@ -20,6 +20,8 @@ from lenslab.lspacecert import (
     certify_alternating,
     certify_borromean,
     certify_tree,
+    connected_sum_lens_axiom,
+    lens_axiom,
     propagate_slope,
     surgery_lspace_axiom,
 )
@@ -661,6 +663,31 @@ def test_lspace_check_rejects_a_one_premise_rule_on_a_borromean_node_in_one_line
     assert err.splitlines() == [
         "error: certificate rejected: node 1 (blow-down): "
         "the premises are not a blow-down move on this borromean node"
+    ]
+
+
+@pytest.mark.parametrize("cert, param, text", [
+    (connected_sum_lens_axiom([2, 3]), "orders", "2,x"),
+    (connected_sum_lens_axiom([2, 3]), "orders", ""),
+    (certify_tree(WeightedTree((2, 2), ((0, 1),))), "edges", "0-1-2"),
+    (certify_tree(WeightedTree((2, 2), ((0, 1),))), "weights", "2,,2"),
+    (certify_alternating(TaitGraph(2, ((0, 1), (0, 1)))), "edges", "0-1,1"),
+    (certify_alternating(TaitGraph(2, ((0, 1), (0, 1)))), "vertices", "2.0"),
+    (lens_axiom(5), "p", "5,1"),
+    (lens_axiom(5), "q", "9" * 5000),  # past int()'s digit limit
+], ids=["orders-not-an-integer", "orders-empty", "edge-of-three-vertices", "weights-empty-entry",
+        "edge-of-one-vertex", "vertices-not-an-integer", "p-a-list", "q-too-long"])
+def test_lspace_check_names_a_malformed_param_in_one_line(tmp_path, capsys, cert, param, text):
+    table = cert.to_json_dict()
+    root = table["nodes"][table["root"]]
+    root["conclusion"]["params"][param] = text
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(table))
+    code, out, err = run_cli(capsys, "lspace", "check", str(path))
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        f"error: certificate rejected: node {table['root']} ({root['rule']}): "
+        f"{root['conclusion']['kind']} fact has a malformed parameter {param!r}"
     ]
 
 
