@@ -3,9 +3,8 @@
 Slopes are `fractions.Fraction` values at every public interface; nothing
 in this package touches floating point.  The slope infinity (the 1/0
 filling) is a separate sentinel so it can never leak into ordinary
-arithmetic by accident.  The one slope text grammar, "p/q" or "p", is read
-into the reduced pair (p, q), q > 0, by `slope_pair` and written back by
-`slope_text`; `parse_slope` and `format_slope` wrap them.
+arithmetic by accident.  `slope_pair` and `slope_text` are the one slope
+text grammar, "p/q" or "p" for the reduced pair (p, q), q > 0.
 """
 
 from __future__ import annotations

@@ -59,10 +59,9 @@ A manifold is named by its view (kind, data), as `_view` rebuilds it from a
 fact, in memo keys, enumerated premises and the checker alike.  A view, like
 every Farey helper, holds a slope as its reduced integer pair (p, q), q > 0,
 1/0 being (1, 0), from the text `slope_pair` reads to the text `slope_text`
-writes.  `Fraction` is met only in `pretzel_star` and where the public
-builders convert their slopes once on entry, so the checker builds none.  A
-single vertex of weight w is L(w, 1), and the edgeless graph on one vertex
-is S3.
+writes.  `Fraction` is met only where the public builders convert their
+slopes once on entry, and in `pretzel_star`.  A single vertex of weight w is
+L(w, 1), and the edgeless graph on one vertex is S3.
 `_fact_of` builds the fact of every view, for the axiom constructors, the
 builders and the checker, and renders each fact's text once.  A tree's |H1|
 is computed once per tree object (`WeightedTree._h1`), which its fact and
@@ -80,13 +79,12 @@ The hint of a split is the leaf the second premise decrements; of a Tait
 triangle or loop deletion, the first edge the deleted graph lacks; of a
 blow-down or bridge contraction, each weight-1 vertex or edge; of a
 Borromean triangle or run, the coordinate the first Borromean premise
-changes first.  A surgery or Borromean triangle or run names its premises'
-slopes y0, y1 there, S3 being 1/0 (a Borromean 1/0 only where the other two
-are integers); if they are Farey neighbours and the conclusion's slope is
+changes first.  There a surgery or Borromean node names its premises'
+slopes y0, y1, S3 being 1/0 (a Borromean 1/0 only where the other two are
+integers); if they are Farey neighbours and the conclusion's slope is
 y0 + k*y1, k >= 1, `_farey_move` rebuilds the move with no descent and no
-modular inverse: a triangle, lower slope first, for k = 1, else a run,
-whose |H1| must be |H1(Y0)| + k*|H1(Y1)|.  So certificates of one triangle
-per step still check.
+modular inverse: a triangle, lower slope first, for k = 1, else a run with
+|H1| = |H1(Y0)| + k*|H1(Y1)|, so one triangle per step still checks.
 
 Every fact carries the data that names its manifold (tree weights and edges,
 a Tait edge list, surgery slopes), from which the checker rebuilds it,
@@ -145,7 +143,10 @@ class Fact:
             )
 
     def param(self, key: str) -> str | None:
-        return next((v for k, v in self.params if k == key), None)
+        for k, v in self.params:
+            if k == key:
+                return v
+        return None
 
 
 def _fact(descriptor: str, h1: int, kind: str, **params: object) -> Fact:
@@ -875,7 +876,8 @@ def _surgery_view(knot: str, s: Slope) -> tuple[str, object]:
 
 
 def _slope_moves(data: tuple[str, Slope], runs: dict) -> tuple:
-    return _farey_move(*runs[data[1]], partial(_surgery_view, data[0]))
+    knot, s = data
+    return _farey_move(*runs[s], lambda y: _surgery_view(knot, y))
 
 
 def propagate_slope(base: Certificate, target: Fraction) -> Certificate:
@@ -929,9 +931,8 @@ def certify_borromean(a: Fraction, b: Fraction, c: Fraction) -> Certificate:
     xs = tuple((x.numerator, x.denominator) for x in map(Fraction, (a, b, c)))
     if any(p < q for p, q in xs):
         raise DomainError("all three slopes must be >= 1")
-    # The first fractional coordinate descends first, so the coordinates
-    # after the last fractional one are integers while it descends: only
-    # there may it end at 1/0.  Elsewhere it ends at floor(x) and floor(x) + 1.
+    # Fractional coordinates descend in order, so only the last has integers
+    # after it: it ends at floor(x) and 1/0, the others at floor(x) and floor(x) + 1.
     fractional = [i for i, (_, q) in enumerate(xs) if q != 1]
     runs = {}
     for i in fractional:
