@@ -39,9 +39,9 @@ per box whatever the chain's length.  Every arithmetic step is integer
 arithmetic.
 
 `lattice_vs_recursion_check` sweeps the classes once per lattice.  It
-computes the continuants, the weights w_i and the normalization check once.
-Class c = 0..p-1 is represented by K_0 + 2c e_1, and the start vector is
-linear in K, so class c starts at y_0 + c step, where step is the start
+computes the continuants, the shortened chain and the normalization check
+once.  Class c = 0..p-1 is represented by K_0 + 2c e_1, and the start vector
+is linear in K, so class c starts at y_0 + c step, where step is the start
 vector of 2 e_1; no per-class representative or Fraction is built, and the
 sweep reads y_0 and step only at the kept vertices and at the first vertex
 of each run, so it costs O(p log p) for every q.  Each class's integer
@@ -262,9 +262,9 @@ def _shorten(w: list[int]) -> tuple[list[int], list[int]]:
     entry -r, r its number of vertices, and the index in w of each entry: a
     kept vertex's, or the first vertex of a stretch.
 
-    A normalized chain has w_i >= 0, and the interior zeros are its a_i = 2.
-    An interior entry -r of w counts as r vertices and an interior 0 as one,
-    so a shortened w shortens to itself.
+    w is `_weights` of a normalized chain, so every w_i >= 0, and the
+    interior zeros are its a_i = 2.  Each chain is shortened once, and
+    `_max_square_scaled` takes the shortened form only.
     """
     n = len(w)
     short, at = [w[0]], [0]
@@ -273,20 +273,18 @@ def _shorten(w: list[int]) -> tuple[list[int], list[int]]:
         if i == n - 1 or a > 0:
             short.append(a)
             at.append(i)
-            continue
-        r = max(-a, 1)
-        if short[-1] < 0:
-            short[-1] -= r
+        elif short[-1] < 0:
+            short[-1] -= 1
         else:
-            short.append(-r)
+            short.append(-1)
             at.append(i)
     return short, at
 
 
 def _max_square_scaled(w: list[int], y0: list[int], p: int) -> int:
-    """max of y^T G y over y in y0 + 2p Z^n, exact, with w = _weights(terms)
-    and y0 read at the indices `_shorten` keeps: w may come shortened, with
-    y0 holding the values at its entries only.
+    """max of y^T G y over y in y0 + 2p Z^n, exact, on the shortened chain:
+    w, at = _shorten(_weights(terms)), and y0 holds the start's values at
+    the indices `at` only.
 
     y^T G y = -sum w_i y_i^2 - sum (y_i - y_(i+1))^2, and w_i >= 0 for a
     normalized expansion.  Take a run of m unit edges from a kept vertex u to
@@ -309,11 +307,9 @@ def _max_square_scaled(w: list[int], y0: list[int], p: int) -> int:
     class mod 2p is an invariant error.
     """
     step = 2 * p
-    w, at = _shorten(w)
     kept, y, runs = [w[0]], [y0[0]], []
     m = 1
-    for a, i in zip(w[1:], at[1:]):
-        v = y0[i]
+    for a, v in zip(w[1:], y0[1:]):
         if a < 0:  # a stretch of -a vertices, and its first value
             m, first = 1 - a, v
             continue
@@ -343,8 +339,10 @@ def max_char_square(lat: Lattice, cls: CharClass) -> Fraction:
     theta = _continuants(lat.terms)
     phi = _continuants(lat.terms[::-1])
     p = abs(theta[-1])
-    start = _centred(_start_vector(theta, phi, cls.rep), p)
-    return Fraction(_max_square_scaled(_weights(lat.terms), start, p), p * p) + lat.rank
+    w, at = _shorten(_weights(lat.terms))
+    start = _start_vector(theta, phi, cls.rep)
+    top = _max_square_scaled(w, _centred([start[i] for i in at], p), p)
+    return Fraction(top, p * p) + lat.rank
 
 
 @dataclass(frozen=True)
@@ -354,7 +352,7 @@ class LatticeCheckReport:
     lattice_multiset: tuple[Fraction, ...]
     recursion_multiset: tuple[Fraction, ...]
     equal: bool
-    matching: tuple[tuple[str, tuple[int, ...], tuple[int, ...]], ...]
+    class_keys: tuple[int, ...]  # p * (max K^2 + n) of classes 0..p-1, in order
 
     def to_json_dict(self) -> dict:
         return {
@@ -373,8 +371,8 @@ def lattice_vs_recursion_check(p: int, q: int) -> LatticeCheckReport:
     the smaller index, and both get its key; a start vector that breaks the
     pairing congruence, or whose run differences fall in two classes mod 2p,
     is an invariant error naming L(p,q).  A mismatch is reported, not
-    raised.  The value-level matching between class indices and labels is
-    included; it is the only correspondence the construction pins down.
+    raised.  The chain is shortened once, and the report keeps each class's
+    key, p * (max K^2 + n), in class order as `class_keys`.
     """
     if not (0 < q < p) or gcd(p, q) != 1:
         raise DomainError(f"need coprime 0 < q < p, got ({p}, {q})")
@@ -416,19 +414,8 @@ def lattice_vs_recursion_check(p: int, q: int) -> LatticeCheckReport:
             )
         class_keys.append(key + n * p)
     label_keys = scaled_d_table(LensSpace(p, q))
-
-    by_key: dict[int, tuple[list[int], list[int]]] = {}
-    for c, k in enumerate(class_keys):
-        by_key.setdefault(k, ([], []))[0].append(c)
-    for i, k in enumerate(label_keys):
-        by_key.setdefault(k, ([], []))[1].append(i)
-    value = {k: Fraction(k, p) for k in by_key}
-    matching = tuple(
-        (f"{value[k].numerator}/{value[k].denominator}", tuple(cs), tuple(ls))
-        for k, (cs, ls) in sorted(by_key.items())
-    )
-    a = sorted(class_keys)
-    b = sorted(label_keys)
+    a, b = sorted(class_keys), sorted(label_keys)
+    value = {k: Fraction(k, p) for k in {*a, *b}}
     return LatticeCheckReport(
-        p, q, tuple(value[k] for k in a), tuple(value[k] for k in b), a == b, matching
+        p, q, tuple(value[k] for k in a), tuple(value[k] for k in b), a == b, tuple(class_keys)
     )

@@ -133,20 +133,13 @@ def run_cost_by_splits(m: int, delta: int, p: int, total: int) -> int | None:
 
 def per_class_report(p: int, q: int) -> LatticeCheckReport:
     """`lattice_vs_recursion_check(p, q)` class by class: one `max_char_square`
-    per `char_classes` representative, and the labels' values 4d as Fractions."""
+    per `char_classes` representative, keyed by p times its value, and the
+    labels' values 4d as Fractions."""
     lat = lattice_from_hj(hj_expand(Fraction(p, q)))
     class_values = [max_char_square(lat, cls) for cls in char_classes(lat)]
     label_values = [4 * d for d in d_table(LensSpace(p, q)).values]
-    by_value: dict[Fraction, tuple[list[int], list[int]]] = {}
-    for side, values in enumerate((class_values, label_values)):
-        for index, v in enumerate(values):
-            by_value.setdefault(v, ([], []))[side].append(index)
-    matching = tuple(
-        (f"{v.numerator}/{v.denominator}", tuple(cs), tuple(ls))
-        for v, (cs, ls) in sorted(by_value.items())
-    )
     a, b = tuple(sorted(class_values)), tuple(sorted(label_values))
-    return LatticeCheckReport(p, q, a, b, a == b, matching)
+    return LatticeCheckReport(p, q, a, b, a == b, tuple(p * v for v in class_values))
 
 
 def is_equivariant(sigma: Correspondence) -> bool:

@@ -19,6 +19,7 @@ from lattice_oracles import (
 
 from lenslab.errors import DomainError, InvariantError
 from lenslab.exactnum import hj_expand
+from lenslab.lensdi import LensSpace, scaled_d_table
 from lenslab.plumblat import (
     CharClass,
     Lattice,
@@ -209,12 +210,10 @@ def test_check_rejects_bad_pairs():
         lattice_vs_recursion_check(3, 3)
 
 
-def test_matching_partitions_everything():
+def test_class_keys_sort_to_the_scaled_table():
     report = lattice_vs_recursion_check(9, 7)
-    classes = [c for _, cs, _ in report.matching for c in cs]
-    labels = [l for _, _, ls in report.matching for l in ls]
-    assert sorted(classes) == list(range(9))
-    assert sorted(labels) == list(range(9))
+    assert len(report.class_keys) == 9
+    assert sorted(report.class_keys) == sorted(scaled_d_table(LensSpace(9, 7)))
 
 
 # --- the pairwise dynamic program, kept as an oracle for the envelope -------
@@ -313,11 +312,13 @@ def test_ascent_from_far_starts():
     rng = random.Random(9)
     for r in (Fraction(13, 12), Fraction(19, 7), Fraction(17, 5), Fraction(3, 4), Fraction(11, 1)):
         lat = lattice_from_hj(hj_expand(r))
+        w, at = _shorten(_weights(lat.terms))
         for cls in char_classes(lat):
             p, y0 = _oracle_start_vector(lat.terms, cls.rep)
             expected = _oracle_max_square_scaled(lat.terms, y0, p)
             far = [v + 2 * p * rng.randint(-6, 6) for v in y0]
-            assert Fraction(_max_square_scaled(_weights(lat.terms), far, p), p * p) == expected
+            shortened = [far[i] for i in at]
+            assert Fraction(_max_square_scaled(w, shortened, p), p * p) == expected
 
 
 def test_run_cost_is_the_least_split():
@@ -363,7 +364,7 @@ def test_chains_with_runs_match_pairwise_oracle(p):
 
 @pytest.mark.parametrize("r", [Fraction(41, 40), Fraction(29, 27), Fraction(23, 19)], ids=str)
 def test_ascent_through_runs_from_far_starts(r):
-    # the full chain and the shortened one, from the same far start
+    # the shortened chain, from a far start
     rng = random.Random(33)
     lat = lattice_from_hj(hj_expand(r))
     w = _weights(lat.terms)
@@ -371,14 +372,12 @@ def test_ascent_through_runs_from_far_starts(r):
     assert len(short) < len(w)
     for _, p, y0, expected in _oracle_maxima(lat):
         far = [v + 2 * p * rng.randint(-6, 6) for v in y0]
-        assert Fraction(_max_square_scaled(w, far, p), p * p) == expected
         shortened = [far[i] for i in at]
         assert Fraction(_max_square_scaled(short, shortened, p), p * p) == expected
 
 
 def test_shorten_writes_each_run_once():
     assert _shorten([1, 0, 0, 0, 1]) == ([1, -3, 1], [0, 1, 4])
-    assert _shorten([1, -3, 1]) == ([1, -3, 1], [0, 1, 2])
     assert _shorten([0, 0, 1, 0, 2, 0]) == ([0, -1, 1, -1, 2, 0], [0, 1, 2, 3, 4, 5])
     assert _shorten([2]) == ([2], [0])
     # L(9,7) is [2, 2, 2, 3]: one run of 3 edges between the ends
@@ -518,6 +517,22 @@ def test_one_ascent_per_conjugate_pair(monkeypatch):
         assert len(calls) <= p // 2 + 1, (p, q)
         if p % 2:
             assert len(calls) == (p + 1) // 2, (p, q)
+
+
+@pytest.mark.parametrize("p, q", [(9, 7), (41, 40), (37, 11)])
+def test_one_check_shortens_its_chain_once(monkeypatch, p, q):
+    import lenslab.plumblat as plumblat
+
+    real = plumblat._shorten
+    calls = []
+
+    def counted(w):
+        calls.append(w)
+        return real(w)
+
+    monkeypatch.setattr(plumblat, "_shorten", counted)
+    assert lattice_vs_recursion_check(p, q).equal
+    assert len(calls) == 1
 
 
 def test_broken_conjugation_congruence_is_an_invariant_error(monkeypatch):
