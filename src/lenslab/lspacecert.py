@@ -858,10 +858,12 @@ def _farey_runs(target: Slope, stops: set) -> dict[Slope, tuple[Slope, Slope, in
     return runs
 
 
-def _farey_move(y0: Slope, y1: Slope, k: int, view: Callable[[Slope], tuple]) -> tuple:
+def _farey_move(
+    y0: Slope, y1: Slope, k: int, view: Callable[[Slope], tuple], det: int | None = None
+) -> tuple:
     """The move y0 + k*y1: a run for k >= 2, else a triangle, its lower
-    slope first."""
-    if k == 1 and _det(y0, y1) > 0:
+    slope first; det is _det(y0, y1) when the caller has it."""
+    if k == 1 and (_det(y0, y1) if det is None else det) > 0:
         y0, y1 = y1, y0
     return ("triangle-run" if k > 1 else "triangle"), (view(y0), view(y1)), k
 
@@ -1169,10 +1171,10 @@ def _named_tait_moves(graph: TaitGraph, rule: str, premises: list) -> Iterable[t
 
 def _farey_step(x: Slope, slopes: list, view: Callable[[Slope], tuple]) -> tuple | None:
     """The move x = y0 + k*y1, k >= 1, between two premises' neighbouring slopes y0, y1."""
-    if len(slopes) != 2 or None in slopes or abs(_det(*slopes)) != 1:
+    if len(slopes) != 2 or None in slopes or abs(det := _det(*slopes)) != 1:
         return None
     k = _multiple(x, *slopes)
-    return _farey_move(*slopes, k, view) if k is not None and k > 0 else None
+    return _farey_move(*slopes, k, view, det) if k is not None and k > 0 else None
 
 
 def _named_surgery_moves(data: tuple[str, Slope], rule: str, premises: list) -> Iterable[tuple | None]:

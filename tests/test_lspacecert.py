@@ -249,6 +249,25 @@ def test_each_tait_minor_counts_its_spanning_trees_once(monkeypatch, graph, mino
     assert len(counted) == len(distinct) == minors
 
 
+@pytest.mark.parametrize("build, kind, steps", [
+    (lambda: certify_borromean(Fraction(3, 2), Fraction(3, 2), Fraction(fib(31), fib(30))),
+     "borromean", 118),
+    (lambda: propagate_slope(surgery_lspace_axiom("K", Fraction(1)), Fraction(fib(301), fib(300))),
+     "surgery", 298),
+], ids=["borromean", "slope"])
+def test_the_checker_takes_one_determinant_per_farey_step(monkeypatch, build, kind, steps):
+    cert = build()
+    nodes = cert.to_json_dict()["nodes"]
+    farey = [node for node in nodes
+             if node["rule"] in ("triangle", "triangle-run") and node["conclusion"]["kind"] == kind]
+    assert len(farey) == steps
+    det = lspacecert._det
+    counted = []
+    monkeypatch.setattr(lspacecert, "_det", lambda y0, y1: counted.append(y0) or det(y0, y1))
+    check_certificate(cert)
+    assert len(counted) == steps
+
+
 def _six_gated_trees():
     """Random gated trees on 16 vertices, weights degree + 1..3: 9,397
     distinct tree-boundary nodes between them."""
