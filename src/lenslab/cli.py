@@ -122,16 +122,18 @@ MAX_DIM = 1000
 # `dinv 399999 399998` took 2.1 s and `alexlens 80001 10000 --literal-Lsigma
 # --no-pm1-filter` (one candidate, 2.2 MB of output; a space with a candidate
 # costs the most) 2.0-2.2 s.  `lattice-check` sweeps its classes in
-# O(p log p) for every q, since a run of 2s in the chain is one edge, so its
-# cap is far below 2 s: the slowest q at p = 1097 and 1099 (704 and 804 in a
-# sweep over every q, 31-40 ms in the library, like the next few) took
-# 0.14-0.21 s and `lattice-check 1099 1098` (the longest chain, one run)
-# 0.13-0.19 s, 9 runs each in a fresh interpreter compiling the package from
-# source, most of it start-up.  Sampled q put the slowest q near 2 s at p of
-# about 40,000-50,000.
+# O(p log p) for every q, since a run of 2s in the chain is one edge, and its
+# cap keeps the slowest sampled q under 2 s (wall time in a fresh interpreter
+# compiling the package from source, one cap-lifted run per q, on the same
+# VM).  33 q per p were sampled, 31 of them coprime at an even p: the nine
+# around 0.382p, the nine around 0.618p, 2, p - 2, p - 1 and seeded random
+# q.  The slowest took 1.06 s at p = 20,011, 1.40 s at 30,000, 1.76 s at
+# 35,000, 1.98 s at 40,000 (2.15 s on a re-run), 1.70 s at 40,009 and
+# 2.55 s at 50,021; re-timing the four slowest at 35,000 three more times
+# gave 1.37-1.85 s.
 MAX_DINV_P = 400_000
 MAX_ALEXLENS_P = 80_000
-MAX_LATTICE_P = 1_100
+MAX_LATTICE_P = 35_000
 # The largest pmax `genus-scan` accepts, given as --pmax or else the default
 # radius 12g - 7.  The scan builds the d-tables of every order up to pmax: a
 # 20-digit genus overflowed a list size and a 20-digit --pmax never returned.
