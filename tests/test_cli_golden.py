@@ -34,7 +34,7 @@ def invocations() -> list[list[str]]:
             runs += [
                 pq, pq + ["--literal-Lsigma"], ["--json"] + pq, pq + ["--no-pm1-filter"],
             ]
-    for g in ("2", "3"):
+    for g in ("2", "3", "6"):
         runs += [["genus-scan", g], ["--json", "genus-scan", g, "--no-pm1-filter"]]
     runs.append(["lattice-check", "9", "7"])
     for n in range(26):
