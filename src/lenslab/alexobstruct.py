@@ -22,12 +22,18 @@ polynomial is recovered through the second-difference inverse
 
     a_i = T_{i-1} - 2 T_i + T_{i+1}  (i >= 1),    a_0 = 1 - 2 sum a_i.
 
+The optional pm1-alternating filter reads the same integers before any
+polynomial is built: the coefficients are +-1 and alternate in sign exactly
+when T falls by 0 or 1 at each step down to 0 (Ozsvath-Szabo,
+arXiv:math/0303017; Ni-Wu, arXiv:1009.4720, Prop. 1.6, with T_s = V_s),
+that is when every step N_{i+1} - N_i, with a 0 appended past p/2, is 0 or 8p.
+
 Sign calibration: with the recursion as the d-values of L(p, *) itself this
 normalization reproduces the (2,5)-torus-knot polynomial for L(9,7) with
 sigma(i) = 3 + 4i, and only then.  The one-sided formula that builds the
 polynomial directly from t/2 differences (which flips the sign of every
 non-constant coefficient) is kept in `literal_reconstruction` for
-comparison output, never for filtering.
+comparison output, never for filtering, as (N_{i-1} - 2 N_i + N_{i+1}) / 8p.
 """
 
 from __future__ import annotations
@@ -214,10 +220,6 @@ class TVector:
         scale = 4 * self.space.p
         return tuple(Fraction(n, scale) for n in self.scaled)
 
-    def value(self, i: int) -> Fraction:
-        i = abs(i)
-        return Fraction(self.scaled[i], 4 * self.space.p) if i < len(self.scaled) else Fraction(0)
-
 
 def _scaled_t(
     base: tuple[int, ...], table: tuple[int, ...], sigma: Correspondence
@@ -248,13 +250,6 @@ class FilterSet:
         if self.require_pm1_alternating:
             on.append("pm1-alternating")
         return on
-
-
-def _pm1_alternating(poly: AlexPoly) -> bool:
-    nz = [a for a in poly.full_coeffs() if a != 0]
-    if any(abs(a) != 1 for a in nz):
-        return False
-    return all(nz[k] == -nz[k + 1] for k in range(len(nz) - 1))
 
 
 def _passing_correspondences(
@@ -307,10 +302,12 @@ def _candidates(
     seen: dict[tuple, Candidate] = {}
     for sigma in _passing_correspondences(space, base, table):
         scaled = _scaled_t(base, table, sigma)
-        seq = TorsionSeq.from_list([-n // even for n in scaled])
-        poly = alex_from_torsion(seq)
-        if filters.require_pm1_alternating and not _pm1_alternating(poly):
+        # pm1-alternating: T = -t/2 falls by 0 or 1 at each step, down to 0
+        if filters.require_pm1_alternating and any(
+            b - a not in (0, even) for a, b in zip(scaled, scaled[1:] + (0,))
+        ):
             continue
+        poly = alex_from_torsion(TorsionSeq.from_list([-n // even for n in scaled]))
         if poly.coeffs not in seen:
             seen[poly.coeffs] = Candidate(poly, sigma, TVector(space, scaled))
     return [seen[k] for k in sorted(seen)]
@@ -319,15 +316,15 @@ def _candidates(
 def literal_reconstruction(tv: TVector) -> dict[int, Fraction]:
     """The one-sided display formula 1 + sum (t_{i-1}/2 - t_i + t_{i+1}/2) T^i.
 
+    With n_i = 4p * t_i each coefficient is (n_{i-1} - 2 n_i + n_{i+1}) / 8p.
     Comparison output only; differs from the normative reconstruction by the
     sign of every non-constant coefficient.
     """
-    bound = len(tv.scaled) + 1
+    n = [0, 0, *tv.scaled[:0:-1], *tv.scaled, 0, 0]  # n_i for |i| <= len(scaled) + 1
+    even = 8 * tv.space.p
     out: dict[int, Fraction] = {}
-    for i in range(-bound, bound + 1):
-        a = tv.value(i - 1) / 2 - tv.value(i) + tv.value(i + 1) / 2
-        if i == 0:
-            a += 1
+    for i, (left, mid, right) in enumerate(zip(n, n[1:], n[2:]), -len(tv.scaled)):
+        a = Fraction(left - 2 * mid + right, even) + (i == 0)
         if a:
             out[i] = a
     return out

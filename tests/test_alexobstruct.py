@@ -1,5 +1,6 @@
 """Correspondences, t-vectors, torsion conversions, candidate polynomials."""
 
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
@@ -17,7 +18,7 @@ from lenslab.alexobstruct import (
     FilterSet,
     TorsionSeq,
     TVector,
-    _pm1_alternating,
+    _candidates,
     _scaled_t,
     _scaled_tables,
     alex_from_torsion,
@@ -144,6 +145,35 @@ def test_candidate_polynomials_examples():
     assert TREFOIL in {c.poly for c in candidate_polynomials(LensSpace(5, 4))}
 
 
+def _pm1_alternating(poly: AlexPoly) -> bool:
+    """The filter read off the polynomial: nonzero coefficients +-1, alternating."""
+    nz = [a for a in poly.full_coeffs() if a != 0]
+    if any(abs(a) != 1 for a in nz):
+        return False
+    return all(nz[k] == -nz[k + 1] for k in range(len(nz) - 1))
+
+
+def test_pm1_step_rule_equals_the_polynomial_test_on_short_torsion():
+    # every T_0..T_{k-1} in 0..3 with k <= 7, held as the scan holds it,
+    # N_i = 4p * t_i = -8p * T_i and 0 past k; the step rule reads only N.
+    # Tables with base = N and table = 0 give every sigma the t-vector N, so
+    # _candidates keeps the polynomial exactly when the rule holds.
+    space = LensSpace(12, 1)  # p // 2 + 1 = 7 labels, 8 sigma
+    even = 8 * space.p
+    count = 0
+    for k in range(8):
+        for seq in itertools.product(range(4), repeat=k):
+            scaled = tuple(-even * v for v in seq) + (0,) * (7 - k)
+            steps = all(b - a in (0, even) for a, b in zip(scaled, scaled[1:] + (0,)))
+            poly = alex_from_torsion(TorsionSeq.from_list(list(seq)))
+            assert steps == _pm1_alternating(poly), seq
+            base = scaled + (0,) * (space.p - 7)
+            kept = _candidates(space, base, (0,) * space.p, FilterSet(True))
+            assert [c.poly for c in kept] == ([poly] if steps else []), seq
+            count += 1
+    assert count == 21845
+
+
 def full_enumeration_candidates(space: LensSpace, filters: FilterSet) -> list[Candidate]:
     """Every equivariant sigma gets its whole t-vector before any filter runs."""
     tables = _scaled_tables(space)
@@ -261,3 +291,32 @@ def test_literal_formula_flips_nonconstant_signs():
     assert literal[1] == 1 and literal[-1] == 1
     assert literal[2] == -1
     assert literal[0] == 1
+
+
+def literal_oracle(tv: TVector) -> dict[int, Fraction]:
+    """The display formula 1 + sum (t_{i-1}/2 - t_i + t_{i+1}/2) T^i on Fractions."""
+    t = tv.t
+
+    def value(i: int) -> Fraction:
+        i = abs(i)
+        return t[i] if i < len(t) else Fraction(0)
+
+    bound = len(t) + 1
+    out = {}
+    for i in range(-bound, bound + 1):
+        a = value(i - 1) / 2 - value(i) + value(i + 1) / 2 + (i == 0)
+        if a:
+            out[i] = a
+    return out
+
+
+def test_literal_formula_matches_the_fraction_oracle_up_to_20():
+    for p in range(1, 21):
+        for q in range(1, p + 1):
+            if gcd(p, q) != 1 or (q == p and p > 1):
+                continue
+            space = LensSpace(p, q)
+            tables = _scaled_tables(space)
+            for sigma in enumerate_correspondences(space):
+                tv = TVector(space, _scaled_t(*tables, sigma))
+                assert literal_reconstruction(tv) == literal_oracle(tv), (p, q, sigma)
