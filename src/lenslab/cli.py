@@ -117,11 +117,12 @@ MAX_DIM = 1000
 # The largest order p that `dinv`, `alexlens` and `lattice-check` accept.  Their
 # work grows with p whatever q is, and a p of 20 digits made `dinv` and
 # `alexlens` overflow a list size and `lattice-check` sweep its classes for
-# ever.  The caps of `dinv` and `alexlens` let the slowest q finish in about
-# 2 s (median wall time of the command on a 2-vCPU VM, Python 3.11):
-# `dinv 399999 399998` took 2.1 s and `alexlens 80001 10000 --literal-Lsigma
-# --no-pm1-filter` (one candidate, 2.2 MB of output; a space with a candidate
-# costs the most) 2.0-2.2 s.  `lattice-check` sweeps its classes in
+# ever.  The cap of `dinv` lets the slowest q finish in about 2 s (median wall
+# time of the command on a 2-vCPU VM, Python 3.11): `dinv 399999 399998` took
+# 2.1 s.  The slowest `alexlens` q found at its cap (the torus-knot spaces and
+# 250 random q at each of p = 79,999 and 80,000) is above 2 s: `alexlens 80000
+# 69609 --literal-Lsigma --no-pm1-filter` (three candidates, 5.1 MB of output)
+# took 2.1-3.0 s in fresh interpreters.  `lattice-check` sweeps its classes in
 # O(p log p) for every q, since a run of 2s in the chain is one edge, and its
 # cap keeps the slowest sampled q under 2 s (wall time in a fresh interpreter
 # compiling the package from source, one cap-lifted run per q, on the same
