@@ -321,10 +321,10 @@ def literal_reconstruction(tv: TVector) -> dict[int, Fraction]:
     sign of every non-constant coefficient.
     """
     n = [0, 0, *tv.scaled[:0:-1], *tv.scaled, 0, 0]  # n_i for |i| <= len(scaled) + 1
-    even = 8 * tv.space.p
+    scale = 8 * tv.space.p
     out: dict[int, Fraction] = {}
     for i, (left, mid, right) in enumerate(zip(n, n[1:], n[2:]), -len(tv.scaled)):
-        a = Fraction(left - 2 * mid + right, even) + (i == 0)
+        a = Fraction(left - 2 * mid + right, scale) + (i == 0)
         if a:
             out[i] = a
     return out
