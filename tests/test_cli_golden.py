@@ -33,8 +33,9 @@ def invocations() -> list[list[str]]:
             pq = ["alexlens", str(p), str(q)]
             runs += [
                 pq, pq + ["--literal-Lsigma"], ["--json"] + pq, pq + ["--no-pm1-filter"],
+                ["--json"] + pq + ["--no-pm1-filter"],
             ]
-    for g in ("2", "3", "6"):
+    for g in ("2", "3", "6", "10"):
         runs += [["genus-scan", g], ["--json", "genus-scan", g, "--no-pm1-filter"]]
     runs.append(["lattice-check", "9", "7"])
     for n in range(26):
