@@ -17,13 +17,17 @@ are taken in the order of the full enumeration, u ascending and then c
 ascending, and a sigma that fails the filter never yields a candidate, so
 the first witness of every polynomial, and with it the sigma reported, is
 the one the full enumeration finds.
-The torsion coefficients are then T_i = -t_i / 2 and the candidate
-polynomial is recovered through the second-difference inverse
+The torsion coefficients are then T_i = -t_i / 2, held as the plain integer
+tuple (T_0, T_1, ...), and the candidate polynomial is recovered through the
+second-difference inverse
 
     a_i = T_{i-1} - 2 T_i + T_{i+1}  (i >= 1),    a_0 = 1 - 2 sum a_i.
 
-The optional pm1-alternating filter reads the same integers before any
-polynomial is built: the coefficients are +-1 and alternate in sign exactly
+A polynomial of degree g has the torsion tuple (T_0, ..., T_{g-1}); zeros
+past it change nothing.
+
+The pm1-alternating filter, on unless the flag pm1 is False, reads the same
+integers before any polynomial is built: the coefficients are +-1 and alternate in sign exactly
 when T falls by 0 or 1 at each step down to 0 (Ozsvath-Szabo,
 arXiv:math/0303017; Ni-Wu, arXiv:1009.4720, Prop. 1.6, with T_s = V_s),
 that is when every step N_{i+1} - N_i, with a 0 appended past p/2, is 0 or 8p.
@@ -38,8 +42,10 @@ comparison output, never for filtering, as (N_{i-1} - 2 N_i + N_{i+1}) / 8p.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
 
 from .errors import DomainError
@@ -116,47 +122,25 @@ ONE = AlexPoly(((0, 1),))
 TREFOIL = AlexPoly(((0, -1), (1, 1)))
 
 
-@dataclass(frozen=True)
-class TorsionSeq:
-    """Finitely supported T_i for i >= 0."""
+def torsion_from_alex(poly: AlexPoly) -> tuple[int, ...]:
+    """(T_0, ..., T_{g-1}) with T_i = sum_{j >= 1} j * a_{i+j}, g the degree.
 
-    values: tuple[tuple[int, int], ...]  # sorted (i, T_i), no zeros
-
-    @classmethod
-    def from_list(cls, seq: list[int]) -> "TorsionSeq":
-        return cls(tuple((i, t) for i, t in enumerate(seq) if t != 0))
-
-    @property
-    def support_bound(self) -> int:
-        return self.values[-1][0] + 1 if self.values else 0
+    Built from the top by running sums: T_{g-1} = a_g and
+    T_{i-1} = T_i + (a_i + ... + a_g).
+    """
+    top_down = poly.full_coeffs()[:poly.degree]  # a_g, ..., a_1
+    return tuple(accumulate(accumulate(top_down)))[::-1]
 
 
-def torsion_from_alex(poly: AlexPoly) -> TorsionSeq:
-    """T_i = sum_{j >= 1} j * a_{i+j} for i >= 0."""
-    g = poly.degree
-    out = []
-    for i in range(g):
-        t = sum(j * poly.coeff(i + j) for j in range(1, g - i + 1))
-        if t:
-            out.append((i, t))
-    return TorsionSeq(tuple(out))
-
-
-def alex_from_torsion(seq: TorsionSeq) -> AlexPoly:
-    """Second-difference inverse of torsion_from_alex.
+def alex_from_torsion(seq: Sequence[int]) -> AlexPoly:
+    """Second-difference inverse of torsion_from_alex; zeros past the support
+    of seq are allowed.
 
     The lens-space pipeline only ever feeds nonnegative torsion (T = -t/2
     with t nonpositive); the identity itself is sign-agnostic.
     """
-    top = seq.support_bound
-    t = [0] * (top + 3)
-    for i, v in seq.values:
-        t[i] = v
-    data: dict[int, int] = {}
-    for i in range(1, top + 2):
-        a = t[i - 1] - 2 * t[i] + t[i + 1]
-        if a:
-            data[i] = a
+    t = [*seq, 0, 0]
+    data = {i: t[i - 1] - 2 * t[i] + t[i + 1] for i in range(1, len(seq) + 1)}
     data[0] = 1 - 2 * sum(data.values())
     return AlexPoly.from_dict(data)
 
@@ -239,19 +223,6 @@ def t_vector(space: LensSpace, sigma: Correspondence) -> TVector:
     return TVector(space, _scaled_t(*_scaled_tables(space), sigma))
 
 
-@dataclass(frozen=True)
-class FilterSet:
-    """The t-nonpositive and t-even filters always run; pm1-alternating is optional."""
-
-    require_pm1_alternating: bool = True
-
-    def names(self) -> list[str]:
-        on = ["t-nonpositive", "t-even"]
-        if self.require_pm1_alternating:
-            on.append("pm1-alternating")
-        return on
-
-
 def _passing_correspondences(
     space: LensSpace, base: tuple[int, ...], table: tuple[int, ...]
 ) -> list[Correspondence]:
@@ -287,15 +258,14 @@ class Candidate:
     t: TVector
 
 
-def candidate_polynomials(
-    space: LensSpace, filters: FilterSet = FilterSet()
-) -> list[Candidate]:
-    """Deduplicated candidate polynomials with one witnessing sigma each."""
-    return _candidates(space, *_scaled_tables(space), filters)
+def candidate_polynomials(space: LensSpace, pm1: bool = True) -> list[Candidate]:
+    """Deduplicated candidate polynomials with one witnessing sigma each;
+    pm1 turns the pm1-alternating filter on."""
+    return _candidates(space, *_scaled_tables(space), pm1)
 
 
 def _candidates(
-    space: LensSpace, base: tuple[int, ...], table: tuple[int, ...], filters: FilterSet
+    space: LensSpace, base: tuple[int, ...], table: tuple[int, ...], pm1: bool
 ) -> list[Candidate]:
     """candidate_polynomials, given the scaled tables of L(p,1) and of space."""
     even = 8 * space.p
@@ -303,11 +273,11 @@ def _candidates(
     for sigma in _passing_correspondences(space, base, table):
         scaled = _scaled_t(base, table, sigma)
         # pm1-alternating: T = -t/2 falls by 0 or 1 at each step, down to 0
-        if filters.require_pm1_alternating and any(
+        if pm1 and any(
             b - a not in (0, even) for a, b in zip(scaled, scaled[1:] + (0,))
         ):
             continue
-        poly = alex_from_torsion(TorsionSeq.from_list([-n // even for n in scaled]))
+        poly = alex_from_torsion([-n // even for n in scaled])
         if poly.coeffs not in seen:
             seen[poly.coeffs] = Candidate(poly, sigma, TVector(space, scaled))
     return [seen[k] for k in sorted(seen)]
@@ -324,7 +294,7 @@ def literal_reconstruction(tv: TVector) -> dict[int, Fraction]:
     scale = 8 * tv.space.p
     out: dict[int, Fraction] = {}
     for i, (left, mid, right) in enumerate(zip(n, n[1:], n[2:]), -len(tv.scaled)):
-        a = Fraction(left - 2 * mid + right, scale) + (i == 0)
+        a = Fraction(left - 2 * mid + right + scale * (i == 0), scale)
         if a:
             out[i] = a
     return out
@@ -339,12 +309,9 @@ def default_scan_radius(g: int) -> int:
 class ScanHit:
     space: LensSpace  # canonical form
     representatives: tuple[LensSpace, ...]
-    polys: tuple[AlexPoly, ...]
 
 
-def scan_realizable(
-    g: int, pmax: int | None = None, filters: FilterSet = FilterSet()
-) -> list[ScanHit]:
+def scan_realizable(g: int, pmax: int | None = None, pm1: bool = True) -> list[ScanHit]:
     """Canonical lens spaces of order <= pmax admitting a candidate of degree g.
 
     The scaled table of L(p,1), which every q of the same p shares, is built
@@ -356,7 +323,7 @@ def scan_realizable(
         pmax = default_scan_radius(g)
     if pmax < 1:
         raise DomainError("scan needs pmax >= 1")
-    hits: dict[LensSpace, tuple[set[LensSpace], dict[tuple, AlexPoly]]] = {}
+    hits: dict[LensSpace, set[LensSpace]] = {}
     for p in range(max(2 * g - 1, 2), pmax + 1):
         base = scaled_d_table(LensSpace(p, 1))
         for q in range(1, p):
@@ -364,18 +331,6 @@ def scan_realizable(
                 continue
             space = LensSpace(p, q)
             table = base if q == 1 else scaled_d_table(space)
-            polys = [
-                c.poly for c in _candidates(space, base, table, filters)
-                if c.poly.degree == g
-            ]
-            if not polys:
-                continue
-            key = space.canonical()
-            reps, bag = hits.setdefault(key, (set(), {}))
-            reps.add(space)
-            for poly in polys:
-                bag[poly.coeffs] = poly
-    return [
-        ScanHit(k, tuple(sorted(reps)), tuple(bag[c] for c in sorted(bag)))
-        for k, (reps, bag) in sorted(hits.items())
-    ]
+            if any(c.poly.degree == g for c in _candidates(space, base, table, pm1)):
+                hits.setdefault(space.canonical(), set()).add(space)
+    return [ScanHit(k, tuple(sorted(reps))) for k, reps in sorted(hits.items())]

@@ -19,7 +19,6 @@ from .errors import DomainError, InvariantError
 from .exactnum import farey_parents, format_slope, hj_expand, parse_slope
 from .lensdi import d_table, lens_normalize
 from .alexobstruct import (
-    FilterSet,
     candidate_polynomials,
     default_scan_radius,
     literal_reconstruction,
@@ -120,9 +119,10 @@ MAX_DIM = 1000
 # ever.  The cap of `dinv` lets the slowest q finish in about 2 s (median wall
 # time of the command on a 2-vCPU VM, Python 3.11): `dinv 399999 399998` took
 # 2.1 s.  The slowest `alexlens` q found at its cap (the torus-knot spaces and
-# 250 random q at each of p = 79,999 and 80,000) is above 2 s: `alexlens 80000
-# 69609 --literal-Lsigma --no-pm1-filter` (three candidates, 5.1 MB of output)
-# took 2.1-3.0 s in fresh interpreters.  `lattice-check` sweeps its classes in
+# 250 random q at each of p = 79,999 and 80,000) is `alexlens 80000 69609
+# --literal-Lsigma --no-pm1-filter` (three candidates, 5.1 MB of output): it
+# took 1.2-1.9 s in 7 fresh interpreters, 1.7-2.4 s when the display formula
+# built two Fractions per coefficient.  `lattice-check` sweeps its classes in
 # O(p log p) for every q, since a run of 2s in the chain is one edge, and its
 # cap keeps the slowest sampled q under 2 s (wall time in a fresh interpreter
 # compiling the package from source, one cap-lifted run per q, on the same
@@ -421,12 +421,17 @@ def _cmd_farey(args: argparse.Namespace) -> None:
     _emit(args, {"slope": name, "parents": [high, low]}, [f"parents({name}) = ({high}, {low})"])
 
 
+def _filter_names(args: argparse.Namespace) -> list[str]:
+    """The filters `alexlens` and `genus-scan` run; pm1-alternating unless
+    --no-pm1-filter is given."""
+    return ["t-nonpositive", "t-even"] + ([] if args.no_pm1_filter else ["pm1-alternating"])
+
+
 def _cmd_alexlens(args: argparse.Namespace) -> None:
     _check_cap("p", args.p, MAX_ALEXLENS_P)
     space = lens_normalize(args.p, args.q)
-    filters = FilterSet(require_pm1_alternating=not args.no_pm1_filter)
     records, lines = [], []
-    for cand in candidate_polynomials(space, filters):
+    for cand in candidate_polynomials(space, pm1=not args.no_pm1_filter):
         c, u = cand.sigma.c, cand.sigma.u
         t = [format_slope(x) for x in cand.t.t]
         records.append({
@@ -445,16 +450,15 @@ def _cmd_alexlens(args: argparse.Namespace) -> None:
             records[-1]["literal_Lsigma"] = literal
             lines.append("  one-sided display formula gives: "
                          + ", ".join(f"T^{i}: {v}" for i, v in literal.items()))
-    _emit(args, {"candidates": records, "filters": filters.names()},
+    _emit(args, {"candidates": records, "filters": _filter_names(args)},
           lines or [f"{space}: no candidate polynomials"])
 
 
 def _cmd_genus_scan(args: argparse.Namespace) -> None:
     pmax = args.pmax if args.pmax is not None else default_scan_radius(args.genus)
     _check_cap("pmax", pmax, MAX_SCAN_PMAX)
-    filters = FilterSet(require_pm1_alternating=not args.no_pm1_filter)
-    hits = scan_realizable(args.genus, pmax, filters)
-    names = filters.names()
+    hits = scan_realizable(args.genus, pmax, pm1=not args.no_pm1_filter)
+    names = _filter_names(args)
     _emit(args, {
         "genus": args.genus,
         "pmax": pmax,
