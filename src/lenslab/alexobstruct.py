@@ -17,20 +17,19 @@ are taken in the order of the full enumeration, u ascending and then c
 ascending, and a sigma that fails the filter never yields a candidate, so
 the first witness of every polynomial, and with it the sigma reported, is
 the one the full enumeration finds.
-The torsion coefficients are then T_i = -t_i / 2, held as the plain integer
-tuple (T_0, T_1, ...), and the candidate polynomial is recovered through the
+The torsion coefficients are then T_i = -t_i / 2, a plain integer sequence
+(a polynomial of degree g has the tuple T_0, ..., T_{g-1}; zeros past it
+change nothing), and the candidate polynomial is recovered through the
 second-difference inverse
 
     a_i = T_{i-1} - 2 T_i + T_{i+1}  (i >= 1),    a_0 = 1 - 2 sum a_i.
 
-A polynomial of degree g has the torsion tuple (T_0, ..., T_{g-1}); zeros
-past it change nothing.
-
 The pm1-alternating filter, on unless the flag pm1 is False, reads the same
-integers before any polynomial is built: the coefficients are +-1 and alternate in sign exactly
-when T falls by 0 or 1 at each step down to 0 (Ozsvath-Szabo,
-arXiv:math/0303017; Ni-Wu, arXiv:1009.4720, Prop. 1.6, with T_s = V_s),
-that is when every step N_{i+1} - N_i, with a 0 appended past p/2, is 0 or 8p.
+integers before any polynomial is built: the coefficients are +-1 and
+alternate in sign exactly when T falls by 0 or 1 at each step down to 0
+(Ozsvath-Szabo, arXiv:math/0303017; Ni-Wu, arXiv:1009.4720, Prop. 1.6,
+with T_s = V_s), that is when every step N_{i+1} - N_i, with a 0 appended
+past p/2, is 0 or 8p.
 
 Sign calibration: with the recursion as the d-values of L(p, *) itself this
 normalization reproduces the (2,5)-torus-knot polynomial for L(9,7) with

@@ -121,8 +121,7 @@ MAX_DIM = 1000
 # 2.1 s.  The slowest `alexlens` q found at its cap (the torus-knot spaces and
 # 250 random q at each of p = 79,999 and 80,000) is `alexlens 80000 69609
 # --literal-Lsigma --no-pm1-filter` (three candidates, 5.1 MB of output): it
-# took 1.2-1.9 s in 7 fresh interpreters, 1.7-2.4 s when the display formula
-# built two Fractions per coefficient.  `lattice-check` sweeps its classes in
+# took 1.2-1.9 s in 7 fresh interpreters.  `lattice-check` sweeps its classes in
 # O(p log p) for every q, since a run of 2s in the chain is one edge, and its
 # cap keeps the slowest sampled q under 2 s (wall time in a fresh interpreter
 # compiling the package from source, one cap-lifted run per q, on the same
