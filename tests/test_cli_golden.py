@@ -21,6 +21,13 @@ HERE = Path(__file__).parent
 GOLDEN = HERE / "data" / "cli_golden.txt"
 
 
+def fib(n: int) -> int:
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
 def invocations() -> list[list[str]]:
     runs = [
         ["dinv", "9", "7"], ["--json", "dinv", "9", "7"],
@@ -61,6 +68,8 @@ def invocations() -> list[list[str]]:
         ["lspace", "check", "data/certificate.json"],
         ["hj", "17/5"], ["hj", "89/55"], ["hj", "4"],
         ["farey", "17/5"], ["farey", "89/55"], ["farey", "3"],
+        ["farey", "1"], ["farey", "1/2"], ["farey", "10/4"], ["farey", "0"], ["farey", "1/0"],
+        ["farey", f"{fib(301)}/{fib(300)}"], ["hj", "1"],
     ]
     for argv in files:
         runs += [argv, ["--json"] + argv]
