@@ -4,13 +4,11 @@ GF(2) surgery-triangle algebra, and machine-checkable L-space certificates.
 """
 
 from .exactnum import (
-    INFINITY,
     farey_parents,
     format_slope,
     hj_eval,
     hj_expand,
     parse_slope,
-    rational_reduce,
 )
 from .lensdi import (
     DInvariantTable,
@@ -27,8 +25,6 @@ from .lensdi import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "INFINITY",
-    "rational_reduce",
     "hj_expand",
     "hj_eval",
     "farey_parents",

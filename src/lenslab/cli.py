@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from .errors import DomainError, InvariantError
-from .exactnum import farey_parents, format_slope, hj_expand, parse_slope
+from .exactnum import farey_parents, format_slope, hj_expand, parse_slope, slope_pair, slope_text
 from .lensdi import d_table, lens_normalize
 from .alexobstruct import (
     candidate_polynomials,
@@ -415,8 +415,8 @@ def _cmd_hj(args: argparse.Namespace) -> None:
 
 
 def _cmd_farey(args: argparse.Namespace) -> None:
-    slope = parse_slope(args.slope)
-    name, high, low = map(format_slope, (slope, *farey_parents(slope)))
+    slope = slope_pair(args.slope)
+    name, high, low = map(slope_text, (slope, *farey_parents(slope)))
     _emit(args, {"slope": name, "parents": [high, low]}, [f"parents({name}) = ({high}, {low})"])
 
 

@@ -1,10 +1,8 @@
 """Exact slope arithmetic: rationals, negative continued fractions, Farey parents.
 
-Slopes are `fractions.Fraction` values at every public interface; nothing
-in this package touches floating point.  The slope infinity (the 1/0
-filling) is a separate sentinel so it can never leak into ordinary
-arithmetic by accident.  `slope_pair` and `slope_text` are the one slope
-text grammar, "p/q" or "p" for the reduced pair (p, q), q > 0.
+A slope p/q is the reduced pair (p, q), q >= 0, with 1/0 as (1, 0);
+nothing in this package touches floating point.  `slope_pair` and
+`slope_text` are the one slope text grammar, "p/q" or "p".
 """
 
 from __future__ import annotations
@@ -14,36 +12,15 @@ from math import gcd
 
 from .errors import DomainError
 
-
-class _Infinity:
-    """The 1/0 slope.  Only Farey-related code produces or consumes it."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "1/0"
+Slope = tuple[int, int]  # p/q as (p, q), reduced, q >= 0; 1/0 is (1, 0)
 
 
-INFINITY = _Infinity()
-
-Slope = Fraction | _Infinity
-
-
-def rational_reduce(num: int, den: int) -> Slope:
-    """Reduced fraction with positive denominator; (n, 0) with n != 0 is 1/0."""
-    if num == 0 and den == 0:
-        raise DomainError("0/0 is not a fraction")
-    if den == 0:
-        return INFINITY
-    return Fraction(num, den)
-
-
-def slope_text(pair: tuple[int, int]) -> str:
+def slope_text(pair: Slope) -> str:
     """The text of p/q: "p" when q = 1, else "p/q", so 1/0 is "1/0"."""
     return str(pair[0]) if pair[1] == 1 else f"{pair[0]}/{pair[1]}"
 
 
-def slope_pair(text: str) -> tuple[int, int]:
+def slope_pair(text: str) -> Slope:
     """Read "p/q" or "p" into (p, q), reduced, with q > 0."""
     text = text.strip()
     try:
@@ -54,9 +31,9 @@ def slope_pair(text: str) -> tuple[int, int]:
         raise DomainError(f"not a rational slope: {text!r}") from exc
 
 
-def format_slope(r: Slope) -> str:
+def format_slope(r: Fraction) -> str:
     """Canonical rendering: "num/den", den omitted when 1, sign on the numerator."""
-    return slope_text((1, 0) if r is INFINITY else (r.numerator, r.denominator))
+    return slope_text((r.numerator, r.denominator))
 
 
 def parse_slope(text: str) -> Fraction:
@@ -69,7 +46,7 @@ def hj_expand(r: Fraction) -> list[int]:
 
     Ceiling descent: a_1 = ceil(r), recurse on 1/(a_1 - r).
     """
-    if isinstance(r, _Infinity) or not isinstance(r, Fraction):
+    if not isinstance(r, Fraction):
         raise DomainError("expansion needs a finite rational")
     if r <= 0:
         raise DomainError(f"expansion needs a positive slope, got {r}")
@@ -99,23 +76,24 @@ def is_normalized_hj(terms: list[int]) -> bool:
     return bool(terms) and terms[0] >= 1 and all(a >= 2 for a in terms[1:])
 
 
-def farey_parents(r: Fraction) -> tuple[Slope, Slope]:
-    """Stern-Brocot parents (r0, r1) of r > 0: nonnegative entries,
-    p0*q1 - p1*q0 = 1, and mediant (p0+p1)/(q0+q1) = r.
+def farey_parents(pair: Slope) -> tuple[Slope, Slope]:
+    """Stern-Brocot parents ((p0, q0), (p1, q1)) of the reduced p/q > 0:
+    nonnegative entries, p0*q1 - p1*q0 = 1, and mediant (p0+p1, q0+q1) = (p, q).
 
-    For integers the high parent is 1/0; callers that cannot accept the
-    infinite slope must check for it.
+    For integers the high parent is 1/0, (1, 0); callers that cannot accept
+    the infinite slope must check for it.
     """
-    if isinstance(r, _Infinity):
+    if pair == (1, 0):
         raise DomainError("1/0 has no Farey parents here")
-    p, q = r.numerator, r.denominator
+    p, q = pair
     if p <= 0:
-        raise DomainError(f"Farey parents need a positive slope, got {r}")
+        raise DomainError(f"Farey parents need a positive slope, got {slope_text(pair)}")
+    if q < 0 or gcd(p, q) != 1:
+        raise DomainError(f"Farey parents need a reduced pair (p, q), q > 0, got {pair}")
     if q == 1:
-        return INFINITY, Fraction(p - 1)
-    # Solve p0*q = 1 (mod p) with 1 <= p0 <= p, then q0 from the mediant.
+        return (1, 0), (p - 1, 1)
+    # Solve p0*q = 1 (mod p) with 1 <= p0 <= p, then q0 from the mediant;
+    # p0*q - q0*p = 1 leaves both parents reduced.
     p0 = pow(q, -1, p) if p > 1 else 1
     q0 = (p0 * q - 1) // p
-    r0 = rational_reduce(p0, q0)
-    r1 = Fraction(p - p0, q - q0)
-    return r0, r1
+    return (p0, q0), (p - p0, q - q0)

@@ -110,7 +110,7 @@ from math import gcd, prod
 from typing import Callable, Generator, Hashable, Iterable, Iterator
 
 from .errors import DomainError, HypothesisNotMetError, InvariantError
-from .exactnum import hj_expand, slope_pair, slope_text
+from .exactnum import Slope, hj_expand, slope_pair, slope_text
 
 # Not called here; importable because perfbench/tracing.py wraps
 # `lspacecert.farey_parents` by name.
@@ -118,7 +118,6 @@ from .exactnum import farey_parents  # noqa: F401
 
 CONCLUSION_SENTENCE = "monopole L-space => admits no taut foliation"
 JSON_FORMAT = 2
-Slope = tuple[int, int]  # p/q as (p, q), reduced, q > 0; 1/0 is (1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -203,25 +202,23 @@ class Certificate:
         entries = doc.get("nodes")
         if not isinstance(entries, list) or not entries:
             raise DomainError("field 'nodes' is missing or not a non-empty list")
-        listed = set()
+        canonical = (
+            "nodes are not in canonical order: ids 0..n-1, each node after its "
+            "premises (depth first, premises in order), the root last"
+        )
+        built: list[Certificate] = []
         for pos, entry in enumerate(entries):
-            node_id = _field(entry, "id", int, f"node #{pos}")
-            if node_id in listed:
-                raise DomainError(f"duplicate node id {node_id}")
-            listed.add(node_id)
-        built: dict[int, Certificate] = {}
-        for entry in entries:
-            where = f"node {entry['id']}"
+            where = f"node {pos}"
             premises = []
             for ref in _field(entry, "premises", list, where):
-                if type(ref) is not int or ref not in listed:
-                    raise DomainError(f"{where} refers to unknown node {ref!r}")
-                if ref not in built:
+                if type(ref) is not int or not 0 <= ref < pos:
                     raise DomainError(
-                        f"{where} refers to node {ref}, which is not listed before it "
+                        f"{where} refers to node {ref!r}, which is not listed before it "
                         "(forward or cyclic reference)"
                     )
                 premises.append(built[ref])
+            if _field(entry, "id", int, where) != pos:
+                raise DomainError(f"{where} has id {entry['id']}; {canonical}")
             conclusion = _field(entry, "conclusion", dict, where)
             params = _field(conclusion, "params", dict, where)
             if not all(type(v) is str for v in params.values()):
@@ -232,16 +229,13 @@ class Certificate:
                 _field(conclusion, "kind", str, where),
                 tuple(sorted(params.items())),
             )
-            built[entry["id"]] = cls(fact, _field(entry, "rule", str, where), tuple(premises))
+            built.append(cls(fact, _field(entry, "rule", str, where), tuple(premises)))
         root = doc.get("root")
-        if type(root) is not int or root not in built:
-            raise DomainError(f"field 'root' is missing or names no listed node: {root!r}")
-        listed_order = [built[entry["id"]] for entry in entries]
-        if list(built) != list(range(len(built))) or _topological(built[root]) != listed_order:
-            raise DomainError(
-                "nodes are not in canonical order: ids 0..n-1, each node after its "
-                "premises (depth first, premises in order), the root last"
-            )
+        if type(root) is not int or root != len(built) - 1:
+            raise DomainError(f"field 'root' must name the last node, {len(built) - 1}, "
+                              f"in canonical order; got {root!r}")
+        if _topological(built[root]) != built:
+            raise DomainError(canonical)
         return built[root]
 
 

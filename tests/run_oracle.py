@@ -12,33 +12,27 @@ nodes.
 """
 
 from fractions import Fraction
-from math import ceil
 
 from lenslab import lspacecert
 from lenslab.errors import DomainError
-from lenslab.exactnum import INFINITY, farey_parents, format_slope, parse_slope
+from lenslab.exactnum import farey_parents, slope_pair, slope_text
 from lenslab.lspacecert import Certificate, check_certificate, sphere_axiom
 
 S3_VIEW = ("lens", (1, 1))
 
 
 def _surgery_view(knot, s):
-    return S3_VIEW if s is INFINITY else ("surgery", (knot, _terms(s)))
+    return S3_VIEW if s == (1, 0) else ("surgery", (knot, s))
 
 
-def _terms(s):
-    """A slope as views hold it: (p, q), with 1/0 as (1, 0)."""
-    return (1, 0) if s is INFINITY else (s.numerator, s.denominator)
-
-
-def _slope(terms):
-    """The slope a view's (p, q) stands for."""
-    return INFINITY if terms == (1, 0) else Fraction(*terms)
+def _below(a, b):
+    """a < b for slopes (p, q), q >= 0; 1/0 is above every other slope."""
+    return a[0] * b[1] < b[0] * a[1]
 
 
 def _lower_first(a, b):
-    """The pair (slope, certificate) a, b with the lower slope first; 1/0 is the highest."""
-    return (b, a) if a[0] is INFINITY or (b[0] is not INFINITY and a[0] > b[0]) else (a, b)
+    """The pair (slope, certificate) a, b with the lower slope first."""
+    return (b, a) if _below(b[0], a[0]) else (a, b)
 
 
 def _triangle(c0: Certificate, c1: Certificate, target) -> Certificate:
@@ -66,28 +60,28 @@ def partial_quotients(x: Fraction) -> list[int]:
 def farey_descent(base: Certificate, target: Fraction) -> Certificate:
     """propagate_slope by the plain Farey descent, or its DomainError."""
     knot = base.conclusion.param("knot")
-    r = parse_slope(base.conclusion.param("slope"))
-    if target < r:
-        raise DomainError(f"target {target} below the base slope {r}")
+    r = slope_pair(base.conclusion.param("slope"))
+    end = (target.numerator, target.denominator)
+    if _below(end, r):
+        raise DomainError(f"target {slope_text(end)} below the base slope {slope_text(r)}")
 
     def fact(s):
-        return lspacecert._fact_of(("surgery", (knot, _terms(s))))
+        return lspacecert._fact_of(("surgery", (knot, s)))
 
-    known = {INFINITY: sphere_axiom(), r: base}
-    lifted = r
-    if r.denominator != 1:
-        lifted = Fraction(ceil(r))
+    known = {(1, 0): sphere_axiom(), r: base}
+    lifted = (-(-r[0] // r[1]), 1)
+    if lifted != r:
         known[lifted] = Certificate(fact(lifted), "rational-to-integer-lift", (base,))
-    stack = [target]
+    stack = [end]
     while stack:
         s = stack[-1]
         if s in known:
             stack.pop()
             continue
-        if s.denominator == 1 and s < lifted:
+        if s[1] == 1 and s[0] < lifted[0]:
             raise DomainError(
-                f"the Farey descent of {format_slope(target)} reaches "
-                f"{format_slope(s)}, below the base slope {format_slope(r)}"
+                f"the Farey descent of {slope_text(end)} reaches "
+                f"{slope_text(s)}, below the base slope {slope_text(r)}"
             )
         high, low = farey_parents(s)
         missing = [x for x in (high, low) if x not in known]
@@ -96,7 +90,7 @@ def farey_descent(base: Certificate, target: Fraction) -> Certificate:
             continue
         stack.pop()
         known[s] = _triangle(known[low], known[high], fact(s))
-    return known[target]
+    return known[end]
 
 
 def run_parts(node: Certificate):
@@ -105,24 +99,24 @@ def run_parts(node: Certificate):
     kind, data = lspacecert._view(node.conclusion)
     views = [lspacecert._view(p.conclusion) for p in node.premises]
     if kind == "surgery":
-        knot, x = data[0], _slope(data[1])
-        slopes = [INFINITY if v == S3_VIEW else _slope(v[1][1]) for v in views]
+        knot, x = data
+        slopes = [(1, 0) if v == S3_VIEW else v[1][1] for v in views]
         make = lambda y: _surgery_view(knot, y)  # noqa: E731
     else:
         for idx in range(3):
             slopes = [_borromean_slope(data, idx, v) for v in views]
             if None not in slopes:
                 break
-        x = _slope(data[idx])
-        make = lambda y, idx=idx: lspacecert._borromean_view(data, idx, _terms(y))  # noqa: E731
-    (p, _), (p0, _), (p1, _) = _terms(x), _terms(slopes[0]), _terms(slopes[1])
+        x = data[idx]
+        make = lambda y, idx=idx: lspacecert._borromean_view(data, idx, y)  # noqa: E731
+    (p, _), (p0, _), (p1, _) = x, *slopes
     return make, slopes[0], slopes[1], (p - p0) // p1
 
 
 def _borromean_slope(xs, idx, view):
     if view[0] == "borromean" and all(view[1][i] == xs[i] for i in range(3) if i != idx):
-        return _slope(view[1][idx])
-    return INFINITY if view == lspacecert._borromean_view(xs, idx, (1, 0)) else None
+        return view[1][idx]
+    return (1, 0) if view == lspacecert._borromean_view(xs, idx, (1, 0)) else None
 
 
 def expand_runs(cert: Certificate) -> Certificate:
@@ -136,10 +130,10 @@ def expand_runs(cert: Certificate) -> Certificate:
             new = Certificate(node.conclusion, node.rule, premises)
         else:
             make, y0, y1, k = run_parts(node)
-            (p0, q0), (p1, q1) = _terms(y0), _terms(y1)
+            (p0, q0), (p1, q1) = y0, y1
             prev = (y0, premises[0])
             for j in range(1, k + 1):
-                z = Fraction(p0 + j * p1, q0 + j * q1)
+                z = (p0 + j * p1, q0 + j * q1)
                 fact = lspacecert._fact_of(make(z))
                 if fact not in by_fact:
                     low, high = _lower_first(prev, (y1, premises[1]))
@@ -158,14 +152,13 @@ def _todays_moves(kind, data):
     each coordinate above 1."""
     if kind == "surgery":
         knot, s = data
-        high, low = farey_parents(_slope(s))
+        high, low = farey_parents(s)
         return [(_surgery_view(knot, low), _surgery_view(knot, high))]
-    xs = [_slope(x) for x in data]
-    fractional = [i for i, x in enumerate(xs) if x.denominator != 1]
+    fractional = [i for i, (_, q) in enumerate(data) if q != 1]
     moves = []
-    for idx in fractional or [i for i, x in enumerate(xs) if x > 1]:
-        high, low = farey_parents(xs[idx])
-        moves.append(tuple(lspacecert._borromean_view(data, idx, _terms(y)) for y in (low, high)))
+    for idx in fractional or [i for i, (p, _) in enumerate(data) if p > 1]:
+        high, low = farey_parents(data[idx])
+        moves.append(tuple(lspacecert._borromean_view(data, idx, y) for y in (low, high)))
     return moves
 
 

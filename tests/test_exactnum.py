@@ -1,4 +1,4 @@
-"""Slope arithmetic: reduction, slope text, continued fractions, Farey parents."""
+"""Slope arithmetic: slope text, continued fractions, Farey parents."""
 
 import random
 from fractions import Fraction
@@ -8,30 +8,15 @@ import pytest
 
 from lenslab.errors import DomainError
 from lenslab.exactnum import (
-    INFINITY,
     farey_parents,
     format_slope,
     hj_eval,
     hj_expand,
     is_normalized_hj,
     parse_slope,
-    rational_reduce,
     slope_pair,
     slope_text,
 )
-
-
-def test_rational_reduce_examples():
-    assert rational_reduce(6, 4) == Fraction(3, 2)
-    assert rational_reduce(-5, -10) == Fraction(1, 2)
-    assert rational_reduce(9, 7) == Fraction(9, 7)
-
-
-def test_rational_reduce_infinity_and_errors():
-    assert rational_reduce(1, 0) is INFINITY
-    assert rational_reduce(-3, 0) is INFINITY
-    with pytest.raises(DomainError):
-        rational_reduce(0, 0)
 
 
 def test_hj_expand_examples():
@@ -45,8 +30,9 @@ def test_hj_expand_domain():
         hj_expand(Fraction(0))
     with pytest.raises(DomainError):
         hj_expand(Fraction(-5, 2))
-    with pytest.raises(DomainError):
-        hj_expand(INFINITY)
+    for not_a_fraction in [(1, 0), 5]:
+        with pytest.raises(DomainError, match="finite rational"):
+            hj_expand(not_a_fraction)
 
 
 def test_hj_eval_examples():
@@ -74,53 +60,49 @@ def test_hj_round_trip_exhaustive():
 
 
 def test_farey_parents_examples():
-    assert farey_parents(Fraction(1, 2)) == (Fraction(1), Fraction(0))
-    assert farey_parents(Fraction(5, 2)) == (Fraction(3), Fraction(2))
-    assert farey_parents(Fraction(7, 5)) == (Fraction(3, 2), Fraction(4, 3))
+    assert farey_parents((1, 2)) == ((1, 1), (0, 1))
+    assert farey_parents((5, 2)) == ((3, 1), (2, 1))
+    assert farey_parents((7, 5)) == ((3, 2), (4, 3))
 
 
-def test_farey_parents_integers_use_infinity():
-    high, low = farey_parents(Fraction(5))
-    assert high is INFINITY
-    assert low == Fraction(4)
-    high, low = farey_parents(Fraction(1))
-    assert high is INFINITY
-    assert low == Fraction(0)
-    with pytest.raises(DomainError, match="1/0 has no Farey parents"):
-        farey_parents(INFINITY)
+def test_farey_parents_integers_have_the_high_parent_1_0():
+    assert farey_parents((5, 1)) == ((1, 0), (4, 1))
+    assert farey_parents((1, 1)) == ((1, 0), (0, 1))
 
 
 def test_farey_parents_of_a_non_integral_slope_lie_between_its_floor_and_ceiling():
     # so a Farey descent from a slope >= 1 never leaves [1, oo), and only an
-    # integer has the parent 1/0 (comparing with INFINITY raises TypeError)
+    # integer has the parent 1/0 (Fraction(1, 0) raises ZeroDivisionError)
     for q in range(2, 61):
         for p in range(1, 301):
             if gcd(p, q) != 1:
                 continue
             r = Fraction(p, q)
-            high, low = farey_parents(r)
+            high, low = (Fraction(*x) for x in farey_parents((p, q)))
             assert floor(r) <= low < r < high <= ceil(r)
 
 
-def test_farey_parents_domain():
-    with pytest.raises(DomainError):
-        farey_parents(Fraction(0))
-    with pytest.raises(DomainError):
-        farey_parents(Fraction(-1, 2))
+@pytest.mark.parametrize("pair, message", [
+    ((1, 0), "1/0 has no Farey parents"),
+    ((0, 1), "positive slope, got 0$"),
+    ((-1, 2), "positive slope, got -1/2$"),
+    ((10, 4), "reduced pair"),
+    ((3, -2), "reduced pair"),
+])
+def test_farey_parents_domain(pair, message):
+    with pytest.raises(DomainError, match=message):
+        farey_parents(pair)
 
 
 def test_farey_identities_exhaustive():
-    for q in range(2, 201):
+    for q in range(1, 201):
         for p in range(1, 201):
             if gcd(p, q) != 1:
                 continue
-            r = Fraction(p, q)
-            high, low = farey_parents(r)
-            p0, q0 = high.numerator, high.denominator
-            p1, q1 = low.numerator, low.denominator
+            (p0, q0), (p1, q1) = farey_parents((p, q))
             assert p0 >= 0 and q0 >= 0 and p1 >= 0 and q1 >= 0
             assert p0 * q1 - p1 * q0 == 1
-            assert Fraction(p0 + p1, q0 + q1) == r
+            assert (p0 + p1, q0 + q1) == (p, q)
             assert p0 + q0 < p + q
             assert p1 + q1 < p + q
 
@@ -128,8 +110,6 @@ def test_farey_identities_exhaustive():
 def test_format_and_parse():
     assert format_slope(Fraction(9, 7)) == "9/7"
     assert format_slope(Fraction(-3)) == "-3"
-    assert format_slope(INFINITY) == "1/0"
-    assert repr(INFINITY) == "1/0"
     assert parse_slope("37/2") == Fraction(37, 2)
     assert parse_slope("18") == Fraction(18)
     with pytest.raises(DomainError):
@@ -180,8 +160,9 @@ def test_slope_pair_is_the_slope_grammar_and_parse_slope_wraps_it():
 
 
 def test_slope_text_is_format_slope():
-    for value, pair, text in [(INFINITY, (1, 0), "1/0"), (Fraction(0), (0, 1), "0"),
-                              (Fraction(-1, 4), (-1, 4), "-1/4"), (Fraction(7, 3), (7, 3), "7/3")]:
+    assert slope_text((1, 0)) == "1/0"
+    for value, pair, text in [(Fraction(0), (0, 1), "0"), (Fraction(-1, 4), (-1, 4), "-1/4"),
+                              (Fraction(7, 3), (7, 3), "7/3")]:
         assert slope_text(pair) == format_slope(value) == text
     for text in _slope_texts():
         value = _fraction_of_text(text)

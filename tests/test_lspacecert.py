@@ -757,10 +757,10 @@ def _shift_ids(doc):
 
 @pytest.mark.parametrize("edit, message", [
     (lambda doc: doc["nodes"].reverse(), "forward or cyclic"),
-    (lambda doc: doc["nodes"][-1]["premises"].append(99), "unknown node 99"),
+    (lambda doc: doc["nodes"][-1]["premises"].append(99), "node 99, which is not listed before it"),
     (lambda doc: doc["nodes"][-1]["premises"].append(doc["root"]), "forward or cyclic"),
     (lambda doc: doc["nodes"][0]["premises"].append(1), "forward or cyclic"),
-    (lambda doc: doc["nodes"][1].update(id=0), "duplicate node id 0"),
+    (lambda doc: doc["nodes"][1].update(id=0), "node 1 has id 0; nodes are not in canonical order"),
     (lambda doc: doc.update(root=99), "field 'root'"),
     (lambda doc: doc.update(format=1), "format-2"),
     (lambda doc: doc.update(root=0), "canonical order"),  # rows 1.. are not part of the proof
