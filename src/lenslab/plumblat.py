@@ -28,27 +28,34 @@ whose T - m delta is not a multiple of 2p is an invariant error.
 The maximum on the kept vertices is found by steepest ascent: over the box
 of the three coset points y_i - 2p, y_i, y_i + 2p per kept vertex the best
 point is a dynamic program along the shortened chain with three states per
-vertex and five edge costs per step.  The run cost is convex in T, an
-infimal convolution of convex functions, so the form stays a sum of concave
-functions of single coordinates and of differences of neighbours: it is
-L-natural-concave in the coset coordinates (Murota, "Discrete Convex
-Analysis", 2003, ch. 7), and a point that is best in its own box is a
-global maximum.  Every entry a_i >= 3 at least doubles the continuant, so
-there are at most log2(p) + 2 kept vertices, and an ascent costs O(log p)
-per box whatever the chain's length.  Every arithmetic step is integer
-arithmetic.
+vertex and five edge costs per step.  A unit edge (m = 1) costs the squares
+(d + 2pk)^2, k = -2..2, which the DP forms itself; only a run goes through
+the even split.  The back-pointers are one flat list, and a tie keeps the
+first best state.  The run cost is convex in T, an infimal convolution of
+convex functions, so the form stays a sum of concave functions of single
+coordinates and of differences of neighbours: it is L-natural-concave in the
+coset coordinates (Murota, "Discrete Convex Analysis", 2003, ch. 7), and a
+point that is best in its own box is a global maximum.  Every entry a_i >= 3
+at least doubles the continuant, so there are at most log2(p) + 2 kept
+vertices, and an ascent costs O(log p) per box whatever the chain's length.
+Every arithmetic step is integer arithmetic.
 
 `lattice_vs_recursion_check` sweeps the classes once per lattice.  It
-computes the continuants, the shortened chain and the normalization check
-once.  Class c = 0..p-1 is represented by K_0 + 2c e_1, and the start vector
-is linear in K, so class c starts at y_0 + c step, where step is the start
-vector of 2 e_1; no per-class representative or Fraction is built, and the
-sweep reads y_0 and step only at the kept vertices and at the first vertex
-of each run, so it costs O(p log p) for every q.  Each class's integer
-maximum comes from the same ascent as `max_char_square`, and it is keyed by
-max / p + n p, the integer p * (max K^2 + n); p divides the maximum because
-K^T G^{-1} K has a denominator dividing p, and a maximum that p does not
-divide is an invariant error.
+computes the continuants and the shortened chain once, and the continuants
+check the chain: a_1 - 1/(a_2 - ...) is theta_n / phi_(n-1) up to sign, in
+lowest terms, so the chain must be normalized with |theta_n| = p and
+|phi_(n-1)| = q, or the check is an invariant error naming L(p,q).  A
+determinant alone would pass the chain of another q with the same p, such as
+that of 13/10 for L(13,4).  Class c = 0..p-1 is represented by K_0 + 2c e_1,
+and the start vector is linear in K, so class c starts at y_0 + c step,
+where step is the start vector of 2 e_1; no per-class representative or
+Fraction is built, and the sweep reads y_0 and step only at the kept
+vertices and at the first vertex of each run, so it costs O(p log p) for
+every q.  Each class's integer maximum comes from the same ascent as
+`max_char_square`, and it is keyed by max / p + n p, the integer
+p * (max K^2 + n); p divides the maximum because K^T G^{-1} K has a
+denominator dividing p, and a maximum that p does not divide is an invariant
+error.
 
 Conjugation K -> -K maps characteristic covectors to characteristic
 covectors and y to -y, and the form has Q(-y) = Q(y), so conjugate classes
@@ -74,7 +81,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import DomainError, InvariantError
-from .exactnum import hj_eval, is_normalized_hj
+from .exactnum import hj_eval, hj_expand, is_normalized_hj
 from .lensdi import LensSpace, scaled_d_table
 from .lensdi import d_table  # noqa: F401  perfbench/tracing.py wraps it at this name
 
@@ -177,20 +184,23 @@ def _start_vector(theta: list[int], phi: list[int], rep: tuple[int, ...]) -> lis
 
 def _run_costs(d: int, step: int, m: int, delta: int) -> list[int]:
     """f(d + k step) for k = -2..2, where f(T) is the least sum of squares of
-    m integers in delta + step Z that add up to T; for m > 1, step divides
-    d - m delta, and for m = 1, f(T) = T^2 and delta is not read.
+    m integers in delta + step Z that add up to T; step divides d - m delta.
 
     The most even split is best: with T = m delta + e step and e = m b + r,
     0 <= r < m, it has m - r parts x = delta + b step and r parts x + step,
-    and (m - r) x^2 + r (x + step)^2 = (T^2 + step^2 r (m - r)) / m.
+    and (m - r) x^2 + r (x + step)^2 = (T^2 + step^2 r (m - r)) / m, which
+    is T^2 for m = 1.
     """
-    lo, hi = d - step, d + step
-    squares = [(lo - step) ** 2, lo * lo, d * d, hi * hi, (hi + step) ** 2]
-    if m == 1:
-        return squares
-    e = (d - m * delta) // step
+    e = (d - m * delta) // step - 2  # T = d - 2 step is m delta + e step
     ss = step * step
-    return [(t + ss * (r := (e + k) % m) * (m - r)) // m for k, t in zip(range(-2, 3), squares)]
+    t = d - 2 * step
+    costs = []
+    for _ in range(5):
+        r = e % m
+        costs.append((t * t + ss * r * (m - r)) // m)
+        t += step
+        e += 1
+    return costs
 
 
 def _box_max(
@@ -200,23 +210,27 @@ def _box_max(
     each z_i in {y_i - step, y_i, y_i + step}, and a z attaining it.
 
     The edge from vertex i to i+1 is a run of m unit edges, (m, delta) =
-    runs[i], and f_i is its cost, `_run_costs`: the run's differences lie in
-    delta + step Z and step divides y_i - y_(i+1) - m delta; a single edge
-    (m = 1) costs T^2 whatever delta is.  A dynamic program along the
-    chain over the three states of each vertex.  Between vertices i-1 and i
-    the nine differences z_(i-1) - z_i are d + k step for d = y_(i-1) - y_i
-    and k = -2..2, so five run costs give the nine candidate values, and
-    each state keeps the best of its three.
+    runs[i], and f_i is its cost: T^2 for a unit edge (m = 1), whatever
+    delta is, and `_run_costs` for a run, whose differences lie in
+    delta + step Z, with step dividing y_i - y_(i+1) - m delta.  A dynamic
+    program along the chain over the three states of each vertex.  Between
+    vertices i-1 and i the nine differences z_(i-1) - z_i are d + k step for
+    d = y_(i-1) - y_i and k = -2..2, so five edge costs give the nine
+    candidate values, and each state keeps the best of its three, the first
+    on a tie.
     """
     lo, mid, hi = y[0] - step, y[0], y[0] + step
     a = w[0]
     s0, s1, s2 = -a * lo * lo, -a * mid * mid, -a * hi * hi
-    back = []  # per vertex, the best predecessor state of each state
-    for i in range(1, len(y)):
-        v = y[i]
-        qmm, qm, q0, qp, qpp = _run_costs(mid - v, step, *runs[i - 1])
+    back = []  # the best predecessor state of states 0, 1, 2 of each vertex after the first
+    for v, a, (m, delta) in zip(y[1:], w[1:], runs):
+        d = mid - v
+        if m == 1:
+            dm, dp = d - step, d + step
+            qmm, qm, q0, qp, qpp = (dm - step) ** 2, dm * dm, d * d, dp * dp, (dp + step) ** 2
+        else:
+            qmm, qm, q0, qp, qpp = _run_costs(d, step, m, delta)
         lo, mid, hi = v - step, v, v + step
-        a = w[i]
         # state 0 (z_i = lo) from states 0, 1, 2 of vertex i-1
         t0, e0 = s0 - q0, 0
         if s1 - qp > t0:
@@ -236,11 +250,15 @@ def _box_max(
         if s2 - q0 > t2:
             t2, e2 = s2 - q0, 2
         s0, s1, s2 = t0 - a * lo * lo, t1 - a * mid * mid, t2 - a * hi * hi
-        back.append((e0, e1, e2))
-    best, state = max((s0, 0), (s1, 1), (s2, 2), key=lambda pair: pair[0])
+        back += e0, e1, e2
+    best, state = s0, 0
+    if s1 > best:
+        best, state = s1, 1
+    if s2 > best:
+        best, state = s2, 2
     point = [y[-1] + (state - 1) * step]
-    for i in range(len(back) - 1, -1, -1):
-        state = back[i][state]
+    for i in range(len(y) - 2, -1, -1):
+        state = back[3 * i + state]
         point.append(y[i] + (state - 1) * step)
     return best, point[::-1]
 
@@ -368,22 +386,26 @@ def lattice_vs_recursion_check(p: int, q: int) -> LatticeCheckReport:
     """Compare {max K^2 + n over classes} with {4 d_rec(L(p,q), i) over labels}.
 
     Each conjugate pair of classes c and (s - c) mod p is maximized once, at
-    the smaller index, and both get its key; a start vector that breaks the
-    pairing congruence, or whose run differences fall in two classes mod 2p,
-    is an invariant error naming L(p,q).  A mismatch is reported, not
-    raised.  The chain is shortened once, and the report keeps each class's
-    key, p * (max K^2 + n), in class order as `class_keys`.
+    the smaller index, and both get its key; a chain whose continuants are
+    not p and q, a start vector that breaks the pairing congruence, or one
+    whose run differences fall in two classes mod 2p, is an invariant error
+    naming L(p,q).  A mismatch is reported, not raised.  The chain is
+    shortened once, and the report keeps each class's key,
+    p * (max K^2 + n), in class order as `class_keys`.
     """
     if not (0 < q < p) or gcd(p, q) != 1:
         raise DomainError(f"need coprime 0 < q < p, got ({p}, {q})")
-    from .exactnum import hj_expand
-
-    lat = lattice_from_hj(hj_expand(Fraction(p, q)))
-    n = lat.rank
-    theta = _continuants(lat.terms)
-    phi = _continuants(lat.terms[::-1])
+    terms = hj_expand(Fraction(p, q))
+    n = len(terms)
+    theta = _continuants(terms)
+    phi = _continuants(terms[::-1])
+    # a_1 - 1/(a_2 - ...) = theta_n / phi_(n-1) up to sign, a reduced fraction
+    # (consecutive continuants are coprime): the chain is that of p/q exactly
+    # when |theta_n| = p and |phi_(n-1)| = q.
+    if not is_normalized_hj(terms) or abs(theta[n]) != p or abs(phi[n - 1]) != q:
+        raise InvariantError(f"the chain of L({p},{q}) is not the normalized expansion of {p}/{q}")
     # Class c, K_0 + 2c e_1, starts at y_0 + c step: the start vector is linear in K.
-    y0 = _start_vector(theta, phi, tuple(-a for a in lat.terms))
+    y0 = _start_vector(theta, phi, tuple(-a for a in terms))
     step = _start_vector(theta, phi, (2,) + (0,) * (n - 1))
     # -y_c = y_0 + (s - c) step (mod 2p) for every c once 2 y_0 + s step = 0
     # (mod 2p); the last entry of step is +-2 (phi_0 = 1), so it fixes s mod p.
@@ -391,7 +413,7 @@ def lattice_vs_recursion_check(p: int, q: int) -> LatticeCheckReport:
     if any((2 * u + s * d) % (2 * p) for u, d in zip(y0, step)):
         raise InvariantError(f"conjugation does not pair the classes of L({p},{q})")
     # The ascent reads y only where the shortened chain has an entry.
-    w, at = _shorten(_weights(lat.terms))
+    w, at = _shorten(_weights(terms))
     y0 = [y0[i] for i in at]
     step = [step[i] for i in at]
     # Both sides are keyed by the integer p * value: a class's maximum of

@@ -408,7 +408,8 @@ def _chain_form(w, z):
 
 
 def test_box_max_matches_brute_force():
-    # every one of the 3^n box points, for chains of up to 7 vertices
+    # every one of the 3^n box points, for chains of up to 7 vertices of unit
+    # edges
     rng = random.Random(4)
     for trial in range(400):
         n = rng.randint(1, 7)
@@ -428,6 +429,40 @@ def test_box_max_matches_brute_force():
         assert best == expected, (w, y, step)
         assert all(abs(u - v) in (0, step) for u, v in zip(z, y))
         assert _chain_form(w, z) == best
+    # runs: chains of up to 6 vertices whose edges are runs of up to 5 unit
+    # edges, each costed by enumerating its splits; with no vertex weight,
+    # shifting every z_i by the same step ties
+    rng = random.Random(39)
+    costs = {}
+
+    def cost(m, delta, p, total):
+        key = (m, delta, p, total)
+        if key not in costs:
+            costs[key] = run_cost_by_splits(m, delta, p, total)
+        return costs[key]
+
+    for trial in range(200):
+        n = rng.randint(1, 6)
+        p = rng.choice([1, 2, 3])
+        step = 2 * p
+        runs = [(rng.randint(1, 5), rng.randrange(-step, step)) for _ in range(n - 1)]
+        w = [0] * n if trial % 3 == 0 else [rng.randrange(0, 4) for _ in range(n)]
+        # step divides y_i - y_(i+1) - m delta along every edge
+        y = [rng.randrange(-2 * step, 2 * step + 1)]
+        for m, delta in runs:
+            y.append(y[-1] - m * delta - step * rng.randint(-1, 1))
+
+        def form(z):
+            return -sum(a * v * v for a, v in zip(w, z)) - sum(
+                cost(m, delta, p, u - v) for (m, delta), u, v in zip(runs, z, z[1:])
+            )
+
+        box = itertools.product(*[(v - step, v, v + step) for v in y])
+        expected = max(form(z) for z in box)
+        best, z = _box_max(w, y, step, runs)
+        assert best == expected, (w, y, step, runs)
+        assert all(abs(u - v) in (0, step) for u, v in zip(z, y))
+        assert form(z) == best
 
 
 def test_start_vector_matches_adjugate_to_30():
@@ -553,6 +588,17 @@ def test_broken_conjugation_congruence_is_an_invariant_error(monkeypatch):
         InvariantError, match=re.escape("conjugation does not pair the classes of L(9,7)")
     ):
         lattice_vs_recursion_check(9, 7)
+
+
+@pytest.mark.parametrize("planted", [Fraction(13, 10), Fraction(13, 5)], ids=str)
+def test_chain_of_another_q_is_an_invariant_error(monkeypatch, planted):
+    # 4 * 10 = 1 (mod 13), so L(13,10) is L(13,4) and the chain of 13/10 has
+    # the right determinant and the right d-invariants: only its q is wrong
+    import lenslab.plumblat as plumblat
+
+    monkeypatch.setattr(plumblat, "hj_expand", lambda r: hj_expand(planted))
+    with pytest.raises(InvariantError, match=re.escape("L(13,4)")):
+        lattice_vs_recursion_check(13, 4)
 
 
 def test_run_in_two_classes_is_an_invariant_error(monkeypatch):
