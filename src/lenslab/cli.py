@@ -122,18 +122,21 @@ MAX_DIM = 1000
 # 250 random q at each of p = 79,999 and 80,000) is `alexlens 80000 69609
 # --literal-Lsigma --no-pm1-filter` (three candidates, 5.1 MB of output): it
 # took 1.2-1.9 s in 7 fresh interpreters.  `lattice-check` sweeps its classes in
-# O(p log p) for every q, since a run of 2s in the chain is one edge, and its
-# cap keeps the slowest sampled q under 2 s (wall time in a fresh interpreter
-# compiling the package from source, one cap-lifted run per q, on the same
-# VM).  33 q per p were sampled, 31 of them coprime at an even p: the nine
-# around 0.382p, the nine around 0.618p, 2, p - 2, p - 1 and seeded random
-# q.  The slowest took 1.06 s at p = 20,011, 1.40 s at 30,000, 1.76 s at
-# 35,000, 1.98 s at 40,000 (2.15 s on a re-run), 1.70 s at 40,009 and
-# 2.55 s at 50,021; re-timing the four slowest at 35,000 three more times
-# gave 1.37-1.85 s.
+# O(p log p) for every q, since a run of 2s in the chain is one edge.  Its
+# slow q are those whose shortened chain has the most kept vertices and runs:
+# over every q at p = 5,000 each of the slowest hundred had at least 7, and
+# none was a golden-ratio neighbour.  So the cap was timed on the sample of
+# earlier caps (the nine q around 0.382p and 0.618p, 2, p - 2, p - 1 and ten
+# seeded random q) plus the 40 q with the most kept vertices and runs: in the
+# library first, then the ten slowest as the command in a fresh interpreter
+# compiling the package from source, cap lifted in-process, same VM.  The
+# slowest found at 40,000, 29039 (9 kept vertices, 6 runs), took 1.01-1.73 s
+# in 11 runs, in the same spell as 0.85-1.30 s for the slowest q found at the
+# old cap of 35,000 before the flat box DP; at 50,000 the slowest took up to
+# 1.97 s, too close to 2 s on a host whose speed varies by half.
 MAX_DINV_P = 400_000
 MAX_ALEXLENS_P = 80_000
-MAX_LATTICE_P = 35_000
+MAX_LATTICE_P = 40_000
 # The largest pmax `genus-scan` accepts, given as --pmax or else the default
 # radius 12g - 7.  The scan builds the d-tables of every order up to pmax: a
 # 20-digit genus overflowed a list size and a 20-digit --pmax never returned.
