@@ -30,8 +30,7 @@ of the three coset points y_i - 2p, y_i, y_i + 2p per kept vertex the best
 point is a dynamic program along the shortened chain with three states per
 vertex and five edge costs per step.  A unit edge (m = 1) costs the squares
 (d + 2pk)^2, k = -2..2, which the DP forms itself; only a run goes through
-the even split.  The back-pointers are one flat list, and a tie keeps the
-first best state.  The run cost is convex in T, an infimal convolution of
+the even split.  The run cost is convex in T, an infimal convolution of
 convex functions, so the form stays a sum of concave functions of single
 coordinates and of differences of neighbours: it is L-natural-concave in the
 coset coordinates (Murota, "Discrete Convex Analysis", 2003, ch. 7), and a
