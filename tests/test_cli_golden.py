@@ -45,6 +45,8 @@ def invocations() -> list[list[str]]:
     for g in ("2", "3", "6", "10"):
         runs += [["genus-scan", g], ["--json", "genus-scan", g, "--no-pm1-filter"]]
     runs.append(["lattice-check", "9", "7"])
+    for pq in (["41", "40"], ["30", "19"], ["25", "7"], ["24", "23"]):
+        runs += [["lattice-check", *pq], ["--json", "lattice-check", *pq]]
     for n in range(26):
         for kind in ("tau", "twisted"):
             series = ["series", kind, "--truncate", str(n)]
