@@ -48,13 +48,22 @@ determinant alone would pass the chain of another q with the same p, such as
 that of 13/10 for L(13,4).  Class c = 0..p-1 is represented by K_0 + 2c e_1,
 and the start vector is linear in K, so class c starts at y_0 + c step,
 where step is the start vector of 2 e_1; no per-class representative or
-Fraction is built, and the sweep reads y_0 and step only at the kept
-vertices and at the first vertex of each run, so it costs O(p log p) for
-every q.  Each class's integer maximum comes from the same ascent as
-`max_char_square`, and it is keyed by max / p + n p, the integer
+Fraction is built.  The shortened problem is built once per lattice: the
+kept weights, and for each edge between kept vertices its length m and the
+two vertices its delta is read between.  The run congruence is linear mod
+2p in the start vector, so it holds for every class once it holds for the
+two generators' classes 0 (y_0) and 1 (y_0 + step), and a break names the
+class and L(p,q).  Per class only the centred kept values and the run deltas
+d_0 + c d_step are formed, since a run's cost depends on its delta mod 2p
+only, so the sweep costs O(p log p) for every q.  `max_char_square` goes
+through the same setup for its one class.  Each class's integer maximum
+comes from the same ascent, and it is keyed by max / p + n p, the integer
 p * (max K^2 + n); p divides the maximum because K^T G^{-1} K has a
 denominator dividing p, and a maximum that p does not divide is an invariant
-error.
+error.  The report holds integer keys only: the class keys in class order,
+and the labels' keys 4p d, the scaled d-table, in label order.  `equal`
+compares the sorted keys, and the multisets of Fractions, one per distinct
+key, are built when they are read.
 
 Conjugation K -> -K maps characteristic covectors to characteristic
 covectors and y to -y, and the form has Q(-y) = Q(y), so conjugate classes
@@ -269,9 +278,10 @@ def _weights(terms: tuple[int, ...]) -> list[int]:
 
 
 def _centred(y: list[int], p: int) -> list[int]:
-    """The point of the coset y + 2p Z^n nearest 0 in every coordinate."""
+    """The point of the coset y + 2p Z^n nearest 0 in every coordinate, in
+    (-p, p]: (v + p - 1) mod 2p - (p - 1)."""
     step = 2 * p
-    return [r - step if r > p else r for r in (v % step for v in y)]
+    return [(v + p - 1) % step - (p - 1) for v in y]
 
 
 def _shorten(w: list[int]) -> tuple[list[int], list[int]]:
@@ -281,7 +291,7 @@ def _shorten(w: list[int]) -> tuple[list[int], list[int]]:
 
     w is `_weights` of a normalized chain, so every w_i >= 0, and the
     interior zeros are its a_i = 2.  Each chain is shortened once, and
-    `_max_square_scaled` takes the shortened form only.
+    `_kept_chain` takes the shortened form only.
     """
     n = len(w)
     short, at = [w[0]], [0]
@@ -296,6 +306,51 @@ def _shorten(w: list[int]) -> tuple[list[int], list[int]]:
             short.append(-1)
             at.append(i)
     return short, at
+
+
+def _kept_chain(w: list[int]) -> tuple[list[int], list[int], list[tuple[int, int, int]]]:
+    """The chain of the kept vertices of a shortened chain w: their weights,
+    their indices in w, and for the edge from each to the next, v, the triple
+    (m, u, f) of a run of m unit edges from u whose differences lie in the
+    class of y_u - y_f mod 2p; f is v for a unit edge (m = 1) and the first
+    vertex of the stretch for a run.  It depends on the lattice alone."""
+    kept, keep, edges = [w[0]], [0], []
+    m = 1
+    for i in range(1, len(w)):
+        a = w[i]
+        if a < 0:  # a stretch of -a vertices, its first one at i
+            m, first = 1 - a, i
+            continue
+        edges.append((m, keep[-1], i if m == 1 else first))
+        kept.append(a)
+        keep.append(i)
+        m = 1
+    return kept, keep, edges
+
+
+def _check_runs(
+    y: list[int], keep: list[int], edges: list[tuple[int, int, int]], step: int
+) -> None:
+    """The run congruence at y, indexed like the shortened chain: along each
+    run of m edges from u to v, T - m delta = 0 (mod step) for T = y_u - y_v
+    and delta = y_u - y_f, or an invariant error."""
+    for (m, u, f), v in zip(edges, keep[1:]):
+        if m > 1 and (y[u] - y[v] - m * (y[u] - y[f])) % step:
+            raise InvariantError(
+                f"a run of {m} edges has differences in two classes mod {step}"
+            )
+
+
+def _ascent(kept: list[int], y: list[int], step: int, runs: list[tuple[int, int]]) -> int:
+    """The maximum of the kept chain's form over y + step Z^k: move to the
+    best point of the box around the current one until that is the current
+    point or no better than it (see `_max_square_scaled`)."""
+    value = None  # Q(y) once y is the best point of a box
+    while True:
+        best, z = _box_max(kept, y, step, runs)
+        if z == y or best == value:
+            return best
+        value, y = best, z
 
 
 def _max_square_scaled(w: list[int], y0: list[int], p: int) -> int:
@@ -317,34 +372,16 @@ def _max_square_scaled(w: list[int], y0: list[int], p: int) -> int:
     function of k, and such a function is maximal at k as soon as no
     k + chi_S and no k - chi_S (chi_S a 0/1 vector) is larger (Murota,
     "Discrete Convex Analysis", SIAM 2003, ch. 7).  Those points all lie in
-    the box k +- 1, so: start at y0 and move to the best point of the box
-    around the current one until that is the current point or no better than
-    it.  The value rises strictly with every move and the form is definite,
-    so the ascent ends.  A start whose run differences do not share one
-    class mod 2p is an invariant error.
+    the box k +- 1, so `_ascent` starts at y0 and climbs from box to box.
+    The value rises strictly with every move and the form is definite, so
+    the ascent ends.  A start whose run differences do not share one class
+    mod 2p is an invariant error.
     """
     step = 2 * p
-    kept, y, runs = [w[0]], [y0[0]], []
-    m = 1
-    for a, v in zip(w[1:], y0[1:]):
-        if a < 0:  # a stretch of -a vertices, and its first value
-            m, first = 1 - a, v
-            continue
-        delta = y[-1] - (v if m == 1 else first)
-        if (y[-1] - v - m * delta) % step:
-            raise InvariantError(
-                f"a run of {m} edges has differences in two classes mod {step}"
-            )
-        runs.append((m, delta))
-        kept.append(a)
-        y.append(v)
-        m = 1
-    value = None  # Q(y) once y is the best point of a box
-    while True:
-        best, z = _box_max(kept, y, step, runs)
-        if z == y or best == value:
-            return best
-        value, y = best, z
+    kept, keep, edges = _kept_chain(w)
+    _check_runs(y0, keep, edges, step)
+    runs = [(m, y0[u] - y0[f]) for m, u, f in edges]
+    return _ascent(kept, [y0[i] for i in keep], step, runs)
 
 
 def max_char_square(lat: Lattice, cls: CharClass) -> Fraction:
@@ -364,12 +401,26 @@ def max_char_square(lat: Lattice, cls: CharClass) -> Fraction:
 
 @dataclass(frozen=True)
 class LatticeCheckReport:
+    """Both sides of the check as integer keys, p times each value: p (max K^2
+    + n) per class in class order, 4p d per label in label order."""
+
     p: int
     q: int
-    lattice_multiset: tuple[Fraction, ...]
-    recursion_multiset: tuple[Fraction, ...]
     equal: bool
-    class_keys: tuple[int, ...]  # p * (max K^2 + n) of classes 0..p-1, in order
+    class_keys: tuple[int, ...]
+    label_keys: tuple[int, ...]
+
+    def _multiset(self, keys: tuple[int, ...]) -> tuple[Fraction, ...]:
+        value = {k: Fraction(k, self.p) for k in set(keys)}
+        return tuple(value[k] for k in sorted(keys))
+
+    @property
+    def lattice_multiset(self) -> tuple[Fraction, ...]:
+        return self._multiset(self.class_keys)
+
+    @property
+    def recursion_multiset(self) -> tuple[Fraction, ...]:
+        return self._multiset(self.label_keys)
 
     def to_json_dict(self) -> dict:
         return {
@@ -390,7 +441,7 @@ def lattice_vs_recursion_check(p: int, q: int) -> LatticeCheckReport:
     whose run differences fall in two classes mod 2p, is an invariant error
     naming L(p,q).  A mismatch is reported, not raised.  The chain is
     shortened once, and the report keeps each class's key,
-    p * (max K^2 + n), in class order as `class_keys`.
+    p * (max K^2 + n), in class order, and the scaled d-table.
     """
     if not (0 < q < p) or gcd(p, q) != 1:
         raise DomainError(f"need coprime 0 < q < p, got ({p}, {q})")
@@ -413,8 +464,23 @@ def lattice_vs_recursion_check(p: int, q: int) -> LatticeCheckReport:
         raise InvariantError(f"conjugation does not pair the classes of L({p},{q})")
     # The ascent reads y only where the shortened chain has an entry.
     w, at = _shorten(_weights(terms))
+    kept, keep, edges = _kept_chain(w)
     y0 = [y0[i] for i in at]
     step = [step[i] for i in at]
+    two_p = 2 * p
+    # The run congruence is linear in y, so y_0 and y_0 + step, classes 0
+    # and 1, satisfy it only if every y_0 + c step does.
+    for c in (0, 1):
+        try:
+            _check_runs([u + c * d for u, d in zip(y0, step)], keep, edges, two_p)
+        except InvariantError as err:
+            raise InvariantError(f"class {c} of L({p},{q}): {err}") from None
+    # Class c's kept values, centred as `_centred` does, are (base + c slope)
+    # mod 2p - (p - 1), and a run's cost depends on its delta mod 2p only,
+    # which is d + c e.
+    base = [y0[i] + p - 1 for i in keep]
+    slope = [step[i] for i in keep]
+    runs = [(m, y0[u] - y0[f], step[u] - step[f]) for m, u, f in edges]
     # Both sides are keyed by the integer p * value: a class's maximum of
     # y^T G y by maximum / p + n p, a label's 4d = N / p by its table entry N.
     class_keys: list[int] = []
@@ -423,11 +489,8 @@ def lattice_vs_recursion_check(p: int, q: int) -> LatticeCheckReport:
         if mate < c:  # Q(-y) = Q(y): the conjugate class has the same maximum
             class_keys.append(class_keys[mate])
             continue
-        y = [u + c * d for u, d in zip(y0, step)]
-        try:
-            top = _max_square_scaled(w, _centred(y, p), p)
-        except InvariantError as err:
-            raise InvariantError(f"class {c} of L({p},{q}): {err}") from None
+        y = [(u + c * d) % two_p - (p - 1) for u, d in zip(base, slope)]
+        top = _ascent(kept, y, two_p, [(m, (d + c * e) % two_p) for m, d, e in runs])
         key, rest = divmod(top, p)
         if rest:
             raise InvariantError(
@@ -435,8 +498,6 @@ def lattice_vs_recursion_check(p: int, q: int) -> LatticeCheckReport:
             )
         class_keys.append(key + n * p)
     label_keys = scaled_d_table(LensSpace(p, q))
-    a, b = sorted(class_keys), sorted(label_keys)
-    value = {k: Fraction(k, p) for k in {*a, *b}}
     return LatticeCheckReport(
-        p, q, tuple(value[k] for k in a), tuple(value[k] for k in b), a == b, tuple(class_keys)
+        p, q, sorted(class_keys) == sorted(label_keys), tuple(class_keys), label_keys
     )

@@ -133,13 +133,15 @@ def run_cost_by_splits(m: int, delta: int, p: int, total: int) -> int | None:
 
 def per_class_report(p: int, q: int) -> LatticeCheckReport:
     """`lattice_vs_recursion_check(p, q)` class by class: one `max_char_square`
-    per `char_classes` representative, keyed by p times its value, and the
-    labels' values 4d as Fractions."""
+    per `char_classes` representative and one `d_table` value per label, each
+    keyed by p times its value, 4d for a label, which must be an integer."""
     lat = lattice_from_hj(hj_expand(Fraction(p, q)))
-    class_values = [max_char_square(lat, cls) for cls in char_classes(lat)]
-    label_values = [4 * d for d in d_table(LensSpace(p, q)).values]
-    a, b = tuple(sorted(class_values)), tuple(sorted(label_values))
-    return LatticeCheckReport(p, q, a, b, a == b, tuple(p * v for v in class_values))
+    class_values = [p * max_char_square(lat, cls) for cls in char_classes(lat)]
+    label_values = [4 * p * d for d in d_table(LensSpace(p, q)).values]
+    assert all(v.denominator == 1 for v in class_values + label_values), (p, q)
+    a = tuple(v.numerator for v in class_values)
+    b = tuple(v.numerator for v in label_values)
+    return LatticeCheckReport(p, q, sorted(a) == sorted(b), a, b)
 
 
 def is_equivariant(sigma: Correspondence) -> bool:

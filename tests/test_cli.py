@@ -856,7 +856,7 @@ def test_out_of_range_arguments_are_one_line_domain_errors(capsys, argv):
 
 
 def _planted_mismatch(p, q):
-    return LatticeCheckReport(p, q, (Fraction(-2),), (Fraction(0),), False, (-2 * p,))
+    return LatticeCheckReport(p, q, False, (-2 * p,), (0,))
 
 
 def test_lattice_check_mismatch_prints_then_exits_2(monkeypatch, capsys):

@@ -499,8 +499,10 @@ def test_class_sweep_matches_per_class_maxima():
 def test_class_value_off_the_1_over_p_grid_is_an_invariant_error(monkeypatch):
     import lenslab.plumblat as plumblat
 
-    real = plumblat._max_square_scaled
-    monkeypatch.setattr(plumblat, "_max_square_scaled", lambda w, y, p: real(w, y, p) + 1)
+    real = plumblat._ascent
+    monkeypatch.setattr(
+        plumblat, "_ascent", lambda kept, y, step, runs: real(kept, y, step, runs) + 1
+    )
     with pytest.raises(InvariantError, match=re.escape("max K^2 of class 0 of L(9,7)")):
         lattice_vs_recursion_check(9, 7)
 
@@ -537,14 +539,14 @@ def test_negation_pairs_class_c_with_class_s_minus_c_to_61():
 def test_one_ascent_per_conjugate_pair(monkeypatch):
     import lenslab.plumblat as plumblat
 
-    real = plumblat._max_square_scaled
+    real = plumblat._ascent
     calls = []
 
-    def counted(w, y, p):
+    def counted(kept, y, step, runs):
         calls.append(y)
-        return real(w, y, p)
+        return real(kept, y, step, runs)
 
-    monkeypatch.setattr(plumblat, "_max_square_scaled", counted)
+    monkeypatch.setattr(plumblat, "_ascent", counted)
     pairs = [(p, q) for p in range(2, 42) for q in range(1, p) if gcd(p, q) == 1]
     pairs += [(p, p - 1) for p in (64, 81, 100, 101)]
     for p, q in pairs:
@@ -616,4 +618,21 @@ def test_run_in_two_classes_is_an_invariant_error(monkeypatch):
 
     monkeypatch.setattr(plumblat, "_start_vector", shifted)
     with pytest.raises(InvariantError, match=re.escape("class 0 of L(9,7)")):
+        lattice_vs_recursion_check(9, 7)
+
+
+def test_run_in_two_classes_on_the_step_is_an_invariant_error(monkeypatch):
+    import lenslab.plumblat as plumblat
+
+    real = plumblat._start_vector
+
+    def shifted(theta, phi, rep):
+        # +p on y_1 of the step (the start vector of 2 e_1): L(9,7) has s = 6
+        # and 6 * 9 = 0 (mod 18), so the conjugation check passes, but the run
+        # of 3 edges from vertex 0 to vertex 3 breaks in every odd class
+        y = real(theta, phi, rep)
+        return [y[0], y[1] + 9, *y[2:]] if rep[0] > 0 else y
+
+    monkeypatch.setattr(plumblat, "_start_vector", shifted)
+    with pytest.raises(InvariantError, match=r"L\(9,7\): .*two classes mod 18"):
         lattice_vs_recursion_check(9, 7)
