@@ -86,6 +86,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from .errors import DomainError, InvariantError
@@ -402,7 +403,8 @@ def max_char_square(lat: Lattice, cls: CharClass) -> Fraction:
 @dataclass(frozen=True)
 class LatticeCheckReport:
     """Both sides of the check as integer keys, p times each value: p (max K^2
-    + n) per class in class order, 4p d per label in label order."""
+    + n) per class in class order, 4p d per label in label order.  The
+    multisets of values are built on first read."""
 
     p: int
     q: int
@@ -414,11 +416,11 @@ class LatticeCheckReport:
         value = {k: Fraction(k, self.p) for k in set(keys)}
         return tuple(value[k] for k in sorted(keys))
 
-    @property
+    @cached_property
     def lattice_multiset(self) -> tuple[Fraction, ...]:
         return self._multiset(self.class_keys)
 
-    @property
+    @cached_property
     def recursion_multiset(self) -> tuple[Fraction, ...]:
         return self._multiset(self.label_keys)
 
@@ -468,8 +470,8 @@ def lattice_vs_recursion_check(p: int, q: int) -> LatticeCheckReport:
     y0 = [y0[i] for i in at]
     step = [step[i] for i in at]
     two_p = 2 * p
-    # The run congruence is linear in y, so y_0 and y_0 + step, classes 0
-    # and 1, satisfy it only if every y_0 + c step does.
+    # The run congruence is linear in y, so every y_0 + c step satisfies it
+    # once classes 0 and 1, y_0 and y_0 + step, do.
     for c in (0, 1):
         try:
             _check_runs([u + c * d for u, d in zip(y0, step)], keep, edges, two_p)
