@@ -32,6 +32,7 @@ def invocations() -> list[list[str]]:
     runs = [
         ["dinv", "9", "7"], ["--json", "dinv", "9", "7"],
         ["dinv", "1009", "13"], ["--json", "dinv", "1009", "13"],
+        ["dinv", "12", "5"], ["--json", "dinv", "12", "5"],
     ]
     for p in range(1, 26):
         for q in range(1, p + 1):
@@ -42,6 +43,10 @@ def invocations() -> list[list[str]]:
                 pq, pq + ["--literal-Lsigma"], ["--json"] + pq, pq + ["--no-pm1-filter"],
                 ["--json"] + pq + ["--no-pm1-filter"],
             ]
+    runs += [
+        ["--json", "alexlens", "9", "7", "--literal-Lsigma"],
+        ["--json", "alexlens", "18", "13", "--literal-Lsigma", "--no-pm1-filter"],
+    ]
     for g in ("2", "3", "6", "10"):
         runs += [["genus-scan", g], ["--json", "genus-scan", g, "--no-pm1-filter"]]
     runs.append(["lattice-check", "9", "7"])
