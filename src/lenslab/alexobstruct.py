@@ -36,14 +36,16 @@ normalization reproduces the (2,5)-torus-knot polynomial for L(9,7) with
 sigma(i) = 3 + 4i, and only then.  The one-sided formula that builds the
 polynomial directly from t/2 differences (which flips the sign of every
 non-constant coefficient) is kept in `literal_reconstruction` for
-comparison output, never for filtering, as (N_{i-1} - 2 N_i + N_{i+1}) / 8p.
+comparison output, never for filtering, as the integers
+N_{i-1} - 2 N_i + N_{i+1}, that is 8p times each coefficient.  Nothing here
+builds a Fraction: a t-vector is its 4p-scaled integers, and the CLI writes
+t_i and the literal coefficients from them as n/4p and n/8p.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 from math import gcd
 
@@ -198,11 +200,6 @@ class TVector:
     space: LensSpace
     scaled: tuple[int, ...]
 
-    @property
-    def t(self) -> tuple[Fraction, ...]:
-        scale = 4 * self.space.p
-        return tuple(Fraction(n, scale) for n in self.scaled)
-
 
 def _scaled_t(
     base: tuple[int, ...], table: tuple[int, ...], sigma: Correspondence
@@ -282,18 +279,19 @@ def _candidates(
     return [seen[k] for k in sorted(seen)]
 
 
-def literal_reconstruction(tv: TVector) -> dict[int, Fraction]:
-    """The one-sided display formula 1 + sum (t_{i-1}/2 - t_i + t_{i+1}/2) T^i.
+def literal_reconstruction(tv: TVector) -> dict[int, int]:
+    """The one-sided display formula 1 + sum (t_{i-1}/2 - t_i + t_{i+1}/2) T^i,
+    its nonzero coefficients a_i held as the integers 8p * a_i, degrees ascending.
 
-    With n_i = 4p * t_i each coefficient is (n_{i-1} - 2 n_i + n_{i+1}) / 8p.
+    With n_i = 4p * t_i, 8p * a_i is n_{i-1} - 2 n_i + n_{i+1}, plus 8p at i = 0.
     Comparison output only; differs from the normative reconstruction by the
     sign of every non-constant coefficient.
     """
     n = [0, 0, *tv.scaled[:0:-1], *tv.scaled, 0, 0]  # n_i for |i| <= len(scaled) + 1
     scale = 8 * tv.space.p
-    out: dict[int, Fraction] = {}
+    out: dict[int, int] = {}
     for i, (left, mid, right) in enumerate(zip(n, n[1:], n[2:]), -len(tv.scaled)):
-        a = Fraction(left - 2 * mid + right + scale * (i == 0), scale)
+        a = left - 2 * mid + right + scale * (i == 0)
         if a:
             out[i] = a
     return out

@@ -4,7 +4,10 @@ Exit codes: 0 success, 1 domain error (single-line diagnostic), 2 internal
 invariant failure (names the failing assertion), 64 usage error.  Output is
 deterministic: collections are sorted and rationals rendered "num/den" with
 the denominator omitted when it is 1, except in the multisets of
-`lattice-check --json`, which keep it ("0/1", "4/1").
+`lattice-check --json`, which keep it ("0/1", "4/1").  `dinv`, `alexlens` and
+`lattice-check` write each rational from its scaled integer, n / 4p, n / 8p
+or k / p, with no Fraction built.  A handler passes `_emit` its JSON document
+and its text lines as callables, and only the one printed is built.
 """
 
 from __future__ import annotations
@@ -13,11 +16,20 @@ import argparse
 import json
 import re
 import sys
+from collections.abc import Callable
 from fractions import Fraction
 
 from .errors import DomainError, InvariantError
-from .exactnum import farey_parents, format_slope, hj_expand, parse_slope, slope_pair, slope_text
-from .lensdi import d_table, lens_normalize
+from .exactnum import (
+    farey_parents,
+    format_slope,
+    hj_expand,
+    parse_slope,
+    ratio_text,
+    slope_pair,
+    slope_text,
+)
+from .lensdi import lens_normalize, scaled_d_table
 from .alexobstruct import (
     candidate_polynomials,
     default_scan_radius,
@@ -309,25 +321,35 @@ def _check_node_caps(table: dict) -> None:
             raise CertificateCheckError(f"node {node['id']} ({node['rule']}): {over}")
 
 
-def _emit(args: argparse.Namespace, payload: object, lines: list[str], **json_style) -> None:
+def _emit(
+    args: argparse.Namespace,
+    payload: Callable[[], object],
+    lines: Callable[[], list[str]],
+    **json_style,
+) -> None:
     """Write a command's result: its JSON document under --json, otherwise its
-    text lines.  This is the only code in the CLI that writes to stdout."""
+    text lines; only the one written is built.  This is the only code in the
+    CLI that writes to stdout."""
     if args.json:
-        print(json.dumps(payload, **json_style))
+        print(json.dumps(payload(), **json_style))
     else:
-        for line in lines:
+        for line in lines():
             print(line)
 
 
 def _emit_certificate(args: argparse.Namespace, cert: Certificate) -> None:
     nodes = check_certificate(cert)
-    table = cert.to_json_dict()
-    _emit(args, {
-        "certificate": table,
-        "nodes": nodes,
-        "distinct_nodes": len(table["nodes"]),
-        "conclusion": CONCLUSION_SENTENCE,
-    }, [
+
+    def payload() -> dict:
+        table = cert.to_json_dict()
+        return {
+            "certificate": table,
+            "nodes": nodes,
+            "distinct_nodes": len(table["nodes"]),
+            "conclusion": CONCLUSION_SENTENCE,
+        }
+
+    _emit(args, payload, lambda: [
         f"certified: {cert.conclusion.descriptor}",
         f"|H1| = {cert.conclusion.h1_order}",
         f"certificate nodes: {nodes} (re-verified independently)",
@@ -405,22 +427,25 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_dinv(args: argparse.Namespace) -> None:
     _check_cap("p", args.p, MAX_DINV_P)
     space = lens_normalize(args.p, args.q)
-    values = [format_slope(v) for v in d_table(space).values]
-    _emit(args, {"p": space.p, "q": space.q, "d": values},
-          [f"{i}\t{value}" for i, value in enumerate(values)])
+    scale = 4 * space.p
+    values = [ratio_text(n, scale) for n in scaled_d_table(space)]
+    _emit(args, lambda: {"p": space.p, "q": space.q, "d": values},
+          lambda: [f"{i}\t{value}" for i, value in enumerate(values)])
 
 
 def _cmd_hj(args: argparse.Namespace) -> None:
     slope = parse_slope(args.slope)
     terms = hj_expand(slope)
     name = format_slope(slope)
-    _emit(args, {"slope": name, "terms": terms}, [f"{name} = [{','.join(map(str, terms))}]"])
+    _emit(args, lambda: {"slope": name, "terms": terms},
+          lambda: [f"{name} = [{','.join(map(str, terms))}]"])
 
 
 def _cmd_farey(args: argparse.Namespace) -> None:
     slope = slope_pair(args.slope)
     name, high, low = map(slope_text, (slope, *farey_parents(slope)))
-    _emit(args, {"slope": name, "parents": [high, low]}, [f"parents({name}) = ({high}, {low})"])
+    _emit(args, lambda: {"slope": name, "parents": [high, low]},
+          lambda: [f"parents({name}) = ({high}, {low})"])
 
 
 def _filter_names(args: argparse.Namespace) -> list[str]:
@@ -432,28 +457,40 @@ def _filter_names(args: argparse.Namespace) -> list[str]:
 def _cmd_alexlens(args: argparse.Namespace) -> None:
     _check_cap("p", args.p, MAX_ALEXLENS_P)
     space = lens_normalize(args.p, args.q)
-    records, lines = [], []
+    scale = 4 * space.p  # t_i is n / 4p, a literal coefficient n / 8p
+    found = []  # (candidate, t texts, literal coefficient texts by degree or None)
     for cand in candidate_polynomials(space, pm1=not args.no_pm1_filter):
-        c, u = cand.sigma.c, cand.sigma.u
-        t = [format_slope(x) for x in cand.t.t]
-        records.append({
-            "p": space.p,
-            "q": space.q,
-            "sigma": {"c": c, "u": u},
-            "t": t,
-            "alexander": [[i, a] for i, a in cand.poly.coeffs],
-        })
-        lines.append(f"{space}: sigma(i) = {c} + {u}*i  t = ({', '.join(t)})  Delta = {cand.poly}")
-        if args.literal:
-            literal = {
-                str(i): format_slope(a)
-                for i, a in sorted(literal_reconstruction(cand.t).items())
-            }
-            records[-1]["literal_Lsigma"] = literal
-            lines.append("  one-sided display formula gives: "
-                         + ", ".join(f"T^{i}: {v}" for i, v in literal.items()))
-    _emit(args, {"candidates": records, "filters": _filter_names(args)},
-          lines or [f"{space}: no candidate polynomials"])
+        t = [ratio_text(n, scale) for n in cand.t.scaled]
+        literal = {
+            str(i): ratio_text(a, 2 * scale) for i, a in literal_reconstruction(cand.t).items()
+        } if args.literal else None
+        found.append((cand, t, literal))
+
+    def payload() -> dict:
+        records = []
+        for cand, t, literal in found:
+            records.append({
+                "p": space.p,
+                "q": space.q,
+                "sigma": {"c": cand.sigma.c, "u": cand.sigma.u},
+                "t": t,
+                "alexander": [[i, a] for i, a in cand.poly.coeffs],
+            })
+            if literal is not None:
+                records[-1]["literal_Lsigma"] = literal
+        return {"candidates": records, "filters": _filter_names(args)}
+
+    def lines() -> list[str]:
+        out = []
+        for cand, t, literal in found:
+            c, u = cand.sigma.c, cand.sigma.u
+            out.append(f"{space}: sigma(i) = {c} + {u}*i  t = ({', '.join(t)})  Delta = {cand.poly}")
+            if literal is not None:
+                out.append("  one-sided display formula gives: "
+                           + ", ".join(f"T^{i}: {v}" for i, v in literal.items()))
+        return out or [f"{space}: no candidate polynomials"]
+
+    _emit(args, payload, lines)
 
 
 def _cmd_genus_scan(args: argparse.Namespace) -> None:
@@ -461,7 +498,7 @@ def _cmd_genus_scan(args: argparse.Namespace) -> None:
     _check_cap("pmax", pmax, MAX_SCAN_PMAX)
     hits = scan_realizable(args.genus, pmax, pm1=not args.no_pm1_filter)
     names = _filter_names(args)
-    _emit(args, {
+    _emit(args, lambda: {
         "genus": args.genus,
         "pmax": pmax,
         "filters": names,
@@ -472,7 +509,7 @@ def _cmd_genus_scan(args: argparse.Namespace) -> None:
             }
             for hit in hits
         ],
-    }, [
+    }, lambda: [
         f"# genus {args.genus}, orders up to {pmax}, filters: " + ",".join(names),
         ", ".join(str(hit.space) for hit in hits) if hits else "(none)",
     ])
@@ -481,10 +518,14 @@ def _cmd_genus_scan(args: argparse.Namespace) -> None:
 def _cmd_lattice_check(args: argparse.Namespace) -> None:
     _check_cap("p", args.p, MAX_LATTICE_P)
     report = lattice_vs_recursion_check(args.p, args.q)
-    _emit(args, report.to_json_dict(), [
+
+    def multiset(keys: tuple[int, ...]) -> str:
+        return " ".join(ratio_text(k, report.p) for k in sorted(keys))
+
+    _emit(args, report.to_json_dict, lambda: [
         f"L({report.p},{report.q})",
-        "lattice oracle:  " + " ".join(map(format_slope, report.lattice_multiset)),
-        "4 * d-recursion: " + " ".join(map(format_slope, report.recursion_multiset)),
+        "lattice oracle:  " + multiset(report.class_keys),
+        "4 * d-recursion: " + multiset(report.label_keys),
         "equal" if report.equal else "MISMATCH",
     ])
     if not report.equal:
@@ -505,36 +546,44 @@ def _cmd_series(args: argparse.Namespace) -> None:
     else:
         series = twisted_genus1_series(n)
     text = str(series)
-    _emit(args, {
+    _emit(args, lambda: {
         "kind": args.kind,
         "truncate": n,
         "series": text,
         "invertible": series.is_invertible(),
-    }, [text])
+    }, lambda: [text])
 
 
 def _cmd_octet(args: argparse.Namespace) -> None:
     octet = _load_octet(args.file)
     report = octet_verify(octet)
-    payload: dict = {
-        "identities": [{"identity": name, "ok": ok} for name, ok in report.results],
-        "all_identities": report.all_ok,
-    }
-    lines = [f"{'ok  ' if ok else 'FAIL'} {name}" for name, ok in report.results]
-    if not report.all_ok:
-        lines.append("identities fail; complexes not assembled")
-    else:
-        assembled = octet_assemble(octet)  # the assembly octet_verify built
-        h = payload["homology"] = {
-            "to": assembled.homology_to,
-            "from": assembled.homology_from,
-            "red": assembled.homology_red,
+    # the assembly octet_verify built, when the identities hold
+    assembled = octet_assemble(octet) if report.all_ok else None
+
+    def payload() -> dict:
+        doc: dict = {
+            "identities": [{"identity": name, "ok": ok} for name, ok in report.results],
+            "all_identities": report.all_ok,
         }
-        payload["exact"] = assembled.exact
-        lines += [
-            f"homology ranks: to={h['to']} from={h['from']} red={h['red']}",
+        if assembled is not None:
+            doc["homology"] = {
+                "to": assembled.homology_to,
+                "from": assembled.homology_from,
+                "red": assembled.homology_red,
+            }
+            doc["exact"] = assembled.exact
+        return doc
+
+    def lines() -> list[str]:
+        out = [f"{'ok  ' if ok else 'FAIL'} {name}" for name, ok in report.results]
+        if assembled is None:
+            return out + ["identities fail; complexes not assembled"]
+        return out + [
+            f"homology ranks: to={assembled.homology_to} from={assembled.homology_from}"
+            f" red={assembled.homology_red}",
             "exact triangle" if assembled.exact else "NOT EXACT",
         ]
+
     _emit(args, payload, lines)
 
 
@@ -542,15 +591,19 @@ def _cmd_triangle(args: argparse.Namespace) -> None:
     triple = _load_cone_triple(args.file)
     report = cone_verify(triple)
     exact = cone_exactness(triple)
-    lines = []
-    for n, flags in enumerate(
-        zip(report.chain_maps, report.homotopy_identities, report.psi_isomorphisms)
-    ):
-        chain, homotopy, psi = ("ok" if flag else "FAIL" for flag in flags)
-        lines.append(f"n={n}: chain-map {chain}, homotopy {homotopy}, psi iso {psi}")
-    lines.append("hypotheses hold" if report.applicable else "hypotheses do not hold")
-    lines.append("exact" if exact else "NOT EXACT")
-    _emit(args, {
+
+    def lines() -> list[str]:
+        out = []
+        for n, flags in enumerate(
+            zip(report.chain_maps, report.homotopy_identities, report.psi_isomorphisms)
+        ):
+            chain, homotopy, psi = ("ok" if flag else "FAIL" for flag in flags)
+            out.append(f"n={n}: chain-map {chain}, homotopy {homotopy}, psi iso {psi}")
+        out.append("hypotheses hold" if report.applicable else "hypotheses do not hold")
+        out.append("exact" if exact else "NOT EXACT")
+        return out
+
+    _emit(args, lambda: {
         "chain_maps": list(report.chain_maps),
         "homotopy_identities": list(report.homotopy_identities),
         "psi_isomorphisms": list(report.psi_isomorphisms),

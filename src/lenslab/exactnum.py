@@ -2,7 +2,9 @@
 
 A slope p/q is the reduced pair (p, q), q >= 0, with 1/0 as (1, 0);
 nothing in this package touches floating point.  `slope_pair` and
-`slope_text` are the one slope text grammar, "p/q" or "p".
+`slope_text` are the one slope text grammar, "p/q" or "p"; `ratio_text`
+writes a scaled integer n/d in it, so the CLI prints its tables without a
+Fraction.
 """
 
 from __future__ import annotations
@@ -29,6 +31,12 @@ def slope_pair(text: str) -> Slope:
         return num // g, den // g
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"not a rational slope: {text!r}") from exc
+
+
+def ratio_text(n: int, d: int) -> str:
+    """The text of n/d in lowest terms, for d > 0: format_slope(Fraction(n, d))."""
+    g = gcd(n, d)
+    return slope_text((n // g, d // g))
 
 
 def format_slope(r: Fraction) -> str:

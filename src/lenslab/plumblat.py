@@ -62,8 +62,8 @@ p * (max K^2 + n); p divides the maximum because K^T G^{-1} K has a
 denominator dividing p, and a maximum that p does not divide is an invariant
 error.  The report holds integer keys only: the class keys in class order,
 and the labels' keys 4p d, the scaled d-table, in label order.  `equal`
-compares the sorted keys, and the multisets of Fractions, one per distinct
-key, are built when they are read.
+compares the sorted keys, and each multiset is written from its sorted keys
+as k / p in lowest terms, with no Fraction built.
 
 Conjugation K -> -K maps characteristic covectors to characteristic
 covectors and y to -y, and the form has Q(-y) = Q(y), so conjugate classes
@@ -86,7 +86,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd
 
 from .errors import DomainError, InvariantError
@@ -403,8 +402,8 @@ def max_char_square(lat: Lattice, cls: CharClass) -> Fraction:
 @dataclass(frozen=True)
 class LatticeCheckReport:
     """Both sides of the check as integer keys, p times each value: p (max K^2
-    + n) per class in class order, 4p d per label in label order.  The
-    multisets of values are built on first read."""
+    + n) per class in class order, 4p d per label in label order.  Each
+    multiset of values is its keys sorted, each key k standing for k / p."""
 
     p: int
     q: int
@@ -412,24 +411,19 @@ class LatticeCheckReport:
     class_keys: tuple[int, ...]
     label_keys: tuple[int, ...]
 
-    def _multiset(self, keys: tuple[int, ...]) -> tuple[Fraction, ...]:
-        value = {k: Fraction(k, self.p) for k in set(keys)}
-        return tuple(value[k] for k in sorted(keys))
-
-    @cached_property
-    def lattice_multiset(self) -> tuple[Fraction, ...]:
-        return self._multiset(self.class_keys)
-
-    @cached_property
-    def recursion_multiset(self) -> tuple[Fraction, ...]:
-        return self._multiset(self.label_keys)
-
     def to_json_dict(self) -> dict:
+        """The two multisets as sorted "num/den" texts in lowest terms, the
+        denominator written even when it is 1."""
+        p = self.p
+
+        def texts(keys: tuple[int, ...]) -> list[str]:
+            return [f"{k // g}/{p // g}" for k in sorted(keys) for g in (gcd(k, p),)]
+
         return {
-            "p": self.p,
+            "p": p,
             "q": self.q,
-            "lattice_multiset": [f"{v.numerator}/{v.denominator}" for v in self.lattice_multiset],
-            "recursion_multiset": [f"{v.numerator}/{v.denominator}" for v in self.recursion_multiset],
+            "lattice_multiset": texts(self.class_keys),
+            "recursion_multiset": texts(self.label_keys),
             "equal": self.equal,
         }
 

@@ -95,7 +95,7 @@ def test_criterion_04_worked_witness():
     space = LensSpace(9, 7)
     sigma = Correspondence(space, 3, 4)
     tv = t_vector(space, sigma)
-    assert tv.t == (Fraction(-2), Fraction(-2), Fraction(0), Fraction(0), Fraction(0))
+    assert tuple(Fraction(n, 36) for n in tv.scaled) == (-2, -2, 0, 0, 0)
     witnesses = {
         c.poly: (c.sigma.c, c.sigma.u) for c in candidate_polynomials(space)
     }

@@ -108,14 +108,14 @@ def test_correspondence_equivariance_hand_check():
 def test_t_vector_examples():
     space = LensSpace(7, 1)
     identity = Correspondence(space, 0, 1)
-    assert all(x == 0 for x in t_vector(space, identity).t)
+    assert all(n == 0 for n in t_vector(space, identity).scaled)
 
     space = LensSpace(9, 7)
     tv = t_vector(space, Correspondence(space, 3, 4))
-    assert tv.t == (Fraction(-2), Fraction(-2), Fraction(0), Fraction(0), Fraction(0))
+    assert tuple(Fraction(n, 36) for n in tv.scaled) == (-2, -2, 0, 0, 0)
 
     tv2 = t_vector(space, Correspondence(space, 3, 5))
-    assert tv2.t[1] == d_rec(LensSpace(9, 1), 1) - d_rec(space, 8) == Fraction(-2)
+    assert Fraction(tv2.scaled[1], 36) == d_rec(LensSpace(9, 1), 1) - d_rec(space, 8) == Fraction(-2)
 
 
 def test_t_vector_symmetry_exhaustive():
@@ -129,7 +129,7 @@ def test_t_vector_symmetry_exhaustive():
                 tv = t_vector(space, sigma)
                 for i in range(p // 2 + 1):
                     mirrored = d_rec(base, (-i) % p) - d_rec(space, sigma(-i))
-                    assert mirrored == tv.t[i]
+                    assert mirrored == Fraction(tv.scaled[i], 4 * p)
 
 
 def test_candidate_polynomials_examples():
@@ -283,7 +283,7 @@ def test_scan_radius_default():
 def test_literal_formula_flips_nonconstant_signs():
     space = LensSpace(9, 7)
     tv = t_vector(space, Correspondence(space, 3, 4))
-    literal = literal_reconstruction(tv)
+    literal = {i: Fraction(a, 72) for i, a in literal_reconstruction(tv).items()}
     # normative a_1 = -1, a_2 = +1; the display formula negates them
     assert literal[1] == 1 and literal[-1] == 1
     assert literal[2] == -1
@@ -292,7 +292,7 @@ def test_literal_formula_flips_nonconstant_signs():
 
 def literal_oracle(tv: TVector) -> dict[int, Fraction]:
     """The display formula 1 + sum (t_{i-1}/2 - t_i + t_{i+1}/2) T^i on Fractions."""
-    t = tv.t
+    t = [Fraction(n, 4 * tv.space.p) for n in tv.scaled]
 
     def value(i: int) -> Fraction:
         i = abs(i)
@@ -316,4 +316,5 @@ def test_literal_formula_matches_the_fraction_oracle_up_to_20():
             tables = _scaled_tables(space)
             for sigma in enumerate_correspondences(space):
                 tv = TVector(space, _scaled_t(*tables, sigma))
-                assert literal_reconstruction(tv) == literal_oracle(tv), (p, q, sigma)
+                literal = {i: Fraction(a, 8 * p) for i, a in literal_reconstruction(tv).items()}
+                assert literal == literal_oracle(tv), (p, q, sigma)

@@ -11,11 +11,15 @@ change is intended) with
 
 import contextlib
 import io
+import re
 import sys
+from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
 from lenslab.cli import main
+from lenslab.lspacecert import Certificate
+from lenslab.plumblat import LatticeCheckReport
 
 HERE = Path(__file__).parent
 GOLDEN = HERE / "data" / "cli_golden.txt"
@@ -83,15 +87,24 @@ def invocations() -> list[list[str]]:
     return runs
 
 
-def render() -> str:
+def run(argv: list[str]) -> str:
+    """The stdout of one invocation as the transcript records it."""
     out = io.StringIO()
-    for argv in invocations():
-        out.write("$ lenslab " + " ".join(argv) + "\n")
-        with contextlib.redirect_stdout(out):
-            code = main([str(HERE / a) if a.startswith("data/") else a for a in argv])
-        if code != 0:
-            out.write(f"[exit {code}]\n")
+    with contextlib.redirect_stdout(out):
+        code = main([str(HERE / a) if a.startswith("data/") else a for a in argv])
+    if code != 0:
+        out.write(f"[exit {code}]\n")
     return out.getvalue()
+
+
+def render() -> str:
+    return "".join("$ lenslab " + " ".join(argv) + "\n" + run(argv) for argv in invocations())
+
+
+def transcript() -> dict[str, str]:
+    """The recorded stdout of each invocation, keyed by its arguments joined by spaces."""
+    blocks = re.split(r"^\$ lenslab ", GOLDEN.read_text(), flags=re.M)[1:]
+    return dict(block.split("\n", 1) for block in blocks)
 
 
 def test_cli_stdout_matches_golden():
@@ -107,6 +120,36 @@ def test_cli_stdout_matches_golden():
             f"stdout differs from {GOLDEN.name} at line {first + 1}: "
             f"got {got[first:first + 1]!r}, want {want[first:first + 1]!r}"
         )
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("built what the output does not need")
+
+
+def test_dinv_and_alexlens_print_without_a_fraction(monkeypatch):
+    """`dinv` and `alexlens` write every rational from its scaled integer.
+    `lattice-check` is not run here: it expands p/q as a Fraction."""
+    golden = transcript()
+    monkeypatch.setattr(Fraction, "__new__", _refuse)
+    for argv in (
+        ["dinv", "12", "5"], ["--json", "dinv", "12", "5"],
+        ["alexlens", "18", "13", "--literal-Lsigma"],
+        ["--json", "alexlens", "9", "7", "--literal-Lsigma"],
+        ["--json", "alexlens", "18", "13", "--literal-Lsigma", "--no-pm1-filter"],
+    ):
+        assert run(argv) == golden[" ".join(argv)], argv
+
+
+def test_text_mode_builds_no_json_document(monkeypatch):
+    golden = transcript()
+    monkeypatch.setattr(LatticeCheckReport, "to_json_dict", _refuse)
+    monkeypatch.setattr(Certificate, "to_json_dict", _refuse)
+    for argv in (
+        ["lattice-check", "9", "7"],
+        ["lspace", "slope", "--base", "3/2", "--target", "17/5"],
+        ["lspace", "check", "data/certificate.json"],
+    ):
+        assert run(argv) == golden[" ".join(argv)], argv
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ from lenslab.exactnum import (
     hj_expand,
     is_normalized_hj,
     parse_slope,
+    ratio_text,
     slope_pair,
     slope_text,
 )
@@ -168,3 +169,12 @@ def test_slope_text_is_format_slope():
         value = _fraction_of_text(text)
         if not isinstance(value, str):
             assert slope_text(slope_pair(text)) == format_slope(value) == str(value)
+    # ratio_text(n, d) for d > 0: zero, multiples of d, d = 1, past 64 bits
+    wide = 1 << 80
+    rng = random.Random(41)
+    pairs = [(0, 1), (0, 12), (-36, 12), (36, 12), (-7, 1), (-wide - 1, 1),
+             (5 * wide, wide), (-6 * wide, 9 * wide)]
+    pairs += [(rng.randint(-60, 60), rng.randint(1, 24)) for _ in range(500)]
+    pairs += [(rng.randint(-wide, wide), rng.randint(1, wide)) for _ in range(500)]
+    for n, d in pairs:
+        assert ratio_text(n, d) == format_slope(Fraction(n, d))
