@@ -36,10 +36,8 @@ normalization reproduces the (2,5)-torus-knot polynomial for L(9,7) with
 sigma(i) = 3 + 4i, and only then.  The one-sided formula that builds the
 polynomial directly from t/2 differences (which flips the sign of every
 non-constant coefficient) is kept in `literal_reconstruction` for
-comparison output, never for filtering, as the integers
-N_{i-1} - 2 N_i + N_{i+1}, that is 8p times each coefficient.  Nothing here
-builds a Fraction: a t-vector is its 4p-scaled integers, and the CLI writes
-t_i and the literal coefficients from them as n/4p and n/8p.
+comparison output, never for filtering, as 8p a_i = N_{i-1} - 2 N_i + N_{i+1}
+(plus 8p at i = 0): nothing here builds a Fraction.
 """
 
 from __future__ import annotations

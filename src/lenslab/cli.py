@@ -4,10 +4,8 @@ Exit codes: 0 success, 1 domain error (single-line diagnostic), 2 internal
 invariant failure (names the failing assertion), 64 usage error.  Output is
 deterministic: collections are sorted and rationals rendered "num/den" with
 the denominator omitted when it is 1, except in the multisets of
-`lattice-check --json`, which keep it ("0/1", "4/1").  `dinv`, `alexlens` and
-`lattice-check` write each rational from its scaled integer, n / 4p, n / 8p
-or k / p, with no Fraction built.  A handler passes `_emit` its JSON document
-and its text lines as callables, and only the one printed is built.
+`lattice-check --json`, which keep it ("0/1", "4/1"); `dinv`, `alexlens` and
+`lattice-check` write them from their scaled integers with `ratio_text`.
 """
 
 from __future__ import annotations
@@ -16,19 +14,11 @@ import argparse
 import json
 import re
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 
 from .errors import DomainError, InvariantError
-from .exactnum import (
-    farey_parents,
-    format_slope,
-    hj_expand,
-    parse_slope,
-    ratio_text,
-    slope_pair,
-    slope_text,
-)
+from .exactnum import farey_parents, hj_expand, parse_slope, ratio_text, slope_pair, slope_text
 from .lensdi import lens_normalize, scaled_d_table
 from .alexobstruct import (
     candidate_polynomials,
@@ -128,24 +118,22 @@ MAX_DIM = 1000
 # The largest order p that `dinv`, `alexlens` and `lattice-check` accept.  Their
 # work grows with p whatever q is, and a p of 20 digits made `dinv` and
 # `alexlens` overflow a list size and `lattice-check` sweep its classes for
-# ever.  The cap of `dinv` lets the slowest q finish in about 2 s (median wall
-# time of the command on a 2-vCPU VM, Python 3.11): `dinv 399999 399998` took
-# 2.1 s.  The slowest `alexlens` q found at its cap (the torus-knot spaces and
-# 250 random q at each of p = 79,999 and 80,000) is `alexlens 80000 69609
-# --literal-Lsigma --no-pm1-filter` (three candidates, 5.1 MB of output): it
-# took 1.2-1.9 s in 7 fresh interpreters.  `lattice-check` sweeps its classes in
+# ever.  At the caps, in wall time of the command in a fresh interpreter on a
+# 2-vCPU VM (Python 3.11, 5 runs each), `dinv 399999 399998` took 0.94-1.07 s
+# and `dinv 400000 123457` 0.86-1.05 s; the slowest `alexlens` q found (the
+# torus-knot spaces and 250 random q at each of p = 79,999 and 80,000),
+# `alexlens 80000 69609 --literal-Lsigma --no-pm1-filter` (three candidates,
+# 5.1 MB of output), took 0.75-1.03 s.  `lattice-check` sweeps its classes in
 # O(p log p) for every q, since a run of 2s in the chain is one edge.  Its
 # slow q are those whose shortened chain has the most kept vertices and runs:
 # over every q at p = 5,000 each of the slowest hundred had at least 7, and
 # none was a golden-ratio neighbour.  So the cap was timed on the sample of
 # earlier caps (the nine q around 0.382p and 0.618p, 2, p - 2, p - 1 and ten
 # seeded random q) plus the 40 q with the most kept vertices and runs: in the
-# library first, then the ten slowest as the command in a fresh interpreter
-# compiling the package from source, cap lifted in-process, same VM.  The
-# slowest found at 40,000, 29039 (9 kept vertices, 6 runs), took 1.01-1.73 s
-# in 11 runs, in the same spell as 0.85-1.30 s for the slowest q found at the
-# old cap of 35,000 before the flat box DP; at 50,000 the slowest took up to
-# 1.97 s, too close to 2 s on a host whose speed varies by half.
+# library first, then the ten slowest as the command, cap lifted in-process.
+# The slowest found at 40,000, 29039 (9 kept vertices, 6 runs), took
+# 1.01-1.73 s in 11 runs; at 50,000 the slowest took up to 1.97 s, too close
+# to 2 s on a host whose speed varies by half.
 MAX_DINV_P = 400_000
 MAX_ALEXLENS_P = 80_000
 MAX_LATTICE_P = 40_000
@@ -321,15 +309,9 @@ def _check_node_caps(table: dict) -> None:
             raise CertificateCheckError(f"node {node['id']} ({node['rule']}): {over}")
 
 
-def _emit(
-    args: argparse.Namespace,
-    payload: Callable[[], object],
-    lines: Callable[[], list[str]],
-    **json_style,
-) -> None:
-    """Write a command's result: its JSON document under --json, otherwise its
-    text lines; only the one written is built.  This is the only code in the
-    CLI that writes to stdout."""
+def _emit(args, payload: Callable[[], object], lines: Callable[[], Iterable[str]], **json_style):
+    """Write a command's result, calling only the one written: its JSON document
+    under --json, otherwise its text lines.  The CLI writes stdout only here."""
     if args.json:
         print(json.dumps(payload(), **json_style))
     else:
@@ -339,17 +321,12 @@ def _emit(
 
 def _emit_certificate(args: argparse.Namespace, cert: Certificate) -> None:
     nodes = check_certificate(cert)
-
-    def payload() -> dict:
-        table = cert.to_json_dict()
-        return {
-            "certificate": table,
-            "nodes": nodes,
-            "distinct_nodes": len(table["nodes"]),
-            "conclusion": CONCLUSION_SENTENCE,
-        }
-
-    _emit(args, payload, lambda: [
+    _emit(args, lambda: {
+        "certificate": (table := cert.to_json_dict()),
+        "nodes": nodes,
+        "distinct_nodes": len(table["nodes"]),
+        "conclusion": CONCLUSION_SENTENCE,
+    }, lambda: [
         f"certified: {cert.conclusion.descriptor}",
         f"|H1| = {cert.conclusion.h1_order}",
         f"certificate nodes: {nodes} (re-verified independently)",
@@ -434,9 +411,9 @@ def _cmd_dinv(args: argparse.Namespace) -> None:
 
 
 def _cmd_hj(args: argparse.Namespace) -> None:
-    slope = parse_slope(args.slope)
-    terms = hj_expand(slope)
-    name = format_slope(slope)
+    slope = slope_pair(args.slope)
+    terms = hj_expand(Fraction(*slope))
+    name = slope_text(slope)
     _emit(args, lambda: {"slope": name, "terms": terms},
           lambda: [f"{name} = [{','.join(map(str, terms))}]"])
 
@@ -458,39 +435,33 @@ def _cmd_alexlens(args: argparse.Namespace) -> None:
     _check_cap("p", args.p, MAX_ALEXLENS_P)
     space = lens_normalize(args.p, args.q)
     scale = 4 * space.p  # t_i is n / 4p, a literal coefficient n / 8p
-    found = []  # (candidate, t texts, literal coefficient texts by degree or None)
+    found = []  # (candidate, t, literal coefficients by degree)
     for cand in candidate_polynomials(space, pm1=not args.no_pm1_filter):
-        t = [ratio_text(n, scale) for n in cand.t.scaled]
-        literal = {
-            str(i): ratio_text(a, 2 * scale) for i, a in literal_reconstruction(cand.t).items()
-        } if args.literal else None
-        found.append((cand, t, literal))
+        literal = literal_reconstruction(cand.t) if args.literal else {}
+        found.append((cand, [ratio_text(n, scale) for n in cand.t.scaled],
+                      {str(i): ratio_text(a, 2 * scale) for i, a in literal.items()}))
 
-    def payload() -> dict:
-        records = []
-        for cand, t, literal in found:
-            records.append({
-                "p": space.p,
-                "q": space.q,
-                "sigma": {"c": cand.sigma.c, "u": cand.sigma.u},
-                "t": t,
-                "alexander": [[i, a] for i, a in cand.poly.coeffs],
-            })
-            if literal is not None:
-                records[-1]["literal_Lsigma"] = literal
-        return {"candidates": records, "filters": _filter_names(args)}
-
-    def lines() -> list[str]:
-        out = []
+    def lines():
         for cand, t, literal in found:
             c, u = cand.sigma.c, cand.sigma.u
-            out.append(f"{space}: sigma(i) = {c} + {u}*i  t = ({', '.join(t)})  Delta = {cand.poly}")
-            if literal is not None:
-                out.append("  one-sided display formula gives: "
-                           + ", ".join(f"T^{i}: {v}" for i, v in literal.items()))
-        return out or [f"{space}: no candidate polynomials"]
+            yield f"{space}: sigma(i) = {c} + {u}*i  t = ({', '.join(t)})  Delta = {cand.poly}"
+            if args.literal:
+                yield "  one-sided display formula gives: " + ", ".join(
+                    f"T^{i}: {v}" for i, v in literal.items())
+        if not found:
+            yield f"{space}: no candidate polynomials"
 
-    _emit(args, payload, lines)
+    _emit(args, lambda: {
+        "candidates": [{
+            "p": space.p,
+            "q": space.q,
+            "sigma": {"c": cand.sigma.c, "u": cand.sigma.u},
+            "t": t,
+            "alexander": [[i, a] for i, a in cand.poly.coeffs],
+            **({"literal_Lsigma": literal} if args.literal else {}),
+        } for cand, t, literal in found],
+        "filters": _filter_names(args),
+    }, lines)
 
 
 def _cmd_genus_scan(args: argparse.Namespace) -> None:
@@ -518,14 +489,10 @@ def _cmd_genus_scan(args: argparse.Namespace) -> None:
 def _cmd_lattice_check(args: argparse.Namespace) -> None:
     _check_cap("p", args.p, MAX_LATTICE_P)
     report = lattice_vs_recursion_check(args.p, args.q)
-
-    def multiset(keys: tuple[int, ...]) -> str:
-        return " ".join(ratio_text(k, report.p) for k in sorted(keys))
-
     _emit(args, report.to_json_dict, lambda: [
         f"L({report.p},{report.q})",
-        "lattice oracle:  " + multiset(report.class_keys),
-        "4 * d-recursion: " + multiset(report.label_keys),
+        "lattice oracle:  " + " ".join(ratio_text(k, report.p) for k in sorted(report.class_keys)),
+        "4 * d-recursion: " + " ".join(ratio_text(k, report.p) for k in sorted(report.label_keys)),
         "equal" if report.equal else "MISMATCH",
     ])
     if not report.equal:
@@ -557,34 +524,24 @@ def _cmd_series(args: argparse.Namespace) -> None:
 def _cmd_octet(args: argparse.Namespace) -> None:
     octet = _load_octet(args.file)
     report = octet_verify(octet)
-    # the assembly octet_verify built, when the identities hold
-    assembled = octet_assemble(octet) if report.all_ok else None
+    assembled = octet_assemble(octet) if report.all_ok else None  # the assembly octet_verify built
+    h = assembled and {"to": assembled.homology_to, "from": assembled.homology_from,
+                       "red": assembled.homology_red}
 
-    def payload() -> dict:
-        doc: dict = {
-            "identities": [{"identity": name, "ok": ok} for name, ok in report.results],
-            "all_identities": report.all_ok,
-        }
-        if assembled is not None:
-            doc["homology"] = {
-                "to": assembled.homology_to,
-                "from": assembled.homology_from,
-                "red": assembled.homology_red,
-            }
-            doc["exact"] = assembled.exact
-        return doc
+    def lines():
+        for name, ok in report.results:
+            yield f"{'ok  ' if ok else 'FAIL'} {name}"
+        if not assembled:
+            yield "identities fail; complexes not assembled"
+        else:
+            yield f"homology ranks: to={h['to']} from={h['from']} red={h['red']}"
+            yield "exact triangle" if assembled.exact else "NOT EXACT"
 
-    def lines() -> list[str]:
-        out = [f"{'ok  ' if ok else 'FAIL'} {name}" for name, ok in report.results]
-        if assembled is None:
-            return out + ["identities fail; complexes not assembled"]
-        return out + [
-            f"homology ranks: to={assembled.homology_to} from={assembled.homology_from}"
-            f" red={assembled.homology_red}",
-            "exact triangle" if assembled.exact else "NOT EXACT",
-        ]
-
-    _emit(args, payload, lines)
+    _emit(args, lambda: {
+        "identities": [{"identity": name, "ok": ok} for name, ok in report.results],
+        "all_identities": report.all_ok,
+        **({"homology": h, "exact": assembled.exact} if assembled else {}),
+    }, lines)
 
 
 def _cmd_triangle(args: argparse.Namespace) -> None:
@@ -592,16 +549,13 @@ def _cmd_triangle(args: argparse.Namespace) -> None:
     report = cone_verify(triple)
     exact = cone_exactness(triple)
 
-    def lines() -> list[str]:
-        out = []
-        for n, flags in enumerate(
-            zip(report.chain_maps, report.homotopy_identities, report.psi_isomorphisms)
-        ):
+    def lines():
+        rows = zip(report.chain_maps, report.homotopy_identities, report.psi_isomorphisms)
+        for n, flags in enumerate(rows):
             chain, homotopy, psi = ("ok" if flag else "FAIL" for flag in flags)
-            out.append(f"n={n}: chain-map {chain}, homotopy {homotopy}, psi iso {psi}")
-        out.append("hypotheses hold" if report.applicable else "hypotheses do not hold")
-        out.append("exact" if exact else "NOT EXACT")
-        return out
+            yield f"n={n}: chain-map {chain}, homotopy {homotopy}, psi iso {psi}"
+        yield "hypotheses hold" if report.applicable else "hypotheses do not hold"
+        yield "exact" if exact else "NOT EXACT"
 
     _emit(args, lambda: {
         "chain_maps": list(report.chain_maps),

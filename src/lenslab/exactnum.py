@@ -1,10 +1,8 @@
 """Exact slope arithmetic: rationals, negative continued fractions, Farey parents.
 
 A slope p/q is the reduced pair (p, q), q >= 0, with 1/0 as (1, 0);
-nothing in this package touches floating point.  `slope_pair` and
-`slope_text` are the one slope text grammar, "p/q" or "p"; `ratio_text`
-writes a scaled integer n/d in it, so the CLI prints its tables without a
-Fraction.
+nothing in this package touches floating point.  `slope_pair`, `slope_text`
+and `ratio_text` (n/d in lowest terms) are the one slope text grammar, "p/q" or "p".
 """
 
 from __future__ import annotations

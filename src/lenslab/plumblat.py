@@ -412,15 +412,11 @@ class LatticeCheckReport:
     label_keys: tuple[int, ...]
 
     def to_json_dict(self) -> dict:
-        """The two multisets as sorted "num/den" texts in lowest terms, the
-        denominator written even when it is 1."""
-        p = self.p
-
-        def texts(keys: tuple[int, ...]) -> list[str]:
-            return [f"{k // g}/{p // g}" for k in sorted(keys) for g in (gcd(k, p),)]
+        def texts(keys: tuple[int, ...]) -> list[str]:  # "num/den" reduced, "/1" kept
+            return [f"{k // g}/{self.p // g}" for k in sorted(keys) for g in (gcd(k, self.p),)]
 
         return {
-            "p": p,
+            "p": self.p,
             "q": self.q,
             "lattice_multiset": texts(self.class_keys),
             "recursion_multiset": texts(self.label_keys),
