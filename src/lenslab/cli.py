@@ -14,7 +14,7 @@ import argparse
 import json
 import re
 import sys
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from fractions import Fraction
 
 from .errors import DomainError, InvariantError
@@ -309,7 +309,7 @@ def _check_node_caps(table: dict) -> None:
             raise CertificateCheckError(f"node {node['id']} ({node['rule']}): {over}")
 
 
-def _emit(args, payload: Callable[[], object], lines: Callable[[], Iterable[str]], **json_style):
+def _emit(args: argparse.Namespace, payload: Callable, lines: Callable, **json_style) -> None:
     """Write a command's result, calling only the one written: its JSON document
     under --json, otherwise its text lines.  The CLI writes stdout only here."""
     if args.json:
