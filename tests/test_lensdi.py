@@ -6,7 +6,7 @@ import random
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import floor, gcd
 
 import pytest
 
@@ -14,6 +14,7 @@ from lenslab.errors import DomainError, InvariantError, NotALensSpaceError
 from lenslab.exactnum import hj_expand
 from lenslab.lensdi import (
     LensSpace,
+    _dedekind12,
     _row,
     _table,
     conj_label,
@@ -305,3 +306,55 @@ def test_broken_conjugation_symmetry_names_the_first_label(monkeypatch):
     message = "conjugation symmetry broken for L(9,7): 4p*d(1) = 9 but 4p*d(5) = 8"
     with pytest.raises(InvariantError, match=re.escape(message)):
         scaled_d_table(LensSpace(9, 7))
+
+
+def dedekind_sum(a: int, b: int) -> Fraction:
+    """s(a, b) = sum over k = 1..b-1 of ((k/b)) ((ka/b)), from the definition,
+    with the sawtooth ((x)) = x - floor(x) - 1/2, and 0 at integers."""
+
+    def saw(x: Fraction) -> Fraction:
+        return x - floor(x) - Fraction(1, 2) if x.denominator != 1 else Fraction(0)
+
+    return sum((saw(Fraction(k, b)) * saw(Fraction(k * a, b)) for k in range(1, b)), Fraction(0))
+
+
+def test_dedekind12_is_12b_times_the_dedekind_sum_below_60():
+    for b in range(1, 60):
+        for a in range(b):
+            if gcd(a, b) != 1:
+                continue
+            expected = 12 * b * dedekind_sum(a, b)
+            assert _dedekind12(a, b) == expected, (a, b)
+            # s(a, b) depends on a mod b only, and s(-a, b) = -s(a, b)
+            assert _dedekind12(a + 3 * b, b) == expected, (a, b)
+            assert _dedekind12(-a, b) == -expected, (a, b)
+
+
+def test_d_values_sum_to_the_casson_walker_invariant_below_200():
+    # sum_i d(L(p, q), i) = -p * s(q, p), that is 3 * sum(N) = -p * D(q, p)
+    count = 0
+    for p in range(1, 200):
+        for q in range(1, p + 1):
+            if gcd(p, q) != 1 or (q == p and p > 1):
+                continue
+            assert 3 * sum(_table(p, q)) == -p * _dedekind12(q, p), (p, q)
+            count += 1
+    assert count == 12152
+
+
+def test_planted_conjugate_pair_trips_the_sum_check(monkeypatch):
+    import lenslab.lensdi as lensdi
+
+    space = LensSpace(13, 5)
+    assert conj_label(space, 0) == 4  # so the conjugation check still passes
+    real_table = lensdi._table
+
+    def planted(p, q):
+        table = real_table(p, q)
+        if (p, q) != (13, 5):
+            return table
+        return tuple(n + 8 * p * (i in (0, 4)) for i, n in enumerate(table))
+
+    monkeypatch.setattr(lensdi, "_table", planted)
+    with pytest.raises(InvariantError, match=re.escape("d-invariant sum broken for L(13,5)")):
+        scaled_d_table(space)
