@@ -117,8 +117,27 @@ def _row(p: int, q: int, below: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(quots)
 
 
+def _dedekind12(a: int, b: int) -> int:
+    """D(a, b) = 12b * s(a, b) for coprime a and b >= 1, s the Dedekind sum.
+
+    Reciprocity, a * D(a, b) + b * D(b mod a, a) = a^2 + b^2 + 1 - 3ab,
+    walks the Euclid chain of (a mod b, b) down to D(1, b) = (b - 1)(b - 2);
+    the values are then solved back up the chain, so nothing recurses.
+    """
+    a %= b
+    chain = []
+    while a > 1:
+        chain.append((a, b))
+        a, b = b % a, a
+    d = (b - 1) * (b - 2)  # D(1, b), and D(0, 1) = 0
+    for a, b in reversed(chain):
+        d = (a * a + b * b + 1 - 3 * a * b - b * d) // a
+    return d
+
+
 def scaled_d_table(space: LensSpace) -> tuple[int, ...]:
-    """N(p, q, i) = 4p * d(L(p, q), i) for every label i, conjugation-checked."""
+    """N(p, q, i) = 4p * d(L(p, q), i) for every label i, conjugation-checked,
+    then checked against the Casson-Walker sum 3 * sum(N) = -p * D(q, p)."""
     values = _table(space.p, space.q)
     k = space.q - 1  # conj_label(space, i) = k - i (mod p), so conjugation reverses
     if values != values[k::-1] + values[:k:-1]:  # labels 0..k, then k+1..p-1
@@ -129,6 +148,12 @@ def scaled_d_table(space: LensSpace) -> tuple[int, ...]:
                     f"conjugation symmetry broken for {space}: "
                     f"4p*d({i}) = {n} but 4p*d({j}) = {values[j]}"
                 )
+    total, walker = 3 * sum(values), -space.p * _dedekind12(space.q, space.p)
+    if total != walker:
+        raise InvariantError(
+            f"d-invariant sum broken for {space}: "
+            f"3 * sum(4p*d) = {total} but -p * D(q,p) = {walker}"
+        )
     return values
 
 
