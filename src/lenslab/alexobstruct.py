@@ -48,7 +48,7 @@ from itertools import accumulate
 from math import gcd
 
 from .errors import DomainError
-from .lensdi import LensSpace, lens_normalize, scaled_d_table
+from .lensdi import LensSpace, _dedekind12, lens_normalize, scaled_d_table
 from .lensdi import d_rec  # noqa: F401  perfbench/tracing.py wraps it at this name
 
 
@@ -252,9 +252,24 @@ class Candidate:
     t: TVector
 
 
+def _torsion_total(p: int, q: int, d1: int) -> int | None:
+    """T_total = sum of T_i over the labels of Z/p, the same for every sigma
+    of L(p, q), or None when it is not an integer >= 0 and so no sigma passes.
+
+    Each sigma permutes the labels, so sum t_i = sum d(L(p,1)) - sum d(L(p,q)),
+    and the d-values of L(p, q) sum to -D(q, p) / 12 (the Casson-Walker
+    invariant), so T_total = (D(1, p) - D(q, p)) / 24; d1 is D(1, p).
+    """
+    total, rest = divmod(d1 - _dedekind12(q, p), 24)
+    return None if total < 0 or rest else total
+
+
 def candidate_polynomials(space: LensSpace, pm1: bool = True) -> list[Candidate]:
     """Deduplicated candidate polynomials with one witnessing sigma each;
-    pm1 turns the pm1-alternating filter on."""
+    pm1 turns the pm1-alternating filter on.  A space whose T_total is not an
+    integer >= 0 has none, and gets no table."""
+    if _torsion_total(space.p, space.q, _dedekind12(1, space.p)) is None:
+        return []
     return _candidates(space, *_scaled_tables(space), pm1)
 
 
@@ -310,7 +325,13 @@ def scan_realizable(g: int, pmax: int | None = None, pm1: bool = True) -> list[S
     """Canonical lens spaces of order <= pmax admitting a candidate of degree g.
 
     The scaled table of L(p,1), which every q of the same p shares, is built
-    once per p.
+    once per p.  A q is skipped before its table is built when its T_total
+    rules out a candidate of degree g: when it is not an integer >= 0, or,
+    with pm1, when it lies outside [2g - 1, g^2].  With pm1 a candidate of
+    degree g has T_(g-1) = a_g = 1, consecutive T_j differ by 0 or 1, and
+    T_j = 0 for j >= g, so 1 <= T_j <= g - j for |j| < g; p >= 2g - 1 gives
+    T_(1-g) ... T_(g-1) their own labels, so T_total lies between
+    1 + 2(g - 1) and g + 2(1 + ... + (g - 1)) = g^2.
     """
     if g < 1:
         raise DomainError("scan needs g >= 1")
@@ -321,8 +342,12 @@ def scan_realizable(g: int, pmax: int | None = None, pm1: bool = True) -> list[S
     hits: dict[LensSpace, set[LensSpace]] = {}
     for p in range(max(2 * g - 1, 2), pmax + 1):
         base = scaled_d_table(LensSpace(p, 1))
+        d1 = _dedekind12(1, p)
         for q in range(1, p):
             if gcd(p, q) != 1:
+                continue
+            total = _torsion_total(p, q, d1)
+            if total is None or pm1 and not 2 * g - 1 <= total <= g * g:
                 continue
             space = LensSpace(p, q)
             table = base if q == 1 else scaled_d_table(space)

@@ -15,6 +15,7 @@ from lenslab.alexobstruct import (
     AlexPoly,
     Candidate,
     Correspondence,
+    ScanHit,
     TVector,
     _candidates,
     _scaled_t,
@@ -28,7 +29,7 @@ from lenslab.alexobstruct import (
     t_vector,
     torsion_from_alex,
 )
-from lenslab.lensdi import LensSpace, conj_label, d_rec
+from lenslab.lensdi import LensSpace, conj_label, d_rec, scaled_d_table
 
 T25 = AlexPoly(((0, 1), (1, -1), (2, 1)))  # (2,5) torus knot
 
@@ -273,6 +274,41 @@ def test_scan_builds_the_l_p_1_table_once_per_p(monkeypatch):
     monkeypatch.setattr(alexobstruct, "scaled_d_table", counted)
     scan_realizable(3)
     assert built == list(range(5, default_scan_radius(3) + 1))
+
+
+@pytest.mark.parametrize("p, q", [(5, 2), (13, 6)])
+def test_a_space_without_an_integer_torsion_total_builds_no_table(monkeypatch, p, q):
+    # D(1, p) - D(q, p) is 12 for L(5,2) and 180 for L(13,6), neither a
+    # multiple of 24, so T_total is not an integer and no sigma passes
+    import lenslab.alexobstruct as alexobstruct
+
+    def refuse(space):
+        raise AssertionError(f"built the table of {space}")
+
+    monkeypatch.setattr(alexobstruct, "scaled_d_table", refuse)
+    for pm1 in (True, False):
+        assert candidate_polynomials(LensSpace(p, q), pm1) == []
+
+
+def unpruned_scan(g: int, pm1: bool) -> list[ScanHit]:
+    """scan_realizable without the T_total prune: _candidates for every coprime q."""
+    hits: dict[LensSpace, set[LensSpace]] = {}
+    for p in range(max(2 * g - 1, 2), default_scan_radius(g) + 1):
+        base = scaled_d_table(LensSpace(p, 1))
+        for q in range(1, p):
+            if gcd(p, q) != 1:
+                continue
+            space = LensSpace(p, q)
+            table = base if q == 1 else scaled_d_table(space)
+            if any(c.poly.degree == g for c in _candidates(space, base, table, pm1)):
+                hits.setdefault(space.canonical(), set()).add(space)
+    return [ScanHit(k, tuple(sorted(reps))) for k, reps in sorted(hits.items())]
+
+
+@pytest.mark.parametrize("pm1", [True, False])
+def test_pruned_scan_equals_the_unpruned_scan_up_to_genus_10(pm1):
+    for g in range(1, 11):
+        assert scan_realizable(g, pm1=pm1) == unpruned_scan(g, pm1), g
 
 
 def test_scan_radius_default():
