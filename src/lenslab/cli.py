@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .errors import DomainError, InvariantError
 from .exactnum import farey_parents, hj_expand, parse_slope, ratio_text, slope_pair, slope_text
-from .lensdi import lens_normalize, scaled_d_table
+from .lensdi import d_values, lens_normalize
 from .alexobstruct import (
     candidate_polynomials,
     default_scan_radius,
@@ -404,8 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_dinv(args: argparse.Namespace) -> None:
     _check_cap("p", args.p, MAX_DINV_P)
     space = lens_normalize(args.p, args.q)
-    scale = 4 * space.p
-    values = [ratio_text(n, scale) for n in scaled_d_table(space)]
+    values = d_values(space, ratio_text)
     _emit(args, lambda: {"p": space.p, "q": space.q, "d": values},
           lambda: [f"{i}\t{value}" for i, value in enumerate(values)])
 

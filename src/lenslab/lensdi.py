@@ -29,12 +29,16 @@ block, and reads the second half off the first, reversed.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import gcd
+from typing import TypeVar
 
 from .errors import DomainError, InvariantError, NotALensSpaceError
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True, order=True)
@@ -170,21 +174,27 @@ class DInvariantTable:
     values: tuple[Fraction, ...]
 
 
-def d_table(space: LensSpace) -> DInvariantTable:
-    """All p d-values, as Fractions, of the conjugation-checked scaled table.
+def d_values(space: LensSpace, f: Callable[[int, int], T]) -> list[T]:
+    """f(N, 4p) for the scaled d-value N of every label, in label order, with
+    f called once per conjugate pair.
 
     `scaled_d_table` has checked that conjugation reverses labels 0..q-1 and
-    labels q..p-1, so each block is the Fractions of its first half followed
-    by that half mirrored: one Fraction per conjugate pair, at most p // 2 + 1.
+    labels q..p-1, so each block is f of its first half followed by that half
+    mirrored: at most p // 2 + 1 calls of f.
     """
     scale = 4 * space.p
     scaled = scaled_d_table(space)
-    values: list[Fraction] = []
+    values: list[T] = []
     for block in (scaled[: space.q], scaled[space.q :]):
-        half = list(map(Fraction, block[: (len(block) + 1) // 2], repeat(scale)))
+        half = list(map(f, block[: (len(block) + 1) // 2], repeat(scale)))
         values += half
         values += half[: len(block) // 2][::-1]
-    return DInvariantTable(space, tuple(values))
+    return values
+
+
+def d_table(space: LensSpace) -> DInvariantTable:
+    """All p d-values, as Fractions, of the checked scaled table (`d_values`)."""
+    return DInvariantTable(space, tuple(d_values(space, Fraction)))
 
 
 def froy_closed_form(p: int, n: int) -> Fraction:
