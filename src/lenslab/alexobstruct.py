@@ -9,6 +9,18 @@ and accept sigma only when every t_i is a nonpositive even integer.  The
 filter runs on the 4p-scaled integer tables of `lensdi`: with N = 4p * t_i,
 t_i <= 0 exactly when N <= 0, and t_i is even exactly when 8p divides N.
 
+Before any table is built, one number rules out many spaces.  Every sigma
+permutes the labels, so the torsion total T_total = sum of T_i over Z/p
+(T_i = -t_i / 2, below) is the same for every sigma:
+(D(1, p) - D(q, p)) / 24, where D(q, p) = 12p * s(q, p) and the d-values of
+L(p, q) sum to -D(q, p) / 12, the Casson-Walker invariant (Rustamov,
+arXiv:math/0409294).  Reciprocity gives D in O(log p) integer steps
+(Rademacher-Grosswald, *Dedekind Sums*, 1972; `lensdi._dedekind12`).  A
+space whose T_total is not an integer >= 0 has no candidate, so
+`candidate_polynomials` returns none without building a table, and
+`scan_realizable` also skips, under the pm1 filter, every q whose T_total
+lies outside the window [2g - 1, g^2] of a degree-g candidate.
+
 The filter is pruned label by label.  sigma(0) = c, so t_0 depends on the
 offset c alone and is tested once per offset; the units u of the offsets
 that pass are then filtered at i = 1, 2, ... in turn, and nearly all of

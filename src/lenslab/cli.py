@@ -141,7 +141,11 @@ MAX_LATTICE_P = 40_000
 # radius 12g - 7.  The scan builds the d-tables of every order up to pmax: a
 # 20-digit genus overflowed a list size and a 20-digit --pmax never returned.
 # The cap admits g = 60, whose default radius is 713, and is not a time
-# bound: at the cap `genus-scan 2 --pmax 720` took 92 s (one run, same VM).
+# bound.  With the pm1 filter the Casson-Walker prune skips most spaces
+# before their tables are built: `genus-scan 60` took 2.7-3.4 s (3 runs) and
+# `genus-scan 2 --pmax 720` 0.5 s (one run).  Without it only about half are
+# skipped, and `genus-scan 60 --no-pm1-filter`, the slowest scan at the cap,
+# took 38 s (one run; fresh interpreters on the same VM).
 MAX_SCAN_PMAX = 720
 # The largest truncation order N that `series` accepts.  A series is built
 # and printed in time and memory linear in N, about 0.4 bytes per order at

@@ -17,14 +17,23 @@ whatever the numerator's sign, so the remainders sum to 0 exactly when each
 of them is 0, that is when q * sum(N) equals the numerators' sum, and that
 sum has a closed form (see `_table`).
 
+The finished table is also checked as a whole.  The d-values of L(p, q) sum
+to -p * s(q, p), s the Dedekind sum, which is the Casson-Walker invariant of
+L(p, q) (Rustamov, arXiv:math/0409294); with D(q, p) = 12p * s(q, p), an
+integer, the scaled table must satisfy 3 * sum(N) = -p * D(q, p).
+Reciprocity computes D in O(log p) integer steps (Rademacher-Grosswald,
+*Dedekind Sums*, 1972; see `_dedekind12`), so the check costs one sum over
+the table.
+
 `d_rec` (one label) and `d_table` (every label) are `Fraction(N, 4p)` views
-of the conjugation-checked table, so `d_rec` builds a whole table per call,
-and they are the sign primitive of the package: every consumer states its
-own sign usage relative to them rather than re-deriving orientation
-conventions.  Conjugation i -> q - 1 - i (mod p) reverses labels 0..q-1 and
-labels q..p-1, and the check compares each block with its mirror, so
-`d_table` builds one Fraction per conjugate pair, for the first half of each
-block, and reads the second half off the first, reversed.
+of the checked table, so `d_rec` builds a whole table per call, and they
+are the sign primitive of the package: every consumer states its own sign
+usage relative to them rather than re-deriving orientation conventions.
+Conjugation i -> q - 1 - i (mod p) reverses labels 0..q-1 and labels
+q..p-1, and the check compares each block with its mirror, so `d_values`
+maps one value per conjugate pair, for the first half of each block, and
+reads the second half off the first, reversed; `d_table` maps `Fraction`
+and the CLI's `dinv` its text form.
 """
 
 from __future__ import annotations
