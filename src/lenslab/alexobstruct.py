@@ -19,16 +19,25 @@ arXiv:math/0409294).  Reciprocity gives D in O(log p) integer steps
 space whose T_total is not an integer >= 0 has no candidate, so
 `candidate_polynomials` returns none without building a table, and
 `scan_realizable` also skips, under the pm1 filter, every q whose T_total
-lies outside the window [2g - 1, g^2] of a degree-g candidate.
+lies outside the window [2g - 1, g^2] of a degree-g candidate.  The
+tables a space does get are checked against the D(1, p) and D(q, p) of
+this test (`lensdi._checked_table`), so each space runs one reciprocity
+chain.
 
 The filter is pruned label by label.  sigma(0) = c, so t_0 depends on the
-offset c alone and is tested once per offset; the units u of the offsets
-that pass are then filtered at i = 1, 2, ... in turn, and nearly all of
-them fail at i = 1.  Only the surviving sigma get a whole t-vector.  They
-are taken in the order of the full enumeration, u ascending and then c
-ascending, and a sigma that fails the filter never yields a candidate, so
-the first witness of every polynomial, and with it the sigma reported, is
-the one the full enumeration finds.
+offset c alone and is tested once per offset.  t_1 passes exactly when
+sigma(1) = c + u is a label j whose d(L(p,1), 1) - d(L(p,q), j) is
+nonpositive and even; one pass over the table lists those j for every
+offset, and each passing offset takes the units u = j - c (mod p) among
+them, so no list of the units is built, and nearly every sigma is out at
+i = 1.  Labels i = 2, 3, ... then filter the survivors in turn.  Only the
+surviving sigma get a whole t-vector, and a vector already seen is
+skipped: u and p - u always give the same vector, because conjugation
+fixes the table and maps c + u*i to c - u*i.  The sigma are taken in the
+order of the full enumeration, u ascending and then c ascending, a sigma
+that fails the filter never yields a candidate, and equal vectors give
+equal polynomials, so the first witness of every polynomial, and with it
+the sigma reported, is the one the full enumeration finds.
 The torsion coefficients are then T_i = -t_i / 2, a plain integer sequence
 (a polynomial of degree g has the tuple T_0, ..., T_{g-1}; zeros past it
 change nothing), and the candidate polynomial is recovered through the
@@ -60,7 +69,7 @@ from itertools import accumulate
 from math import gcd
 
 from .errors import DomainError
-from .lensdi import LensSpace, _dedekind12, lens_normalize, scaled_d_table
+from .lensdi import LensSpace, _checked_table, _dedekind12, lens_normalize, scaled_d_table
 from .lensdi import d_rec  # noqa: F401  perfbench/tracing.py wraps it at this name
 
 
@@ -231,30 +240,35 @@ def t_vector(space: LensSpace, sigma: Correspondence) -> TVector:
 
 def _passing_correspondences(
     space: LensSpace, base: tuple[int, ...], table: tuple[int, ...]
-) -> list[Correspondence]:
-    """The equivariant sigma whose t-vector is nonpositive and even, in the
-    order of enumerate_correspondences (units ascending, then c ascending).
+) -> list[tuple[int, int]]:
+    """The pairs (u, c) of the equivariant sigma(i) = c + u*i whose t-vector
+    is nonpositive and even, in the order of enumerate_correspondences
+    (units ascending, then c ascending).
 
     t_0 = d(L(p,1), 0) - d(L(p,q), c) depends on c alone, so it is tested
-    once per offset; the units are then filtered one label at a time, and
-    almost every unit drops out at label 1.
+    once per offset.  t_1 passes exactly when sigma(1) = c + u is one of the
+    labels j with base[1] - table[j] nonpositive and even; one pass over the
+    table lists them for every offset, and each passing offset takes the
+    units u = j - c (mod p) among them.  Labels 2, 3, ... then filter those
+    few survivors in turn.  L(1, 1) has no label 1 and its one sigma is u = 1.
     """
     p = space.p
     even = 8 * p  # t_i is an even integer exactly when 8p | 4p * t_i
+    offsets = [c for c in _offsets(space) if (n := base[0] - table[c]) <= 0 and not n % even]
+    if p == 1 or not offsets:
+        return [(u, c) for u in _units(p) for c in offsets]
+    b = base[1]
+    labels = [j for j, n in enumerate(table) if n >= b and not (n - b) % even]
     passing = []
-    all_units = _units(p)
-    for c in _offsets(space):
-        n = base[0] - table[c]
-        if n > 0 or n % even:
-            continue
-        units = all_units
-        for i in range(1, p // 2 + 1):
-            b = base[i]
-            units = [u for u in units if (n := b - table[(c + u * i) % p]) <= 0 and not n % even]
+    for c in offsets:
+        units = [u for j in labels if gcd(u := (j - c) % p, p) == 1]
+        for i in range(2, p // 2 + 1):
             if not units:
                 break
+            b = base[i]
+            units = [u for u in units if (n := b - table[(c + u * i) % p]) <= 0 and not n % even]
         passing.extend((u, c) for u in units)
-    return [Correspondence(space, c, u) for u, c in sorted(passing)]
+    return sorted(passing)
 
 
 @dataclass(frozen=True)
@@ -264,35 +278,48 @@ class Candidate:
     t: TVector
 
 
-def _torsion_total(p: int, q: int, d1: int) -> int | None:
+def _torsion_total(d1: int, dq: int) -> int | None:
     """T_total = sum of T_i over the labels of Z/p, the same for every sigma
     of L(p, q), or None when it is not an integer >= 0 and so no sigma passes.
 
     Each sigma permutes the labels, so sum t_i = sum d(L(p,1)) - sum d(L(p,q)),
     and the d-values of L(p, q) sum to -D(q, p) / 12 (the Casson-Walker
-    invariant), so T_total = (D(1, p) - D(q, p)) / 24; d1 is D(1, p).
+    invariant), so T_total = (D(1, p) - D(q, p)) / 24; d1 is D(1, p) and dq
+    is D(q, p).
     """
-    total, rest = divmod(d1 - _dedekind12(q, p), 24)
+    total, rest = divmod(d1 - dq, 24)
     return None if total < 0 or rest else total
 
 
 def candidate_polynomials(space: LensSpace, pm1: bool = True) -> list[Candidate]:
     """Deduplicated candidate polynomials with one witnessing sigma each;
     pm1 turns the pm1-alternating filter on.  A space whose T_total is not an
-    integer >= 0 has none, and gets no table."""
-    if _torsion_total(space.p, space.q, _dedekind12(1, space.p)) is None:
+    integer >= 0 has none, and gets no table; the tables of the others are
+    checked against the D(1, p) and D(q, p) of that test."""
+    p, q = space.p, space.q
+    d1, dq = _dedekind12(1, p), _dedekind12(q, p)
+    if _torsion_total(d1, dq) is None:
         return []
-    return _candidates(space, *_scaled_tables(space), pm1)
+    base = _checked_table(LensSpace(p, 1), d1)
+    table = base if q == 1 else _checked_table(space, dq)
+    return _candidates(space, base, table, pm1)
 
 
 def _candidates(
     space: LensSpace, base: tuple[int, ...], table: tuple[int, ...], pm1: bool
 ) -> list[Candidate]:
-    """candidate_polynomials, given the scaled tables of L(p,1) and of space."""
-    even = 8 * space.p
+    """candidate_polynomials, given the scaled tables of L(p,1) and of space;
+    each distinct t-vector is tested and turned into a polynomial once."""
+    p = space.p
+    even = 8 * p
+    labels = range(p // 2 + 1)
+    seen_t: set[tuple[int, ...]] = set()
     seen: dict[tuple, Candidate] = {}
-    for sigma in _passing_correspondences(space, base, table):
-        scaled = _scaled_t(base, table, sigma)
+    for u, c in _passing_correspondences(space, base, table):
+        scaled = tuple([base[i] - table[(c + u * i) % p] for i in labels])
+        if scaled in seen_t:
+            continue
+        seen_t.add(scaled)
         # pm1-alternating: T = -t/2 falls by 0 or 1 at each step, down to 0
         if pm1 and any(
             b - a not in (0, even) for a, b in zip(scaled, scaled[1:] + (0,))
@@ -300,7 +327,7 @@ def _candidates(
             continue
         poly = alex_from_torsion([-n // even for n in scaled])
         if poly.coeffs not in seen:
-            seen[poly.coeffs] = Candidate(poly, sigma, TVector(space, scaled))
+            seen[poly.coeffs] = Candidate(poly, Correspondence(space, c, u), TVector(space, scaled))
     return [seen[k] for k in sorted(seen)]
 
 
@@ -353,16 +380,17 @@ def scan_realizable(g: int, pmax: int | None = None, pm1: bool = True) -> list[S
         raise DomainError("scan needs pmax >= 1")
     hits: dict[LensSpace, set[LensSpace]] = {}
     for p in range(max(2 * g - 1, 2), pmax + 1):
-        base = scaled_d_table(LensSpace(p, 1))
         d1 = _dedekind12(1, p)
+        base = _checked_table(LensSpace(p, 1), d1)
         for q in range(1, p):
             if gcd(p, q) != 1:
                 continue
-            total = _torsion_total(p, q, d1)
+            dq = _dedekind12(q, p)
+            total = _torsion_total(d1, dq)
             if total is None or pm1 and not 2 * g - 1 <= total <= g * g:
                 continue
             space = LensSpace(p, q)
-            table = base if q == 1 else scaled_d_table(space)
+            table = base if q == 1 else _checked_table(space, dq)
             if any(c.poly.degree == g for c in _candidates(space, base, table, pm1)):
                 hits.setdefault(space.canonical(), set()).add(space)
     return [ScanHit(k, tuple(sorted(reps))) for k, reps in sorted(hits.items())]

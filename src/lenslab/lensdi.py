@@ -23,7 +23,9 @@ L(p, q) (Rustamov, arXiv:math/0409294); with D(q, p) = 12p * s(q, p), an
 integer, the scaled table must satisfy 3 * sum(N) = -p * D(q, p).
 Reciprocity computes D in O(log p) integer steps (Rademacher-Grosswald,
 *Dedekind Sums*, 1972; see `_dedekind12`), so the check costs one sum over
-the table.
+the table.  `alexobstruct` computes D(1, p) and D(q, p) for its prune
+before any table is built, and hands them to `_checked_table`, so a space
+it scans runs each chain once.
 
 `d_rec` (one label) and `d_table` (every label) are `Fraction(N, 4p)` views
 of the checked table, so `d_rec` builds a whole table per call, and they
@@ -151,6 +153,12 @@ def _dedekind12(a: int, b: int) -> int:
 def scaled_d_table(space: LensSpace) -> tuple[int, ...]:
     """N(p, q, i) = 4p * d(L(p, q), i) for every label i, conjugation-checked,
     then checked against the Casson-Walker sum 3 * sum(N) = -p * D(q, p)."""
+    return _checked_table(space, _dedekind12(space.q, space.p))
+
+
+def _checked_table(space: LensSpace, dedekind: int) -> tuple[int, ...]:
+    """`scaled_d_table` with D(q, p) given as dedekind, for a caller that has
+    already run the reciprocity chain (the scan's Casson-Walker prune)."""
     values = _table(space.p, space.q)
     k = space.q - 1  # conj_label(space, i) = k - i (mod p), so conjugation reverses
     if values != values[k::-1] + values[:k:-1]:  # labels 0..k, then k+1..p-1
@@ -161,7 +169,7 @@ def scaled_d_table(space: LensSpace) -> tuple[int, ...]:
                     f"conjugation symmetry broken for {space}: "
                     f"4p*d({i}) = {n} but 4p*d({j}) = {values[j]}"
                 )
-    total, walker = 3 * sum(values), -space.p * _dedekind12(space.q, space.p)
+    total, walker = 3 * sum(values), -space.p * dedekind
     if total != walker:
         raise InvariantError(
             f"d-invariant sum broken for {space}: "

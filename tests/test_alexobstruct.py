@@ -2,13 +2,14 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
 import pytest
 from lattice_oracles import is_equivariant
 
-from lenslab.errors import DomainError
+from lenslab.errors import DomainError, InvariantError
 from lenslab.alexobstruct import (
     ONE,
     TREFOIL,
@@ -18,6 +19,7 @@ from lenslab.alexobstruct import (
     ScanHit,
     TVector,
     _candidates,
+    _passing_correspondences,
     _scaled_t,
     _scaled_tables,
     alex_from_torsion,
@@ -261,33 +263,115 @@ def test_scan_hits_obey_rasmussens_bound(g):
 
 
 def test_scan_builds_the_l_p_1_table_once_per_p(monkeypatch):
+    # the scan gets every table from _checked_table, with the D(q, p) of its prune
     import lenslab.alexobstruct as alexobstruct
 
     built = []
-    real = alexobstruct.scaled_d_table
+    others = []
+    real = alexobstruct._checked_table
 
-    def counted(space):
-        if space.q == 1:
-            built.append(space.p)
-        return real(space)
+    def counted(space, dedekind):
+        (built if space.q == 1 else others).append(space.p)
+        return real(space, dedekind)
 
-    monkeypatch.setattr(alexobstruct, "scaled_d_table", counted)
+    monkeypatch.setattr(alexobstruct, "_checked_table", counted)
     scan_realizable(3)
     assert built == list(range(5, default_scan_radius(3) + 1))
+    assert others  # the patched builder is the one the scan reaches
 
 
 @pytest.mark.parametrize("p, q", [(5, 2), (13, 6)])
 def test_a_space_without_an_integer_torsion_total_builds_no_table(monkeypatch, p, q):
     # D(1, p) - D(q, p) is 12 for L(5,2) and 180 for L(13,6), neither a
-    # multiple of 24, so T_total is not an integer and no sigma passes
-    import lenslab.alexobstruct as alexobstruct
+    # multiple of 24, so T_total is not an integer and no sigma passes.
+    # lensdi._table computes every table, whichever entry point asks for it.
+    import lenslab.lensdi as lensdi
 
-    def refuse(space):
-        raise AssertionError(f"built the table of {space}")
+    def refuse(p, q):
+        raise AssertionError(f"built the table of L({p},{q})")
 
-    monkeypatch.setattr(alexobstruct, "scaled_d_table", refuse)
+    monkeypatch.setattr(lensdi, "_table", refuse)
     for pm1 in (True, False):
         assert candidate_polynomials(LensSpace(p, q), pm1) == []
+        # positive control: L(9,7) is not pruned, so it reaches the builder
+        with pytest.raises(AssertionError, match="built the table of L"):
+            candidate_polynomials(LensSpace(9, 7), pm1)
+
+
+@pytest.mark.parametrize("planted, conjugates", [((9, 7), (0, 6)), ((9, 1), (1, 8))])
+def test_a_table_with_a_wrong_casson_walker_sum_stops_the_scan(monkeypatch, planted, conjugates):
+    # 8p added at a conjugate pair keeps the conjugation check passing and
+    # breaks only the sum; the check runs on the D of the prune
+    import lenslab.lensdi as lensdi
+
+    assert conj_label(LensSpace(*planted), conjugates[0]) == conjugates[1]
+    real_table = lensdi._table
+
+    def plant(p, q):
+        table = real_table(p, q)
+        if (p, q) != planted:
+            return table
+        return tuple(n + 8 * p * (i in conjugates) for i, n in enumerate(table))
+
+    monkeypatch.setattr(lensdi, "_table", plant)
+    message = re.escape(f"d-invariant sum broken for {LensSpace(*planted)}")
+    for pm1 in (True, False):
+        with pytest.raises(InvariantError, match=message):
+            candidate_polynomials(LensSpace(9, 7), pm1)
+        with pytest.raises(InvariantError, match=message):
+            scan_realizable(2, 9, pm1)
+
+
+def brute_force_passing_pairs(space: LensSpace, base: tuple, table: tuple) -> list:
+    """(u, c) of every equivariant sigma, in enumeration order, whose whole
+    t-vector, label by label from the definition, is nonpositive and even."""
+    p, even = space.p, 8 * space.p
+    return [
+        (sigma.u, sigma.c)
+        for sigma in enumerate_correspondences(space)
+        if all(
+            (n := base[i % p] - table[sigma(i)]) <= 0 and not n % even
+            for i in range(p // 2 + 1)
+        )
+    ]
+
+
+def test_passing_correspondences_equal_brute_force_below_90():
+    # every coprime pair, L(1,1) (no label 1) and even p (two offsets) included;
+    # the whole list of (u, c) pairs, not only the first witness per polynomial
+    spaces = pairs = two_offsets = 0
+    for p in range(1, 90):
+        base = scaled_d_table(LensSpace(p, 1))
+        for q in range(1, p + 1):
+            if gcd(p, q) != 1 or (q == p and p > 1):
+                continue
+            space = LensSpace(p, q)
+            table = scaled_d_table(space)
+            expected = brute_force_passing_pairs(space, base, table)
+            assert _passing_correspondences(space, base, table) == expected, (p, q)
+            spaces += bool(expected)
+            pairs += len(expected)
+            two_offsets += len({c for _, c in expected}) == 2
+    assert (spaces, pairs, two_offsets) == (760, 1788, 10)
+
+
+def test_passing_correspondences_equal_brute_force_on_random_tables():
+    # on the real tables below 90 no sigma that passes labels 0 and 1 fails at
+    # label 2 or 3, so random tables, mostly 0 and 8p, make every label decide
+    rng = random.Random(43)
+    decided = set()
+    for p, q in [(1, 1), (2, 1), (4, 3), (9, 7), (12, 5), (25, 9), (30, 7)]:
+        space = LensSpace(p, q)
+        for _ in range(40):
+            base = tuple(rng.choice((0, 0, -8 * p)) for _ in range(p))
+            table = tuple(rng.choice((0, 0, 0, 8 * p, 8 * p, -8 * p, 4 * p)) for _ in range(p))
+            expected = brute_force_passing_pairs(space, base, table)
+            assert _passing_correspondences(space, base, table) == expected, (p, q, base, table)
+            for sigma in enumerate_correspondences(space):
+                if (sigma.u, sigma.c) not in expected:
+                    t = [base[i % p] - table[sigma(i)] for i in range(p // 2 + 1)]
+                    decided.add(next(i for i, n in enumerate(t) if n > 0 or n % (8 * p)))
+    assert decided == set(range(16))
 
 
 def unpruned_scan(g: int, pm1: bool) -> list[ScanHit]:
