@@ -256,7 +256,7 @@ def _passing_correspondences(
     even = 8 * p  # t_i is an even integer exactly when 8p | 4p * t_i
     offsets = [c for c in _offsets(space) if (n := base[0] - table[c]) <= 0 and not n % even]
     if p == 1 or not offsets:
-        return [(u, c) for u in _units(p) for c in offsets]
+        return [(1, c) for c in offsets]
     b = base[1]
     labels = [j for j, n in enumerate(table) if n >= b and not (n - b) % even]
     passing = []
