@@ -19,10 +19,11 @@ arXiv:math/0409294).  Reciprocity gives D in O(log p) integer steps
 space whose T_total is not an integer >= 0 has no candidate, so
 `candidate_polynomials` returns none without building a table, and
 `scan_realizable` also skips, under the pm1 filter, every q whose T_total
-lies outside the window [2g - 1, g^2] of a degree-g candidate.  The
-tables a space does get are checked against the D(1, p) and D(q, p) of
-this test (`lensdi._checked_table`), so each space runs one reciprocity
-chain.
+lies outside the window [2g - 1, g^2] of a degree-g candidate; of the
+homeomorphic L(p, q) and L(p, q^-1), which have the same candidates, it
+scans only the one with the smaller q.  The tables a space does get are
+checked against the D(1, p) and D(q, p) of this test
+(`lensdi._checked_table`), so each space runs one reciprocity chain.
 
 The filter is pruned label by label.  sigma(0) = c, so t_0 depends on the
 offset c alone and is tested once per offset.  t_1 passes exactly when
@@ -30,10 +31,11 @@ sigma(1) = c + u is a label j whose d(L(p,1), 1) - d(L(p,q), j) is
 nonpositive and even; one pass over the table lists those j for every
 offset, and each passing offset takes the units u = j - c (mod p) among
 them, so no list of the units is built, and nearly every sigma is out at
-i = 1.  Labels i = 2, 3, ... then filter the survivors in turn.  Only the
-surviving sigma get a whole t-vector, and a vector already seen is
-skipped: u and p - u always give the same vector, because conjugation
-fixes the table and maps c + u*i to c - u*i.  The sigma are taken in the
+i = 1.  Each survivor is then walked forward, sigma(i + 1) = sigma(i) + u,
+until a label fails, so a sigma that passes has its t-vector from that one
+walk, and a vector already seen is skipped: u and p - u always give the
+same vector, because conjugation fixes the table and maps c + u*i to
+c - u*i.  The sigma are taken in the
 order of the full enumeration, u ascending and then c ascending, a sigma
 that fails the filter never yields a candidate, and equal vectors give
 equal polynomials, so the first witness of every polynomial, and with it
@@ -240,34 +242,49 @@ def t_vector(space: LensSpace, sigma: Correspondence) -> TVector:
 
 def _passing_correspondences(
     space: LensSpace, base: tuple[int, ...], table: tuple[int, ...]
-) -> list[tuple[int, int]]:
-    """The pairs (u, c) of the equivariant sigma(i) = c + u*i whose t-vector
-    is nonpositive and even, in the order of enumerate_correspondences
-    (units ascending, then c ascending).
+) -> list[tuple[int, int, tuple[int, ...]]]:
+    """The triples (u, c, scaled) of the equivariant sigma(i) = c + u*i whose
+    t-vector is nonpositive and even, scaled being that vector (4p * t_i for
+    0 <= i <= p/2), in the order of enumerate_correspondences (units
+    ascending, then c ascending).
 
     t_0 = d(L(p,1), 0) - d(L(p,q), c) depends on c alone, so it is tested
     once per offset.  t_1 passes exactly when sigma(1) = c + u is one of the
     labels j with base[1] - table[j] nonpositive and even; one pass over the
     table lists them for every offset, and each passing offset takes the
-    units u = j - c (mod p) among them.  Labels 2, 3, ... then filter those
-    few survivors in turn.  L(1, 1) has no label 1 and its one sigma is u = 1.
+    units u = j - c (mod p) among them.  Each such sigma is then walked
+    forward, sigma(i + 1) = sigma(i) + u, one label at a time, and dropped at
+    the first label whose t fails, so a sigma that passes gets its vector
+    from the walk itself.  L(1, 1) has no label 1 and its one sigma is u = 1.
     """
     p = space.p
     even = 8 * p  # t_i is an even integer exactly when 8p | 4p * t_i
     offsets = [c for c in _offsets(space) if (n := base[0] - table[c]) <= 0 and not n % even]
-    if p == 1 or not offsets:
-        return [(1, c) for c in offsets]
+    if p == 1:
+        return [(1, c, (base[0] - table[c],)) for c in offsets]
+    if not offsets:
+        return []
     b = base[1]
     labels = [j for j, n in enumerate(table) if n >= b and not (n - b) % even]
+    rest = base[2 : p // 2 + 1]
     passing = []
     for c in offsets:
-        units = [u for j in labels if gcd(u := (j - c) % p, p) == 1]
-        for i in range(2, p // 2 + 1):
-            if not units:
-                break
-            b = base[i]
-            units = [u for u in units if (n := b - table[(c + u * i) % p]) <= 0 and not n % even]
-        passing.extend((u, c) for u in units)
+        for j in labels:
+            u = (j - c) % p
+            if gcd(u, p) != 1:
+                continue
+            scaled = [base[0] - table[c], b - table[j]]
+            k = j
+            for base_i in rest:
+                k += u
+                if k >= p:
+                    k -= p
+                n = base_i - table[k]
+                if n > 0 or n % even:
+                    break
+                scaled.append(n)
+            else:
+                passing.append((u, c, tuple(scaled)))
     return sorted(passing)
 
 
@@ -310,13 +327,10 @@ def _candidates(
 ) -> list[Candidate]:
     """candidate_polynomials, given the scaled tables of L(p,1) and of space;
     each distinct t-vector is tested and turned into a polynomial once."""
-    p = space.p
-    even = 8 * p
-    labels = range(p // 2 + 1)
+    even = 8 * space.p
     seen_t: set[tuple[int, ...]] = set()
     seen: dict[tuple, Candidate] = {}
-    for u, c in _passing_correspondences(space, base, table):
-        scaled = tuple([base[i] - table[(c + u * i) % p] for i in labels])
+    for u, c, scaled in _passing_correspondences(space, base, table):
         if scaled in seen_t:
             continue
         seen_t.add(scaled)
@@ -363,6 +377,17 @@ class ScanHit:
 def scan_realizable(g: int, pmax: int | None = None, pm1: bool = True) -> list[ScanHit]:
     """Canonical lens spaces of order <= pmax admitting a candidate of degree g.
 
+    Only one space of each homeomorphic pair L(p, q), L(p, q') with
+    q q' = 1 (mod p) is scanned, the canonical one, q <= q'; when it admits a
+    candidate, L(p, q') is reported as a representative next to it.  The
+    table of L(p, q') is the table of L(p, q) relabelled by
+    tau(j) = q j + q - 1 (mod p) (tests/test_lensdi.py checks this below
+    p = 150), and tau commutes with conjugation, since 2(q - 1) = 2q - 2.  So
+    sigma -> tau^-1 sigma is a bijection between the equivariant affine sigma
+    of the two spaces (tau^-1 sigma has unit q' u) that keeps every
+    t-vector, and the two spaces have the same candidates; and
+    D(q', p) = D(q, p), so the prune below decides both alike.
+
     The scaled table of L(p,1), which every q of the same p shares, is built
     once per p.  A q is skipped before its table is built when its T_total
     rules out a candidate of degree g: when it is not an integer >= 0, or,
@@ -378,12 +403,12 @@ def scan_realizable(g: int, pmax: int | None = None, pm1: bool = True) -> list[S
         pmax = default_scan_radius(g)
     if pmax < 1:
         raise DomainError("scan needs pmax >= 1")
-    hits: dict[LensSpace, set[LensSpace]] = {}
+    hits = []
     for p in range(max(2 * g - 1, 2), pmax + 1):
         d1 = _dedekind12(1, p)
         base = _checked_table(LensSpace(p, 1), d1)
         for q in range(1, p):
-            if gcd(p, q) != 1:
+            if gcd(p, q) != 1 or (inverse := pow(q, -1, p)) < q:
                 continue
             dq = _dedekind12(q, p)
             total = _torsion_total(d1, dq)
@@ -392,5 +417,6 @@ def scan_realizable(g: int, pmax: int | None = None, pm1: bool = True) -> list[S
             space = LensSpace(p, q)
             table = base if q == 1 else _checked_table(space, dq)
             if any(c.poly.degree == g for c in _candidates(space, base, table, pm1)):
-                hits.setdefault(space.canonical(), set()).add(space)
-    return [ScanHit(k, tuple(sorted(reps))) for k, reps in sorted(hits.items())]
+                pair = (space,) if inverse == q else (space, LensSpace(p, inverse))
+                hits.append(ScanHit(space, pair))
+    return hits

@@ -280,6 +280,41 @@ def test_scan_builds_the_l_p_1_table_once_per_p(monkeypatch):
     assert others  # the patched builder is the one the scan reaches
 
 
+def test_scan_builds_no_table_for_a_q_whose_inverse_is_smaller(monkeypatch):
+    import lenslab.alexobstruct as alexobstruct
+
+    built = []
+    real = alexobstruct._checked_table
+
+    def recorded(space, dedekind):
+        built.append(space)
+        return real(space, dedekind)
+
+    monkeypatch.setattr(alexobstruct, "_checked_table", recorded)
+    for pm1 in (True, False):
+        built.clear()
+        scan_realizable(4, pm1=pm1)
+        assert all(space.q <= pow(space.q, -1, space.p) for space in built), pm1
+        # positive control: tables of both kinds, q = q^-1 and q < q^-1
+        assert {space.q == pow(space.q, -1, space.p) for space in built if space.q > 1} == {
+            True, False
+        }, pm1
+
+
+def test_inverse_spaces_have_the_same_candidate_polynomials_below_90():
+    # L(p, q) and L(p, q^-1) are homeomorphic, so the scan runs one of them
+    pairs = 0
+    for p in range(2, 90):
+        for q in range(1, p):
+            if gcd(p, q) != 1 or (inverse := pow(q, -1, p)) <= q:
+                continue
+            for pm1 in (True, False):
+                polys = [c.poly for c in candidate_polynomials(LensSpace(p, q), pm1)]
+                assert polys == [c.poly for c in candidate_polynomials(LensSpace(p, inverse), pm1)]
+            pairs += 1
+    assert pairs == 1080
+
+
 @pytest.mark.parametrize("p, q", [(5, 2), (13, 6)])
 def test_a_space_without_an_integer_torsion_total_builds_no_table(monkeypatch, p, q):
     # D(1, p) - D(q, p) is 12 for L(5,2) and 180 for L(13,6), neither a
@@ -298,10 +333,11 @@ def test_a_space_without_an_integer_torsion_total_builds_no_table(monkeypatch, p
             candidate_polynomials(LensSpace(9, 7), pm1)
 
 
-@pytest.mark.parametrize("planted, conjugates", [((9, 7), (0, 6)), ((9, 1), (1, 8))])
+@pytest.mark.parametrize("planted, conjugates", [((9, 4), (0, 3)), ((9, 1), (1, 8))])
 def test_a_table_with_a_wrong_casson_walker_sum_stops_the_scan(monkeypatch, planted, conjugates):
     # 8p added at a conjugate pair keeps the conjugation check passing and
-    # breaks only the sum; the check runs on the D of the prune
+    # breaks only the sum; the check runs on the D of the prune.  L(9,4) is
+    # the member of {L(9,4), L(9,7)} the scan builds, 4 being 7^-1 mod 9
     import lenslab.lensdi as lensdi
 
     assert conj_label(LensSpace(*planted), conjugates[0]) == conjugates[1]
@@ -317,7 +353,7 @@ def test_a_table_with_a_wrong_casson_walker_sum_stops_the_scan(monkeypatch, plan
     message = re.escape(f"d-invariant sum broken for {LensSpace(*planted)}")
     for pm1 in (True, False):
         with pytest.raises(InvariantError, match=message):
-            candidate_polynomials(LensSpace(9, 7), pm1)
+            candidate_polynomials(LensSpace(9, 4), pm1)
         with pytest.raises(InvariantError, match=message):
             scan_realizable(2, 9, pm1)
 
@@ -348,7 +384,10 @@ def test_passing_correspondences_equal_brute_force_below_90():
             space = LensSpace(p, q)
             table = scaled_d_table(space)
             expected = brute_force_passing_pairs(space, base, table)
-            assert _passing_correspondences(space, base, table) == expected, (p, q)
+            passing = _passing_correspondences(space, base, table)
+            assert [(u, c) for u, c, _ in passing] == expected, (p, q)
+            for u, c, scaled in passing:
+                assert scaled == t_vector(space, Correspondence(space, c, u)).scaled, (p, q, u, c)
             spaces += bool(expected)
             pairs += len(expected)
             two_offsets += len({c for _, c in expected}) == 2
@@ -366,7 +405,10 @@ def test_passing_correspondences_equal_brute_force_on_random_tables():
             base = tuple(rng.choice((0, 0, -8 * p)) for _ in range(p))
             table = tuple(rng.choice((0, 0, 0, 8 * p, 8 * p, -8 * p, 4 * p)) for _ in range(p))
             expected = brute_force_passing_pairs(space, base, table)
-            assert _passing_correspondences(space, base, table) == expected, (p, q, base, table)
+            passing = _passing_correspondences(space, base, table)
+            assert [(u, c) for u, c, _ in passing] == expected, (p, q, base, table)
+            for u, c, scaled in passing:
+                assert scaled == _scaled_t(base, table, Correspondence(space, c, u)), (p, q, u, c)
             for sigma in enumerate_correspondences(space):
                 if (sigma.u, sigma.c) not in expected:
                     t = [base[i % p] - table[sigma(i)] for i in range(p // 2 + 1)]

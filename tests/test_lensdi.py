@@ -187,6 +187,27 @@ def test_homeomorphism_invariance_of_multiset():
             assert a == b, (p, q, qinv)
 
 
+def test_inverse_table_is_an_affine_relabelling_below_150():
+    # the table of L(p, q^-1) is the table of L(p, q) read through
+    # tau(j) = q*j + q - 1, and through -q*j by conjugation; tau commutes
+    # with conjugation, since 2(q - 1) = 2q - 2 (mod p), and b = q - 1 is the
+    # solution of 2b = 2q - 2 that holds for even p too.  alexobstruct's scan
+    # rests on this: sigma -> tau^-1 sigma keeps every t-vector
+    for p in range(1, 150):
+        for q in range(1, p + 1):
+            if gcd(p, q) != 1 or (q == p and p > 1):
+                continue
+            qinv = pow(q, -1, p) or 1
+            table, inverse = scaled_d_table(LensSpace(p, q)), scaled_d_table(LensSpace(p, qinv))
+            tau = [(q * j + q - 1) % p for j in range(p)]
+            assert inverse == tuple(table[k] for k in tau), (p, q)
+            assert inverse == tuple(table[-q * j % p] for j in range(p)), (p, q)
+            space, inverse_space = LensSpace(p, q), LensSpace(p, qinv)
+            assert all(
+                tau[conj_label(inverse_space, j)] == conj_label(space, tau[j]) for j in range(p)
+            ), (p, q)
+
+
 def test_d_table_matches_fraction_recursion_below_120():
     for p in range(1, 120):
         for q in range(1, p + 1):
