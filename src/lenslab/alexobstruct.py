@@ -35,11 +35,11 @@ i = 1.  Each survivor is then walked forward, sigma(i + 1) = sigma(i) + u,
 until a label fails, so a sigma that passes has its t-vector from that one
 walk, and a vector already seen is skipped: u and p - u always give the
 same vector, because conjugation fixes the table and maps c + u*i to
-c - u*i.  The sigma are taken in the
-order of the full enumeration, u ascending and then c ascending, a sigma
-that fails the filter never yields a candidate, and equal vectors give
-equal polynomials, so the first witness of every polynomial, and with it
-the sigma reported, is the one the full enumeration finds.
+c - u*i.  The sigma are taken in the order of the full enumeration, u
+ascending and then c ascending, a sigma that fails the filter never yields
+a candidate, and equal vectors give equal polynomials, so the first
+witness of every polynomial, and with it the sigma reported, is the one
+the full enumeration finds.
 The torsion coefficients are then T_i = -t_i / 2, a plain integer sequence
 (a polynomial of degree g has the tuple T_0, ..., T_{g-1}; zeros past it
 change nothing), and the candidate polynomial is recovered through the

@@ -119,8 +119,9 @@ MAX_DIM = 1000
 # work grows with p whatever q is, and a p of 20 digits made `dinv` and
 # `alexlens` overflow a list size and `lattice-check` sweep its classes for
 # ever.  At the caps, in wall time of the command in a fresh interpreter on a
-# 2-vCPU VM (Python 3.11, 5 runs each), `dinv 399999 399998` took 0.94-1.07 s
-# and `dinv 400000 123457` 0.86-1.05 s; the slowest `alexlens` q found (the
+# 2-vCPU VM (Python 3.11, 5 runs each), `dinv 399999 399998` took 0.52-0.78 s
+# and `dinv 400000 123457` 0.47-0.65 s, at a peak RSS of 88 and 84 MiB (the
+# text written in one piece, see `_emit`); the slowest `alexlens` q found (the
 # torus-knot spaces and 250 random q at each of p = 79,999 and 80,000),
 # `alexlens 80000 69609 --literal-Lsigma --no-pm1-filter` (three candidates,
 # 5.1 MB of output), took 0.75-1.03 s.  `lattice-check` sweeps its classes in
@@ -141,11 +142,13 @@ MAX_LATTICE_P = 40_000
 # radius 12g - 7.  The scan builds the d-tables of every order up to pmax: a
 # 20-digit genus overflowed a list size and a 20-digit --pmax never returned.
 # The cap admits g = 60, whose default radius is 713, and is not a time
-# bound.  With the pm1 filter the Casson-Walker prune skips most spaces
-# before their tables are built: `genus-scan 60` took 2.7-3.4 s (3 runs) and
-# `genus-scan 2 --pmax 720` 0.5 s (one run).  Without it only about half are
-# skipped, and `genus-scan 60 --no-pm1-filter`, the slowest scan at the cap,
-# took 38 s (one run; fresh interpreters on the same VM).
+# bound.  The scan runs one space of each homeomorphic pair L(p, q),
+# L(p, q^-1), and with the pm1 filter the Casson-Walker prune skips most
+# spaces before their tables are built: `genus-scan 60` took 0.94-1.07 s
+# (5 runs) and `genus-scan 2 --pmax 720` 0.44-0.56 s (3 runs).  Without the
+# filter only about half are skipped, and `genus-scan 60 --no-pm1-filter`,
+# the slowest scan at the cap, took 9.6-11.6 s (5 runs; fresh interpreters
+# on the same VM), against 25.5-29.0 s when it ran both spaces of a pair.
 MAX_SCAN_PMAX = 720
 # The largest truncation order N that `series` accepts.  A series is built
 # and printed in time and memory linear in N, about 0.4 bytes per order at

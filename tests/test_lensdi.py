@@ -197,12 +197,11 @@ def test_inverse_table_is_an_affine_relabelling_below_150():
         for q in range(1, p + 1):
             if gcd(p, q) != 1 or (q == p and p > 1):
                 continue
-            qinv = pow(q, -1, p) or 1
-            table, inverse = scaled_d_table(LensSpace(p, q)), scaled_d_table(LensSpace(p, qinv))
+            space, inverse_space = LensSpace(p, q), LensSpace(p, pow(q, -1, p) or 1)
+            table, inverse = scaled_d_table(space), scaled_d_table(inverse_space)
             tau = [(q * j + q - 1) % p for j in range(p)]
             assert inverse == tuple(table[k] for k in tau), (p, q)
             assert inverse == tuple(table[-q * j % p] for j in range(p)), (p, q)
-            space, inverse_space = LensSpace(p, q), LensSpace(p, qinv)
             assert all(
                 tau[conj_label(inverse_space, j)] == conj_label(space, tau[j]) for j in range(p)
             ), (p, q)
