@@ -126,7 +126,7 @@ MAX_DIM = 1000
 # `alexlens 80000 69609 --literal-Lsigma --no-pm1-filter` (three candidates,
 # 5.1 MB of output), took 0.75-1.03 s.  `lattice-check` sweeps its classes in
 # O(p log p) for every q, since a run of 2s in the chain is one edge.  Its
-# slow q are those whose shortened chain has the most kept vertices and runs:
+# slow q are those whose kept chain has the most vertices and runs:
 # over every q at p = 5,000 each of the slowest hundred had at least 7, and
 # none was a golden-ratio neighbour.  So the cap was timed on the sample of
 # earlier caps (the nine q around 0.382p and 0.618p, 2, p - 2, p - 1 and ten

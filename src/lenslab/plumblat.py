@@ -13,51 +13,52 @@ the quadratic form is local along the chain:
               - sum_interior (a_i - 2) y_i^2 - (a_n - 1) y_n^2.
 
 The start vector y_0 = p G^{-1} K_0 comes from the continuants in O(n), with
-no matrix.  The maximum over the class, y in y_0 + 2p Z^n, is taken on a
-shorter chain.  An interior vertex with a_i = 2 has weight 0, and there
-y_(i-1) - 2 y_i + y_(i+1) = p K_i with K_i even, so along a maximal run of
-such vertices every edge difference y_i - y_(i+1) lies in one class
-delta + 2p Z (the run congruence).  Only the kept vertices, the two ends and
-those with a_i >= 3, enter the search: between two of them, u < v, the run
-of m edges is one edge whose cost at T = y_u - y_v is the least sum of
-squares of m such differences adding up to T.  The most even split attains
-it: with T - m delta = 2p (m b + r) and 0 <= r < m, it costs
+no matrix.  The maximum over the class, y in y_0 + 2p Z^n, is taken on the
+kept vertices, the two ends and every interior a_i >= 3; `_kept_chain`
+gives their weights and their indices in the chain.  Two consecutive kept
+indices u < v are joined by a run of m = v - u unit edges through vertices
+with a_i = 2, which have weight 0, and there y_(i-1) - 2 y_i + y_(i+1) =
+p K_i with K_i even, so every edge difference y_i - y_(i+1) along the run
+lies in one class delta + 2p Z, delta = y_u - y_(u+1) (the run
+congruence).  The run is one edge whose cost at T = y_u - y_v is the least
+sum of squares of m such differences adding up to T.  The most even split
+attains it: with T - m delta = 2p (m b + r) and 0 <= r < m, it costs
 (m - r) x^2 + r (x + 2p)^2 for x = delta + 2p b, and T^2 when m = 1.  A run
 whose T - m delta is not a multiple of 2p is an invariant error.
+`_check_runs` checks the runs and gives each edge's (m, delta mod 2p),
+which is all the search reads of y off the kept vertices.
 
 The maximum on the kept vertices is found by steepest ascent: over the box
 of the three coset points y_i - 2p, y_i, y_i + 2p per kept vertex the best
-point is a dynamic program along the shortened chain with three states per
+point is a dynamic program along the kept chain with three states per
 vertex and five edge costs per step.  A unit edge (m = 1) costs the squares
 (d + 2pk)^2, k = -2..2, which the DP forms itself; only a run goes through
-the even split.  The run cost is convex in T, an infimal convolution of
-convex functions, so the form stays a sum of concave functions of single
-coordinates and of differences of neighbours: it is L-natural-concave in the
-coset coordinates (Murota, "Discrete Convex Analysis", 2003, ch. 7), and a
-point that is best in its own box is a global maximum.  Every entry a_i >= 3
-at least doubles the continuant, so there are at most log2(p) + 2 kept
-vertices, and an ascent costs O(log p) per box whatever the chain's length.
-Every arithmetic step is integer arithmetic.
+the even split.  The run cost is convex in T, so the form is
+L-natural-concave in the coset coordinates and a point that is best in its
+own box is a global maximum (`_ascent` gives the argument).  Every entry
+a_i >= 3 at least doubles the continuant, so there are at most
+log2(p) + 2 kept vertices, and an ascent costs O(log p) per box whatever
+the chain's length.  `max_char_square` and the sweep take each class's
+maximum by one step, `_class_max`: centre the kept values into (-p, p],
+the coset point nearest 0, and ascend from there.  Every arithmetic step is
+integer arithmetic.
 
 `lattice_vs_recursion_check` sweeps the classes once per lattice.  It
-computes the continuants and the shortened chain once, and the continuants
-check the chain: a_1 - 1/(a_2 - ...) is theta_n / phi_(n-1) up to sign, in
-lowest terms, so the chain must be normalized with |theta_n| = p and
+computes the continuants and the kept chain once, and the continuants check
+the chain: a_1 - 1/(a_2 - ...) is theta_n / phi_(n-1) up to sign, in lowest
+terms, so the chain must be normalized with |theta_n| = p and
 |phi_(n-1)| = q, or the check is an invariant error naming L(p,q).  A
 determinant alone would pass the chain of another q with the same p, such as
 that of 13/10 for L(13,4).  Class c = 0..p-1 is represented by K_0 + 2c e_1,
 and the start vector is linear in K, so class c starts at y_0 + c step,
 where step is the start vector of 2 e_1; no per-class representative or
-Fraction is built.  The shortened problem is built once per lattice: the
-kept weights, and for each edge between kept vertices its length m and the
-two vertices its delta is read between.  The run congruence is linear mod
-2p in the start vector, so it holds for every class once it holds for the
-two generators' classes 0 (y_0) and 1 (y_0 + step), and a break names the
-class and L(p,q).  Per class only the centred kept values and the run deltas
-d_0 + c d_step are formed, since a run's cost depends on its delta mod 2p
-only, so the sweep costs O(p log p) for every q.  `max_char_square` goes
-through the same setup for its one class.  Each class's integer maximum
-comes from the same ascent, and it is keyed by max / p + n p, the integer
+Fraction is built.  The run congruence and each run's delta mod 2p are
+linear in the start vector, so `_check_runs` on the two generators' classes
+0 (y_0) and 1 (y_0 + step) checks every class and gives class c's deltas
+d_0 + c (d_1 - d_0); a break names the class and L(p,q).  Per class only
+the kept values and the run deltas are formed, since a run's cost depends
+on its delta mod 2p only, so the sweep costs O(p log p) for every q.  Each
+class's integer maximum is keyed by max / p + n p, the integer
 p * (max K^2 + n); p divides the maximum because K^T G^{-1} K has a
 denominator dividing p, and a maximum that p does not divide is an invariant
 error.  The report holds integer keys only: the class keys in class order,
@@ -271,80 +272,55 @@ def _box_max(
     return best, point[::-1]
 
 
-def _weights(terms: tuple[int, ...]) -> list[int]:
-    """w_i = a_i less the number of chain neighbours of vertex i."""
+def _kept_chain(terms: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """The kept vertices of a normalized chain, the two ends and every
+    interior a_i >= 3: their weights w_i, a_i less the number of chain
+    neighbours of vertex i, and their indices in the chain.  Two consecutive
+    indices u < v are joined by a run of m = v - u unit edges through
+    vertices of weight 0, the interior a_i = 2.  It depends on the lattice
+    alone."""
     n = len(terms)
-    return [a - (i > 0) - (i < n - 1) for i, a in enumerate(terms)]
+    keep = [i for i, a in enumerate(terms) if a > 2 or i == 0 or i == n - 1]
+    return [terms[i] - (i > 0) - (i < n - 1) for i in keep], keep
 
 
-def _centred(y: list[int], p: int) -> list[int]:
-    """The point of the coset y + 2p Z^n nearest 0 in every coordinate, in
-    (-p, p]: (v + p - 1) mod 2p - (p - 1)."""
-    step = 2 * p
-    return [(v + p - 1) % step - (p - 1) for v in y]
-
-
-def _shorten(w: list[int]) -> tuple[list[int], list[int]]:
-    """w with each maximal stretch of interior zero weights written as one
-    entry -r, r its number of vertices, and the index in w of each entry: a
-    kept vertex's, or the first vertex of a stretch.
-
-    w is `_weights` of a normalized chain, so every w_i >= 0, and the
-    interior zeros are its a_i = 2.  Each chain is shortened once, and
-    `_kept_chain` takes the shortened form only.
-    """
-    n = len(w)
-    short, at = [w[0]], [0]
-    for i in range(1, n):
-        a = w[i]
-        if i == n - 1 or a > 0:
-            short.append(a)
-            at.append(i)
-        elif short[-1] < 0:
-            short[-1] -= 1
-        else:
-            short.append(-1)
-            at.append(i)
-    return short, at
-
-
-def _kept_chain(w: list[int]) -> tuple[list[int], list[int], list[tuple[int, int, int]]]:
-    """The chain of the kept vertices of a shortened chain w: their weights,
-    their indices in w, and for the edge from each to the next, v, the triple
-    (m, u, f) of a run of m unit edges from u whose differences lie in the
-    class of y_u - y_f mod 2p; f is v for a unit edge (m = 1) and the first
-    vertex of the stretch for a run.  It depends on the lattice alone."""
-    kept, keep, edges = [w[0]], [0], []
-    m = 1
-    for i in range(1, len(w)):
-        a = w[i]
-        if a < 0:  # a stretch of -a vertices, its first one at i
-            m, first = 1 - a, i
-            continue
-        edges.append((m, keep[-1], i if m == 1 else first))
-        kept.append(a)
-        keep.append(i)
-        m = 1
-    return kept, keep, edges
-
-
-def _check_runs(
-    y: list[int], keep: list[int], edges: list[tuple[int, int, int]], step: int
-) -> None:
-    """The run congruence at y, indexed like the shortened chain: along each
-    run of m edges from u to v, T - m delta = 0 (mod step) for T = y_u - y_v
-    and delta = y_u - y_f, or an invariant error."""
-    for (m, u, f), v in zip(edges, keep[1:]):
-        if m > 1 and (y[u] - y[v] - m * (y[u] - y[f])) % step:
+def _check_runs(y: list[int], keep: list[int], step: int) -> list[tuple[int, int]]:
+    """Each edge of the kept chain at the chain vector y as (m, delta mod
+    step): a run of m = v - u unit edges between consecutive kept indices
+    u < v whose differences lie in the class of delta = y_u - y_(u+1).
+    Along a run (m > 1) T - m delta = 0 (mod step) for T = y_u - y_v, or it
+    is an invariant error."""
+    runs = []
+    for u, v in zip(keep, keep[1:]):
+        m, delta = v - u, y[u] - y[u + 1]
+        if m > 1 and (y[u] - y[v] - m * delta) % step:
             raise InvariantError(
                 f"a run of {m} edges has differences in two classes mod {step}"
             )
+        runs.append((m, delta % step))
+    return runs
 
 
 def _ascent(kept: list[int], y: list[int], step: int, runs: list[tuple[int, int]]) -> int:
     """The maximum of the kept chain's form over y + step Z^k: move to the
     best point of the box around the current one until that is the current
-    point or no better than it (see `_max_square_scaled`)."""
+    point or no better than it.
+
+    On the whole chain y^T G y = -sum w_i y_i^2 - sum (y_i - y_(i+1))^2,
+    and w_i >= 0 for a normalized expansion.  A run of m unit edges between
+    kept vertices u and v, through m - 1 vertices of weight 0, costs the
+    least sum of squares of m differences in one class delta + step Z with
+    total T = y_u - y_v (`_run_costs`), since its interior is free; that is
+    convex in T, being an infimal convolution of m convex functions.  So in
+    the coordinates y = y_start + step k the kept chain's form is a sum of
+    concave functions of single k_i and of differences k_i - k_(i+1), that
+    is an L-natural-concave function of k, and such a function is maximal
+    at k as soon as no k + chi_S and no k - chi_S (chi_S a 0/1 vector) is
+    larger (Murota, "Discrete Convex Analysis", SIAM 2003, ch. 7).  Those
+    points all lie in the box k +- 1, so the ascent climbs from box to box.
+    The value rises strictly with every move and the form is definite, so
+    the ascent ends.
+    """
     value = None  # Q(y) once y is the best point of a box
     while True:
         best, z = _box_max(kept, y, step, runs)
@@ -353,35 +329,13 @@ def _ascent(kept: list[int], y: list[int], step: int, runs: list[tuple[int, int]
         value, y = best, z
 
 
-def _max_square_scaled(w: list[int], y0: list[int], p: int) -> int:
-    """max of y^T G y over y in y0 + 2p Z^n, exact, on the shortened chain:
-    w, at = _shorten(_weights(terms)), and y0 holds the start's values at
-    the indices `at` only.
-
-    y^T G y = -sum w_i y_i^2 - sum (y_i - y_(i+1))^2, and w_i >= 0 for a
-    normalized expansion.  Take a run of m unit edges from a kept vertex u to
-    the next one, v, through a stretch of m - 1 vertices of weight 0, that is
-    of a_i = 2.  There (G y)_i = y_(i-1) - 2 y_i + y_(i+1) = p K_i with K_i
-    even, so every difference y_i - y_(i+1) along the run lies in one class
-    delta + 2p Z, and their sum is T = y_u - y_v.  The interior is free, so
-    the run costs the least sum of squares of m such differences with total
-    T, `_run_costs`; it is convex in T, being an infimal convolution of m
-    convex functions.  That leaves a chain of the kept vertices alone.  In
-    the coordinates y = y0 + 2p k it is a sum of concave functions of single
-    k_i and of differences k_i - k_(i+1), that is an L-natural-concave
-    function of k, and such a function is maximal at k as soon as no
-    k + chi_S and no k - chi_S (chi_S a 0/1 vector) is larger (Murota,
-    "Discrete Convex Analysis", SIAM 2003, ch. 7).  Those points all lie in
-    the box k +- 1, so `_ascent` starts at y0 and climbs from box to box.
-    The value rises strictly with every move and the form is definite, so
-    the ascent ends.  A start whose run differences do not share one class
-    mod 2p is an invariant error.
-    """
+def _class_max(kept: list[int], y: list[int], p: int, runs: list[tuple[int, int]]) -> int:
+    """max of y^T G y over the class of a start vector, exact: y holds the
+    start's values at the kept vertices, and runs its `_check_runs` edges.
+    The ascent starts at the coset point nearest 0 in every coordinate, in
+    (-p, p]: (v + p - 1) mod 2p - (p - 1)."""
     step = 2 * p
-    kept, keep, edges = _kept_chain(w)
-    _check_runs(y0, keep, edges, step)
-    runs = [(m, y0[u] - y0[f]) for m, u, f in edges]
-    return _ascent(kept, [y0[i] for i in keep], step, runs)
+    return _ascent(kept, [(v + p - 1) % step - (p - 1) for v in y], step, runs)
 
 
 def max_char_square(lat: Lattice, cls: CharClass) -> Fraction:
@@ -393,9 +347,9 @@ def max_char_square(lat: Lattice, cls: CharClass) -> Fraction:
     theta = _continuants(lat.terms)
     phi = _continuants(lat.terms[::-1])
     p = abs(theta[-1])
-    w, at = _shorten(_weights(lat.terms))
-    start = _start_vector(theta, phi, cls.rep)
-    top = _max_square_scaled(w, _centred([start[i] for i in at], p), p)
+    kept, keep = _kept_chain(lat.terms)
+    y = _start_vector(theta, phi, cls.rep)
+    top = _class_max(kept, [y[i] for i in keep], p, _check_runs(y, keep, 2 * p))
     return Fraction(top, p * p) + lat.rank
 
 
@@ -431,8 +385,8 @@ def lattice_vs_recursion_check(p: int, q: int) -> LatticeCheckReport:
     the smaller index, and both get its key; a chain whose continuants are
     not p and q, a start vector that breaks the pairing congruence, or one
     whose run differences fall in two classes mod 2p, is an invariant error
-    naming L(p,q).  A mismatch is reported, not raised.  The chain is
-    shortened once, and the report keeps each class's key,
+    naming L(p,q).  A mismatch is reported, not raised.  The kept chain is
+    built once, and the report keeps each class's key,
     p * (max K^2 + n), in class order, and the scaled d-table.
     """
     if not (0 < q < p) or gcd(p, q) != 1:
@@ -454,25 +408,20 @@ def lattice_vs_recursion_check(p: int, q: int) -> LatticeCheckReport:
     s = -y0[-1] * (step[-1] // 2) % p
     if any((2 * u + s * d) % (2 * p) for u, d in zip(y0, step)):
         raise InvariantError(f"conjugation does not pair the classes of L({p},{q})")
-    # The ascent reads y only where the shortened chain has an entry.
-    w, at = _shorten(_weights(terms))
-    kept, keep, edges = _kept_chain(w)
-    y0 = [y0[i] for i in at]
-    step = [step[i] for i in at]
+    kept, keep = _kept_chain(terms)
     two_p = 2 * p
-    # The run congruence is linear in y, so every y_0 + c step satisfies it
-    # once classes 0 and 1, y_0 and y_0 + step, do.
-    for c in (0, 1):
+    # The run congruence and the run deltas mod 2p are linear in y, so
+    # classes 0 and 1, y_0 and y_0 + step, check every y_0 + c step, and
+    # class c's deltas are d_0 + c (d_1 - d_0).
+    ends = []
+    for c, y in enumerate((y0, [u + d for u, d in zip(y0, step)])):
         try:
-            _check_runs([u + c * d for u, d in zip(y0, step)], keep, edges, two_p)
+            ends.append(_check_runs(y, keep, two_p))
         except InvariantError as err:
             raise InvariantError(f"class {c} of L({p},{q}): {err}") from None
-    # Class c's kept values, centred as `_centred` does, are (base + c slope)
-    # mod 2p - (p - 1), and a run's cost depends on its delta mod 2p only,
-    # which is d + c e.
-    base = [y0[i] + p - 1 for i in keep]
+    runs = [(m, d, e - d) for (m, d), (_, e) in zip(*ends)]
+    base = [y0[i] for i in keep]
     slope = [step[i] for i in keep]
-    runs = [(m, y0[u] - y0[f], step[u] - step[f]) for m, u, f in edges]
     # Both sides are keyed by the integer p * value: a class's maximum of
     # y^T G y by maximum / p + n p, a label's 4d = N / p by its table entry N.
     class_keys: list[int] = []
@@ -481,8 +430,8 @@ def lattice_vs_recursion_check(p: int, q: int) -> LatticeCheckReport:
         if mate < c:  # Q(-y) = Q(y): the conjugate class has the same maximum
             class_keys.append(class_keys[mate])
             continue
-        y = [(u + c * d) % two_p - (p - 1) for u, d in zip(base, slope)]
-        top = _ascent(kept, y, two_p, [(m, (d + c * e) % two_p) for m, d, e in runs])
+        y = [u + c * d for u, d in zip(base, slope)]
+        top = _class_max(kept, y, p, [(m, (d + c * e) % two_p) for m, d, e in runs])
         key, rest = divmod(top, p)
         if rest:
             raise InvariantError(

@@ -2,11 +2,11 @@
 from the code they check.
 
 None of these is used by the package: the chain's Gram matrix and its
-closed-form adjugate, class membership and class keys read off the adjugate,
-the brute-force box search for the characteristic maxima, the cost of a run
-of weight-0 vertices by enumerating its splits, the lattice check built
-class by class through `max_char_square`, and the definition of conjugation
-equivariance checked on every residue.
+closed-form adjugate, class membership, class keys and the label of class 0
+read off the adjugate, the brute-force box search for the characteristic
+maxima, the cost of a run of weight-0 vertices by enumerating its splits,
+the lattice check built class by class through `max_char_square`, and the
+definition of conjugation equivariance checked on every residue.
 """
 
 import itertools
@@ -52,6 +52,22 @@ def chain_adjugate(terms: tuple[int, ...]) -> tuple[int, list[list[int]]]:
             v = theta[i] * phi[n - 1 - j]
             adj[i][j] = adj[j][i] = -v if (i + j) % 2 else v
     return theta[n], adj
+
+
+def class_zero_label(terms: tuple[int, ...], q: int) -> int:
+    """The label c_0 of class 0 of the chain lattice of p/q: class c,
+    K_0 + 2c e_1, is label (c_0 + q c) mod p of the d-table.  With y_01 the
+    first entry of y_0 = sign(det) adj K_0, K_0 = (-a_1, ..., -a_n),
+    c_0 = (q - 1 - y_01) / 2 mod p for odd p, and (q - 1 - y_01 + p) / 2
+    mod p for even p, where q - 1 - y_01 + p is even.  The rule was found by
+    search over the pairs the tests check, not derived."""
+    det, adj = chain_adjugate(terms)
+    p = abs(det)
+    y01 = (1 if det > 0 else -1) * sum(-k * a for k, a in zip(adj[0], terms))
+    if p % 2:
+        return (q - 1 - y01) * pow(2, -1, p) % p
+    assert (q - 1 - y01 + p) % 2 == 0, (terms, q)
+    return (q - 1 - y01 + p) // 2 % p
 
 
 def same_class(lat: Lattice, u: tuple[int, ...], v: tuple[int, ...]) -> bool:

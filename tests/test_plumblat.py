@@ -10,6 +10,7 @@ import pytest
 from lattice_oracles import (
     chain_adjugate,
     class_key_row,
+    class_zero_label,
     gram,
     max_char_square_box,
     per_class_report,
@@ -23,13 +24,13 @@ from lenslab.lensdi import LensSpace, scaled_d_table
 from lenslab.plumblat import (
     CharClass,
     Lattice,
+    _ascent,
     _box_max,
+    _check_runs,
     _continuants,
-    _max_square_scaled,
+    _kept_chain,
     _run_costs,
-    _shorten,
     _start_vector,
-    _weights,
     char_classes,
     lattice_from_hj,
     lattice_vs_recursion_check,
@@ -317,13 +318,14 @@ def test_ascent_from_far_starts():
     rng = random.Random(9)
     for r in (Fraction(13, 12), Fraction(19, 7), Fraction(17, 5), Fraction(3, 4), Fraction(11, 1)):
         lat = lattice_from_hj(hj_expand(r))
-        w, at = _shorten(_weights(lat.terms))
+        kept, keep = _kept_chain(lat.terms)
         for cls in char_classes(lat):
             p, y0 = _oracle_start_vector(lat.terms, cls.rep)
             expected = _oracle_max_square_scaled(lat.terms, y0, p)
             far = [v + 2 * p * rng.randint(-6, 6) for v in y0]
-            shortened = [far[i] for i in at]
-            assert Fraction(_max_square_scaled(w, shortened, p), p * p) == expected
+            runs = _check_runs(far, keep, 2 * p)
+            top = _ascent(kept, [far[i] for i in keep], 2 * p, runs)
+            assert Fraction(top, p * p) == expected
 
 
 def test_run_cost_is_the_least_split():
@@ -369,24 +371,30 @@ def test_chains_with_runs_match_pairwise_oracle(p):
 
 @pytest.mark.parametrize("r", [Fraction(41, 40), Fraction(29, 27), Fraction(23, 19)], ids=str)
 def test_ascent_through_runs_from_far_starts(r):
-    # the shortened chain, from a far start
+    # the kept chain, with runs, from a far start
     rng = random.Random(33)
     lat = lattice_from_hj(hj_expand(r))
-    w = _weights(lat.terms)
-    short, at = _shorten(w)
-    assert len(short) < len(w)
+    kept, keep = _kept_chain(lat.terms)
+    assert len(kept) < lat.rank
     for _, p, y0, expected in _oracle_maxima(lat):
         far = [v + 2 * p * rng.randint(-6, 6) for v in y0]
-        shortened = [far[i] for i in at]
-        assert Fraction(_max_square_scaled(short, shortened, p), p * p) == expected
+        runs = _check_runs(far, keep, 2 * p)
+        top = _ascent(kept, [far[i] for i in keep], 2 * p, runs)
+        assert Fraction(top, p * p) == expected
 
 
-def test_shorten_writes_each_run_once():
-    assert _shorten([1, 0, 0, 0, 1]) == ([1, -3, 1], [0, 1, 4])
-    assert _shorten([0, 0, 1, 0, 2, 0]) == ([0, -1, 1, -1, 2, 0], [0, 1, 2, 3, 4, 5])
-    assert _shorten([2]) == ([2], [0])
+def test_kept_chain_reads_runs_off_the_chain():
+    # an all-2 chain is one run of 4 edges between its ends
+    assert _kept_chain((2, 2, 2, 2, 2)) == ([1, 1], [0, 4])
+    # 17/46 is [1, 2, 3, 2, 4, 2]: a_1 = 1 keeps the first vertex at weight 0,
+    # and its edges are runs of 2, 2 and 1 edges
+    assert _kept_chain((1, 2, 3, 2, 4, 2)) == ([0, 1, 2, 1], [0, 2, 4, 5])
+    assert _kept_chain((1, 3)) == ([0, 2], [0, 1])
+    # a single vertex has no neighbours
+    assert _kept_chain((2,)) == ([2], [0])
+    assert _kept_chain((1,)) == ([1], [0])
     # L(9,7) is [2, 2, 2, 3]: one run of 3 edges between the ends
-    assert _shorten(_weights((2, 2, 2, 3))) == ([1, -2, 2], [0, 1, 3])
+    assert _kept_chain((2, 2, 2, 3)) == ([1, 2], [0, 3])
 
 
 def test_sweep_work_is_linear_in_p(monkeypatch):
@@ -501,6 +509,19 @@ def test_class_sweep_matches_per_class_maxima():
         assert lattice_vs_recursion_check(p, q) == per_class_report(p, q), (p, q)
 
 
+def test_class_c_is_label_c0_plus_q_c_below_60():
+    # label by label, not only as multisets: a permutation of the labels
+    # keeps the multiset and would pass `equal`
+    for p in range(2, 60):
+        for q in range(1, p):
+            if gcd(p, q) != 1:
+                continue
+            c0 = class_zero_label(tuple(hj_expand(Fraction(p, q))), q)
+            report = lattice_vs_recursion_check(p, q)
+            labels = tuple(report.label_keys[(c0 + q * c) % p] for c in range(p))
+            assert report.class_keys == labels, (p, q)
+
+
 def test_class_value_off_the_1_over_p_grid_is_an_invariant_error(monkeypatch):
     import lenslab.plumblat as plumblat
 
@@ -566,14 +587,14 @@ def test_one_ascent_per_conjugate_pair(monkeypatch):
 def test_one_check_shortens_its_chain_once(monkeypatch, p, q):
     import lenslab.plumblat as plumblat
 
-    real = plumblat._shorten
+    real = plumblat._kept_chain
     calls = []
 
-    def counted(w):
-        calls.append(w)
-        return real(w)
+    def counted(terms):
+        calls.append(terms)
+        return real(terms)
 
-    monkeypatch.setattr(plumblat, "_shorten", counted)
+    monkeypatch.setattr(plumblat, "_kept_chain", counted)
     assert lattice_vs_recursion_check(p, q).equal
     assert len(calls) == 1
 
