@@ -364,8 +364,14 @@ def literal_reconstruction(tv: TVector) -> dict[int, int]:
 
 
 def default_scan_radius(g: int) -> int:
-    """Search radius 12g - 7 (the hyperbolic-surgery order bound)."""
-    return 12 * g - 7
+    """Search radius max(12g - 7, 4g + 3).
+
+    12g - 7 is Goda and Teragaito's bound on the order of a lens-space
+    surgery on a hyperbolic knot of genus g.  The torus knot T(2, 2g + 1)
+    has a lens-space surgery of order 4g + 3 (Moser, 1971), which the first
+    bound misses at g = 1: L(7, 2), the +7 surgery on the trefoil.
+    """
+    return max(12 * g - 7, 4 * g + 3)
 
 
 @dataclass(frozen=True)

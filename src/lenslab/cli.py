@@ -139,8 +139,9 @@ MAX_DINV_P = 400_000
 MAX_ALEXLENS_P = 80_000
 MAX_LATTICE_P = 40_000
 # The largest pmax `genus-scan` accepts, given as --pmax or else the default
-# radius 12g - 7.  The scan builds the d-tables of every order up to pmax: a
-# 20-digit genus overflowed a list size and a 20-digit --pmax never returned.
+# radius max(12g - 7, 4g + 3), which is 12g - 7 for g >= 2.  The scan builds
+# the d-tables of every order up to pmax: a 20-digit genus overflowed a list
+# size and a 20-digit --pmax never returned.
 # The cap admits g = 60, whose default radius is 713, and is not a time
 # bound.  The scan runs one space of each homeomorphic pair L(p, q),
 # L(p, q^-1), and with the pm1 filter the Casson-Walker prune skips most

@@ -262,6 +262,26 @@ def test_scan_hits_obey_rasmussens_bound(g):
     assert all(h.space.p <= 4 * g + 3 for h in hits)
 
 
+def test_scan_finds_every_torus_knot_surgery_up_to_genus_20():
+    # Moser (1971): (rs +- 1)-surgery on the torus knot T(r, s) is
+    # L(rs +- 1, s^2); T(r, s) has genus (r - 1)(s - 1)/2, and T(2, 3) at
+    # p = 7 needs the radius 4g + 3
+    found = {
+        g: {space for hit in scan_realizable(g) for space in hit.representatives}
+        for g in range(1, 21)
+    }
+    surgeries = 0
+    for r in range(2, 42):
+        for s in range(r + 1, 42):
+            g = (r - 1) * (s - 1) // 2
+            if gcd(r, s) != 1 or g > 20:
+                continue
+            for p in (r * s - 1, r * s + 1):
+                assert LensSpace(p, s * s % p) in found[g], (r, s, p)
+                surgeries += 1
+    assert surgeries == 86
+
+
 def test_scan_builds_the_l_p_1_table_once_per_p(monkeypatch):
     # the scan gets every table from _checked_table, with the D(q, p) of its prune
     import lenslab.alexobstruct as alexobstruct
@@ -437,6 +457,7 @@ def test_pruned_scan_equals_the_unpruned_scan_up_to_genus_10(pm1):
 
 
 def test_scan_radius_default():
+    assert default_scan_radius(1) == 7
     assert default_scan_radius(2) == 17
     assert default_scan_radius(5) == 53
 

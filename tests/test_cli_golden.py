@@ -7,9 +7,19 @@ on the working directory.  Regenerate it (only when an output
 change is intended) with
 
     PYTHONPATH=src python tests/test_cli_golden.py > tests/data/cli_golden.txt
+
+`tests/data/cli_pins.txt` pins the cap-size runs, whose stdout is too long for
+the transcript, by its SHA-256: one line per run,
+`<seconds> <sha256 of stdout> <arguments>`.  CI runs every row with the
+installed script under `timeout <seconds>`; here every row with a limit of at
+most 15 s runs in-process.  A row records `lenslab <arguments> | sha256sum`
+taken at the parent commit, before any code changes, so that a pin checks a
+change against the code it replaces; a change that alters a pinned output on
+purpose records the new digest and says why in CHANGES.md.
 """
 
 import contextlib
+import hashlib
 import io
 import re
 import sys
@@ -17,12 +27,15 @@ from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
-from lenslab.cli import main
+import pytest
+
+from lenslab.cli import build_parser, main
 from lenslab.lspacecert import Certificate
 from lenslab.plumblat import LatticeCheckReport
 
 HERE = Path(__file__).parent
 GOLDEN = HERE / "data" / "cli_golden.txt"
+PINS = HERE / "data" / "cli_pins.txt"
 
 
 def fib(n: int) -> int:
@@ -120,6 +133,29 @@ def test_cli_stdout_matches_golden():
             f"stdout differs from {GOLDEN.name} at line {first + 1}: "
             f"got {got[first:first + 1]!r}, want {want[first:first + 1]!r}"
         )
+
+
+def pins() -> list[list[str]]:
+    """The rows of the pin table, each split into limit, digest and arguments."""
+    return [line.split() for line in PINS.read_text().splitlines()]
+
+
+@pytest.mark.parametrize("digest, argv", [
+    pytest.param(digest, argv, id=" ".join(argv))
+    for seconds, digest, *argv in pins() if int(seconds) <= 15
+])
+def test_pinned_stdout_digest(digest, argv):
+    assert hashlib.sha256(run(argv).encode()).hexdigest() == digest
+
+
+def test_every_pin_row_is_well_formed():
+    for seconds, digest, *argv in pins():
+        assert seconds.isdigit() and int(seconds) > 0, seconds
+        assert re.fullmatch("[0-9a-f]{64}", digest), digest
+        try:
+            assert build_parser().parse_args(argv).command, argv
+        except SystemExit:
+            pytest.fail(f"lenslab rejects the arguments {argv}")
 
 
 def _refuse(*args, **kwargs):
