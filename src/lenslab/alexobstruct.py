@@ -9,37 +9,13 @@ and accept sigma only when every t_i is a nonpositive even integer.  The
 filter runs on the 4p-scaled integer tables of `lensdi`: with N = 4p * t_i,
 t_i <= 0 exactly when N <= 0, and t_i is even exactly when 8p divides N.
 
-Before any table is built, one number rules out many spaces.  Every sigma
-permutes the labels, so the torsion total T_total = sum of T_i over Z/p
-(T_i = -t_i / 2, below) is the same for every sigma:
+Every sigma permutes the labels, so the torsion total T_total = sum of T_i
+over Z/p (T_i = -t_i / 2, below) is the same for every sigma:
 (D(1, p) - D(q, p)) / 24, where D(q, p) = 12p * s(q, p) and the d-values of
 L(p, q) sum to -D(q, p) / 12, the Casson-Walker invariant (Rustamov,
-arXiv:math/0409294).  Reciprocity gives D in O(log p) integer steps
-(Rademacher-Grosswald, *Dedekind Sums*, 1972; `lensdi._dedekind12`).  A
-space whose T_total is not an integer >= 0 has no candidate, so
-`candidate_polynomials` returns none without building a table, and
-`scan_realizable` also skips, under the pm1 filter, every q whose T_total
-lies outside the window [2g - 1, g^2] of a degree-g candidate; of the
-homeomorphic L(p, q) and L(p, q^-1), which have the same candidates, it
-scans only the one with the smaller q.  The tables a space does get are
-checked against the D(1, p) and D(q, p) of this test
-(`lensdi._checked_table`), so each space runs one reciprocity chain.
+arXiv:math/0409294; `lensdi._dedekind12`).  A space whose T_total is not an
+integer >= 0 has no candidate, and gets no table.
 
-The filter is pruned label by label.  sigma(0) = c, so t_0 depends on the
-offset c alone and is tested once per offset.  t_1 passes exactly when
-sigma(1) = c + u is a label j whose d(L(p,1), 1) - d(L(p,q), j) is
-nonpositive and even; one pass over the table lists those j for every
-offset, and each passing offset takes the units u = j - c (mod p) among
-them, so no list of the units is built, and nearly every sigma is out at
-i = 1.  Each survivor is then walked forward, sigma(i + 1) = sigma(i) + u,
-until a label fails, so a sigma that passes has its t-vector from that one
-walk, and a vector already seen is skipped: u and p - u always give the
-same vector, because conjugation fixes the table and maps c + u*i to
-c - u*i.  The sigma are taken in the order of the full enumeration, u
-ascending and then c ascending, a sigma that fails the filter never yields
-a candidate, and equal vectors give equal polynomials, so the first
-witness of every polynomial, and with it the sigma reported, is the one
-the full enumeration finds.
 The torsion coefficients are then T_i = -t_i / 2, a plain integer sequence
 (a polynomial of degree g has the tuple T_0, ..., T_{g-1}; zeros past it
 change nothing), and the candidate polynomial is recovered through the
@@ -71,7 +47,7 @@ from itertools import accumulate
 from math import gcd
 
 from .errors import DomainError
-from .lensdi import LensSpace, _checked_table, _dedekind12, lens_normalize, scaled_d_table
+from .lensdi import LensSpace, _dedekind12, scaled_d_table
 from .lensdi import d_rec  # noqa: F401  perfbench/tracing.py wraps it at this name
 
 
@@ -158,8 +134,10 @@ def alex_from_torsion(seq: Sequence[int]) -> AlexPoly:
     """Second-difference inverse of torsion_from_alex; zeros past the support
     of seq are allowed.
 
-    The lens-space pipeline only ever feeds nonnegative torsion (T = -t/2
-    with t nonpositive); the identity itself is sign-agnostic.
+    torsion_from_alex of the result is seq without its trailing zeros, so
+    two sequences of one length give the same polynomial only when they are
+    equal.  The lens-space pipeline only ever feeds nonnegative torsion
+    (T = -t/2 with t nonpositive); the identity itself is sign-agnostic.
     """
     t = [*seq, 0, 0]
     data = {i: t[i - 1] - 2 * t[i] + t[i + 1] for i in range(1, len(seq) + 1)}
@@ -231,7 +209,8 @@ def _scaled_t(
 
 
 def _scaled_tables(space: LensSpace) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    return scaled_d_table(lens_normalize(space.p, 1)), scaled_d_table(space)
+    base = scaled_d_table(LensSpace(space.p, 1))
+    return base, base if space.q == 1 else scaled_d_table(space)
 
 
 def t_vector(space: LensSpace, sigma: Correspondence) -> TVector:
@@ -295,54 +274,56 @@ class Candidate:
     t: TVector
 
 
-def _torsion_total(d1: int, dq: int) -> int | None:
+def _torsion_total(p: int, q: int) -> int | None:
     """T_total = sum of T_i over the labels of Z/p, the same for every sigma
     of L(p, q), or None when it is not an integer >= 0 and so no sigma passes.
 
     Each sigma permutes the labels, so sum t_i = sum d(L(p,1)) - sum d(L(p,q)),
     and the d-values of L(p, q) sum to -D(q, p) / 12 (the Casson-Walker
-    invariant), so T_total = (D(1, p) - D(q, p)) / 24; d1 is D(1, p) and dq
-    is D(q, p).
+    invariant), so T_total = (D(1, p) - D(q, p)) / 24.
     """
-    total, rest = divmod(d1 - dq, 24)
+    total, rest = divmod(_dedekind12(1, p) - _dedekind12(q, p), 24)
     return None if total < 0 or rest else total
 
 
 def candidate_polynomials(space: LensSpace, pm1: bool = True) -> list[Candidate]:
     """Deduplicated candidate polynomials with one witnessing sigma each;
     pm1 turns the pm1-alternating filter on.  A space whose T_total is not an
-    integer >= 0 has none, and gets no table; the tables of the others are
-    checked against the D(1, p) and D(q, p) of that test."""
-    p, q = space.p, space.q
-    d1, dq = _dedekind12(1, p), _dedekind12(q, p)
-    if _torsion_total(d1, dq) is None:
+    integer >= 0 has none, and gets no table."""
+    if _torsion_total(space.p, space.q) is None:
         return []
-    base = _checked_table(LensSpace(p, 1), d1)
-    table = base if q == 1 else _checked_table(space, dq)
-    return _candidates(space, base, table, pm1)
+    return _candidates(space, *_scaled_tables(space), pm1)
 
 
 def _candidates(
     space: LensSpace, base: tuple[int, ...], table: tuple[int, ...], pm1: bool
 ) -> list[Candidate]:
-    """candidate_polynomials, given the scaled tables of L(p,1) and of space;
-    each distinct t-vector is tested and turned into a polynomial once."""
+    """candidate_polynomials, given the scaled tables of L(p,1) and of space,
+    sorted by coefficients.
+
+    Each distinct t-vector is tested and turned into a polynomial once: u and
+    p - u give the same vector on a checked table, because conjugation fixes
+    the table and maps c + u*i to c - u*i.  Distinct vectors, all of length
+    p // 2 + 1, give distinct polynomials (`alex_from_torsion`).  The sigma
+    come in the order of the full enumeration, u ascending and then c
+    ascending, so the sigma kept for each polynomial is the first witness
+    that enumeration finds.
+    """
     even = 8 * space.p
-    seen_t: set[tuple[int, ...]] = set()
-    seen: dict[tuple, Candidate] = {}
+    seen: set[tuple[int, ...]] = set()
+    kept = []
     for u, c, scaled in _passing_correspondences(space, base, table):
-        if scaled in seen_t:
+        if scaled in seen:
             continue
-        seen_t.add(scaled)
+        seen.add(scaled)
         # pm1-alternating: T = -t/2 falls by 0 or 1 at each step, down to 0
         if pm1 and any(
             b - a not in (0, even) for a, b in zip(scaled, scaled[1:] + (0,))
         ):
             continue
         poly = alex_from_torsion([-n // even for n in scaled])
-        if poly.coeffs not in seen:
-            seen[poly.coeffs] = Candidate(poly, Correspondence(space, c, u), TVector(space, scaled))
-    return [seen[k] for k in sorted(seen)]
+        kept.append(Candidate(poly, Correspondence(space, c, u), TVector(space, scaled)))
+    return sorted(kept, key=lambda candidate: candidate.poly.coeffs)
 
 
 def literal_reconstruction(tv: TVector) -> dict[int, int]:
@@ -411,17 +392,15 @@ def scan_realizable(g: int, pmax: int | None = None, pm1: bool = True) -> list[S
         raise DomainError("scan needs pmax >= 1")
     hits = []
     for p in range(max(2 * g - 1, 2), pmax + 1):
-        d1 = _dedekind12(1, p)
-        base = _checked_table(LensSpace(p, 1), d1)
+        base = scaled_d_table(LensSpace(p, 1))
         for q in range(1, p):
             if gcd(p, q) != 1 or (inverse := pow(q, -1, p)) < q:
                 continue
-            dq = _dedekind12(q, p)
-            total = _torsion_total(d1, dq)
+            total = _torsion_total(p, q)
             if total is None or pm1 and not 2 * g - 1 <= total <= g * g:
                 continue
             space = LensSpace(p, q)
-            table = base if q == 1 else _checked_table(space, dq)
+            table = base if q == 1 else scaled_d_table(space)
             if any(c.poly.degree == g for c in _candidates(space, base, table, pm1)):
                 pair = (space,) if inverse == q else (space, LensSpace(p, inverse))
                 hits.append(ScanHit(space, pair))

@@ -144,12 +144,14 @@ MAX_LATTICE_P = 40_000
 # size and a 20-digit --pmax never returned.
 # The cap admits g = 60, whose default radius is 713, and is not a time
 # bound.  The scan runs one space of each homeomorphic pair L(p, q),
-# L(p, q^-1), and with the pm1 filter the Casson-Walker prune skips most
-# spaces before their tables are built: `genus-scan 60` took 0.94-1.07 s
-# (5 runs) and `genus-scan 2 --pmax 720` 0.44-0.56 s (3 runs).  Without the
-# filter only about half are skipped, and `genus-scan 60 --no-pm1-filter`,
-# the slowest scan at the cap, took 9.6-11.6 s (5 runs; fresh interpreters
-# on the same VM), against 25.5-29.0 s when it ran both spaces of a pair.
+# L(p, q^-1), and with the pm1 filter the Casson-Walker prune keeps about 8 %
+# of the spaces for their tables: `genus-scan 60` took 0.94-1.07 s (5 runs)
+# and `genus-scan 2 --pmax 720` 0.44-0.56 s (3 runs).  Without the filter the
+# prune keeps about half, and `genus-scan 60 --no-pm1-filter`, the slowest
+# scan at the cap, took 9.6-11.6 s (5 runs; fresh interpreters on the same
+# VM).  A cap admitting g = 100 (pmax 1193) would cost about 4 s with the
+# filter and 48 s without it (one in-process run each), so the cap stays at
+# 720.
 MAX_SCAN_PMAX = 720
 # The largest truncation order N that `series` accepts.  A series is built
 # and printed in time and memory linear in N, about 0.4 bytes per order at
@@ -174,9 +176,9 @@ MAX_SERIES_TRUNCATION = 300_000_000
 # four integer pairs: it took 1.39-1.73 s and printed 14 MB, and `lspace
 # check` on that 1.06-1.31 s (wall time of a fresh interpreter on the VM
 # above, compiling the package from source, 5 runs each).  `lspace --json
-# slope` with the same target took 0.40-0.53 s; F(10001)/F(10000) (13,886
-# bits) took 5.0-5.2 s and printed 56 MB with the cap lifted, and its check
-# 2.7-3.2 s, before slopes were held as integer pairs.
+# slope` with the same target took 0.40-0.53 s; `lspace --json slope --base
+# 1` to F(10001)/F(10000) (13,886 bits) took 3.5-4.6 s and printed 56 MB
+# with the cap lifted, and its check 2.1-2.9 s (3 runs each).
 MAX_SLOPE_BITS = 3_200
 
 

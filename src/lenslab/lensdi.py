@@ -11,11 +11,8 @@ which is the d-recursion
 
 multiplied through by 4p.  A table of L(p, q) is built from the table of
 L(q, p mod q) in one pass over its p labels; this table is the package's
-only implementation of the recursion.  One comparison checks that every
-division by q is exact: floor division leaves a remainder in [0, q)
-whatever the numerator's sign, so the remainders sum to 0 exactly when each
-of them is 0, that is when q * sum(N) equals the numerators' sum, and that
-sum has a closed form (see `_table`).
+only implementation of the recursion, and one comparison checks that every
+division by q is exact (see `_table`).
 
 The finished table is also checked as a whole.  The d-values of L(p, q) sum
 to -p * s(q, p), s the Dedekind sum, which is the Casson-Walker invariant of
@@ -23,19 +20,15 @@ L(p, q) (Rustamov, arXiv:math/0409294); with D(q, p) = 12p * s(q, p), an
 integer, the scaled table must satisfy 3 * sum(N) = -p * D(q, p).
 Reciprocity computes D in O(log p) integer steps (Rademacher-Grosswald,
 *Dedekind Sums*, 1972; see `_dedekind12`), so the check costs one sum over
-the table.  `alexobstruct` computes D(1, p) and D(q, p) for its prune
-before any table is built, and hands them to `_checked_table`, so a space
-it scans runs each chain once.
+the table.
 
 `d_rec` (one label) and `d_table` (every label) are `Fraction(N, 4p)` views
 of the checked table, so `d_rec` builds a whole table per call, and they
 are the sign primitive of the package: every consumer states its own sign
 usage relative to them rather than re-deriving orientation conventions.
-Conjugation i -> q - 1 - i (mod p) reverses labels 0..q-1 and labels
-q..p-1, and the check compares each block with its mirror, so `d_values`
-maps one value per conjugate pair, for the first half of each block, and
-reads the second half off the first, reversed; `d_table` maps `Fraction`
-and the CLI's `dinv` its text form.
+Conjugation i -> q - 1 - i (mod p) fixes the table and reverses labels
+0..q-1 and labels q..p-1, which `d_values` uses to map one value per
+conjugate pair.
 """
 
 from __future__ import annotations
@@ -153,12 +146,6 @@ def _dedekind12(a: int, b: int) -> int:
 def scaled_d_table(space: LensSpace) -> tuple[int, ...]:
     """N(p, q, i) = 4p * d(L(p, q), i) for every label i, conjugation-checked,
     then checked against the Casson-Walker sum 3 * sum(N) = -p * D(q, p)."""
-    return _checked_table(space, _dedekind12(space.q, space.p))
-
-
-def _checked_table(space: LensSpace, dedekind: int) -> tuple[int, ...]:
-    """`scaled_d_table` with D(q, p) given as dedekind, for a caller that has
-    already run the reciprocity chain (the scan's Casson-Walker prune)."""
     values = _table(space.p, space.q)
     k = space.q - 1  # conj_label(space, i) = k - i (mod p), so conjugation reverses
     if values != values[k::-1] + values[:k:-1]:  # labels 0..k, then k+1..p-1
@@ -169,7 +156,7 @@ def _checked_table(space: LensSpace, dedekind: int) -> tuple[int, ...]:
                     f"conjugation symmetry broken for {space}: "
                     f"4p*d({i}) = {n} but 4p*d({j}) = {values[j]}"
                 )
-    total, walker = 3 * sum(values), -space.p * dedekind
+    total, walker = 3 * sum(values), -space.p * _dedekind12(space.q, space.p)
     if total != walker:
         raise InvariantError(
             f"d-invariant sum broken for {space}: "

@@ -262,6 +262,25 @@ def test_scan_hits_obey_rasmussens_bound(g):
     assert all(h.space.p <= 4 * g + 3 for h in hits)
 
 
+def test_no_candidate_of_degree_g_lies_above_4g_plus_3_up_to_250():
+    # with the pm1 filter off, whose candidates include those kept with it;
+    # inverse spaces have the same candidates (tested below 90), so q <= q^-1
+    # covers every space.  Whether the d-invariants alone prove the bound is
+    # open, so this stays a measurement
+    candidates = at_bound = 0
+    for p in range(1, 251):
+        for q in range(1, p + 1):
+            if gcd(p, q) != 1 or (q == p and p > 1) or pow(q, -1, p) < q:
+                continue
+            for cand in candidate_polynomials(LensSpace(p, q), pm1=False):
+                g = cand.poly.degree
+                if g >= 1:
+                    assert p <= 4 * g + 3, (p, q, str(cand.poly))
+                    candidates += 1
+                    at_bound += p == 4 * g + 3
+    assert (candidates, at_bound) == (2797, 61)
+
+
 def test_scan_finds_every_torus_knot_surgery_up_to_genus_20():
     # Moser (1971): (rs +- 1)-surgery on the torus knot T(r, s) is
     # L(rs +- 1, s^2); T(r, s) has genus (r - 1)(s - 1)/2, and T(2, 3) at
@@ -283,18 +302,18 @@ def test_scan_finds_every_torus_knot_surgery_up_to_genus_20():
 
 
 def test_scan_builds_the_l_p_1_table_once_per_p(monkeypatch):
-    # the scan gets every table from _checked_table, with the D(q, p) of its prune
+    # the scan gets every table from scaled_d_table
     import lenslab.alexobstruct as alexobstruct
 
     built = []
     others = []
-    real = alexobstruct._checked_table
+    real = alexobstruct.scaled_d_table
 
-    def counted(space, dedekind):
+    def counted(space):
         (built if space.q == 1 else others).append(space.p)
-        return real(space, dedekind)
+        return real(space)
 
-    monkeypatch.setattr(alexobstruct, "_checked_table", counted)
+    monkeypatch.setattr(alexobstruct, "scaled_d_table", counted)
     scan_realizable(3)
     assert built == list(range(5, default_scan_radius(3) + 1))
     assert others  # the patched builder is the one the scan reaches
@@ -304,13 +323,13 @@ def test_scan_builds_no_table_for_a_q_whose_inverse_is_smaller(monkeypatch):
     import lenslab.alexobstruct as alexobstruct
 
     built = []
-    real = alexobstruct._checked_table
+    real = alexobstruct.scaled_d_table
 
-    def recorded(space, dedekind):
+    def recorded(space):
         built.append(space)
-        return real(space, dedekind)
+        return real(space)
 
-    monkeypatch.setattr(alexobstruct, "_checked_table", recorded)
+    monkeypatch.setattr(alexobstruct, "scaled_d_table", recorded)
     for pm1 in (True, False):
         built.clear()
         scan_realizable(4, pm1=pm1)
@@ -355,8 +374,8 @@ def test_a_space_without_an_integer_torsion_total_builds_no_table(monkeypatch, p
 @pytest.mark.parametrize("planted, conjugates", [((9, 4), (0, 3)), ((9, 1), (1, 8))])
 def test_a_table_with_a_wrong_casson_walker_sum_stops_the_scan(monkeypatch, planted, conjugates):
     # 8p added at a conjugate pair keeps the conjugation check passing and
-    # breaks only the sum; the check runs on the D of the prune.  L(9,4) is
-    # the member of {L(9,4), L(9,7)} the scan builds, 4 being 7^-1 mod 9
+    # breaks only the sum.  L(9,4) is the member of {L(9,4), L(9,7)} the scan
+    # builds, 4 being 7^-1 mod 9
     import lenslab.lensdi as lensdi
 
     assert conj_label(LensSpace(*planted), conjugates[0]) == conjugates[1]
@@ -433,6 +452,21 @@ def test_passing_correspondences_equal_brute_force_on_random_tables():
                     t = [base[i % p] - table[sigma(i)] for i in range(p // 2 + 1)]
                     decided.add(next(i for i, n in enumerate(t) if n > 0 or n % (8 * p)))
     assert decided == set(range(16))
+
+
+def test_a_passing_sigma_has_u_squared_congruent_to_q_below_120():
+    # the linking-form congruence of Fintushel and Stern, seen in the filter:
+    # necessity only, on both spaces of every inverse pair
+    passing = 0
+    for p in range(2, 120):
+        for q in range(1, p):
+            if gcd(p, q) != 1:
+                continue
+            space = LensSpace(p, q)
+            for u, c, _ in _passing_correspondences(space, *_scaled_tables(space)):
+                assert u * u % p == q, (p, q, u, c)
+                passing += 1
+    assert passing == 2945
 
 
 def unpruned_scan(g: int, pm1: bool) -> list[ScanHit]:

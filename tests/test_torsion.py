@@ -31,3 +31,15 @@ def test_torsion_round_trip_at_every_degree_up_to_60():
             assert alex_from_torsion(torsion) == poly, data
             padded = torsion + (0,) * rng.randrange(1, 2 * degree + 3)
             assert alex_from_torsion(padded) == poly, data
+
+
+def test_torsion_of_the_inverse_is_the_sequence_without_trailing_zeros():
+    # so two sequences of one length give the same polynomial only when they
+    # are equal, which is why the scan dedups its t-vectors alone
+    rng = random.Random(4703)
+    for _ in range(3000):
+        length = rng.randrange(1, 61)
+        seq = tuple(rng.choice((0, 0, 1, 2, rng.randrange(100))) for _ in range(length))
+        while length and not seq[length - 1]:
+            length -= 1
+        assert torsion_from_alex(alex_from_torsion(seq)) == seq[:length], seq
