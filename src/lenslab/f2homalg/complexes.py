@@ -69,13 +69,6 @@ class GradedComplex:
         return cocycles, coboundaries
 
 
-def complex_homology(complex_: GradedComplex) -> dict[int, int]:
-    """Homology rank via GF(2) elimination, keyed by the single grading 0."""
-    complex_.check_squares_to_zero()
-    cocycles, coboundaries = complex_.cohomology_bases()
-    return {0: len(cocycles) - len(coboundaries)}
-
-
 # ---------------------------------------------------------------------------
 # Octet: the eight boundary operators and their identities
 # ---------------------------------------------------------------------------

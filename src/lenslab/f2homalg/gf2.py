@@ -50,18 +50,6 @@ class F2Matrix:
 
     # access -------------------------------------------------------------
 
-    def entry(self, r: int, c: int) -> int:
-        return (self.data[r] >> c) & 1
-
-    def entries(self) -> list[tuple[int, int]]:
-        out = []
-        for r, row in enumerate(self.data):
-            while row:
-                low = row & -row
-                out.append((r, low.bit_length() - 1))
-                row ^= low
-        return out
-
     def columns(self) -> list[int]:
         """The transpose's rows: bit i of column j = entry (i, j)."""
         cols = [0] * self.cols

@@ -7,7 +7,8 @@ identities and assembled differentials as `F2Matrix` expressions, and
 brute-force subspaces of GF(2)^n for small n.  Three builders only the tests
 call live here too: `from_entries` (a matrix from (row, column) entries,
 repeats cancelling), `from_lists` (a matrix from 0/1 row lists) and
-`block` (a matrix from a grid of conforming blocks).
+`block` (a matrix from a grid of conforming blocks), and two readers:
+`entry` (one entry of a matrix) and `entries` (its nonzero positions).
 """
 
 from lenslab.errors import DomainError
@@ -21,6 +22,22 @@ def from_entries(rows: int, cols: int, entries) -> F2Matrix:
             raise DomainError(f"entry ({r}, {c}) out of bounds")
         data[r] ^= 1 << c
     return F2Matrix(rows, cols, tuple(data))
+
+
+def entry(m: F2Matrix, r: int, c: int) -> int:
+    return (m.data[r] >> c) & 1
+
+
+def entries(m: F2Matrix) -> list[tuple[int, int]]:
+    """The (row, column) positions of the ones of m, row by row, columns
+    ascending."""
+    out = []
+    for r, row in enumerate(m.data):
+        while row:
+            low = row & -row
+            out.append((r, low.bit_length() - 1))
+            row ^= low
+    return out
 
 
 def apply(m: F2Matrix, vec: int) -> int:
@@ -92,7 +109,7 @@ def rank_positions(entries: set[tuple[int, int]], rows: int, cols: int) -> int:
 
 
 def rank_sparse(m: F2Matrix) -> int:
-    return rank_positions(set(m.entries()), m.rows, m.cols)
+    return rank_positions(set(entries(m)), m.rows, m.cols)
 
 
 def product_by_entries(a: F2Matrix, b: F2Matrix) -> F2Matrix:
@@ -100,7 +117,7 @@ def product_by_entries(a: F2Matrix, b: F2Matrix) -> F2Matrix:
     assert a.cols == b.rows
     return from_entries(a.rows, b.cols, [
         (i, j) for i in range(a.rows) for j in range(b.cols)
-        if sum(a.entry(i, k) & b.entry(k, j) for k in range(a.cols)) % 2
+        if sum(entry(a, i, k) & entry(b, k, j) for k in range(a.cols)) % 2
     ])
 
 

@@ -19,6 +19,7 @@ from lenslab.alexobstruct import (
     ScanHit,
     TVector,
     _candidates,
+    _offsets,
     _passing_correspondences,
     _scaled_t,
     _scaled_tables,
@@ -467,6 +468,40 @@ def test_a_passing_sigma_has_u_squared_congruent_to_q_below_120():
                 assert u * u % p == q, (p, q, u, c)
                 passing += 1
     assert passing == 2945
+
+
+def test_t_parity_is_decided_at_labels_0_and_1_for_a_root_of_q_below_120():
+    # given u^2 = q (mod p), every t_i is an even integer exactly when t_0
+    # and t_1 are, whatever the offset
+    sigmas = 0
+    for p in range(2, 120):
+        for q in range(1, p):
+            if gcd(p, q) != 1:
+                continue
+            space = LensSpace(p, q)
+            base, table = _scaled_tables(space)
+            for u in (u for u in range(1, p) if u * u % p == q):
+                for c in _offsets(space):
+                    scaled = _scaled_t(base, table, Correspondence(space, c, u))
+                    even = [not n % (8 * p) for n in scaled]
+                    assert all(even) == (even[0] and even[1]), (p, q, u, c)
+                    sigmas += 1
+    assert sigmas == 5796
+
+
+def test_a_space_with_a_candidate_has_q_a_square_below_200():
+    # the + sign of the linking-form congruence q = +-k^2 (mod p): without
+    # the pm1 filter, q is always a square, -q often not
+    spaces = minus_q_not_square = 0
+    for p in range(2, 200):
+        squares = {k * k % p for k in range(p)}
+        for q in range(1, p):
+            if gcd(p, q) != 1 or not candidate_polynomials(LensSpace(p, q), pm1=False):
+                continue
+            assert q in squares, (p, q)
+            spaces += 1
+            minus_q_not_square += -q % p not in squares
+    assert (spaces, minus_q_not_square) == (3096, 2054)
 
 
 def unpruned_scan(g: int, pm1: bool) -> list[ScanHit]:

@@ -15,7 +15,14 @@ installed script under `timeout <seconds>`; here every row with a limit of at
 most 15 s runs in-process.  A row records `lenslab <arguments> | sha256sum`
 taken at the parent commit, before any code changes, so that a pin checks a
 change against the code it replaces; a change that alters a pinned output on
-purpose records the new digest and says why in CHANGES.md.
+purpose records the new digest and says why in CHANGES.md.  To see which rows
+an edit moves, run
+
+    PYTHONPATH=src python tests/test_cli_golden.py --pins
+
+at the parent and at the change and diff the two pin tables: it rewrites
+`tests/data/cli_pins.txt` with every digest recomputed in-process, every
+row of it included, and every limit and argument list unchanged.
 """
 
 import contextlib
@@ -188,5 +195,16 @@ def test_text_mode_builds_no_json_document(monkeypatch):
         assert run(argv) == golden[" ".join(argv)], argv
 
 
+def repinned() -> str:
+    """The pin table with each digest recomputed in-process."""
+    return "".join(
+        f"{seconds} {hashlib.sha256(run(argv).encode()).hexdigest()} {' '.join(argv)}\n"
+        for seconds, _, *argv in pins()
+    )
+
+
 if __name__ == "__main__":
-    sys.stdout.write(render())
+    if sys.argv[1:] == ["--pins"]:
+        PINS.write_text(repinned())
+    else:
+        sys.stdout.write(render())

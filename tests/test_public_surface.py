@@ -1,16 +1,19 @@
 """`src/lenslab` keeps only what is called or documented.
 
 Every module-level public function and class of the package, and every
-public method of such a class, must be
-  - referenced in `src/` outside its own definition, as a name, an
-    attribute or an imported name (docstrings and comments do not count);
-  - or named in `perfbench/*.py`, as a name or a string constant, since the
+public method of such a class, must be used outside its own definition:
+  - a function or class by its bare name in its own module, or anywhere in
+    `src/` or `perfbench/*.py` by an import or an attribute (`module.name`);
+  - a method by an attribute (`x.name`) in `src/` or `perfbench/*.py`, so
+    a local variable of the same name does not count;
+  - or either by a string constant in `perfbench/*.py`, since the
     benchmark's tracer wraps functions by their names as strings (the files
     are parsed, not imported);
-  - or listed in an `__all__`;
-  - or named in backticks in the README's "What is inside" table.
-A name that meets none of these is dead weight or a test fixture, and
-belongs deleted or under `tests/`.
+  - or either named in backticks in the README's "What is inside" table.
+Docstrings, comments and `__all__` lists do not count.  A name that meets
+none of these is dead weight or a test fixture, and belongs deleted or
+under `tests/`.  Each package `__init__.py` holds only its docstring, so
+every public name has one import path, its module's.
 """
 
 import ast
@@ -21,30 +24,23 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def references(tree: ast.AST) -> Counter:
-    """How often each name occurs in `tree` as a name, an attribute or an
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), str(path))
+
+
+def uses(tree: ast.AST) -> Counter:
+    """How often each name occurs in `tree`, keyed by (kind, name): kind
+    "name" for a bare name, "attribute" for an attribute and "import" for an
     imported name (the last dotted part of it)."""
     found = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            found[node.id] += 1
+            found["name", node.id] += 1
         elif isinstance(node, ast.Attribute):
-            found[node.attr] += 1
+            found["attribute", node.attr] += 1
         elif isinstance(node, ast.alias):
-            found[node.name.rsplit(".", 1)[-1]] += 1
+            found["import", node.name.rsplit(".", 1)[-1]] += 1
     return found
-
-
-def exported(tree: ast.AST) -> set[str]:
-    """The strings listed in the module's `__all__` assignments."""
-    return {
-        elt.value
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Assign)
-        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
-        for elt in ast.walk(node.value)
-        if isinstance(elt, ast.Constant) and isinstance(elt.value, str)
-    }
 
 
 def documented(readme: str) -> set[str]:
@@ -72,26 +68,34 @@ def public_definitions(tree: ast.Module):
 
 def unused_public_names(root: Path) -> list[str]:
     """"module:name" for each public definition under `root/src/lenslab`
-    (see `public_definitions`) that meets none of the four conditions."""
+    (see `public_definitions`) that is used in none of the ways the module
+    docstring lists."""
     package = root / "src" / "lenslab"
-    trees = {path: ast.parse(path.read_text(), str(path)) for path in sorted(package.rglob("*.py"))}
-    used, kept = Counter(), set()
-    for tree in trees.values():
-        used.update(references(tree))
-        kept |= exported(tree)
-    for path in sorted((root / "perfbench").glob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
-        kept |= set(references(tree)) | {
-            node.value for node in ast.walk(tree)
-            if isinstance(node, ast.Constant) and isinstance(node.value, str)
-        }
-    kept |= documented((root / "README.md").read_text())
-    return [
-        f"{path.relative_to(package).as_posix()}:{label}"
-        for path, tree in trees.items()
-        for label, node in public_definitions(tree)
-        if node.name not in kept and used[node.name] == references(node)[node.name]
-    ]
+    trees = {path: parse(path) for path in sorted(package.rglob("*.py"))}
+    bench = [parse(path) for path in sorted((root / "perfbench").glob("*.py"))]
+    everywhere = sum((uses(tree) for tree in (*trees.values(), *bench)), Counter())
+    kept = documented((root / "README.md").read_text()) | {
+        node.value for tree in bench for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    unused = []
+    for path, tree in trees.items():
+        module = uses(tree)
+        for label, node in public_definitions(tree):
+            name, inside = node.name, uses(node)
+            seen = everywhere["attribute", name] - inside["attribute", name]
+            if "." not in label:  # a function or class, not a method
+                seen += module["name", name] - inside["name", name]
+                seen += everywhere["import", name] - inside["import", name]
+            if not seen and name not in kept:
+                unused.append(f"{path.relative_to(package).as_posix()}:{label}")
+    return unused
+
+
+def test_package_init_files_hold_only_a_docstring():
+    for path in sorted((ROOT / "src" / "lenslab").rglob("__init__.py")):
+        tree = parse(path)
+        assert ast.get_docstring(tree) and len(tree.body) == 1, path
 
 
 def test_every_public_name_is_called_or_documented():
@@ -123,17 +127,23 @@ def test_the_guard_sees_each_kind_of_use(tmp_path):
         "    def documented(self): pass\n"
         "    def benched(self): pass\n"
         "    def again(self): return self.again()\n"
+        "    def shadowed(self): pass\n"
+        "    def timed(self): pass\n"
         "    def _private(self): pass\n"
         "def _private(): pass\n"
-        "def user(x): return called() + x.as_attribute() + Kept().method()\n"
+        "def user(x):\n"
+        "    shadowed = called() + x.as_attribute() + Kept().method()\n"
+        "    return shadowed\n"
     )
     (tmp_path / "perfbench" / "tracing.py").write_text(
-        "benched()\nwrap(owner, 'wrapped')\n"
+        "from lenslab.mod import benched\n"
+        "benched()\nstage.benched()\nwrap(owner, 'wrapped')\ntimed = clock()\n"
     )
     (tmp_path / "README.md").write_text(
         "## What is inside\n\n| `lenslab.mod` | `mod.readme`, `Dead()`, `Kept.documented` |\n\n"
         "## CLI\n\n`user`\n"
     )
     assert unused_public_names(tmp_path) == [
-        "mod.py:recursive", "mod.py:Dead", "mod.py:Dead.make", "mod.py:Kept.again", "mod.py:user",
+        "mod.py:exported", "mod.py:recursive", "mod.py:Dead", "mod.py:Dead.make",
+        "mod.py:Kept.again", "mod.py:Kept.shadowed", "mod.py:Kept.timed", "mod.py:user",
     ]
