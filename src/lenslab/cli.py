@@ -18,7 +18,7 @@ from collections.abc import Callable
 from fractions import Fraction
 
 from .errors import DomainError, InvariantError
-from .exactnum import farey_parents, hj_expand, parse_slope, ratio_text, slope_pair, slope_text
+from .exactnum import Slope, farey_parents, hj_expand, ratio_text, slope_pair, slope_text
 from .lensdi import d_values, lens_normalize
 from .alexobstruct import (
     candidate_polynomials,
@@ -182,8 +182,8 @@ MAX_SERIES_TRUNCATION = 300_000_000
 MAX_SLOPE_BITS = 3_200
 
 
-def _slope_bits(*slopes: Fraction) -> int:
-    return sum(x.numerator.bit_length() + x.denominator.bit_length() for x in slopes)
+def _slope_bits(*slopes: Slope) -> int:
+    return sum(p.bit_length() + q.bit_length() for p, q in slopes)
 
 
 def _check_cap(name: str, value: int, cap: int) -> None:
@@ -423,7 +423,7 @@ def _cmd_dinv(args: argparse.Namespace) -> None:
 
 def _cmd_hj(args: argparse.Namespace) -> None:
     slope = slope_pair(args.slope)
-    terms = hj_expand(Fraction(*slope))
+    terms = hj_expand(slope)
     name = slope_text(slope)
     _emit(args, lambda: {"slope": name, "terms": terms},
           lambda: [f"{name} = [{','.join(map(str, terms))}]"])
@@ -588,15 +588,16 @@ def _cmd_lspace_alt(args: argparse.Namespace) -> None:
 
 
 def _cmd_lspace_slope(args: argparse.Namespace) -> None:
-    base, target = parse_slope(args.base), parse_slope(args.target)
+    base, target = slope_pair(args.base), slope_pair(args.target)
     _check_cap("slope bits", _slope_bits(base, target), MAX_SLOPE_BITS)
-    _emit_certificate(args, propagate_slope(surgery_lspace_axiom(args.knot, base), target))
+    base_cert = surgery_lspace_axiom(args.knot, Fraction(*base))
+    _emit_certificate(args, propagate_slope(base_cert, Fraction(*target)))
 
 
 def _cmd_lspace_borromean(args: argparse.Namespace) -> None:
-    slopes = [parse_slope(x) for x in (args.a, args.b, args.c)]
+    slopes = [slope_pair(x) for x in (args.a, args.b, args.c)]
     _check_cap("slope bits", _slope_bits(*slopes), MAX_SLOPE_BITS)
-    _emit_certificate(args, certify_borromean(*slopes))
+    _emit_certificate(args, certify_borromean(*(Fraction(*x) for x in slopes)))
 
 
 def _cmd_lspace_check(args: argparse.Namespace) -> None:

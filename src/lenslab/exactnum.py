@@ -1,13 +1,13 @@
-"""Exact slope arithmetic: rationals, negative continued fractions, Farey parents.
+"""Exact slope arithmetic: slope text, negative continued fractions, Farey parents.
 
 A slope p/q is the reduced pair (p, q), q >= 0, with 1/0 as (1, 0);
-nothing in this package touches floating point.  `slope_pair`, `slope_text`
-and `ratio_text` (n/d in lowest terms) are the one slope text grammar, "p/q" or "p".
+nothing in this package touches floating point, and this module holds no
+`Fraction`: expansions take and give pairs.  `slope_pair`, `slope_text` and
+`ratio_text` (n/d in lowest terms) are the one slope text grammar, "p/q" or "p".
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from .errors import DomainError
@@ -32,31 +32,27 @@ def slope_pair(text: str) -> Slope:
 
 
 def ratio_text(n: int, d: int) -> str:
-    """The text of n/d in lowest terms, for d > 0: format_slope(Fraction(n, d))."""
+    """The text of n/d in lowest terms, for d > 0."""
     g = gcd(n, d)
     return slope_text((n // g, d // g))
 
 
-def format_slope(r: Fraction) -> str:
-    """Canonical rendering: "num/den", den omitted when 1, sign on the numerator."""
-    return slope_text((r.numerator, r.denominator))
+def _positive_pair(pair: Slope, needs: str) -> Slope:
+    """The reduced pair p/q > 0, or a DomainError that begins with `needs`."""
+    p, q = pair
+    if p <= 0:
+        raise DomainError(f"{needs} a positive slope, got {slope_text(pair)}")
+    if q <= 0 or gcd(p, q) != 1:
+        raise DomainError(f"{needs} a reduced pair (p, q), q > 0, got {pair}")
+    return pair
 
 
-def parse_slope(text: str) -> Fraction:
-    """Parse "p/q" or "p" into an exact finite rational."""
-    return Fraction(*slope_pair(text))
+def hj_expand(pair: Slope) -> list[int]:
+    """Expansion p/q = a_1 - 1/(a_2 - 1/(... - 1/a_n)) with a_1 >= 1, a_i >= 2.
 
-
-def hj_expand(r: Fraction) -> list[int]:
-    """Expansion r = a_1 - 1/(a_2 - 1/(... - 1/a_n)) with a_1 >= 1, a_i >= 2.
-
-    Ceiling descent: a_1 = ceil(r), recurse on 1/(a_1 - r).
+    Ceiling descent: a_1 = ceil(p/q), recurse on 1/(a_1 - p/q).
     """
-    if not isinstance(r, Fraction):
-        raise DomainError("expansion needs a finite rational")
-    if r <= 0:
-        raise DomainError(f"expansion needs a positive slope, got {r}")
-    p, q = r.numerator, r.denominator
+    p, q = _positive_pair(pair, "expansion needs")
     terms: list[int] = []
     while True:
         a = -((-p) // q)  # ceil(p/q)
@@ -66,16 +62,20 @@ def hj_expand(r: Fraction) -> list[int]:
             return terms
 
 
-def hj_eval(terms: list[int]) -> Fraction:
-    """Exact value of the nested fraction a_1 - 1/(a_2 - ...)."""
+def hj_eval(terms: list[int]) -> Slope:
+    """The nested fraction a_1 - 1/(a_2 - ...) as a reduced pair (p, q), q > 0.
+
+    From the inside out, a - 1/(p/q) = (a p - q)/p; consecutive continuants
+    are coprime, so the pair stays reduced.
+    """
     if not terms:
         raise DomainError("empty expansion")
-    value = Fraction(terms[-1])
+    p, q = terms[-1], 1
     for a in reversed(terms[:-1]):
-        if value == 0:
+        if p == 0:
             raise DomainError(f"malformed expansion {terms}: division by zero")
-        value = a - 1 / value
-    return value
+        p, q = a * p - q, p
+    return (p, q) if q > 0 else (-p, -q)
 
 
 def is_normalized_hj(terms: list[int]) -> bool:
@@ -91,11 +91,7 @@ def farey_parents(pair: Slope) -> tuple[Slope, Slope]:
     """
     if pair == (1, 0):
         raise DomainError("1/0 has no Farey parents here")
-    p, q = pair
-    if p <= 0:
-        raise DomainError(f"Farey parents need a positive slope, got {slope_text(pair)}")
-    if q < 0 or gcd(p, q) != 1:
-        raise DomainError(f"Farey parents need a reduced pair (p, q), q > 0, got {pair}")
+    p, q = _positive_pair(pair, "Farey parents need")
     if q == 1:
         return (1, 0), (p - 1, 1)
     # Solve p0*q = 1 (mod p) with 1 <= p0 <= p, then q0 from the mediant;

@@ -60,8 +60,8 @@ fact, in memo keys, enumerated premises and the checker alike.  A view, like
 every Farey helper, holds a slope as its reduced integer pair (p, q), q > 0,
 1/0 being (1, 0), from the text `slope_pair` reads to the text `slope_text`
 writes.  `Fraction` is met only where the public builders convert their
-slopes once on entry, and in `pretzel_star`.  A single vertex of weight w is
-L(w, 1), and the edgeless graph on one vertex is S3.
+slopes once on entry.  A single vertex of weight w is L(w, 1), and the
+edgeless graph on one vertex is S3.
 `_fact_of` builds the fact of every view, for the axiom constructors, the
 builders and the checker, and renders each fact's text once.  A tree's |H1|
 is computed once per tree object (`WeightedTree._h1`), which its fact and
@@ -975,7 +975,7 @@ def pretzel_star(n: int) -> WeightedTree:
         raise DomainError("need odd n >= 7")
     if n == 7:
         return star_tree(3, [[2], [4]])
-    leg = hj_expand(Fraction(n - 6, n - 8))
+    leg = hj_expand((n - 6, n - 8))  # coprime: n is odd
     return star_tree(2, [[2], [4], leg])
 
 

@@ -51,20 +51,22 @@ terms, so the chain must be normalized with |theta_n| = p and
 determinant alone would pass the chain of another q with the same p, such as
 that of 13/10 for L(13,4).  Class c = 0..p-1 is represented by K_0 + 2c e_1,
 and the start vector is linear in K, so class c starts at y_0 + c step,
-where step is the start vector of 2 e_1; no per-class representative or
-Fraction is built.  The run congruence and each run's delta mod 2p are
-linear in the start vector, so `_check_runs` on the two generators' classes
-0 (y_0) and 1 (y_0 + step) checks every class and gives class c's deltas
+where step is the start vector of 2 e_1; no per-class representative is
+built.  The run congruence and each run's delta mod 2p are linear in the
+start vector, so `_check_runs` on the two generators' classes 0 (y_0) and
+1 (y_0 + step) checks every class and gives class c's deltas
 d_0 + c (d_1 - d_0); a break names the class and L(p,q).  Per class only
 the kept values and the run deltas are formed, since a run's cost depends
-on its delta mod 2p only, so the sweep costs O(p log p) for every q.  Each
-class's integer maximum is keyed by max / p + n p, the integer
-p * (max K^2 + n); p divides the maximum because K^T G^{-1} K has a
-denominator dividing p, and a maximum that p does not divide is an invariant
-error.  The report holds integer keys only: the class keys in class order,
-and the labels' keys 4p d, the scaled d-table, in label order.  `equal`
-compares the sorted keys, and each multiset is written from its sorted keys
-as k / p in lowest terms, with no Fraction built.
+on its delta mod 2p only, so the sweep costs O(p log p) for every q.
+
+A class's value is a key, the integer p * (max K^2 + n), which the sweep and
+`max_char_square` alike take from the integer maximum by one step,
+`_class_key`: max / p + n p.  p divides the maximum because K^T G^{-1} K
+has a denominator dividing p, and a maximum that p does not divide is an
+invariant error.  The report holds integer keys only: the class keys in
+class order, and the labels' keys 4p d, the scaled d-table, in label order.
+`equal` compares the sorted keys, and each multiset is written from its
+sorted keys as k / p in lowest terms; no Fraction is built here.
 
 Conjugation K -> -K maps characteristic covectors to characteristic
 covectors and y to -y, and the form has Q(-y) = Q(y), so conjugate classes
@@ -86,7 +88,6 @@ from this module in tests/lattice_oracles.py.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .errors import DomainError, InvariantError
@@ -140,7 +141,7 @@ def lattice_from_hj(terms: list[int] | tuple[int, ...]) -> Lattice:
     # (-1)^k theta_k has s_0 = 1, s_1 = a_1 >= 1 and s_k - s_(k-1) =
     # (a_k - 2) s_(k-1) + (s_(k-1) - s_(k-2)) >= 0, so every s_k >= 1.
     det = abs(_continuants(terms)[-1])
-    p = hj_eval(list(terms)).numerator
+    p = hj_eval(list(terms))[0]
     if det != p:
         raise InvariantError(f"|det| = {det} != numerator {p} for {terms}")
     return Lattice(terms)
@@ -338,8 +339,20 @@ def _class_max(kept: list[int], y: list[int], p: int, runs: list[tuple[int, int]
     return _ascent(kept, [(v + p - 1) % step - (p - 1) for v in y], step, runs)
 
 
-def max_char_square(lat: Lattice, cls: CharClass) -> Fraction:
-    """max over the class of K^T G^{-1} K + rank (exact rational)."""
+def _class_key(top: int, p: int, n: int, where: str) -> int:
+    """The key p * (max K^2 + n) of a class whose maximum of y^T G y is
+    `top`: top / p + n p, since K^T G^{-1} K = y^T G y / p^2.  p divides
+    `top`, or the maximum has a denominator off the 1/p grid, an invariant
+    error naming `where`, the class."""
+    key, rest = divmod(top, p)
+    if rest:
+        raise InvariantError(f"max K^2 of {where} has a denominator not dividing {p}")
+    return key + n * p
+
+
+def max_char_square(lat: Lattice, cls: CharClass) -> int:
+    """The class's key p * (max K^T G^{-1} K + rank), p = |det|: p times the
+    exact maximum, an integer (`_class_key`)."""
     if cls.lattice != lat:
         raise DomainError("class does not belong to this lattice")
     if not is_normalized_hj(list(lat.terms)):
@@ -350,7 +363,7 @@ def max_char_square(lat: Lattice, cls: CharClass) -> Fraction:
     kept, keep = _kept_chain(lat.terms)
     y = _start_vector(theta, phi, cls.rep)
     top = _class_max(kept, [y[i] for i in keep], p, _check_runs(y, keep, 2 * p))
-    return Fraction(top, p * p) + lat.rank
+    return _class_key(top, p, lat.rank, f"the class {cls.rep} of {lat.terms}")
 
 
 @dataclass(frozen=True)
@@ -391,7 +404,7 @@ def lattice_vs_recursion_check(p: int, q: int) -> LatticeCheckReport:
     """
     if not (0 < q < p) or gcd(p, q) != 1:
         raise DomainError(f"need coprime 0 < q < p, got ({p}, {q})")
-    terms = hj_expand(Fraction(p, q))
+    terms = hj_expand((p, q))
     n = len(terms)
     theta = _continuants(terms)
     phi = _continuants(terms[::-1])
@@ -432,12 +445,7 @@ def lattice_vs_recursion_check(p: int, q: int) -> LatticeCheckReport:
             continue
         y = [u + c * d for u, d in zip(base, slope)]
         top = _class_max(kept, y, p, [(m, (d + c * e) % two_p) for m, d, e in runs])
-        key, rest = divmod(top, p)
-        if rest:
-            raise InvariantError(
-                f"max K^2 of class {c} of L({p},{q}) has a denominator not dividing {p}"
-            )
-        class_keys.append(key + n * p)
+        class_keys.append(_class_key(top, p, n, f"class {c} of L({p},{q})"))
     label_keys = scaled_d_table(LensSpace(p, q))
     return LatticeCheckReport(
         p, q, sorted(class_keys) == sorted(label_keys), tuple(class_keys), label_keys

@@ -10,7 +10,6 @@ definition of conjugation equivariance checked on every residue.
 """
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 
 from lenslab.alexobstruct import Correspondence
@@ -111,8 +110,9 @@ def _box_class_maxima(terms: tuple[int, ...], widen: int) -> dict[int, int]:
     return best
 
 
-def max_char_square_box(lat: Lattice, cls: CharClass, widen: int = 1) -> Fraction:
-    """Brute-force reference: maximize over the box |K_i| <= widen * a_i.
+def max_char_square_box(lat: Lattice, cls: CharClass, widen: int = 1) -> int:
+    """Brute-force reference: maximize over the box |K_i| <= widen * a_i, and
+    give the class's key p * (max K^2 + n).
 
     Exponential in the rank; only usable on small lattices.  Kept as the
     independent check that the DP search region loses nothing.
@@ -122,7 +122,7 @@ def max_char_square_box(lat: Lattice, cls: CharClass, widen: int = 1) -> Fractio
     key = sum(r * k for r, k in zip(row, cls.rep)) % (2 * p)
     if key not in maxima:
         raise DomainError("box contains no representative of the class")
-    return Fraction(maxima[key], p) + lat.rank
+    return maxima[key] + p * lat.rank
 
 
 def run_cost_by_splits(m: int, delta: int, p: int, total: int) -> int | None:
@@ -149,13 +149,12 @@ def run_cost_by_splits(m: int, delta: int, p: int, total: int) -> int | None:
 
 def per_class_report(p: int, q: int) -> LatticeCheckReport:
     """`lattice_vs_recursion_check(p, q)` class by class: one `max_char_square`
-    per `char_classes` representative and one `d_table` value per label, each
+    key per `char_classes` representative and one `d_table` value per label,
     keyed by p times its value, 4d for a label, which must be an integer."""
-    lat = lattice_from_hj(hj_expand(Fraction(p, q)))
-    class_values = [p * max_char_square(lat, cls) for cls in char_classes(lat)]
+    lat = lattice_from_hj(hj_expand((p, q)))
+    a = tuple(max_char_square(lat, cls) for cls in char_classes(lat))
     label_values = [4 * p * d for d in d_table(LensSpace(p, q)).values]
-    assert all(v.denominator == 1 for v in class_values + label_values), (p, q)
-    a = tuple(v.numerator for v in class_values)
+    assert all(v.denominator == 1 for v in label_values), (p, q)
     b = tuple(v.numerator for v in label_values)
     return LatticeCheckReport(p, q, sorted(a) == sorted(b), a, b)
 

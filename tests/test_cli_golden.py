@@ -170,8 +170,8 @@ def _refuse(*args, **kwargs):
 
 
 def test_dinv_and_alexlens_print_without_a_fraction(monkeypatch):
-    """`dinv` and `alexlens` write every rational from its scaled integer.
-    `lattice-check` is not run here: it expands p/q as a Fraction."""
+    """`dinv`, `alexlens` and `lattice-check` write every rational from its
+    scaled integer, and `lattice-check` expands p/q as an integer pair."""
     golden = transcript()
     monkeypatch.setattr(Fraction, "__new__", _refuse)
     for argv in (
@@ -179,6 +179,7 @@ def test_dinv_and_alexlens_print_without_a_fraction(monkeypatch):
         ["alexlens", "18", "13", "--literal-Lsigma"],
         ["--json", "alexlens", "9", "7", "--literal-Lsigma"],
         ["--json", "alexlens", "18", "13", "--literal-Lsigma", "--no-pm1-filter"],
+        ["lattice-check", "9", "7"], ["--json", "lattice-check", "41", "40"],
     ):
         assert run(argv) == golden[" ".join(argv)], argv
 

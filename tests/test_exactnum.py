@@ -9,11 +9,9 @@ import pytest
 from lenslab.errors import DomainError
 from lenslab.exactnum import (
     farey_parents,
-    format_slope,
     hj_eval,
     hj_expand,
     is_normalized_hj,
-    parse_slope,
     ratio_text,
     slope_pair,
     slope_text,
@@ -21,25 +19,50 @@ from lenslab.exactnum import (
 
 
 def test_hj_expand_examples():
-    assert hj_expand(Fraction(18)) == [18]
-    assert hj_expand(Fraction(5, 2)) == [3, 2]
-    assert hj_expand(Fraction(9, 7)) == [2, 2, 2, 3]
+    assert hj_expand((18, 1)) == [18]
+    assert hj_expand((5, 2)) == [3, 2]
+    assert hj_expand((9, 7)) == [2, 2, 2, 3]
 
 
-def test_hj_expand_domain():
-    with pytest.raises(DomainError):
-        hj_expand(Fraction(0))
-    with pytest.raises(DomainError):
-        hj_expand(Fraction(-5, 2))
-    for not_a_fraction in [(1, 0), 5]:
-        with pytest.raises(DomainError, match="finite rational"):
-            hj_expand(not_a_fraction)
+@pytest.mark.parametrize("pair, message", [
+    ((0, 1), "expansion needs a positive slope, got 0$"),
+    ((-5, 2), "expansion needs a positive slope, got -5/2$"),
+    ((1, 0), "expansion needs a reduced pair"),
+    ((10, 4), "expansion needs a reduced pair"),
+    ((5, -2), "expansion needs a reduced pair"),
+])
+def test_hj_expand_domain(pair, message):
+    with pytest.raises(DomainError, match=message):
+        hj_expand(pair)
+
+
+def test_hj_expand_takes_a_pair_only():
+    for not_a_pair in [5, Fraction(5, 2)]:
+        with pytest.raises(TypeError):
+            hj_expand(not_a_pair)
 
 
 def test_hj_eval_examples():
-    assert hj_eval([3]) == Fraction(3)
-    assert hj_eval([2, 3]) == Fraction(5, 3)
-    assert hj_eval([2, 2, 2, 3]) == Fraction(9, 7)
+    assert hj_eval([3]) == (3, 1)
+    assert hj_eval([2, 3]) == (5, 3)
+    assert hj_eval([2, 2, 2, 3]) == (9, 7)
+
+
+def test_hj_eval_is_the_nested_fraction_in_lowest_terms():
+    """Any integer terms, normalized or not, against `Fraction`'s arithmetic,
+    as a reduced pair with q > 0, or the same division by zero."""
+    rng = random.Random(49)
+    for _ in range(3000):
+        terms = [rng.randint(-6, 6) for _ in range(rng.randint(1, 8))]
+        value = Fraction(terms[-1])
+        try:
+            for a in reversed(terms[:-1]):
+                value = a - 1 / value
+        except ZeroDivisionError:
+            with pytest.raises(DomainError, match="division by zero"):
+                hj_eval(terms)
+            continue
+        assert hj_eval(terms) == (value.numerator, value.denominator), terms
 
 
 def test_hj_eval_malformed():
@@ -54,10 +77,9 @@ def test_hj_round_trip_exhaustive():
         for p in range(1, 201):
             if gcd(p, q) != 1:
                 continue
-            r = Fraction(p, q)
-            terms = hj_expand(r)
+            terms = hj_expand((p, q))
             assert is_normalized_hj(terms), (p, q, terms)
-            assert hj_eval(terms) == r
+            assert hj_eval(terms) == (p, q)
 
 
 def test_farey_parents_examples():
@@ -108,13 +130,13 @@ def test_farey_identities_exhaustive():
             assert p1 + q1 < p + q
 
 
-def test_format_and_parse():
-    assert format_slope(Fraction(9, 7)) == "9/7"
-    assert format_slope(Fraction(-3)) == "-3"
-    assert parse_slope("37/2") == Fraction(37, 2)
-    assert parse_slope("18") == Fraction(18)
+def test_slope_text_and_slope_pair():
+    assert slope_text((9, 7)) == "9/7"
+    assert slope_text((-3, 1)) == "-3"
+    assert slope_pair("37/2") == (37, 2)
+    assert slope_pair("18") == (18, 1)
     with pytest.raises(DomainError):
-        parse_slope("eighteen")
+        slope_pair("eighteen")
 
 
 def _fraction_of_text(text):
@@ -141,34 +163,33 @@ def _slope_texts():
     return texts
 
 
-def test_slope_pair_is_the_slope_grammar_and_parse_slope_wraps_it():
+def test_slope_pair_is_the_slope_grammar():
     """The reduced pair of each text, q > 0, or the same DomainError
-    message, as `Fraction` reads the text, and parse_slope alike."""
+    message, as `Fraction` reads the text."""
     rejected = 0
     for text in _slope_texts():
         expected = _fraction_of_text(text)
-        for read in (slope_pair, parse_slope):
-            try:
-                got = read(text)
-            except DomainError as exc:
-                got = str(exc)
-            if isinstance(expected, str) or read is parse_slope:
-                assert got == expected, (read.__name__, text)
-            else:
-                assert got == (expected.numerator, expected.denominator), text
+        try:
+            got = slope_pair(text)
+        except DomainError as exc:
+            got = str(exc)
+        if isinstance(expected, str):
+            assert got == expected, text
+        else:
+            assert got == (expected.numerator, expected.denominator), text
         rejected += isinstance(expected, str)
     assert rejected >= 40
 
 
-def test_slope_text_is_format_slope():
+def test_slope_text_is_the_text_of_the_fraction():
     assert slope_text((1, 0)) == "1/0"
     for value, pair, text in [(Fraction(0), (0, 1), "0"), (Fraction(-1, 4), (-1, 4), "-1/4"),
                               (Fraction(7, 3), (7, 3), "7/3")]:
-        assert slope_text(pair) == format_slope(value) == text
+        assert slope_text(pair) == str(value) == text
     for text in _slope_texts():
         value = _fraction_of_text(text)
         if not isinstance(value, str):
-            assert slope_text(slope_pair(text)) == format_slope(value) == str(value)
+            assert slope_text(slope_pair(text)) == str(value)
     # ratio_text(n, d) for d > 0: zero, multiples of d, d = 1, past 64 bits
     wide = 1 << 80
     rng = random.Random(41)
@@ -177,4 +198,4 @@ def test_slope_text_is_format_slope():
     pairs += [(rng.randint(-60, 60), rng.randint(1, 24)) for _ in range(500)]
     pairs += [(rng.randint(-wide, wide), rng.randint(1, wide)) for _ in range(500)]
     for n, d in pairs:
-        assert ratio_text(n, d) == format_slope(Fraction(n, d))
+        assert ratio_text(n, d) == str(Fraction(n, d))

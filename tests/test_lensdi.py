@@ -173,7 +173,7 @@ def test_recursion_chain_terminates():
                 depth += 1
                 qs.append(b)
             assert all(x > y for x, y in zip(qs, qs[1:]))
-            assert depth <= sum(hj_expand(Fraction(p, q)))
+            assert depth <= sum(hj_expand((p, q)))
 
 
 def test_homeomorphism_invariance_of_multiset():

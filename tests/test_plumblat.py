@@ -19,7 +19,7 @@ from lattice_oracles import (
 )
 
 from lenslab.errors import DomainError, InvariantError
-from lenslab.exactnum import hj_expand
+from lenslab.exactnum import hj_expand, slope_text
 from lenslab.lensdi import LensSpace, scaled_d_table
 from lenslab.plumblat import (
     CharClass,
@@ -60,10 +60,11 @@ def test_lattice_rejects_bad_expansions():
 
 def test_max_char_square_examples():
     lat = lattice_from_hj([3])
-    assert max_char_square(lat, CharClass(lat, (3,))) == Fraction(-2)
-    assert max_char_square(lat, CharClass(lat, (1,))) == Fraction(2, 3)
+    # keys p * (max K^2 + n) for p = 3: the values -2 and 2/3
+    assert max_char_square(lat, CharClass(lat, (3,))) == -6
+    assert max_char_square(lat, CharClass(lat, (1,))) == 2
     lat1 = lattice_from_hj([1])
-    assert max_char_square(lat1, CharClass(lat1, (1,))) == Fraction(0)
+    assert max_char_square(lat1, CharClass(lat1, (1,))) == 0
 
 
 def test_char_class_validation():
@@ -87,7 +88,7 @@ def test_closed_form_adjugate_to_61():
         for q in range(1, p):
             if gcd(p, q) != 1:
                 continue
-            lat = lattice_from_hj(hj_expand(Fraction(p, q)))
+            lat = lattice_from_hj(hj_expand((p, q)))
             n, g = lat.rank, gram(lat)
             det, adj = chain_adjugate(lat.terms)
             assert abs(det) == p
@@ -104,7 +105,7 @@ def test_class_count_and_distinctness():
         for q in range(1, p):
             if gcd(p, q) != 1:
                 continue
-            lat = lattice_from_hj(hj_expand(Fraction(p, q)))
+            lat = lattice_from_hj(hj_expand((p, q)))
             classes = char_classes(lat)
             assert len(classes) == p
             for i in range(len(classes)):
@@ -118,7 +119,7 @@ def test_class_count_exhaustive_to_30():
         for q in range(1, p):
             if gcd(p, q) != 1:
                 continue
-            lat = lattice_from_hj(hj_expand(Fraction(p, q)))
+            lat = lattice_from_hj(hj_expand((p, q)))
             classes = char_classes(lat)
             assert len(classes) == p
             _, row = class_key_row(lat)
@@ -134,7 +135,7 @@ def test_dp_matches_box_bruteforce_on_small_lattices():
         for q in range(1, p):
             if gcd(p, q) != 1:
                 continue
-            terms = hj_expand(Fraction(p, q))
+            terms = hj_expand((p, q))
             if prod(a + 1 for a in terms) > 4000:
                 continue
             lat = lattice_from_hj(terms)
@@ -152,7 +153,7 @@ def test_widened_box_never_beats():
         for q in range(1, p):
             if gcd(p, q) != 1:
                 continue
-            terms = hj_expand(Fraction(p, q))
+            terms = hj_expand((p, q))
             if prod(3 * a + 1 for a in terms) > 40000:
                 continue
             lat = lattice_from_hj(terms)
@@ -165,7 +166,7 @@ def test_widened_box_never_beats():
 def test_dp_handles_unit_first_weight():
     # expansions of slopes below 1 start with a_1 = 1; the first coordinate
     # is then anchored only through the chain
-    for r in (Fraction(2, 3), Fraction(3, 4), Fraction(5, 7), Fraction(1, 3)):
+    for r in ((2, 3), (3, 4), (5, 7), (1, 3)):
         terms = hj_expand(r)
         assert terms[0] == 1
         lat = lattice_from_hj(terms)
@@ -300,13 +301,14 @@ def _oracle_max_square_scaled(terms, y0, p):
 
 
 def _oracle_max_char_square(lat, cls):
+    """The class's key p * (max K^2 + n) by the pairwise oracle."""
     p, y0 = _oracle_start_vector(lat.terms, cls.rep)
-    return _oracle_max_square_scaled(lat.terms, y0, p) + lat.rank
+    return p * (_oracle_max_square_scaled(lat.terms, y0, p) + lat.rank)
 
 
 def test_dp_matches_pairwise_oracle():
-    slopes = [Fraction(p, q) for p in range(2, 21) for q in range(1, p) if gcd(p, q) == 1]
-    slopes += [Fraction(2, 3), Fraction(3, 4), Fraction(5, 7), Fraction(1, 3)]
+    slopes = [(p, q) for p in range(2, 21) for q in range(1, p) if gcd(p, q) == 1]
+    slopes += [(2, 3), (3, 4), (5, 7), (1, 3)]
     for r in slopes:
         lat = lattice_from_hj(hj_expand(r))
         for cls in char_classes(lat):
@@ -316,7 +318,7 @@ def test_dp_matches_pairwise_oracle():
 def test_ascent_from_far_starts():
     # starting far out in the coset makes the ascent take several moves
     rng = random.Random(9)
-    for r in (Fraction(13, 12), Fraction(19, 7), Fraction(17, 5), Fraction(3, 4), Fraction(11, 1)):
+    for r in ((13, 12), (19, 7), (17, 5), (3, 4), (11, 1)):
         lat = lattice_from_hj(hj_expand(r))
         kept, keep = _kept_chain(lat.terms)
         for cls in char_classes(lat):
@@ -364,12 +366,12 @@ def test_chains_with_runs_match_pairwise_oracle(p):
     for q in range((p + 1) // 2, p):
         if gcd(p, q) != 1:
             continue
-        lat = lattice_from_hj(hj_expand(Fraction(p, q)))
+        lat = lattice_from_hj(hj_expand((p, q)))
         for cls, _, _, top in _oracle_maxima(lat):
-            assert max_char_square(lat, cls) == top + lat.rank, q
+            assert max_char_square(lat, cls) == p * (top + lat.rank), q
 
 
-@pytest.mark.parametrize("r", [Fraction(41, 40), Fraction(29, 27), Fraction(23, 19)], ids=str)
+@pytest.mark.parametrize("r", [(41, 40), (29, 27), (23, 19)], ids=slope_text)
 def test_ascent_through_runs_from_far_starts(r):
     # the kept chain, with runs, from a far start
     rng = random.Random(33)
@@ -483,7 +485,7 @@ def test_start_vector_matches_adjugate_to_30():
         for q in range(1, p):
             if gcd(p, q) != 1:
                 continue
-            lat = lattice_from_hj(hj_expand(Fraction(p, q)))
+            lat = lattice_from_hj(hj_expand((p, q)))
             n = lat.rank
             det, adj = chain_adjugate(lat.terms)
             sign = 1 if det > 0 else -1
@@ -516,7 +518,7 @@ def test_class_c_is_label_c0_plus_q_c_below_60():
         for q in range(1, p):
             if gcd(p, q) != 1:
                 continue
-            c0 = class_zero_label(tuple(hj_expand(Fraction(p, q))), q)
+            c0 = class_zero_label(tuple(hj_expand((p, q))), q)
             report = lattice_vs_recursion_check(p, q)
             labels = tuple(report.label_keys[(c0 + q * c) % p] for c in range(p))
             assert report.class_keys == labels, (p, q)
@@ -531,6 +533,11 @@ def test_class_value_off_the_1_over_p_grid_is_an_invariant_error(monkeypatch):
     )
     with pytest.raises(InvariantError, match=re.escape("max K^2 of class 0 of L(9,7)")):
         lattice_vs_recursion_check(9, 7)
+    # and class by class, through max_char_square
+    lat = lattice_from_hj(hj_expand((9, 7)))
+    for cls in char_classes(lat):
+        with pytest.raises(InvariantError, match="has a denominator not dividing 9"):
+            max_char_square(lat, cls)
 
 
 def test_lattice_vs_recursion_wide_chains():
@@ -549,7 +556,7 @@ def test_negation_pairs_class_c_with_class_s_minus_c_to_61():
         for q in range(1, p):
             if gcd(p, q) != 1:
                 continue
-            lat = lattice_from_hj(hj_expand(Fraction(p, q)))
+            lat = lattice_from_hj(hj_expand((p, q)))
             theta = _continuants(lat.terms)
             phi = _continuants(lat.terms[::-1])
             classes = char_classes(lat)
@@ -618,7 +625,7 @@ def test_broken_conjugation_congruence_is_an_invariant_error(monkeypatch):
         lattice_vs_recursion_check(9, 7)
 
 
-@pytest.mark.parametrize("planted", [Fraction(13, 10), Fraction(13, 5)], ids=str)
+@pytest.mark.parametrize("planted", [(13, 10), (13, 5)], ids=slope_text)
 def test_chain_of_another_q_is_an_invariant_error(monkeypatch, planted):
     # 4 * 10 = 1 (mod 13), so L(13,10) is L(13,4) and the chain of 13/10 has
     # the right determinant and the right d-invariants: only its q is wrong

@@ -3,7 +3,9 @@
 Every module-level public function and class of the package, and every
 public method of such a class, must be used outside its own definition:
   - a function or class by its bare name in its own module, or anywhere in
-    `src/` or `perfbench/*.py` by an import or an attribute (`module.name`);
+    `src/` or `perfbench/*.py` by an attribute (`module.name`) or by an
+    import whose module also uses the name it binds, so an import kept
+    only to be wrapped or re-exported does not count;
   - a method by an attribute (`x.name`) in `src/` or `perfbench/*.py`, so
     a local variable of the same name does not count;
   - or either by a string constant in `perfbench/*.py`, since the
@@ -31,14 +33,19 @@ def parse(path: Path) -> ast.Module:
 def uses(tree: ast.AST) -> Counter:
     """How often each name occurs in `tree`, keyed by (kind, name): kind
     "name" for a bare name, "attribute" for an attribute and "import" for an
-    imported name (the last dotted part of it)."""
+    imported name (the last dotted part of it) whose bound name, its alias
+    or its first dotted part, also occurs in `tree` as a bare name."""
     found = Counter()
+    imports = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             found["name", node.id] += 1
         elif isinstance(node, ast.Attribute):
             found["attribute", node.attr] += 1
         elif isinstance(node, ast.alias):
+            imports.append(node)
+    for node in imports:
+        if found["name", node.asname or node.name.split(".", 1)[0]]:
             found["import", node.name.rsplit(".", 1)[-1]] += 1
     return found
 
@@ -108,11 +115,13 @@ def test_the_guard_sees_each_kind_of_use(tmp_path):
     (tmp_path / "perfbench").mkdir()
     (package / "__init__.py").write_text(
         '"""recursive() is named in a docstring only"""\n'
-        "from .mod import imported\n"
         '__all__ = ["exported"]\n'
     )
+    (package / "caller.py").write_text("from .mod import imported as run\nrun()\n")
+    (package / "shield.py").write_text("from .mod import shielded  # noqa: F401  never called\n")
     (package / "mod.py").write_text(
         "def imported(): pass\n"
+        "def shielded(): pass\n"
         "def exported(): pass\n"
         "def called(): pass\n"
         "def as_attribute(): pass\n"
@@ -144,6 +153,6 @@ def test_the_guard_sees_each_kind_of_use(tmp_path):
         "## CLI\n\n`user`\n"
     )
     assert unused_public_names(tmp_path) == [
-        "mod.py:exported", "mod.py:recursive", "mod.py:Dead", "mod.py:Dead.make",
+        "mod.py:shielded", "mod.py:exported", "mod.py:recursive", "mod.py:Dead", "mod.py:Dead.make",
         "mod.py:Kept.again", "mod.py:Kept.shadowed", "mod.py:Kept.timed", "mod.py:user",
     ]

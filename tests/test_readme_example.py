@@ -38,7 +38,7 @@ def test_the_library_example_prints_what_its_comments_state():
     table, stated = values["d_table(LensSpace(9, 7)).values"]
     assert stated == "(0, 2/9, -4/9, 0, -4/9, 2/9, 0, 8/9, 8/9)"
     assert table == tuple(Fraction(x) for x in stated.strip("()").split(", "))
-    expansion, stated = values["hj_expand(Fraction(9, 7))"]
+    expansion, stated = values["hj_expand((9, 7))"]
     assert expansion == ast.literal_eval(stated) == [2, 2, 2, 3]
     polys, stated = values["[c.poly for c in candidate_polynomials(LensSpace(9, 7))]"]
     assert stated == "the (2,5)-torus knot"
