@@ -30,6 +30,46 @@ alternate in sign exactly when T falls by 0 or 1 at each step down to 0
 with T_s = V_s), that is when every step N_{i+1} - N_i, with a 0 appended
 past p/2, is 0 or 8p.
 
+The units.  A passing sigma has u^2 = q (mod p), the linking-form
+congruence of Fintushel and Stern ("Constructing lens spaces by surgery on
+knots", Math. Z. 1980), here read off the d-invariants as in Ni-Wu
+(arXiv:1009.4720).  The proof uses integers only and follows the recursion
+of `lensdi`.  Labels are read mod p, so N(i) = N(p, q, i mod p) is defined
+at every integer i, and q^-1 is the inverse of q mod p.
+
+  Lemma.  N(i + q) - N(i) = -4(2i + 1 - p)  (mod 8p) at every i.  The
+  right side depends on i mod p only, so 0 <= i < p suffices.  By
+  induction down the Euclid chain: N(1, *, i) = 0 is the base.  For p > 1, with r = p mod q and
+  M(i) = N(q, r, i mod q), the recursion reads
+  q N(i) = pq - s_i^2 - p M(i), s_i = 2i + 1 - p - q, for 0 <= i < p.  If
+  i + q < p, then s_(i+q)^2 - s_i^2 = 4q(s_i + q) gives the difference
+  exactly.  Otherwise label i + q is i' = i + q - p, with
+  s_i' = s_i - 2(p - q) and M(i') = M(i - r), since p = r (mod q).  The
+  lemma for L(q, r) gives M(i) - M(i - r) = -4(2i - 2r + 1 - q) + 8qk for
+  an integer k, and then
+  q (N(i') - N(i)) = -4q(2i + 1 - p) + 8pq(1 - k - p // q).
+
+  Corollary.  N(j + u) - 2 N(j) + N(j - u) = -8 u^2 q^-1  (mod 8p) for
+  every step u and label j.  Write u = wq (mod p).  Summing the lemma,
+  f(x) = N(j + xq) is f(0) + x (f(1) - f(0)) - 4q x(x - 1) (mod 8p) at
+  every integer x, so its second difference along w is -8q w^2, and
+  q w^2 = u^2 q^-1 (mod p).
+
+  Theorem.  Let n_i = 4p * t_i = N(p, 1, i) - N(p, q, c + u i).  By the
+  corollary (q = 1 and step 1 for L(p, 1)), the second difference of n is
+  8(u^2 q^-1 - 1) (mod 8p) at every i.  Conjugation fixes both tables and
+  maps i to -i and sigma(i) to sigma(-i), so n_(-1) = n_1, and at i = 0
+  the second difference is 2(n_1 - n_0).  So if t_0 and t_1 are even, that
+  is 8p divides n_0 and n_1, then u^2 = q (mod p).  Conversely, when
+  u^2 = q (mod p), n_i = n_0 + i (n_1 - n_0) (mod 8p), and every t_i is
+  even exactly when t_0 and t_1 are.
+
+So a q with no square root mod p has no candidate, and gets no table
+(`scan_realizable`, `candidate_polynomials`).  Otherwise the filter walks
+only the sigma whose unit is a root u <= p/2 (`_square_roots`): u and
+p - u give the same t-vector on a checked table, so one sigma of each
+conjugate pair is walked.
+
 Sign calibration: with the recursion as the d-values of L(p, *) itself this
 normalization reproduces the (2,5)-torus-knot polynomial for L(9,7) with
 sigma(i) = 3 + 4i, and only then.  The one-sided formula that builds the
@@ -220,40 +260,36 @@ def t_vector(space: LensSpace, sigma: Correspondence) -> TVector:
 
 
 def _passing_correspondences(
-    space: LensSpace, base: tuple[int, ...], table: tuple[int, ...]
+    space: LensSpace,
+    base: tuple[int, ...],
+    table: tuple[int, ...],
+    units: Sequence[int] | None = None,
 ) -> list[tuple[int, int, tuple[int, ...]]]:
-    """The triples (u, c, scaled) of the equivariant sigma(i) = c + u*i whose
-    t-vector is nonpositive and even, scaled being that vector (4p * t_i for
+    """The triples (u, c, scaled) of the equivariant sigma(i) = c + u*i, u in
+    units (ascending; every unit mod p when None), whose t-vector is
+    nonpositive and even, scaled being that vector (4p * t_i for
     0 <= i <= p/2), in the order of enumerate_correspondences (units
     ascending, then c ascending).
 
     t_0 = d(L(p,1), 0) - d(L(p,q), c) depends on c alone, so it is tested
-    once per offset.  t_1 passes exactly when sigma(1) = c + u is one of the
-    labels j with base[1] - table[j] nonpositive and even; one pass over the
-    table lists them for every offset, and each passing offset takes the
-    units u = j - c (mod p) among them.  Each such sigma is then walked
-    forward, sigma(i + 1) = sigma(i) + u, one label at a time, and dropped at
-    the first label whose t fails, so a sigma that passes gets its vector
-    from the walk itself.  L(1, 1) has no label 1 and its one sigma is u = 1.
+    once per offset.  Each sigma with a passing offset is then walked
+    forward from label 1, sigma(i + 1) = sigma(i) + u, one label at a time,
+    and dropped at the first label whose t fails, so a sigma that passes
+    gets its vector from the walk itself.  The walk tests every label's
+    sign and parity, so the result is exact on any pair of tables, checked
+    or not; the choice of units is the caller's.  The callers that hold a
+    checked table pass the roots of `_square_roots`, which the module
+    docstring shows lose no candidate.
     """
     p = space.p
     even = 8 * p  # t_i is an even integer exactly when 8p | 4p * t_i
-    offsets = [c for c in _offsets(space) if (n := base[0] - table[c]) <= 0 and not n % even]
-    if p == 1:
-        return [(1, c, (base[0] - table[c],)) for c in offsets]
-    if not offsets:
-        return []
-    b = base[1]
-    labels = [j for j, n in enumerate(table) if n >= b and not (n - b) % even]
-    rest = base[2 : p // 2 + 1]
+    offsets = [(c, n) for c in _offsets(space) if (n := base[0] - table[c]) <= 0 and not n % even]
+    rest = base[1 : p // 2 + 1]
     passing = []
-    for c in offsets:
-        for j in labels:
-            u = (j - c) % p
-            if gcd(u, p) != 1:
-                continue
-            scaled = [base[0] - table[c], b - table[j]]
-            k = j
+    for u in _units(p) if units is None else units:
+        for c, t0 in offsets:
+            scaled = [t0]
+            k = c
             for base_i in rest:
                 k += u
                 if k >= p:
@@ -264,7 +300,20 @@ def _passing_correspondences(
                 scaled.append(n)
             else:
                 passing.append((u, c, tuple(scaled)))
-    return sorted(passing)
+    return passing
+
+
+def _square_roots(p: int) -> dict[int, list[int]]:
+    """The roots u <= p/2 of u^2 = q (mod p), ascending, keyed by q mod p.
+
+    Of each pair u, p - u of roots only the smaller is listed; L(1,1) and
+    L(2,1) keep their one unit, u = 1.  A key that is not a unit mod p comes
+    from a u that is not one either, and a lens space never looks it up.
+    """
+    roots: dict[int, list[int]] = {}
+    for u in range(1, max(p // 2, 1) + 1):
+        roots.setdefault(u * u % p, []).append(u)
+    return roots
 
 
 @dataclass(frozen=True)
@@ -289,17 +338,24 @@ def _torsion_total(p: int, q: int) -> int | None:
 def candidate_polynomials(space: LensSpace, pm1: bool = True) -> list[Candidate]:
     """Deduplicated candidate polynomials with one witnessing sigma each;
     pm1 turns the pm1-alternating filter on.  A space whose T_total is not an
-    integer >= 0 has none, and gets no table."""
-    if _torsion_total(space.p, space.q) is None:
+    integer >= 0, or whose q is not a square mod p, has none, and gets no
+    table."""
+    p, q = space.p, space.q
+    if _torsion_total(p, q) is None or (units := _square_roots(p).get(q % p)) is None:
         return []
-    return _candidates(space, *_scaled_tables(space), pm1)
+    return _candidates(space, *_scaled_tables(space), pm1, units)
 
 
 def _candidates(
-    space: LensSpace, base: tuple[int, ...], table: tuple[int, ...], pm1: bool
+    space: LensSpace,
+    base: tuple[int, ...],
+    table: tuple[int, ...],
+    pm1: bool,
+    units: Sequence[int] | None = None,
 ) -> list[Candidate]:
-    """candidate_polynomials, given the scaled tables of L(p,1) and of space,
-    sorted by coefficients.
+    """candidate_polynomials, given the scaled tables of L(p,1) and of space
+    and the units to walk (`_passing_correspondences`), sorted by
+    coefficients.
 
     Each distinct t-vector is tested and turned into a polynomial once: u and
     p - u give the same vector on a checked table, because conjugation fixes
@@ -307,12 +363,15 @@ def _candidates(
     p // 2 + 1, give distinct polynomials (`alex_from_torsion`).  The sigma
     come in the order of the full enumeration, u ascending and then c
     ascending, so the sigma kept for each polynomial is the first witness
-    that enumeration finds.
+    that enumeration finds.  With units the roots u <= p/2 of q, that
+    witness is the same: every passing sigma has a root for its unit, and
+    the first one cannot have u > p - u, since sigma with p - u passes with
+    the same vector.
     """
     even = 8 * space.p
     seen: set[tuple[int, ...]] = set()
     kept = []
-    for u, c, scaled in _passing_correspondences(space, base, table):
+    for u, c, scaled in _passing_correspondences(space, base, table, units):
         if scaled in seen:
             continue
         seen.add(scaled)
@@ -373,16 +432,18 @@ def scan_realizable(g: int, pmax: int | None = None, pm1: bool = True) -> list[S
     sigma -> tau^-1 sigma is a bijection between the equivariant affine sigma
     of the two spaces (tau^-1 sigma has unit q' u) that keeps every
     t-vector, and the two spaces have the same candidates; and
-    D(q', p) = D(q, p), so the prune below decides both alike.
+    D(q', p) = D(q, p) and q' is a square exactly when q is, so the prunes
+    below decide both alike.
 
-    The scaled table of L(p,1), which every q of the same p shares, is built
-    once per p.  A q is skipped before its table is built when its T_total
-    rules out a candidate of degree g: when it is not an integer >= 0, or,
-    with pm1, when it lies outside [2g - 1, g^2].  With pm1 a candidate of
-    degree g has T_(g-1) = a_g = 1, consecutive T_j differ by 0 or 1, and
-    T_j = 0 for j >= g, so 1 <= T_j <= g - j for |j| < g; p >= 2g - 1 gives
-    T_(1-g) ... T_(g-1) their own labels, so T_total lies between
-    1 + 2(g - 1) and g + 2(1 + ... + (g - 1)) = g^2.
+    The scaled table of L(p,1), which every q of the same p shares, and the
+    square roots of every q (`_square_roots`) are built once per p.  A q is
+    skipped before its table is built when it is not a square mod p, and
+    when its T_total rules out a candidate of degree g: when it is not an
+    integer >= 0, or, with pm1, when it lies outside [2g - 1, g^2].  With
+    pm1 a candidate of degree g has T_(g-1) = a_g = 1, consecutive T_j
+    differ by 0 or 1, and T_j = 0 for j >= g, so 1 <= T_j <= g - j for
+    |j| < g; p >= 2g - 1 gives T_(1-g) ... T_(g-1) their own labels, so
+    T_total lies between 1 + 2(g - 1) and g + 2(1 + ... + (g - 1)) = g^2.
     """
     if g < 1:
         raise DomainError("scan needs g >= 1")
@@ -393,15 +454,17 @@ def scan_realizable(g: int, pmax: int | None = None, pm1: bool = True) -> list[S
     hits = []
     for p in range(max(2 * g - 1, 2), pmax + 1):
         base = scaled_d_table(LensSpace(p, 1))
+        roots = _square_roots(p)
         for q in range(1, p):
-            if gcd(p, q) != 1 or (inverse := pow(q, -1, p)) < q:
+            units = roots.get(q)
+            if units is None or gcd(p, q) != 1 or (inverse := pow(q, -1, p)) < q:
                 continue
             total = _torsion_total(p, q)
             if total is None or pm1 and not 2 * g - 1 <= total <= g * g:
                 continue
             space = LensSpace(p, q)
             table = base if q == 1 else scaled_d_table(space)
-            if any(c.poly.degree == g for c in _candidates(space, base, table, pm1)):
+            if any(c.poly.degree == g for c in _candidates(space, base, table, pm1, units)):
                 pair = (space,) if inverse == q else (space, LensSpace(p, inverse))
                 hits.append(ScanHit(space, pair))
     return hits

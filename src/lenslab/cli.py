@@ -144,14 +144,14 @@ MAX_LATTICE_P = 40_000
 # size and a 20-digit --pmax never returned.
 # The cap admits g = 60, whose default radius is 713, and is not a time
 # bound.  The scan runs one space of each homeomorphic pair L(p, q),
-# L(p, q^-1), and with the pm1 filter the Casson-Walker prune keeps about 8 %
-# of the spaces for their tables: `genus-scan 60` took 0.94-1.07 s (5 runs)
-# and `genus-scan 2 --pmax 720` 0.44-0.56 s (3 runs).  Without the filter the
-# prune keeps about half, and `genus-scan 60 --no-pm1-filter`, the slowest
-# scan at the cap, took 9.6-11.6 s (5 runs; fresh interpreters on the same
-# VM).  A cap admitting g = 100 (pmax 1193) would cost about 4 s with the
-# filter and 48 s without it (one in-process run each), so the cap stays at
-# 720.
+# L(p, q^-1), and with the pm1 filter the square test and the Casson-Walker
+# prune keep about 5 % of the q for their tables (3,764 of 76,757 at g = 60):
+# `genus-scan 60` took 0.59-0.65 s (5 runs) and `genus-scan 2 --pmax 720`
+# 0.24-0.27 s (3 runs).  Without the filter they keep about 31 % (23,694),
+# and `genus-scan 60 --no-pm1-filter`, the slowest scan at the cap, took
+# 5.8-6.3 s (5 runs; fresh interpreters on a 2-vCPU VM).  A cap admitting
+# g = 100 (pmax 1193) would cost about 3.4 s with the filter and 40 s
+# without it (one in-process run each), so the cap stays at 720.
 MAX_SCAN_PMAX = 720
 # The largest truncation order N that `series` accepts.  A series is built
 # and printed in time and memory linear in N, about 0.4 bytes per order at

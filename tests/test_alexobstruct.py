@@ -23,6 +23,7 @@ from lenslab.alexobstruct import (
     _passing_correspondences,
     _scaled_t,
     _scaled_tables,
+    _square_roots,
     alex_from_torsion,
     candidate_polynomials,
     default_scan_radius,
@@ -372,6 +373,37 @@ def test_a_space_without_an_integer_torsion_total_builds_no_table(monkeypatch, p
             candidate_polynomials(LensSpace(9, 7), pm1)
 
 
+@pytest.mark.parametrize("p, q", [(8, 5), (10, 3)])
+def test_a_q_that_is_not_a_square_builds_no_table(monkeypatch, p, q):
+    # T_total is 2 for L(8,5) and 3 for L(10,3), so the Casson-Walker prune
+    # keeps both; but the unit squares mod 8 are {1} and mod 10 are {1, 9},
+    # so no sigma passes (u^2 = q, the module docstring)
+    import lenslab.lensdi as lensdi
+
+    real_table = lensdi._table
+    built = []
+
+    def recorded(p, q):
+        built.append((p, q))
+        return real_table(p, q)
+
+    def refuse(p, q):
+        raise AssertionError(f"built the table of L({p},{q})")
+
+    monkeypatch.setattr(lensdi, "_table", refuse)
+    for pm1 in (True, False):
+        assert candidate_polynomials(LensSpace(p, q), pm1) == []
+        # positive control: L(9,7) is not pruned, so it reaches the builder
+        with pytest.raises(AssertionError, match="built the table of L"):
+            candidate_polynomials(LensSpace(9, 7), pm1)
+    monkeypatch.setattr(lensdi, "_table", recorded)
+    for pm1 in (True, False):
+        built.clear()
+        scan_realizable(2, 10, pm1)
+        assert (p, q) not in built, pm1
+        assert (9, 4) in built, pm1  # positive control, as above
+
+
 @pytest.mark.parametrize("planted, conjugates", [((9, 4), (0, 3)), ((9, 1), (1, 8))])
 def test_a_table_with_a_wrong_casson_walker_sum_stops_the_scan(monkeypatch, planted, conjugates):
     # 8p added at a conjugate pair keeps the conjugation check passing and
@@ -453,6 +485,34 @@ def test_passing_correspondences_equal_brute_force_on_random_tables():
                     t = [base[i % p] - table[sigma(i)] for i in range(p // 2 + 1)]
                     decided.add(next(i for i, n in enumerate(t) if n > 0 or n % (8 * p)))
     assert decided == set(range(16))
+
+
+def test_root_units_give_the_brute_force_pairs_with_u_at_most_p_over_2_below_120():
+    # the units the scan and candidate_polynomials walk: the roots u <= p/2
+    # of q, and none when q is not a square; each sigma the brute force
+    # finds with p - u passes with the vector of the sigma with u
+    spaces = walked = dropped = 0
+    for p in range(1, 120):
+        base = scaled_d_table(LensSpace(p, 1))
+        roots = _square_roots(p)
+        half = max(p // 2, 1)
+        for q in range(1, p + 1):
+            if gcd(p, q) != 1 or (q == p and p > 1):
+                continue
+            space = LensSpace(p, q)
+            table = scaled_d_table(space)
+            units = roots.get(q % p)
+            passing = [] if units is None else _passing_correspondences(space, base, table, units)
+            expected = brute_force_passing_pairs(space, base, table)
+            assert [(u, c) for u, c, _ in passing] == [(u, c) for u, c in expected if u <= half]
+            vectors = {(u, c): scaled for u, c, scaled in passing}
+            for u, c in expected:
+                scaled = _scaled_t(base, table, Correspondence(space, c, u))
+                assert scaled == vectors[p - u if u > half else u, c], (p, q, u, c)
+                dropped += u > half
+            spaces += units is not None
+            walked += len(passing)
+    assert (spaces, walked, dropped) == (1596, 1474, 1472)
 
 
 def test_a_passing_sigma_has_u_squared_congruent_to_q_below_120():

@@ -378,3 +378,47 @@ def test_planted_conjugate_pair_trips_the_sum_check(monkeypatch):
     monkeypatch.setattr(lensdi, "_table", planted)
     with pytest.raises(InvariantError, match=re.escape("d-invariant sum broken for L(13,5)")):
         scaled_d_table(space)
+
+
+def second_difference_faults(table: tuple[int, ...], q: int) -> list[tuple[int, int]]:
+    """The (u, j), 0 <= u, j < p, at which
+    N(j + u) - 2 N(j) + N(j - u) = -8 u^2 q^-1 (mod 8p) fails, labels mod p."""
+    p = len(table)
+    inverse = pow(q, -1, p)
+    faults = []
+    for u in range(p):
+        want = -8 * u * u * inverse
+        ahead, behind = table[u:] + table[:u], table[p - u:] + table[:p - u]
+        faults += [
+            (u, j)
+            for j, (a, n, b) in enumerate(zip(ahead, table, behind))
+            if (a - 2 * n + b - want) % (8 * p)
+        ]
+    return faults
+
+
+def test_every_second_difference_is_minus_8_u_squared_over_q_below_60():
+    # the lemma behind alexobstruct's square-root units: along any step u
+    # the table is a quadratic with leading term -4 q^-1 mod 8p
+    triples = 0
+    for p in range(1, 60):
+        for q in range(1, p + 1):
+            if gcd(p, q) != 1 or (q == p and p > 1):
+                continue
+            assert second_difference_faults(scaled_d_table(LensSpace(p, q)), q) == [], (p, q)
+            triples += p * p
+    assert triples == 1940117
+
+
+def test_a_swap_of_two_conjugate_pairs_breaks_the_second_differences():
+    # labels 0, 4 and 1, 3 of L(13,5) are conjugate pairs with different
+    # values: swapping them keeps the conjugation symmetry, the sum and the
+    # multiset of the table, and only the congruence sees it
+    space = LensSpace(13, 5)
+    table = scaled_d_table(space)
+    assert (conj_label(space, 0), conj_label(space, 1)) == (4, 3) and table[0] != table[1]
+    swapped = (table[1], table[0], table[2], table[0], table[1], *table[5:])
+    assert all(swapped[i] == swapped[conj_label(space, i)] for i in range(13))
+    assert sorted(swapped) == sorted(table)
+    assert second_difference_faults(table, 5) == []
+    assert second_difference_faults(swapped, 5)
