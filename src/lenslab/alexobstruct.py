@@ -28,7 +28,15 @@ integers before any polynomial is built: the coefficients are +-1 and
 alternate in sign exactly when T falls by 0 or 1 at each step down to 0
 (Ozsvath-Szabo, arXiv:math/0303017; Ni-Wu, arXiv:1009.4720, Prop. 1.6,
 with T_s = V_s), that is when every step N_{i+1} - N_i, with a 0 appended
-past p/2, is 0 or 8p.
+past p/2, is 0 or 8p.  The walk (`_passing_correspondences`) tests it with
+the sign and parity, label by label.
+
+The degree is read off the same integers.  If T_k is the last nonzero
+entry, the inverse gives a_(k+1) = T_k and a_i = 0 for i > k + 1, so the
+polynomial has degree k + 1; an all-zero T gives the polynomial 1, of degree
+0.  So a candidate has degree g >= 1 exactly when T_(g-1) != 0 and T_i = 0
+for i >= g (Ni-Wu: V_(g-1) != 0 and V_s = 0 for s >= g), and `genus-scan`
+decides a hit on the walk's vectors without building a polynomial.
 
 The units.  A passing sigma has u^2 = q (mod p), the linking-form
 congruence of Fintushel and Stern ("Constructing lens spaces by surgery on
@@ -264,22 +272,26 @@ def _passing_correspondences(
     base: tuple[int, ...],
     table: tuple[int, ...],
     units: Sequence[int] | None = None,
+    pm1: bool = False,
 ) -> list[tuple[int, int, tuple[int, ...]]]:
     """The triples (u, c, scaled) of the equivariant sigma(i) = c + u*i, u in
     units (ascending; every unit mod p when None), whose t-vector is
-    nonpositive and even, scaled being that vector (4p * t_i for
-    0 <= i <= p/2), in the order of enumerate_correspondences (units
-    ascending, then c ascending).
+    nonpositive and even, and with pm1 also pm1-alternating, scaled being
+    that vector (4p * t_i for 0 <= i <= p/2), in the order of
+    enumerate_correspondences (units ascending, then c ascending).
 
     t_0 = d(L(p,1), 0) - d(L(p,q), c) depends on c alone, so it is tested
     once per offset.  Each sigma with a passing offset is then walked
     forward from label 1, sigma(i + 1) = sigma(i) + u, one label at a time,
     and dropped at the first label whose t fails, so a sigma that passes
     gets its vector from the walk itself.  The walk tests every label's
-    sign and parity, so the result is exact on any pair of tables, checked
-    or not; the choice of units is the caller's.  The callers that hold a
-    checked table pass the roots of `_square_roots`, which the module
-    docstring shows lose no candidate.
+    sign and parity, and with pm1 the step rule of the module docstring
+    (each step N_(i+1) - N_i is 0 or 8p, and so is the step from the last
+    label to the 0 past p/2), so the result is exact on any pair of tables,
+    checked or not; the choice of units is the caller's.  The callers that
+    hold a checked table pass the roots of `_square_roots`, which the module
+    docstring shows lose no candidate.  Every filter `alexlens` and
+    `genus-scan` name is tested here and nowhere else.
     """
     p = space.p
     even = 8 * p  # t_i is an even integer exactly when 8p | 4p * t_i
@@ -295,11 +307,12 @@ def _passing_correspondences(
                 if k >= p:
                     k -= p
                 n = base_i - table[k]
-                if n > 0 or n % even:
+                if n > 0 or n % even or pm1 and n - scaled[-1] not in (0, even):
                     break
                 scaled.append(n)
             else:
-                passing.append((u, c, tuple(scaled)))
+                if not pm1 or scaled[-1] in (0, -even):
+                    passing.append((u, c, tuple(scaled)))
     return passing
 
 
@@ -354,10 +367,10 @@ def _candidates(
     units: Sequence[int] | None = None,
 ) -> list[Candidate]:
     """candidate_polynomials, given the scaled tables of L(p,1) and of space
-    and the units to walk (`_passing_correspondences`), sorted by
-    coefficients.
+    and the units to walk (`_passing_correspondences`, which also runs the
+    pm1 rule), sorted by coefficients.
 
-    Each distinct t-vector is tested and turned into a polynomial once: u and
+    Each distinct t-vector is turned into a polynomial once: u and
     p - u give the same vector on a checked table, because conjugation fixes
     the table and maps c + u*i to c - u*i.  Distinct vectors, all of length
     p // 2 + 1, give distinct polynomials (`alex_from_torsion`).  The sigma
@@ -371,15 +384,10 @@ def _candidates(
     even = 8 * space.p
     seen: set[tuple[int, ...]] = set()
     kept = []
-    for u, c, scaled in _passing_correspondences(space, base, table, units):
+    for u, c, scaled in _passing_correspondences(space, base, table, units, pm1):
         if scaled in seen:
             continue
         seen.add(scaled)
-        # pm1-alternating: T = -t/2 falls by 0 or 1 at each step, down to 0
-        if pm1 and any(
-            b - a not in (0, even) for a, b in zip(scaled, scaled[1:] + (0,))
-        ):
-            continue
         poly = alex_from_torsion([-n // even for n in scaled])
         kept.append(Candidate(poly, Correspondence(space, c, u), TVector(space, scaled)))
     return sorted(kept, key=lambda candidate: candidate.poly.coeffs)
@@ -444,6 +452,12 @@ def scan_realizable(g: int, pmax: int | None = None, pm1: bool = True) -> list[S
     differ by 0 or 1, and T_j = 0 for j >= g, so 1 <= T_j <= g - j for
     |j| < g; p >= 2g - 1 gives T_(1-g) ... T_(g-1) their own labels, so
     T_total lies between 1 + 2(g - 1) and g + 2(1 + ... + (g - 1)) = g^2.
+
+    A space that survives the prunes is a hit when some sigma that passes
+    the walk, with the pm1 rule when pm1 is on, has t_(g-1) != 0 and
+    t_i = 0 for g <= i <= p/2: its candidate has degree g (module
+    docstring), and no polynomial is built.  p >= 2g - 1 gives the vector
+    p // 2 + 1 >= g entries, so t_(g-1) is always there.
     """
     if g < 1:
         raise DomainError("scan needs g >= 1")
@@ -464,7 +478,8 @@ def scan_realizable(g: int, pmax: int | None = None, pm1: bool = True) -> list[S
                 continue
             space = LensSpace(p, q)
             table = base if q == 1 else scaled_d_table(space)
-            if any(c.poly.degree == g for c in _candidates(space, base, table, pm1, units)):
+            passing = _passing_correspondences(space, base, table, units, pm1)
+            if any(t[g - 1] and not any(t[g:]) for _, _, t in passing):
                 pair = (space,) if inverse == q else (space, LensSpace(p, inverse))
                 hits.append(ScanHit(space, pair))
     return hits

@@ -145,12 +145,13 @@ MAX_LATTICE_P = 40_000
 # The cap admits g = 60, whose default radius is 713, and is not a time
 # bound.  The scan runs one space of each homeomorphic pair L(p, q),
 # L(p, q^-1), and with the pm1 filter the square test and the Casson-Walker
-# prune keep about 5 % of the q for their tables (3,764 of 76,757 at g = 60):
-# `genus-scan 60` took 0.59-0.65 s (5 runs) and `genus-scan 2 --pmax 720`
-# 0.24-0.27 s (3 runs).  Without the filter they keep about 31 % (23,694),
+# prune keep about 5 % of the q for their tables (3,764 of 76,757 at g = 60),
+# and a hit is read off the walk's integer vectors, with no polynomial:
+# `genus-scan 60` took 0.57-0.75 s (5 runs) and `genus-scan 2 --pmax 720`
+# 0.26-0.37 s (5 runs).  Without the filter they keep about 31 % (23,694),
 # and `genus-scan 60 --no-pm1-filter`, the slowest scan at the cap, took
-# 5.8-6.3 s (5 runs; fresh interpreters on a 2-vCPU VM).  A cap admitting
-# g = 100 (pmax 1193) would cost about 3.4 s with the filter and 40 s
+# 4.3-4.7 s (5 runs; fresh interpreters on a 2-vCPU VM).  A cap admitting
+# g = 100 (pmax 1193) would cost about 1.6 s with the filter and 18 s
 # without it (one in-process run each), so the cap stays at 720.
 MAX_SCAN_PMAX = 720
 # The largest truncation order N that `series` accepts.  A series is built

@@ -303,6 +303,25 @@ def test_scan_finds_every_torus_knot_surgery_up_to_genus_20():
     assert surgeries == 86
 
 
+def test_the_scan_builds_no_polynomial(monkeypatch):
+    """A hit is decided on the walk's integer vectors: t_(g-1) != 0 and
+    t_i = 0 for i >= g."""
+    import lenslab.alexobstruct as alexobstruct
+
+    expected = {(g, pm1): scan_realizable(g, pm1=pm1) for g in range(1, 7) for pm1 in (True, False)}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("polynomial built")
+
+    monkeypatch.setattr(alexobstruct, "alex_from_torsion", refuse)
+    monkeypatch.setattr(AlexPoly, "from_dict", classmethod(refuse))
+    for (g, pm1), hits in expected.items():
+        assert hits and scan_realizable(g, pm1=pm1) == hits, (g, pm1)
+    # positive control: the patch reaches the polynomial layer
+    with pytest.raises(AssertionError, match="polynomial built"):
+        candidate_polynomials(LensSpace(9, 7))
+
+
 def test_scan_builds_the_l_p_1_table_once_per_p(monkeypatch):
     # the scan gets every table from scaled_d_table
     import lenslab.alexobstruct as alexobstruct
