@@ -370,16 +370,15 @@ def _candidates(
     and the units to walk (`_passing_correspondences`, which also runs the
     pm1 rule), sorted by coefficients.
 
-    Each distinct t-vector is turned into a polynomial once: u and
-    p - u give the same vector on a checked table, because conjugation fixes
-    the table and maps c + u*i to c - u*i.  Distinct vectors, all of length
-    p // 2 + 1, give distinct polynomials (`alex_from_torsion`).  The sigma
-    come in the order of the full enumeration, u ascending and then c
-    ascending, so the sigma kept for each polynomial is the first witness
-    that enumeration finds.  With units the roots u <= p/2 of q, that
-    witness is the same: every passing sigma has a root for its unit, and
-    the first one cannot have u > p - u, since sigma with p - u passes with
-    the same vector.
+    Each distinct t-vector is turned into a polynomial once; distinct
+    vectors, all of length p // 2 + 1, give distinct polynomials
+    (`alex_from_torsion`).  The sigma come in the order of the full
+    enumeration, u ascending and then c ascending, so the sigma kept for
+    each polynomial is the first witness that enumeration finds.
+    `candidate_polynomials` walks only the roots u <= p/2 of q, and its
+    witness is still that one: every passing sigma has a root for its unit,
+    and a sigma with u > p/2 comes after one with p - u and the same vector,
+    because conjugation fixes a checked table and maps c + u*i to c - u*i.
     """
     even = 8 * space.p
     seen: set[tuple[int, ...]] = set()

@@ -66,12 +66,9 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
 
     def error(self, message: str) -> None:  # exit 64 on usage problems
-        raise SystemExit(self._usage_error(message))
-
-    def _usage_error(self, message: str) -> int:
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
-        return EXIT_USAGE
+        raise SystemExit(EXIT_USAGE)
 
 
 def _is_int(value: object) -> bool:
@@ -350,7 +347,7 @@ def _emit_certificate(args: argparse.Namespace, cert: Certificate) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="lenslab", description=__doc__)
     parser.add_argument("--json", action="store_true", help="machine-readable output")
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
 
     def command(subparsers, name: str, handler, **kwargs) -> argparse.ArgumentParser:
         # `help` only where given: add_parser(name, help=None) still lists it
@@ -616,8 +613,6 @@ def _cmd_lspace_check(args: argparse.Namespace) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command is None:
-        return parser._usage_error("the following arguments are required: command")
     try:
         args.handler(args)
     except DomainError as exc:

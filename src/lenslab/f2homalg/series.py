@@ -1,5 +1,8 @@
 """Truncated U-power series over GF(2) (`F2Series`, one int bitmask) and over
-the rational-exponent group ring (`GroupRingSeries`).
+the rational-exponent group ring (`GroupRingSeries`).  A group-ring exponent
+is kept as the exact rational it is given: the twisted series gives ints, and
+a caller may give `Fraction`s; equal rationals hash alike, so mu(1) and
+mu(Fraction(1)) are one element.
 
 The three series that drive the surgery arguments:
 
@@ -14,8 +17,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import count
+from numbers import Rational
 
 from ..errors import DomainError
 
@@ -24,21 +27,23 @@ from ..errors import DomainError
 class GroupRingElem:
     """GF(2) combination of formal exponentials mu(x), x an exact rational."""
 
-    support: frozenset[Fraction]
+    support: frozenset[Rational]
 
     @classmethod
     def zero(cls) -> "GroupRingElem":
         return cls(frozenset())
 
     @classmethod
-    def mu(cls, x: int | Fraction) -> "GroupRingElem":
-        return cls(frozenset({Fraction(x)}))
+    def mu(cls, x: Rational) -> "GroupRingElem":
+        if not isinstance(x, Rational):
+            raise DomainError(f"exponent {x!r} is not an exact rational")
+        return cls(frozenset({x}))
 
     def __add__(self, other: "GroupRingElem") -> "GroupRingElem":
         return GroupRingElem(self.support ^ other.support)
 
     def __mul__(self, other: "GroupRingElem") -> "GroupRingElem":
-        acc: set[Fraction] = set()
+        acc: set[Rational] = set()
         for a in self.support:
             for b in other.support:
                 acc ^= {a + b}

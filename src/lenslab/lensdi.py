@@ -26,6 +26,10 @@ the table.
 of the checked table, so `d_rec` builds a whole table per call, and they
 are the sign primitive of the package: every consumer states its own sign
 usage relative to them rather than re-deriving orientation conventions.
+They are the module's only `Fraction`s.  The L(p, 1) closed forms are on
+the same 4p grid: `froy_closed_form(p, i)` is -N(p, 1, i), and
+`grading_diff(p, n, n')` is froy_closed_form(p, n) - froy_closed_form(p, n')
+wherever both are defined.
 Conjugation i -> q - 1 - i (mod p) fixes the table and reverses labels
 0..q-1 and labels q..p-1, which `d_values` uses to map one value per
 conjugate pair.
@@ -201,17 +205,19 @@ def d_table(space: LensSpace) -> DInvariantTable:
     return DInvariantTable(space, tuple(d_values(space, Fraction)))
 
 
-def froy_closed_form(p: int, n: int) -> Fraction:
-    """(2n - p)^2 / (4p) - 1/4 for 0 <= n <= p."""
+def froy_closed_form(p: int, n: int) -> int:
+    """(2n - p)^2 - p, which is 4p * ((2n - p)^2 / (4p) - 1/4), for
+    0 <= n <= p; at a label i it is -N(p, 1, i)."""
     if p < 1:
         raise DomainError(f"p must be positive, got {p}")
     if not 0 <= n <= p:
         raise DomainError(f"n={n} outside [0, {p}]")
-    return Fraction((2 * n - p) ** 2, 4 * p) - Fraction(1, 4)
+    return (2 * n - p) ** 2 - p
 
 
-def grading_diff(p: int, n: int, n2: int) -> Fraction:
-    """((2n - p)^2 - (2n' - p)^2) / (4p); antisymmetric in (n, n')."""
+def grading_diff(p: int, n: int, n2: int) -> int:
+    """(2n - p)^2 - (2n' - p)^2, the grading difference of n and n' scaled
+    by 4p; antisymmetric in (n, n')."""
     if p < 1:
         raise DomainError(f"p must be positive, got {p}")
-    return Fraction((2 * n - p) ** 2 - (2 * n2 - p) ** 2, 4 * p)
+    return (2 * n - p) ** 2 - (2 * n2 - p) ** 2

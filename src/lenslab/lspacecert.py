@@ -59,9 +59,10 @@ A manifold is named by its view (kind, data), as `_view` rebuilds it from a
 fact, in memo keys, enumerated premises and the checker alike.  A view, like
 every Farey helper, holds a slope as its reduced integer pair (p, q), q > 0,
 1/0 being (1, 0), from the text `slope_pair` reads to the text `slope_text`
-writes.  `Fraction` is met only where the public builders convert their
-slopes once on entry.  A single vertex of weight w is L(w, 1), and the
-edgeless graph on one vertex is S3.
+writes.  The public builders take a slope as any exact rational, an int or
+a `Fraction`, and read it once, as (numerator, denominator), on entry.  A
+single vertex of weight w is L(w, 1), and the edgeless graph on one vertex
+is S3.
 `_fact_of` builds the fact of every view, for the axiom constructors, the
 builders and the checker, and renders each fact's text once.  A tree's |H1|
 is computed once per tree object (`WeightedTree._h1`), which its fact and
@@ -104,9 +105,9 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, partial
 from math import gcd, prod
+from numbers import Rational
 from typing import Callable, Generator, Hashable, Iterable, Iterator
 
 from .errors import DomainError, HypothesisNotMetError, InvariantError
@@ -417,7 +418,7 @@ def poincare_sphere_axiom() -> Certificate:
     return Certificate(_fact_of(_POINCARE_VIEW), "axiom:positive-scalar-curvature")
 
 
-def surgery_lspace_axiom(knot: str, slope: Fraction) -> Certificate:
+def surgery_lspace_axiom(knot: str, slope: Rational) -> Certificate:
     """Caller-supplied fact: the slope-r filling of this knot is an L-space."""
     if slope <= 0:
         raise DomainError("surgery L-space facts need a positive slope")
@@ -876,7 +877,7 @@ def _slope_moves(data: tuple[str, Slope], runs: dict) -> tuple:
     return _farey_move(*runs[s], lambda y: _surgery_view(knot, y))
 
 
-def propagate_slope(base: Certificate, target: Fraction) -> Certificate:
+def propagate_slope(base: Certificate, target: Rational) -> Certificate:
     """From an L-space filling at slope r, certify the filling at s >= r.
 
     Chain: lift r to ceil(r) (one named non-triangle node, recorded because
@@ -918,13 +919,13 @@ def propagate_slope(base: Certificate, target: Fraction) -> Certificate:
 # ---------------------------------------------------------------------------
 
 
-def certify_borromean(a: Fraction, b: Fraction, c: Fraction) -> Certificate:
+def certify_borromean(a: Rational, b: Rational, c: Rational) -> Certificate:
     """Certificate for the (a, b, c) surgery on the Borromean rings, a, b, c >= 1.
 
     The Poincare sphere M(1,1,1) is the one leaf that is no lens space, and
     equal connected sums are one node wherever they are met.
     """
-    xs = tuple((x.numerator, x.denominator) for x in map(Fraction, (a, b, c)))
+    xs = tuple((x.numerator, x.denominator) for x in (a, b, c))
     if any(p < q for p, q in xs):
         raise DomainError("all three slopes must be >= 1")
     # Fractional coordinates descend in order, so only the last has integers
@@ -979,7 +980,7 @@ def pretzel_star(n: int) -> WeightedTree:
     return star_tree(2, [[2], [4], leg])
 
 
-def certify_pretzel_surgeries(n: int, target: Fraction) -> Certificate:
+def certify_pretzel_surgeries(n: int, target: Rational) -> Certificate:
     """Certificate that slope-s fillings (s >= 2n+4) of the (-2, 3, n)
     pretzel knot are L-spaces.  The star's order is asserted to be 2n+4,
     which pins the plumbing orientation convention."""

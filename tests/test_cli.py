@@ -175,6 +175,17 @@ def test_triangle_verify_file(tmp_path, capsys):
     assert parsed["hypotheses_hold"] and parsed["exact"]
 
 
+def test_triangle_verify_on_a_non_chain_map_is_a_domain_error(tmp_path, capsys):
+    # cone_exactness raises before anything is emitted, so no "chain-map
+    # FAIL" row or false `chain_maps` entry is ever printed
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps({"dims": [2, 1, 0], "d0": ["0,1"], "f0": ["0,0"]}))
+    for flags in ([], ["--json"]):
+        code, out, err = run_cli(capsys, *flags, "triangle", "verify", str(path))
+        assert (code, out) == (1, "")
+        assert err.splitlines() == ["error: f_0 is not a chain map"]
+
+
 def test_lspace_tree(tmp_path, capsys):
     path = tmp_path / "tree.json"
     path.write_text(json.dumps({
@@ -225,11 +236,16 @@ def test_usage_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["nosuchcommand"])
     assert exc.value.code == 64
-    assert main([]) == 64
+    with pytest.raises(SystemExit) as exc:
+        main([])
+    assert exc.value.code == 64
 
 
 def test_no_command_is_a_usage_error(capsys):
-    code, out, err = run_cli(capsys)
+    with pytest.raises(SystemExit) as exc:
+        main([])
+    code = exc.value.code
+    out, err = capsys.readouterr()
     assert code == 64 and out == ""
     usage, *_, error = err.splitlines()
     assert usage.startswith("usage: lenslab ")

@@ -5,15 +5,23 @@ module imports `fractions` only for one of the reasons below.
 """
 
 import ast
+from fractions import Fraction
 from pathlib import Path
 
 import lenslab
+from lenslab.f2homalg.series import twisted_genus1_series
+from lenslab.lspacecert import (
+    certify_borromean,
+    certify_pretzel_surgeries,
+    check_certificate,
+    propagate_slope,
+    surgery_lspace_axiom,
+)
 
 MAY_IMPORT_FRACTIONS = {
-    "lensdi.py": "d_rec, d_table, froy_closed_form and grading_diff are Fraction views",
-    "lspacecert.py": "the builders take Fraction slopes and turn them into pairs on entry",
-    "f2homalg/series.py": "GroupRingElem keeps rational exponents",
-    "cli.py": "`lspace slope` and `lspace borromean` pass Fraction slopes to the builders",
+    "lensdi.py": "d_rec and d_table are Fraction views: perfbench/tracing.py wraps d_rec "
+                 "by name, and perfbench/workloads.py's `tables` oracle digests d_table",
+    "cli.py": "`lspace slope` and `lspace borromean` hand the builders Fraction slopes",
 }
 
 
@@ -48,3 +56,14 @@ def test_the_guard_sees_each_kind_of_import():
         "x = Fraction(1, 2)",
     ])
     assert fraction_imports(ast.parse(source)) == [1, 2, 3]
+
+
+def test_integer_slopes_and_exponents_build_no_fraction(monkeypatch):
+    def forbidden(cls, *args, **kwargs):
+        raise AssertionError("Fraction built")
+
+    monkeypatch.setattr(Fraction, "__new__", forbidden)
+    assert check_certificate(certify_borromean(1, 5, 1)) > 0
+    assert check_certificate(propagate_slope(surgery_lspace_axiom("K", 3), 11)) > 0
+    assert check_certificate(certify_pretzel_surgeries(9, 22)) > 0
+    assert str(twisted_genus1_series(25)).startswith("mu(-1) + mu(1) + U*(mu(-3) + mu(3))")

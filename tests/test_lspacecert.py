@@ -480,6 +480,18 @@ def test_borromean_domain():
         certify_borromean(Fraction(1, 2), Fraction(1), Fraction(1))
 
 
+def test_int_and_fraction_slopes_give_the_same_certificate():
+    pairs = [
+        (certify_borromean(1, Fraction(5, 2), 5),
+         certify_borromean(Fraction(1), Fraction(5, 2), Fraction(5))),
+        (propagate_slope(surgery_lspace_axiom("K", 3), 11),
+         propagate_slope(surgery_lspace_axiom("K", Fraction(3)), Fraction(11))),
+        (certify_pretzel_surgeries(9, 22), certify_pretzel_surgeries(9, Fraction(22))),
+    ]
+    for from_ints, from_fractions in pairs:
+        assert certificate_json(from_ints) == certificate_json(from_fractions)
+
+
 def test_pretzel_star_orders():
     for n in (7, 9, 11, 13, 21):
         assert tree_h1(pretzel_star(n)) == 2 * n + 4

@@ -73,6 +73,16 @@ def test_group_ring_axioms():
     assert (mu(1) + mu(-1)) * (mu(1) + mu(-1)) == mu(2) + mu(-2)
 
 
+def test_exponents_are_kept_as_the_exact_rationals_given():
+    mu = GroupRingElem.mu
+    assert mu(1) == mu(Fraction(1))
+    assert mu(1) + mu(Fraction(1)) == GroupRingElem.zero()
+    assert str(mu(Fraction(1, 2)) + mu(-1)) == "mu(-1) + mu(1/2)"
+    for inexact in (0.5, "1/2"):
+        with pytest.raises(DomainError, match="not an exact rational"):
+            mu(inexact)
+
+
 def test_series_ring_axioms_randomized():
     rng = random.Random(31)
     for _ in range(100):
