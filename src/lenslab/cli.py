@@ -16,6 +16,8 @@ import re
 import sys
 from collections.abc import Callable
 from fractions import Fraction
+from itertools import repeat
+from operator import add, mul
 
 from .errors import DomainError, InvariantError
 from .exactnum import Slope, farey_parents, hj_expand, ratio_text, slope_pair, slope_text
@@ -105,11 +107,12 @@ def _load_object(path: str, kind: str) -> dict:
 # much as checking it (3 runs each, wall time of a fresh interpreter on a
 # 2-vCPU VM, Python 3.11): `octet verify` on a conjugated block sum of fuzzed
 # octets at dims (897, 960, 999), a 34 MB document of 3.2 million entries,
-# took 7.1-7.8 s, of which loading took 3.3-4.3 s; `triangle verify` on a
-# conjugated block sum of cone triples at dims (999, 994, 957), 47 MB and
-# 4.4 million entries, took 6.5-7.5 s, of which loading took 4.9-5.3 s.
-# Decoding the JSON is 0.4-0.6 s of the loading; the rest is the one pass
-# of _parse_matrix over the "r,c" entries.
+# took 3.1-3.6 s, of which loading took 1.3-1.6 s; `triangle verify` on a
+# conjugated block sum of cone triples at dims (997, 987, 988), 48 MB and
+# 4.4 million entries, took 2.7-3.2 s, of which loading took 1.8-1.9 s.
+# Decoding the JSON is 0.3-0.5 s of the loading; the rest is _parse_matrix
+# reading the "r,c" entries a block at a time.  The cap stays at 1000 while
+# loading at it takes more than about 1 s.
 MAX_DIM = 1000
 
 # The largest order p that `dinv`, `alexlens` and `lattice-check` accept.  Their
@@ -201,23 +204,76 @@ def _load_dims(doc: dict) -> list[int]:
     return dims
 
 
+# The entries `_parse_matrix` reads at once: enough that each block's joins,
+# splits and lookups run in C, few enough that its strings stay small next
+# to the document's own.
+_ENTRY_BLOCK = 1 << 16
+
+
 def _parse_matrix(doc: dict, name: str, rows: int, cols: int) -> F2Matrix:
+    """The matrix of a field of "r,c" entries, read a block of entries at a
+    time.  Each entry flips one character of a rows x cols grid of "0"s, at
+    r * cols + c, so a repeated entry cancels, and each row is read from its
+    characters, reversed, as one base-2 integer.  `_looked_up` finds the
+    indices of a block written as `str` writes them, and `_entry_indices`
+    those of any other, so each entry is read as it would be alone."""
     texts = doc.get(name, [])
     bad = DomainError(
         f"field '{name}' is not a list of \"r,c\" entries with 0 <= r < {rows}, 0 <= c < {cols}"
     )
     if not isinstance(texts, list):
         raise bad
-    data = [0] * rows
-    for text in texts:
-        try:
-            r, c = map(int, text.split(","))
-        except (AttributeError, ValueError):
-            raise bad from None
-        if not (0 <= r < rows and 0 <= c < cols):
+    if not texts:
+        return F2Matrix(rows, cols, (0,) * rows)
+    names = list(map(str, range(max(rows, cols))))
+    row_at = {r: index * cols for index, r in enumerate(names[:rows])}
+    col_at = {f"{c};": index for index, c in enumerate(names[:cols])}
+    grid = bytearray(b"0") * (rows * cols)
+    for start in range(0, len(texts), _ENTRY_BLOCK):
+        block = texts[start:start + _ENTRY_BLOCK]
+        for at in _looked_up(block, row_at, col_at) or _entry_indices(block, rows, cols, bad):
+            grid[at] ^= 1  # "0" <-> "1"
+    return F2Matrix(rows, cols, tuple(
+        int(grid[start:start + cols][::-1], 2) for start in range(0, len(grid), cols)
+    ))
+
+
+def _looked_up(block: list, row_at: dict, col_at: dict) -> list[int] | None:
+    """The grid indices of a block whose every entry is "r,c" with r and c
+    written as `str` writes them and in range, or None.
+
+    Each entry, followed by ";", is joined to the next by a comma, and the
+    text is split at every comma.  Such a block gives pieces that alternate
+    between the keys of `row_at`, r, and of `col_at`, c followed by ";".
+    Conversely, if there are twice as many pieces as entries and every
+    lookup succeeds, the ";" that end the column keys are exactly the n
+    added ones, so each entry is two pieces with one comma between them.
+    """
+    try:
+        pieces = (";,".join(block) + ";").split(",")
+        if len(pieces) == 2 * len(block):
+            return list(map(
+                add, map(row_at.__getitem__, pieces[::2]), map(col_at.__getitem__, pieces[1::2])
+            ))
+    except (TypeError, KeyError):  # an entry that is not a string, or a piece no key
+        pass
+    return None
+
+
+def _entry_indices(block: list, rows: int, cols: int, bad: DomainError) -> list[int]:
+    """The grid indices r * cols + c of a block of "r,c" entries, each a
+    string with one comma whose coordinates `int` reads as it would read
+    each alone, in range; anything else raises `bad`."""
+    try:
+        if set(map(str.count, block, repeat(","))) != {1}:
             raise bad
-        data[r] ^= 1 << c  # a repeated entry cancels
-    return F2Matrix(rows, cols, tuple(data))
+        coords = list(map(int, ",".join(block).split(",")))
+    except (TypeError, ValueError):  # an entry that is not a string, or no integer
+        raise bad from None
+    rs, cs = coords[::2], coords[1::2]
+    if min(rs) < 0 or max(rs) >= rows or min(cs) < 0 or max(cs) >= cols:
+        raise bad
+    return list(map(add, map(mul, rs, repeat(cols)), cs))
 
 
 def _load_octet(path: str) -> Octet:
@@ -559,15 +615,16 @@ def _cmd_triangle(args: argparse.Namespace) -> None:
     exact = cone_exactness(triple)
 
     def lines():
-        rows = zip(report.chain_maps, report.homotopy_identities, report.psi_isomorphisms)
+        # cone_exactness has raised on a map that is no chain map, so every
+        # f_n is one here and the report's chain-map flags are not printed
+        rows = zip(report.homotopy_identities, report.psi_isomorphisms)
         for n, flags in enumerate(rows):
-            chain, homotopy, psi = ("ok" if flag else "FAIL" for flag in flags)
-            yield f"n={n}: chain-map {chain}, homotopy {homotopy}, psi iso {psi}"
+            homotopy, psi = ("ok" if flag else "FAIL" for flag in flags)
+            yield f"n={n}: homotopy {homotopy}, psi iso {psi}"
         yield "hypotheses hold" if report.applicable else "hypotheses do not hold"
         yield "exact" if exact else "NOT EXACT"
 
     _emit(args, lambda: {
-        "chain_maps": list(report.chain_maps),
         "homotopy_identities": list(report.homotopy_identities),
         "psi_isomorphisms": list(report.psi_isomorphisms),
         "hypotheses_hold": report.applicable,

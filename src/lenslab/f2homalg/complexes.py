@@ -12,18 +12,21 @@ octet that is verified and then assembled is assembled once; nothing stays
 on the octet after that.  The triangle's matrices and complexes are built
 without re-running their validators, since their shapes follow from the
 octet's.  Exactness at each node of a triangle is a dimension count and a
-containment test: one elimination per node, and no preimage is computed.
+containment test, one forward elimination pass each, and no preimage is
+computed.
 
 Exactness and the psi tests of a cone are checked on the dual complexes
 (C*, d^T), with each map f replaced by f^T: dualising a long exact sequence
 of finite-dimensional spaces keeps it exact, and the columns of f^T are the
 rows of f, which are already held, so no transpose is ever built.  A
 complex's cocycles and coboundaries (the cycles and boundaries of d^T) come
-from one elimination of d's rows.  A cone triple finds its chain-map flags
-and each complex's cohomology bases once, when it is built.  Where only a
-dimension is used (the image at each node, the psi tests of a cone) the
-elimination is the forward pass alone, with no back-substitution, and the
-coboundaries' reduced basis enters it as ready-made pivots.
+from one forward elimination pass over d's rows, as echelon bases with
+different lowest set bits.  A cone triple finds its chain-map flags and
+each complex's cohomology bases once, when it is built.  Every other
+elimination here is a forward pass too, with the coboundaries entering it
+as ready-made pivots: a dimension (the image at each node, the psi tests
+of a cone) is its length, and a containment in the coboundaries holds
+exactly when the pass adds no pivot.  Nothing here back-substitutes.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ from operator import xor
 from typing import NamedTuple, Sequence
 
 from ..errors import DomainError, InvariantError
-from .gf2 import F2Matrix, _combine, _pivot_rows, in_span, span_basis
-from .gf2 import preimage_in_span, spans_equal  # noqa: F401  perfbench/tracing.py wraps them here
+from .gf2 import F2Matrix, _combine, _pivot_rows
+from .gf2 import preimage_in_span, span_basis, spans_equal  # noqa: F401  perfbench/tracing.py wraps them here
 
 
 @dataclass(frozen=True)
@@ -54,18 +57,28 @@ class GradedComplex:
             raise DomainError("differential does not square to zero")
 
     def cohomology_bases(self) -> tuple[list[int], list[int]]:
-        """(cocycles, coboundaries): the fully reduced echelon bases of
-        ker d^T and im d^T, the cycles and boundaries of the dual complex,
-        from one elimination of the rows d^T(e_j) | e_j << dim.  Column j of
-        d^T is row j of d, so no transpose is built.  Rows with image bits
-        left span im d^T; the others are e_j-combinations whose image is
-        zero.  Over GF(2) the dual complex's homology is the dual of H(C),
-        of the same dimension."""
+        """(cocycles, coboundaries): echelon bases of ker d^T and im d^T,
+        the cycles and boundaries of the dual complex, from one forward
+        elimination pass (`_pivot_rows`) over the rows d^T(e_j) | e_j << dim.
+        Column j of d^T is row j of d, so no transpose is built.
+
+        The pass keeps rows with different lowest set bits spanning all the
+        rows, dim of them, since the e_j parts are independent.  A kept row
+        pivoting below dim has its low part's lowest bit there; those low
+        parts span im d^T, the low parts of the rows, and are independent.
+        The others are clear below dim: e_j-combinations whose image is
+        zero, independent, and as many as dim - rank d^T, so their high
+        parts are a basis of ker d^T.  Both bases have different lowest set
+        bits, which is all that the forward passes reading them need: as
+        ready-made pivots in `_pivot_rows`, for the psi tests of a cone and
+        the images and containments of exactness.  They are not fully
+        reduced.  Over GF(2) the dual complex's homology is the dual of
+        H(C), of the same dimension."""
         n = self.dim
+        pivots = _pivot_rows([row | (1 << (n + j)) for j, row in enumerate(self.d.data)])
+        cocycles = [row >> n for pc, row in pivots.items() if pc >= n]
         low = (1 << n) - 1
-        echelon = span_basis([row | (1 << (n + j)) for j, row in enumerate(self.d.data)])
-        cocycles = [row >> n for row in echelon if not row & low]
-        coboundaries = [row & low for row in echelon if row & low]
+        coboundaries = [row & low for pc, row in pivots.items() if pc < n]
         return cocycles, coboundaries
 
 
@@ -333,9 +346,9 @@ def _triangle_exactness_failures(
 ) -> list[str]:
     """Exactness of ... -> H(C_0) -f0-> H(C_1) -f1-> H(C_2) -f2-> H(C_0) -> ...
 
-    bases = the (cocycles, coboundaries) of C_0, C_1, C_2 as fully reduced
-    echelon bases (cohomology_bases), and maps = the chain maps f_0:
-    C_0->C_1, f_1: C_1->C_2, f_2: C_2->C_0.  Both callers check the
+    bases = the (cocycles, coboundaries) of C_0, C_1, C_2 as bases with
+    different lowest set bits (cohomology_bases), and maps = the chain maps
+    f_0: C_0->C_1, f_1: C_1->C_2, f_2: C_2->C_0.  Both callers check the
     chain-map property first, and the argument below needs it.  Returns the
     nodes where image != kernel, node n being C_{n+1}.
 
@@ -354,8 +367,10 @@ def _triangle_exactness_failures(
     Since f_n^T(B*_{n+1}) lies in B*_n, I_{n+1} lies in K_{n+1} exactly when
     f_n^T(f_{n+1}^T(Z*_{n+2})) lies in B*_n.  So the node is exact exactly
     when that containment holds and dim I_{n+1} = dim K_{n+1}: one forward
-    elimination pass per node for dim I, and a reduction against the basis
-    of B*_n for the containment.
+    elimination pass per node for dim I, and one for the containment, since
+    a forward pass of those vectors over the basis of B*_n adds no pivot
+    exactly when they lie in B*_n.  Neither pass needs a fully reduced
+    basis, only different lowest set bits.
     """
     # lifted[k] = f_k^T(Z*_{k+1}), in C_k*
     lifted = [_combine(bases[(k + 1) % 3][0], maps[k].data) for k in range(3)]
@@ -366,7 +381,8 @@ def _triangle_exactness_failures(
         _, cod_cobounds = bases[n]
         kernel_dim = len(mid_cocycles) - (image_dims[n] - len(cod_cobounds))
         twice = _combine(lifted[(n + 1) % 3], maps[n].data)
-        if image_dims[(n + 1) % 3] != kernel_dim or not in_span(twice, cod_cobounds):
+        contained = len(_pivot_rows(twice, cod_cobounds)) == len(cod_cobounds)
+        if image_dims[(n + 1) % 3] != kernel_dim or not contained:
             failures.append(node_names[n])
     return failures
 
@@ -381,7 +397,9 @@ class ConeTriple:
     """Three ungraded complexes with chain maps f_n: C_n -> C_{n+1} and
     candidate homotopies H_n: C_n -> C_{n+2} (indices mod 3).  Where it checks
     d^2 = 0 it also finds, once, whether each f_n is a chain map and each
-    complex's cohomology bases, which cone_verify and cone_exactness read."""
+    complex's cohomology bases, which cone_verify and cone_exactness read:
+    echelon bases from one forward pass per complex, which those two extend
+    by forward passes alone."""
 
     complexes: tuple[GradedComplex, GradedComplex, GradedComplex]
     f: tuple[F2Matrix, F2Matrix, F2Matrix]

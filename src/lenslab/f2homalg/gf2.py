@@ -8,11 +8,13 @@ or, from _TABLE_MIN rows and selectors on, looks each selector up byte by
 byte in tables of the XORs of every subset of 8 rows (the Four-Russians
 method).  Every rank, kernel, span and preimage comes from one forward
 elimination pass, `_pivot_rows`, which reduces each vector by its lowest set
-bit against the rows kept so far.  Where only a dimension is used (a rank)
-that pass is all the work; `_echelon` adds one back-substitution pass for
-the fully reduced basis that kernels, spans and preimages need.  A reduced
-basis already in hand enters the pass as ready-made pivots.  Membership in a
-span already in reduced form (`in_span`) is a reduction, not an elimination.
+bit against the rows kept so far.  Its rows have different lowest set bits
+(an echelon basis, not fully reduced), and where only that is used (a rank,
+a containment in a span, the cohomology bases of `complexes`) that pass is
+all the work; `_echelon` adds one back-substitution pass for the fully
+reduced basis that kernels, spans and preimages need.  An echelon basis
+already in hand enters the pass as ready-made pivots, and vectors lie in
+its span exactly when the pass over them adds no pivot.
 The oracles the tests check them against (an entry-by-entry product, a
 bit-by-bit row combination, a row-by-row parity image, a set-of-positions
 elimination) live in
@@ -160,9 +162,10 @@ def _pivot_rows(vectors, basis=()) -> dict[int, int]:
     the dimension of the span.
 
     `basis` must have different lowest set bits already (an echelon basis,
-    such as span_basis returns); its rows are taken as pivots unchanged.
-    Each vector is then reduced by its lowest set bit against the rows kept
-    so far, which leaves a row whose lowest bit is a new pivot (or nothing).
+    such as span_basis or this pass returns); its rows are taken as pivots
+    unchanged.  Each vector is then reduced by its lowest set bit against
+    the rows kept so far, which leaves a row whose lowest bit is a new pivot
+    (or nothing).
     """
     pivots = {(row & -row).bit_length() - 1: row for row in basis}
     for cur in vectors:
@@ -209,22 +212,6 @@ def span_basis(vectors: list[int]) -> list[int]:
 def spans_equal(a: list[int], b: list[int]) -> bool:
     # the fully reduced echelon basis of a subspace is unique
     return span_basis(a) == span_basis(b)
-
-
-def in_span(vectors, basis: list[int]) -> bool:
-    """Whether every vector lies in the span of `basis`, a fully reduced
-    echelon basis as span_basis returns it.  Adding the row of each pivot the
-    vector has set clears that pivot and no other, so one pass leaves a
-    vector clear at every pivot, which is zero exactly when it is in the
-    span.  No elimination is needed."""
-    pivots = [(row & -row, row) for row in basis]
-    for vec in vectors:
-        for bit, row in pivots:
-            if vec & bit:
-                vec ^= row
-        if vec:
-            return False
-    return True
 
 
 def preimage_in_span(

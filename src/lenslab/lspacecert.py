@@ -60,7 +60,8 @@ fact, in memo keys, enumerated premises and the checker alike.  A view, like
 every Farey helper, holds a slope as its reduced integer pair (p, q), q > 0,
 1/0 being (1, 0), from the text `slope_pair` reads to the text `slope_text`
 writes.  The public builders take a slope as any exact rational, an int or
-a `Fraction`, and read it once, as (numerator, denominator), on entry.  A
+a `Fraction`, and read it once, as (numerator, denominator), on entry,
+through `_slope`, which rejects anything else with a DomainError.  A
 single vertex of weight w is L(w, 1), and the edgeless graph on one vertex
 is S3.
 `_fact_of` builds the fact of every view, for the axiom constructors, the
@@ -418,11 +419,20 @@ def poincare_sphere_axiom() -> Certificate:
     return Certificate(_fact_of(_POINCARE_VIEW), "axiom:positive-scalar-curvature")
 
 
+def _slope(x: Rational) -> Slope:
+    """A builder's slope as its reduced pair (numerator, denominator).  Like
+    `GroupRingElem.mu`, it takes any exact rational and nothing else."""
+    if not isinstance(x, Rational):
+        raise DomainError(f"slope {x!r} is not an exact rational")
+    return x.numerator, x.denominator
+
+
 def surgery_lspace_axiom(knot: str, slope: Rational) -> Certificate:
     """Caller-supplied fact: the slope-r filling of this knot is an L-space."""
-    if slope <= 0:
+    s = _slope(slope)
+    if s[0] <= 0:
         raise DomainError("surgery L-space facts need a positive slope")
-    fact = _fact_of(("surgery", (knot, (slope.numerator, slope.denominator))), note="lens space")
+    fact = _fact_of(("surgery", (knot, s)), note="lens space")
     return Certificate(fact, "axiom:given-l-space")
 
 
@@ -886,10 +896,10 @@ def propagate_slope(base: Certificate, target: Rational) -> Certificate:
     each a run or a triangle whose |H1| additivity is the numerator sum.  S3
     is seeded, so `steps` meets surgery views alone.
     """
+    end = _slope(target)
     base_text, knot = base.conclusion.param("slope"), base.conclusion.param("knot")
     if base_text is None or knot is None:
         raise DomainError("base certificate does not describe a surgery")
-    end = (target.numerator, target.denominator)
     start = p, q = slope_pair(base_text)
     if p <= 0:
         raise DomainError("slope propagation needs a positive base slope")
@@ -925,7 +935,7 @@ def certify_borromean(a: Rational, b: Rational, c: Rational) -> Certificate:
     The Poincare sphere M(1,1,1) is the one leaf that is no lens space, and
     equal connected sums are one node wherever they are met.
     """
-    xs = tuple((x.numerator, x.denominator) for x in (a, b, c))
+    xs = tuple(map(_slope, (a, b, c)))
     if any(p < q for p, q in xs):
         raise DomainError("all three slopes must be >= 1")
     # Fractional coordinates descend in order, so only the last has integers
@@ -984,12 +994,13 @@ def certify_pretzel_surgeries(n: int, target: Rational) -> Certificate:
     """Certificate that slope-s fillings (s >= 2n+4) of the (-2, 3, n)
     pretzel knot are L-spaces.  The star's order is asserted to be 2n+4,
     which pins the plumbing orientation convention."""
+    p, q = _slope(target)
     tree = pretzel_star(n)
     if tree._h1 != 2 * n + 4:
         raise InvariantError(
             f"pretzel star for n={n} has |H1| = {tree._h1}, expected {2 * n + 4}"
         )
-    if target < 2 * n + 4:
+    if p < (2 * n + 4) * q:
         raise DomainError(f"target {target} below the certified slope {2 * n + 4}")
     tree_cert = certify_tree(tree, require_hypothesis=(n == 7))
     knot = f"(-2,3,{n})-pretzel"

@@ -176,8 +176,8 @@ def test_triangle_verify_file(tmp_path, capsys):
 
 
 def test_triangle_verify_on_a_non_chain_map_is_a_domain_error(tmp_path, capsys):
-    # cone_exactness raises before anything is emitted, so no "chain-map
-    # FAIL" row or false `chain_maps` entry is ever printed
+    # cone_exactness raises before anything is emitted, so the output
+    # prints no chain-map flags: every triple it reports on has chain maps
     path = tmp_path / "cone.json"
     path.write_text(json.dumps({"dims": [2, 1, 0], "d0": ["0,1"], "f0": ["0,0"]}))
     for flags in ([], ["--json"]):

@@ -503,26 +503,70 @@ def test_exactness_node_by_node_on_cone_triples():
     assert failing == set(names)
 
 
-def test_a_cone_op_costs_nine_eliminations_and_36_products(monkeypatch):
-    """Built, then passed to cone_verify and cone_exactness, a triple costs 9
-    eliminations: one full elimination per complex for its cohomology bases,
-    found when the triple is built, and a rank-only one (the forward pass
-    alone) per psi_n and per node's image.  It costs 36 products: 9 at build
-    (3 squares, 6 for the chain maps), 21 in cone_verify (9 homotopy, 12 psi)
-    and 6 in cone_exactness (lifts and their images)."""
-    calls = dict.fromkeys(("span_basis", "_pivot_rows", "_combine"), 0)
+def count_calls(monkeypatch, names):
+    """A dict of call counts, one per name, of the functions `complexes`
+    calls by these names; the caller resets it."""
+    calls = dict.fromkeys(names, 0)
     for name in calls:
         def counted(*args, name=name, real=getattr(complexes, name)):
             calls[name] += 1
             return real(*args)
         monkeypatch.setattr(complexes, name, counted)
+    return calls
+
+
+def test_a_cone_op_costs_twelve_forward_passes_and_36_products(monkeypatch):
+    """Built, then passed to cone_verify and cone_exactness, a triple costs
+    12 eliminations, each the forward pass alone with no back-substitution:
+    one per complex for its cohomology bases, found when the triple is
+    built, one per psi_n, and two per node, for its image and for the
+    containment.  It costs 36 products: 9 at build (3 squares, 6 for the
+    chain maps), 21 in cone_verify (9 homotopy, 12 psi) and 6 in
+    cone_exactness (lifts and their images)."""
+    calls = count_calls(monkeypatch, ("span_basis", "_pivot_rows", "_combine"))
     rng = random.Random(816)
     for _ in range(50):
         t = random_cone_triple(rng)
         calls.update(span_basis=0, _pivot_rows=0, _combine=0)
         triple = ConeTriple(t.complexes, t.f, t.h)
         assert cone_verify(triple).applicable and cone_exactness(triple)
-        assert calls == {"span_basis": 3, "_pivot_rows": 6, "_combine": 36}
+        assert calls == {"span_basis": 0, "_pivot_rows": 12, "_combine": 36}
+
+
+def test_an_octet_op_costs_nine_forward_passes_and_19_products(monkeypatch):
+    """Verified, then assembled, an octet costs 9 eliminations, each the
+    forward pass alone: one per complex for its cohomology bases, and two
+    per node, for its image and for the containment.  It costs 19 products:
+    8 in the assembly octet_verify builds (4 for the block differentials, the
+    squares of d_to and d_red and the two halves of the chain defect of i),
+    5 in the assertions of octet_assemble (the square of d_from and the
+    chain defects of j and p) and 6 for exactness (lifts and their
+    images)."""
+    calls = count_calls(monkeypatch, ("span_basis", "_pivot_rows", "_combine"))
+    rng = random.Random(817)
+    for _ in range(50):
+        octet = random_octet(rng)
+        calls.update(span_basis=0, _pivot_rows=0, _combine=0)
+        assert octet_verify(octet).all_ok and octet_assemble(octet).exact
+        assert calls == {"span_basis": 0, "_pivot_rows": 9, "_combine": 19}
+
+
+def test_only_the_containment_fails_at_a_node():
+    """Zero differentials, so each homology is the whole space: C_0 = GF(2),
+    C_1 = GF(2)^2, C_2 = GF(2), f_0 onto e_0, f_1 killing only e_1 and
+    f_2 = 0.  At C_1 the image of f_0 and the kernel of f_1 are both of
+    dimension 1, but f_1 f_0 is not zero, so only the containment finds
+    that node not exact; the other two are."""
+    zero = F2Matrix.zero
+    cxs = tuple(GradedComplex(n, zero(n, n)) for n in (1, 2, 1))
+    fs = (from_lists([[1], [0]]), from_lists([[1, 0]]), zero(1, 1))
+    names = ("C1", "C2", "C0")
+    bases = [c.cohomology_bases() for c in cxs]
+    assert [len(z) - len(b) for z, b in bases] == [1, 2, 1]
+    assert _triangle_exactness_failures(bases, fs, names) == ["C1"]
+    assert node_failures([c.d for c in cxs], fs, names) == ["C1"]
+    hs = (zero(1, 1), zero(1, 2), zero(2, 1))
+    assert not cone_exactness(ConeTriple(cxs, fs, hs))
 
 
 def test_cone_exactness_names_the_first_map_that_is_no_chain_map():

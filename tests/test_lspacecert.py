@@ -492,6 +492,20 @@ def test_int_and_fraction_slopes_give_the_same_certificate():
         assert certificate_json(from_ints) == certificate_json(from_fractions)
 
 
+@pytest.mark.parametrize("slope", [2.5, "5/2"])
+@pytest.mark.parametrize("build", [
+    lambda s: surgery_lspace_axiom("K", s),
+    lambda s: propagate_slope(surgery_lspace_axiom("K", 3), s),
+    lambda s: certify_pretzel_surgeries(9, s),
+    lambda s: certify_borromean(s, 1, 1),
+], ids=["surgery_lspace_axiom", "propagate_slope", "certify_pretzel_surgeries",
+        "certify_borromean"])
+def test_slope_builders_reject_a_slope_that_is_no_exact_rational(build, slope):
+    message = f"^slope {re.escape(repr(slope))} is not an exact rational$"
+    with pytest.raises(DomainError, match=message):
+        build(slope)
+
+
 def test_pretzel_star_orders():
     for n in (7, 9, 11, 13, 21):
         assert tree_h1(pretzel_star(n)) == 2 * n + 4
