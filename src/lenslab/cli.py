@@ -17,7 +17,7 @@ import sys
 from collections.abc import Callable
 from fractions import Fraction
 from itertools import repeat
-from operator import add, mul
+from operator import add
 
 from .errors import DomainError, InvariantError
 from .exactnum import Slope, farey_parents, hj_expand, ratio_text, slope_pair, slope_text
@@ -104,15 +104,15 @@ def _load_object(path: str, kind: str) -> dict:
 # map is allocated at its declared size before any entry is read, so without
 # a cap a 28-byte document such as {"dims": [100000000, 0, 0]} runs out of
 # memory.  At the cap, with dense maps, loading the document costs about as
-# much as checking it (3 runs each, wall time of a fresh interpreter on a
-# 2-vCPU VM, Python 3.11): `octet verify` on a conjugated block sum of fuzzed
-# octets at dims (897, 960, 999), a 34 MB document of 3.2 million entries,
-# took 3.1-3.6 s, of which loading took 1.3-1.6 s; `triangle verify` on a
-# conjugated block sum of cone triples at dims (997, 987, 988), 48 MB and
-# 4.4 million entries, took 2.7-3.2 s, of which loading took 1.8-1.9 s.
-# Decoding the JSON is 0.3-0.5 s of the loading; the rest is _parse_matrix
-# reading the "r,c" entries a block at a time.  The cap stays at 1000 while
-# loading at it takes more than about 1 s.
+# much as checking it (wall time of a fresh interpreter on a 2-vCPU VM,
+# Python 3.11; 3 runs of each command, 5 of each loading): `octet verify` on
+# a conjugated block sum of fuzzed octets at dims (897, 960, 999), a 34 MB
+# document of 3.2 million entries, took 3.7-4.2 s, of which loading took
+# 1.7-2.0 s; `triangle verify` on a conjugated block sum of cone triples at
+# dims (997, 987, 988), 48 MB and 4.4 million entries, took 3.4-4.3 s, of
+# which loading took 2.3-3.2 s.  Decoding the JSON is 0.3-0.6 s of the
+# loading; the rest is _parse_matrix reading the "r,c" entries a block at a
+# time.  The cap stays at 1000 while loading at it takes more than about 1 s.
 MAX_DIM = 1000
 
 # The largest order p that `dinv`, `alexlens` and `lattice-check` accept.  Their
@@ -204,19 +204,40 @@ def _load_dims(doc: dict) -> list[int]:
     return dims
 
 
-# The entries `_parse_matrix` reads at once: enough that each block's joins,
-# splits and lookups run in C, few enough that its strings stay small next
+# The entries `_parse_matrix` reads at once: enough that each block's join,
+# split and lookups run in C, few enough that its strings stay small next
 # to the document's own.
 _ENTRY_BLOCK = 1 << 16
 
 
+class _Coordinates(dict):
+    """Each coordinate text as `int` reads it, times `scale`, memoized by
+    text: the millions of entries of a field at the cap spell each
+    coordinate in at most a thousand ways as `str` writes them, and at worst
+    the memo holds one key per coordinate of the document.  A text `int`
+    does not read, or a coordinate outside range(size), raises `bad`."""
+
+    def __init__(self, size: int, scale: int, bad: DomainError):
+        super().__init__()
+        self.size, self.scale, self.bad = size, scale, bad
+
+    def __missing__(self, text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise self.bad from None
+        if not 0 <= value < self.size:
+            raise self.bad
+        self[text] = value * self.scale
+        return value * self.scale
+
+
 def _parse_matrix(doc: dict, name: str, rows: int, cols: int) -> F2Matrix:
-    """The matrix of a field of "r,c" entries, read a block of entries at a
-    time.  Each entry flips one character of a rows x cols grid of "0"s, at
-    r * cols + c, so a repeated entry cancels, and each row is read from its
-    characters, reversed, as one base-2 integer.  `_looked_up` finds the
-    indices of a block written as `str` writes them, and `_entry_indices`
-    those of any other, so each entry is read as it would be alone."""
+    """The matrix of a field of "r,c" entries, each a string with one comma,
+    read a block of entries at a time: the block is joined and split at its
+    commas once, and each entry flips one character of a rows x cols grid of
+    "0"s, at r * cols + c, so a repeated entry cancels.  Each row is read
+    from its characters, reversed, as one base-2 integer."""
     texts = doc.get(name, [])
     bad = DomainError(
         f"field '{name}' is not a list of \"r,c\" entries with 0 <= r < {rows}, 0 <= c < {cols}"
@@ -225,55 +246,22 @@ def _parse_matrix(doc: dict, name: str, rows: int, cols: int) -> F2Matrix:
         raise bad
     if not texts:
         return F2Matrix(rows, cols, (0,) * rows)
-    names = list(map(str, range(max(rows, cols))))
-    row_at = {r: index * cols for index, r in enumerate(names[:rows])}
-    col_at = {f"{c};": index for index, c in enumerate(names[:cols])}
+    row_at, col_at = _Coordinates(rows, cols, bad), _Coordinates(cols, 1, bad)
     grid = bytearray(b"0") * (rows * cols)
     for start in range(0, len(texts), _ENTRY_BLOCK):
         block = texts[start:start + _ENTRY_BLOCK]
-        for at in _looked_up(block, row_at, col_at) or _entry_indices(block, rows, cols, bad):
+        try:
+            if set(map(str.count, block, repeat(","))) != {1}:
+                raise bad
+        except TypeError:  # an entry that is not a string
+            raise bad from None
+        pieces = ",".join(block).split(",")
+        rs, cs = map(row_at.__getitem__, pieces[::2]), map(col_at.__getitem__, pieces[1::2])
+        for at in map(add, rs, cs):
             grid[at] ^= 1  # "0" <-> "1"
     return F2Matrix(rows, cols, tuple(
         int(grid[start:start + cols][::-1], 2) for start in range(0, len(grid), cols)
     ))
-
-
-def _looked_up(block: list, row_at: dict, col_at: dict) -> list[int] | None:
-    """The grid indices of a block whose every entry is "r,c" with r and c
-    written as `str` writes them and in range, or None.
-
-    Each entry, followed by ";", is joined to the next by a comma, and the
-    text is split at every comma.  Such a block gives pieces that alternate
-    between the keys of `row_at`, r, and of `col_at`, c followed by ";".
-    Conversely, if there are twice as many pieces as entries and every
-    lookup succeeds, the ";" that end the column keys are exactly the n
-    added ones, so each entry is two pieces with one comma between them.
-    """
-    try:
-        pieces = (";,".join(block) + ";").split(",")
-        if len(pieces) == 2 * len(block):
-            return list(map(
-                add, map(row_at.__getitem__, pieces[::2]), map(col_at.__getitem__, pieces[1::2])
-            ))
-    except (TypeError, KeyError):  # an entry that is not a string, or a piece no key
-        pass
-    return None
-
-
-def _entry_indices(block: list, rows: int, cols: int, bad: DomainError) -> list[int]:
-    """The grid indices r * cols + c of a block of "r,c" entries, each a
-    string with one comma whose coordinates `int` reads as it would read
-    each alone, in range; anything else raises `bad`."""
-    try:
-        if set(map(str.count, block, repeat(","))) != {1}:
-            raise bad
-        coords = list(map(int, ",".join(block).split(",")))
-    except (TypeError, ValueError):  # an entry that is not a string, or no integer
-        raise bad from None
-    rs, cs = coords[::2], coords[1::2]
-    if min(rs) < 0 or max(rs) >= rows or min(cs) < 0 or max(cs) >= cols:
-        raise bad
-    return list(map(add, map(mul, rs, repeat(cols)), cs))
 
 
 def _load_octet(path: str) -> Octet:

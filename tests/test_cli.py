@@ -355,6 +355,73 @@ def test_dims_at_the_cap_are_accepted(tmp_path, capsys, command):
     assert (code, err) == (0, "") and out
 
 
+def _parse_one_entry_at_a_time(texts, rows, cols):
+    """The rows of the matrix `cli._parse_matrix` reads from `texts`, each
+    entry read alone by `int` and toggled in, or the diagnostic's message."""
+    bad = f"field 'm' is not a list of \"r,c\" entries with 0 <= r < {rows}, 0 <= c < {cols}"
+    if not isinstance(texts, list):
+        return bad
+    data = [0] * rows
+    for text in texts:
+        try:
+            r, c = map(int, text.split(","))
+        except (AttributeError, ValueError):
+            return bad
+        if not (0 <= r < rows and 0 <= c < cols):
+            return bad
+        data[r] ^= 1 << c
+    return tuple(data)
+
+
+def _parse_matrix_outcome(texts, rows, cols):
+    try:
+        return cli._parse_matrix({"m": texts}, "m", rows, cols).data
+    except DomainError as error:
+        return str(error)
+
+
+# Spellings `int` reads, and some it does not, beside the plain "r,c".
+_ODD_ENTRIES = [
+    " 1,0", "1 ,0", "\t2,\n1", "+1,0", "00,1", "0,01", "-0,0", "1_0,0", "0,1_0", "٣,1",
+    "1,１", "", ",", ";", "0;0", "0,0;", "1,2,3", "1", "0,,0", "1e1,0", "0x1,0", "a,b",
+    "0,-1", "-1,0", None, 1, 1.5, ["0,0"],
+]
+
+
+@pytest.mark.parametrize("block", [1, 3, 7, cli._ENTRY_BLOCK])
+def test_parse_matrix_reads_each_entry_as_int_reads_it_alone(monkeypatch, block):
+    # small blocks put repeats across block boundaries and mix plain and odd
+    # spellings in one block and across blocks
+    monkeypatch.setattr(cli, "_ENTRY_BLOCK", block)
+    rng = random.Random(block)
+    for _ in range(600):
+        rows, cols = rng.randrange(14), rng.randrange(14)
+        texts = [
+            f"{rng.randrange(-1, rows + 2)},{rng.randrange(-1, cols + 2)}"
+            if rng.random() < 0.85 else rng.choice(_ODD_ENTRIES)
+            for _ in range(rng.randrange(30))
+        ]
+        if rows and cols and rng.random() < 0.5:
+            texts = [f"{rng.randrange(rows)},{rng.randrange(cols)}" for _ in texts]
+            texts += rng.sample(texts, len(texts) // 2)
+            if texts and rng.random() < 0.5:
+                texts[rng.randrange(len(texts))] = rng.choice(_ODD_ENTRIES[:10])
+            rng.shuffle(texts)
+        assert _parse_matrix_outcome(texts, rows, cols) == _parse_one_entry_at_a_time(
+            texts, rows, cols
+        ), (texts, rows, cols)
+
+
+@pytest.mark.parametrize("block", [1, 2, cli._ENTRY_BLOCK])
+def test_parse_matrix_odd_spellings_set_their_bit_and_repeats_cancel(monkeypatch, block):
+    monkeypatch.setattr(cli, "_ENTRY_BLOCK", block)
+    assert _parse_matrix_outcome([" 1,0", "00,1", "+1,0", "1_0,0"], 11, 2) == (
+        (0b10,) + (0,) * 9 + (0b1,)
+    )
+    # "1,0" and "+1,0" cancel in or across blocks; so do "2,3" and "02,3"
+    assert _parse_matrix_outcome(["1,0", "2,3", "+1,0", "0,0", "02,3"], 3, 4) == (1, 0, 0)
+
+
 @pytest.mark.parametrize("command, cap", [
     ("dinv", cli.MAX_DINV_P),
     ("alexlens", cli.MAX_ALEXLENS_P),
