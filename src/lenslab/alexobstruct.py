@@ -13,8 +13,14 @@ Every sigma permutes the labels, so the torsion total T_total = sum of T_i
 over Z/p (T_i = -t_i / 2, below) is the same for every sigma:
 (D(1, p) - D(q, p)) / 24, where D(q, p) = 12p * s(q, p) and the d-values of
 L(p, q) sum to -D(q, p) / 12, the Casson-Walker invariant (Rustamov,
-arXiv:math/0409294; `lensdi._dedekind12`).  A space whose T_total is not an
-integer >= 0 has no candidate, and gets no table.
+arXiv:math/0409294; `lensdi._dedekind12`).  With the pm1 filter a candidate
+of degree g has T_total in [2g - 1, g^2], and `scan_realizable` skips a
+space whose T_total lies outside that range.  Nothing else reads T_total.
+Requiring it to be an integer >= 0 would rule out no space that the square
+test below keeps: it is >= 0 for every q, since |s(h, k)| <= s(1, k)
+(Rademacher and Grosswald, *Dedekind Sums*, 1972), and an integer for every
+unit square q mod p with p <= 1193 (measured; tests/test_alexobstruct.py
+pins it).
 
 The torsion coefficients are then T_i = -t_i / 2, a plain integer sequence
 (a polynomial of degree g has the tuple T_0, ..., T_{g-1}; zeros past it
@@ -221,8 +227,9 @@ def enumerate_correspondences(space: LensSpace) -> list[Correspondence]:
     The offsets c are the solutions of 2c = q - 1 (mod p): one for odd p,
     two (p/2 apart) for even p, the same for every unit u.
     """
-    offsets = _offsets(space)
-    return [Correspondence(space, c, u) for u in _units(space.p) for c in offsets]
+    p, offsets = space.p, _offsets(space)
+    units = [u for u in range(1, p + 1) if gcd(u, p) == 1]
+    return [Correspondence(space, c, u) for u in units for c in offsets]
 
 
 def _offsets(space: LensSpace) -> list[int]:
@@ -233,10 +240,6 @@ def _offsets(space: LensSpace) -> list[int]:
     half = p // 2  # q is odd, so q - 1 is even
     c = (q - 1) // 2 % half
     return [c, c + half]
-
-
-def _units(p: int) -> list[int]:
-    return [u for u in range(1, p + 1) if gcd(u, p) == 1]
 
 
 @dataclass(frozen=True)
@@ -271,11 +274,11 @@ def _passing_correspondences(
     space: LensSpace,
     base: tuple[int, ...],
     table: tuple[int, ...],
-    units: Sequence[int] | None = None,
+    units: Sequence[int],
     pm1: bool = False,
 ) -> list[tuple[int, int, tuple[int, ...]]]:
     """The triples (u, c, scaled) of the equivariant sigma(i) = c + u*i, u in
-    units (ascending; every unit mod p when None), whose t-vector is
+    units (ascending), whose t-vector is
     nonpositive and even, and with pm1 also pm1-alternating, scaled being
     that vector (4p * t_i for 0 <= i <= p/2), in the order of
     enumerate_correspondences (units ascending, then c ascending).
@@ -298,7 +301,7 @@ def _passing_correspondences(
     offsets = [(c, n) for c in _offsets(space) if (n := base[0] - table[c]) <= 0 and not n % even]
     rest = base[1 : p // 2 + 1]
     passing = []
-    for u in _units(p) if units is None else units:
+    for u in units:
         for c, t0 in offsets:
             scaled = [t0]
             k = c
@@ -336,27 +339,12 @@ class Candidate:
     t: TVector
 
 
-def _torsion_total(p: int, q: int) -> int | None:
-    """T_total = sum of T_i over the labels of Z/p, the same for every sigma
-    of L(p, q), or None when it is not an integer >= 0 and so no sigma passes.
-
-    Each sigma permutes the labels, so sum t_i = sum d(L(p,1)) - sum d(L(p,q)),
-    and the d-values of L(p, q) sum to -D(q, p) / 12 (the Casson-Walker
-    invariant), so T_total = (D(1, p) - D(q, p)) / 24.
-    """
-    total, rest = divmod(_dedekind12(1, p) - _dedekind12(q, p), 24)
-    return None if total < 0 or rest else total
-
-
 def candidate_polynomials(space: LensSpace, pm1: bool = True) -> list[Candidate]:
     """Deduplicated candidate polynomials with one witnessing sigma each;
-    pm1 turns the pm1-alternating filter on.  A space whose T_total is not an
-    integer >= 0, or whose q is not a square mod p, has none, and gets no
-    table."""
-    p, q = space.p, space.q
-    if _torsion_total(p, q) is None or (units := _square_roots(p).get(q % p)) is None:
-        return []
-    return _candidates(space, *_scaled_tables(space), pm1, units)
+    pm1 turns the pm1-alternating filter on.  A space whose q is not a square
+    mod p has none (module docstring), and gets no table."""
+    units = _square_roots(space.p).get(space.q % space.p)
+    return [] if units is None else _candidates(space, *_scaled_tables(space), pm1, units)
 
 
 def _candidates(
@@ -364,7 +352,7 @@ def _candidates(
     base: tuple[int, ...],
     table: tuple[int, ...],
     pm1: bool,
-    units: Sequence[int] | None = None,
+    units: Sequence[int],
 ) -> list[Candidate]:
     """candidate_polynomials, given the scaled tables of L(p,1) and of space
     and the units to walk (`_passing_correspondences`, which also runs the
@@ -439,18 +427,25 @@ def scan_realizable(g: int, pmax: int | None = None, pm1: bool = True) -> list[S
     sigma -> tau^-1 sigma is a bijection between the equivariant affine sigma
     of the two spaces (tau^-1 sigma has unit q' u) that keeps every
     t-vector, and the two spaces have the same candidates; and
-    D(q', p) = D(q, p) and q' is a square exactly when q is, so the prunes
-    below decide both alike.
+    D(q', p) = D(q, p) and q' is a square exactly when q is, so the square
+    test and the pm1 range below decide both alike.
 
     The scaled table of L(p,1), which every q of the same p shares, and the
     square roots of every q (`_square_roots`) are built once per p.  A q is
-    skipped before its table is built when it is not a square mod p, and
-    when its T_total rules out a candidate of degree g: when it is not an
-    integer >= 0, or, with pm1, when it lies outside [2g - 1, g^2].  With
+    skipped before its table is built when it is not a square mod p, and,
+    with pm1, when floor(T_total) lies outside [2g - 1, g^2], where
+    T_total = (D(1, p) - D(q, p)) / 24, D(1, p) computed once per p.  Each
+    sigma permutes the labels, so sum t_i = sum d(L(p,1)) - sum d(L(p,q)),
+    and the d-values of L(p, q) sum to -D(q, p) / 12 (the Casson-Walker
+    invariant), so T_total is the sum of T_i over Z/p for every sigma.  With
     pm1 a candidate of degree g has T_(g-1) = a_g = 1, consecutive T_j
     differ by 0 or 1, and T_j = 0 for j >= g, so 1 <= T_j <= g - j for
     |j| < g; p >= 2g - 1 gives T_(1-g) ... T_(g-1) their own labels, so
     T_total lies between 1 + 2(g - 1) and g + 2(1 + ... + (g - 1)) = g^2.
+    The floor needs no integrality test: a passing sigma has integer T_i,
+    which sum to T_total, so a space whose T_total is not an integer admits
+    no candidate, and skipping it or walking it gives the same answer; an
+    integer T_total is its own floor.  Without pm1 no T_total is computed.
 
     A space that survives the prunes is a hit when some sigma that passes
     the walk, with the pm1 rule when pm1 is on, has t_(g-1) != 0 and
@@ -468,12 +463,12 @@ def scan_realizable(g: int, pmax: int | None = None, pm1: bool = True) -> list[S
     for p in range(max(2 * g - 1, 2), pmax + 1):
         base = scaled_d_table(LensSpace(p, 1))
         roots = _square_roots(p)
+        top = _dedekind12(1, p) if pm1 else 0
         for q in range(1, p):
             units = roots.get(q)
             if units is None or gcd(p, q) != 1 or (inverse := pow(q, -1, p)) < q:
                 continue
-            total = _torsion_total(p, q)
-            if total is None or pm1 and not 2 * g - 1 <= total <= g * g:
+            if pm1 and not 2 * g - 1 <= (top - _dedekind12(q, p)) // 24 <= g * g:
                 continue
             space = LensSpace(p, q)
             table = base if q == 1 else scaled_d_table(space)

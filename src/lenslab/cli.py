@@ -144,15 +144,18 @@ MAX_LATTICE_P = 40_000
 # size and a 20-digit --pmax never returned.
 # The cap admits g = 60, whose default radius is 713, and is not a time
 # bound.  The scan runs one space of each homeomorphic pair L(p, q),
-# L(p, q^-1), and with the pm1 filter the square test and the Casson-Walker
-# prune keep about 5 % of the q for their tables (3,764 of 76,757 at g = 60),
-# and a hit is read off the walk's integer vectors, with no polynomial:
-# `genus-scan 60` took 0.57-0.75 s (5 runs) and `genus-scan 2 --pmax 720`
-# 0.26-0.37 s (5 runs).  Without the filter they keep about 31 % (23,694),
-# and `genus-scan 60 --no-pm1-filter`, the slowest scan at the cap, took
-# 4.3-4.7 s (5 runs; fresh interpreters on a 2-vCPU VM).  A cap admitting
-# g = 100 (pmax 1193) would cost about 1.6 s with the filter and 18 s
-# without it (one in-process run each), so the cap stays at 720.
+# L(p, q^-1), and with the pm1 filter the square test plus the pm1 range of
+# the torsion total keep about 5 % of the q for their tables (3,764 of 76,757
+# at g = 60), and a hit is read off the walk's integer vectors, with no
+# polynomial: `genus-scan 60` took 0.55-0.94 s and `genus-scan 2 --pmax 720`
+# 0.27-0.42 s.  Without the filter the square test alone keeps about 31 %
+# (23,694), and the tables depend on g only through the first order, 2g - 1:
+# `genus-scan 2 --pmax 720 --no-pm1-filter`, the slowest scan at the cap,
+# took 4.5-5.7 s (median 4.7 s), and was the slower in 4 of 5 alternating
+# pairs with `genus-scan 60 --no-pm1-filter`, 4.3-6.2 s (median 4.5 s).
+# Each time is 5 runs of a fresh interpreter on a 2-vCPU VM.  A cap
+# admitting g = 100 (pmax 1193) would cost about 1.6 s with the filter and
+# 18 s without it (one in-process run each), so the cap stays at 720.
 MAX_SCAN_PMAX = 720
 # The largest truncation order N that `series` accepts.  A series is built
 # and printed in time and memory linear in N, about 0.4 bytes per order at

@@ -67,12 +67,13 @@ is S3.
 `_fact_of` builds the fact of every view, for the axiom constructors, the
 builders and the checker, and renders each fact's text once.  A tree's |H1|
 is computed once per tree object (`WeightedTree._h1`), which its fact and
-the split checks of the tree search share.  Every builder runs one step
-function, `_steps`: a leaf takes its axiom from `_LEAF_AXIOMS`, the table
-the checker's `_AXIOMS` extends by the caller-supplied fact alone; a tree
-runs the tree search; anything else takes its first move.  Every interior
-node, the tree search's blow-downs and splits included, is built by
-`_first_move`, which derives its premises and checks their |H1| sum.
+the split checks of the tree search share.  Every builder, the axiom
+constructors included, runs one step function, `_steps`: a leaf takes its
+axiom from `_LEAF_AXIOMS`, the table the checker's `_AXIOMS` extends by the
+caller-supplied fact alone; a tree runs the tree search; anything else
+takes its first move.  Every interior node, the tree search's blow-downs
+and splits included, is built by `_first_move`, which derives its premises
+and checks their |H1| sum.
 
 The checker confirms every interior node one way (`_NAMED_MOVES`): it
 reads the hint of the one move the premises name off their views, rebuilds
@@ -399,24 +400,21 @@ def lens_axiom(p: int, q: int = 1) -> Certificate:
     """L(p, q) is an L-space; 1 <= q <= p and gcd(p, q) = 1.  L(1,1) is S3."""
     if not _is_lens_pair(p, q):
         raise DomainError(f"no lens space L({p},{q}): need 1 <= q <= p and gcd(p, q) = 1")
-    return Certificate(_fact_of(("lens", (p, q))), "axiom:lens-space") if p > 1 else sphere_axiom()
+    return _derive(("lens", (p, q)), _steps, {})
 
 
 def sphere_axiom() -> Certificate:
-    return Certificate(_fact_of(_S3_VIEW), "axiom:three-sphere")
+    return _derive(_S3_VIEW, _steps, {})
 
 
 def connected_sum_lens_axiom(orders: list[int]) -> Certificate:
-    orders = [p for p in orders if p != 1]
-    if not orders:
-        return sphere_axiom()
-    view = ("connected-sum-lens", tuple(orders))
-    return Certificate(_fact_of(view), "axiom:connected-sum-of-lens-spaces")
+    kept = tuple(p for p in orders if p != 1)
+    return _derive(("connected-sum-lens", kept) if kept else _S3_VIEW, _steps, {})
 
 
 def poincare_sphere_axiom() -> Certificate:
     """The Poincare sphere, M(1,1,1): positive scalar curvature."""
-    return Certificate(_fact_of(_POINCARE_VIEW), "axiom:positive-scalar-curvature")
+    return _derive(_POINCARE_VIEW, _steps, {})
 
 
 def _slope(x: Rational) -> Slope:

@@ -33,9 +33,14 @@ from lenslab.alexobstruct import (
     t_vector,
     torsion_from_alex,
 )
-from lenslab.lensdi import LensSpace, conj_label, d_rec, scaled_d_table
+from lenslab.lensdi import LensSpace, _dedekind12, conj_label, d_rec, scaled_d_table
 
 T25 = AlexPoly(((0, 1), (1, -1), (2, 1)))  # (2,5) torus knot
+
+
+def every_unit(p: int) -> list[int]:
+    """Every unit mod p, ascending: the walk with no square-root pruning."""
+    return [u for u in range(1, p + 1) if gcd(u, p) == 1]
 
 
 def test_torsion_from_alex_examples():
@@ -171,7 +176,7 @@ def test_pm1_step_rule_equals_the_polynomial_test_on_short_torsion():
             poly = alex_from_torsion(seq)
             assert steps == _pm1_alternating(poly), seq
             base = scaled + (0,) * (space.p - 7)
-            kept = _candidates(space, base, (0,) * space.p, True)
+            kept = _candidates(space, base, (0,) * space.p, True, every_unit(space.p))
             assert [c.poly for c in kept] == ([poly] if steps else []), seq
             count += 1
     assert count == 21845
@@ -374,29 +379,11 @@ def test_inverse_spaces_have_the_same_candidate_polynomials_below_90():
     assert pairs == 1080
 
 
-@pytest.mark.parametrize("p, q", [(5, 2), (13, 6)])
-def test_a_space_without_an_integer_torsion_total_builds_no_table(monkeypatch, p, q):
-    # D(1, p) - D(q, p) is 12 for L(5,2) and 180 for L(13,6), neither a
-    # multiple of 24, so T_total is not an integer and no sigma passes.
-    # lensdi._table computes every table, whichever entry point asks for it.
-    import lenslab.lensdi as lensdi
-
-    def refuse(p, q):
-        raise AssertionError(f"built the table of L({p},{q})")
-
-    monkeypatch.setattr(lensdi, "_table", refuse)
-    for pm1 in (True, False):
-        assert candidate_polynomials(LensSpace(p, q), pm1) == []
-        # positive control: L(9,7) is not pruned, so it reaches the builder
-        with pytest.raises(AssertionError, match="built the table of L"):
-            candidate_polynomials(LensSpace(9, 7), pm1)
-
-
-@pytest.mark.parametrize("p, q", [(8, 5), (10, 3)])
+@pytest.mark.parametrize("p, q", [(5, 2), (8, 5), (10, 3), (13, 6)])
 def test_a_q_that_is_not_a_square_builds_no_table(monkeypatch, p, q):
-    # T_total is 2 for L(8,5) and 3 for L(10,3), so the Casson-Walker prune
-    # keeps both; but the unit squares mod 8 are {1} and mod 10 are {1, 9},
-    # so no sigma passes (u^2 = q, the module docstring)
+    # the unit squares mod 5 are {1, 4}, mod 8 {1}, mod 10 {1, 9} and mod 13
+    # {1, 3, 4, 9, 10, 12}, so no sigma passes (u^2 = q, the module docstring).
+    # lensdi._table computes every table, whichever entry point asks for it
     import lenslab.lensdi as lensdi
 
     real_table = lensdi._table
@@ -418,7 +405,7 @@ def test_a_q_that_is_not_a_square_builds_no_table(monkeypatch, p, q):
     monkeypatch.setattr(lensdi, "_table", recorded)
     for pm1 in (True, False):
         built.clear()
-        scan_realizable(2, 10, pm1)
+        scan_realizable(2, 13, pm1)
         assert (p, q) not in built, pm1
         assert (9, 4) in built, pm1  # positive control, as above
 
@@ -474,7 +461,7 @@ def test_passing_correspondences_equal_brute_force_below_90():
             space = LensSpace(p, q)
             table = scaled_d_table(space)
             expected = brute_force_passing_pairs(space, base, table)
-            passing = _passing_correspondences(space, base, table)
+            passing = _passing_correspondences(space, base, table, every_unit(p))
             assert [(u, c) for u, c, _ in passing] == expected, (p, q)
             for u, c, scaled in passing:
                 assert scaled == t_vector(space, Correspondence(space, c, u)).scaled, (p, q, u, c)
@@ -495,7 +482,7 @@ def test_passing_correspondences_equal_brute_force_on_random_tables():
             base = tuple(rng.choice((0, 0, -8 * p)) for _ in range(p))
             table = tuple(rng.choice((0, 0, 0, 8 * p, 8 * p, -8 * p, 4 * p)) for _ in range(p))
             expected = brute_force_passing_pairs(space, base, table)
-            passing = _passing_correspondences(space, base, table)
+            passing = _passing_correspondences(space, base, table, every_unit(p))
             assert [(u, c) for u, c, _ in passing] == expected, (p, q, base, table)
             for u, c, scaled in passing:
                 assert scaled == _scaled_t(base, table, Correspondence(space, c, u)), (p, q, u, c)
@@ -543,7 +530,7 @@ def test_a_passing_sigma_has_u_squared_congruent_to_q_below_120():
             if gcd(p, q) != 1:
                 continue
             space = LensSpace(p, q)
-            for u, c, _ in _passing_correspondences(space, *_scaled_tables(space)):
+            for u, c, _ in _passing_correspondences(space, *_scaled_tables(space), every_unit(p)):
                 assert u * u % p == q, (p, q, u, c)
                 passing += 1
     assert passing == 2945
@@ -583,6 +570,20 @@ def test_a_space_with_a_candidate_has_q_a_square_below_200():
     assert (spaces, minus_q_not_square) == (3096, 2054)
 
 
+def test_every_unit_square_has_an_integer_torsion_total_at_least_0_up_to_1193():
+    # so T_total = (D(1, p) - D(q, p)) / 24 prunes no q that the square test
+    # keeps, and only the pm1 range reads it (module docstring); 1193 is the
+    # default scan radius at g = 100
+    squares = 0
+    for p in range(1, 1194):
+        top = _dedekind12(1, p)
+        for q in {u * u % p for u in every_unit(p)}:
+            total, rest = divmod(top - _dedekind12(q, p), 24)
+            assert total >= 0 and not rest, (p, q)
+            squares += 1
+    assert squares == 132175
+
+
 def unpruned_scan(g: int, pm1: bool) -> list[ScanHit]:
     """scan_realizable without the T_total prune: _candidates for every coprime q."""
     hits: dict[LensSpace, set[LensSpace]] = {}
@@ -593,7 +594,7 @@ def unpruned_scan(g: int, pm1: bool) -> list[ScanHit]:
                 continue
             space = LensSpace(p, q)
             table = base if q == 1 else scaled_d_table(space)
-            if any(c.poly.degree == g for c in _candidates(space, base, table, pm1)):
+            if any(c.poly.degree == g for c in _candidates(space, base, table, pm1, every_unit(p))):
                 hits.setdefault(space.canonical(), set()).add(space)
     return [ScanHit(k, tuple(sorted(reps))) for k, reps in sorted(hits.items())]
 
