@@ -134,7 +134,9 @@ MAX_DIM = 1000
 # library first, then the ten slowest as the command, cap lifted in-process.
 # The slowest found at 40,000, 29039 (9 kept vertices, 6 runs), took
 # 1.01-1.73 s in 11 runs; at 50,000 the slowest took up to 1.97 s, too close
-# to 2 s on a host whose speed varies by half.
+# to 2 s on a host whose speed varies by half.  Since the box DP keeps its
+# centre on a tie, each class costs one DP, not two: 40000 29039 took
+# 0.57-0.66 s in 8 runs, 0.91-1.23 s before.
 MAX_DINV_P = 400_000
 MAX_ALEXLENS_P = 80_000
 MAX_LATTICE_P = 40_000

@@ -67,7 +67,9 @@ is S3.
 `_fact_of` builds the fact of every view, for the axiom constructors, the
 builders and the checker, and renders each fact's text once.  A tree's |H1|
 is computed once per tree object (`WeightedTree._h1`), which its fact and
-the split checks of the tree search share.  Every builder, the axiom
+the split checks of the tree search share, and a Tait graph's bridges once
+per graph object (`TaitGraph._bridges`), by one search that every move
+tried on the graph shares.  Every builder, the axiom
 constructors included, runs one step function, `_steps`: a leaf takes its
 axiom from `_LEAF_AXIOMS`, the table the checker's `_AXIOMS` extends by the
 caller-supplied fact alone; a tree runs the tree search; anything else
@@ -672,7 +674,11 @@ class TaitGraph:
             raise DomainError("graph is not connected")
 
     def bridges(self) -> list[int]:
-        return [i for i in range(len(self.edges)) if _is_bridge(self, i)]
+        return sorted(self._bridges)
+
+    @cached_property
+    def _bridges(self) -> frozenset[int]:
+        return _bridge_edges(self.num_vertices, self.edges)
 
 
 def _check_endpoints(n: int, edges: tuple[tuple[int, int], ...]) -> None:
@@ -697,10 +703,45 @@ def _connected_with(n: int, edges: tuple[tuple[int, int], ...]) -> bool:
     return len(seen) == n
 
 
-def _is_bridge(graph: TaitGraph, i: int) -> bool:
-    """Whether edge i is no loop and its deletion disconnects the graph."""
-    a, b = graph.edges[i]
-    return a != b and not _connected_with(graph.num_vertices, graph.edges[:i] + graph.edges[i + 1 :])
+def _bridge_edges(n: int, edges: tuple[tuple[int, int], ...]) -> frozenset[int]:
+    """The indices of the bridges of a connected multigraph, by one
+    depth-first search in O(n + |edges|) (Tarjan's lowlink): the tree edge
+    into v is a bridge when no edge out of v's subtree, other than that edge
+    itself, reaches a vertex found before v.  The edge into v is skipped by
+    its index, so a parallel edge leads back and neither copy is a bridge.
+    A loop reaches nothing new, so the search leaves it out, and it is never
+    a bridge."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i, (a, b) in enumerate(edges):
+        if a != b:
+            adj[a].append((b, i))
+            adj[b].append((a, i))
+    found = [0] * n  # the order in which the search finds each vertex, from 1; 0 before
+    low = [0] * n  # the least `found` reached from the vertex's subtree by one non-tree edge
+    found[0] = low[0] = count = 1
+    path = [(0, -1, iter(adj[0]))]  # (vertex, index of its tree edge, its unread edges)
+    out = set()
+    while path:
+        v, via, unread = path[-1]
+        for w, i in unread:
+            if i == via:
+                continue
+            if not found[w]:
+                count += 1
+                found[w] = low[w] = count
+                path.append((w, i, iter(adj[w])))
+                break
+            if found[w] < low[v]:
+                low[v] = found[w]
+        else:
+            path.pop()
+            if path:
+                u = path[-1][0]
+                if low[v] < low[u]:
+                    low[u] = low[v]
+                elif low[v] > found[u]:
+                    out.add(via)
+    return frozenset(out)
 
 
 def tait_det(graph: TaitGraph) -> int:
@@ -785,9 +826,10 @@ def _view_of_graph(graph: TaitGraph) -> tuple[str, object]:
 
 def _tait_move(graph: TaitGraph, rule: str, i: int) -> tuple | None:
     """The move `rule` on edge i, or None: "reduce" deletes a loop or
-    contracts a bridge (one connectivity test), "triangle" any other edge."""
+    contracts a bridge, "triangle" any other edge.  The graph's bridges are
+    found once, by one search, for every edge and rule tried on it."""
     a, b = graph.edges[i]
-    bridge = _is_bridge(graph, i)
+    bridge = i in graph._bridges
     if rule == "reduce" and (a == b or bridge):
         return rule, (_view_of_graph(_contract(graph, i) if bridge else _delete(graph, i)),)
     if rule == "triangle" and a != b and not bridge:

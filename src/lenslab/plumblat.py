@@ -38,10 +38,12 @@ L-natural-concave in the coset coordinates and a point that is best in its
 own box is a global maximum (`_ascent` gives the argument).  Every entry
 a_i >= 3 at least doubles the continuant, so there are at most
 log2(p) + 2 kept vertices, and an ascent costs O(log p) per box whatever
-the chain's length.  `max_char_square` and the sweep take each class's
-maximum by one step, `_class_max`: centre the kept values into (-p, p],
-the coset point nearest 0, and ascend from there.  Every arithmetic step is
-integer arithmetic.
+the chain's length.  The DP keeps the current point on a tie, so an ascent
+stops at the first box whose best point is its centre.  `max_char_square`
+and the sweep take each class's maximum by one step, `_class_max`: centre
+the kept values into (-p, p], the coset point nearest 0, and ascend from
+there; from that start every ascent measured is one DP, which confirms
+the start.  Every arithmetic step is integer arithmetic.
 
 `lattice_vs_recursion_check` sweeps the classes once per lattice.  It
 computes the continuants and the kept chain once, and the continuants check
@@ -217,17 +219,26 @@ def _box_max(
     w: list[int], y: list[int], step: int, runs: list[tuple[int, int]]
 ) -> tuple[int, list[int]]:
     """max of -sum w_i z_i^2 - sum f_i(z_i - z_(i+1)) over the box of z with
-    each z_i in {y_i - step, y_i, y_i + step}, and a z attaining it.
+    each z_i in {y_i - step, y_i, y_i + step}, and a z attaining it, which is
+    y itself whenever y attains it.
 
     The edge from vertex i to i+1 is a run of m unit edges, (m, delta) =
     runs[i], and f_i is its cost: T^2 for a unit edge (m = 1), whatever
     delta is, and `_run_costs` for a run, whose differences lie in
     delta + step Z, with step dividing y_i - y_(i+1) - m delta.  A dynamic
-    program along the chain over the three states of each vertex.  Between
-    vertices i-1 and i the nine differences z_(i-1) - z_i are d + k step for
-    d = y_(i-1) - y_i and k = -2..2, so five edge costs give the nine
-    candidate values, and each state keeps the best of its three, the first
-    on a tie.
+    program along the chain over the three states of each vertex, state 1
+    being z_i = y_i.  Between vertices i-1 and i the nine differences
+    z_(i-1) - z_i are d + k step for d = y_(i-1) - y_i and k = -2..2, so
+    five edge costs give the nine candidate values.  Each state keeps the
+    best of its three predecessors, taking state 1 first, then 0, then 2, so
+    that state 1 wins a tie, and at the last vertex state 1 wins a tie too.
+
+    So y is returned exactly when it attains the maximum.  Suppose it does.
+    No path ending at z_i = y_i is better than y's prefix to i, or it would
+    make, with y's suffix from i on, a point better than y; so state 1 of
+    every vertex has y's prefix value, which predecessor state 1 attains, and
+    the backtrack, from state 1 at the last vertex, stays on state 1.
+    Conversely a returned y attains the maximum.
     """
     lo, mid, hi = y[0] - step, y[0], y[0] + step
     a = w[0]
@@ -241,29 +252,29 @@ def _box_max(
         else:
             qmm, qm, q0, qp, qpp = _run_costs(d, step, m, delta)
         lo, mid, hi = v - step, v, v + step
-        # state 0 (z_i = lo) from states 0, 1, 2 of vertex i-1
-        t0, e0 = s0 - q0, 0
-        if s1 - qp > t0:
-            t0, e0 = s1 - qp, 1
+        # state 0 (z_i = lo) from states 1, 0, 2 of vertex i-1
+        t0, e0 = s1 - qp, 1
+        if s0 - q0 > t0:
+            t0, e0 = s0 - q0, 0
         if s2 - qpp > t0:
             t0, e0 = s2 - qpp, 2
         # state 1 (z_i = mid)
-        t1, e1 = s0 - qm, 0
-        if s1 - q0 > t1:
-            t1, e1 = s1 - q0, 1
+        t1, e1 = s1 - q0, 1
+        if s0 - qm > t1:
+            t1, e1 = s0 - qm, 0
         if s2 - qp > t1:
             t1, e1 = s2 - qp, 2
         # state 2 (z_i = hi)
-        t2, e2 = s0 - qmm, 0
-        if s1 - qm > t2:
-            t2, e2 = s1 - qm, 1
+        t2, e2 = s1 - qm, 1
+        if s0 - qmm > t2:
+            t2, e2 = s0 - qmm, 0
         if s2 - q0 > t2:
             t2, e2 = s2 - q0, 2
         s0, s1, s2 = t0 - a * lo * lo, t1 - a * mid * mid, t2 - a * hi * hi
         back += e0, e1, e2
-    best, state = s0, 0
-    if s1 > best:
-        best, state = s1, 1
+    best, state = s1, 1
+    if s0 > best:
+        best, state = s0, 0
     if s2 > best:
         best, state = s2, 2
     point = [y[-1] + (state - 1) * step]
@@ -305,7 +316,7 @@ def _check_runs(y: list[int], keep: list[int], step: int) -> list[tuple[int, int
 def _ascent(kept: list[int], y: list[int], step: int, runs: list[tuple[int, int]]) -> int:
     """The maximum of the kept chain's form over y + step Z^k: move to the
     best point of the box around the current one until that is the current
-    point or no better than it.
+    point.
 
     On the whole chain y^T G y = -sum w_i y_i^2 - sum (y_i - y_(i+1))^2,
     and w_i >= 0 for a normalized expansion.  A run of m unit edges between
@@ -319,15 +330,17 @@ def _ascent(kept: list[int], y: list[int], step: int, runs: list[tuple[int, int]
     at k as soon as no k + chi_S and no k - chi_S (chi_S a 0/1 vector) is
     larger (Murota, "Discrete Convex Analysis", SIAM 2003, ch. 7).  Those
     points all lie in the box k +- 1, so the ascent climbs from box to box.
-    The value rises strictly with every move and the form is definite, so
-    the ascent ends.
+    `_box_max` returns the current point whenever it is a best point of its
+    box, so a move is strictly uphill; the form is definite, so the ascent
+    ends.  From the centred start of `_class_max` every ascent measured
+    (every coprime p < 120, and a sample up to p = 400 and at the CLI cap)
+    ends at its first box: one DP that confirms the start.
     """
-    value = None  # Q(y) once y is the best point of a box
     while True:
         best, z = _box_max(kept, y, step, runs)
-        if z == y or best == value:
+        if z == y:
             return best
-        value, y = best, z
+        y = z
 
 
 def _class_max(kept: list[int], y: list[int], p: int, runs: list[tuple[int, int]]) -> int:

@@ -37,7 +37,7 @@ from lenslab.lspacecert import (
     tait_det,
     tree_h1,
 )
-from graph_fixtures import cycle_graph, path_tree, theta_graph
+from graph_fixtures import bridges_by_deletion, cycle_graph, path_tree, theta_graph
 from run_oracle import expand_runs, farey_descent, fib, partial_quotients
 
 
@@ -360,6 +360,37 @@ def random_connected_graph(rng: random.Random):
         if a != b:
             edges.append((min(a, b), max(a, b)))
     return TaitGraph(n, tuple(edges))
+
+
+def test_bridges_match_deletion_oracle_on_random_multigraphs():
+    # loops, parallel edges and pendant trees, connected by a random spanning
+    # tree; every edge of a graph is tried against one connectivity test
+    rng = random.Random(1729)
+    seen = {"bridge": 0, "loop": 0, "parallel": 0}
+    for _ in range(600):
+        n = rng.randrange(1, 9)
+        edges = [(rng.randrange(i), i) for i in range(1, n)]
+        for _ in range(rng.randrange(0, 7)):
+            kind = rng.random()
+            if kind < 0.2:
+                v = rng.randrange(n)
+                edges.append((v, v))
+            elif kind < 0.5 and edges:
+                edges.append(rng.choice(edges))
+            else:
+                edges.append((rng.randrange(n), rng.randrange(n)))
+        rng.shuffle(edges)
+        graph = TaitGraph(n, tuple(edges))
+        expected = bridges_by_deletion(graph)
+        assert graph.bridges() == expected, graph
+        seen["bridge"] += len(expected)
+        seen["loop"] += any(a == b for a, b in edges)
+        seen["parallel"] += len(set(edges)) < len(edges)
+    assert min(seen.values()) > 100, seen
+    for graph in (cycle_graph(1), cycle_graph(5), theta_graph(), theta_graph(1)):
+        assert graph.bridges() == bridges_by_deletion(graph)
+    assert theta_graph(1).bridges() == [0]
+    assert theta_graph(2).bridges() == []
 
 
 def test_deletion_contraction_additivity_randomized():

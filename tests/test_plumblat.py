@@ -413,7 +413,32 @@ def test_sweep_work_is_linear_in_p(monkeypatch):
     monkeypatch.setattr(plumblat, "_box_max", counted)
     p = 1099
     assert lattice_vs_recursion_check(p, p - 1).equal
-    assert sum(visited) <= 8 * p
+    # one 2-vertex box per conjugate pair, (p + 1) / 2 of them; a second box
+    # per ascent to confirm its stop would visit 2 p
+    assert sum(visited) <= p + 1
+
+
+def test_every_ascent_of_the_sweep_is_one_box(monkeypatch):
+    # the centred start is a best point of its box, and the DP keeps it on a
+    # tie, so no ascent needs a second box to confirm where it stopped
+    import lenslab.plumblat as plumblat
+
+    calls = {"_box_max": 0, "_ascent": 0}
+    for name in calls:
+        def counted(*args, real=getattr(plumblat, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(plumblat, name, counted)
+    for p in range(2, 60):
+        for q in range(1, p):
+            if gcd(p, q) != 1:
+                continue
+            before = dict(calls)
+            assert lattice_vs_recursion_check(p, q).equal
+            boxes = calls["_box_max"] - before["_box_max"]
+            assert boxes == calls["_ascent"] - before["_ascent"], (p, q)
+    assert calls["_ascent"] > 20000
 
 
 def _chain_form(w, z):
@@ -422,10 +447,25 @@ def _chain_form(w, z):
     )
 
 
+def _box_points(y, step):
+    return itertools.product(*[(v - step, v, v + step) for v in y])
+
+
+def _keeps_the_centre(y, z, best, values):
+    """Check the tie rule of `_box_max`: it returns z == y whenever y is one
+    of the box's maximizers.  `values` is the form on `_box_points`, whose
+    middle one is y.  Gives 1 when y ties with another maximizer, else 0."""
+    if values[len(values) // 2] != best:
+        return 0
+    assert z == y, (y, z)
+    return int(values.count(best) > 1)
+
+
 def test_box_max_matches_brute_force():
     # every one of the 3^n box points, for chains of up to 7 vertices of unit
-    # edges
+    # edges; and z == y whenever y is a best point of its box
     rng = random.Random(4)
+    ties = 0
     for trial in range(400):
         n = rng.randint(1, 7)
         step = rng.choice([1, 2, 3, 10])
@@ -438,16 +478,20 @@ def test_box_max_matches_brute_force():
         else:
             w = [rng.randrange(0, 6) for _ in range(n)]
             y = [rng.randrange(-5 * step, 5 * step + 1) for _ in range(n)]
-        box = itertools.product(*[(v - step, v, v + step) for v in y])
-        expected = max(_chain_form(w, z) for z in box)
+        values = [_chain_form(w, b) for b in _box_points(y, step)]
+        expected = max(values)
         best, z = _box_max(w, y, step, [(1, 0)] * (n - 1))
         assert best == expected, (w, y, step)
         assert all(abs(u - v) in (0, step) for u, v in zip(z, y))
         assert _chain_form(w, z) == best
+        ties += _keeps_the_centre(y, z, expected, values)
+    # every all-zero box ties y with y + step (1, ..., 1)
+    assert ties > 100
     # runs: chains of up to 6 vertices whose edges are runs of up to 5 unit
     # edges, each costed by enumerating its splits; with no vertex weight,
     # shifting every z_i by the same step ties
     rng = random.Random(39)
+    ties = 0
     costs = {}
 
     def cost(m, delta, p, total):
@@ -472,12 +516,14 @@ def test_box_max_matches_brute_force():
                 cost(m, delta, p, u - v) for (m, delta), u, v in zip(runs, z, z[1:])
             )
 
-        box = itertools.product(*[(v - step, v, v + step) for v in y])
-        expected = max(form(z) for z in box)
+        values = [form(b) for b in _box_points(y, step)]
+        expected = max(values)
         best, z = _box_max(w, y, step, runs)
         assert best == expected, (w, y, step, runs)
         assert all(abs(u - v) in (0, step) for u, v in zip(z, y))
         assert form(z) == best
+        ties += _keeps_the_centre(y, z, expected, values)
+    assert ties > 20
 
 
 def test_start_vector_matches_adjugate_to_30():
