@@ -132,14 +132,18 @@ MAX_DIM = 1000
 # earlier caps (the nine q around 0.382p and 0.618p, 2, p - 2, p - 1 and ten
 # seeded random q) plus the 40 q with the most kept vertices and runs: in the
 # library first, then the ten slowest as the command, cap lifted in-process.
-# The slowest found at 40,000, 29039 (9 kept vertices, 6 runs), took
-# 1.01-1.73 s in 11 runs; at 50,000 the slowest took up to 1.97 s, too close
-# to 2 s on a host whose speed varies by half.  Since the box DP keeps its
-# centre on a tie, each class costs one DP, not two: 40000 29039 took
-# 0.57-0.66 s in 8 runs, 0.91-1.23 s before.
+# With two box DPs per class the slowest found at 40,000, 29039 (9 kept
+# vertices, 6 runs), took 1.01-1.73 s in 11 runs, and at 50,000 the slowest
+# took up to 1.97 s, too close to 2 s on a host whose speed varies by half.
+# Since the box DP keeps its centre on a tie, each class costs one DP:
+# 40000 29039 took 0.57-0.66 s in 8 runs (0.91-1.23 s before), and the
+# sample was timed again at 50,000 to 80,000.  The slowest found at 70,000,
+# 51239 (9 kept vertices, 6 runs), took 0.99-1.32 s in 11 runs (1.51-1.89 s
+# in 5 runs with two DPs per class); at 80,000, 59087 took up to 1.76 s, as
+# close to 2 s as the old cap's 1.73 s, so the cap is 70,000.
 MAX_DINV_P = 400_000
 MAX_ALEXLENS_P = 80_000
-MAX_LATTICE_P = 40_000
+MAX_LATTICE_P = 70_000
 # The largest pmax `genus-scan` accepts, given as --pmax or else the default
 # radius max(12g - 7, 4g + 3), which is 12g - 7 for g >= 2.  The scan builds
 # the d-tables of every order up to pmax: a 20-digit genus overflowed a list

@@ -588,7 +588,7 @@ def test_class_value_off_the_1_over_p_grid_is_an_invariant_error(monkeypatch):
 
 def test_lattice_vs_recursion_wide_chains():
     # q = p - 1 is the chain [2, ..., 2] of rank p - 1, one run.  The longest
-    # chain the CLI admits is L(40000, 39999), at MAX_LATTICE_P; 1099 keeps
+    # chain the CLI admits is L(70000, 69999), at MAX_LATTICE_P; 1099 keeps
     # this test short
     for p in (37, 41, 53, 61, 1099):
         assert lattice_vs_recursion_check(p, p - 1).equal
